@@ -4,7 +4,8 @@ The sharded solver exists for one reason -- to push the per-slot GSD chain
 past what one process can do on a paper-scale fleet -- so this suite
 measures exactly that: **slots per second** (one slot = one full
 ``iterations``-step solve) at 200 / 2 000 / 10 000 server groups, for the
-single-process batched chain and for the process-sharded chain across a
+single-process chain the CLI ships (``GSDSolver()``: class-compressed
+water-fill, warm starts) and for the process-sharded chain across a
 sweep of shard counts, from a *warm* worker pool (cold spawn is a one-time
 cost the warm pool exists to amortize; it is reported separately).
 
@@ -21,9 +22,12 @@ Two internal contracts gate ``--check``:
   under the documented 5-minute budget (docs/SCALING.md).
 
 Every timed sharded solve is also differentially checked against the
-single-process answer (bit-identical objective and levels) -- a scale
-benchmark that quietly computed the wrong answer would be worse than a
-slow one.  The deterministic ``evaluations`` counter lands in the report
+cold batched single-process chain (``GSDSolver(batched=True,
+warm_start=False)``, whose arithmetic it shares: bit-identical objective
+and levels), and the shipped chain against that reference within the
+1e-9 objective contract -- a scale benchmark that quietly computed the
+wrong answer would be worse than a slow one.  The reference chain's own
+wall time is reported as ``batched_cold_solve_s``.  The deterministic ``evaluations`` counter lands in the report
 for the trend ledger to gate (see ``repro bench``).
 
 Run it directly (CI does)::
@@ -102,11 +106,25 @@ def measure_fleet(
     problem = _slot_problem(model, 0.5)
 
     def single_solve():
-        return GSDSolver(
-            iterations=iterations, rng=np.random.default_rng(0), batched=True
-        ).solve(problem)
+        return GSDSolver(iterations=iterations, rng=np.random.default_rng(0)).solve(
+            problem
+        )
 
-    reference = single_solve()  # warm the process (imports, allocator)
+    started = time.perf_counter()
+    reference = GSDSolver(
+        iterations=iterations,
+        rng=np.random.default_rng(0),
+        batched=True,
+        warm_start=False,
+    ).solve(problem)
+    reference_s = time.perf_counter() - started
+    shipped = single_solve()  # also warms the process (imports, allocator)
+    rel = abs(shipped.objective - reference.objective) / abs(reference.objective)
+    if rel > 1e-9 or not np.array_equal(shipped.action.levels, reference.action.levels):
+        raise AssertionError(
+            f"shipped single-process chain left the 1e-9 contract at "
+            f"{num_groups} groups (relative objective error {rel:.3g})"
+        )
     single_s = _time_solves(single_solve, repeats)
 
     sharded: dict[str, dict] = {}
@@ -138,6 +156,7 @@ def measure_fleet(
         "groups": num_groups,
         "evaluations": reference.info["evaluations"],
         "single": {"solve_s": single_s, "slots_per_s": 1.0 / single_s},
+        "batched_cold_solve_s": reference_s,
         "sharded": sharded,
         "best_sharded": {
             "shards": best["shards"],

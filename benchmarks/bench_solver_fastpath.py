@@ -16,11 +16,12 @@ seeds, so the fast-path counters (``cold_solves``, ``warm_solves``,
 reproducible; only the wall times vary run to run.  The script verifies
 the fast path's correctness contracts on every invocation:
 
-- ``cache`` and ``cache_batched`` objectives are **bit-identical** to
-  ``nofast`` (the batched engine's cold rows match the scalar oracle bit
-  for bit);
-- ``cache_warm`` and ``cache_warm_batched`` objectives match within the
-  documented 1e-9 relative error;
+- the ``cache`` objective is **bit-identical** to ``nofast`` (the memo
+  cache changes what is computed, never how);
+- ``cache_batched``, ``cache_warm`` and ``cache_warm_batched`` objectives
+  match within the documented 1e-9 relative error (warm starts stop
+  short of fp bracket collapse, and the batched engine solves per group
+  where the scalar one solves per (profile, level) class);
 - GSD reaches the bar of >= 3x fewer cold inner solves.
 
 ``--check REF`` adds the CI gates: the >20% regression tolerance on the
@@ -71,10 +72,12 @@ GSD_WALL_SPEEDUP_FLOOR = 3.0
 
 MODES = ("nofast", "cache", "cache_warm", "cache_batched", "cache_warm_batched")
 
-#: Modes whose objective must be bit-identical to ``nofast`` (cold paths).
-COLD_MODES = ("cache", "cache_batched")
-#: Modes bound by the 1e-9 relative warm-start contract.
-WARM_MODES = ("cache_warm", "cache_warm_batched")
+#: Modes whose objective must be bit-identical to ``nofast`` (same scalar
+#: cold arithmetic).
+COLD_MODES = ("cache",)
+#: Modes bound by the 1e-9 relative objective contract: warm starts, and
+#: the per-group batched engine against the per-class scalar one.
+WARM_MODES = ("cache_batched", "cache_warm", "cache_warm_batched")
 
 
 def _mode_kwargs(mode: str) -> dict:

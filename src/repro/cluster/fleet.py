@@ -17,11 +17,20 @@ share load equally at an optimum, so a per-group scalar loses nothing.
 Everything is laid out as padded NumPy tables so solvers can evaluate power
 (Eq. (2)) and delay cost (Eq. (4)) for whole fleets, or for batches of
 candidate actions, without Python-level loops.
+
+Groups that share a profile and a speed level are interchangeable inside
+the load-distribution solve: a per-server load depends only on the
+(profile, level) *class*, and the group's server count only weights it.
+:meth:`Fleet.class_histogram` collapses a level vector onto those classes;
+the profile ids behind it are computed on first use, so fleets that never
+reach the water-fill (per-slot failure sub-fleets on the enumeration
+engine) never pay for them.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -130,6 +139,90 @@ class Fleet:
         enumeration solver)."""
         first = self.groups[0].profile
         return all(g.profile is first or g.profile == first for g in self.groups[1:])
+
+    # ------------------------------------------------------------------
+    # (profile, level) classes
+    # ------------------------------------------------------------------
+    #: Lazily derived attributes, left out of pickles so a fleet's pickled
+    #: form (and any fingerprint hashed from it) does not depend on whether
+    #: a solver has touched it yet.
+    _LAZY = ("profile_ids", "_class_tables")
+
+    def __getstate__(self) -> dict:
+        state = self.__dict__.copy()
+        for name in self._LAZY:
+            state.pop(name, None)
+        return state
+
+    @cached_property
+    def profile_ids(self) -> np.ndarray:
+        """Integer profile id per group, numbered in order of first
+        appearance; groups whose static power and speed/power rows match
+        share an id, whether or not they share a profile object."""
+        seen: dict[tuple, int] = {}
+        ids = np.empty(self.num_groups, dtype=np.int64)
+        for g in range(self.num_groups):
+            key = (
+                float(self.static_power[g]),
+                self.speed_table[g].tobytes(),
+                self.dynamic_power_table[g].tobytes(),
+            )
+            ids[g] = seen.setdefault(key, len(seen))
+        ids.setflags(write=False)
+        return ids
+
+    @cached_property
+    def _class_tables(self) -> tuple[np.ndarray, ...]:
+        """``(flat class-id table, per-group row offsets, class speed, class
+        dynamic coefficient, class static power)``.  Class ``0`` is "off";
+        class ``1 + p * K + k`` is profile ``p`` at level ``k``."""
+        pid = self.profile_ids
+        K = self.max_levels
+        _, first = np.unique(pid, return_index=True)
+        table = np.zeros((self.num_groups, K + 1), dtype=np.int64)
+        table[:, 1:] = 1 + pid[:, None] * K + np.arange(K)
+        offsets = np.arange(self.num_groups, dtype=np.int64) * (K + 1) + 1
+        speed = np.concatenate(([0.0], self.speed_table[first].ravel()))
+        coeff = np.concatenate(([0.0], self.dyn_coeff[first].ravel()))
+        static = np.concatenate(([0.0], np.repeat(self.static_power[first], K)))
+        return table.ravel(), offsets, speed, coeff, static
+
+    @property
+    def num_classes(self) -> int:
+        """Size of the class-id space, the "off" class ``0`` included."""
+        return self._class_tables[2].size
+
+    @property
+    def class_speed(self) -> np.ndarray:
+        """Service rate per class id (req/s; ``0`` for the off class)."""
+        return self._class_tables[2]
+
+    @property
+    def class_dyn_coeff(self) -> np.ndarray:
+        """Dynamic power per unit load per class id (MW per req/s)."""
+        return self._class_tables[3]
+
+    @property
+    def class_static_power(self) -> np.ndarray:
+        """Per-server idle power per class id (MW)."""
+        return self._class_tables[4]
+
+    def class_histogram(
+        self, levels: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Collapse a level vector onto (profile, level) classes.
+
+        Returns ``(ids, classes, counts)``: the class id of every group
+        (``0`` when off), the ascending ids of the classes with at least
+        one on group, and the summed server count of each of those.
+        """
+        flat, offsets, speed, _, _ = self._class_tables
+        ids = flat[offsets + levels]
+        members = np.bincount(ids, minlength=speed.size)
+        members[0] = 0
+        classes = np.flatnonzero(members)
+        counts = np.bincount(ids, weights=self.counts, minlength=speed.size)
+        return ids, classes, counts[classes]
 
     def capacity(self, gamma: float) -> float:
         """Usable service rate under the utilization cap ``gamma`` (Eq. (7))."""

@@ -20,6 +20,7 @@ a wide band.
 
 from __future__ import annotations
 
+import math
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
 
@@ -57,6 +58,21 @@ class DelayCostModel(ABC):
         which the marginal delay cost equals ``m`` (clipped to ``[0, speed)``
         semantics are the caller's responsibility)."""
 
+    # Scalar forms for the class-compressed water-fill, which evaluates
+    # them a handful of times per bisection step on plain floats, where
+    # numpy's per-call dispatch would cost more than the arithmetic.  The
+    # generic fallbacks route through the vectorized methods; models with a
+    # closed form override them.
+
+    def marginal_at(self, load: float, speed: float) -> float:
+        """Scalar :meth:`marginal` for one server."""
+        return float(self.marginal(load, speed))
+
+    def inverse_marginal(self, m: float, speed: float) -> float:
+        """Scalar :meth:`load_at_marginal` for one server, ``m > 0``, clipped
+        to ``[0, speed]``."""
+        return float(np.clip(self.load_at_marginal(m, speed), 0.0, speed))
+
 
 @dataclass(frozen=True)
 class MG1PSDelay(DelayCostModel):
@@ -86,6 +102,13 @@ class MG1PSDelay(DelayCostModel):
         with np.errstate(divide="ignore", invalid="ignore"):
             lam = speed - np.sqrt(speed / m)
         return np.clip(lam, 0.0, speed)
+
+    def marginal_at(self, load, speed):
+        return speed / (speed - load) ** 2 if load < speed else math.inf
+
+    def inverse_marginal(self, m, speed):
+        load = speed - math.sqrt(speed / m)
+        return load if load > 0.0 else 0.0
 
     def mean_response_time(self, load, speed):
         """Mean response time (seconds, for req/s rates): ``1/(x - lambda)``
@@ -118,3 +141,10 @@ class SquaredLoadDelay(DelayCostModel):
         m = np.asarray(m, dtype=np.float64)
         speed = np.asarray(speed, dtype=np.float64)
         return np.clip(m * speed / 2.0, 0.0, speed)
+
+    def marginal_at(self, load, speed):
+        return 2.0 * load / speed
+
+    def inverse_marginal(self, m, speed):
+        load = m * speed / 2.0
+        return speed if load > speed else load

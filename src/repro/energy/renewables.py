@@ -41,17 +41,28 @@ def onsite_mix(
 
     The result has unit *total* energy; scale it with
     :meth:`Trace.scale_to_total` to a target share of consumption (the paper
-    scales on-site supply to ~20% of total energy use).
+    scales on-site supply to ~20% of total energy use).  A component that
+    is zero over the whole horizon (a windless day) contributes nothing,
+    and the other one carries the unit total alone.
+
+    Raises
+    ------
+    ValueError
+        If both components are zero over the whole horizon.
     """
     if not 0.0 <= solar_fraction <= 1.0:
         raise ValueError("solar_fraction must be in [0, 1]")
     gen = rng if rng is not None else np.random.default_rng(seed)
-    sol = solar_trace(horizon, rng=gen)
-    wnd = wind_trace(horizon, rng=gen)
-    mixed = (
-        solar_fraction * sol.scale_to_total(1.0).values
-        + (1.0 - solar_fraction) * wnd.scale_to_total(1.0).values
-    )
+    parts = [
+        (solar_fraction, solar_trace(horizon, rng=gen)),
+        (1.0 - solar_fraction, wind_trace(horizon, rng=gen)),
+    ]
+    live = [(w, trace) for w, trace in parts if trace.total > 0]
+    if not live:
+        raise ValueError("solar and wind supply are both zero over the horizon")
+    if len(live) < len(parts):
+        live = [(1.0, trace) for _, trace in live]
+    mixed = sum(w * trace.scale_to_total(1.0).values for w, trace in live)
     return Trace(mixed, name="onsite-renewables", unit="MW")
 
 

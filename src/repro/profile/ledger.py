@@ -16,15 +16,18 @@ invocation.  The ledger unifies them:
   numeric leaf of the suite's JSON report flattened to dotted keys.  The
   ledger is append-only history -- regressions become a diffable series
   instead of a single overwritten snapshot.
+- **Host stamps.**  Every row records the host it ran on (CPU affinity
+  count and Python version, :func:`host_stamp`); a row is only ever
+  compared against history from a like host.
 - **Verdict.**  ``check_rows`` compares each fresh row against the previous
-  ledger row for the same suite: deterministic work counters (the
-  ``GATE_METRICS`` patterns, e.g. GSD inner-solve counts, which are exact
-  under fixed seeds) gate at a relative tolerance; wall-times ride along as
-  advisory context (noisy CI runners cannot gate on them -- the same
-  stance the ``monitoring-artifacts`` CI job takes).  A suite whose own
-  ``main`` exits non-zero always fails the verdict, so each suite's
-  internal contracts (bit-identical cache, warm-start tolerance, overhead
-  budget) stay enforced.
+  ledger row for the same suite from a like host: deterministic work
+  counters (the ``GATE_METRICS`` patterns, e.g. GSD inner-solve counts,
+  which are exact under fixed seeds) gate at a relative tolerance;
+  wall-times ride along as advisory context (noisy CI runners cannot gate
+  on them -- the same stance the ``monitoring-artifacts`` CI job takes).
+  A suite whose own ``main`` exits non-zero always fails the verdict, so
+  each suite's internal contracts (bit-identical cache, warm-start
+  tolerance, overhead budget) stay enforced.
 """
 
 from __future__ import annotations
@@ -33,6 +36,7 @@ import importlib.util
 import json
 import os
 import subprocess
+import sys
 import time
 from dataclasses import dataclass
 from glob import glob
@@ -51,6 +55,7 @@ __all__ = [
     "load_rows",
     "check_rows",
     "git_revision",
+    "host_stamp",
 ]
 
 #: Default ledger location, relative to the repo root.
@@ -215,13 +220,25 @@ def git_revision(repo_dir: str | None = None) -> str:
     return out.stdout.strip() if out.returncode == 0 and out.stdout.strip() else "unknown"
 
 
+def host_stamp() -> dict:
+    """The host facts a timing depends on: the CPUs this process may run
+    on (its affinity set, not the machine's core count) and the Python
+    ``major.minor`` version."""
+    try:
+        cpus = len(os.sched_getaffinity(0))
+    except AttributeError:  # non-Linux
+        cpus = os.cpu_count() or 1
+    return {"cpus": cpus, "python": f"{sys.version_info[0]}.{sys.version_info[1]}"}
+
+
 def make_row(result: BenchResult, *, git_rev: str, timestamp: str) -> dict:
-    """One ledger line for one suite run."""
+    """One ledger line for one suite run, stamped with :func:`host_stamp`."""
     return {
         "schema": 1,
         "suite": result.suite.name,
         "timestamp": timestamp,
         "git_rev": git_rev,
+        "host": host_stamp(),
         "args": list(result.args),
         "exit_code": result.exit_code,
         "wall_s": result.wall_s,
@@ -261,9 +278,11 @@ def check_rows(
 
     Returns ``(ok, messages)``.  For each fresh row: a non-zero suite exit
     code fails outright; each gated counter (see :data:`GATE_METRICS`) is
-    compared against the *most recent* prior row for the same suite and
-    fails when it grew by more than ``tolerance`` relative.  Suites with no
-    prior row pass (first entry seeds the trend) with a note.
+    compared against the *most recent* prior row for the same suite whose
+    ``host`` stamp matches the fresh row's, and fails when it grew by more
+    than ``tolerance`` relative.  Rows from an unlike host are never
+    compared; a suite with no prior row from a like host passes (the
+    fresh row seeds that host's trend) with a note.
     """
     ok = True
     messages: list[str] = []
@@ -276,14 +295,20 @@ def check_rows(
                 "(internal contract violation)"
             )
             continue
-        prior = None
-        for candidate in reversed(history):
-            if candidate.get("suite") == suite:
-                prior = candidate
-                break
-        if prior is None:
-            messages.append(f"{suite}: no prior ledger row; seeding trend")
+        host = row.get("host")
+        same_suite = [c for c in history if c.get("suite") == suite]
+        like = [c for c in same_suite if c.get("host") == host]
+        if not like:
+            if same_suite:
+                messages.append(
+                    f"{suite}: no prior ledger row from a like host "
+                    f"({_describe_host(host)}; latest prior row ran on "
+                    f"{_describe_host(same_suite[-1].get('host'))}); seeding trend"
+                )
+            else:
+                messages.append(f"{suite}: no prior ledger row; seeding trend")
             continue
+        prior = like[-1]
         patterns = GATE_METRICS.get(suite, ())
         metrics = row.get("metrics", {})
         prior_metrics = prior.get("metrics", {})
@@ -308,3 +333,9 @@ def check_rows(
             f"(prior {prior.get('wall_s', 0.0):.2f}s, advisory)"
         )
     return ok, messages
+
+
+def _describe_host(host: dict | None) -> str:
+    if not host:
+        return "an unstamped host"
+    return f"cpus={host.get('cpus')}, python {host.get('python')}"

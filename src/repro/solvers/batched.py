@@ -3,12 +3,13 @@
 Every iterative engine (GSD, coordinate descent, brute force) scores
 candidate level vectors one at a time through
 :func:`~repro.solvers.load_distribution.distribute_load`, and on fleets of
-a few hundred groups the cost is pure Python overhead: each ν-bisection
-step is ~10 numpy calls on (G,) arrays, each call microseconds of setup
-around nanoseconds of arithmetic.  Warm starts cut the *solve count*
-(BENCH_solver_fastpath: 406 → 1 cold solves on the 200-group GSD case) but
-left the wall time flat, because the surviving bisections still ran one
-scalar candidate at a time.
+a few hundred groups the per-group formulation of that solve is pure
+Python overhead: each ν-bisection step is ~10 numpy calls on (G,) arrays,
+each call microseconds of setup around nanoseconds of arithmetic.  The
+shipped scalar solver removes that overhead by solving over (profile,
+level) classes instead of groups; this module, the batched engine
+coordinate descent and brute force score their sweeps with, keeps the
+per-group formulation and amortizes its dispatch over many candidates.
 
 This module runs the whole pipeline -- on-set compaction, feasibility
 check, ν-bisection, regime classification (billed/free/boundary), μ-
@@ -17,12 +18,15 @@ over a ``(K, G)`` batch: one vectorized bisection advances K brackets in
 lockstep instead of K scalar solves.  The same ~10 numpy calls per
 bisection step now serve every candidate at once.
 
-Bit-exactness contract
-----------------------
-The cold batched path is **bit-identical per candidate** to the scalar
-engine (pinned by ``tests/test_batched_engine.py`` against
-:func:`distribute_load` as the oracle).  Three structural rules make that
-possible:
+Exactness contract
+------------------
+Against the shipped :func:`distribute_load`, every row has the same
+feasibility and regime and a P3 objective within 1e-9 relative error.
+Against the *group-level* cold solve -- the historical scalar path, kept
+as the test oracle ``tests/waterfill_oracle.py`` and called "the scalar
+path" below -- the cold batched path is **bit-identical per candidate**
+(both pinned by ``tests/test_batched_engine.py``).  Three structural rules
+make that possible:
 
 - **Partition by on-count.**  The scalar solver compacts arrays to the
   on-set before summing; summing a full-length row with zeros interleaved
@@ -44,17 +48,16 @@ possible:
   have not collapsed yet, reproducing the scalar per-candidate bracket
   trace (and the ``inner_iters`` diagnostics) exactly.
 
-Warm-started batches (a shared ``hint``) carry the scalar warm contract:
-<= 1e-9 relative objective error against the cold solve.  Warm rows run
-the same safeguarded regula falsi (Illinois) refinement as the scalar
-warm path, in lockstep, with the identical per-row arithmetic -- so a
-warm batched row still matches the warm scalar solve bit for bit.
+Warm-started batches (a shared ``hint``) carry the warm contract: <= 1e-9
+relative objective error against the cold solve.  Warm rows run the same
+safeguarded regula falsi (Illinois) refinement as
+:func:`distribute_load`'s warm path, in lockstep.
 
 Rows whose configuration cannot serve the load come back as ``None`` --
 the batch analogue of :class:`InfeasibleError`.  Degenerate instances the
 vectorization does not cover (``Wd == 0``'s greedy fill, non-linear
-tariffs' per-row fixed point) fall back to the scalar solver row by row,
-so the API is total and trivially bit-identical there.
+tariffs' per-row fixed point) fall back to :func:`distribute_load` row by
+row, so the API is total and the rows are the shipped solver's there.
 """
 
 from __future__ import annotations
@@ -116,7 +119,7 @@ def _take(arr: np.ndarray, idx: np.ndarray) -> np.ndarray:
 def _close_residual_rows(
     lam: float, loads: np.ndarray, caps: np.ndarray, n: np.ndarray
 ) -> np.ndarray:
-    """Row-wise :func:`load_distribution._close_residual`.
+    """Row-wise residual closure: force each row's ``sum(n * loads) == lam``.
 
     The overwhelmingly common case -- every group strictly interior, one
     uniform correction, nothing clips -- is one vectorized pass: with an
@@ -172,8 +175,32 @@ def _close_residual_rows(
             out[rows[d_loc]] = filled
         for j in np.nonzero(~done)[0]:
             k = rows[j]
-            out[k] = ld._close_residual(lam, loads[k], caps[k], n[k])
+            out[k] = _close_residual_row(lam, loads[k], caps[k], n[k])
     return out
+
+
+def _close_residual_row(
+    lam: float, loads: np.ndarray, caps: np.ndarray, n: np.ndarray
+) -> np.ndarray:
+    """One row's residual closure when clipping binds: after the uniform
+    correction saturates some interior group, redistribute the clipped
+    mass over the still-interior set until the balance closes (each pass
+    saturates at least one group, so the loop is bounded by the group
+    count)."""
+    residual = lam - float(np.sum(n * loads))
+    for _ in range(loads.size + 1):
+        interior = (loads > 0.0) & (loads < caps) if residual < 0 else (loads < caps)
+        weight = float(np.sum(n[interior]))
+        if weight <= 0.0:
+            break
+        proposed = loads[interior] + residual / weight
+        clipped = np.clip(proposed, 0.0, caps[interior])
+        loads = loads.copy()
+        loads[interior] = clipped
+        if not np.any(clipped != proposed):
+            break
+        residual = lam - float(np.sum(n * loads))
+    return loads
 
 
 def _waterfill_rows(
@@ -609,7 +636,8 @@ def distribute_load_batch(
         Optional warm-start hint applied to *every* row (the typical batch
         is all neighbor flips of one base configuration, so one neighbor's
         solution brackets them all).  ``None`` runs the cold path, whose
-        rows are bit-identical to per-row :func:`distribute_load` calls.
+        rows are bit-identical to the group-level cold solve and within
+        1e-9 of per-row :func:`distribute_load` calls.
 
     Returns
     -------
@@ -726,9 +754,10 @@ def objective_batch(
 ) -> tuple[np.ndarray, list[LoadDistribution | None]]:
     """P3 objectives for K candidate level vectors in one batched pass.
 
-    Returns ``(objectives, dists)``: ``objectives[k]`` is what the scalar
-    scoring path (inner solve + evaluate + cap check) returns for row ``k``
-    -- bit-identical cold, ``inf`` for infeasible or cap-violating rows --
+    Returns ``(objectives, dists)``: ``objectives[k]`` is what the scoring
+    pipeline (inner solve + evaluate + cap check) returns for row ``k`` --
+    bit-identical to it on the group-level cold solve, within 1e-9 on the
+    shipped one, ``inf`` for infeasible or cap-violating rows --
     and ``dists[k]`` is the row's :class:`LoadDistribution` (``None`` when
     infeasible).
     """

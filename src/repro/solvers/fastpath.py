@@ -14,22 +14,33 @@ the redundancy out once, for all engines:
   the vector was seen; since the inner solve is deterministic, the cached
   value equals what a recompute would produce bit for bit, so cache-on and
   cache-off runs yield bit-identical solutions *by construction*.
+- **Class-histogram memo**: the inner solve depends on a level vector only
+  through its (profile, level) class histogram
+  (:meth:`~repro.cluster.fleet.Fleet.class_histogram`), and so do the IT
+  power, delay and served-load totals of its evaluation.  Both are
+  memoized per histogram, summed over class rows rather than groups; a
+  *new* vector whose histogram was already solved -- a GSD flip between
+  two groups of one profile, say -- reuses them and only adds its own
+  switching term, the one part that depends on which groups toggled.
+  Class sums differ from the per-group sums of
+  :meth:`~repro.solvers.problem.SlotProblem.evaluate` only in rounding;
+  :meth:`EvaluationCache.solution_for` re-evaluates the chosen action per
+  group.
 - **O(1) delta feasibility screen**: the on-set's capped capacity, static
   IT power, and on-group count are maintained incrementally as callers
   report which group they toggled (:meth:`EvaluationCache.note_changed`).
   Candidates that provably cannot serve the workload -- or whose static
   draw alone already breaks the peak-power cap -- are rejected without
-  touching the O(G)-per-bisection-step inner solve.  The screen margin
-  (``_SCREEN_RTOL``) exceeds the worst-case float drift of the incremental
-  sums, so a screened-out candidate is *provably* one the full solve would
-  also reject: verdicts never change, only their cost.
-- **Warm starts** (opt-in): the most recent successful inner solve is
-  handed to :func:`distribute_load` as a bracket hint for the next
-  candidate.  Warm-started solves match cold ones to <= 1e-9 relative
-  objective error (see :mod:`~repro.solvers.load_distribution`); engines
-  default to cold solves so results stay bit-exact, and flip
-  ``warm_start=True`` where the tolerance is acceptable (benchmarks,
-  long sweeps).
+  touching the inner solve.  The screen margin (``_SCREEN_RTOL``) exceeds
+  the worst-case float drift of the incremental sums, so a screened-out
+  candidate is *provably* one the full solve would also reject: verdicts
+  never change, only their cost.
+- **Warm starts**: the most recent inner solve is handed to
+  :func:`distribute_load` as a bracket hint for the next candidate.
+  Warm-started solves match cold ones to <= 1e-9 relative objective error
+  (see :mod:`~repro.solvers.load_distribution`).  GSD warm-starts by
+  default; the cache itself defaults to cold solves, which coordinate
+  descent and brute force keep unless asked.
 
 The cache is *per solve*: engines construct one :class:`EvaluationCache`
 per ``solve(problem)`` call, so nothing leaks across slots or problems.
@@ -58,6 +69,37 @@ _SCREEN_RTOL = 1e-9
 _REFRESH_EVERY = 256
 
 
+@dataclass(frozen=True)
+class _ClassSolve:
+    """One class histogram's inner solve and the switching-free totals of
+    its evaluation (see :meth:`SlotProblem.evaluate_totals`)."""
+
+    dist: LoadDistribution
+    it_power: float
+    delay_sum: float
+    served: float
+
+    @classmethod
+    def of(
+        cls,
+        problem: SlotProblem,
+        dist: LoadDistribution,
+        classes: np.ndarray,
+        counts: np.ndarray,
+    ) -> "_ClassSolve":
+        fleet = problem.fleet
+        # A zero-workload solve carries no class loads: every on server idles.
+        load = dist.class_load if dist.class_load is not None else np.zeros(counts.size)
+        per_server = fleet.class_static_power[classes] + fleet.class_dyn_coeff[classes] * load
+        delay = problem.delay_model.cost(load, fleet.class_speed[classes])
+        return cls(
+            dist,
+            float(np.dot(counts, per_server)),
+            float(np.dot(counts, delay)),
+            float(np.dot(counts, load)),
+        )
+
+
 @dataclass
 class FastPathStats:
     """Work counters of one :class:`EvaluationCache` (one engine solve).
@@ -70,6 +112,7 @@ class FastPathStats:
     cold_solves: int = 0
     warm_solves: int = 0
     cache_hits: int = 0
+    histogram_hits: int = 0
     screened_infeasible: int = 0
     infeasible: int = 0
     inner_iters: int = 0
@@ -81,6 +124,7 @@ class FastPathStats:
             self.cold_solves
             + self.warm_solves
             + self.cache_hits
+            + self.histogram_hits
             + self.screened_infeasible
             + self.infeasible
         )
@@ -89,9 +133,10 @@ class FastPathStats:
     def inner_solves(self) -> int:
         """Inner solves actually executed to completion (cold + warm).
 
-        Queries rejected before the bisections run -- cache hits, screened
-        candidates, and on-set-capacity ``InfeasibleError`` short-circuits
-        inside :func:`distribute_load` -- are excluded.
+        Queries answered without running the bisections -- cache and
+        histogram hits, screened candidates, and on-set-capacity
+        ``InfeasibleError`` short-circuits inside :func:`distribute_load`
+        -- are excluded.
         """
         return self.cold_solves + self.warm_solves
 
@@ -103,6 +148,7 @@ class FastPathStats:
             "cold_solves": self.cold_solves,
             "warm_starts": self.warm_solves,
             "cache_hits": self.cache_hits,
+            "histogram_hits": self.histogram_hits,
             "screened_infeasible": self.screened_infeasible,
             "infeasible": self.infeasible,
             "inner_iters": self.inner_iters,
@@ -117,9 +163,9 @@ class EvaluationCache:
     problem:
         The slot problem every queried configuration is evaluated against.
     warm_start:
-        When True, each computed inner solve seeds the next one's bisection
-        brackets (<= 1e-9 relative objective contract).  Default False:
-        cold solves only, bit-identical to the historical path.
+        When True, each inner solve seeds the next one's bisection brackets
+        (<= 1e-9 relative objective contract).  Default False: cold solves
+        only.
 
     Usage: the engine mutates its level vector in place, calls
     :meth:`note_changed` for every entry it writes, and asks
@@ -134,7 +180,11 @@ class EvaluationCache:
         self.warm_start = warm_start
         self.stats = FastPathStats()
         self._objectives: dict[bytes, float] = {}
-        self._dists: dict[bytes, LoadDistribution] = {}
+        # Inner solves by class histogram (``None`` = the on-set cannot
+        # carry the load), and the histogram of every vector objective_of
+        # scored.
+        self._solves: dict[bytes, _ClassSolve | None] = {}
+        self._histogram_of: dict[bytes, bytes] = {}
         self._hint: LoadDistribution | None = None
         # Delta-screen state: running on-set aggregates vs a private copy
         # of the last-synced level vector.
@@ -235,34 +285,44 @@ class EvaluationCache:
             self._objectives[key] = np.inf
             return np.inf
 
-        try:
-            dist = distribute_load(
-                self.problem,
-                levels,
-                hint=self._hint if self.warm_start else None,
-            )
-        except InfeasibleError:
-            self.stats.infeasible += 1
-            self._objectives[key] = np.inf
-            return np.inf
-
-        if dist.warm_started:
-            self.stats.warm_solves += 1
+        _, classes, counts = self._fleet.class_histogram(levels)
+        hkey = classes.tobytes() + counts.tobytes()
+        if hkey in self._solves:
+            self.stats.histogram_hits += 1
+            solve = self._solves[hkey]
+            if solve is None:
+                self._objectives[key] = np.inf
+                return np.inf
         else:
-            self.stats.cold_solves += 1
-        self.stats.inner_iters += dist.inner_iters
+            try:
+                dist = distribute_load(
+                    self.problem,
+                    levels,
+                    hint=self._hint if self.warm_start else None,
+                )
+            except InfeasibleError:
+                self.stats.infeasible += 1
+                self._solves[hkey] = None
+                self._objectives[key] = np.inf
+                return np.inf
+            if dist.warm_started:
+                self.stats.warm_solves += 1
+            else:
+                self.stats.cold_solves += 1
+            self.stats.inner_iters += dist.inner_iters
+            solve = self._solves[hkey] = _ClassSolve.of(
+                self.problem, dist, classes, counts
+            )
         if self.warm_start:
-            self._hint = dist
+            self._hint = solve.dist
 
-        action = FleetAction(levels=levels, per_server_load=dist.per_server_load)
-        evaluation = self.problem.evaluate(action)
-        obj = (
-            np.inf
-            if self.problem.violates_caps(evaluation)
-            else float(evaluation.objective)
+        p = self.problem
+        evaluation = p.evaluate_totals(
+            solve.it_power, solve.delay_sum, solve.served, p.switching_energy(levels)
         )
+        obj = np.inf if p.violates_caps(evaluation) else float(evaluation.objective)
         self._objectives[key] = obj
-        self._dists[key] = dist
+        self._histogram_of[key] = hkey
         return obj
 
     def objective_of_batch(self, levels_batch: np.ndarray) -> np.ndarray:
@@ -276,10 +336,13 @@ class EvaluationCache:
         what K sequential :meth:`objective_of` calls would produce, with
         two deliberate exceptions: duplicate unseen rows inside one batch
         are each solved (and counted) rather than the second hitting the
-        memo, and the speculative rows do **not** advance the incremental
+        memo, the speculative rows do **not** advance the incremental
         delta-screen state -- their verdicts come from exact from-scratch
         sums, so :meth:`note_changed` bookkeeping stays tied to the
-        engine's *real* level vector.
+        engine's *real* level vector -- and the batched engine solves per
+        group, so its rows bypass the class-histogram memo and
+        :meth:`solution_for` re-solves a batch-scored vector through
+        :func:`distribute_load` rather than reusing the batched loads.
 
         With ``warm_start`` enabled every row shares the block-entry hint
         (the batch is neighbor flips of one base configuration), and the
@@ -359,7 +422,6 @@ class EvaluationCache:
             self.stats.inner_iters += dist.inner_iters
             obj = float(objectives[j])
             self._objectives[keys[k]] = obj
-            self._dists[keys[k]] = dist
             out[k] = obj
             last_dist = dist
         if self.warm_start and last_dist is not None:
@@ -370,9 +432,12 @@ class EvaluationCache:
         self, levels: np.ndarray
     ) -> tuple[FleetAction, SlotEvaluation]:
         """Exact ``(action, evaluation)`` for a level vector, reusing the
-        cached inner solve when the vector was scored before."""
-        dist = self._dists.get(levels.tobytes())
-        if dist is None:
-            dist = distribute_load(self.problem, levels)
-        action = FleetAction(levels=levels, per_server_load=dist.per_server_load)
+        cached inner solve when :meth:`objective_of` scored it before."""
+        hkey = self._histogram_of.get(levels.tobytes())
+        if hkey is None:
+            loads = distribute_load(self.problem, levels).per_server_load
+        else:
+            ids = self._fleet.class_histogram(levels)[0]
+            loads = self._solves[hkey].dist.expand(self._fleet, ids)
+        action = FleetAction(levels=levels, per_server_load=loads)
         return action, self.problem.evaluate(action)

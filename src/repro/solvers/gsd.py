@@ -30,6 +30,7 @@ Fig. 4.
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass
 from typing import Callable, Sequence
@@ -54,6 +55,17 @@ _OBJECTIVE_FLOOR = 1e-12
 #: on divergence.
 _BLOCK_MIN = 8
 _BLOCK_MAX = 64
+
+
+def _acceptance_probability(delta: float, explored: float, current: float) -> float:
+    """Line 4's two-point Gibbs probability of keeping the explored
+    configuration, computed stably as a sigmoid of
+    ``delta * (1/g~^e - 1/g~^*)``.  Plain floats: at one call per chain
+    step, numpy's scalar dispatch would cost more than the arithmetic."""
+    ge = max(explored, _OBJECTIVE_FLOOR)
+    gs = max(current, _OBJECTIVE_FLOOR)
+    exponent = min(max(delta * (1.0 / ge - 1.0 / gs), -700.0), 700.0)
+    return 1.0 / (1.0 + math.exp(-exponent))
 
 
 def geometric_temperature(
@@ -138,9 +150,9 @@ class GSDSolver(SlotSolver):
     warm_start:
         Seed each inner solve's bisection brackets from the previous
         candidate's solution (requires ``use_cache``).  Warm-started solves
-        match cold ones to <= 1e-9 relative objective error, so this knob
-        is off by default and flipped where that tolerance is acceptable
-        (benchmarks, long sweeps).
+        match cold ones to <= 1e-9 relative objective error.  ``None`` (the
+        default) warm-starts whenever the cache is on; pass ``False`` for
+        cold solves.
     deadline_ms:
         Wall-clock budget per solve.  When it expires mid-chain the solver
         stops and returns the best feasible incumbent (anytime behaviour,
@@ -159,10 +171,14 @@ class GSDSolver(SlotSolver):
         infeasible proposal ends the block: the iteration is completed
         with its batched value, the RNG is rewound to the snapshot and
         re-advanced with the *true* consumption pattern, and the chain
-        continues from the next iteration -- so the visited states, the
-        accept/reject decisions, and the RNG stream are **bit-identical**
-        to the scalar chain (cold solves; warm starts keep their usual
-        <= 1e-9 per-solve contract).  Requires ``use_cache``; silently
+        continues from the next iteration -- so the visited states and the
+        RNG stream follow the scalar chain's rules exactly.  The batched
+        engine solves per group while the scalar path solves per class, so
+        each objective agrees with the scalar chain's to <= 1e-9 relative
+        error rather than bit for bit; the start configuration is scored
+        through the batched engine too, so a cold batched chain shares all
+        of its arithmetic with :class:`~repro.solvers.sharded
+        .ShardedGSDSolver`.  Requires ``use_cache``; silently
         falls back to the scalar loop when the cache is off or a
         ``deadline_ms`` is set (the scalar loop polls the deadline between
         iterations, a granularity block evaluation would coarsen).
@@ -188,7 +204,7 @@ class GSDSolver(SlotSolver):
         failed_groups: Sequence[int] | None = None,
         log_interval: int = 100,
         use_cache: bool = True,
-        warm_start: bool = False,
+        warm_start: bool | None = None,
         deadline_ms: float | None = None,
         batched: bool = False,
     ):
@@ -211,7 +227,7 @@ class GSDSolver(SlotSolver):
         self.record_history = record_history
         self.log_interval = log_interval
         self.use_cache = use_cache
-        self.warm_start = warm_start
+        self.warm_start = use_cache if warm_start is None else warm_start
         self.deadline_ms = deadline_ms
         self.batched = batched
         # Chain counter: stamps telemetry events with a per-solver
@@ -293,7 +309,9 @@ class GSDSolver(SlotSolver):
             self.failed_groups.min() < 0 or self.failed_groups.max() >= G
         ):
             raise ValueError("failed group index out of range")
-        healthy = np.setdiff1d(np.arange(G), self.failed_groups)
+        up = np.ones(G, dtype=bool)
+        up[self.failed_groups] = False
+        healthy = np.flatnonzero(up)
         if healthy.size == 0:
             raise ValueError("every group has failed")
 
@@ -303,15 +321,18 @@ class GSDSolver(SlotSolver):
             else None
         )
 
+        scored_s = 0.0
         if sp:
             # Attribution build of the scorer: classify each candidate
             # evaluation by what the fast path actually did (stats deltas)
             # and accumulate its wall time into an aggregated child bucket
             # -- one summarized span event per bucket at solve exit, never
-            # one per iteration.
+            # one per iteration.  ``scored_s`` sums those bucket times so
+            # the chain's own step work can be attributed as the remainder.
             fp_stats = cache.stats if cache is not None else None
 
             def score(lv: np.ndarray) -> float:
+                nonlocal scored_s
                 t0 = time.perf_counter()
                 if cache is None:
                     value = self._objective_of(problem, lv)
@@ -326,7 +347,9 @@ class GSDSolver(SlotSolver):
                         bucket = "gsd.feasibility_screen"
                     else:
                         bucket = "gsd.inner_bisection"
-                sp.add(bucket, time.perf_counter() - t0)
+                dt = time.perf_counter() - t0
+                sp.add(bucket, dt)
+                scored_s += dt
                 return value
 
         else:
@@ -336,6 +359,17 @@ class GSDSolver(SlotSolver):
                     return cache.objective_of(lv)
                 return self._objective_of(problem, lv)
 
+        use_batched = (
+            self.batched and cache is not None and self.deadline_ms is None
+        )
+        if use_batched:
+
+            def score_start(lv: np.ndarray) -> float:
+                return float(cache.objective_of_batch(lv[None, :])[0])
+
+        else:
+            score_start = score
+
         if self.initial_levels is not None:
             levels = self.initial_levels.copy()
             if levels.shape != (G,):
@@ -343,13 +377,13 @@ class GSDSolver(SlotSolver):
         else:
             levels = (fleet.num_levels - 1).astype(np.int64)
         levels[self.failed_groups] = -1  # failed machines are dark
-        current = score(levels)
+        current = score_start(levels)
         if not np.isfinite(current):
             levels = (fleet.num_levels - 1).astype(np.int64)
             levels[self.failed_groups] = -1
             if cache is not None:
                 cache.note_all()
-            current = score(levels)
+            current = score_start(levels)
         best_levels, best = levels.copy(), current
 
         hist_chain = np.empty(self.iterations)
@@ -383,9 +417,8 @@ class GSDSolver(SlotSolver):
             )
 
         completed = 0
-        use_batched = (
-            self.batched and cache is not None and self.deadline_ms is None
-        )
+        scored_s = 0.0
+        t_chain = time.perf_counter() if sp else 0.0
         spec_blocks = spec_full = spec_resyncs = spec_wasted = 0
         if use_batched:
             # Speculative block batching.  Invariant entering each block:
@@ -417,7 +450,9 @@ class GSDSolver(SlotSolver):
                     t0 = time.perf_counter() if sp else 0.0
                     objs = cache.objective_of_batch(batch)
                     if sp:
-                        sp.add("gsd.batched_solve", time.perf_counter() - t0)
+                        dt = time.perf_counter() - t0
+                        sp.add("gsd.batched_solve", dt)
+                        scored_s += dt
                 row_of = {bi: r for r, bi in enumerate(cand)}
                 finite: dict[int, bool] = {}
                 consumed = 0
@@ -434,18 +469,13 @@ class GSDSolver(SlotSolver):
                         continue
                     explored = float(objs[row_of[bi]])
                     n_solves += 1
-                    is_finite = bool(np.isfinite(explored))
+                    is_finite = math.isfinite(explored)
                     finite[bi] = is_finite
                     if is_finite:
                         # Line 4: identical arithmetic to the scalar loop;
                         # ``u`` is the uniform the scalar loop would have
                         # drawn at exactly this point of the stream.
-                        ge = max(explored, _OBJECTIVE_FLOOR)
-                        gs = max(current, _OBJECTIVE_FLOOR)
-                        exponent = np.clip(
-                            delta * (1.0 / ge - 1.0 / gs), -700.0, 700.0
-                        )
-                        accept = u < 1.0 / (1.0 + np.exp(-exponent))
+                        accept = u < _acceptance_probability(delta, explored, current)
                     else:
                         accept = False
                         diverged = True  # scalar draws no uniform here
@@ -516,14 +546,11 @@ class GSDSolver(SlotSolver):
                 explored = score(levels)
                 n_solves += 1
 
-                if np.isfinite(explored):
-                    # Line 4: two-point Gibbs acceptance, computed stably as
-                    # a sigmoid of delta * (1/g~^e - 1/g~^*).
-                    ge = max(explored, _OBJECTIVE_FLOOR)
-                    gs = max(current, _OBJECTIVE_FLOOR)
-                    exponent = np.clip(delta * (1.0 / ge - 1.0 / gs), -700.0, 700.0)
-                    u = 1.0 / (1.0 + np.exp(-exponent))
-                    accept = rng.random() < u
+                if math.isfinite(explored):
+                    # Line 4: two-point Gibbs acceptance.
+                    accept = rng.random() < _acceptance_probability(
+                        delta, explored, current
+                    )
                 else:
                     accept = False  # line 2 guard: infeasible explorations die
 
@@ -540,6 +567,9 @@ class GSDSolver(SlotSolver):
                         cache.note_changed(g)
                 hist_chain[it], hist_best[it] = current, best
                 _log_window(it)
+        if sp:
+            # The chain's own steps: proposal draws, acceptance, history.
+            sp.add("gsd.chain", time.perf_counter() - t_chain - scored_s)
 
         truncated = completed < self.iterations
         if truncated:

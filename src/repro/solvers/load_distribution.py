@@ -22,39 +22,54 @@ when the two disagree, bisect the weight so facility power meets the
 renewable supply exactly (regime *boundary*) -- the KKT multiplier of the
 constraint ``P <= r``.
 
-Everything is vectorized across groups; the per-slot cost is bounded by
-``_NU_ITERS`` bisection steps of O(G) array work.
+Class compression
+-----------------
+``l_g(nu)`` depends on a group only through its (profile, level) pair: the
+speed ``x_g`` and coefficient ``c_g``.  The count ``n_g`` only weights it.
+So the solve runs over **classes**, not groups
+(:meth:`~repro.cluster.fleet.Fleet.class_histogram`): one row per (profile,
+level) with the summed server count.  The paper's 200 homogeneous groups
+need at most 4 rows, a two-profile fleet at most 8, whatever its size.
+Regime choice, the nu/mu loops and the residual closure all run over those
+rows, and the per-group loads are expanded once on return, so every group
+of a class carries the same per-server load.  At a handful of rows numpy's
+per-call dispatch costs more than the arithmetic, so the loops run on plain
+floats; the delay model's scalar
+:meth:`~repro.cluster.queueing.DelayCostModel.inverse_marginal` stays the
+one source of the inverse marginal.  The scalar loops assume few distinct
+profiles (every fleet in this package has one or two); a fleet of
+thousands of distinct profiles would pay ~0.3 us per class per step.
 
 Fast path
 ---------
 Two orthogonal accelerations keep the hot loop short (see
 docs/PERFORMANCE.md):
 
-- **Exact early exit**: every bisection stops as soon as its bracket can no
-  longer shrink in floating point (the midpoint rounds onto an endpoint).
-  From that state, running the remaining fixed-count iterations provably
-  cannot change the returned endpoint, so the early-exited result is
-  *bit-identical* to the historical fixed-count loop.  The module flag
-  ``_EARLY_EXIT`` exists so tests can re-run the fixed-count path and
-  assert exact equality.
+- **Exact early exit**: every cold bisection stops as soon as its bracket
+  can no longer shrink in floating point (the midpoint rounds onto an
+  endpoint).  From that state, running the remaining fixed-count
+  iterations provably cannot change the returned endpoint, so the
+  early-exited result is *bit-identical* to the fixed-count loop.  The
+  module flag ``_EARLY_EXIT`` exists so tests can re-run the fixed-count
+  path and assert exact equality.
 - **Warm starts**: :func:`distribute_load` accepts the
   :class:`LoadDistribution` of a *neighboring* configuration (one group's
   level changed) as a ``hint``.  The hint's dual variable seeds a tight
   bracket around the previous crossing (validated before use -- if the
   crossing moved outside the tight bracket, the cold bracket is used and
-  nothing is lost but two O(G) evaluations).  A validated bracket is then
+  nothing is lost but two evaluations).  A validated bracket is then
   refined by safeguarded regula falsi (Illinois) instead of bisection:
   secant proposals on the monotone served-load curve collapse the bracket
   in a handful of steps where bisection needs ~log2(width/ulp), stopping
   at ``_WARM_XTOL`` relative bracket width.  Warm-started solves agree
   with cold solves to <= 1e-9 relative objective error (the closed
   balance restores feasibility exactly, so the objective error is
-  second-order in the remaining dual error); callers that need bit-exact
-  cold results simply pass no hint.
+  second-order in the remaining dual error).
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -65,8 +80,6 @@ from .problem import InfeasibleError, SlotProblem
 
 __all__ = ["LoadDistribution", "distribute_load", "solve_fixed_levels"]
 
-#: Relative bisection tolerance on the served-load balance.
-_BALANCE_RTOL = 1e-12
 _NU_ITERS = 100
 _MU_ITERS = 60
 
@@ -84,8 +97,7 @@ _EARLY_EXIT = True
 #: bracket -- the tight one is contained in it, so it validates exactly
 #: when the wide one does, and the Illinois refinement erases the width
 #: difference in a couple of steps; the mu bisection (no superlinear
-#: refinement) still tries both.  A failed tier costs two O(G)
-#: evaluations.
+#: refinement) still tries both.  A failed tier costs two evaluations.
 _WARM_RTOL = 1e-6
 _WARM_RTOL_WIDE = 5e-2
 
@@ -94,7 +106,7 @@ _WARM_RTOL_WIDE = 5e-2
 #: balance exactly, so the solution is a feasible point within ~1e-10 of
 #: the optimizer and the objective gap is *second order* (~1e-20 relative)
 #: -- far inside the 1e-9 warm contract.  Cold bisections still run to fp
-#: bracket collapse; their bit-exactness contract is untouched.
+#: bracket collapse.
 _WARM_XTOL = 1e-10
 
 
@@ -120,6 +132,11 @@ class LoadDistribution:
     inner_iters:
         Total bisection iterations spent across all water-filling calls of
         this solve (diagnostic for the fast-path benchmarks).
+    classes, class_load:
+        The on-set's class ids (ascending, see
+        :meth:`~repro.cluster.fleet.Fleet.class_histogram`) and the
+        per-server load of each; ``None`` on results of the batched
+        engine, which solves per group.
     """
 
     per_server_load: np.ndarray
@@ -128,25 +145,63 @@ class LoadDistribution:
     electricity_weight: float
     warm_started: bool = False
     inner_iters: int = 0
+    classes: np.ndarray | None = None
+    class_load: np.ndarray | None = None
+
+    def expand(self, fleet: Fleet, ids: np.ndarray) -> np.ndarray:
+        """Per-group loads for any level vector with this solve's class
+        histogram, given its per-group class ids ``ids``."""
+        if self.classes is None:  # zero workload: nothing to place
+            return np.zeros(ids.size)
+        return _expand(fleet, ids, self.classes, self.class_load)
+
+
+def _expand(
+    fleet: Fleet, ids: np.ndarray, classes: np.ndarray, class_load: np.ndarray
+) -> np.ndarray:
+    table = np.zeros(fleet.num_classes)
+    table[classes] = class_load
+    return table[ids]
+
+
+class _ClassRows:
+    """The on-set collapsed to one row per (profile, level) class, held as
+    plain floats for the scalar water-fill loops.  Everything that does not
+    depend on the electricity weight is computed once per solve."""
+
+    __slots__ = ("x", "c", "n", "caps", "wd", "d0", "dcap")
+
+    def __init__(
+        self, problem: SlotProblem, x: np.ndarray, c: np.ndarray, n: np.ndarray
+    ):
+        marginal = problem.delay_model.marginal_at
+        wd = self.wd = problem.V * problem.delay_weight
+        self.x = x.tolist()
+        self.c = c.tolist()
+        self.n = n.tolist()
+        self.caps = (problem.gamma * x).tolist()
+        # Marginal delay price at zero load and at the cap: the cold nu
+        # bracket, whatever the electricity weight.
+        self.d0 = [wd * marginal(0.0, xk) for xk in self.x]
+        self.dcap = [wd * marginal(cap, xk) for cap, xk in zip(self.caps, self.x)]
 
 
 def _fill_when_delay_free(
-    lam: float, weights: np.ndarray, caps: np.ndarray, counts: np.ndarray
-) -> np.ndarray:
+    lam: float, weights: list[float], caps: list[float], counts: list[float]
+) -> list[float]:
     """Degenerate case ``Wd == 0``: objective is linear in loads, so fill
-    groups to their caps in ascending order of per-request electricity
-    weight (ties broken by index)."""
-    order = np.argsort(weights, kind="stable")
-    loads = np.zeros_like(caps)
+    rows to their caps in ascending order of ``weights`` (ties broken by
+    index)."""
+    loads = [0.0] * len(caps)
     remaining = lam
-    for g in order:
-        if counts[g] <= 0.0:
-            # A zero-server group (e.g. failures emptied it) offers no
+    for k in sorted(range(len(weights)), key=weights.__getitem__):
+        if counts[k] <= 0.0:
+            # A zero-server row (e.g. failures emptied a group) offers no
             # capacity; skipping it keeps the 0/0 below from poisoning the
             # fill with NaNs.
             continue
-        take = min(remaining, caps[g] * counts[g])
-        loads[g] = take / counts[g]
+        take = min(remaining, caps[k] * counts[k])
+        loads[k] = take / counts[k]
         remaining -= take
         if remaining <= 0:
             break
@@ -155,34 +210,50 @@ def _fill_when_delay_free(
     return loads
 
 
-def _close_residual(
-    lam: float, loads: np.ndarray, caps: np.ndarray, n: np.ndarray
-) -> np.ndarray:
-    """Force ``sum(n * loads) == lam`` by spreading the bisection residual
-    over groups strictly inside their box ``[0, cap]``.
+def _served_total(n: list[float], loads: list[float]) -> float:
+    total = 0.0
+    for nk, lk in zip(n, loads):
+        total += nk * lk
+    return total
 
-    The first pass applies one uniform correction and clips -- the
-    historical behavior, bit-identical whenever the correction lands
-    strictly inside every box (the overwhelmingly common case: the residual
-    is a few ulps of ``lam``).  When clipping *does* bind -- some interior
-    group saturates at its cap (or floor) while absorbing the correction --
-    the clipped mass is redistributed over the still-interior set until the
-    balance closes; each extra pass saturates at least one group, so the
-    loop is bounded by the group count.
+
+def _close_residual(
+    lam: float, loads: list[float], caps: list[float], n: list[float]
+) -> list[float]:
+    """Force ``sum(n * loads) == lam`` by spreading the bisection residual
+    over rows strictly inside their box ``[0, cap]``.
+
+    The first pass applies one uniform correction and clips.  When
+    clipping binds -- some interior row saturates at its cap (or floor)
+    while absorbing the correction -- the clipped mass is redistributed
+    over the still-interior set until the balance closes; each extra pass
+    saturates at least one row, so the loop is bounded by the row count.
     """
-    residual = lam - float(np.sum(n * loads))
-    for _ in range(loads.size + 1):
-        interior = (loads > 0.0) & (loads < caps) if residual < 0 else (loads < caps)
-        weight = float(np.sum(n[interior]))
+    loads = list(loads)
+    residual = lam - _served_total(n, loads)
+    for _ in range(len(loads) + 1):
+        if residual < 0:
+            interior = [k for k, lk in enumerate(loads) if 0.0 < lk < caps[k]]
+        else:
+            interior = [k for k, lk in enumerate(loads) if lk < caps[k]]
+        weight = 0.0
+        for k in interior:
+            weight += n[k]
         if weight <= 0.0:
             break
-        proposed = loads[interior] + residual / weight
-        clipped = np.clip(proposed, 0.0, caps[interior])
-        loads = loads.copy()
-        loads[interior] = clipped
-        if not np.any(clipped != proposed):
+        shift = residual / weight
+        bound = False
+        for k in interior:
+            proposed = loads[k] + shift
+            if proposed < 0.0:
+                loads[k], bound = 0.0, True
+            elif proposed > caps[k]:
+                loads[k], bound = caps[k], True
+            else:
+                loads[k] = proposed
+        if not bound:
             break  # nothing bound: the correction closed the balance
-        residual = lam - float(np.sum(n * loads))
+        residual = lam - _served_total(n, loads)
     return loads
 
 
@@ -190,54 +261,69 @@ def _waterfill(
     problem: SlotProblem,
     lam: float,
     we: float,
-    x: np.ndarray,
-    c: np.ndarray,
-    n: np.ndarray,
+    rows: _ClassRows,
     nu_hint: float | None = None,
-) -> tuple[np.ndarray, float, int, bool]:
-    """Water-filling for a fixed electricity weight ``we`` ($/MWh brown).
+) -> tuple[list[float], float, int, bool]:
+    """Water-filling over class rows for a fixed electricity weight ``we``
+    ($/MWh brown).
 
-    Returns ``(per-server loads over the on-set, dual variable nu,
-    bisection iterations, warm-start used)``.  ``nu_hint`` is a previous
-    solve's dual variable; when the balance crossing still lies inside a
-    tight bracket around it, bisection starts from that bracket instead of
-    the cold one.
+    Returns ``(per-server load of each row, dual variable nu, bisection
+    iterations, warm-start used)``.  ``nu_hint`` is a previous solve's dual
+    variable; when the balance crossing still lies inside a tight bracket
+    around it, the search starts from that bracket instead of the cold one.
     """
-    dm = problem.delay_model
-    wd = problem.V * problem.delay_weight
-    pue = problem.pue
-    caps = problem.gamma * x
-    elec_marginal = we * pue * c  # $ per (req/s) routed to each group
+    wd = rows.wd
+    wp = we * problem.pue
+    elec = [wp * ck for ck in rows.c]  # $ per (req/s) routed to each row
+    caps = rows.caps
 
     if wd <= 0.0:
+        # At zero electricity weight too every split is optimal; filling
+        # the least power-hungry rows first keeps facility power (and so
+        # the regime choice) independent of the row order.
         return (
-            _fill_when_delay_free(lam, elec_marginal, caps, n),
-            float(elec_marginal.min(initial=0.0)),
+            _fill_when_delay_free(lam, elec if wp > 0.0 else rows.c, caps, rows.n),
+            min(0.0, *elec),
             0,
             False,
         )
 
-    def loads_at(nu: float) -> np.ndarray:
-        m = (nu - elec_marginal) / wd
-        lam_g = np.where(m > 0, dm.load_at_marginal(np.maximum(m, 1e-300), x), 0.0)
-        return np.clip(lam_g, 0.0, caps)
+    inv = problem.delay_model.inverse_marginal
+    table = list(zip(elec, rows.x, caps, rows.n))
+
+    def loads_at(nu: float) -> list[float]:
+        out = []
+        for e, x, cap, _ in table:
+            m = (nu - e) / wd
+            if m > 0.0:
+                load = inv(m, x)
+                out.append(cap if load > cap else load)
+            else:
+                out.append(0.0)
+        return out
 
     def served(nu: float) -> float:
-        return float(np.sum(n * loads_at(nu)))
+        total = 0.0
+        for e, x, cap, n in table:
+            m = (nu - e) / wd
+            if m > 0.0:
+                load = inv(m, x)
+                total += n * (cap if load > cap else load)
+        return total
 
-    lo = float(np.min(elec_marginal + wd * dm.marginal(np.zeros_like(x), x)))
-    hi = max(lo, float(np.max(elec_marginal + wd * dm.marginal(caps, x)))) + 1.0
+    lo = min([e + d for e, d in zip(elec, rows.d0)])
+    hi = max(lo, max([e + d for e, d in zip(elec, rows.dcap)])) + 1.0
 
     # Warm validation runs *before* the cold doubling probe: the doubling
     # loop only ever raises ``hi``, so a hint bracket that fits under the
     # initial ``hi`` sees exactly the same clamps either way -- and once
     # it validates (``served(whi) >= lam``), monotonicity guarantees the
-    # probe would not have fired, letting a validated hint skip that O(G)
+    # probe would not have fired, letting a validated hint skip that
     # evaluation entirely.  Only hint brackets poking above the initial
     # ``hi`` have to wait for the doubled bracket.
     warm = False
     f_lo = f_hi = 0.0
-    hint_ok = nu_hint is not None and np.isfinite(nu_hint)
+    hint_ok = nu_hint is not None and math.isfinite(nu_hint)
     tried_early = False
     if hint_ok:
         w = _WARM_RTOL_WIDE * max(abs(nu_hint), 1e-300)
@@ -315,11 +401,9 @@ def _waterfill(
             iters += 1
             if collapsed and _EARLY_EXIT:
                 break
-    loads = loads_at(hi)
 
-    # Close the residual balance exactly on groups strictly inside their box.
-    loads = _close_residual(lam, loads, caps, n)
-    return loads, hi, iters, warm
+    # Close the residual balance exactly on rows strictly inside their box.
+    return _close_residual(lam, loads_at(hi), caps, rows.n), hi, iters, warm
 
 
 def distribute_load(
@@ -341,8 +425,10 @@ def distribute_load(
         (typically the previous candidate of a GSD chain or coordinate
         sweep).  Its dual variable and regime seed the bisection brackets;
         the warm-started solution matches the cold one to <= 1e-9 relative
-        objective error.  ``None`` (the default) runs the cold path, whose
-        result is bit-identical with or without the fast path.
+        objective error.  ``None`` (the default) runs the cold path.
+
+    The result depends on ``levels`` only through its class histogram:
+    two level vectors with equal histograms get the same class loads.
 
     Raises
     ------
@@ -352,31 +438,38 @@ def distribute_load(
     fleet = problem.fleet
     levels = np.asarray(levels, dtype=np.int64)
     lam = problem.arrival_rate
-    on = np.nonzero(levels >= 0)[0]
-    full = np.zeros(fleet.num_groups)
 
     if lam <= 0.0:
-        return LoadDistribution(full, 0.0, "free", 0.0)
-    if on.size == 0:
+        return LoadDistribution(np.zeros(fleet.num_groups), 0.0, "free", 0.0)
+    ids, classes, counts = fleet.class_histogram(levels)
+    if classes.size == 0:
         raise InfeasibleError("positive workload but every group is off")
 
-    x = fleet.speed_table[on, levels[on]]
-    c = fleet.dyn_coeff[on, levels[on]]
-    n = fleet.counts[on]
-    if lam > problem.gamma * float(np.sum(n * x)) * (1.0 + 1e-12):
+    x = fleet.class_speed[classes]
+    c = fleet.class_dyn_coeff[classes]
+    if lam > problem.gamma * float(np.dot(counts, x)) * (1.0 + 1e-12):
         raise InfeasibleError("load exceeds capped capacity of the on-set")
 
+    rows = _ClassRows(problem, x, c, counts)
     pue = problem.pue
     slot_h = problem.slot_hours
-    static_it = float(np.sum(n * fleet.static_power[on]))
+    static_it = float(np.dot(counts, fleet.class_static_power[classes]))
+    power_per_load = (counts * c).tolist()
     total_iters = 0
     warm_any = False
 
-    def facility(loads: np.ndarray) -> float:
-        return pue * (static_it + float(np.sum(n * c * loads)))
+    def facility(loads: list[float]) -> float:
+        return pue * (static_it + _served_total(power_per_load, loads))
 
     def weight_full(brown_guess: float) -> float:
         return problem.V * problem.tariff.marginal(brown_guess, problem.price) + problem.q
+
+    def result(loads, nu, regime, we) -> LoadDistribution:
+        class_load = np.array(loads)
+        return LoadDistribution(
+            _expand(fleet, ids, classes, class_load),
+            nu, regime, we, warm_any, total_iters, classes, class_load,
+        )
 
     # Regime "billed": full electricity weight (fixed-point on the tariff
     # marginal for nonlinear tariffs; exact in one pass for LinearTariff).
@@ -384,7 +477,7 @@ def distribute_load(
     we = weight_full(0.0)
     for _ in range(1 if isinstance(problem.tariff, LinearTariff) else 3):
         loads_a, nu_a, it_a, warm_a = _waterfill(
-            problem, lam, we, x, c, n, nu_hint=billed_hint
+            problem, lam, we, rows, nu_hint=billed_hint
         )
         total_iters += it_a
         warm_any |= warm_a
@@ -394,19 +487,17 @@ def distribute_load(
             break
         we = new_we
     if facility(loads_a) >= problem.onsite * (1.0 - 1e-12):
-        full[on] = loads_a
-        return LoadDistribution(full, nu_a, "billed", we, warm_any, total_iters)
+        return result(loads_a, nu_a, "billed", we)
 
     # Regime "free": renewables may cover everything -> zero weight.
     free_hint = hint.nu if hint is not None and hint.regime == "free" else None
     loads_b, nu_b, it_b, warm_b = _waterfill(
-        problem, lam, 0.0, x, c, n, nu_hint=free_hint
+        problem, lam, 0.0, rows, nu_hint=free_hint
     )
     total_iters += it_b
     warm_any |= warm_b
     if facility(loads_b) <= problem.onsite * (1.0 + 1e-12):
-        full[on] = loads_b
-        return LoadDistribution(full, nu_b, "free", 0.0, warm_any, total_iters)
+        return result(loads_b, nu_b, "free", 0.0)
 
     # Regime "boundary": power pinned at the renewable supply; bisect the
     # multiplier mu in (0, we) so that facility power == onsite supply.
@@ -414,7 +505,7 @@ def distribute_load(
     # each inner water-fill reuses the previous iteration's dual variable
     # as its own hint -- consecutive mu values are close, so the chained
     # hints cut the inner bracket down to the warm width.  The chaining is
-    # active only on warm-started solves so cold solves stay bit-exact.
+    # active only on warm-started solves so cold solves stay exact.
     lo_mu, hi_mu = 0.0, we
     if (
         hint is not None
@@ -428,10 +519,10 @@ def distribute_load(
             if cand_lo >= cand_hi:
                 continue
             loads_lo, _, it_lo, _ = _waterfill(
-                problem, lam, cand_lo, x, c, n, nu_hint=hint.nu
+                problem, lam, cand_lo, rows, nu_hint=hint.nu
             )
             loads_hi, _, it_hi, _ = _waterfill(
-                problem, lam, cand_hi, x, c, n, nu_hint=hint.nu
+                problem, lam, cand_hi, rows, nu_hint=hint.nu
             )
             total_iters += it_lo + it_hi
             if (
@@ -448,7 +539,7 @@ def distribute_load(
         mu = 0.5 * (lo_mu + hi_mu)
         collapsed = mu == lo_mu or mu == hi_mu
         loads_m, nu_m, it_m, _ = _waterfill(
-            problem, lam, mu, x, c, n, nu_hint=nu_chain
+            problem, lam, mu, rows, nu_hint=nu_chain
         )
         total_iters += it_m
         if warm_any:
@@ -459,13 +550,12 @@ def distribute_load(
             hi_mu = mu
         if collapsed and _EARLY_EXIT:
             break
-    full[on] = loads_m
     # Report the weight the returned loads were actually computed at: the
     # last midpoint ``mu``, not the final bracket's center.  Warm-start
     # hints seed their mu bracket from ``hint.electricity_weight``, so the
     # mismatch would hand every boundary-regime warm solve a bracket around
     # a weight no water-fill ever used.
-    return LoadDistribution(full, nu_m, "boundary", mu, warm_any, total_iters)
+    return result(loads_m, nu_m, "boundary", mu)
 
 
 def solve_fixed_levels(problem: SlotProblem, levels: np.ndarray):

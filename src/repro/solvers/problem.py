@@ -237,18 +237,40 @@ class SlotProblem:
     def evaluate(self, action: FleetAction) -> SlotEvaluation:
         """Full cost breakdown of an action, including the P3 objective
         value ``V * g + q * y`` (Eq. (16)) and any switching charges."""
-        it_power = action.power(self.fleet)
         delay_sum = self.fleet.action_delay_sum(
             action.levels, action.per_server_load, delay_model=self.delay_model
         )
-        if self.network_delay > 0.0:
-            delay_sum += self.network_delay * action.served_load(self.fleet)
+        served = action.served_load(self.fleet) if self.network_delay > 0.0 else 0.0
+        return self.evaluate_totals(
+            action.power(self.fleet),
+            delay_sum,
+            served,
+            self.switching_energy(action.levels),
+        )
 
-        switching_energy = 0.0
-        if self.switching is not None and self.prev_on_counts is not None:
-            switching_energy = self.switching.energy(
-                self.prev_on_counts, action.on_counts(self.fleet)
-            )
+    def switching_energy(self, levels: np.ndarray) -> float:
+        """Switching energy (MWh) of moving from ``prev_on_counts`` to the
+        on-set of ``levels``; zero without a switching model or a previous
+        slot."""
+        if self.switching is None or self.prev_on_counts is None:
+            return 0.0
+        on_counts = np.where(np.asarray(levels) >= 0, self.fleet.counts, 0.0)
+        return self.switching.energy(self.prev_on_counts, on_counts)
+
+    def evaluate_totals(
+        self,
+        it_power: float,
+        delay_sum: float,
+        served_load: float,
+        switching_energy: float,
+    ) -> SlotEvaluation:
+        """:meth:`evaluate` from an action's fleet-wide totals: IT power
+        (MW), the unweighted delay sum, the served load (req/s; read only
+        when ``network_delay`` is set), and the switching energy (MWh).
+        Lets a caller that already aggregated these -- per (profile,
+        level) class, say -- skip the per-group pass."""
+        if self.network_delay > 0.0:
+            delay_sum += self.network_delay * served_load
 
         # Powers are MW, energies MWh: switching energy enters the power
         # balance divided by the slot length, and brown energy is the power

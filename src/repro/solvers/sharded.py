@@ -77,6 +77,7 @@ bit-identical to one without.
 from __future__ import annotations
 
 import hashlib
+import math
 import pickle
 import time
 from dataclasses import asdict, dataclass, replace
@@ -90,7 +91,7 @@ from ..ipc.transport import Channel, ChannelClosedError
 from .base import SlotSolution, SlotSolver
 from .deadline import DeadlineExceededError, SolveDeadline
 from .fastpath import EvaluationCache, FastPathStats
-from .gsd import _BLOCK_MAX, _BLOCK_MIN, _OBJECTIVE_FLOOR, GSDTrace
+from .gsd import _BLOCK_MAX, _BLOCK_MIN, GSDTrace, _acceptance_probability
 from .load_distribution import distribute_load
 from .messaging import BusTimeoutError, Message, MessageBus
 from .problem import InfeasibleError, SlotProblem
@@ -864,15 +865,10 @@ class ShardedGSDSolver(SlotSolver):
                     continue
                 explored = float(objs[bi])
                 n_solves += 1
-                is_finite = bool(np.isfinite(explored))
+                is_finite = math.isfinite(explored)
                 finite[bi] = is_finite
                 if is_finite:
-                    ge = max(explored, _OBJECTIVE_FLOOR)
-                    gs = max(current, _OBJECTIVE_FLOOR)
-                    exponent = np.clip(
-                        delta * (1.0 / ge - 1.0 / gs), -700.0, 700.0
-                    )
-                    accept = u < 1.0 / (1.0 + np.exp(-exponent))
+                    accept = u < _acceptance_probability(delta, explored, current)
                 else:
                     accept = False
                     if not local:

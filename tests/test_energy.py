@@ -66,6 +66,39 @@ class TestPortfolio:
         with pytest.raises(ValueError):
             onsite_mix(100, solar_fraction=1.5)
 
+    def test_windless_horizon_keeps_solar_share(self):
+        """Regression: seed 221's first 24-hour wind draw is all zero, and
+        rescaling it to a unit total used to raise.  The solar component
+        now carries the unit total alone."""
+        from repro.traces.solar import solar_trace
+
+        mix = onsite_mix(24, solar_fraction=0.6, rng=np.random.default_rng(221))
+        solar = solar_trace(24, rng=np.random.default_rng(221))
+        assert mix.total == pytest.approx(1.0)
+        np.testing.assert_allclose(mix.values, solar.scale_to_total(1.0).values)
+
+    def test_windless_day_builds_a_paper_scenario(self):
+        """``repro run --horizon 24`` on seed 219 (windless on-site mix) and
+        seed 22 (windless off-site mix) used to fail at scenario build; the
+        scenario builder draws its renewables from ``seed + 2``."""
+        from repro.scenarios import small_scenario
+
+        for seed in (219, 22):
+            pf = small_scenario(horizon=24, seed=seed).environment.portfolio
+            assert pf.onsite.total > 0.0 and pf.offsite.total > 0.0
+
+    def test_all_zero_supply_still_raises(self, monkeypatch):
+        import repro.energy.renewables as ren
+        from repro.traces.base import Trace
+
+        def dark(horizon, rng=None):
+            return Trace(np.zeros(horizon), name="dark", unit="MW")
+
+        monkeypatch.setattr(ren, "solar_trace", dark)
+        monkeypatch.setattr(ren, "wind_trace", dark)
+        with pytest.raises(ValueError, match="both zero"):
+            onsite_mix(24)
+
 
 class TestRECAccount:
     def test_per_slot_allowance(self):

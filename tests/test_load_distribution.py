@@ -198,7 +198,7 @@ class TestResidualClosure:
     @given(residual_cases())
     def test_balance_closes_within_bounds(self, case):
         lam, loads, caps, counts = case
-        out = ld._close_residual(lam, loads, caps, counts)
+        out = np.asarray(ld._close_residual(lam, loads, caps, counts))
         assert np.all(out >= 0.0)
         assert np.all(out <= caps)
         served = float(np.sum(counts * out))
@@ -211,7 +211,7 @@ class TestResidualClosure:
         loads = np.array([0.9, 5.0, 5.0])
         counts = np.array([1.0, 1.0, 1.0])
         lam = 12.0  # residual 1.1 caps group 0 at 1.0; 1.0 spills over
-        out = ld._close_residual(lam, loads, caps, counts)
+        out = np.asarray(ld._close_residual(lam, loads, caps, counts))
         assert out[0] == 1.0
         assert float(np.sum(counts * out)) == pytest.approx(12.0, rel=1e-12)
 
@@ -221,7 +221,7 @@ class TestResidualClosure:
         caps = np.array([5.0, 5.0])
         loads = np.array([1.0, 1.0])
         counts = np.array([0.0, 2.0])
-        out = ld._close_residual(4.0, loads, caps, counts)
+        out = np.asarray(ld._close_residual(4.0, loads, caps, counts))
         assert float(np.sum(counts * out)) == pytest.approx(4.0, rel=1e-12)
 
 
@@ -280,7 +280,11 @@ class TestBoundaryWeightReporting:
         c = fleet.dyn_coeff[on, levels[on]]
         n = fleet.counts[on]
         loads2, _, _, _ = ld._waterfill(
-            p, p.arrival_rate, dist.electricity_weight, x, c, n, nu_hint=dist.nu
+            p,
+            p.arrival_rate,
+            dist.electricity_weight,
+            ld._ClassRows(p, x, c, n),
+            nu_hint=dist.nu,
         )
         np.testing.assert_allclose(
             loads2, dist.per_server_load[on], rtol=1e-6, atol=1e-12
@@ -320,8 +324,9 @@ class TestSolveFixedLevels:
         dist = distribute_load(p, np.full(3, 3))
         served = float(np.sum(tiny_fleet.counts * dist.per_server_load))
         assert served == pytest.approx(50.0)
-        # Homogeneous coefficients: the stable greedy fills group 0 first
-        # (50 req/s over 10 servers, well under the 9.5 req/s cap each).
-        assert dist.per_server_load[0] == pytest.approx(5.0)
-        assert dist.per_server_load[1] == 0.0
-        assert dist.per_server_load[2] == 0.0
+        # Homogeneous coefficients: the three groups form one (profile,
+        # level) class, which the greedy fills as a whole -- 50 req/s over
+        # 30 servers, well under the 9.5 req/s cap each.  (Any split is
+        # optimal for a linear objective; per group, the historical fill
+        # put all 50 req/s on group 0 at the same cost.)
+        np.testing.assert_allclose(dist.per_server_load, 50.0 / 30.0)

@@ -32,7 +32,7 @@ from repro.profile import (
     write_flamegraph,
     write_folded,
 )
-from repro.profile.ledger import append_row
+from repro.profile.ledger import BenchResult, BenchSuite, append_row, host_stamp
 from repro.sim import simulate
 from repro.telemetry import JsonlTracer, Telemetry
 
@@ -243,6 +243,43 @@ class TestLedger:
         # the suite's own contract failed: always fails
         ok, messages = check_rows([row(100)], [row(100, exit_code=1)])
         assert not ok and any("exited 1" in m for m in messages)
+
+    def test_rows_are_host_stamped(self, tmp_path):
+        stamp = host_stamp()
+        assert stamp["cpus"] >= 1
+        assert stamp["python"].count(".") == 1
+        suite = BenchSuite(name="x", path="x.py", runnable=True)
+        result = BenchResult(suite=suite, args=(), exit_code=0, wall_s=1.0, report={})
+        row = make_row(result, git_rev="abc", timestamp="t")
+        assert row["host"] == stamp
+
+    def test_check_rows_refuses_unlike_hosts(self):
+        def row(inner, host):
+            return {
+                "suite": "solver_fastpath",
+                "exit_code": 0,
+                "git_rev": "aaa",
+                "timestamp": "t",
+                "wall_s": 1.0,
+                "host": host,
+                "metrics": {"suites.gsd.inner_solves": float(inner)},
+            }
+
+        two = {"cpus": 2, "python": "3.12"}
+        one = {"cpus": 1, "python": "3.12"}
+        older = {"cpus": 2, "python": "3.10"}
+        # Only unlike history: never compared, the fresh row seeds its host.
+        for other in (one, older, None):
+            ok, messages = check_rows([row(100, other)], [row(500, two)])
+            assert ok
+            assert any("like host" in m and "seeding" in m for m in messages)
+        # The like-host row is the baseline even when an unlike one is newer.
+        history = [row(100, two), row(1000, one)]
+        ok, messages = check_rows(history, [row(130, two)])
+        assert not ok
+        assert any("100 -> 130" in m for m in messages)
+        ok, _ = check_rows(history, [row(110, two)])
+        assert ok
 
     def test_git_revision_is_short_string(self):
         rev = git_revision()
