@@ -123,17 +123,19 @@ class Fleet:
         """Padded speed-table width ``K``."""
         return self.speed_table.shape[1]
 
-    @property
+    # Aggregates over ``groups`` are cached: groups never change, and the
+    # per-slot feasibility check reads them on every solve.
+    @cached_property
     def max_capacity(self) -> float:
         """Total top-speed service rate (req/s)."""
         return float(sum(g.max_capacity for g in self.groups))
 
-    @property
+    @cached_property
     def max_power(self) -> float:
         """Total power (MW) with every server at top speed, fully loaded."""
         return float(sum(g.max_power for g in self.groups))
 
-    @property
+    @cached_property
     def is_homogeneous(self) -> bool:
         """True when all groups share one profile (enables the fast
         enumeration solver)."""
@@ -146,7 +148,13 @@ class Fleet:
     #: Lazily derived attributes, left out of pickles so a fleet's pickled
     #: form (and any fingerprint hashed from it) does not depend on whether
     #: a solver has touched it yet.
-    _LAZY = ("profile_ids", "_class_tables")
+    _LAZY = (
+        "max_capacity",
+        "max_power",
+        "is_homogeneous",
+        "profile_ids",
+        "_class_tables",
+    )
 
     def __getstate__(self) -> dict:
         state = self.__dict__.copy()

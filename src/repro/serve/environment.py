@@ -16,6 +16,8 @@ Two extra contracts make serve runs crash-safe and auditable:
   written by a replay serve are *interchangeable* with batch ``repro run``
   checkpoints.  Without one, it CRCs the resolved prefix, so a resumed
   service refuses a journal that diverged from what the checkpoint saw.
+  The CRC is chained frame by frame as frames are appended, so reading it
+  costs O(1) at any slot.
 - :class:`FrameJournal` persists every resolved frame (JSONL, flushed per
   append), so a killed service can refill the exact prefix -- including
   values that were synthesized by the staleness policy and exist nowhere
@@ -55,6 +57,10 @@ class LiveEnvironment:
         self._horizon = int(horizon)
         self.base = base
         self.frames: list[SignalFrame] = []
+        # Running CRC32 of the resolved prefix (live mode only): CRC32
+        # chains, so folding each frame in as it arrives gives exactly
+        # the full-prefix fold.
+        self._crc = zlib.crc32(str(self._horizon).encode())
 
     # ------------------------------------------------------- feed side
     def append(self, frame: SignalFrame) -> None:
@@ -74,6 +80,9 @@ class LiveEnvironment:
                 f"unresolved frame appended (missing {frame.missing_fields}); "
                 "resolve staleness before feeding the environment"
             )
+        if self.base is None:
+            row = json.dumps(frame.to_dict(), sort_keys=True, separators=(",", ":"))
+            self._crc = zlib.crc32(row.encode(), self._crc)
         self.frames.append(frame)
 
     @property
@@ -149,11 +158,7 @@ class LiveEnvironment:
             from ..state.serialize import environment_fingerprint
 
             return environment_fingerprint(self.base)
-        crc = zlib.crc32(str(self._horizon).encode())
-        for f in self.frames:
-            row = json.dumps(f.to_dict(), sort_keys=True, separators=(",", ":"))
-            crc = zlib.crc32(row.encode(), crc)
-        return crc & 0xFFFFFFFF
+        return self._crc & 0xFFFFFFFF
 
 
 class FrameJournal:

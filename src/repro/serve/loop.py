@@ -88,6 +88,11 @@ class ControlService:
         self.recent_events = recent_events
         self._clock = clock if clock is not None else _time.monotonic
         self.slots_run = 0
+        # Running board totals over the first ``_summed`` record rows, so
+        # a board refresh adds only the slots run since the last one.
+        self._summed = 0
+        self._brown = 0.0
+        self._cost = 0.0
 
     # ------------------------------------------------------------------
     def _render_dashboard(self) -> None:
@@ -104,16 +109,22 @@ class ControlService:
 
     def _update_board(self, slot: int, state: str) -> None:
         runner = self.runner
-        brown = float(sum(runner.cols["brown_energy"]))
-        cost = float(sum(runner.cols["cost"]))
+        cols = runner.cols
+        for i in range(self._summed, len(cols["cost"])):
+            self._brown += cols["brown_energy"][i]
+            self._cost += cols["cost"][i]
+        self._summed = len(cols["cost"])
+        brown = float(self._brown)
+        cost = float(self._cost)
         latency = {}
         hist = runner.tele.metrics.histogram("sim.solve_time_s")
         if hist.count:
+            p50, p90, p99 = hist.percentiles((50, 90, 99))
             latency = {
                 "count": hist.count,
-                "p50_ms": hist.percentile(50) * 1000.0,
-                "p90_ms": hist.percentile(90) * 1000.0,
-                "p99_ms": hist.percentile(99) * 1000.0,
+                "p50_ms": p50 * 1000.0,
+                "p90_ms": p90 * 1000.0,
+                "p99_ms": p99 * 1000.0,
                 "max_ms": hist.max * 1000.0,
             }
         alerts: dict = {"total": 0}

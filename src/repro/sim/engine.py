@@ -38,6 +38,7 @@ from ..solvers.messaging import BusTimeoutError
 from ..solvers.problem import InfeasibleError
 from ..state.checkpoint import Checkpoint, CheckpointError, CheckpointWriter
 from ..state.serialize import (
+    EncodedColumns,
     decode_action,
     decode_array,
     encode_action,
@@ -254,6 +255,8 @@ class SlotRunner:
             )
 
         self.cols: dict[str, list[float]] = {name: [] for name in RECORD_COLUMNS}
+        # Canonical JSON of ``cols``, extended by the rows each capture adds.
+        self._cols_json = EncodedColumns()
         self.prev_on: np.ndarray | None = None
         self.last_realized: FleetAction | None = None
         self.start_slot = 0
@@ -305,6 +308,8 @@ class SlotRunner:
             self.cols[name] = [float(x) for x in values]
         if any(len(v) != self.start_slot for v in self.cols.values()):
             raise CheckpointError("checkpoint column lengths disagree with slot")
+        # The next capture re-encodes the restored columns from scratch.
+        self._cols_json.reset()
         self.prev_on = decode_array(state["prev_on"])
         self.last_realized = decode_action(state["last_realized"])
         self.controller.load_state_dict(state["controller"]["state"])
@@ -325,7 +330,12 @@ class SlotRunner:
 
     # ------------------------------------------------------------------
     def capture(self, slot: int) -> dict:
-        """A complete, JSON-ready snapshot of the run after ``slot`` slots."""
+        """A complete snapshot of the run after ``slot`` slots, ready for
+        :func:`~repro.state.serialize.canonical_dumps`.
+
+        The record columns come back as pre-encoded fragments: only the
+        rows added since the previous capture are converted to text.
+        """
         return {
             "slot": slot,
             "horizon": self.horizon,
@@ -334,7 +344,7 @@ class SlotRunner:
                 "name": self.controller.name(),
                 "state": self.controller.state_dict(),
             },
-            "cols": {k: [float(x) for x in v] for k, v in self.cols.items()},
+            "cols": self._cols_json.encode(self.cols),
             "prev_on": encode_array(self.prev_on),
             "last_realized": encode_action(self.last_realized),
             "injector": None if self.injector is None else self.injector.state_dict(),

@@ -11,6 +11,7 @@ total.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -115,6 +116,18 @@ class Environment:
     def offsite(self, t: int) -> float:
         """Realized off-site renewable supply for slot ``t`` (MWh)."""
         return self.portfolio.offsite[t]
+
+    def fingerprint(self) -> int:
+        """CRC32 of the input traces that checkpoints validate against
+        (:func:`repro.state.serialize.environment_fingerprint`)."""
+        return self._fingerprint
+
+    @cached_property
+    def _fingerprint(self) -> int:
+        # Trace arrays are read-only, so one walk per instance suffices.
+        from ..state.serialize import trace_fingerprint
+
+        return trace_fingerprint(self)
 
     def with_workload(self, workload: Trace | PredictionModel) -> "Environment":
         """Copy with a different workload (overestimation sweeps)."""

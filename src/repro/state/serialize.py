@@ -16,6 +16,13 @@ run state is a bug upstream, not something to round-trip -- telemetry
 sanitizes non-finite values to ``null`` at its own boundary).  Because the
 form is canonical, save -> load -> save is byte-identical, which is what
 the hypothesis suite in ``tests/test_state.py`` pins.
+
+A run's record columns grow by one row per slot, so re-encoding them at
+every checkpoint would make snapshots O(t).  :class:`EncodedColumns` keeps
+their canonical text and converts only the rows appended since the last
+snapshot; it hands the text to :func:`canonical_dumps` as :class:`Encoded`
+fragments, which are spliced in verbatim.  The bytes are the same as
+encoding the plain lists.
 """
 
 from __future__ import annotations
@@ -29,6 +36,8 @@ import numpy as np
 from ..cluster.fleet import FleetAction
 
 __all__ = [
+    "Encoded",
+    "EncodedColumns",
     "canonical_dumps",
     "decode_action",
     "decode_array",
@@ -39,6 +48,8 @@ __all__ = [
     "encode_rng",
     "encode_rng_states",
     "environment_fingerprint",
+    "float_list_text",
+    "trace_fingerprint",
 ]
 
 
@@ -57,11 +68,94 @@ def _plain(value: Any):
     )
 
 
+_ENCODER = json.JSONEncoder(
+    sort_keys=True, separators=(",", ":"), allow_nan=False, default=_plain
+)
+
+
+class Encoded:
+    """Canonical JSON text that :func:`canonical_dumps` splices in verbatim.
+
+    Valid as the whole value or as a dict value at any depth; anywhere
+    else (inside a list, or in any other encoder) it is not serializable.
+    The producer guarantees the text is canonical.
+    """
+
+    __slots__ = ("text",)
+
+    def __init__(self, text: str) -> None:
+        self.text = text
+
+
 def canonical_dumps(value: Any) -> bytes:
-    """The canonical (sorted, compact, strict) JSON bytes of ``value``."""
-    return json.dumps(
-        value, sort_keys=True, separators=(",", ":"), allow_nan=False, default=_plain
-    ).encode("utf-8")
+    """The canonical (sorted, compact, strict) JSON bytes of ``value``;
+    :class:`Encoded` values are spliced in as they are."""
+    return _canonical(value).encode("utf-8")
+
+
+def _canonical(value: Any) -> str:
+    # Only dicts that hold Encoded values are walked here; every other
+    # value goes to the C encoder whole, which emits the same text for a
+    # string-keyed dict as this sorted join does.
+    if isinstance(value, Encoded):
+        return value.text
+    if _holds_encoded(value) and all(isinstance(k, str) for k in value):
+        return "{%s}" % ",".join(
+            f"{_ENCODER.encode(k)}:{_canonical(v)}"
+            for k, v in sorted(value.items(), key=lambda kv: kv[0])
+        )
+    return _ENCODER.encode(value)
+
+
+def _holds_encoded(value: Any) -> bool:
+    return isinstance(value, dict) and any(
+        isinstance(v, Encoded) or _holds_encoded(v) for v in value.values()
+    )
+
+
+def float_list_text(values) -> str:
+    """Canonical JSON of ``values`` as floats, comma-joined, no brackets.
+
+    Raises ``ValueError`` on NaN or infinity, as ``allow_nan=False`` does.
+    """
+    text = ",".join(map(float.__repr__, map(float, values)))
+    # A finite float's repr never holds an "n"; nan, inf and -inf do.
+    if "n" in text:
+        raise ValueError("Out of range float values are not JSON compliant")
+    return text
+
+
+class EncodedColumns:
+    """Canonical JSON of append-only float columns, encoded incrementally.
+
+    :meth:`encode` converts only the rows appended to each column since
+    the previous call, so snapshotting a growing record costs O(new rows)
+    of float-to-text work however long the record already is.
+    """
+
+    def __init__(self) -> None:
+        self._text: dict[str, str] = {}
+        self._rows: dict[str, int] = {}
+
+    def reset(self) -> None:
+        """Forget all encoded rows; the next :meth:`encode` starts over
+        (call it whenever the columns are replaced rather than appended to)."""
+        self._text.clear()
+        self._rows.clear()
+
+    def encode(self, cols) -> dict[str, Encoded]:
+        """``{name: Encoded}`` for a mapping of column name to float list."""
+        out = {}
+        for name, values in cols.items():
+            done = self._rows.get(name, 0)
+            text = self._text.get(name, "")
+            if len(values) > done:
+                new = float_list_text(values[done:])
+                text = f"{text},{new}" if text else new
+                self._text[name] = text
+                self._rows[name] = len(values)
+            out[name] = Encoded(f"[{text}]")
+        return out
 
 
 # ---------------------------------------------------------------- arrays
@@ -143,11 +237,18 @@ def environment_fingerprint(environment) -> int:
     Environments that know their own identity better than their trace
     arrays do -- e.g. :class:`repro.serve.LiveEnvironment`, whose "traces"
     are a growing prefix of resolved feed frames -- expose a
-    ``fingerprint()`` method, which wins over the generic trace walk.
+    ``fingerprint()`` method, which wins over the generic trace walk.  The
+    batch :class:`~repro.sim.environment.Environment` has one too: its
+    trace arrays are read-only, so it walks them once per instance.
     """
     fingerprint = getattr(environment, "fingerprint", None)
     if callable(fingerprint):
         return int(fingerprint())
+    return trace_fingerprint(environment)
+
+
+def trace_fingerprint(environment) -> int:
+    """The generic trace walk behind :func:`environment_fingerprint`."""
     crc = zlib.crc32(str(environment.horizon).encode())
     for values in (
         environment.workload.values,

@@ -75,10 +75,9 @@ def render_prometheus(registry: MetricsRegistry, *, prefix: str = "repro") -> st
         elif isinstance(inst, Histogram):
             lines.append(f"# HELP {pname} Summary of histogram {name!r}.")
             lines.append(f"# TYPE {pname} summary")
-            for q in _QUANTILES:
-                lines.append(
-                    f'{pname}{{quantile="{q}"}} {_fmt(inst.percentile(q * 100.0))}'
-                )
+            values = inst.percentiles([q * 100.0 for q in _QUANTILES])
+            for q, value in zip(_QUANTILES, values):
+                lines.append(f'{pname}{{quantile="{q}"}} {_fmt(value)}')
             lines.append(f"{pname}_sum {_fmt(inst.total)}")
             lines.append(f"{pname}_count {inst.count}")
     return "\n".join(lines) + "\n" if lines else ""

@@ -1,5 +1,7 @@
 """Tests for fleets and fleet actions (Eqs. (2), (4), constraints (7)-(9))."""
 
+import pickle
+
 import numpy as np
 import pytest
 
@@ -25,6 +27,29 @@ class TestFleetStructure:
     def test_homogeneity_detection(self, tiny_fleet, hetero_fleet):
         assert tiny_fleet.is_homogeneous
         assert not hetero_fleet.is_homogeneous
+
+    def test_cached_aggregates_equal_recomputed(self, tiny_fleet, hetero_fleet):
+        def recomputed(fleet):
+            groups = fleet.groups
+            return (
+                float(sum(g.max_capacity for g in groups)),
+                float(sum(g.max_power for g in groups)),
+                all(g.profile == groups[0].profile for g in groups),
+            )
+
+        def cached(fleet):
+            return fleet.max_capacity, fleet.max_power, fleet.is_homogeneous
+
+        for fleet in (default_fleet(num_groups=7), tiny_fleet, hetero_fleet):
+            assert cached(fleet) == recomputed(fleet)
+            # Cached values stay out of pickles and come back recomputed.
+            assert not set(Fleet._LAZY) & set(fleet.__getstate__())
+            assert cached(pickle.loads(pickle.dumps(fleet))) == cached(fleet)
+            # A failed-group sub-fleet (built per slot by the degraded
+            # path) computes its own values, not its parent's.
+            sub = Fleet(fleet.groups[1:])
+            assert cached(sub) == recomputed(sub)
+        assert Fleet(hetero_fleet.groups[1:]).is_homogeneous
 
     def test_empty_fleet_rejected(self):
         with pytest.raises(ValueError):

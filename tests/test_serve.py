@@ -11,9 +11,12 @@ environment, the frame journal, config validation, the status endpoint.
 from __future__ import annotations
 
 import json
+import os
 import urllib.request
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.cli import EXIT_BAD_INPUT, MANIFEST_NAME, main
 from repro.core.coca import COCA
@@ -42,6 +45,7 @@ from repro.state import (
     latest_valid_checkpoint,
     record_mismatches,
 )
+from tests.state_oracle import prefix_fingerprint, without_run_id
 
 V = 150.0
 
@@ -202,6 +206,26 @@ class TestSyntheticSource:
 
 
 # ---------------------------------------------------------------- live env
+_finite = st.floats(allow_nan=False, allow_infinity=False)
+#: Resolved frame fields: every core field present, the optional ones
+#: (``pue``, ``forecast``) sometimes ``None``.
+_frames_fields = st.fixed_dictionaries(
+    {
+        "arrival": _finite,
+        "onsite": _finite,
+        "price": _finite,
+        "arrival_actual": _finite,
+        "offsite": _finite,
+        "network_delay": _finite,
+        "pue": st.none() | st.floats(1.0, 3.0),
+        "forecast": st.none()
+        | st.fixed_dictionaries(
+            {"start": st.integers(0, 100), "price": st.lists(_finite, max_size=3)}
+        ),
+    }
+)
+
+
 class TestLiveEnvironment:
     def test_append_must_be_contiguous_and_resolved(self, scenario):
         env = LiveEnvironment(4)
@@ -238,6 +262,37 @@ class TestLiveEnvironment:
         before = a.fingerprint()
         a.append(frames[5])
         assert a.fingerprint() != before
+
+    @given(st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_running_fingerprint_matches_prefix_fold(self, data):
+        frames = data.draw(st.lists(_frames_fields, min_size=1, max_size=8))
+        env = LiveEnvironment(len(frames) + data.draw(st.integers(0, 3)))
+        assert env.fingerprint() == prefix_fingerprint(env.horizon, [])
+        for slot, fields in enumerate(frames):
+            env.append(SignalFrame(slot=slot, **fields))
+            assert env.fingerprint() == prefix_fingerprint(env.horizon, env.frames)
+
+    def test_fingerprint_costs_one_to_dict_per_frame(self, scenario, monkeypatch):
+        frames = list(frames_from_environment(scenario.environment, advice_frame=24))
+        calls = []
+        real = SignalFrame.to_dict
+
+        def counting(frame):
+            calls.append(frame.slot)
+            return real(frame)
+
+        monkeypatch.setattr(SignalFrame, "to_dict", counting)
+        env = LiveEnvironment(scenario.horizon)
+        for frame in frames:
+            env.append(frame)
+            assert calls == [frame.slot]
+            del calls[:]
+            env.fingerprint()
+            env.fingerprint()
+            assert calls == []
+        monkeypatch.undo()
+        assert env.fingerprint() == prefix_fingerprint(scenario.horizon, frames)
 
 
 class TestFrameJournal:
@@ -363,9 +418,16 @@ class TestReplayBitIdentity:
         runner.restore(ckpt)
         source.seek(19)
         resolver.restore(environment.frames[-1])
-        result = ControlService(runner, resolver).run()
+        service = ControlService(runner, resolver)
+        result = service.run()
         assert result.status == "completed"
         assert record_mismatches(batch, result.record) == []
+        # The board's running totals cover the restored slots too.
+        carbon = service.board.snapshot()["carbon"]
+        assert carbon["brown_mwh"] == pytest.approx(sum(batch.brown_energy))
+        assert service.board.snapshot()["cost_dollars"] == pytest.approx(
+            sum(batch.cost)
+        )
 
     def test_replay_checkpoint_is_resumable_by_batch_engine(
         self, scenario, tmp_path
@@ -557,3 +619,56 @@ class TestForecastPayloads:
         assert provider.stale_rejected == 0
         total = controller.guard.advised_slots + controller.guard.fallback_slots
         assert total == scenario.horizon
+
+
+# ------------------------------------------------- checkpoints across resume
+def _payloads(directory) -> dict[int, bytes]:
+    """Slot -> checkpoint payload with ``run_id`` masked, for a directory."""
+    out = {}
+    for name in sorted(os.listdir(directory)):
+        if name.startswith("ckpt-"):
+            with open(os.path.join(directory, name), "rb") as fh:
+                header, payload = fh.read().split(b"\n")[:2]
+            out[json.loads(header)["slot"]] = without_run_id(payload)
+    return out
+
+
+class TestCheckpointBytesAcrossResume:
+    """Checkpoints written after a resume are byte-identical to the ones an
+    uninterrupted run writes at the same slot (``run_id`` aside): the
+    incrementally encoded columns restart cleanly from a restore."""
+
+    ARGS = ["--horizon", "30", "--seed", "4", "--checkpoint-every", "1",
+            "--checkpoint-keep", "100"]
+
+    def _assert_resumed_bytes_match(self, golden_dir, resumed_dir, stop):
+        golden = _payloads(golden_dir)
+        resumed = _payloads(resumed_dir)
+        after = sorted(slot for slot in resumed if slot > stop)
+        assert after == list(range(stop + 1, 31))
+        for slot in after:
+            assert resumed[slot] == golden[slot], f"slot {slot}"
+
+    def test_batch_run_and_resume(self, tmp_path, capsys):
+        golden, resumed = tmp_path / "golden", tmp_path / "resumed"
+        assert main(["run", *self.ARGS, "--checkpoint-dir", str(golden)]) == 0
+        assert main(["run", *self.ARGS, "--checkpoint-dir", str(resumed)]) == 0
+        stop = 11
+        for name in os.listdir(resumed):  # a crash right after slot `stop`
+            if name.startswith("ckpt-") and int(name[5:13]) > stop:
+                os.unlink(resumed / name)
+        assert main(["resume", str(resumed)]) == 0
+        self._assert_resumed_bytes_match(golden, resumed, stop)
+
+    def test_synthetic_serve_stop_and_resume(self, tmp_path, capsys):
+        serve = ["serve", "--source", "synthetic", "--source-seed", "7", *self.ARGS]
+        golden, resumed = tmp_path / "golden", tmp_path / "resumed"
+        assert main([*serve, "--checkpoint-dir", str(golden)]) == 0
+        stop = 13
+        assert (
+            main([*serve, "--checkpoint-dir", str(resumed), "--max-slots", str(stop)])
+            == 0
+        )
+        assert "stopped at slot 13/30" in capsys.readouterr().out
+        assert main(["serve", "--resume", "--checkpoint-dir", str(resumed)]) == 0
+        self._assert_resumed_bytes_match(golden, resumed, stop)

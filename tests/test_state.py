@@ -3,7 +3,10 @@
 Four contracts anchor ``repro.state`` (docs/OPERATIONS.md):
 
 1. **Byte-identity** — save -> load -> save of a checkpoint is
-   byte-identical for arbitrary JSON-safe run state (hypothesis-pinned).
+   byte-identical for arbitrary JSON-safe run state (hypothesis-pinned),
+   and a capture whose record columns are encoded incrementally dumps to
+   the same bytes as the plain capture (the oracle in
+   ``tests/state_oracle.py``).
 2. **Corruption detection** — truncation at any point and a single bit
    flip anywhere are always rejected, never silently loaded.
 3. **Recovery** — a corrupt newest rotation entry falls back to the
@@ -28,6 +31,7 @@ from repro.core.coca import COCA
 from repro.faults import DegradationPolicy, FaultInjector, FaultSchedule
 from repro.scenarios import small_scenario
 from repro.sim import simulate
+from repro.sim.engine import RECORD_COLUMNS, SlotRunner
 from repro.solvers import DistributedGSD, GSDSolver
 from repro.state import (
     CheckpointError,
@@ -54,7 +58,10 @@ from repro.state import (
     save_record,
     write_checkpoint,
 )
+from repro.state import serialize
+from repro.state.serialize import Encoded, EncodedColumns
 from repro.telemetry import InMemoryTracer, Telemetry
+from tests.state_oracle import plain_capture
 
 
 def _record_fields_equal(a, b) -> list[str]:
@@ -485,3 +492,183 @@ class TestControllerStateRoundTrips:
         clone = GeoCOCA(env, v_schedule=100.0)
         clone.load_state_dict(json.loads(first))
         assert canonical_dumps(clone.state_dict()) == first
+
+
+# ------------------------------------------------ incremental encoding
+#: Floats whose text is easy to get wrong: signed zero, subnormals, the
+#: top of the range, integral values (``36720.0``), tiny and huge scales.
+edge_floats = st.one_of(
+    st.sampled_from(
+        [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e308, -1e308,
+         1.7976931348623157e308, 36720.0, 1e16, 1e-7, 0.1]
+    ),
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.integers(min_value=-(2**53), max_value=2**53).map(float),
+)
+float_columns = st.dictionaries(
+    st.sampled_from(RECORD_COLUMNS), st.lists(edge_floats, max_size=12), max_size=4
+)
+
+
+def _legacy_dumps(value) -> bytes:
+    """The single ``json.dumps`` call canonical_dumps used to be."""
+    return json.dumps(
+        value, sort_keys=True, separators=(",", ":"), allow_nan=False,
+        default=serialize._plain,
+    ).encode("utf-8")
+
+
+def _encode_some(value, data):
+    """``value`` with random dict values swapped for their Encoded text."""
+    if isinstance(value, dict):
+        out = {}
+        for k, v in value.items():
+            if data.draw(st.booleans()):
+                out[k] = Encoded(canonical_dumps(v).decode("utf-8"))
+            else:
+                out[k] = _encode_some(v, data)
+        return out
+    return value
+
+
+class TestEncodedFragments:
+    @given(json_values)
+    @settings(max_examples=150, deadline=None)
+    def test_dumps_matches_the_single_call_encoder(self, value):
+        assert canonical_dumps(value) == _legacy_dumps(value)
+
+    @given(states, st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_fragments_splice_to_the_same_bytes(self, state, data):
+        assert canonical_dumps(_encode_some(state, data)) == canonical_dumps(state)
+
+    @given(float_columns, st.lists(st.integers(0, 5), max_size=4))
+    @settings(max_examples=150, deadline=None)
+    def test_incremental_columns_match_plain_lists(self, cols, cuts):
+        # Grow the columns over several encodes, as captures do.
+        encoder = EncodedColumns()
+        for stop in [*sorted(cuts), None]:
+            prefix = {k: v[:stop] for k, v in cols.items()}
+            composed = {"slot": 1, "cols": encoder.encode(prefix), "run_id": None}
+            plain = {"slot": 1, "cols": prefix, "run_id": None}
+            assert canonical_dumps(composed) == _legacy_dumps(plain)
+
+    def test_empty_columns(self):
+        cols = {name: [] for name in RECORD_COLUMNS}
+        assert canonical_dumps({"cols": EncodedColumns().encode(cols)}) == (
+            _legacy_dumps({"cols": cols})
+        )
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_values_raise(self, bad):
+        with pytest.raises(ValueError):
+            _legacy_dumps({"cost": [1.0, bad]})
+        with pytest.raises(ValueError):
+            canonical_dumps({"cost": [1.0, bad]})
+        encoder = EncodedColumns()
+        encoder.encode({"cost": [1.0]})
+        with pytest.raises(ValueError):
+            encoder.encode({"cost": [1.0, bad]})
+
+    def test_fragment_outside_a_dict_is_refused(self):
+        with pytest.raises(TypeError):
+            canonical_dumps({"a": [Encoded("1")]})
+        with pytest.raises(TypeError):
+            json.dumps({"a": Encoded("1")})
+
+
+def _count_float_text(monkeypatch) -> list[int]:
+    """Patch the float-to-text converter to record its batch sizes."""
+    sizes: list[int] = []
+    real = serialize.float_list_text
+
+    def counting(values):
+        sizes.append(len(values))
+        return real(values)
+
+    monkeypatch.setattr(serialize, "float_list_text", counting)
+    return sizes
+
+
+class TestIncrementalCapture:
+    def _runner(self, scenario, **kwargs):
+        runner = SlotRunner(
+            scenario.model, _coca(scenario), scenario.environment, **kwargs
+        )
+        runner.start()
+        return runner
+
+    def test_capture_converts_only_new_rows(self, monkeypatch):
+        scenario = small_scenario(horizon=24, seed=3)
+        sizes = _count_float_text(monkeypatch)
+        runner = self._runner(scenario)
+        last = 0
+        for t, capture_after in enumerate([1, 0, 1, 1, 0, 0, 0, 1, 1, 0, 1, 1]):
+            runner.step(t)
+            if capture_after:
+                del sizes[:]
+                runner.capture(t + 1)
+                added = t + 1 - last
+                assert sum(sizes) == added * len(RECORD_COLUMNS)
+                last = t + 1
+        del sizes[:]
+        runner.capture(last)  # nothing new since the last capture
+        assert sum(sizes) == 0
+
+    def test_no_checkpoint_writer_pays_nothing(self, monkeypatch):
+        scenario = small_scenario(horizon=24, seed=3)
+        sizes = _count_float_text(monkeypatch)
+        runner = self._runner(scenario)
+        for t in range(scenario.horizon):
+            runner.step(t)
+        runner.finish()
+        assert sizes == []
+
+    def test_every_capture_matches_the_plain_capture(self):
+        scenario = small_scenario(horizon=24, seed=3)
+        runner = self._runner(scenario)
+        for t in range(scenario.horizon):
+            runner.step(t)
+            composed = canonical_dumps(runner.capture(t + 1))
+            assert composed == _legacy_dumps(plain_capture(runner, t + 1))
+
+    def test_restore_rebuilds_from_restored_columns(self, tmp_path):
+        scenario = small_scenario(horizon=24, seed=3)
+        simulate(
+            scenario.model, _coca(scenario), scenario.environment,
+            checkpoint=CheckpointWriter(tmp_path, every=1, keep=100, sync=False),
+        )
+        runner = self._runner(scenario)
+        # Stale fragments the restore must drop: three rows of other values.
+        for values in runner.cols.values():
+            values.extend([-1.0, -2.0, -3.0])
+        runner.capture(3)
+        runner.restore(load_checkpoint(checkpoint_path(tmp_path, 10)))
+        for t in range(10, 14):
+            runner.step(t)
+            assert canonical_dumps(runner.capture(t + 1)) == _legacy_dumps(
+                plain_capture(runner, t + 1)
+            )
+            written = load_checkpoint(checkpoint_path(tmp_path, t + 1))
+            assert canonical_dumps(runner.capture(t + 1)) == canonical_dumps(
+                written.state
+            )
+
+    def test_batch_environment_fingerprint_walks_traces_once(self, monkeypatch):
+        scenario = small_scenario(horizon=24, seed=3)
+        environment = dataclasses.replace(scenario.environment)  # fresh cache
+        calls = []
+        real = serialize.trace_fingerprint
+
+        def counting(env):
+            calls.append(env)
+            return real(env)
+
+        monkeypatch.setattr(serialize, "trace_fingerprint", counting)
+        runner = SlotRunner(scenario.model, _coca(scenario), environment)
+        runner.start()
+        for t in range(6):
+            runner.step(t)
+            runner.capture(t + 1)
+        assert len(calls) == 1
+        assert environment_fingerprint(environment) == real(environment)

@@ -11,6 +11,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.baselines import CarbonUnaware
 from repro.core import COCA
@@ -175,6 +177,31 @@ class TestMetricsRegistry:
         assert hist.percentile(50) == pytest.approx(np.percentile(range(1, 101), 50))
         assert hist.percentile(90) == pytest.approx(np.percentile(range(1, 101), 90))
         assert hist.percentile(99) == pytest.approx(np.percentile(range(1, 101), 99))
+
+    @given(
+        st.lists(
+            st.floats(-1e12, 1e12, allow_nan=False, allow_subnormal=True),
+            min_size=1, max_size=300,
+        ),
+        st.lists(st.floats(0.0, 100.0), min_size=1, max_size=5),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_percentiles_match_numpy_bit_for_bit(self, values, ps):
+        hist = MetricsRegistry().histogram("h")
+        for v in values:
+            hist.observe(v)
+        got = hist.percentiles(ps)
+        assert got == [float(np.percentile(np.asarray(values), p)) for p in ps]
+        assert got == [hist.percentile(p) for p in ps]
+
+    def test_percentiles_edge_cases(self):
+        hist = MetricsRegistry().histogram("h")
+        assert hist.percentiles((50, 99)) == [0.0, 0.0]
+        with pytest.raises(ValueError):
+            hist.percentiles((50, 101))
+        hist.observe(float("nan"))
+        hist.observe(1.0)
+        assert all(np.isnan(hist.percentiles((0, 50))))
 
     def test_get_or_create_and_type_conflict(self):
         registry = MetricsRegistry()
