@@ -25,10 +25,17 @@ the load-distribution solve: a per-server load depends only on the
 the profile ids behind it are computed on first use, so fleets that never
 reach the water-fill (per-slot failure sub-fleets on the enumeration
 engine) never pay for them.
+
+Fault injection solves every slot on the sub-fleet of surviving groups.
+:meth:`Fleet.subset` derives that sub-fleet by slicing the parent's tables
+and per-group aggregates instead of re-walking its :class:`ServerGroup`
+entries; the result equals ``Fleet(groups)`` on the same groups, down to
+its pickled bytes.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Sequence
@@ -107,6 +114,49 @@ class Fleet:
         self.level_valid = level_valid
         self.dyn_coeff = dyn_coeff
 
+    def subset(self, indices) -> "Fleet":
+        """The sub-fleet of groups ``indices`` (in that order), sliced from
+        this fleet's tables.
+
+        Equal to ``Fleet([self.groups[i] for i in indices])`` -- same tables
+        (the padded width trimmed to the subset's own widest group), same
+        aggregates bit for bit, same pickled bytes -- without walking the
+        groups' profiles.  Fault injection derives one of these every slot.
+        """
+        idx = np.asarray(indices, dtype=np.intp)
+        if idx.ndim != 1 or idx.size == 0:
+            raise ValueError("fleet needs at least one group")
+        num_levels = self.num_levels.take(idx)
+        K = int(num_levels.max())
+
+        def rows(table: np.ndarray) -> np.ndarray:
+            out = table.take(idx, axis=0)
+            if out.ndim == 2 and K < out.shape[1]:
+                out = np.ascontiguousarray(out[:, :K])
+            out.setflags(write=False)
+            return out
+
+        ids = idx.tolist()
+        sub = Fleet.__new__(Fleet)
+        # Same assignment order as __init__, so the pickled bytes match.
+        sub.groups = (
+            operator.itemgetter(*ids)(self.groups)
+            if len(ids) > 1
+            else (self.groups[ids[0]],)
+        )
+        sub.counts = rows(self.counts)
+        sub.num_levels = num_levels
+        sub.speed_table = rows(self.speed_table)
+        sub.dynamic_power_table = rows(self.dynamic_power_table)
+        sub.static_power = rows(self.static_power)
+        sub.level_valid = rows(self.level_valid)
+        sub.dyn_coeff = rows(self.dyn_coeff)
+        sub._group_capacity = self._group_capacity.take(idx)
+        sub._group_power = self._group_power.take(idx)
+        if self.is_homogeneous:
+            sub.is_homogeneous = True
+        return sub
+
     # ------------------------------------------------------------------
     @property
     def num_groups(self) -> int:
@@ -124,16 +174,27 @@ class Fleet:
         return self.speed_table.shape[1]
 
     # Aggregates over ``groups`` are cached: groups never change, and the
-    # per-slot feasibility check reads them on every solve.
+    # per-slot feasibility check reads them on every solve.  The totals are
+    # Python ``sum`` over the per-group values (``np.sum`` is pairwise and
+    # can differ in the last bit), so a sub-fleet sliced by :meth:`subset`
+    # gets the same bits as one built from its groups.
+    @cached_property
+    def _group_capacity(self) -> np.ndarray:
+        return np.array([g.max_capacity for g in self.groups], dtype=np.float64)
+
+    @cached_property
+    def _group_power(self) -> np.ndarray:
+        return np.array([g.max_power for g in self.groups], dtype=np.float64)
+
     @cached_property
     def max_capacity(self) -> float:
         """Total top-speed service rate (req/s)."""
-        return float(sum(g.max_capacity for g in self.groups))
+        return float(sum(self._group_capacity.tolist()))
 
     @cached_property
     def max_power(self) -> float:
         """Total power (MW) with every server at top speed, fully loaded."""
-        return float(sum(g.max_power for g in self.groups))
+        return float(sum(self._group_power.tolist()))
 
     @cached_property
     def is_homogeneous(self) -> bool:
@@ -149,6 +210,8 @@ class Fleet:
     #: form (and any fingerprint hashed from it) does not depend on whether
     #: a solver has touched it yet.
     _LAZY = (
+        "_group_capacity",
+        "_group_power",
         "max_capacity",
         "max_power",
         "is_homogeneous",

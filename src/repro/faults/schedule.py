@@ -58,6 +58,26 @@ SIGNAL_MODES = ("stale", "missing")
 FORECAST_MODES = ("bias", "drift", "dropout", "adversarial")
 
 
+def _rewind(bitgen: np.random.BitGenerator, draws: int) -> None:
+    """Step ``bitgen`` (PCG64) back by ``draws`` 64-bit outputs.
+
+    ``advance`` moves the state modulo the 2**128 period, so advancing by
+    the period minus ``draws`` steps back.  It also drops the buffered half
+    of a 64-bit output that bounded 32-bit ``integers`` draws leave behind;
+    that buffer is put back, so later ``integers`` draws see the same
+    stream as if nothing had been rewound.
+    """
+    if draws == 0:
+        return
+    before = bitgen.state
+    bitgen.advance((1 << 128) - draws)
+    if before["has_uint32"]:
+        after = bitgen.state
+        after["has_uint32"] = before["has_uint32"]
+        after["uinteger"] = before["uinteger"]
+        bitgen.state = after
+
+
 @dataclass(frozen=True)
 class FaultEvent:
     """One timed fault.
@@ -263,10 +283,6 @@ class FaultSchedule:
         """True when there is nothing to inject."""
         return not self.events and (self.messages is None or self.messages.is_null)
 
-    def events_at(self, t: int) -> tuple[FaultEvent, ...]:
-        """Events taking effect at slot ``t`` (sorted)."""
-        return tuple(e for e in self.events if e.t == t)
-
     def by_slot(self) -> dict[int, list[FaultEvent]]:
         """``t -> events`` map for O(1) per-slot lookup in the injector."""
         out: dict[int, list[FaultEvent]] = {}
@@ -345,6 +361,13 @@ class FaultSchedule:
         message profile reuses ``seed`` so the whole scenario hangs off a
         single integer.  ``forecast_rate=0.0`` draws nothing from the RNG,
         so pre-existing seeds keep generating bit-identical schedules.
+
+        Draw order (the contract ``tests/fault_schedule_oracle.py`` pins):
+        per slot, one ``random()`` per group not down and not repaired this
+        slot, in group order, each failure followed at once by its
+        ``geometric`` repair draw; then the signal draws, then the forecast
+        draws.  The healthy groups' uniforms are drawn as blocks, and the
+        draws past a failure are rewound before its repair draw.
         """
         if horizon < 1 or num_groups < 1:
             raise ValueError("horizon and num_groups must be positive")
@@ -357,6 +380,7 @@ class FaultSchedule:
         if not 0.0 <= forecast_rate < 1.0:
             raise ValueError("forecast_rate must be in [0, 1)")
         rng = np.random.default_rng(seed)
+        bitgen = rng.bit_generator
         events: list[FaultEvent] = []
         repair_at: dict[int, int] = {}  # group -> slot it comes back
         for t in range(horizon):
@@ -364,20 +388,33 @@ class FaultSchedule:
             for g in just_repaired:
                 events.append(FaultEvent(t=t, kind="group_repair", group=g))
                 del repair_at[g]
-            for g in range(num_groups):
-                # A group that just came back spends the slot healthy; letting
-                # it fail again at the same t would order fail-before-repair
-                # after the canonical sort and fail validation.
-                if g in repair_at or g in just_repaired:
-                    continue
-                if rng.random() < failure_rate and len(repair_at) < num_groups - 1:
-                    down_for = 1 + int(rng.geometric(1.0 / mean_repair))
-                    events.append(FaultEvent(t=t, kind="group_fail", group=g))
-                    back = t + down_for
-                    if back < horizon:
-                        repair_at[g] = back
-                    else:
-                        repair_at[g] = horizon + 1  # never repaired in-run
+            # A group that just came back spends the slot healthy; letting
+            # it fail again at the same t would order fail-before-repair
+            # after the canonical sort and fail validation.
+            skip = np.zeros(num_groups, dtype=bool)
+            skip[list(repair_at)] = True
+            skip[just_repaired] = True
+            healthy = np.flatnonzero(~skip)
+            # One uniform per healthy group, in group order, drawn as one
+            # block; a failure's repair time is drawn right after its
+            # uniform, so the draws past it are handed back first.
+            start = 0
+            while start < healthy.size:
+                u = rng.random(healthy.size - start)
+                hits = np.flatnonzero(u < failure_rate)
+                if hits.size == 0 or len(repair_at) >= num_groups - 1:
+                    break
+                hit = int(hits[0])
+                _rewind(bitgen, u.size - hit - 1)
+                g = int(healthy[start + hit])
+                down_for = 1 + int(rng.geometric(1.0 / mean_repair))
+                events.append(FaultEvent(t=t, kind="group_fail", group=g))
+                back = t + down_for
+                if back < horizon:
+                    repair_at[g] = back
+                else:
+                    repair_at[g] = horizon + 1  # never repaired in-run
+                start += hit + 1
             if signal_rate > 0.0 and rng.random() < signal_rate:
                 field_ = SIGNAL_FIELDS[int(rng.integers(0, len(SIGNAL_FIELDS)))]
                 mode = SIGNAL_MODES[int(rng.integers(0, len(SIGNAL_MODES)))]

@@ -91,7 +91,8 @@ def realize_action(
     """
     fleet = model.fleet
     if failed_groups:
-        mask = np.isin(np.arange(fleet.num_groups), sorted(failed_groups))
+        mask = np.zeros(fleet.num_groups, dtype=bool)
+        mask[list(failed_groups)] = True
         action = FleetAction(
             levels=np.where(mask, -1, action.levels).astype(np.int64),
             per_server_load=np.where(mask, 0.0, action.per_server_load),

@@ -11,7 +11,10 @@ GSD, the distributed protocol) because the sub-problem is an ordinary
 
 :class:`~repro.solvers.gsd.GSDSolver` also accepts a native static
 ``failed_groups`` argument; this module is the solver-agnostic path used by
-the fault-injection layer, where the failed set changes slot to slot.
+the fault-injection layer, where the failed set changes slot to slot.  Under
+generated failures it changes on almost every slot, so caching sub-fleets
+per failed set would not help; instead each slot's sub-fleet is sliced from
+the full fleet's tables by :meth:`~repro.cluster.fleet.Fleet.subset`.
 """
 
 from __future__ import annotations
@@ -21,7 +24,7 @@ from typing import Iterable
 
 import numpy as np
 
-from ..cluster.fleet import Fleet, FleetAction
+from ..cluster.fleet import FleetAction
 from .base import SlotSolution, SlotSolver
 from .problem import InfeasibleError, SlotProblem
 
@@ -42,18 +45,20 @@ def solve_with_failed_groups(
     cannot serve the workload within the utilization cap.
     """
     fleet = problem.fleet
-    failed_set = {int(g) for g in failed}
-    for g in failed_set:
+    failed_list = sorted({int(g) for g in failed})
+    if not failed_list:
+        return solver.solve(problem)
+    for g in (failed_list[0], failed_list[-1]):
         if not 0 <= g < fleet.num_groups:
             raise ValueError(f"failed group index {g} out of range")
-    if not failed_set:
-        return solver.solve(problem)
 
-    healthy = [g for g in range(fleet.num_groups) if g not in failed_set]
-    if not healthy:
+    mask = np.ones(fleet.num_groups, dtype=bool)
+    mask[failed_list] = False
+    healthy = np.flatnonzero(mask)
+    if healthy.size == 0:
         raise InfeasibleError("every server group has failed")
 
-    sub_fleet = Fleet([fleet.groups[g] for g in healthy])
+    sub_fleet = fleet.subset(healthy)
     prev = problem.prev_on_counts
     sub_prev = None if prev is None else np.asarray(prev)[healthy]
     sub_problem = replace(problem, fleet=sub_fleet, prev_on_counts=sub_prev)
@@ -66,7 +71,7 @@ def solve_with_failed_groups(
     loads[healthy] = sub_solution.action.per_server_load
     action = FleetAction(levels=levels, per_server_load=loads)
     info = dict(sub_solution.info)
-    info["failed_groups"] = sorted(failed_set)
+    info["failed_groups"] = failed_list
     return SlotSolution(
         action=action,
         evaluation=problem.evaluate(action),

@@ -10,13 +10,19 @@ load and the Theorem 2 carbon accounting across the transitions.
 import numpy as np
 import pytest
 
-from repro.cluster import Fleet, ServerGroup, opteron_2380
+from repro.cluster import Fleet, FleetAction, ServerGroup, opteron_2380
 from repro.core import DataCenterModel
 from repro.core.coca import COCA
 from repro.faults import FaultEvent, FaultSchedule
 from repro.scenarios import small_scenario
-from repro.sim import simulate
-from repro.solvers import BruteForceSolver, GSDSolver, InfeasibleError
+from repro.sim import realize_action, simulate
+from repro.solvers import (
+    BruteForceSolver,
+    GSDSolver,
+    InfeasibleError,
+    solve_with_failed_groups,
+)
+from repro.state.records import record_mismatches
 from tests.conftest import make_problem
 
 
@@ -190,3 +196,95 @@ class TestDynamicFailures:
         assert record.dropped.sum() > 0
         assert record.served[3:].min() > 0  # the survivor keeps serving
         _assert_carbon_accounting(record, controller, outage_scenario)
+
+
+def _constructed_subset(fleet, indices):
+    """The sub-fleet built from its groups: the oracle for ``Fleet.subset``."""
+    return Fleet([fleet.groups[i] for i in indices])
+
+
+class TestSlicedSubFleets:
+    """Per-slot failed-group sub-fleets are sliced from the full fleet's
+    tables; a chaos run must not change when they are built from groups."""
+
+    @pytest.mark.parametrize("engine", ["enumeration", "gsd"])
+    def test_chaos_run_matches_constructed_sub_fleets(
+        self, outage_scenario, monkeypatch, engine
+    ):
+        G = outage_scenario.model.fleet.num_groups
+        schedule = FaultSchedule.generate(
+            7, horizon=outage_scenario.horizon, num_groups=G,
+            failure_rate=0.15, mean_repair=3.0,
+        )
+
+        def run():
+            solver = (
+                None
+                if engine == "enumeration"
+                else GSDSolver(iterations=60, rng=np.random.default_rng(5))
+            )
+            controller = COCA(
+                outage_scenario.model,
+                outage_scenario.environment.portfolio,
+                v_schedule=150.0,
+                alpha=outage_scenario.alpha,
+                solver=solver,
+            )
+            return simulate(
+                outage_scenario.model,
+                controller,
+                outage_scenario.environment,
+                faults=schedule,
+            )
+
+        shipped = run()
+        calls = []
+
+        def oracle(fleet, indices):
+            calls.append(len(indices))
+            return _constructed_subset(fleet, indices)
+
+        monkeypatch.setattr(Fleet, "subset", oracle)
+        reference = run()
+        assert len(calls) >= outage_scenario.horizon // 2  # failures on most slots
+        assert record_mismatches(shipped, reference) == []
+
+    @pytest.mark.parametrize("failed", [(), (4,), tuple(range(1, 8))])
+    def test_realize_mask_matches_isin(self, outage_scenario, failed):
+        model = outage_scenario.model
+        G = model.fleet.num_groups
+        levels = np.full(G, model.fleet.num_levels[0] - 1, dtype=np.int64)
+        action = FleetAction(levels=levels, per_server_load=np.full(G, 20.0))
+        planned = action.served_load(model.fleet)
+
+        mask = np.isin(np.arange(G), sorted(failed))
+        forced = FleetAction(
+            levels=np.where(mask, -1, action.levels).astype(np.int64),
+            per_server_load=np.where(mask, 0.0, action.per_server_load),
+        )
+        for actual in (0.8 * planned, 1.1 * planned):
+            got, got_drop = realize_action(
+                model, action, actual, planned, failed_groups=frozenset(failed)
+            )
+            want, want_drop = realize_action(model, forced, actual, planned)
+            assert np.array_equal(got.levels, want.levels)
+            assert np.array_equal(got.per_server_load, want.per_server_load)
+            assert got_drop == want_drop
+
+    def test_solve_with_failed_groups_checks(self, tiny_model):
+        p = make_problem(tiny_model, lam_frac=0.2)
+        solver = BruteForceSolver()
+        with pytest.raises(ValueError, match="out of range"):
+            solve_with_failed_groups(solver, p, [1, 3])
+        with pytest.raises(ValueError, match="out of range"):
+            solve_with_failed_groups(solver, p, [-1])
+        with pytest.raises(InfeasibleError, match="every server group"):
+            solve_with_failed_groups(solver, p, [0, 1, 2])
+        with pytest.raises(InfeasibleError):
+            solve_with_failed_groups(
+                solver, make_problem(tiny_model, lam_frac=0.9), [0, 1]
+            )
+        sol = solve_with_failed_groups(solver, p, (2, 0, 2))
+        assert sol.info["failed_groups"] == [0, 2]
+        assert list(sol.action.levels[[0, 2]]) == [-1, -1]
+        assert sol.evaluation == p.evaluate(sol.action)

@@ -31,6 +31,7 @@ from repro.scenarios import small_scenario
 from repro.sim import simulate
 from repro.solvers import DistributedGSD, Message, ServerAgent
 from repro.telemetry import Telemetry
+from tests.fault_schedule_oracle import oracle_generate
 
 RECORD_ARRAYS = ("cost", "brown_energy", "queue", "served", "dropped")
 
@@ -66,6 +67,63 @@ def _run(scenario, *, faults=None, degradation=None, solver=None, v=150.0,
         faults=faults,
         degradation=degradation,
     )
+
+
+class TestBlockDrawnGenerator:
+    """``FaultSchedule.generate`` draws the per-group failure uniforms in
+    blocks; it must reproduce the scalar generator's schedules exactly."""
+
+    @given(
+        seed=st.integers(0, 2**63 - 1),
+        horizon=st.integers(1, 80),
+        num_groups=st.sampled_from((2, 3, 50, 200)),
+        failure_rate=st.floats(0.0, 0.9),
+        mean_repair=st.floats(1.0, 8.0),
+        signal_rate=st.sampled_from((0.0, 0.15, 0.6)),
+        forecast_rate=st.sampled_from((0.0, 0.1, 0.5)),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_matches_scalar_oracle(
+        self, seed, horizon, num_groups, failure_rate, mean_repair,
+        signal_rate, forecast_rate,
+    ):
+        kw = dict(
+            horizon=horizon,
+            num_groups=num_groups,
+            failure_rate=failure_rate,
+            mean_repair=mean_repair,
+            signal_rate=signal_rate,
+            forecast_rate=forecast_rate,
+            loss=0.05,
+        )
+        got = FaultSchedule.generate(seed, **kw)
+        assert got.to_json() == oracle_generate(seed, **kw).to_json()
+
+    def test_group_cap_binds(self):
+        """At a 90% failure rate the ``num_groups - 1`` cap binds on most
+        slots, so failures are skipped after their uniform is drawn."""
+        kw = dict(horizon=120, num_groups=3, failure_rate=0.9, signal_rate=0.5,
+                  forecast_rate=0.5)
+        sched = FaultSchedule.generate(11, **kw)
+        assert sched == oracle_generate(11, **kw)
+        down: set[int] = set()
+        capped = 0
+        for t, events in sorted(sched.by_slot().items()):
+            for e in events:
+                if e.kind == "group_repair":
+                    down.discard(e.group)
+                elif e.kind == "group_fail":
+                    down.add(e.group)
+            capped += len(down) == 2
+        assert capped > 10
+
+    def test_paper_scale_schedules(self):
+        kw = dict(horizon=2190, num_groups=200, failure_rate=0.02, mean_repair=6.0)
+        for seed in (2012, 7, 401):
+            assert (
+                FaultSchedule.generate(seed, **kw).to_json()
+                == oracle_generate(seed, **kw).to_json()
+            )
 
 
 class TestScheduleDeterminism:

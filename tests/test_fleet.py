@@ -4,6 +4,8 @@ import pickle
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.cluster import (
     Fleet,
@@ -45,10 +47,10 @@ class TestFleetStructure:
             # Cached values stay out of pickles and come back recomputed.
             assert not set(Fleet._LAZY) & set(fleet.__getstate__())
             assert cached(pickle.loads(pickle.dumps(fleet))) == cached(fleet)
-            # A failed-group sub-fleet (built per slot by the degraded
-            # path) computes its own values, not its parent's.
-            sub = Fleet(fleet.groups[1:])
-            assert cached(sub) == recomputed(sub)
+            # A failed-group sub-fleet computes its own values, not its
+            # parent's, whether built from groups or sliced per slot.
+            for sub in (Fleet(fleet.groups[1:]), fleet.subset(range(1, fleet.num_groups))):
+                assert cached(sub) == recomputed(sub)
         assert Fleet(hetero_fleet.groups[1:]).is_homogeneous
 
     def test_empty_fleet_rejected(self):
@@ -78,6 +80,89 @@ class TestFleetStructure:
     def test_tables_readonly(self, tiny_fleet):
         with pytest.raises(ValueError):
             tiny_fleet.counts[0] = 5
+
+
+_TABLES = (
+    "counts",
+    "num_levels",
+    "speed_table",
+    "dynamic_power_table",
+    "static_power",
+    "level_valid",
+    "dyn_coeff",
+)
+
+# Two profiles of different widths (4 and 2 speed levels), so a subset of
+# only the narrow one has its padded width trimmed.
+_PROFILES = (opteron_2380(), cubic_dvfs_profile(levels=2))
+
+
+@st.composite
+def _fleet_and_subset(draw):
+    """A heterogeneous fleet and a non-empty index set into it, in either
+    sorted or arbitrary order."""
+    kinds = draw(st.lists(st.sampled_from((0, 1)), min_size=1, max_size=12))
+    counts = draw(
+        st.lists(st.integers(1, 1200), min_size=len(kinds), max_size=len(kinds))
+    )
+    fleet = Fleet([ServerGroup(_PROFILES[k], c) for k, c in zip(kinds, counts)])
+    idx = draw(
+        st.lists(
+            st.integers(0, len(kinds) - 1), min_size=1, max_size=len(kinds), unique=True
+        )
+    )
+    if draw(st.booleans()):
+        idx.sort()
+    return fleet, idx
+
+
+class TestFleetSubset:
+    """``Fleet.subset`` slices the parent's tables; it must equal the fleet
+    built from the same groups in every observable way."""
+
+    @given(_fleet_and_subset(), st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_equals_constructed(self, case, data):
+        fleet, idx = case
+        if data.draw(st.booleans()):
+            fleet.max_capacity  # parent aggregates cached or not
+        sub = fleet.subset(np.asarray(idx))
+        ref = Fleet([fleet.groups[i] for i in idx])
+
+        assert sub.groups == ref.groups
+        for name in _TABLES:
+            a, b = getattr(sub, name), getattr(ref, name)
+            assert a.dtype == b.dtype and a.shape == b.shape, name
+            assert np.array_equal(a, b, equal_nan=a.dtype.kind == "f"), name
+            assert a.flags.writeable == b.flags.writeable, name
+            assert a.flags.c_contiguous, name
+        assert sub.max_capacity == ref.max_capacity
+        assert sub.max_power == ref.max_power
+        assert sub.is_homogeneous == ref.is_homogeneous
+        assert sub.max_levels == ref.max_levels
+        assert np.array_equal(sub.profile_ids, ref.profile_ids)
+        levels = np.array(
+            [data.draw(st.integers(-1, int(k) - 1)) for k in ref.num_levels]
+        )
+        for got, want in zip(sub.class_histogram(levels), ref.class_histogram(levels)):
+            assert np.array_equal(got, want)
+        assert pickle.dumps(sub) == pickle.dumps(ref)
+
+    def test_homogeneous_parent_seeds_flag(self):
+        fleet = default_fleet(num_groups=6)
+        sub = fleet.subset([0, 2, 5])
+        assert "is_homogeneous" in sub.__dict__ and sub.is_homogeneous
+
+    def test_nested_subset(self, hetero_fleet):
+        fleet = Fleet(list(hetero_fleet.groups) * 3)
+        inner = fleet.subset([1, 2, 4, 5]).subset([0, 3])
+        ref = Fleet([fleet.groups[1], fleet.groups[5]])
+        assert pickle.dumps(inner) == pickle.dumps(ref)
+        assert inner.max_power == ref.max_power
+
+    def test_empty_subset_rejected(self, tiny_fleet):
+        with pytest.raises(ValueError, match="at least one group"):
+            tiny_fleet.subset([])
 
 
 class TestGroupSpeeds:
