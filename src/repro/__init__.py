@@ -66,7 +66,6 @@ from .solvers import (
     DistributedGSD,
     GSDSolver,
     HomogeneousEnumerationSolver,
-    ShardedGSDSolver,
     SlotProblem,
 )
 from .telemetry import (
@@ -111,7 +110,6 @@ __all__ = [
     "SlotProblem",
     "GSDSolver",
     "DistributedGSD",
-    "ShardedGSDSolver",
     "HomogeneousEnumerationSolver",
     "CoordinateDescentSolver",
     "BruteForceSolver",

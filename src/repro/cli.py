@@ -763,22 +763,13 @@ def _materialize_run(manifest: dict, scenario=None):
     """
     from .core.coca import COCA
     from .faults import DegradationPolicy, FaultInjector, FaultSchedule
-    from .solvers import DistributedGSD, GSDSolver, ShardedGSDSolver
+    from .solvers import DistributedGSD, GSDSolver
 
     if scenario is None:
         scenario = _scenario_from_manifest(manifest["scenario"])
     run = manifest["run"]
     solver = None
-    shards = int(run.get("shards") or 0)
-    if shards:
-        # --shards N promotes the GSD chain to the process-sharded solver
-        # (bit-identical results; see docs/SCALING.md).
-        solver = ShardedGSDSolver(
-            shards=shards,
-            iterations=int(run["iterations"]),
-            rng=np.random.default_rng(int(run["solver_seed"])),
-        )
-    elif run["solver"] == "gsd":
+    if run["solver"] == "gsd":
         solver = GSDSolver(
             iterations=int(run["iterations"]),
             rng=np.random.default_rng(int(run["solver_seed"])),
@@ -833,32 +824,6 @@ def _materialize_run(manifest: dict, scenario=None):
     return scenario, controller, injector, policy
 
 
-def _shutdown_solver(controller) -> None:
-    """Release solver-held resources (the sharded solver's worker pool)."""
-    close = getattr(getattr(controller, "solver", None), "close", None)
-    if callable(close):
-        close()
-
-
-def _check_shards_flags(command: str, args) -> bool:
-    """Validate the --shards flag combination; prints and returns False on
-    a bad combination."""
-    if getattr(args, "shards", None) is None:
-        return True
-    if args.shards < 1:
-        print(f"repro {command}: --shards must be >= 1", file=sys.stderr)
-        return False
-    if args.solver == "distributed":
-        print(
-            f"repro {command}: --shards drives the process-sharded GSD "
-            "chain and cannot be combined with --solver distributed "
-            "(the in-process message-passing protocol)",
-            file=sys.stderr,
-        )
-        return False
-    return True
-
-
 def _print_run_summary(record) -> None:
     print(
         f"run: cost ${record.cost.sum():,.0f}, "
@@ -883,8 +848,6 @@ def _cmd_run(args) -> int:
     from .sim import simulate
     from .state import CheckpointWriter, atomic_write_text
 
-    if not _check_shards_flags("run", args):
-        return EXIT_BAD_INPUT
     scenario_cfg = {
         "scale": args.scale,
         "horizon": args.horizon,
@@ -927,7 +890,6 @@ def _cmd_run(args) -> int:
             "solver": args.solver,
             "iterations": args.iterations,
             "solver_seed": args.fault_seed,
-            "shards": args.shards,
             "fallback": args.fallback,
             "retries": args.retries,
             "solve_deadline_ms": args.solve_deadline_ms,
@@ -954,41 +916,29 @@ def _cmd_run(args) -> int:
             f"into {args.checkpoint_dir} (keep {args.checkpoint_keep})"
         )
 
-    try:
-        with _telemetry_scope(args) as telemetry:
-            record = simulate(
-                scenario.model,
-                controller,
-                scenario.environment,
-                telemetry=telemetry,
-                faults=injector,
-                degradation=policy,
-                checkpoint=writer,
-                solve_deadline_ms=args.solve_deadline_ms,
-                slot_sleep_s=args.slot_sleep_ms / 1000.0,
-            )
-    finally:
-        _shutdown_solver(controller)
+    with _telemetry_scope(args) as telemetry:
+        record = simulate(
+            scenario.model,
+            controller,
+            scenario.environment,
+            telemetry=telemetry,
+            faults=injector,
+            degradation=policy,
+            checkpoint=writer,
+            solve_deadline_ms=args.solve_deadline_ms,
+            slot_sleep_s=args.slot_sleep_ms / 1000.0,
+        )
     _print_run_summary(record)
     _maybe_save_record(args, record)
     return 0
 
 
 def _cmd_resume(args) -> int:
-    import json
-    import os
-
     from .sim import simulate
     from .state import CheckpointError, CheckpointWriter, latest_valid_checkpoint
 
-    manifest_path = os.path.join(args.checkpoint_dir, MANIFEST_NAME)
-    try:
-        with open(manifest_path) as fh:
-            manifest = json.load(fh)
-        if manifest.get("format") != _MANIFEST_FORMAT:
-            raise ValueError(f"not a {_MANIFEST_FORMAT} file")
-    except (OSError, ValueError, KeyError) as exc:
-        print(f"repro resume: cannot load {manifest_path}: {exc}", file=sys.stderr)
+    manifest = _load_manifest_or_fail("resume", args.checkpoint_dir)
+    if manifest is None:
         return EXIT_BAD_INPUT
 
     deadline_ms = manifest["run"].get("solve_deadline_ms")
@@ -1037,8 +987,6 @@ def _cmd_resume(args) -> int:
         except CheckpointError as exc:
             print(f"repro resume: {exc}", file=sys.stderr)
             return EXIT_BAD_INPUT
-        finally:
-            _shutdown_solver(controller)
     _print_run_summary(record)
     _maybe_save_record(args, record)
 
@@ -1048,16 +996,13 @@ def _cmd_resume(args) -> int:
         _, golden_ctrl, golden_inj, golden_pol = _materialize_run(
             manifest, scenario=scenario
         )
-        try:
-            golden = simulate(
-                scenario.model,
-                golden_ctrl,
-                scenario.environment,
-                faults=golden_inj,
-                degradation=golden_pol,
-            )
-        finally:
-            _shutdown_solver(golden_ctrl)
+        golden = simulate(
+            scenario.model,
+            golden_ctrl,
+            scenario.environment,
+            faults=golden_inj,
+            degradation=golden_pol,
+        )
         mismatched = record_mismatches(record, golden)
         if mismatched:
             print(
@@ -1114,6 +1059,12 @@ def _load_manifest_or_fail(command: str, checkpoint_dir: str) -> dict | None:
             manifest = json.load(fh)
         if manifest.get("format") != _MANIFEST_FORMAT:
             raise ValueError(f"not a {_MANIFEST_FORMAT} file")
+        if manifest.get("run", {}).get("shards"):
+            # The process-sharded solver is gone; resuming on GSDSolver
+            # would silently diverge from the run that wrote the checkpoint.
+            raise ValueError(
+                "written with --shards, which was removed; start a new run"
+            )
         return manifest
     except (OSError, ValueError, KeyError) as exc:
         print(f"repro {command}: cannot load {manifest_path}: {exc}", file=sys.stderr)
@@ -1196,8 +1147,6 @@ def _cmd_serve(args) -> int:
         write_metrics,
     )
 
-    if not _check_shards_flags("serve", args):
-        return EXIT_BAD_INPUT
     config = _serve_config(args)
 
     manifest = None
@@ -1276,8 +1225,7 @@ def _cmd_serve(args) -> int:
                 "solver": args.solver,
                 "iterations": args.iterations,
                 "solver_seed": args.solver_seed,
-                "shards": args.shards,
-                "fallback": config.fallback,
+                    "fallback": config.fallback,
                 "retries": config.retries,
                 "solve_deadline_ms": config.solve_deadline_ms,
                 # Advice identity lives in the run block so both serve
@@ -1452,7 +1400,6 @@ def _cmd_serve(args) -> int:
     finally:
         for sig, handler in previous_handlers.items():
             _signal.signal(sig, handler)
-        _shutdown_solver(controller)
         suite.finalize()
         if journal is not None:
             journal.close()
@@ -1767,11 +1714,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="iterations per solve for --solver gsd/distributed",
     )
     p.add_argument(
-        "--shards", type=int, default=None, metavar="N",
-        help="run the GSD chain over N worker processes (bit-identical to "
-        "the single-process solver; see docs/SCALING.md)",
-    )
-    p.add_argument(
         "--chaos",
         action="store_true",
         help="inject a generated fault schedule (see the fault flags)",
@@ -1850,11 +1792,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--iterations", type=int, default=200,
         help="iterations per solve for --solver gsd/distributed",
-    )
-    p.add_argument(
-        "--shards", type=int, default=None, metavar="N",
-        help="run the GSD chain over N worker processes (bit-identical to "
-        "the single-process solver; see docs/SCALING.md)",
     )
     p.add_argument(
         "--solver-seed", type=int, default=7,

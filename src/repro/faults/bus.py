@@ -18,13 +18,6 @@ One uniform variate is drawn per ``send``, so the fault pattern is a pure
 function of the profile's seed -- chaos runs replay bit-identically.  The
 coordinator-side recovery (per-agent retries, :class:`BusTimeoutError`)
 lives in :mod:`repro.solvers.messaging`.
-
-The bus is agnostic to where an agent's work actually happens: when the
-registered agents are :class:`~repro.solvers.sharded.ShardAgent` proxies,
-the same three fault modes apply to traffic that crosses a real process
-boundary -- loss means the frame is never forwarded to the worker, delay
-means the worker did the work but the reply is discarded, duplicate means
-the frame is forwarded twice (see docs/SCALING.md for the full mapping).
 """
 
 from __future__ import annotations

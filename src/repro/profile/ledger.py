@@ -77,10 +77,10 @@ SUITE_ARGS: dict[str, tuple[str, ...]] = {
     "checkpoint_overhead": ("--horizon", "48", "--repeats", "2", "--warmup", "1"),
     "monitor_overhead": ("--horizon", "96", "--repeats", "3", "--warmup", "1"),
     "span_overhead": ("--horizon", "96", "--repeats", "3", "--warmup", "1"),
-    # scale self-gates sharded >= single-process throughput on the largest
-    # fleet (an in-run paired comparison, safe on shared runners); the
-    # week-wall-clock acceptance runs in the dedicated scale-smoke CI job
-    # with the full 168-slot horizon, so the ledger run skips it.
+    # scale checks the shipped GSD chain against the cold chain (1e-9) at
+    # every fleet size; the week-wall-clock acceptance runs in the
+    # dedicated scale-smoke CI job with the full 168-slot horizon, so the
+    # ledger run skips it.
     "scale": ("--repeats", "2", "--skip-week", "--check"),
     # advice self-gates the learning-augmented robustness contract: any
     # (1+λ) bound violation or never-trusted bit-identity failure exits

@@ -572,13 +572,11 @@ def simulate(
 
     ``checkpoint`` attaches a :class:`~repro.state.CheckpointWriter`: at
     the writer's cadence the complete run state (per-slot columns so far,
-    controller/solver state incl. RNG streams -- for the process-sharded
-    solver that includes the worker-held per-group substream positions,
-    fault cursor, switching memory) is written crash-safely, so a killed
-    process can continue from ``resume_from`` -- a
-    :class:`~repro.state.Checkpoint` -- and the remaining slots replay
-    **bit-identically** to an uninterrupted run, SIGKILL of the
-    coordinator or any shard worker included.
+    controller/solver state incl. RNG streams, fault cursor, switching
+    memory) is written crash-safely, so a killed process can continue from
+    ``resume_from`` -- a :class:`~repro.state.Checkpoint` -- and the
+    remaining slots replay **bit-identically** to an uninterrupted run,
+    SIGKILL included.
     The checkpoint is validated against this call's environment
     (fingerprint), horizon, and controller before anything is restored.
 

@@ -11,7 +11,6 @@ from .fastpath import EvaluationCache, FastPathStats
 from .gsd import GSDSolver, GSDTrace, geometric_temperature
 from .load_distribution import LoadDistribution, distribute_load, solve_fixed_levels
 from .messaging import (
-    BusAgent,
     BusTimeoutError,
     DistributedGSD,
     DualLoadCoordinator,
@@ -21,7 +20,6 @@ from .messaging import (
     exchange,
 )
 from .problem import InfeasibleError, SlotEvaluation, SlotProblem
-from .sharded import ShardAgent, ShardedGSDSolver, ShardPlan, problem_fingerprint
 
 __all__ = [
     "SlotProblem",
@@ -51,12 +49,7 @@ __all__ = [
     "MessageBus",
     "Message",
     "ServerAgent",
-    "BusAgent",
     "BusTimeoutError",
     "exchange",
     "solve_with_failed_groups",
-    "ShardedGSDSolver",
-    "ShardAgent",
-    "ShardPlan",
-    "problem_fingerprint",
 ]

@@ -37,9 +37,9 @@ make that possible:
   column-index vector (ascending, as ``np.nonzero`` yields, matching the
   scalar compaction order); within a partition ``np.sum(A, axis=1)`` on
   the C-contiguous gathered block reduces each row with the same pairwise
-  blocking as the scalar 1-D sum.  This is what keeps a GSD speculation
-  block (the base configuration's flips, whose on-masks all differ) in
-  one or two partitions instead of one per row.
+  blocking as the scalar 1-D sum.  This is what keeps a coordinate-descent
+  scan (one group's level flips, whose on-masks all differ) in one or two
+  partitions instead of one per row.
 - **Preserve elementwise op order.**  Every scalar expression is
   replicated with the same association (``we * pue * c`` becomes
   ``(we_vec * pue)[:, None] * c``, never ``we_vec[:, None] * (pue * c)``).

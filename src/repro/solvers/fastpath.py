@@ -336,7 +336,7 @@ class EvaluationCache:
         what K sequential :meth:`objective_of` calls would produce, with
         two deliberate exceptions: duplicate unseen rows inside one batch
         are each solved (and counted) rather than the second hitting the
-        memo, the speculative rows do **not** advance the incremental
+        memo, the batch rows do **not** advance the incremental
         delta-screen state -- their verdicts come from exact from-scratch
         sums, so :meth:`note_changed` bookkeeping stays tied to the
         engine's *real* level vector -- and the batched engine solves per
@@ -344,9 +344,10 @@ class EvaluationCache:
         :meth:`solution_for` re-solves a batch-scored vector through
         :func:`distribute_load` rather than reusing the batched loads.
 
-        With ``warm_start`` enabled every row shares the block-entry hint
-        (the batch is neighbor flips of one base configuration), and the
-        last solved row becomes the next hint.
+        Coordinate descent (one group's level scan) and brute force
+        (chunks of the enumeration) are the callers.  With ``warm_start``
+        enabled every row shares the batch-entry hint, and the last solved
+        row becomes the next hint.
         """
         from .batched import objective_batch
 

@@ -49,13 +49,6 @@ __all__ = ["GSDSolver", "GSDTrace", "geometric_temperature"]
 #: Floor keeping ``delta / g`` finite when a configuration has ~zero cost.
 _OBJECTIVE_FLOOR = 1e-12
 
-#: Speculative-block sizing: start small (acceptances are common early in
-#: a chain, and every acceptance discards the rest of the block), double on
-#: each fully consumed block (late chains are rejection-dominated), reset
-#: on divergence.
-_BLOCK_MIN = 8
-_BLOCK_MAX = 64
-
 
 def _acceptance_probability(delta: float, explored: float, current: float) -> float:
     """Line 4's two-point Gibbs probability of keeping the explored
@@ -160,37 +153,6 @@ class GSDSolver(SlotSolver):
         if no feasible configuration was seen yet it raises
         :class:`~repro.solvers.deadline.DeadlineExceededError`.  ``None``
         (the default) never expires.
-    batched:
-        Score proposals in speculative blocks through the batched
-        water-filling engine (:mod:`repro.solvers.batched`): the solver
-        snapshots the RNG, optimistically draws a block of proposals as if
-        every one were finite and rejected (the overwhelmingly common case
-        once the chain settles), evaluates all the non-self flips of the
-        current configuration in one ``(K, G)`` vectorized solve, then
-        replays the Gibbs decisions serially.  The first acceptance or
-        infeasible proposal ends the block: the iteration is completed
-        with its batched value, the RNG is rewound to the snapshot and
-        re-advanced with the *true* consumption pattern, and the chain
-        continues from the next iteration -- so the visited states and the
-        RNG stream follow the scalar chain's rules exactly.  The batched
-        engine solves per group while the scalar path solves per class, so
-        each objective agrees with the scalar chain's to <= 1e-9 relative
-        error rather than bit for bit; the start configuration is scored
-        through the batched engine too, so a cold batched chain shares all
-        of its arithmetic with :class:`~repro.solvers.sharded
-        .ShardedGSDSolver`.  Requires ``use_cache``; silently
-        falls back to the scalar loop when the cache is off or a
-        ``deadline_ms`` is set (the scalar loop polls the deadline between
-        iterations, a granularity block evaluation would coarsen).
-
-        Default **off**: speculation pays for itself only when acceptances
-        are rare (a cool, settled chain rejecting long runs of proposals
-        in one vectorized block).  Every acceptance discards the rest of
-        its block and forces a resync, so on an accept-heavy chain (the
-        paper-scale bench accepts ~28% of steps) the wasted block tails
-        plus the per-block batch setup cost more than the lockstep solve
-        saves, and the scalar warm path wins.  Flip it on for long
-        low-temperature chains or rejection-dominated annealing tails.
     """
 
     def __init__(
@@ -206,7 +168,6 @@ class GSDSolver(SlotSolver):
         use_cache: bool = True,
         warm_start: bool | None = None,
         deadline_ms: float | None = None,
-        batched: bool = False,
     ):
         if iterations < 1:
             raise ValueError("iterations must be >= 1")
@@ -229,7 +190,6 @@ class GSDSolver(SlotSolver):
         self.use_cache = use_cache
         self.warm_start = use_cache if warm_start is None else warm_start
         self.deadline_ms = deadline_ms
-        self.batched = batched
         # Chain counter: stamps telemetry events with a per-solver
         # solve_index so the convergence diagnostics can group the
         # gsd.iteration stream by chain.  Only advanced when telemetry is
@@ -359,17 +319,6 @@ class GSDSolver(SlotSolver):
                     return cache.objective_of(lv)
                 return self._objective_of(problem, lv)
 
-        use_batched = (
-            self.batched and cache is not None and self.deadline_ms is None
-        )
-        if use_batched:
-
-            def score_start(lv: np.ndarray) -> float:
-                return float(cache.objective_of_batch(lv[None, :])[0])
-
-        else:
-            score_start = score
-
         if self.initial_levels is not None:
             levels = self.initial_levels.copy()
             if levels.shape != (G,):
@@ -377,13 +326,13 @@ class GSDSolver(SlotSolver):
         else:
             levels = (fleet.num_levels - 1).astype(np.int64)
         levels[self.failed_groups] = -1  # failed machines are dark
-        current = score_start(levels)
+        current = score(levels)
         if not np.isfinite(current):
             levels = (fleet.num_levels - 1).astype(np.int64)
             levels[self.failed_groups] = -1
             if cache is not None:
                 cache.note_all()
-            current = score_start(levels)
+            current = score(levels)
         best_levels, best = levels.copy(), current
 
         hist_chain = np.empty(self.iterations)
@@ -419,154 +368,50 @@ class GSDSolver(SlotSolver):
         completed = 0
         scored_s = 0.0
         t_chain = time.perf_counter() if sp else 0.0
-        spec_blocks = spec_full = spec_resyncs = spec_wasted = 0
-        if use_batched:
-            # Speculative block batching.  Invariant entering each block:
-            # the RNG, ``levels``, ``current`` and the history arrays are
-            # exactly what the scalar loop would hold at iteration ``it``.
-            # A block optimistically draws (group, proposal, uniform) as if
-            # every proposal were finite and rejected; the serial replay
-            # below preserves the invariant (see the resync comment).
-            it = 0
-            block = _BLOCK_MIN
-            while it < self.iterations:
-                B = min(block, self.iterations - it)
-                spec_blocks += 1
-                snapshot = rng.bit_generator.state
-                specs: list[tuple[int, int, float | None]] = []
-                for _ in range(B):
-                    g = int(healthy[rng.integers(0, healthy.size)])
-                    proposal = int(rng.integers(-1, fleet.num_levels[g]))
-                    if proposal == levels[g]:
-                        specs.append((g, proposal, None))  # no eval, no uniform
-                    else:
-                        specs.append((g, proposal, float(rng.random())))
-                cand = [bi for bi in range(B) if specs[bi][2] is not None]
-                objs = None
-                if cand:
-                    batch = np.repeat(levels[None, :], len(cand), axis=0)
-                    for r, bi in enumerate(cand):
-                        batch[r, specs[bi][0]] = specs[bi][1]
-                    t0 = time.perf_counter() if sp else 0.0
-                    objs = cache.objective_of_batch(batch)
-                    if sp:
-                        dt = time.perf_counter() - t0
-                        sp.add("gsd.batched_solve", dt)
-                        scored_s += dt
-                row_of = {bi: r for r, bi in enumerate(cand)}
-                finite: dict[int, bool] = {}
-                consumed = 0
-                diverged = False
-                for bi in range(B):
-                    i = it + bi
-                    delta = self._temperature(i)
-                    hist_temp[i] = delta
-                    g, proposal, u = specs[bi]
-                    if u is None:
-                        hist_chain[i], hist_best[i] = current, best
-                        _log_window(i)
-                        consumed += 1
-                        continue
-                    explored = float(objs[row_of[bi]])
-                    n_solves += 1
-                    is_finite = math.isfinite(explored)
-                    finite[bi] = is_finite
-                    if is_finite:
-                        # Line 4: identical arithmetic to the scalar loop;
-                        # ``u`` is the uniform the scalar loop would have
-                        # drawn at exactly this point of the stream.
-                        accept = u < _acceptance_probability(delta, explored, current)
-                    else:
-                        accept = False
-                        diverged = True  # scalar draws no uniform here
-                    if accept:
-                        levels[g] = proposal
-                        cache.note_changed(g)
-                        current = explored
-                        hist_acc[i] = True
-                        if explored < best:
-                            best = explored
-                            best_levels = levels.copy()
-                            last_improve = i + 1
-                        diverged = True  # later rows scored a stale base
-                    hist_chain[i], hist_best[i] = current, best
-                    _log_window(i)
-                    consumed += 1
-                    if diverged:
-                        break
-                if diverged:
-                    # Rewind to the snapshot and re-advance the stream with
-                    # the *true* consumption pattern of the consumed
-                    # iterations: the speculative draws assumed a uniform
-                    # for every non-self proposal, but an infeasible
-                    # exploration consumes none.  The prefix re-draws the
-                    # same values (same generator, same call sequence), so
-                    # the decisions above stand and the RNG lands exactly
-                    # where the scalar loop's would.
-                    spec_resyncs += 1
-                    spec_wasted += len(cand) - sum(
-                        1 for bi in cand if bi < consumed
-                    )
-                    rng.bit_generator.state = snapshot
-                    for k in range(consumed):
-                        g2 = int(healthy[rng.integers(0, healthy.size)])
-                        rng.integers(-1, fleet.num_levels[g2])
-                        if specs[k][2] is not None and finite.get(k, False):
-                            rng.random()
-                    block = _BLOCK_MIN
-                else:
-                    # Fully consumed: every non-self row was finite and
-                    # rejected, so the speculative pattern *was* the true
-                    # pattern and the RNG needs no correction.
-                    spec_full += 1
-                    block = min(2 * block, _BLOCK_MAX)
-                it += consumed
-            completed = self.iterations
-        else:
-            for it in range(self.iterations):
-                if deadline.expired():
-                    break
-                completed = it + 1
-                delta = self._temperature(it)
-                hist_temp[it] = delta
+        for it in range(self.iterations):
+            if deadline.expired():
+                break
+            completed = it + 1
+            delta = self._temperature(it)
+            hist_temp[it] = delta
 
-                # Line 7: a random *functioning* group explores a random
-                # speed (incl. off); failed groups never hold the update
-                # token.
-                g = int(healthy[rng.integers(0, healthy.size)])
-                proposal = int(rng.integers(-1, fleet.num_levels[g]))
-                old_level = levels[g]
-                if proposal == old_level:
-                    hist_chain[it], hist_best[it] = current, best
-                    _log_window(it)
-                    continue
-                levels[g] = proposal
-                if cache is not None:
-                    cache.note_changed(g)
-                explored = score(levels)
-                n_solves += 1
-
-                if math.isfinite(explored):
-                    # Line 4: two-point Gibbs acceptance.
-                    accept = rng.random() < _acceptance_probability(
-                        delta, explored, current
-                    )
-                else:
-                    accept = False  # line 2 guard: infeasible explorations die
-
-                if accept:
-                    current = explored
-                    hist_acc[it] = True
-                    if explored < best:
-                        best = explored
-                        best_levels = levels.copy()
-                        last_improve = it + 1
-                else:
-                    levels[g] = old_level
-                    if cache is not None:
-                        cache.note_changed(g)
+            # Line 7: a random *functioning* group explores a random
+            # speed (incl. off); failed groups never hold the update
+            # token.
+            g = int(healthy[rng.integers(0, healthy.size)])
+            proposal = int(rng.integers(-1, fleet.num_levels[g]))
+            old_level = levels[g]
+            if proposal == old_level:
                 hist_chain[it], hist_best[it] = current, best
                 _log_window(it)
+                continue
+            levels[g] = proposal
+            if cache is not None:
+                cache.note_changed(g)
+            explored = score(levels)
+            n_solves += 1
+
+            if math.isfinite(explored):
+                # Line 4: two-point Gibbs acceptance.
+                accept = rng.random() < _acceptance_probability(
+                    delta, explored, current
+                )
+            else:
+                accept = False  # line 2 guard: infeasible explorations die
+
+            if accept:
+                current = explored
+                hist_acc[it] = True
+                if explored < best:
+                    best = explored
+                    best_levels = levels.copy()
+                    last_improve = it + 1
+            else:
+                levels[g] = old_level
+                if cache is not None:
+                    cache.note_changed(g)
+            hist_chain[it], hist_best[it] = current, best
+            _log_window(it)
         if sp:
             # The chain's own steps: proposal draws, acceptance, history.
             sp.add("gsd.chain", time.perf_counter() - t_chain - scored_s)
@@ -650,13 +495,6 @@ class GSDSolver(SlotSolver):
             "evaluations": n_solves,
             "fastpath": stats.as_dict(),
             "final_objective": best,
-            "speculation": {
-                "enabled": use_batched,
-                "blocks": spec_blocks,
-                "full_blocks": spec_full,
-                "resyncs": spec_resyncs,
-                "wasted_evaluations": spec_wasted,
-            },
         }
         if self.deadline_ms is not None:
             info["deadline"] = {

@@ -39,7 +39,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Any, Callable, Protocol, runtime_checkable
+from typing import Any, Callable
 
 import numpy as np
 
@@ -48,7 +48,6 @@ from .base import SlotSolution, SlotSolver
 from .problem import InfeasibleError, SlotProblem
 
 __all__ = [
-    "BusAgent",
     "Message",
     "MessageBus",
     "ServerAgent",
@@ -106,32 +105,15 @@ class Message:
     payload: dict[str, Any] = field(default_factory=dict)
 
 
-@runtime_checkable
-class BusAgent(Protocol):
-    """What the bus requires of a registered endpoint.
-
-    Anything with a unique ``name`` and a ``handle`` method can sit on the
-    fabric: the in-process :class:`ServerAgent`, or a proxy forwarding the
-    message across a process boundary (:class:`repro.solvers.sharded
-    .ShardAgent`).  ``handle`` returns the reply, or ``None`` for "no
-    reply arrived" -- the fabric itself models loss/delay separately in
-    :class:`repro.faults.bus.FaultyMessageBus`.
-    """
-
-    name: str
-
-    def handle(self, message: Message) -> Message | None: ...
-
-
 class MessageBus:
     """Instrumented point-to-point + broadcast fabric."""
 
     def __init__(self) -> None:
         self.delivered: int = 0
         self.by_kind: Counter[str] = Counter()
-        self._agents: dict[str, BusAgent] = {}
+        self._agents: dict[str, ServerAgent] = {}
 
-    def register(self, agent: BusAgent) -> None:
+    def register(self, agent: ServerAgent) -> None:
         """Attach an agent under its unique name."""
         if agent.name in self._agents:
             raise ValueError(f"duplicate agent name {agent.name!r}")

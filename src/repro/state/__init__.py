@@ -42,11 +42,9 @@ from .serialize import (
     decode_action,
     decode_array,
     decode_rng,
-    decode_rng_states,
     encode_action,
     encode_array,
     encode_rng,
-    encode_rng_states,
     environment_fingerprint,
 )
 
@@ -67,8 +65,6 @@ __all__ = [
     "encode_action",
     "encode_array",
     "encode_rng",
-    "encode_rng_states",
-    "decode_rng_states",
     "environment_fingerprint",
     "fsync_dir",
     "latest_valid_checkpoint",

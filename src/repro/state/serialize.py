@@ -42,11 +42,9 @@ __all__ = [
     "decode_action",
     "decode_array",
     "decode_rng",
-    "decode_rng_states",
     "encode_action",
     "encode_array",
     "encode_rng",
-    "encode_rng_states",
     "environment_fingerprint",
     "float_list_text",
     "trace_fingerprint",
@@ -206,21 +204,6 @@ def decode_rng(state: dict) -> np.random.Generator:
     bit_generator = cls()
     bit_generator.state = state
     return np.random.Generator(bit_generator)
-
-
-def encode_rng_states(states: dict[int, dict]) -> dict[str, dict]:
-    """A keyed family of bit-generator states, JSON-safe and key-sorted.
-
-    Used for per-group RNG substreams (the sharded solver's local draw
-    mode): keys become strings for JSON, sorted so the canonical encoding
-    is stable regardless of insertion order.
-    """
-    return {str(int(k)): v for k, v in sorted(states.items())}
-
-
-def decode_rng_states(obj: dict[str, dict]) -> dict[int, dict]:
-    """Inverse of :func:`encode_rng_states` (keys back to ints)."""
-    return {int(k): v for k, v in obj.items()}
 
 
 # ---------------------------------------------------------------- fingerprint

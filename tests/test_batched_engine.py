@@ -14,8 +14,8 @@ level) class.  Two contracts are pinned per row:
 
 These tests pin both over randomized problems, boundary-regime-targeted
 instances, the degenerate scalar fallbacks (``Wd == 0``, non-linear
-tariffs, zero-count groups, all-off rows), the batched objective scoring,
-and whole GSD chains run with speculation on vs off.
+tariffs, zero-count groups, all-off rows) and the batched objective
+scoring.
 """
 
 from dataclasses import replace
@@ -26,10 +26,8 @@ import pytest
 from repro.cluster import FleetAction
 from repro.cluster.power import TieredTariff
 from repro.solvers import (
-    GSDSolver,
     distribute_load,
     distribute_load_batch,
-    geometric_temperature,
     objective_batch,
 )
 from repro.solvers.problem import InfeasibleError
@@ -108,7 +106,7 @@ def random_levels(rng, model):
 
 def random_batch(rng, model, base):
     """Neighbor flips + random vectors + duplicates + all-off rows: the mix
-    the GSD speculation blocks and coordinate sweeps actually produce."""
+    coordinate sweeps and brute-force chunks actually produce."""
     G = model.fleet.num_groups
     K = int(rng.integers(3, 12))
     rows = []
@@ -339,58 +337,3 @@ class TestObjectiveBatch:
                         problem, batch[k], shipped
                     ) == pytest.approx(expect, rel=OBJ_RTOL)
         assert finite_rows > 0
-
-
-class TestGSDSpeculation:
-    """End-to-end: GSD chains with speculative batching follow the scalar
-    chain -- same accepted levels, same evaluation count, same RNG end
-    state -- with objectives inside the 1e-9 engine contract."""
-
-    def run(self, problem, *, batched, use_cache=True, warm=False, seed=3):
-        solver = GSDSolver(
-            iterations=120,
-            delta=geometric_temperature(1.0, 1.12),
-            rng=np.random.default_rng(seed),
-            use_cache=use_cache,
-            warm_start=warm,
-            batched=batched,
-        )
-        sol = solver.solve(problem)
-        return sol, str(solver.rng.bit_generator.state)
-
-    def test_chains_bit_identical_across_engines(self):
-        rng = np.random.default_rng(11)
-        chains = 0
-        for _ in range(5):
-            model = random_model(rng)
-            problem = random_problem(model, rng)
-            try:
-                b, st_b = self.run(problem, batched=True)
-                s, st_s = self.run(problem, batched=False)
-                nc, st_nc = self.run(problem, batched=False, use_cache=False)
-                bw, st_bw = self.run(problem, batched=True, warm=True)
-                sw, st_sw = self.run(problem, batched=False, warm=True)
-            except InfeasibleError:
-                continue
-            chains += 1
-            for tag, a, c in (
-                ("batched-vs-scalar", b, s),
-                ("batched-vs-nocache", b, nc),
-                ("warm-batched-vs-warm-scalar", bw, sw),
-            ):
-                assert a.action.levels.tobytes() == c.action.levels.tobytes(), tag
-                assert a.evaluation.objective == pytest.approx(
-                    c.evaluation.objective, rel=OBJ_RTOL
-                ), tag
-                assert a.info["final_objective"] == pytest.approx(
-                    c.info["final_objective"], rel=OBJ_RTOL
-                ), tag
-                assert a.info["evaluations"] == c.info["evaluations"], tag
-            # Scalar cache on vs off share every inner solve: bit-identical.
-            assert s.action.per_server_load.tobytes() == (
-                nc.action.per_server_load.tobytes()
-            )
-            assert s.evaluation.objective == nc.evaluation.objective
-            assert st_b == st_s == st_nc == st_bw == st_sw
-            assert b.info["speculation"]["blocks"] > 0
-        assert chains > 0

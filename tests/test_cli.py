@@ -155,6 +155,31 @@ class TestExitCodes:
     def test_resume_missing_manifest_is_bad_input(self, tmp_path, capsys):
         assert main(["resume", str(tmp_path)]) == EXIT_BAD_INPUT
 
+    def test_shards_flag_is_gone(self):
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(["run", "--shards", "2"])
+
+    @pytest.mark.parametrize("command", ["resume", "serve"])
+    def test_resume_refuses_sharded_manifest(self, tmp_path, capsys, command):
+        # A checkpoint written by the removed process-sharded solver must not
+        # silently resume on the single-process chain.
+        ckpt_dir = tmp_path / "ckpts"
+        argv = ["run", "--horizon", "12", "--solver", "gsd", "--iterations", "4"]
+        assert main(argv + ["--checkpoint-dir", str(ckpt_dir)]) == 0
+        path = ckpt_dir / MANIFEST_NAME
+        manifest = json.loads(path.read_text())
+        manifest["run"]["shards"] = 2
+        path.write_text(json.dumps(manifest))
+        capsys.readouterr()
+        if command == "resume":
+            rc = main(["resume", str(ckpt_dir)])
+        else:
+            rc = main(["serve", "--resume", "--checkpoint-dir", str(ckpt_dir)])
+        assert rc == EXIT_BAD_INPUT
+        err = capsys.readouterr().err.strip()
+        assert "--shards" in err and "removed" in err
+        assert len(err.splitlines()) == 1
+
     def test_resume_without_valid_checkpoint_is_bad_input(self, tmp_path, capsys):
         (tmp_path / MANIFEST_NAME).write_text(
             json.dumps(

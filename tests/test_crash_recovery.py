@@ -7,8 +7,9 @@ artificial per-slot sleep (so the kill lands mid-horizon at a
 timing-dependent slot), SIGKILLs it with no chance to clean up, then
 resumes in-process from whatever the rotation holds and diffs the final
 :class:`~repro.sim.metrics.SimulationRecord` against a golden run that was
-never interrupted.  Seeds cover the plain deterministic path and a chaos
-schedule with a lossy distributed bus.
+never interrupted.  Seeds cover the plain deterministic path, the shipped
+GSD chain (its RNG position and warm-start state ride in the checkpoint),
+and a chaos schedule with a lossy distributed bus.
 """
 
 from __future__ import annotations
@@ -103,6 +104,25 @@ def test_sigkill_then_resume_is_bit_identical(tmp_path, seed):
         [
             "--horizon", "96",
             "--seed", str(seed),
+            "--checkpoint-dir", ckpt_dir,
+            "--checkpoint-every", "1",
+            "--checkpoint-keep", "3",
+            "--slot-sleep-ms", "40",
+        ]
+    )
+    _kill_mid_run(proc, ckpt_dir, min_checkpoints=3)
+    slot = _resume_and_diff(ckpt_dir)
+    assert slot >= 3
+
+
+def test_sigkill_then_resume_gsd_chain(tmp_path):
+    ckpt_dir = str(tmp_path / "ckpts")
+    proc = _spawn_run(
+        [
+            "--horizon", "96",
+            "--seed", "7",
+            "--solver", "gsd",
+            "--iterations", "8",
             "--checkpoint-dir", ckpt_dir,
             "--checkpoint-every", "1",
             "--checkpoint-keep", "3",
