@@ -104,35 +104,14 @@ def _cd_hetero_problem():
 
 def test_coordinate_descent_hetero(benchmark):
     """Coordinate descent on a heterogeneous fleet (no enumeration engine
-    applies), cache + warm starts on, scalar inner solves -- the baseline
-    for the batched variant below."""
+    applies), cache + warm starts on."""
     from repro.solvers import CoordinateDescentSolver
 
     problem = _cd_hetero_problem()
 
     def run():
         solver = CoordinateDescentSolver(
-            restarts=4, rng=np.random.default_rng(0), warm_start=True, batched=False
-        )
-        return solver.solve(problem)
-
-    sol = benchmark(run)
-    assert np.isfinite(sol.objective)
-    benchmark.extra_info.update(sol.info["fastpath"])
-
-
-def test_coordinate_descent_hetero_batched(benchmark):
-    """The same sweep through the batched ``(K, G)`` water-filling engine:
-    each coordinate's whole candidate ladder solves as one lockstep
-    bisection (bit-identical rows), which is where the batched engine's
-    wall-time win lands (~5x vs nofast on this case)."""
-    from repro.solvers import CoordinateDescentSolver
-
-    problem = _cd_hetero_problem()
-
-    def run():
-        solver = CoordinateDescentSolver(
-            restarts=4, rng=np.random.default_rng(0), warm_start=True, batched=True
+            restarts=4, rng=np.random.default_rng(0), warm_start=True
         )
         return solver.solve(problem)
 

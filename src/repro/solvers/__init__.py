@@ -1,7 +1,6 @@
 """P3 solver engines: problem definition, load distribution, and search."""
 
 from .base import SlotSolution, SlotSolver
-from .batched import distribute_load_batch, objective_batch, tariff_cost_batch
 from .brute_force import BruteForceSolver
 from .convex import CoordinateDescentSolver, initial_levels
 from .deadline import DeadlineExceededError, SolveDeadline
@@ -29,9 +28,6 @@ __all__ = [
     "SlotSolver",
     "LoadDistribution",
     "distribute_load",
-    "distribute_load_batch",
-    "objective_batch",
-    "tariff_cost_batch",
     "solve_fixed_levels",
     "EvaluationCache",
     "FastPathStats",

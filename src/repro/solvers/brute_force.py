@@ -11,7 +11,7 @@ unleashed on the 200-group fleet by accident.
 
 from __future__ import annotations
 
-from itertools import islice, product
+from itertools import product
 
 import numpy as np
 
@@ -56,13 +56,6 @@ class BruteForceSolver(SlotSolver):
         optimum -- ``info["deadline"]["expired"]`` says so) or raising
         :class:`~repro.solvers.deadline.DeadlineExceededError` when
         nothing feasible was seen.  ``None`` never expires.
-    batched:
-        Enumerate in chunks of ``_DEADLINE_STRIDE`` combos, each chunk one
-        vectorized solve through :mod:`repro.solvers.batched`; the strict
-        ``obj < best`` first-wins replay keeps the returned minimizer
-        bit-identical to the sequential scan.  Requires ``use_cache``;
-        silently falls back to the sequential scan when the cache is off
-        or a ``deadline_ms`` is set.  Default on.
     """
 
     def __init__(
@@ -72,7 +65,6 @@ class BruteForceSolver(SlotSolver):
         use_cache: bool = True,
         warm_start: bool = False,
         deadline_ms: float | None = None,
-        batched: bool = True,
     ):
         if max_configs < 1:
             raise ValueError("max_configs must be positive")
@@ -82,7 +74,6 @@ class BruteForceSolver(SlotSolver):
         self.use_cache = use_cache
         self.warm_start = warm_start
         self.deadline_ms = deadline_ms
-        self.batched = batched
 
     def config_count(self, problem: SlotProblem) -> int:
         """Size of the configuration space ``prod_g (K_g + 1)``."""
@@ -141,40 +132,26 @@ class BruteForceSolver(SlotSolver):
 
         if self.use_cache:
             cache = EvaluationCache(problem, warm_start=self.warm_start)
-            if self.batched and self.deadline_ms is None:
-                combos = product(*ranges)
-                while True:
-                    chunk = list(islice(combos, _DEADLINE_STRIDE))
-                    if not chunk:
-                        break
-                    seen += len(chunk)
-                    batch = np.asarray(chunk, dtype=np.int64)
-                    objs = cache.objective_of_batch(batch)
-                    for j in range(len(chunk)):
-                        if objs[j] < best_obj:
-                            best_obj = float(objs[j])
-                            best_levels = batch[j].copy()
-            else:
-                levels = np.empty(fleet.num_groups, dtype=np.int64)
-                prev: tuple[int, ...] | None = None
-                for combo in product(*ranges):
-                    if seen % _DEADLINE_STRIDE == 0 and seen and deadline.expired():
-                        truncated = True
-                        break
-                    seen += 1
-                    if prev is None:
-                        levels[:] = combo
-                        cache.note_all()
-                    else:
-                        for g, cand in enumerate(combo):
-                            if cand != prev[g]:
-                                levels[g] = cand
-                                cache.note_changed(g)
-                    prev = combo
-                    obj = cache.objective_of(levels)
-                    if obj < best_obj:
-                        best_obj = obj
-                        best_levels = levels.copy()
+            levels = np.empty(fleet.num_groups, dtype=np.int64)
+            prev: tuple[int, ...] | None = None
+            for combo in product(*ranges):
+                if seen % _DEADLINE_STRIDE == 0 and seen and deadline.expired():
+                    truncated = True
+                    break
+                seen += 1
+                if prev is None:
+                    levels[:] = combo
+                    cache.note_all()
+                else:
+                    for g, cand in enumerate(combo):
+                        if cand != prev[g]:
+                            levels[g] = cand
+                            cache.note_changed(g)
+                prev = combo
+                obj = cache.objective_of(levels)
+                if obj < best_obj:
+                    best_obj = obj
+                    best_levels = levels.copy()
             if truncated:
                 self._on_expiry(deadline, seen, total, best_levels is not None)
             if best_levels is None:

@@ -86,17 +86,6 @@ class CoordinateDescentSolver(SlotSolver):
         incumbent so far is returned (``info["deadline"]``), or
         :class:`~repro.solvers.deadline.DeadlineExceededError` is raised if
         nothing feasible was reached yet.  ``None`` never expires.
-    batched:
-        Evaluate each group's whole candidate scan as one ``(K, G)``
-        vectorized solve (:mod:`repro.solvers.batched`) instead of K
-        scalar inner solves.  Every candidate in a scan is a single-
-        coordinate flip of the same base configuration -- acceptance only
-        rewrites the group being scanned -- so the batch sees exactly the
-        configurations the scalar scan would, and the serial accept replay
-        makes results (and fast-path counters) bit-identical.  Requires
-        ``use_cache``; silently falls back to the scalar scan when the
-        cache is off or a ``deadline_ms`` is set (the scalar scan polls
-        the deadline between candidates).  Default on.
     """
 
     def __init__(
@@ -108,7 +97,6 @@ class CoordinateDescentSolver(SlotSolver):
         use_cache: bool = True,
         warm_start: bool = False,
         deadline_ms: float | None = None,
-        batched: bool = True,
     ):
         if max_sweeps < 1 or restarts < 1:
             raise ValueError("max_sweeps and restarts must be >= 1")
@@ -120,7 +108,6 @@ class CoordinateDescentSolver(SlotSolver):
         self.use_cache = use_cache
         self.warm_start = warm_start
         self.deadline_ms = deadline_ms
-        self.batched = batched
 
     # ------------------------------------------------------------------
     def state_dict(self) -> dict:
@@ -168,38 +155,12 @@ class CoordinateDescentSolver(SlotSolver):
                 return self._objective(problem, lv)
 
         best = score(levels)
-        use_batched = (
-            cache is not None and self.batched and self.deadline_ms is None
-        )
         sweeps = 0
         for _ in range(self.max_sweeps):
             sweeps += 1
             improved = False
             for g in range(fleet.num_groups):
                 current = levels[g]
-                if use_batched:
-                    # One vectorized solve for the whole scan; the accept
-                    # replay below is the scalar scan's exact arithmetic.
-                    cands = [
-                        c
-                        for c in range(-1, int(fleet.num_levels[g]))
-                        if c != current
-                    ]
-                    if not cands:
-                        continue
-                    batch = np.repeat(levels[None, :], len(cands), axis=0)
-                    batch[:, g] = cands
-                    vals = cache.objective_of_batch(batch)
-                    for cand, val in zip(cands, vals):
-                        val = float(val)
-                        if val < best - 1e-12 * max(abs(best), 1.0):
-                            best = val
-                            current = cand
-                            improved = True
-                    if levels[g] != current:
-                        levels[g] = current
-                        cache.note_changed(g)
-                    continue
                 for cand in range(-1, int(fleet.num_levels[g])):
                     if cand == current:
                         continue

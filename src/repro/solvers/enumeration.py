@@ -32,11 +32,34 @@ import time
 import numpy as np
 
 from ..cluster.fleet import FleetAction
+from ..cluster.power import LinearTariff, Tariff
 from .base import SlotSolution, SlotSolver
-from .batched import tariff_cost_batch
 from .problem import InfeasibleError, SlotProblem
 
 __all__ = ["HomogeneousEnumerationSolver"]
+
+
+def _tariff_cost_batch(
+    tariff: Tariff, brown: np.ndarray, price: float
+) -> np.ndarray:
+    """Tariff cost over an array of brown-energy draws.
+
+    ``LinearTariff`` (the common case) is one multiply, bit-identical to
+    the scalar ``cost`` per element; other tariffs fall back to elementwise
+    scalar calls (their ``cost`` is scalar Python), skipping non-finite
+    entries.  Scores the enumeration engine's candidate grid.
+    """
+    brown = np.asarray(brown, dtype=np.float64)
+    if isinstance(tariff, LinearTariff):
+        # Candidate grids carry inf/nan placeholders (infeasible rows);
+        # 0 * inf raises "invalid value" without changing any entry.
+        with np.errstate(invalid="ignore"):
+            return price * brown
+    out = np.full(brown.shape, np.inf)
+    finite = np.isfinite(brown)
+    flat = brown[finite]
+    out[finite] = [tariff.cost(float(b), price) for b in flat]
+    return out
 
 
 class HomogeneousEnumerationSolver(SlotSolver):
@@ -129,7 +152,7 @@ class HomogeneousEnumerationSolver(SlotSolver):
         slot_h = problem.slot_hours
         facility = pue * it_power + sw_energy[:, None] / slot_h
         brown = np.maximum(facility - problem.onsite, 0.0) * slot_h
-        e_cost = tariff_cost_batch(problem.tariff, brown, problem.price)
+        e_cost = _tariff_cost_batch(problem.tariff, brown, problem.price)
         with np.errstate(invalid="ignore"):
             delay_sum = M * problem.delay_model.cost(load, speeds[None, :])
             delay_sum = np.where(M > 0, delay_sum, 0.0)

@@ -325,110 +325,6 @@ class EvaluationCache:
         self._histogram_of[key] = hkey
         return obj
 
-    def objective_of_batch(self, levels_batch: np.ndarray) -> np.ndarray:
-        """P3 objectives for a ``(K, G)`` matrix of candidate level vectors.
-
-        Engine-facing batch analogue of :meth:`objective_of`: per-row memo
-        lookup and feasibility screen, then one call into the batched
-        water-filling engine (:func:`~repro.solvers.batched
-        .objective_batch`) for the rows that actually need solving.  Each
-        row's returned value, memo entry, and counter attribution match
-        what K sequential :meth:`objective_of` calls would produce, with
-        two deliberate exceptions: duplicate unseen rows inside one batch
-        are each solved (and counted) rather than the second hitting the
-        memo, the batch rows do **not** advance the incremental
-        delta-screen state -- their verdicts come from exact from-scratch
-        sums, so :meth:`note_changed` bookkeeping stays tied to the
-        engine's *real* level vector -- and the batched engine solves per
-        group, so its rows bypass the class-histogram memo and
-        :meth:`solution_for` re-solves a batch-scored vector through
-        :func:`distribute_load` rather than reusing the batched loads.
-
-        Coordinate descent (one group's level scan) and brute force
-        (chunks of the enumeration) are the callers.  With ``warm_start``
-        enabled every row shares the batch-entry hint, and the last solved
-        row becomes the next hint.
-        """
-        from .batched import objective_batch
-
-        levels_batch = np.asarray(levels_batch, dtype=np.int64)
-        K = levels_batch.shape[0]
-        out = np.empty(K)
-        keys = [levels_batch[k].tobytes() for k in range(K)]
-        todo: list[int] = []
-        for k, key in enumerate(keys):
-            cached = self._objectives.get(key)
-            if cached is not None:
-                self.stats.cache_hits += 1
-                out[k] = cached
-            else:
-                todo.append(k)
-        if not todo:
-            return out
-
-        # Exact from-scratch screen over the unseen rows (vectorized; the
-        # incremental state is left untouched).
-        p = self.problem
-        fleet = self._fleet
-        lam = p.arrival_rate
-        sub = levels_batch[todo]
-        if lam > 0.0:
-            mask = sub >= 0
-            safe = np.maximum(sub, 0)
-            gidx = np.arange(fleet.num_groups)
-            cap = np.sum(
-                np.where(mask, fleet.counts * fleet.speed_table[gidx, safe], 0.0),
-                axis=1,
-            )
-            on_count = np.sum(mask, axis=1)
-            screened = (on_count == 0) | (
-                lam > p.gamma * cap * (1.0 + _SCREEN_RTOL)
-            )
-            if p.peak_power_cap is not None:
-                static = np.sum(
-                    np.where(mask, fleet.counts * fleet.static_power, 0.0), axis=1
-                )
-                screened |= p.pue * static > p.peak_power_cap * (1.0 + _SCREEN_RTOL)
-        else:
-            screened = np.zeros(len(todo), dtype=bool)
-
-        solve_rows = []
-        for j, k in enumerate(todo):
-            if screened[j]:
-                self.stats.screened_infeasible += 1
-                self._objectives[keys[k]] = np.inf
-                out[k] = np.inf
-            else:
-                solve_rows.append(k)
-        if not solve_rows:
-            return out
-
-        objectives, dists = objective_batch(
-            p,
-            np.ascontiguousarray(levels_batch[solve_rows]),
-            hint=self._hint if self.warm_start else None,
-        )
-        last_dist: LoadDistribution | None = None
-        for j, k in enumerate(solve_rows):
-            dist = dists[j]
-            if dist is None:
-                self.stats.infeasible += 1
-                self._objectives[keys[k]] = np.inf
-                out[k] = np.inf
-                continue
-            if dist.warm_started:
-                self.stats.warm_solves += 1
-            else:
-                self.stats.cold_solves += 1
-            self.stats.inner_iters += dist.inner_iters
-            obj = float(objectives[j])
-            self._objectives[keys[k]] = obj
-            out[k] = obj
-            last_dist = dist
-        if self.warm_start and last_dist is not None:
-            self._hint = last_dist
-        return out
-
     def solution_for(
         self, levels: np.ndarray
     ) -> tuple[FleetAction, SlotEvaluation]:

@@ -135,8 +135,7 @@ class LoadDistribution:
     classes, class_load:
         The on-set's class ids (ascending, see
         :meth:`~repro.cluster.fleet.Fleet.class_histogram`) and the
-        per-server load of each; ``None`` on results of the batched
-        engine, which solves per group.
+        per-server load of each; ``None`` when there is no workload.
     """
 
     per_server_load: np.ndarray

@@ -13,13 +13,17 @@ and slot problems it must agree with the cold group-level oracle
 The draws cover heterogeneous profiles, unequal and zero server counts,
 failed-group sub-fleets, peak-power and delay caps, switching costs, all
 three regimes, both delay models, ``Wd == 0`` and a non-linear tariff.
+Pinned ``@example`` draws make the degenerate cases run on every seed:
+``Wd == 0``, a tiered tariff billed above its threshold, a zero-count
+group that is switched on, a boundary-regime instance and an all-off
+level vector.
 """
 
 from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from repro.cluster import Fleet, FleetAction, ServerGroup, cubic_dvfs_profile, opteron_2380
@@ -32,6 +36,39 @@ from tests.waterfill_oracle import oracle_distribute
 
 OBJ_RTOL = 1e-9
 _PROFILES = (opteron_2380, cubic_dvfs_profile)
+
+
+def _pinned(
+    *,
+    levels=(3, 1, 2, 0),
+    regime="billed",
+    hint_kind="neighbor",
+    zero_group=None,
+    **problem_kw,
+):
+    """One fixed draw of :func:`cases` on a 4-group mixed fleet, for
+    ``@example``: the neighbor flips group 0 off."""
+    fleet = Fleet([ServerGroup(_PROFILES[g % 2](), 4 + 3 * g) for g in range(4)])
+    if zero_group is not None:
+        zeroed = fleet.counts.copy()
+        zeroed[zero_group] = 0.0
+        zeroed.setflags(write=False)
+        fleet.counts = zeroed
+    levels = np.array(levels, dtype=np.int64)
+    model = DataCenterModel(fleet=fleet, beta=problem_kw.pop("beta", 10.0))
+    on_cap = float(
+        np.sum(np.where(levels >= 0, fleet.counts * fleet.group_speeds(levels), 0.0))
+    )
+    problem = model.slot_problem(
+        arrival_rate=0.5 * model.gamma * max(on_cap, 1.0),
+        onsite=0.0,
+        price=40.0,
+        q=5.0,
+    )
+    problem = replace(problem, **problem_kw)
+    neighbor = levels.copy()
+    neighbor[0] = -1
+    return problem, levels, regime, hint_kind, neighbor, None
 
 
 @st.composite
@@ -144,6 +181,11 @@ def _solve_shipped(problem, levels, hint_kind, neighbor):
     suppress_health_check=[HealthCheck.too_slow, HealthCheck.filter_too_much],
 )
 @given(cases())
+@example(_pinned(beta=0.0))  # Wd == 0: the greedy delay-free fill
+@example(_pinned(tariff=TieredTariff(thresholds=(1e-4,), multipliers=(1.0, 3.0))))
+@example(_pinned(zero_group=1, hint_kind="self"))  # a zero-count group, on
+@example(_pinned(regime="boundary", hint_kind="self"))
+@example(_pinned(levels=(-1, -1, -1, -1)))  # all off: infeasible
 def test_compressed_matches_group_oracle(case):
     problem, levels, regime, hint_kind, neighbor, caps = case
     try:

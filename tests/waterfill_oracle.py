@@ -7,12 +7,10 @@ cold bisection to floating-point bracket collapse -- so tests can pin the
 shipped solver against an independent computation of the same optimum.
 It is not importable from the package and no engine calls it.
 
-The batched ``(K, G)`` engine (:mod:`repro.solvers.batched`) replicates
-this arithmetic per row, so its cold rows match :func:`oracle_distribute`
-bit for bit.  The one departure from the historical code is shared with
-the shipped solver: at ``Wd == 0`` and zero electricity weight, where
-every split is optimal, the greedy fill takes the least power-hungry rows
-first instead of going by index.
+The one departure from the historical code is shared with the shipped
+solver: at ``Wd == 0`` and zero electricity weight, where every split is
+optimal, the greedy fill takes the least power-hungry rows first instead
+of going by index.
 """
 
 from __future__ import annotations
