@@ -44,7 +44,10 @@ __all__ = ["StalenessResolver", "RESOLUTIONS"]
 RESOLUTIONS = ("ok", "late", "missing", "gap", "out_of_order", "degraded_fields")
 
 #: Fields whose loss is routed through the fault injector (the injector's
-#: SIGNAL_FIELDS vocabulary; frame field -> injector field).
+#: SIGNAL_FIELDS vocabulary; frame field -> injector field).  These are the
+#: three the controller observes; a frame that loses only
+#: ``arrival_actual`` or ``offsite`` counts as ``degraded_fields`` and is
+#: filled from the donor without an injector event.
 _INJECTED_FIELDS = {"arrival": "arrival", "onsite": "onsite", "price": "price"}
 
 

@@ -14,7 +14,7 @@ delivery plan or the resolution logic is loud.
 from __future__ import annotations
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.faults import FaultInjector, FaultSchedule
@@ -29,6 +29,7 @@ from repro.serve import (
     SyntheticSignalSource,
     frames_from_environment,
 )
+from repro.serve.staleness import _INJECTED_FIELDS
 from repro.sim.engine import SlotRunner
 from repro.telemetry import Telemetry
 
@@ -220,18 +221,39 @@ class TestResolverProperties:
 
     @settings(max_examples=40, deadline=None)
     @given(delivery_scripts())
+    @example((1, [SignalFrame(slot=0, arrival=0.0, onsite=0.0, price=0.0)]))
     def test_losses_always_route_through_the_injector(self, case):
+        """Every lost field the controller observes is one injector event:
+        three per missing or gap slot, one per injected-field hole of a
+        degraded frame.  Holes in the unobserved fields never reach it."""
         horizon, script = case
         injector = _injector()
-        resolver = _resolver(script, injector=injector)
+        telemetry = Telemetry.recording()
+        resolver = _resolver(script, injector=injector, telemetry=telemetry)
         for t in range(horizon):
             resolver.resolve(t)
         stats = resolver.stats()
-        injected = injector.summary()["by_kind"].get("signal", 0)
-        if stats["missing"] or stats["gap"] or stats["degraded_fields"]:
-            assert injected > 0
-        else:
-            assert injected == 0
+        holes = sum(
+            len(set(e["fields"]) & set(_INJECTED_FIELDS))
+            for e in telemetry.events
+            if e["kind"] == "signal.degraded_fields"
+        )
+        expected = len(_INJECTED_FIELDS) * (stats["missing"] + stats["gap"]) + holes
+        assert injector.summary()["by_kind"].get("signal", 0) == expected
+
+    def test_unobserved_holes_degrade_without_injection(self):
+        """``arrival_actual`` and ``offsite`` are not in the injector's
+        vocabulary: losing only them counts as a degraded frame but
+        registers no signal fault."""
+        injector = _injector()
+        resolver = _resolver(
+            [SignalFrame(slot=0, arrival=2.0, onsite=1.0, price=3.0)],
+            injector=injector,
+        )
+        frame = resolver.resolve(0)
+        assert resolver.stats()["degraded_fields"] == 1
+        assert frame.arrival_actual == 2.0 and frame.offsite == 0.0
+        assert injector.summary()["by_kind"].get("signal", 0) == 0
 
 
 # ------------------------------------------------------------ end to end
