@@ -144,6 +144,18 @@ def _build_scenario(args):
     return small_scenario(**kwargs)
 
 
+def _build_solver(kind: str, iterations: int, seed: int):
+    """The P3 engine a command runs: a GSD chain (``gsd``/``distributed``)
+    of ``iterations`` steps per solve seeded with ``seed``, or ``None`` for
+    ``auto`` (COCA picks exact enumeration or coordinate descent)."""
+    from .solvers import DistributedGSD, GSDSolver
+
+    engine = {"gsd": GSDSolver, "distributed": DistributedGSD}.get(kind)
+    if engine is None:
+        return None
+    return engine(iterations=int(iterations), rng=np.random.default_rng(int(seed)))
+
+
 # ----------------------------------------------------------------- commands
 def _cmd_quickstart(args) -> int:
     from .analysis import compare_records, find_neutral_v, render_table, run_coca
@@ -328,22 +340,15 @@ def _cmd_profile(args) -> int:
     from .core.coca import COCA
     from .profile import StackSampler, write_flamegraph, write_folded
     from .sim import simulate
-    from .solvers import GSDSolver
     from .telemetry import InMemoryTracer, JsonlTracer, Telemetry, write_metrics
 
     scenario = _build_scenario(args)
-    solver = None
-    if args.solver == "gsd":
-        solver = GSDSolver(
-            iterations=args.iterations,
-            rng=np.random.default_rng(args.solver_seed),
-        )
     controller = COCA(
         scenario.model,
         scenario.environment.portfolio,
         v_schedule=args.v,
         alpha=scenario.alpha,
-        solver=solver,
+        solver=_build_solver(args.solver, args.iterations, args.solver_seed),
     )
     # The sampler prefixes stacks with the live span path, which only
     # exists under an enabled tracer -- so the profiled run always gets
@@ -510,14 +515,11 @@ def _chaos_run(scenario, schedule, args, telemetry):
     from .core.coca import COCA
     from .faults import DegradationPolicy, FaultInjector
     from .sim import simulate
-    from .solvers import DistributedGSD
 
-    solver = None
-    if args.distributed:
-        solver = DistributedGSD(
-            iterations=args.iterations,
-            rng=np.random.default_rng(args.fault_seed),
-        )
+    # --distributed chains are seeded from --fault-seed, like the schedule.
+    solver = _build_solver(
+        "distributed" if args.distributed else "auto", args.iterations, args.fault_seed
+    )
     controller = COCA(
         scenario.model,
         scenario.environment.portfolio,
@@ -763,28 +765,16 @@ def _materialize_run(manifest: dict, scenario=None):
     """
     from .core.coca import COCA
     from .faults import DegradationPolicy, FaultInjector, FaultSchedule
-    from .solvers import DistributedGSD, GSDSolver
 
     if scenario is None:
         scenario = _scenario_from_manifest(manifest["scenario"])
     run = manifest["run"]
-    solver = None
-    if run["solver"] == "gsd":
-        solver = GSDSolver(
-            iterations=int(run["iterations"]),
-            rng=np.random.default_rng(int(run["solver_seed"])),
-        )
-    elif run["solver"] == "distributed":
-        solver = DistributedGSD(
-            iterations=int(run["iterations"]),
-            rng=np.random.default_rng(int(run["solver_seed"])),
-        )
     controller = COCA(
         scenario.model,
         scenario.environment.portfolio,
         v_schedule=float(run["v"]),
         alpha=scenario.alpha,
-        solver=solver,
+        solver=_build_solver(run["solver"], run["iterations"], run["solver_seed"]),
     )
     advice = run.get("advice")
     if advice:
