@@ -65,10 +65,10 @@ DEFAULT_LEDGER = os.path.join("benchmarks", "results", "trend.jsonl")
 #: suites not listed here run with their own defaults).
 SUITE_ARGS: dict[str, tuple[str, ...]] = {
     # solver_fastpath self-checks against its committed full-run reference:
-    # the >20% inner-solve tolerance plus the hard in-run wall-speedup
-    # floor (nofast / cache_warm >= 3x on the GSD case).  A floor breach
-    # exits non-zero, which fails the ledger verdict even without a prior
-    # trend row.
+    # the >20% inner-solve tolerance plus the warm-start floor (the shipped
+    # GSD path's warm inner solves take >= 3x fewer bisection steps than
+    # cold ones; seed-determined).  A floor breach exits non-zero, which
+    # fails the ledger verdict even without a prior trend row.
     "solver_fastpath": (
         "--quick",
         "--check",
