@@ -38,7 +38,10 @@ from .traces.price import price_trace
 from .traces.workload_fiu import fiu_workload
 from .traces.workload_msr import msr_workload
 
-__all__ = ["Scenario", "paper_scenario", "small_scenario"]
+__all__ = ["Scenario", "paper_scenario", "small_scenario", "SMALL_HORIZON"]
+
+#: Slots in :func:`small_scenario` by default: two weeks of hours.
+SMALL_HORIZON = 24 * 14
 
 
 @dataclass(frozen=True)
@@ -184,7 +187,7 @@ def paper_scenario(
 
 def small_scenario(
     *,
-    horizon: int = 24 * 14,
+    horizon: int = SMALL_HORIZON,
     num_groups: int = 8,
     servers_per_group: int = 50,
     seed: int = 42,

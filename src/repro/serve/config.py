@@ -3,9 +3,12 @@
 A long-running service should fail at *startup*, loudly and completely,
 rather than hours in: :meth:`ServeConfig.problems` collects every
 misconfiguration it can detect statically -- unknown source kind, a file
-source with no readable feed, nonsensical periods/deadlines/cadences, an
-unwritable checkpoint directory -- and returns them all at once, which is
-what ``--dry-run`` prints before exiting 0 (clean) or 1 (problems).
+source with no readable feed, nonsensical periods and ports, an
+unwritable checkpoint directory -- and returns them all at once.  The
+run-level settings (solver, fallback, retries, solve deadline, checkpoint
+cadence) belong to :class:`~repro.runspec.RunSpec`, whose
+``problems()`` ``--dry-run`` prints alongside, before exiting 0 (clean)
+or 1 (problems).
 """
 
 from __future__ import annotations
@@ -21,17 +24,14 @@ SOURCE_KINDS = ("replay", "file", "synthetic")
 
 @dataclass
 class ServeConfig:
-    """Everything ``repro serve`` needs beyond the scenario itself."""
+    """Everything ``repro serve`` needs beyond its run spec."""
 
     source: str = "replay"
     feed: str | None = None  # JSONL feed path (file source)
     slot_period_s: float = 0.0  # wall-clock pacing; 0 = free-running
     signal_timeout_s: float = 0.0  # staleness budget per slot; 0 = one poll
     poll_interval_s: float = 0.05
-    solve_deadline_ms: float | None = None
     checkpoint_dir: str | None = None
-    checkpoint_every: int = 1
-    checkpoint_keep: int = 3
     status_port: int | None = None  # None = endpoint disabled; 0 = ephemeral
     status_port_file: str | None = None
     dashboard_out: str | None = None
@@ -39,8 +39,6 @@ class ServeConfig:
     alert_rearm: int | None = None  # AlertChannel dedup window, in slots
     max_slots: int | None = None  # stop early after N slots (smoke tests)
     source_seed: int = 0  # synthetic-source delivery seed
-    fallback: str = "last_action"  # degraded action when a slot solve fails
-    retries: int = 1  # slot-solve retries before falling back
     synthetic: dict = field(default_factory=dict)  # p_drop/p_late/... overrides
 
     # ------------------------------------------------------------------
@@ -66,14 +64,6 @@ class ServeConfig:
             out.append(f"--signal-timeout-s must be >= 0, got {self.signal_timeout_s}")
         if self.poll_interval_s <= 0:
             out.append(f"--poll-interval-s must be > 0, got {self.poll_interval_s}")
-        if self.solve_deadline_ms is not None and self.solve_deadline_ms <= 0:
-            out.append(
-                f"--solve-deadline-ms must be > 0, got {self.solve_deadline_ms}"
-            )
-        if self.checkpoint_every < 1:
-            out.append(f"--checkpoint-every must be >= 1, got {self.checkpoint_every}")
-        if self.checkpoint_keep < 1:
-            out.append(f"--checkpoint-keep must be >= 1, got {self.checkpoint_keep}")
         if self.checkpoint_dir is not None:
             parent = os.path.dirname(os.path.abspath(self.checkpoint_dir))
             if os.path.exists(self.checkpoint_dir):
@@ -98,12 +88,6 @@ class ServeConfig:
             out.append(f"--alert-rearm must be >= 1 slot, got {self.alert_rearm}")
         if self.max_slots is not None and self.max_slots < 1:
             out.append(f"--max-slots must be >= 1, got {self.max_slots}")
-        if self.fallback not in ("last_action", "proportional"):
-            out.append(
-                f"--fallback must be last_action or proportional, got {self.fallback!r}"
-            )
-        if self.retries < 0:
-            out.append(f"--retries must be >= 0, got {self.retries}")
         for name, p in self.synthetic.items():
             if not 0.0 <= float(p) <= 1.0:
                 out.append(f"synthetic probability {name} must be in [0, 1], got {p}")
@@ -117,13 +101,8 @@ class ServeConfig:
         bits.append(f"slot_period={self.slot_period_s:g}s")
         if self.signal_timeout_s:
             bits.append(f"signal_timeout={self.signal_timeout_s:g}s")
-        if self.solve_deadline_ms is not None:
-            bits.append(f"solve_deadline={self.solve_deadline_ms:g}ms")
         if self.checkpoint_dir:
-            bits.append(
-                f"checkpoints={self.checkpoint_dir} "
-                f"(every {self.checkpoint_every}, keep {self.checkpoint_keep})"
-            )
+            bits.append(f"checkpoints={self.checkpoint_dir}")
         if self.status_port is not None:
             bits.append(f"status_port={self.status_port}")
         if self.dashboard_every:

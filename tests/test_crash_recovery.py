@@ -23,7 +23,8 @@ import time
 
 import pytest
 
-from repro.cli import MANIFEST_NAME, _materialize_run
+from repro.cli import MANIFEST_NAME
+from repro.runspec import RunSpec
 from repro.sim import simulate
 from repro.state import latest_valid_checkpoint, list_checkpoints, record_mismatches
 
@@ -74,7 +75,8 @@ def _resume_and_diff(ckpt_dir):
     assert ckpt is not None, "SIGKILL left no valid checkpoint behind"
     assert 0 < ckpt.slot < int(manifest["scenario"]["horizon"])
 
-    scenario, controller, injector, policy = _materialize_run(manifest)
+    spec = RunSpec.from_manifest(manifest)
+    scenario, controller, injector, policy = spec.build()
     resumed = simulate(
         scenario.model,
         controller,
@@ -83,7 +85,7 @@ def _resume_and_diff(ckpt_dir):
         degradation=policy,
         resume_from=ckpt,
     )
-    scenario, controller, injector, policy = _materialize_run(manifest, scenario=scenario)
+    scenario, controller, injector, policy = spec.build(scenario)
     golden = simulate(
         scenario.model,
         controller,

@@ -20,6 +20,7 @@ from hypothesis import strategies as st
 
 from repro.cli import EXIT_BAD_INPUT, MANIFEST_NAME, main
 from repro.core.coca import COCA
+from repro.runspec import RunSpec
 from repro.scenarios import small_scenario
 from repro.serve import (
     JOURNAL_NAME,
@@ -328,16 +329,17 @@ class TestServeConfig:
         config = ServeConfig(
             source="file",  # no feed given
             slot_period_s=-1.0,
-            checkpoint_every=0,
             status_port=70000,
             dashboard_every=5,  # no dashboard_out
             alert_rearm=0,
             max_slots=0,
-            retries=-1,
             synthetic={"p_drop": 2.0},
         )
-        problems = config.problems()
-        assert len(problems) >= 8
+        # The cadence and retry settings belong to the run spec, which
+        # `repro serve` validates together with the config.
+        spec = RunSpec(checkpoint_every=0, retries=-1)
+        problems = config.problems() + spec.problems()
+        assert len(problems) >= 9
         joined = "\n".join(problems)
         for needle in ("--feed", "--slot-period-s", "--checkpoint-every",
                        "--status-port", "--dashboard-every", "--alert-rearm",
