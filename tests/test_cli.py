@@ -2,6 +2,7 @@
 
 import json
 import os
+from pathlib import Path
 
 import pytest
 
@@ -13,6 +14,34 @@ from repro.cli import (
     build_parser,
     main,
 )
+from repro.runspec import RunSpec
+
+MANIFEST_DIR = Path(__file__).parent / "goldens" / "manifests"
+
+#: A hand-written batch-run manifest in the format written before serve
+#: runs existed: its run block has no ``advice`` key.
+LEGACY_MANIFEST = {
+    "format": "repro-run-manifest",
+    "version": 1,
+    "scenario": {
+        "scale": "small",
+        "horizon": 48,
+        "workload": "fiu",
+        "seed": 3,
+        "budget_fraction": 0.92,
+    },
+    "run": {
+        "v": 150.0,
+        "solver": "auto",
+        "iterations": 200,
+        "solver_seed": 7,
+        "fallback": "last_action",
+        "retries": 1,
+        "solve_deadline_ms": None,
+    },
+    "schedule": None,
+    "checkpoint": {"every": 1, "keep": 3},
+}
 
 
 class TestParser:
@@ -181,32 +210,7 @@ class TestExitCodes:
         assert len(err.splitlines()) == 1
 
     def test_resume_without_valid_checkpoint_is_bad_input(self, tmp_path, capsys):
-        (tmp_path / MANIFEST_NAME).write_text(
-            json.dumps(
-                {
-                    "format": "repro-run-manifest",
-                    "version": 1,
-                    "scenario": {
-                        "scale": "small",
-                        "horizon": 48,
-                        "workload": "fiu",
-                        "seed": 3,
-                        "budget_fraction": 0.92,
-                    },
-                    "run": {
-                        "v": 150.0,
-                        "solver": "auto",
-                        "iterations": 200,
-                        "solver_seed": 7,
-                        "fallback": "last_action",
-                        "retries": 1,
-                        "solve_deadline_ms": None,
-                    },
-                    "schedule": None,
-                    "checkpoint": {"every": 1, "keep": 3},
-                }
-            )
-        )
+        (tmp_path / MANIFEST_NAME).write_text(json.dumps(LEGACY_MANIFEST))
         rc = main(["resume", str(tmp_path)])
         assert rc == EXIT_BAD_INPUT
         assert "no valid checkpoint" in capsys.readouterr().err
@@ -260,3 +264,55 @@ class TestExitCodes:
         rc = main(["resume", str(ckpt_dir), "--verify-replay"])
         assert rc == EXIT_REPLAY_MISMATCH
         assert "DIVERGED" in capsys.readouterr().err
+
+
+class TestRunSpec:
+    @pytest.mark.parametrize(
+        "path", sorted(MANIFEST_DIR.glob("*.json")), ids=lambda p: p.stem
+    )
+    def test_golden_manifest_round_trips(self, path):
+        manifest = json.loads(path.read_text())
+        assert RunSpec.from_manifest(manifest).to_manifest() == manifest
+
+    def test_legacy_manifest_round_trips(self):
+        assert RunSpec.from_manifest(LEGACY_MANIFEST).to_manifest() == LEGACY_MANIFEST
+
+    def test_foreign_file_is_refused(self):
+        with pytest.raises(ValueError, match="not a repro-run-manifest"):
+            RunSpec.from_manifest({"format": "something-else"})
+
+
+#: (argv, the flag or field the one stderr line must name).
+BAD_RUN_SETTINGS = [
+    (["run", "--checkpoint-every", "0"], "--checkpoint-every"),
+    (["run", "--chaos", "--retries", "-1"], "--retries"),
+    (["run", "--solver", "gsd", "--iterations", "0"], "--iterations"),
+    (["chaos", "--distributed", "--iterations", "0"], "--iterations"),
+    (["run", "--chaos", "--failure-rate", "2"], "failure_rate"),
+    (["run", "--solve-deadline-ms", "-5"], "--solve-deadline-ms"),
+    (["serve", "--dry-run", "--solver", "gsd", "--iterations", "0"], "--iterations"),
+    (["serve", "--solver", "gsd", "--iterations", "0"], "--iterations"),
+]
+
+
+class TestBadRunSettings:
+    """Invalid run settings exit 1 with one line per problem on stderr,
+    never a traceback, and before any slot runs."""
+
+    @pytest.mark.parametrize(
+        "argv, needle", BAD_RUN_SETTINGS, ids=[" ".join(a) for a, _ in BAD_RUN_SETTINGS]
+    )
+    def test_exits_bad_input_with_one_line(self, argv, needle, capsys):
+        assert main([*argv, "--horizon", "24"]) == EXIT_BAD_INPUT
+        captured = capsys.readouterr()
+        lines = [line for line in captured.err.splitlines() if line.startswith("repro ")]
+        assert len(lines) == 1 and needle in lines[0]
+        assert "Traceback" not in captured.err
+        assert "run: cost" not in captured.out
+
+    def test_schedule_out_without_a_schedule_is_refused(self, tmp_path, capsys):
+        out = tmp_path / "schedule.json"
+        assert main(["run", "--horizon", "24", "--schedule-out", str(out)]) == EXIT_BAD_INPUT
+        err = capsys.readouterr().err.strip()
+        assert len(err.splitlines()) == 1 and "--schedule-out" in err
+        assert not out.exists()
