@@ -13,9 +13,9 @@ One internal contract gates ``--check``:
   under the documented 5-minute budget (docs/PERFORMANCE.md).
 
 Every fleet size is also differentially checked: the shipped chain must
-land on the same levels as the cold scalar chain
-(``GSDSolver(warm_start=False)``) and match its objective within the 1e-9
-contract -- a scale benchmark that quietly computed the wrong answer would
+land on the same levels as the cold chain (the same ``GSDSolver`` with
+``repro.solvers.gsd._WARM_START`` patched off) and match its objective
+within the 1e-9 contract -- a scale benchmark that quietly computed the wrong answer would
 be worse than a slow one.  The cold chain's own wall time is reported as
 ``cold_solve_s``.  The deterministic ``evaluations`` counter lands in the
 report for the trend ledger to gate (see ``repro bench``).
@@ -32,6 +32,7 @@ import json
 import pathlib
 import sys
 import time
+from unittest import mock
 
 import numpy as np
 
@@ -77,7 +78,7 @@ def measure_fleet(num_groups: int, *, iterations: int, repeats: int) -> dict:
     """Shipped-chain slots/sec on one fleet size, checked against the cold
     scalar chain."""
     from repro.core import DataCenterModel
-    from repro.solvers import GSDSolver
+    from repro.solvers import GSDSolver, gsd
 
     model = DataCenterModel(fleet=_mixed_fleet(num_groups), beta=10.0)
     problem = _slot_problem(model, 0.5)
@@ -88,9 +89,8 @@ def measure_fleet(num_groups: int, *, iterations: int, repeats: int) -> dict:
         )
 
     started = time.perf_counter()
-    reference = GSDSolver(
-        iterations=iterations, rng=np.random.default_rng(0), warm_start=False
-    ).solve(problem)
+    with mock.patch.object(gsd, "_WARM_START", False):
+        reference = single_solve()
     reference_s = time.perf_counter() - started
     shipped = single_solve()  # also warms the process (imports, allocator)
     rel = abs(shipped.objective - reference.objective) / abs(reference.objective)

@@ -8,25 +8,29 @@ solves buy on the two hot configurations the harness leans on:
 - ``cd_hetero``: coordinate descent on a 20-group heterogeneous fleet
   (the engine every mixed-profile experiment uses).
 
-Each case runs in the three modes both solvers have -- ``nofast`` (cache
-off), ``cache`` and ``cache_warm`` -- with fixed seeds, so the fast-path
-counters (``cold_solves``, ``warm_solves``, ``cache_hits``, ...)
+Each engine has one scoring path, the evaluation cache.  GSD runs in two
+modes: ``shipped`` (warm-started inner solves, what ``repro run --solver
+gsd`` builds) and ``cold``, the same chain with
+``repro.solvers.gsd._WARM_START`` patched off in-process.  Coordinate
+descent ships cold and runs once, as ``shipped``.  Seeds are fixed, so the
+fast-path counters (``cold_solves``, ``warm_starts``, ``cache_hits``, ...)
 are exactly reproducible; only the wall times vary run to run.  The script
-verifies the fast path's correctness contracts on every invocation:
+verifies the fast path's contracts on every invocation:
 
-- the ``cache`` objective is **bit-identical** to ``nofast`` (the memo
-  cache changes what is computed, never how);
-- the ``cache_warm`` objective matches within the documented 1e-9
-  relative error (warm starts stop short of fp bracket collapse);
-- GSD reaches the bar of >= 3x fewer cold inner solves.
+- the ``shipped`` GSD objective matches the ``cold`` one within the
+  documented 1e-9 relative error (warm starts stop short of fp bracket
+  collapse);
+- the shipped GSD chain runs ``GSD_COLD_SPEEDUP_FLOOR`` (3x) fewer cold
+  inner solves than it scores candidates (``info["evaluations"]``), which
+  is what every candidate would cost without the fast path.
 
 ``--check REF`` adds the CI gates: the >20% regression tolerance on the
 deterministic ``inner_solves`` counters against the committed reference,
-plus the **warm-start floor** on the shipped GSD path -- its warm inner
-solves (``cache_warm``) must take ``GSD_WARM_ITER_FLOOR`` (3x) fewer
-bisection steps each than the cold solves of the same chain (``cache``).
-Both step counts are fixed by the seeds, so the gate is exact on any
-runner.  Wall times and their ratios are reported, never gated.
+plus the **warm-start floor** on the shipped GSD path -- its inner solves
+must take ``GSD_WARM_ITER_FLOOR`` (3x) fewer bisection steps each than the
+cold chain's.  Both step counts are fixed by the seeds, so the gate is
+exact on any runner.  Wall times and their ratios are reported, never
+gated.
 
 The report lands in ``benchmarks/results/BENCH_solver_fastpath.json`` and
 one flattened row per run is appended to the trend ledger by
@@ -47,6 +51,7 @@ import json
 import pathlib
 import sys
 import time
+from unittest import mock
 
 import numpy as np
 
@@ -56,33 +61,23 @@ RESULTS_DIR = pathlib.Path(__file__).parent / "results"
 #: grew by more than this fraction over the committed reference.
 REGRESSION_TOLERANCE = 0.20
 
-#: Acceptance bar: cache + warm starts must cut GSD's cold inner solves by
-#: at least this factor on the 200-group/500-iter case.
+#: Acceptance bar: the shipped GSD chain on the 200-group/500-iter case must
+#: run at least this factor fewer cold inner solves than candidates scored.
 GSD_COLD_SPEEDUP_FLOOR = 3.0
 
 #: Hard floor under ``--check`` on the shipped GSD path: bisection steps
-#: per inner solve of the cold ``cache`` mode over those of ``cache_warm``
-#: (the ``repro run --solver gsd`` configuration).  Wall ratios against
-#: ``nofast`` are not gated: a cold class-compressed solve is cheap, so
-#: they mix what the fast path saves with what the inner solve costs.
+#: per inner solve of the ``cold`` chain over those of ``shipped``.  Wall
+#: ratios are not gated: a cold class-compressed solve is cheap, so they
+#: mix what the fast path saves with what the inner solve costs.
 GSD_WARM_ITER_FLOOR = 3.0
 
-MODES = ("nofast", "cache", "cache_warm")
-
-#: Modes whose objective must be bit-identical to ``nofast`` (same scalar
-#: cold arithmetic).
-COLD_MODES = ("cache",)
-#: Modes bound by the 1e-9 relative objective contract (warm starts).
-WARM_MODES = ("cache_warm",)
-
-
-def _mode_kwargs(mode: str) -> dict:
-    return {"use_cache": mode != "nofast", "warm_start": "warm" in mode}
+#: Modes run per case.  CD ships cold, so it has no cold reference mode.
+CASE_MODES = {"gsd_200g_500it": ("cold", "shipped"), "cd_hetero": ("shipped",)}
 
 
 def _gsd_case():
     from repro.scenarios import paper_scenario
-    from repro.solvers import GSDSolver
+    from repro.solvers import GSDSolver, gsd
 
     sc = paper_scenario()
     obs = sc.environment.observation(1500)
@@ -91,11 +86,10 @@ def _gsd_case():
     )
 
     def solve(mode: str):
-        return GSDSolver(
-            iterations=500,
-            rng=np.random.default_rng(0),
-            **_mode_kwargs(mode),
-        ).solve(problem)
+        with mock.patch.object(gsd, "_WARM_START", mode == "shipped"):
+            return GSDSolver(iterations=500, rng=np.random.default_rng(0)).solve(
+                problem
+            )
 
     return "gsd_200g_500it", solve
 
@@ -117,72 +111,50 @@ def _cd_case():
     )
 
     def solve(mode: str):
-        return CoordinateDescentSolver(
-            restarts=4,
-            rng=np.random.default_rng(0),
-            **_mode_kwargs(mode),
-        ).solve(problem)
+        return CoordinateDescentSolver(restarts=4, rng=np.random.default_rng(0)).solve(
+            problem
+        )
 
     return "cd_hetero", solve
 
 
-def _run_case(solve, *, repeats: int) -> dict:
+def _run_case(name: str, solve, *, repeats: int) -> tuple[dict, dict]:
+    """Per-mode report entries, and each mode's last solution."""
     out: dict[str, dict] = {}
-    for mode in MODES:
+    solutions = {}
+    for mode in CASE_MODES[name]:
         best = np.inf
-        sol = None
         for _ in range(repeats):
             started = time.perf_counter()
             sol = solve(mode)
             best = min(best, time.perf_counter() - started)
-        stats = sol.info.get("fastpath")
-        if stats is None:  # nofast GSD reports plain counters; CD reports none
-            stats = {"cold_solves": sol.info.get("inner_solves")}
-        out[mode] = {
-            "objective": sol.objective,
-            "wall_s_min": best,
-            **{k: v for k, v in stats.items() if v is not None},
-        }
-    return out
+        out[mode] = {"objective": sol.objective, "wall_s_min": best, **sol.info["fastpath"]}
+        solutions[mode] = sol
+    return out, solutions
 
 
 def _iters_per_solve(mode: dict) -> float:
     return mode["inner_iters"] / mode["inner_solves"]
 
 
-def _verify_contracts(name: str, case: dict) -> list[str]:
-    """The fast path's correctness guarantees, re-checked on every run."""
-    errors = []
-    cold_obj = case["nofast"]["objective"]
-    for mode in COLD_MODES:
-        if case[mode]["objective"] != cold_obj:
-            errors.append(f"{name}: {mode} objective not bit-identical to nofast")
-    for mode in WARM_MODES:
-        warm_obj = case[mode]["objective"]
-        if abs(warm_obj - cold_obj) > 1e-9 * max(abs(cold_obj), 1.0):
-            errors.append(f"{name}: {mode} objective outside the 1e-9 contract")
-    return errors
-
-
 def measure(*, repeats: int) -> dict:
     cases = {}
-    errors: list[str] = []
     for name, solve in (_gsd_case(), _cd_case()):
-        case = _run_case(solve, repeats=repeats)
-        nofast_cold = case["nofast"].get("cold_solves")
-        warm_cold = case["cache_warm"].get("cold_solves")
-        if nofast_cold and warm_cold:
-            case["cold_solve_speedup"] = nofast_cold / warm_cold
-        case["wall_speedup_warm"] = (
-            case["nofast"]["wall_s_min"] / case["cache_warm"]["wall_s_min"]
-        )
-        case["warm_iter_speedup"] = _iters_per_solve(case["cache"]) / _iters_per_solve(
-            case["cache_warm"]
-        )
-        cases[name] = case
-        errors += _verify_contracts(name, case)
+        cases[name], solutions = _run_case(name, solve, repeats=repeats)
+    gsd_case = cases["gsd_200g_500it"]
+    cold, shipped = gsd_case["cold"], gsd_case["shipped"]
+    gsd_case["cold_solve_speedup"] = (
+        solutions["shipped"].info["evaluations"] / shipped["cold_solves"]
+    )
+    gsd_case["wall_speedup_warm"] = cold["wall_s_min"] / shipped["wall_s_min"]
+    gsd_case["warm_iter_speedup"] = _iters_per_solve(cold) / _iters_per_solve(shipped)
 
-    speedup = cases["gsd_200g_500it"].get("cold_solve_speedup", 0.0)
+    errors: list[str] = []
+    if abs(shipped["objective"] - cold["objective"]) > 1e-9 * max(
+        abs(cold["objective"]), 1.0
+    ):
+        errors.append("gsd_200g_500it: shipped objective outside the 1e-9 contract")
+    speedup = gsd_case["cold_solve_speedup"]
     if speedup < GSD_COLD_SPEEDUP_FLOOR:
         errors.append(
             f"gsd_200g_500it: cold-solve speedup {speedup:.2f}x below the "
@@ -191,7 +163,7 @@ def measure(*, repeats: int) -> dict:
     return {
         "benchmark": "solver_fastpath",
         "repeats": repeats,
-        "modes": list(MODES),
+        "modes": {name: list(modes) for name, modes in CASE_MODES.items()},
         "gsd_cold_speedup_floor": GSD_COLD_SPEEDUP_FLOOR,
         "gsd_warm_iter_floor": GSD_WARM_ITER_FLOOR,
         "regression_tolerance": REGRESSION_TOLERANCE,
@@ -210,7 +182,7 @@ def check_against(report: dict, reference_path: pathlib.Path) -> list[str]:
         if case is None:
             failures.append(f"{name}: missing from this run")
             continue
-        for mode in MODES:
+        for mode in CASE_MODES.get(name, ()):
             ref_n = ref_case.get(mode, {}).get("inner_solves")
             if ref_n is None:
                 continue
@@ -260,14 +232,18 @@ def main(argv: list[str] | None = None) -> int:
 
     for name, case in report["cases"].items():
         line = ", ".join(
-            f"{mode}: {case[mode].get('inner_solves', case[mode].get('cold_solves'))}"
-            f" solves / {1e3 * case[mode]['wall_s_min']:.0f} ms"
-            for mode in MODES
+            f"{mode}: {case[mode]['inner_solves']} solves / "
+            f"{1e3 * case[mode]['wall_s_min']:.0f} ms"
+            for mode in CASE_MODES[name]
         )
-        print(
-            f"{name}: {line} (warm: {case['wall_speedup_warm']:.1f}x wall, "
-            f"{case['warm_iter_speedup']:.1f}x fewer bisection steps)"
-        )
+        if "warm_iter_speedup" in case:
+            line += (
+                f" (warm: {case['wall_speedup_warm']:.1f}x wall, "
+                f"{case['warm_iter_speedup']:.1f}x fewer bisection steps; "
+                f"{case['cold_solve_speedup']:.0f}x fewer cold solves than "
+                "candidates)"
+            )
+        print(f"{name}: {line}")
     print(f"report -> {out}")
 
     failed = list(report["contract_errors"])

@@ -67,18 +67,15 @@ def _gsd_slot_problem(sc):
 def test_gsd_200groups_500iters(benchmark, fiu_scenario):
     """The paper's timing claim: a 500-iteration GSD chain on 200 groups.
 
-    Runs with the full fast path (evaluation cache + warm-started inner
-    solves); the counters land in ``extra_info`` so the speedup over the
-    394 cold solves of the slow path stays visible in the benchmark JSON.
+    Runs the shipped chain (evaluation cache + warm-started inner solves);
+    the fast-path counters land in ``extra_info`` in the benchmark JSON.
     """
     from repro.solvers import GSDSolver
 
     problem = _gsd_slot_problem(fiu_scenario)
 
     def run():
-        solver = GSDSolver(
-            iterations=500, rng=np.random.default_rng(0), warm_start=True
-        )
+        solver = GSDSolver(iterations=500, rng=np.random.default_rng(0))
         return solver.solve(problem)
 
     sol = benchmark(run)
@@ -104,15 +101,13 @@ def _cd_hetero_problem():
 
 def test_coordinate_descent_hetero(benchmark):
     """Coordinate descent on a heterogeneous fleet (no enumeration engine
-    applies), cache + warm starts on."""
+    applies), as shipped: evaluation cache, cold inner solves."""
     from repro.solvers import CoordinateDescentSolver
 
     problem = _cd_hetero_problem()
 
     def run():
-        solver = CoordinateDescentSolver(
-            restarts=4, rng=np.random.default_rng(0), warm_start=True
-        )
+        solver = CoordinateDescentSolver(restarts=4, rng=np.random.default_rng(0))
         return solver.solve(problem)
 
     sol = benchmark(run)

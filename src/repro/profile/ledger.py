@@ -26,8 +26,8 @@ invocation.  The ledger unifies them:
   wall-times ride along as advisory context (noisy CI runners cannot gate
   on them -- the same stance the ``monitoring-artifacts`` CI job takes).
   A suite whose own ``main`` exits non-zero always fails the verdict, so
-  each suite's internal contracts (bit-identical cache, warm-start
-  tolerance, overhead budget) stay enforced.
+  each suite's internal contracts (warm-start tolerance, fast-path
+  floors, overhead budget) stay enforced.
 """
 
 from __future__ import annotations
@@ -65,9 +65,11 @@ DEFAULT_LEDGER = os.path.join("benchmarks", "results", "trend.jsonl")
 #: suites not listed here run with their own defaults).
 SUITE_ARGS: dict[str, tuple[str, ...]] = {
     # solver_fastpath self-checks against its committed full-run reference:
-    # the >20% inner-solve tolerance plus the warm-start floor (the shipped
-    # GSD path's warm inner solves take >= 3x fewer bisection steps than
-    # cold ones; seed-determined).  A floor breach exits non-zero, which
+    # the >20% inner-solve tolerance, the shipped GSD chain within 1e-9 of
+    # its cold chain (warm starts patched off), and two floors on that
+    # shipped chain: >= 3x fewer cold inner solves than candidates scored,
+    # and warm inner solves taking >= 3x fewer bisection steps than the
+    # cold chain's (all seed-determined).  A breach exits non-zero, which
     # fails the ledger verdict even without a prior trend row.
     "solver_fastpath": (
         "--quick",

@@ -7,6 +7,13 @@ test oracle against which GSD (Theorem 1 says it converges here as
 ``delta -> infinity``), coordinate descent, and the homogeneous enumeration
 engine are validated; the configuration count is guarded so it cannot be
 unleashed on the 200-group fleet by accident.
+
+Scoring goes through the shared
+:class:`~repro.solvers.fastpath.EvaluationCache` with cold inner solves,
+so the oracle stays exact.  Every combo is distinct so the memo cache never
+hits, but the O(1) delta screen rejects under-capacity on-sets without
+entering the inner solve -- the enumeration order flips one trailing group
+at a time, exactly the access pattern the screen is built for.
 """
 
 from __future__ import annotations
@@ -15,11 +22,9 @@ from itertools import product
 
 import numpy as np
 
-from ..cluster.fleet import FleetAction
 from .base import SlotSolution, SlotSolver
 from .deadline import DeadlineExceededError, SolveDeadline
 from .fastpath import EvaluationCache
-from .load_distribution import distribute_load
 from .problem import InfeasibleError, SlotProblem
 
 __all__ = ["BruteForceSolver"]
@@ -37,18 +42,6 @@ class BruteForceSolver(SlotSolver):
     ----------
     max_configs:
         Safety cap on the number of configurations enumerated.
-    use_cache:
-        Route scoring through the shared
-        :class:`~repro.solvers.fastpath.EvaluationCache`.  Every combo is
-        distinct so the memo cache never hits, but the O(1) delta screen
-        rejects under-capacity on-sets without entering the inner solve --
-        the enumeration order flips one trailing group at a time, exactly
-        the access pattern the screen is built for.  Results are identical
-        either way.
-    warm_start:
-        Seed consecutive inner solves from each other (requires
-        ``use_cache``; <= 1e-9 relative objective contract).  Off by
-        default -- the oracle stays bit-exact.
     deadline_ms:
         Wall-clock budget; the enumeration polls it every
         ``_DEADLINE_STRIDE`` combos and stops early on expiry, returning
@@ -62,54 +55,16 @@ class BruteForceSolver(SlotSolver):
         self,
         *,
         max_configs: int = 200_000,
-        use_cache: bool = True,
-        warm_start: bool = False,
         deadline_ms: float | None = None,
     ):
         if max_configs < 1:
             raise ValueError("max_configs must be positive")
-        if warm_start and not use_cache:
-            raise ValueError("warm_start requires use_cache")
         self.max_configs = max_configs
-        self.use_cache = use_cache
-        self.warm_start = warm_start
         self.deadline_ms = deadline_ms
 
     def config_count(self, problem: SlotProblem) -> int:
         """Size of the configuration space ``prod_g (K_g + 1)``."""
         return int(np.prod(problem.fleet.num_levels + 1))
-
-    def _on_expiry(
-        self, deadline: SolveDeadline, seen: int, total: int, feasible: bool
-    ) -> None:
-        tele = self.telemetry
-        if tele.enabled:
-            tele.emit(
-                "deadline.expired",
-                solver=self.name(),
-                budget_ms=float(self.deadline_ms),
-                elapsed_ms=deadline.elapsed_ms(),
-                completed=seen,
-                planned=total,
-                best_feasible=feasible,
-            )
-            tele.metrics.counter("deadline.expirations").inc()
-        if not feasible:
-            raise DeadlineExceededError(
-                f"enumeration deadline ({self.deadline_ms} ms) expired after "
-                f"{seen}/{total} configurations with no feasible incumbent"
-            )
-
-    def _deadline_info(
-        self, deadline: SolveDeadline, truncated: bool, seen: int, total: int
-    ) -> dict:
-        return {
-            "budget_ms": float(self.deadline_ms),
-            "elapsed_ms": deadline.elapsed_ms(),
-            "expired": truncated,
-            "completed": seen,
-            "planned": total,
-        }
 
     def solve(self, problem: SlotProblem) -> SlotSolution:
         deadline = SolveDeadline(self.deadline_ms)
@@ -122,86 +77,65 @@ class BruteForceSolver(SlotSolver):
                 f"{self.max_configs}; use another solver"
             )
 
+        cache = EvaluationCache(problem)
+        levels = np.empty(fleet.num_groups, dtype=np.int64)
         best_obj = np.inf
         best_levels: np.ndarray | None = None
-        best_loads: np.ndarray | None = None
-        evaluated = 0
         seen = 0
         truncated = False
-        ranges = [range(-1, int(k)) for k in fleet.num_levels]
-
-        if self.use_cache:
-            cache = EvaluationCache(problem, warm_start=self.warm_start)
-            levels = np.empty(fleet.num_groups, dtype=np.int64)
-            prev: tuple[int, ...] | None = None
-            for combo in product(*ranges):
-                if seen % _DEADLINE_STRIDE == 0 and seen and deadline.expired():
-                    truncated = True
-                    break
-                seen += 1
-                if prev is None:
-                    levels[:] = combo
-                    cache.note_all()
-                else:
-                    for g, cand in enumerate(combo):
-                        if cand != prev[g]:
-                            levels[g] = cand
-                            cache.note_changed(g)
-                prev = combo
-                obj = cache.objective_of(levels)
-                if obj < best_obj:
-                    best_obj = obj
-                    best_levels = levels.copy()
-            if truncated:
-                self._on_expiry(deadline, seen, total, best_levels is not None)
-            if best_levels is None:
-                raise InfeasibleError(
-                    "no feasible configuration exists for this slot"
-                )
-            # Combos whose inner solve ran to completion; screened-out
-            # combos (provably infeasible or cap-breaking) are excluded.
-            evaluated = cache.stats.inner_solves
-            action, evaluation = cache.solution_for(best_levels)
-            info: dict = {
-                "configs_total": total,
-                "configs_feasible": evaluated,
-                "fastpath": cache.stats.as_dict(),
-            }
-            if self.deadline_ms is not None:
-                info["deadline"] = self._deadline_info(deadline, truncated, seen, total)
-            return SlotSolution(action=action, evaluation=evaluation, info=info)
-
-        for combo in product(*ranges):
+        prev: tuple[int, ...] | None = None
+        for combo in product(*(range(-1, int(k)) for k in fleet.num_levels)):
             if seen % _DEADLINE_STRIDE == 0 and seen and deadline.expired():
                 truncated = True
                 break
             seen += 1
-            levels = np.asarray(combo, dtype=np.int64)
-            try:
-                dist = distribute_load(problem, levels)
-            except InfeasibleError:
-                continue
-            evaluated += 1
-            action = FleetAction(levels=levels, per_server_load=dist.per_server_load)
-            evaluation = problem.evaluate(action)
-            if problem.violates_caps(evaluation):
-                continue
-            obj = evaluation.objective
+            if prev is None:
+                levels[:] = combo
+                cache.note_all()
+            else:
+                for g, cand in enumerate(combo):
+                    if cand != prev[g]:
+                        levels[g] = cand
+                        cache.note_changed(g)
+            prev = combo
+            obj = cache.objective_of(levels)
             if obj < best_obj:
                 best_obj = obj
-                best_levels = levels
-                best_loads = dist.per_server_load
-
+                best_levels = levels.copy()
         if truncated:
-            self._on_expiry(deadline, seen, total, best_levels is not None)
+            tele = self.telemetry
+            if tele.enabled:
+                tele.emit(
+                    "deadline.expired",
+                    solver=self.name(),
+                    budget_ms=float(self.deadline_ms),
+                    elapsed_ms=deadline.elapsed_ms(),
+                    completed=seen,
+                    planned=total,
+                    best_feasible=best_levels is not None,
+                )
+                tele.metrics.counter("deadline.expirations").inc()
+            if best_levels is None:
+                raise DeadlineExceededError(
+                    f"enumeration deadline ({self.deadline_ms} ms) expired after "
+                    f"{seen}/{total} configurations with no feasible incumbent"
+                )
         if best_levels is None:
             raise InfeasibleError("no feasible configuration exists for this slot")
-        action = FleetAction(levels=best_levels, per_server_load=best_loads)
-        info = {"configs_total": total, "configs_feasible": evaluated}
+        action, evaluation = cache.solution_for(best_levels)
+        info: dict = {
+            "configs_total": total,
+            # Combos whose inner solve ran to completion; screened-out
+            # combos (provably infeasible or cap-breaking) are excluded.
+            "configs_feasible": cache.stats.inner_solves,
+            "fastpath": cache.stats.as_dict(),
+        }
         if self.deadline_ms is not None:
-            info["deadline"] = self._deadline_info(deadline, truncated, seen, total)
-        return SlotSolution(
-            action=action,
-            evaluation=problem.evaluate(action),
-            info=info,
-        )
+            info["deadline"] = {
+                "budget_ms": float(self.deadline_ms),
+                "elapsed_ms": deadline.elapsed_ms(),
+                "expired": truncated,
+                "completed": seen,
+                "planned": total,
+            }
+        return SlotSolution(action=action, evaluation=evaluation, info=info)

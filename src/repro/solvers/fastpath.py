@@ -7,13 +7,13 @@ convex inner solve (Eq. (18), :func:`~repro.solvers.load_distribution
 .distribute_load`), and an evaluation of the resulting action.  Chains
 revisit the same level vectors constantly and consecutive candidates differ
 in a single group, so most of that work is redundant.  This module factors
-the redundancy out once, for all engines:
+the redundancy out once, for all engines; it is the only way they score a
+candidate:
 
 - **Per-solve memo cache** (:meth:`EvaluationCache.objective_of`): keyed on
   ``levels.tobytes()``.  A hit returns the float computed the first time
   the vector was seen; since the inner solve is deterministic, the cached
-  value equals what a recompute would produce bit for bit, so cache-on and
-  cache-off runs yield bit-identical solutions *by construction*.
+  value equals what a recompute would produce bit for bit.
 - **Class-histogram memo**: the inner solve depends on a level vector only
   through its (profile, level) class histogram
   (:meth:`~repro.cluster.fleet.Fleet.class_histogram`), and so do the IT
@@ -38,9 +38,9 @@ the redundancy out once, for all engines:
 - **Warm starts**: the most recent inner solve is handed to
   :func:`distribute_load` as a bracket hint for the next candidate.
   Warm-started solves match cold ones to <= 1e-9 relative objective error
-  (see :mod:`~repro.solvers.load_distribution`).  GSD warm-starts by
-  default; the cache itself defaults to cold solves, which coordinate
-  descent and brute force keep unless asked.
+  (see :mod:`~repro.solvers.load_distribution`).  Whether an engine warm
+  starts is fixed per engine: GSD always does, coordinate descent and
+  brute force never do (the cache's default).
 
 The cache is *per solve*: engines construct one :class:`EvaluationCache`
 per ``solve(problem)`` call, so nothing leaks across slots or problems.
@@ -170,7 +170,7 @@ class EvaluationCache:
     Usage: the engine mutates its level vector in place, calls
     :meth:`note_changed` for every entry it writes, and asks
     :meth:`objective_of` for the P3 objective (``inf`` for infeasible or
-    cap-violating configurations, exactly like the historical inline code).
+    cap-violating configurations).
     :meth:`solution_for` turns any previously scored vector back into a
     full ``(FleetAction, SlotEvaluation)`` pair without re-solving.
     """

@@ -40,7 +40,7 @@ import numpy as np
 from ..cluster.fleet import FleetAction
 from .base import SlotSolution, SlotSolver
 from .deadline import DeadlineExceededError, SolveDeadline
-from .fastpath import EvaluationCache, FastPathStats
+from .fastpath import EvaluationCache
 from .load_distribution import distribute_load
 from .problem import InfeasibleError, SlotProblem
 
@@ -48,6 +48,16 @@ __all__ = ["GSDSolver", "GSDTrace", "geometric_temperature"]
 
 #: Floor keeping ``delta / g`` finite when a configuration has ~zero cost.
 _OBJECTIVE_FLOOR = 1e-12
+
+#: Each inner solve seeds its bisection brackets from the previous
+#: candidate's solution (<= 1e-9 relative objective contract, see
+#: :mod:`repro.solvers.fastpath`).  Tests and benchmarks patch this to
+#: False in-process to build the cold reference chain.
+_WARM_START = True
+
+#: With telemetry bound, one ``gsd.iteration`` summary event is emitted per
+#: this many chain iterations.
+_LOG_WINDOW = 100
 
 
 def _acceptance_probability(delta: float, explored: float, current: float) -> float:
@@ -105,6 +115,14 @@ class GSDTrace:
 class GSDSolver(SlotSolver):
     """Algorithm 2 with group-batched updates.
 
+    Candidates are scored through a per-solve
+    :class:`~repro.solvers.fastpath.EvaluationCache`: revisited level
+    vectors cost a dict hit, clearly infeasible proposals are screened in
+    O(1), and each inner solve is warm-started from the previous one.
+    With telemetry bound, a ``gsd.iteration`` summary event (chain and best
+    objective, temperature, windowed acceptance rate) is emitted every 100
+    iterations.
+
     Parameters
     ----------
     iterations:
@@ -128,24 +146,6 @@ class GSDSolver(SlotSolver):
         GSD, while those failed servers do not intervene the execution":
         failed groups are pinned to the zero speed, never selected for
         exploration, and carry no load.
-    log_interval:
-        When telemetry is bound, a ``gsd.iteration`` summary event (chain
-        and best objective, temperature, windowed acceptance rate) is
-        emitted every ``log_interval`` iterations.  Without telemetry the
-        interval is ignored and the chain runs exactly as before.
-    use_cache:
-        Route candidate scoring through the per-solve
-        :class:`~repro.solvers.fastpath.EvaluationCache`: revisited level
-        vectors cost a dict hit, and clearly infeasible proposals are
-        screened in O(1) instead of a full inner solve.  Results are
-        bit-identical with the cache on or off (see fastpath docs); the
-        default is on.
-    warm_start:
-        Seed each inner solve's bisection brackets from the previous
-        candidate's solution (requires ``use_cache``).  Warm-started solves
-        match cold ones to <= 1e-9 relative objective error.  ``None`` (the
-        default) warm-starts whenever the cache is on; pass ``False`` for
-        cold solves.
     deadline_ms:
         Wall-clock budget per solve.  When it expires mid-chain the solver
         stops and returns the best feasible incumbent (anytime behaviour,
@@ -164,17 +164,12 @@ class GSDSolver(SlotSolver):
         initial_levels: Sequence[int] | np.ndarray | None = None,
         record_history: bool = False,
         failed_groups: Sequence[int] | None = None,
-        log_interval: int = 100,
-        use_cache: bool = True,
-        warm_start: bool | None = None,
         deadline_ms: float | None = None,
     ):
         if iterations < 1:
             raise ValueError("iterations must be >= 1")
         if not callable(delta) and delta <= 0:
             raise ValueError("temperature delta must be positive")
-        if log_interval < 1:
-            raise ValueError("log_interval must be >= 1")
         self.iterations = iterations
         self.delta = delta
         self.rng = rng if rng is not None else np.random.default_rng(1)
@@ -183,12 +178,7 @@ class GSDSolver(SlotSolver):
             if initial_levels is None
             else np.asarray(initial_levels, dtype=np.int64).copy()
         )
-        if warm_start and not use_cache:
-            raise ValueError("warm_start requires use_cache")
         self.record_history = record_history
-        self.log_interval = log_interval
-        self.use_cache = use_cache
-        self.warm_start = use_cache if warm_start is None else warm_start
         self.deadline_ms = deadline_ms
         # Chain counter: stamps telemetry events with a per-solver
         # solve_index so the convergence diagnostics can group the
@@ -239,19 +229,6 @@ class GSDSolver(SlotSolver):
     def _temperature(self, iteration: int) -> float:
         return self.delta(iteration) if callable(self.delta) else float(self.delta)
 
-    def _objective_of(self, problem: SlotProblem, levels: np.ndarray) -> float:
-        """Objective of a configuration with exact inner load solve; +inf
-        when the on-set cannot serve the workload (Algorithm 2 line 2)."""
-        try:
-            dist = distribute_load(problem, levels)
-        except InfeasibleError:
-            return np.inf
-        action = FleetAction(levels=levels, per_server_load=dist.per_server_load)
-        evaluation = problem.evaluate(action)
-        if problem.violates_caps(evaluation):
-            return np.inf
-        return evaluation.objective
-
     def solve(self, problem: SlotProblem) -> SlotSolution:
         # The span wraps the whole solve; ``sp`` is the no-op NULL_SPAN on
         # uninstrumented runs, so the chain arithmetic below is untouched.
@@ -275,11 +252,7 @@ class GSDSolver(SlotSolver):
         if healthy.size == 0:
             raise ValueError("every group has failed")
 
-        cache = (
-            EvaluationCache(problem, warm_start=self.warm_start)
-            if self.use_cache
-            else None
-        )
+        cache = EvaluationCache(problem, warm_start=_WARM_START)
 
         scored_s = 0.0
         if sp:
@@ -289,35 +262,27 @@ class GSDSolver(SlotSolver):
             # -- one summarized span event per bucket at solve exit, never
             # one per iteration.  ``scored_s`` sums those bucket times so
             # the chain's own step work can be attributed as the remainder.
-            fp_stats = cache.stats if cache is not None else None
+            fp_stats = cache.stats
 
             def score(lv: np.ndarray) -> float:
                 nonlocal scored_s
                 t0 = time.perf_counter()
-                if cache is None:
-                    value = self._objective_of(problem, lv)
-                    bucket = "gsd.inner_bisection"
+                hits0 = fp_stats.cache_hits
+                screened0 = fp_stats.screened_infeasible
+                value = cache.objective_of(lv)
+                if fp_stats.cache_hits > hits0:
+                    bucket = "gsd.cache_lookup"
+                elif fp_stats.screened_infeasible > screened0:
+                    bucket = "gsd.feasibility_screen"
                 else:
-                    hits0 = fp_stats.cache_hits
-                    screened0 = fp_stats.screened_infeasible
-                    value = cache.objective_of(lv)
-                    if fp_stats.cache_hits > hits0:
-                        bucket = "gsd.cache_lookup"
-                    elif fp_stats.screened_infeasible > screened0:
-                        bucket = "gsd.feasibility_screen"
-                    else:
-                        bucket = "gsd.inner_bisection"
+                    bucket = "gsd.inner_bisection"
                 dt = time.perf_counter() - t0
                 sp.add(bucket, dt)
                 scored_s += dt
                 return value
 
         else:
-
-            def score(lv: np.ndarray) -> float:
-                if cache is not None:
-                    return cache.objective_of(lv)
-                return self._objective_of(problem, lv)
+            score = cache.objective_of
 
         if self.initial_levels is not None:
             levels = self.initial_levels.copy()
@@ -330,8 +295,7 @@ class GSDSolver(SlotSolver):
         if not np.isfinite(current):
             levels = (fleet.num_levels - 1).astype(np.int64)
             levels[self.failed_groups] = -1
-            if cache is not None:
-                cache.note_all()
+            cache.note_all()
             current = score(levels)
         best_levels, best = levels.copy(), current
 
@@ -351,9 +315,9 @@ class GSDSolver(SlotSolver):
 
         def _log_window(it: int) -> None:
             """Iteration-summary event at the end of each logging interval."""
-            if not tele.enabled or (it + 1) % self.log_interval != 0:
+            if not tele.enabled or (it + 1) % _LOG_WINDOW != 0:
                 return
-            lo = it + 1 - self.log_interval
+            lo = it + 1 - _LOG_WINDOW
             tele.emit(
                 "gsd.iteration",
                 solve_index=solve_index,
@@ -362,7 +326,7 @@ class GSDSolver(SlotSolver):
                 best_objective=float(hist_best[it]),
                 temperature=float(hist_temp[it]),
                 acceptance_rate=float(hist_acc[lo : it + 1].mean()),
-                window=self.log_interval,
+                window=_LOG_WINDOW,
             )
 
         completed = 0
@@ -386,8 +350,7 @@ class GSDSolver(SlotSolver):
                 _log_window(it)
                 continue
             levels[g] = proposal
-            if cache is not None:
-                cache.note_changed(g)
+            cache.note_changed(g)
             explored = score(levels)
             n_solves += 1
 
@@ -408,8 +371,7 @@ class GSDSolver(SlotSolver):
                     last_improve = it + 1
             else:
                 levels[g] = old_level
-                if cache is not None:
-                    cache.note_changed(g)
+                cache.note_changed(g)
             hist_chain[it], hist_best[it] = current, best
             _log_window(it)
         if sp:
@@ -441,7 +403,7 @@ class GSDSolver(SlotSolver):
                     "incumbent"
                 )
 
-        stats = cache.stats if cache is not None else FastPathStats(cold_solves=n_solves)
+        stats = cache.stats
         if tele.enabled:
             elapsed = time.perf_counter() - started
             acceptance = float(hist_acc.mean()) if completed else 0.0
@@ -479,14 +441,7 @@ class GSDSolver(SlotSolver):
                 "operational caps; increase iterations or relax the caps"
             )
         t_final = time.perf_counter() if sp else 0.0
-        if cache is not None:
-            action, final_evaluation = cache.solution_for(best_levels)
-        else:
-            dist = distribute_load(problem, best_levels)
-            action = FleetAction(
-                levels=best_levels, per_server_load=dist.per_server_load
-            )
-            final_evaluation = problem.evaluate(action)
+        action, final_evaluation = cache.solution_for(best_levels)
         if sp:
             sp.add("gsd.finalize", time.perf_counter() - t_final)
         info: dict = {

@@ -32,7 +32,7 @@ from .exporters import (
 )
 from .metrics import Counter, Gauge, Histogram, MetricsRegistry
 from .prometheus import render_prometheus
-from .spans import NULL_SPAN, Span, SpanStack, SpanTimer
+from .spans import NULL_SPAN, Span, SpanStack
 from .summary import render_trace_summary, span_hotspots, trace_summary_tables
 from .timing import NULL_TIMER, ScopedTimer
 from .tracer import (
@@ -68,7 +68,6 @@ __all__ = [
     "NULL_TIMER",
     "Span",
     "SpanStack",
-    "SpanTimer",
     "NULL_SPAN",
     "render_prometheus",
     "span_hotspots",

@@ -17,7 +17,7 @@ then matches serial execution because the parent absorbs in task order.
 from __future__ import annotations
 
 from .metrics import MetricsRegistry
-from .spans import NULL_SPAN, Span, SpanStack, SpanTimer, _NullSpan
+from .spans import NULL_SPAN, Span, SpanStack, _NullSpan
 from .timing import NULL_TIMER, ScopedTimer
 from .tracer import NULL_TRACER, InMemoryTracer, Tracer
 
@@ -54,7 +54,7 @@ class Telemetry:
         """Forward one event to the tracer."""
         self.tracer.emit(kind, **fields)
 
-    def timer(self, name: str) -> ScopedTimer | SpanTimer:
+    def timer(self, name: str) -> ScopedTimer:
         """A scoped timer recording into histogram ``name``.
 
         When a span is already open (and the tracer is listening), the timer
@@ -63,10 +63,11 @@ class Telemetry:
         bucket, so existing timer call sites nest under slot/solve spans
         for free.
         """
-        histogram = self.metrics.histogram(name)
-        if self._spans_enabled and self.tracer.enabled and self.spans._stack:
-            return SpanTimer(histogram, self.spans._stack[-1], name)
-        return ScopedTimer(histogram)
+        stack = self.spans._stack
+        parent = (
+            stack[-1] if self._spans_enabled and self.tracer.enabled and stack else None
+        )
+        return ScopedTimer(self.metrics.histogram(name), parent)
 
     def span(self, name: str, /, **fields) -> Span | _NullSpan:
         """Open an attribution span (use as ``with telemetry.span(...)``).

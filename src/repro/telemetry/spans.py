@@ -35,7 +35,7 @@ import time
 
 from .tracer import Tracer
 
-__all__ = ["Span", "SpanStack", "SpanTimer", "NULL_SPAN"]
+__all__ = ["Span", "SpanStack", "NULL_SPAN"]
 
 
 class Span:
@@ -217,35 +217,3 @@ class SpanStack:
             )
         if parent is not None:
             parent._child_s += span.elapsed
-
-
-class SpanTimer:
-    """Span-aware scoped timer: one clock pair feeds both sinks.
-
-    Returned by :meth:`Telemetry.timer` when a span is already open, so the
-    existing ``gsd.*``/``cd.*``/``sim.*`` timer call sites gain parent
-    attribution without being touched: the elapsed time lands in the named
-    histogram exactly as before *and* in the enclosing span's aggregated
-    child bucket of the same name (it rides the parent's own ``span`` event
-    rather than paying for one of its own).
-    """
-
-    __slots__ = ("_histogram", "_parent", "name", "elapsed", "_start")
-
-    def __init__(self, histogram, parent: Span, name: str) -> None:
-        self._histogram = histogram
-        self._parent = parent
-        self.name = name
-        self.elapsed = 0.0
-        self._start = 0.0
-
-    def __enter__(self) -> "SpanTimer":
-        self._start = time.perf_counter()
-        return self
-
-    def __exit__(self, *exc) -> bool:
-        self.elapsed = time.perf_counter() - self._start
-        self._parent.add(self.name, self.elapsed)
-        if self._histogram is not None:
-            self._histogram.observe(self.elapsed)
-        return False

@@ -1,8 +1,12 @@
-"""Scoped wall-clock timers feeding histograms.
+"""Scoped wall-clock timers feeding histograms and spans.
 
 ``with telemetry.timer("gsd.solve_time_s") as t:`` measures the block with
 ``time.perf_counter`` and records the elapsed seconds into the named
 histogram; ``t.elapsed`` is available afterwards for attaching to events.
+When a span is open, the same clock pair also lands in the enclosing span's
+aggregated child bucket of the same name (it rides the parent's own
+``span`` event rather than paying for one of its own), so the existing
+``gsd.*``/``cd.*``/``sim.*`` timer call sites gain parent attribution.
 Disabled telemetry hands out the shared :data:`NULL_TIMER`, whose enter and
 exit do nothing at all -- the hot loops stay clean of clock syscalls.
 """
@@ -12,17 +16,21 @@ from __future__ import annotations
 import time
 
 from .metrics import Histogram
+from .spans import Span
 
 __all__ = ["ScopedTimer", "NULL_TIMER"]
 
 
 class ScopedTimer:
-    """Context manager timing one block into an optional histogram."""
+    """Context manager timing one block into a histogram and, when given
+    an open ``parent`` span, into its child bucket named after the
+    histogram."""
 
-    __slots__ = ("_histogram", "_start", "elapsed")
+    __slots__ = ("_histogram", "_parent", "_start", "elapsed")
 
-    def __init__(self, histogram: Histogram | None = None) -> None:
+    def __init__(self, histogram: Histogram, parent: Span | None = None) -> None:
         self._histogram = histogram
+        self._parent = parent
         self._start = 0.0
         self.elapsed = 0.0
 
@@ -32,8 +40,9 @@ class ScopedTimer:
 
     def __exit__(self, *exc) -> bool:
         self.elapsed = time.perf_counter() - self._start
-        if self._histogram is not None:
-            self._histogram.observe(self.elapsed)
+        if self._parent is not None:
+            self._parent.add(self._histogram.name, self.elapsed)
+        self._histogram.observe(self.elapsed)
         return False
 
 

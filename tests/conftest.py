@@ -10,9 +10,11 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.cluster import Fleet, ServerGroup, cubic_dvfs_profile, opteron_2380
+import repro.solvers.gsd as gsd
+from repro.cluster import Fleet, FleetAction, ServerGroup, cubic_dvfs_profile, opteron_2380
 from repro.core import DataCenterModel
 from repro.scenarios import small_scenario
+from repro.solvers import InfeasibleError, distribute_load
 
 
 def pytest_addoption(parser) -> None:
@@ -82,3 +84,43 @@ def make_problem(model, *, lam_frac=0.5, onsite=0.0, price=40.0, q=0.0, V=1.0, *
     return model.slot_problem(
         arrival_rate=lam, onsite=onsite, price=price, q=q, V=V, **kw
     )
+
+
+def cold_objective(problem, levels):
+    """P3 objective of ``levels`` scored without the fast path: one cold
+    inner solve and a per-group evaluation; ``inf`` when the on-set cannot
+    carry the load or the action violates the operational caps."""
+    levels = np.asarray(levels, dtype=np.int64)
+    try:
+        dist = distribute_load(problem, levels)
+    except InfeasibleError:
+        return np.inf
+    action = FleetAction(levels=levels, per_server_load=dist.per_server_load)
+    evaluation = problem.evaluate(action)
+    if problem.violates_caps(evaluation):
+        return np.inf
+    return evaluation.objective
+
+
+def solve_cold(solver, problem):
+    """Solve with GSD's warm starts off: the cold reference chain."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(gsd, "_WARM_START", False)
+        return solver.solve(problem)
+
+
+def assert_local_minimum(problem, solution):
+    """``solution`` scores exactly as the cold path does, and no single-group
+    level change improves it under :func:`cold_objective` by more than
+    1e-12 relative."""
+    levels = solution.action.levels
+    best = cold_objective(problem, levels)
+    assert solution.objective == best
+    fleet = problem.fleet
+    for g in range(fleet.num_groups):
+        for cand in range(-1, int(fleet.num_levels[g])):
+            if cand == levels[g]:
+                continue
+            neighbor = levels.copy()
+            neighbor[g] = cand
+            assert cold_objective(problem, neighbor) >= best - 1e-12 * max(abs(best), 1.0)

@@ -2,10 +2,11 @@
 
 Three exactness contracts are pinned here:
 
-- cold cache-on and cache-off runs of every engine return
-  **bit-identical** solutions (the memo cache, class-histogram memo and
-  delta screen are exact by construction); GSD's shipped default (cache +
-  warm starts) stays within 1e-9 of the cold chain;
+- every cache query matches the cold, uncached scoring path: the same
+  verdict, the same objective up to summation order (1e-12; 1e-9 with warm
+  starts); brute force returns the exhaustive optimum over that path to the
+  last bit, coordinate descent a local minimum of it, and GSD's shipped
+  chain (warm starts) stays within 1e-9 of its cold chain;
 - the early-exit bisections return exactly what the historical fixed-count
   loops return (flip ``_EARLY_EXIT`` and compare bytes);
 - warm-started inner solves match cold ones to <= 1e-9 relative objective
@@ -16,6 +17,7 @@ Plus the slot-length unit fix: switching *energy* (MWh) enters facility
 """
 
 import dataclasses
+from itertools import product
 
 import numpy as np
 import pytest
@@ -39,23 +41,7 @@ from repro.solvers import (
     InfeasibleError,
     distribute_load,
 )
-from tests.conftest import make_problem
-
-
-def cold_objective(problem, levels):
-    """The historical inline scoring path: cold solve, no cache."""
-    try:
-        dist = distribute_load(problem, np.asarray(levels, dtype=np.int64))
-    except InfeasibleError:
-        return np.inf
-    action = FleetAction(
-        levels=np.asarray(levels, dtype=np.int64),
-        per_server_load=dist.per_server_load,
-    )
-    evaluation = problem.evaluate(action)
-    if problem.violates_caps(evaluation):
-        return np.inf
-    return evaluation.objective
+from tests.conftest import assert_local_minimum, cold_objective, make_problem, solve_cold
 
 
 @pytest.fixture(scope="module")
@@ -103,39 +89,42 @@ def boundary_problem(model, levels, *, lam_frac=0.5, q=5.0):
 
 
 # ---------------------------------------------------------------------------
-# Bit-identity: cache on vs cache off
+# Bit-identity: engine answers vs the cold, uncached scoring path
 # ---------------------------------------------------------------------------
+def exhaustive_cold_minimum(problem):
+    """First minimizer, in enumeration order, of :func:`cold_objective`."""
+    best, best_levels = np.inf, None
+    for combo in product(*(range(-1, int(k)) for k in problem.fleet.num_levels)):
+        obj = cold_objective(problem, combo)
+        if obj < best:
+            best, best_levels = obj, np.asarray(combo, dtype=np.int64)
+    return best_levels, best
+
+
 class TestCacheBitIdentity:
-    def _assert_identical(self, a, b):
-        assert np.array_equal(a.action.levels, b.action.levels)
-        assert a.action.per_server_load.tobytes() == b.action.per_server_load.tobytes()
-        assert a.objective == b.objective  # exact, not approx
+    def _assert_cold_exact(self, problem, sol):
+        """The chosen action is the one the cold path builds, to the bit."""
+        levels = sol.action.levels
+        dist = distribute_load(problem, levels)
+        assert sol.action.per_server_load.tobytes() == dist.per_server_load.tobytes()
+        assert sol.objective == cold_objective(problem, levels)  # exact
+        assert sol.info["final_objective"] == pytest.approx(sol.objective, rel=1e-12)
 
     @pytest.mark.parametrize("model_name", ["tiny_model", "hetero_model"])
     def test_gsd(self, request, model_name):
         model = request.getfixturevalue(model_name)
         p = make_problem(model, lam_frac=0.55, onsite=0.2, q=3.0)
-        sols = [
-            GSDSolver(
-                iterations=150,
-                rng=np.random.default_rng(11),
-                use_cache=flag,
-                warm_start=False,
-            ).solve(p)
-            for flag in (True, False)
-        ]
-        self._assert_identical(*sols)
+        sol = solve_cold(GSDSolver(iterations=150, rng=np.random.default_rng(11)), p)
+        self._assert_cold_exact(p, sol)
 
     @pytest.mark.parametrize("model_name", ["hetero_model", "wide_model"])
     def test_gsd_shipped_default_within_contract(self, request, model_name):
-        """GSD's default (cache + warm starts) against the cold cache-off
-        chain: the same decisions, objective within 1e-9."""
+        """GSD's shipped chain (warm starts) against the cold chain: the
+        same decisions, objective within 1e-9."""
         model = request.getfixturevalue(model_name)
         p = make_problem(model, lam_frac=0.55, onsite=0.2, q=3.0)
         shipped = GSDSolver(iterations=150, rng=np.random.default_rng(11)).solve(p)
-        cold = GSDSolver(
-            iterations=150, rng=np.random.default_rng(11), use_cache=False
-        ).solve(p)
+        cold = solve_cold(GSDSolver(iterations=150, rng=np.random.default_rng(11)), p)
         assert np.array_equal(shipped.action.levels, cold.action.levels)
         assert shipped.objective == pytest.approx(cold.objective, rel=1e-9)
 
@@ -143,23 +132,21 @@ class TestCacheBitIdentity:
     def test_coordinate_descent(self, request, model_name):
         model = request.getfixturevalue(model_name)
         p = make_problem(model, lam_frac=0.4, onsite=0.1, q=2.0)
-        sols = [
-            CoordinateDescentSolver(
-                restarts=3, rng=np.random.default_rng(5), use_cache=flag
-            ).solve(p)
-            for flag in (True, False)
-        ]
-        self._assert_identical(*sols)
+        sol = CoordinateDescentSolver(restarts=3, rng=np.random.default_rng(5)).solve(p)
+        assert_local_minimum(p, sol)
+
+    def _assert_exhaustive_optimum(self, problem):
+        sol = BruteForceSolver().solve(problem)
+        levels, objective = exhaustive_cold_minimum(problem)
+        assert np.array_equal(sol.action.levels, levels)
+        assert sol.objective == objective  # exact, not approx
+        return sol
 
     def test_brute_force(self, hetero_model):
         p = make_problem(hetero_model, lam_frac=0.45, q=1.0)
-        sols = [BruteForceSolver(use_cache=flag).solve(p) for flag in (True, False)]
-        self._assert_identical(*sols)
-        # The `evaluated` info key keeps its historical meaning.
-        assert (
-            sols[0].info["configs_feasible"] > 0
-            and sols[0].info["configs_total"] == sols[1].info["configs_total"]
-        )
+        sol = self._assert_exhaustive_optimum(p)
+        assert sol.info["configs_feasible"] > 0
+        assert sol.info["configs_total"] == int(np.prod(hetero_model.fleet.num_levels + 1))
 
     def test_brute_force_with_caps(self, tiny_model):
         base = make_problem(tiny_model, lam_frac=0.5, q=2.0)
@@ -169,8 +156,7 @@ class TestCacheBitIdentity:
             peak_power_cap=1.05 * unbounded.evaluation.facility_power,
             max_delay_cost=2.0 * unbounded.evaluation.delay_cost,
         )
-        sols = [BruteForceSolver(use_cache=flag).solve(p) for flag in (True, False)]
-        self._assert_identical(*sols)
+        self._assert_exhaustive_optimum(p)
 
     def test_gsd_under_peak_power_cap(self, tiny_model):
         base = make_problem(tiny_model, lam_frac=0.5, q=2.0)
@@ -178,45 +164,38 @@ class TestCacheBitIdentity:
         p = dataclasses.replace(
             base, peak_power_cap=1.05 * unbounded.evaluation.facility_power
         )
-        sols = [
-            GSDSolver(
-                iterations=150,
-                rng=np.random.default_rng(3),
-                use_cache=flag,
-                warm_start=False,
-            ).solve(p)
-            for flag in (True, False)
-        ]
-        self._assert_identical(*sols)
-
-    def test_warm_start_requires_cache(self):
-        with pytest.raises(ValueError):
-            GSDSolver(use_cache=False, warm_start=True)
-        with pytest.raises(ValueError):
-            CoordinateDescentSolver(use_cache=False, warm_start=True)
-        with pytest.raises(ValueError):
-            BruteForceSolver(use_cache=False, warm_start=True)
+        sol = solve_cold(GSDSolver(iterations=150, rng=np.random.default_rng(3)), p)
+        assert not p.violates_caps(sol.evaluation)
+        self._assert_cold_exact(p, sol)
 
 
 # ---------------------------------------------------------------------------
-# Evaluation cache correctness against the historical scoring path
+# Evaluation cache correctness against the cold scoring path
 # ---------------------------------------------------------------------------
 class TestEvaluationCache:
-    def test_random_walk_matches_cold_path(self, hetero_model, rng):
+    @pytest.mark.parametrize("warm", [False, True], ids=["cold", "warm"])
+    @pytest.mark.parametrize("capped", [False, True], ids=["uncapped", "capped"])
+    @pytest.mark.parametrize("model_name", ["tiny_model", "hetero_model", "wide_model"])
+    def test_random_walk_matches_cold_path(self, request, rng, model_name, capped, warm):
         """A GSD-like random walk of single-group flips: every query must
-        match the historical cold computation -- the same verdict on every
-        screened-out and cap-violating candidate, and the same objective up
-        to summation order (the cache sums class rows, the cold path
-        groups: <= 1e-12 relative)."""
-        base = make_problem(hetero_model, lam_frac=0.6, onsite=0.1, q=2.0)
-        unbounded = BruteForceSolver().solve(base)
-        p = dataclasses.replace(
-            base, peak_power_cap=1.2 * unbounded.evaluation.facility_power
-        )
+        match the cold computation -- the same verdict on every screened-out
+        and cap-violating candidate, and the same objective up to summation
+        order (the cache sums class rows, the cold path groups: <= 1e-12
+        relative) or, with warm starts, within their 1e-9 contract."""
+        model = request.getfixturevalue(model_name)
+        p = make_problem(model, lam_frac=0.6, onsite=0.1, q=2.0)
         fleet = p.fleet
-        cache = EvaluationCache(p)
-        levels = (fleet.num_levels - 1).astype(np.int64)
+        top = (fleet.num_levels - 1).astype(np.int64)
+        if capped:
+            # Below the all-top draw, so the cap binds on part of the walk.
+            top_power = p.evaluate(
+                FleetAction(levels=top, per_server_load=distribute_load(p, top).per_server_load)
+            ).facility_power
+            p = dataclasses.replace(p, peak_power_cap=0.9 * top_power)
+        cache = EvaluationCache(p, warm_start=warm)
+        levels = top.copy()
         cache.note_all()
+        verdicts = set()
         for _ in range(300):
             g = int(rng.integers(0, fleet.num_groups))
             levels[g] = int(rng.integers(-1, fleet.num_levels[g]))
@@ -224,8 +203,9 @@ class TestEvaluationCache:
             got = cache.objective_of(levels)
             expected = cold_objective(p, levels)
             assert np.isinf(got) == np.isinf(expected)
+            verdicts.add(bool(np.isinf(got)))
             if np.isfinite(expected):
-                assert got == pytest.approx(expected, rel=1e-12)
+                assert got == pytest.approx(expected, rel=1e-9 if warm else 1e-12)
             if rng.random() < 0.3:  # occasional revert, as engines do
                 old = levels[g]
                 levels[g] = -1 if old != -1 else 0
@@ -239,8 +219,10 @@ class TestEvaluationCache:
             + stats.screened_infeasible
             + stats.infeasible
         )
-        assert stats.cache_hits > 0  # the tiny lattice guarantees revisits
-
+        assert stats.cache_hits > 0  # unchanged proposals revisit the vector
+        assert verdicts == {False, True}  # the walk crosses the feasibility edge
+        if warm and model_name == "wide_model":
+            assert stats.warm_solves > 0  # 1/40th-fleet flips keep the hint bracket
     def test_screen_rejects_undercapacity_onsets(self, tiny_model):
         p = make_problem(tiny_model, lam_frac=0.9)
         cache = EvaluationCache(p)
@@ -266,9 +248,7 @@ class TestEvaluationCache:
 
     def test_gsd_counters_add_up(self, tiny_model, wide_model):
         p = make_problem(tiny_model, lam_frac=0.55, q=2.0)
-        sol = GSDSolver(
-            iterations=400, rng=np.random.default_rng(2), warm_start=True
-        ).solve(p)
+        sol = GSDSolver(iterations=400, rng=np.random.default_rng(2)).solve(p)
         fp = sol.info["fastpath"]
         assert sol.info["evaluations"] <= fp["evaluations"]
         assert fp["inner_solves"] == fp["cold_solves"] + fp["warm_starts"]
@@ -393,11 +373,10 @@ class TestWarmStart:
 
     def test_gsd_warm_objective_close_to_cold(self, wide_model):
         p = make_problem(wide_model, lam_frac=0.55, onsite=0.0, q=3.0)
-        cold = GSDSolver(
-            iterations=200, rng=np.random.default_rng(9), warm_start=False
-        ).solve(p)
+        cold = solve_cold(GSDSolver(iterations=200, rng=np.random.default_rng(9)), p)
         warm = GSDSolver(iterations=200, rng=np.random.default_rng(9)).solve(p)
         assert warm.objective == pytest.approx(cold.objective, rel=1e-6)
+        assert cold.info["fastpath"]["warm_starts"] == 0
         assert warm.info["fastpath"]["warm_starts"] > 0
 
 

@@ -194,9 +194,7 @@ class TestGSDAttribution:
             V=100.0,
         )
         tele = Telemetry.recording()
-        solver = GSDSolver(
-            iterations=500, rng=np.random.default_rng(7), warm_start=True
-        )
+        solver = GSDSolver(iterations=500, rng=np.random.default_rng(7))
         solver.bind_telemetry(tele)
         solver.solve(problem)
         events = _span_events(tele)

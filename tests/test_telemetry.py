@@ -140,29 +140,26 @@ class TestGSDEvents:
         solver.solve(problem)
         return telemetry
 
-    def test_one_iteration_event_per_log_interval(self, hetero_model):
-        telemetry = self._solve(hetero_model, iterations=40, log_interval=10)
+    def test_one_iteration_event_per_window(self, hetero_model):
+        telemetry = self._solve(hetero_model, iterations=400)
         iteration_events = [
             e for e in telemetry.events if e["kind"] == "gsd.iteration"
         ]
         assert len(iteration_events) == 4
-        assert [e["iteration"] for e in iteration_events] == [10, 20, 30, 40]
+        assert [e["iteration"] for e in iteration_events] == [100, 200, 300, 400]
         for e in iteration_events:
+            assert e["window"] == 100
             assert 0.0 <= e["acceptance_rate"] <= 1.0
             assert e["best_objective"] <= e["chain_objective"] + 1e-9
 
     def test_solve_summary_event_and_metrics(self, hetero_model):
-        telemetry = self._solve(hetero_model, iterations=25, log_interval=10)
+        telemetry = self._solve(hetero_model, iterations=25)
         solves = [e for e in telemetry.events if e["kind"] == "gsd.solve"]
         assert len(solves) == 1
         assert solves[0]["iterations"] == 25
         assert solves[0]["iterations_to_convergence"] <= 25
         assert telemetry.metrics.counter("gsd.solves").value == 1
         assert telemetry.metrics.histogram("gsd.solve_time_s").count == 1
-
-    def test_log_interval_validated(self):
-        with pytest.raises(ValueError, match="log_interval"):
-            GSDSolver(log_interval=0)
 
 
 class TestMetricsRegistry:
