@@ -217,6 +217,7 @@ class Fleet:
         "is_homogeneous",
         "profile_ids",
         "_class_tables",
+        "prefix_servers",
     )
 
     def __getstate__(self) -> dict:
@@ -295,6 +296,16 @@ class Fleet:
         counts = np.bincount(ids, weights=self.counts, minlength=speed.size)
         return ids, classes, counts[classes]
 
+    @cached_property
+    def prefix_servers(self) -> np.ndarray:
+        """Server count of every group prefix: ``prefix_servers[j]`` servers
+        in the first ``j`` groups, ``j = 0..G``.  These are the on-set sizes
+        the exact engine scores each slot; built on first use and kept out
+        of pickles, so they live exactly as long as this fleet."""
+        M = np.concatenate(([0.0], np.cumsum(self.counts)))
+        M.setflags(write=False)
+        return M
+
     def capacity(self, gamma: float) -> float:
         """Usable service rate under the utilization cap ``gamma`` (Eq. (7))."""
         return gamma * self.max_capacity
@@ -312,15 +323,9 @@ class Fleet:
 
     def action_power(self, levels: np.ndarray, per_server_load: np.ndarray) -> float:
         """Total IT power (MW) of an action -- Eq. (2) summed over groups."""
-        levels = np.asarray(levels)
-        load = np.asarray(per_server_load, dtype=np.float64)
-        on = levels >= 0
-        idx = np.nonzero(on)[0]
-        if idx.size == 0:
-            return 0.0
-        coeff = self.dyn_coeff[idx, levels[idx]]
-        per_server = self.static_power[idx] + coeff * load[idx]
-        return float(np.sum(self.counts[idx] * per_server))
+        return self.action_totals(
+            np.asarray(levels), np.asarray(per_server_load, dtype=np.float64)
+        )[0]
 
     def action_delay_sum(
         self,
@@ -337,19 +342,32 @@ class Fleet:
         Infinite when any server is at or beyond saturation under the
         M/G/1/PS model; other models define their own saturation behavior.
         """
-        levels = np.asarray(levels)
-        load = np.asarray(per_server_load, dtype=np.float64)
-        on = levels >= 0
-        idx = np.nonzero(on)[0]
+        return self.action_totals(
+            np.asarray(levels),
+            np.asarray(per_server_load, dtype=np.float64),
+            delay_model,
+        )[1]
+
+    def action_totals(
+        self, levels: np.ndarray, per_server_load: np.ndarray, delay_model=None
+    ) -> tuple[float, float]:
+        """``(action_power, action_delay_sum)`` of a level array and a float
+        load array (a :class:`FleetAction`'s), gathering the on groups'
+        rows once for both sums."""
+        idx = (levels >= 0).nonzero()[0]
         if idx.size == 0:
-            return 0.0 if np.all(load[~on] <= 0) else np.inf
-        x = self.speed_table[idx, levels[idx]]
-        lam = load[idx]
-        if delay_model is None:
-            if np.any(lam >= x):
-                return np.inf
-            return float(np.sum(self.counts[idx] * lam / (x - lam)))
-        return float(np.sum(self.counts[idx] * delay_model.cost(lam, x)))
+            return 0.0, (0.0 if (per_server_load <= 0).all() else np.inf)
+        on_levels = levels[idx]
+        lam = per_server_load[idx]
+        counts = self.counts[idx]
+        per_server = self.static_power[idx] + self.dyn_coeff[idx, on_levels] * lam
+        power = float((counts * per_server).sum())
+        x = self.speed_table[idx, on_levels]
+        if delay_model is not None:
+            return power, float((counts * delay_model.cost(lam, x)).sum())
+        if (lam >= x).any():
+            return power, np.inf
+        return power, float((counts * lam / (x - lam)).sum())
 
     def validate_action(
         self,
@@ -426,11 +444,11 @@ class FleetAction:
 
     def served_load(self, fleet: Fleet) -> float:
         """Total arrival rate served (req/s)."""
-        return float(np.sum(fleet.counts * self.per_server_load))
+        return float((fleet.counts * self.per_server_load).sum())
 
     def active_servers(self, fleet: Fleet) -> float:
         """Number of servers that are on (at a positive speed)."""
-        return float(np.sum(fleet.counts[self.levels >= 0]))
+        return float(fleet.counts[self.levels >= 0].sum())
 
     def on_counts(self, fleet: Fleet) -> np.ndarray:
         """Per-group count of servers that are on."""

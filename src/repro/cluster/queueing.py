@@ -84,8 +84,9 @@ class MG1PSDelay(DelayCostModel):
     """
 
     def cost(self, load, speed):
+        # An array ``load`` makes a scalar pair at saturation divide by zero
+        # under errstate instead of raising; ``speed`` is promoted with it.
         load = np.asarray(load, dtype=np.float64)
-        speed = np.asarray(speed, dtype=np.float64)
         with np.errstate(divide="ignore", invalid="ignore"):
             out = np.where(load < speed, load / (speed - load), np.inf)
         return np.where(load <= 0, 0.0, out)

@@ -97,23 +97,25 @@ def realize_action(
             levels=np.where(mask, -1, action.levels).astype(np.int64),
             per_server_load=np.where(mask, 0.0, action.per_server_load),
         )
-    on = action.levels >= 0
+    levels = action.levels
     if actual_arrival <= 0.0:
-        return FleetAction(action.levels, np.zeros(fleet.num_groups)), 0.0
+        return FleetAction(levels, np.zeros(fleet.num_groups)), 0.0
 
-    speeds = fleet.group_speeds(action.levels)
-    caps = np.where(on, model.gamma * speeds, 0.0)
+    # Per-server capacity gamma * speed on the on groups, zero when off.
+    idx = (levels >= 0).nonzero()[0]
+    caps = np.zeros(fleet.num_groups)
+    caps[idx] = model.gamma * fleet.speed_table[idx, levels[idx]]
     if planned_arrival > 0.0 and action.served_load(fleet) > 0.0:
         scaled = action.per_server_load * (actual_arrival / planned_arrival)
     else:
         # Nothing was planned; spread over whatever is on, pro rata to capacity.
-        total_cap = float(np.sum(fleet.counts * caps))
+        total_cap = float((fleet.counts * caps).sum())
         if total_cap <= 0.0:
-            return FleetAction(action.levels, np.zeros(fleet.num_groups)), actual_arrival
+            return FleetAction(levels, np.zeros(fleet.num_groups)), actual_arrival
         scaled = caps * min(actual_arrival / total_cap, 1.0)
 
     clipped = np.minimum(scaled, caps)
-    served = float(np.sum(fleet.counts * clipped))
+    served = float((fleet.counts * clipped).sum())
     shortfall = actual_arrival - served
     if shortfall > 1e-9 * max(actual_arrival, 1.0):
         # Push the excess onto servers with headroom, pro rata.

@@ -40,25 +40,19 @@ __all__ = ["HomogeneousEnumerationSolver"]
 
 
 def _tariff_cost_batch(
-    tariff: Tariff, brown: np.ndarray, price: float
+    tariff: Tariff, brown: np.ndarray, price: float, feasible: np.ndarray
 ) -> np.ndarray:
-    """Tariff cost over an array of brown-energy draws.
+    """Tariff cost over the candidate grid's brown-energy draws.
 
     ``LinearTariff`` (the common case) is one multiply, bit-identical to
-    the scalar ``cost`` per element; other tariffs fall back to elementwise
-    scalar calls (their ``cost`` is scalar Python), skipping non-finite
-    entries.  Scores the enumeration engine's candidate grid.
+    the scalar ``cost`` per element.  Other tariffs fall back to scalar
+    calls (their ``cost`` is scalar Python) on the feasible cells only;
+    the rest cost inf.
     """
-    brown = np.asarray(brown, dtype=np.float64)
     if isinstance(tariff, LinearTariff):
-        # Candidate grids carry inf/nan placeholders (infeasible rows);
-        # 0 * inf raises "invalid value" without changing any entry.
-        with np.errstate(invalid="ignore"):
-            return price * brown
+        return price * brown
     out = np.full(brown.shape, np.inf)
-    finite = np.isfinite(brown)
-    flat = brown[finite]
-    out[finite] = [tariff.cost(float(b), price) for b in flat]
+    out[feasible] = [tariff.cost(float(b), price) for b in brown[feasible]]
     return out
 
 
@@ -99,63 +93,50 @@ class HomogeneousEnumerationSolver(SlotSolver):
         problem.check_feasible()
         t_phase = time.perf_counter() if sp else 0.0
 
+        # The grid is laid out (K, G+1): speed level k by on-set size M[j]
+        # (servers in the first j groups, cached on the fleet), so every
+        # broadcast runs along the long axis.  Each cell's arithmetic is
+        # independent of the layout; the argmin reads the transpose so ties
+        # still go to the smallest j, then the smallest k.
         profile = fleet.groups[0].profile
-        speeds = profile.speeds  # (K,)
-        dyn_coeff = profile.energy_per_request  # (K,) MW per req/s
-        counts = fleet.counts  # (G,)
-        G, K = fleet.num_groups, speeds.size
+        speeds = profile.speeds[:, None]  # (K, 1)
+        M = fleet.prefix_servers  # (G+1,)
         lam = problem.arrival_rate
-        pue = problem.pue
-
-        # Candidate on-set sizes: prefix sums, j groups on (j = 0..G).
-        prefix = np.concatenate(([0.0], np.cumsum(counts)))  # (G+1,)
-        M = prefix[:, None]  # (G+1, 1) servers on
-        with np.errstate(divide="ignore", invalid="ignore"):
-            load = np.where(M > 0, lam / M, np.inf)  # per-server load
-        load = np.broadcast_to(load, (G + 1, K)).copy()
-
-        feasible = load <= problem.gamma * speeds[None, :]
-        if lam <= 0.0:
-            feasible[0, :] = True
-            load[0, :] = 0.0
-        if not feasible.any():
-            raise InfeasibleError("no (servers-on, speed) candidate can serve the load")
-        if sp:
-            now = time.perf_counter()
-            sp.add("enum.candidates", now - t_phase)
-            t_phase = now
-
-        with np.errstate(invalid="ignore"):
-            it_power = M * (profile.static_power + dyn_coeff[None, :] * load)
-        it_power = np.where(feasible, it_power, np.inf)
-
-        # Switching energy per candidate (depends only on the prefix size).
-        sw_energy = np.zeros(G + 1)
-        if (
-            self.switching_aware
-            and problem.switching is not None
-            and problem.switching.enabled
-            and problem.prev_on_counts is not None
-        ):
-            prev = problem.prev_on_counts
-            turned_on = np.concatenate(
-                ([0.0], np.cumsum(np.maximum(counts - prev, 0.0)))
-            )
-            sw_energy = problem.switching.energy_per_toggle * turned_on
-            if problem.switching.charge_off:
-                off_tail = np.concatenate(([0.0], np.cumsum(prev[::-1])))[::-1]
-                sw_energy = sw_energy + problem.switching.energy_per_toggle * off_tail
-
-        # MW/MWh conversion mirrors SlotProblem.evaluate: switching energy
-        # enters the power balance divided by the slot length, brown energy
-        # is the shortfall times the slot length.
         slot_h = problem.slot_hours
-        facility = pue * it_power + sw_energy[:, None] / slot_h
-        brown = np.maximum(facility - problem.onsite, 0.0) * slot_h
-        e_cost = _tariff_cost_batch(problem.tariff, brown, problem.price)
-        with np.errstate(invalid="ignore"):
-            delay_sum = M * problem.delay_model.cost(load, speeds[None, :])
-            delay_sum = np.where(M > 0, delay_sum, 0.0)
+        # The empty prefix divides by zero and infeasible cells carry
+        # inf/nan until the objective masks them: one errstate covers the
+        # whole grid.
+        with np.errstate(divide="ignore", invalid="ignore"):
+            load = lam / M  # per-server load; inf (nan at lam = 0) when M = 0
+            feasible = load <= problem.gamma * speeds
+            if lam <= 0.0:
+                feasible[:, 0] = True
+                load[0] = 0.0
+            if not feasible.any():
+                raise InfeasibleError(
+                    "no (servers-on, speed) candidate can serve the load"
+                )
+            if sp:
+                now = time.perf_counter()
+                sp.add("enum.candidates", now - t_phase)
+                t_phase = now
+
+            dyn_coeff = profile.energy_per_request[:, None]  # MW per req/s
+            it_power = M * (profile.static_power + dyn_coeff * load)
+            # MW/MWh conversion mirrors SlotProblem.evaluate: switching
+            # energy enters the power balance divided by the slot length,
+            # brown energy is the shortfall times the slot length.
+            facility = problem.pue * it_power
+            sw_energy = self._switching_energy(problem)
+            if sw_energy is not None:
+                facility = facility + sw_energy / slot_h
+            brown = np.maximum(facility - problem.onsite, 0.0) * slot_h
+            e_cost = _tariff_cost_batch(
+                problem.tariff, brown, problem.price, feasible
+            )
+            # With nothing on (j = 0) this is 0 * cost(0) = 0 at lam = 0 and
+            # nan otherwise, in a cell that is then infeasible.
+            delay_sum = M * problem.delay_model.cost(load, speeds)
             if problem.network_delay > 0.0:
                 # Every feasible candidate serves the full arrival rate.
                 delay_sum = delay_sum + problem.network_delay * lam
@@ -178,9 +159,12 @@ class HomogeneousEnumerationSolver(SlotSolver):
             sp.add("enum.cost_model", now - t_phase)
             t_phase = now
 
-        j, k = np.unravel_index(int(np.argmin(objective)), objective.shape)
-        levels = np.where(np.arange(G) < j, k, -1).astype(np.int64)
-        per_server = np.where(np.arange(G) < j, load[j, k], 0.0)
+        j, k = divmod(int(objective.T.argmin()), speeds.size)
+        G = fleet.num_groups
+        levels = np.full(G, -1, dtype=np.int64)
+        levels[:j] = k
+        per_server = np.zeros(G)
+        per_server[:j] = load[j]
         action = FleetAction(levels=levels, per_server_load=per_server)
         evaluation = problem.evaluate(action)
         if sp:
@@ -189,8 +173,26 @@ class HomogeneousEnumerationSolver(SlotSolver):
             action=action,
             evaluation=evaluation,
             info={
-                "servers_on": float(M[j, 0]),
-                "speed_level": int(k) if j > 0 else -1,
+                "servers_on": float(M[j]),
+                "speed_level": k if j > 0 else -1,
                 "candidates": int(feasible.sum()),
             },
         )
+
+    def _switching_energy(self, problem: SlotProblem) -> np.ndarray | None:
+        """Switching energy (MWh) of each on-set size from the previous
+        slot's on-counts, or None when transitions are not charged inside
+        the objective."""
+        sw = problem.switching
+        prev = problem.prev_on_counts
+        if not self.switching_aware or sw is None or not sw.enabled or prev is None:
+            return None
+        counts = problem.fleet.counts
+        turned_on = np.concatenate(
+            ([0.0], np.cumsum(np.maximum(counts - prev, 0.0)))
+        )
+        energy = sw.energy_per_toggle * turned_on
+        if sw.charge_off:
+            off_tail = np.concatenate(([0.0], np.cumsum(prev[::-1])))[::-1]
+            energy = energy + sw.energy_per_toggle * off_tail
+        return energy

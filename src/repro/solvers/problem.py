@@ -237,15 +237,13 @@ class SlotProblem:
     def evaluate(self, action: FleetAction) -> SlotEvaluation:
         """Full cost breakdown of an action, including the P3 objective
         value ``V * g + q * y`` (Eq. (16)) and any switching charges."""
-        delay_sum = self.fleet.action_delay_sum(
-            action.levels, action.per_server_load, delay_model=self.delay_model
+        fleet = self.fleet
+        it_power, delay_sum = fleet.action_totals(
+            action.levels, action.per_server_load, self.delay_model
         )
-        served = action.served_load(self.fleet) if self.network_delay > 0.0 else 0.0
+        served = action.served_load(fleet) if self.network_delay > 0.0 else 0.0
         return self.evaluate_totals(
-            action.power(self.fleet),
-            delay_sum,
-            served,
-            self.switching_energy(action.levels),
+            it_power, delay_sum, served, self.switching_energy(action.levels)
         )
 
     def switching_energy(self, levels: np.ndarray) -> float:

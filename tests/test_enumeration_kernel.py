@@ -1,0 +1,306 @@
+"""The exact engine's slot against its historical kernel, bit for bit.
+
+:class:`HomogeneousEnumerationSolver` scores its (servers-on, speed) grid
+from the fleet's cached prefix sums in a (K, G+1) layout, and
+:meth:`SlotProblem.evaluate` aggregates an action from one on-set gather.
+Neither may change a single bit of any result.  Every test here replays
+seeded random slot problems through the shipped engine and through
+:mod:`tests.enumeration_oracle` (the historical kernel and evaluation) and
+asserts ``==`` on the levels, the per-server loads (by their bytes), the
+``info`` dict and every field of the :class:`SlotEvaluation` (by its
+``float.hex``, so a signed zero would show).  Infeasible inputs must raise
+the same exception type on both.
+
+A second group guards the cached table's lifetime: a failed-group
+sub-fleet dies with its slot, and a fleet's pickled bytes do not depend on
+whether a solve has touched it.
+"""
+
+from __future__ import annotations
+
+import gc
+import pickle
+import weakref
+from dataclasses import astuple, replace
+
+import numpy as np
+import pytest
+
+from repro.cluster.fleet import Fleet, FleetAction, ServerGroup
+from repro.cluster.power import PowerModel, TieredTariff
+from repro.cluster.queueing import SquaredLoadDelay
+from repro.cluster.server import cubic_dvfs_profile, opteron_2380
+from repro.cluster.switching import SwitchingCostModel
+from repro.solvers.base import SlotSolver
+from repro.solvers.degraded import solve_with_failed_groups
+from repro.solvers.enumeration import HomogeneousEnumerationSolver
+from repro.solvers.problem import InfeasibleError, SlotProblem
+from repro.telemetry import Telemetry
+from tests.enumeration_oracle import oracle_evaluate, oracle_solve
+
+#: Seeded problems per randomized case.
+CASES = 40
+
+
+def random_fleet(rng: np.random.Generator) -> Fleet:
+    """A homogeneous fleet with unequal group sizes."""
+    profile = opteron_2380() if rng.random() < 0.5 else cubic_dvfs_profile(
+        levels=int(rng.integers(1, 6))
+    )
+    G = int(rng.integers(1, 13))
+    return Fleet(
+        [ServerGroup(profile, int(rng.integers(1, 60))) for _ in range(G)]
+    )
+
+
+def random_problem(rng: np.random.Generator, fleet: Fleet | None = None, **kw):
+    fleet = random_fleet(rng) if fleet is None else fleet
+    gamma = float(rng.uniform(0.5, 0.98))
+    lam = float(rng.uniform(0.0, 1.0)) * gamma * fleet.max_capacity
+    args = dict(
+        fleet=fleet,
+        arrival_rate=lam,
+        onsite=float(rng.uniform(0.0, 1.2)) * fleet.max_power,
+        price=float(rng.uniform(0.0, 120.0)),
+        q=float(rng.choice([0.0, rng.uniform(0.0, 500.0)])),
+        V=float(rng.uniform(0.1, 300.0)),
+        beta=float(rng.uniform(0.0, 20.0)),
+        gamma=gamma,
+    )
+    args.update(kw)
+    return SlotProblem(**args)
+
+
+def bits(evaluation) -> list[str]:
+    return [float(v).hex() for v in astuple(evaluation)]
+
+
+def outcome(solve, problem):
+    """A solve's full result, or the type of what it raised."""
+    try:
+        sol = solve(problem)
+    except (InfeasibleError, ValueError) as exc:
+        return type(exc)
+    return (
+        sol.action.levels.tolist(),
+        sol.action.per_server_load.tobytes(),
+        sol.info,
+        bits(sol.evaluation),
+    )
+
+
+def assert_same(problem, *, switching_aware=True):
+    engine = HomogeneousEnumerationSolver(switching_aware=switching_aware)
+    got = outcome(engine.solve, problem)
+    want = outcome(
+        lambda p: oracle_solve(p, switching_aware=switching_aware), problem
+    )
+    assert got == want
+    return got
+
+
+def prev_on(rng, fleet):
+    return np.where(rng.random(fleet.num_groups) < 0.5, fleet.counts, 0.0)
+
+
+class TestKernelMatchesOracle:
+    def test_plain(self, rng):
+        for _ in range(CASES):
+            assert_same(random_problem(rng))
+
+    @pytest.mark.parametrize("charge_off", [False, True])
+    @pytest.mark.parametrize("aware", [True, False])
+    def test_switching(self, rng, charge_off, aware):
+        for _ in range(CASES):
+            fleet = random_fleet(rng)
+            sw = SwitchingCostModel(
+                energy_per_toggle=float(rng.uniform(1e-6, 1e-3)),
+                charge_off=charge_off,
+            )
+            problem = random_problem(
+                rng, fleet, switching=sw, prev_on_counts=prev_on(rng, fleet)
+            )
+            assert_same(problem, switching_aware=aware)
+
+    def test_peak_power_and_max_delay_caps(self, rng):
+        raised = solved = 0
+        for _ in range(CASES):
+            fleet = random_fleet(rng)
+            cap = {}
+            if rng.random() < 0.7:
+                cap["peak_power_cap"] = float(rng.uniform(0.2, 1.5)) * fleet.max_power
+            if rng.random() < 0.7:
+                cap["max_delay_cost"] = float(rng.uniform(0.0, 0.5))
+            got = assert_same(random_problem(rng, fleet, **cap))
+            raised += got is InfeasibleError
+            solved += got is not InfeasibleError
+        assert raised and solved  # both branches exercised
+
+    def test_network_delay_and_pue_override(self, rng):
+        for _ in range(CASES):
+            problem = random_problem(
+                rng,
+                network_delay=float(rng.uniform(0.0, 0.05)),
+                pue_override=float(rng.uniform(1.0, 2.0)),
+                power_model=PowerModel(pue=float(rng.uniform(1.0, 1.6))),
+            )
+            assert_same(problem)
+            # The network term counts against the delay cap too.
+            capped = replace(problem, max_delay_cost=float(rng.uniform(0.0, 0.5)))
+            assert_same(capped)
+
+    @pytest.mark.parametrize("slot_hours", [0.25, 1.5, 24.0])
+    def test_slot_hours(self, rng, slot_hours):
+        for _ in range(CASES):
+            fleet = random_fleet(rng)
+            sw = SwitchingCostModel(energy_per_toggle=1e-4, charge_off=True)
+            problem = random_problem(
+                rng, fleet, slot_hours=slot_hours, switching=sw,
+                prev_on_counts=prev_on(rng, fleet),
+            )
+            assert_same(problem)
+
+    def test_tiered_tariff_and_squared_delay(self, rng):
+        tariff = TieredTariff(thresholds=(0.001, 0.004), multipliers=(1.0, 1.5, 3.0))
+        for _ in range(CASES):
+            assert_same(random_problem(rng, tariff=tariff))
+            assert_same(random_problem(rng, delay_model=SquaredLoadDelay()))
+            assert_same(
+                random_problem(rng, tariff=tariff, delay_model=SquaredLoadDelay())
+            )
+
+    @pytest.mark.parametrize("charge_off", [False, True])
+    def test_zero_arrival(self, rng, charge_off):
+        for _ in range(CASES // 4):
+            fleet = random_fleet(rng)
+            sw = SwitchingCostModel(energy_per_toggle=1e-4, charge_off=charge_off)
+            assert_same(random_problem(rng, fleet, arrival_rate=0.0))
+            problem = random_problem(
+                rng, fleet, arrival_rate=0.0, switching=sw,
+                prev_on_counts=prev_on(rng, fleet),
+            )
+            assert_same(problem)
+            assert_same(replace(problem, peak_power_cap=0.5 * fleet.max_power))
+
+    def test_ties_go_to_fewest_groups_then_lowest_level(self, rng):
+        """With no price, delay weight or queue every feasible cell scores
+        zero: the argmin must still pick the first in (j, k) order."""
+        for _ in range(CASES // 4):
+            problem = random_problem(rng, price=0.0, beta=0.0, q=0.0)
+            got = assert_same(problem)
+            if problem.arrival_rate > 0.0:
+                assert got[2]["servers_on"] > 0.0
+
+    def test_infeasible_inputs_raise_alike(self, rng, hetero_fleet):
+        fleet = random_fleet(rng)
+        over = random_problem(rng, fleet, arrival_rate=1.01 * fleet.max_capacity)
+        assert assert_same(over) is InfeasibleError
+        # Inside check_feasible's 1e-12 slack, yet beyond every candidate.
+        edge = random_problem(
+            rng, fleet, gamma=0.9, arrival_rate=0.9 * fleet.max_capacity * (1 + 5e-13)
+        )
+        assert assert_same(edge) is InfeasibleError
+        capped = random_problem(rng, fleet, peak_power_cap=1e-9)
+        assert assert_same(capped) is InfeasibleError
+        mixed = random_problem(rng, hetero_fleet, arrival_rate=1.0)
+        assert assert_same(mixed) is ValueError
+
+    def test_subset_sub_fleets(self, rng):
+        for _ in range(CASES):
+            fleet = random_fleet(rng)
+            keep = np.flatnonzero(rng.random(fleet.num_groups) < 0.6)
+            if keep.size == 0:
+                keep = np.array([0])
+            sub = fleet.subset(rng.permutation(keep))
+            assert_same(random_problem(rng, sub))
+
+    def test_evaluate_on_any_action(self, rng):
+        """The shipped evaluate matches the historical one beyond the
+        engine's prefix-shaped actions: random levels, zero-load on groups,
+        all-off, saturated servers."""
+        for _ in range(CASES):
+            fleet = random_fleet(rng)
+            problem = random_problem(
+                rng, fleet, network_delay=float(rng.choice([0.0, 0.01]))
+            )
+            if rng.random() < 0.3:
+                problem = replace(problem, delay_model=SquaredLoadDelay())
+            levels = rng.integers(-1, fleet.num_levels)
+            speeds = fleet.group_speeds(levels)
+            load = speeds * rng.uniform(0.0, 1.05, fleet.num_groups)
+            load[rng.random(fleet.num_groups) < 0.2] = 0.0
+            if rng.random() < 0.1:
+                levels[:] = -1
+            action = FleetAction(levels, np.where(levels >= 0, load, 0.0))
+            assert bits(problem.evaluate(action)) == bits(
+                oracle_evaluate(problem, action)
+            )
+
+
+class _FleetProbe(SlotSolver):
+    """Delegates to the exact engine and keeps only weak references to the
+    fleets it was asked to solve on."""
+
+    def __init__(self):
+        self.inner = HomogeneousEnumerationSolver()
+        self.fleets: list[weakref.ref] = []
+        self.built: list[bool] = []
+
+    def solve(self, problem):
+        solution = self.inner.solve(problem)
+        self.fleets.append(weakref.ref(problem.fleet))
+        self.built.append("prefix_servers" in vars(problem.fleet))
+        return solution
+
+
+class TestTableLifetime:
+    def test_failed_group_sub_fleet_dies_with_its_slot(self):
+        fleet = Fleet([ServerGroup(opteron_2380(), 20) for _ in range(6)])
+        problem = SlotProblem(
+            fleet=fleet, arrival_rate=0.3 * fleet.max_capacity,
+            onsite=0.0, price=40.0, q=5.0, V=50.0,
+        )
+        probe = _FleetProbe()
+        solution = solve_with_failed_groups(probe, problem, [1, 4])
+        assert solution.action.levels[[1, 4]].tolist() == [-1, -1]
+        (ref,) = probe.fleets
+        assert probe.built == [True]  # the solve did build the table
+        gc.collect()
+        assert ref() is None
+
+    def test_pickled_bytes_unchanged_by_a_solve(self):
+        fleet = Fleet([ServerGroup(opteron_2380(), n) for n in (10, 20, 30)])
+        sub = fleet.subset([2, 0])
+        before = pickle.dumps(fleet), pickle.dumps(sub)
+        engine = HomogeneousEnumerationSolver()
+        for f in (fleet, sub):
+            engine.solve(
+                SlotProblem(
+                    fleet=f, arrival_rate=0.4 * f.max_capacity,
+                    onsite=0.0, price=40.0, q=1.0, V=10.0,
+                )
+            )
+            assert "prefix_servers" in vars(f)
+        assert (pickle.dumps(fleet), pickle.dumps(sub)) == before
+        assert pickle.dumps(Fleet(fleet.groups)) == before[0]
+
+
+class TestSpans:
+    def test_enum_solve_records_its_phases(self):
+        fleet = Fleet([ServerGroup(opteron_2380(), 10) for _ in range(4)])
+        engine = HomogeneousEnumerationSolver()
+        tele = Telemetry.recording()
+        engine.bind_telemetry(tele)
+        engine.solve(
+            SlotProblem(
+                fleet=fleet, arrival_rate=0.5 * fleet.max_capacity,
+                onsite=0.0, price=40.0,
+            )
+        )
+        (event,) = [
+            e for e in tele.tracer.events
+            if e["kind"] == "span" and e["name"] == "enum.solve"
+        ]
+        children = event["children"]
+        assert set(children) == {"enum.candidates", "enum.cost_model", "enum.finalize"}
+        assert all(count == 1 for count, _seconds in children.values())
