@@ -23,18 +23,10 @@ Package layout (see DESIGN.md for the full inventory):
 - :mod:`repro.traces` -- synthetic workload/renewable/price generators.
 - :mod:`repro.sim` -- slot simulator, metrics, event-level PS queues.
 - :mod:`repro.baselines` -- carbon-unaware, PerfectHP, OPT, T-step lookahead.
-- :mod:`repro.advice` -- learning-augmented COCA: forecast advice with a
-  certified (1+λ) robustness fallback (docs/ADVICE.md).
 - :mod:`repro.analysis` -- sweeps, summaries, table rendering.
 - :mod:`repro.telemetry` -- structured tracing, metrics, profiling hooks.
 """
 
-from .advice import (
-    AdvisedController,
-    ForecastAdvisor,
-    TrustGuard,
-    run_scenario,
-)
 from .baselines import CarbonUnaware, OfflineOptimal, PerfectHP, TStepLookahead
 from .cluster import (
     Fleet,
@@ -117,10 +109,6 @@ __all__ = [
     "PerfectHP",
     "OfflineOptimal",
     "TStepLookahead",
-    "AdvisedController",
-    "ForecastAdvisor",
-    "TrustGuard",
-    "run_scenario",
     "Trace",
     "fiu_workload",
     "msr_workload",

@@ -11,7 +11,6 @@ from .stats import (
 )
 from .summary import compare_records, cost_saving, time_bucket_rows
 from .sweep import (
-    advice_overestimation_sweep,
     budget_sweep,
     compare_with_perfecthp,
     find_neutral_v,
@@ -32,7 +31,6 @@ __all__ = [
     "compare_with_perfecthp",
     "budget_sweep",
     "overestimation_sweep",
-    "advice_overestimation_sweep",
     "switching_sweep",
     "portfolio_sweep",
     "compare_records",

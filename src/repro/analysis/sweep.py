@@ -41,7 +41,6 @@ __all__ = [
     "compare_with_perfecthp",
     "budget_sweep",
     "overestimation_sweep",
-    "advice_overestimation_sweep",
     "switching_sweep",
     "portfolio_sweep",
 ]
@@ -361,100 +360,6 @@ def overestimation_sweep(
         }
         for m in measured
     ]
-
-
-def _advice_overestimation_point(payload: tuple, telemetry: Telemetry | None) -> dict:
-    scenario, phi, v, lam, frame = payload
-    from ..advice.pack import build_advised, build_plain
-    from ..faults.schedule import FaultEvent, FaultSchedule
-
-    horizon = scenario.horizon
-    schedule = None
-    if phi > 0.0:
-        # Frame 0 plans on clean forecasts; from the second frame on,
-        # every forecast overestimates arrivals by the factor (1 + phi).
-        schedule = FaultSchedule(
-            events=(
-                FaultEvent(
-                    t=frame, kind="forecast", mode="bias",
-                    duration=max(horizon - frame, 1), magnitude=float(phi),
-                ),
-            )
-        )
-    advised_controller = build_advised(
-        scenario, v=v, lam=lam, frame_length=frame
-    )
-    advised = simulate(
-        scenario.model,
-        advised_controller,
-        scenario.environment,
-        faults=schedule,
-        telemetry=telemetry,
-    )
-    plain = simulate(
-        scenario.model,
-        build_plain(scenario, v=v),
-        scenario.environment,
-        faults=schedule,
-    )
-    guard = advised_controller.guard.summary()
-    advised_cost = float(advised.cost.sum())
-    plain_cost = float(plain.cost.sum())
-    ratio = advised_cost / plain_cost if plain_cost > 0.0 else 1.0
-    return {
-        "phi": float(phi),
-        "advised_cost": advised_cost,
-        "plain_cost": plain_cost,
-        "cost_ratio": ratio,
-        "bound": 1.0 + float(lam),
-        "bound_holds": ratio <= 1.0 + float(lam) + 1e-9,
-        "advised_slots": int(guard["advised_slots"]),
-        "fallback_slots": int(guard["fallback_slots"]),
-        "transitions": len(guard["transitions"]),
-        "trusted_final": bool(guard["trusted"]),
-    }
-
-
-def advice_overestimation_sweep(
-    scenario: Scenario,
-    phis: Sequence[float],
-    *,
-    lam: float = 0.25,
-    v: float | None = None,
-    frame_length: int | None = None,
-    workers: int | None = None,
-    telemetry: Telemetry | None = None,
-) -> list[dict]:
-    """Robustness of the advice layer to forecast overestimation.
-
-    The advice-layer counterpart of :func:`overestimation_sweep`: instead
-    of degrading the workload trace COCA itself sees, each point biases
-    only the *forecast* channel by ``(1 + phi)`` and measures the advised
-    run against its plain-COCA shadow on the same traces.  At ``phi = 0``
-    advice is exact; as phi grows the :class:`~repro.advice.TrustGuard`
-    must fall back, and ``bound_holds`` certifies the worst-case
-    guarantee -- advised cost ≤ (1+λ)× plain COCA -- at *every* point,
-    which is what ``bench_advice --check`` gates on.
-    """
-    from ..advice.pack import PACK_FRAME
-
-    if v is None:
-        v = find_neutral_v(scenario, iters=8)
-    if frame_length is None:
-        frame_length = PACK_FRAME
-    if scenario.horizon % int(frame_length):
-        raise ValueError(
-            f"frame_length {frame_length} must divide the horizon "
-            f"({scenario.horizon})"
-        )
-    payloads = [
-        (scenario, float(phi), float(v), float(lam), int(frame_length))
-        for phi in phis
-    ]
-    return _map_points(
-        _advice_overestimation_point, payloads, workers=workers,
-        telemetry=telemetry,
-    )
 
 
 def switching_sweep(

@@ -21,7 +21,6 @@ from .degradation import DegradationPolicy, proportional_action
 from .injector import FaultInjector
 from .schedule import (
     FAULT_KINDS,
-    FORECAST_MODES,
     FaultEvent,
     FaultSchedule,
     MessageFaultProfile,
@@ -29,7 +28,6 @@ from .schedule import (
 
 __all__ = [
     "FAULT_KINDS",
-    "FORECAST_MODES",
     "FaultEvent",
     "FaultSchedule",
     "MessageFaultProfile",

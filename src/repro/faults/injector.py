@@ -8,10 +8,6 @@
 * degrades the controller's :class:`~repro.core.controller.SlotObservation`
   while a ``signal`` fault is active (stale = frozen at the last clean
   value, missing = conservative default);
-* degrades the advice channel's forecast windows while a ``forecast``
-  fault is active (:meth:`FaultInjector.degrade_forecast`: bias, drift,
-  dropout, adversarial flip -- see
-  :data:`~repro.faults.schedule.FORECAST_MODES`);
 * installs a seeded :class:`~repro.faults.bus.FaultyMessageBus` factory
   into a message-passing solver so the distributed protocol experiences
   the schedule's loss/delay/duplication.
@@ -82,8 +78,6 @@ class FaultInjector:
         self.failed_groups: set[int] = set()
         #: field -> (mode, first slot *past* the fault window)
         self._active_signals: dict[str, tuple[str, int]] = {}
-        #: Active forecast faults: (mode, magnitude, first slot past window).
-        self._active_forecast: list[tuple[str, float | None, int]] = []
         self._last_clean: dict[str, float] = {}
         self._by_slot = schedule.by_slot()
         self._solve_count = 0
@@ -107,10 +101,6 @@ class FaultInjector:
             f for f, (_, until) in self._active_signals.items() if until <= t
         ]:
             del self._active_signals[field_]
-        if self._active_forecast:
-            self._active_forecast = [
-                f for f in self._active_forecast if f[2] > t
-            ]
 
         applied: list[FaultEvent] = []
         for event in self._by_slot.get(t, ()):  # schedule order is sorted
@@ -132,10 +122,6 @@ class FaultInjector:
                     self._skip(event, "not_down")
                     continue
                 self.failed_groups.discard(int(event.group))  # type: ignore[arg-type]
-            elif event.kind == "forecast":
-                self._active_forecast.append(
-                    (str(event.mode), event.magnitude, t + event.duration)
-                )
             else:  # signal
                 self._active_signals[event.field] = (  # type: ignore[index]
                     event.mode,  # type: ignore[assignment]
@@ -217,110 +203,6 @@ class FaultInjector:
                 failed_groups=sorted(self.failed_groups),
             )
             self.telemetry.metrics.counter("fault.injected").inc()
-
-    # ------------------------------------------------------------------
-    def inject_forecast(
-        self,
-        mode: str,
-        *,
-        t: int,
-        duration: int = 1,
-        magnitude: float | None = None,
-        origin: str = "runtime",
-    ) -> None:
-        """Activate a forecast fault *now*, outside the declarative schedule.
-
-        The serving loop uses this when the advice feed itself degrades
-        (stale or missing forecast payloads), so live losses flow through
-        the same :meth:`degrade_forecast` path, telemetry, and monitors as
-        scheduled forecast chaos.  Same timing contract as
-        :meth:`inject_signal`: call before the slot's :meth:`begin_slot`.
-        """
-        from .schedule import FORECAST_MODES
-
-        if mode not in FORECAST_MODES:
-            raise ValueError(
-                f"forecast mode must be one of {FORECAST_MODES}, got {mode!r}"
-            )
-        if duration < 1:
-            raise ValueError("forecast fault duration must be >= 1 slot")
-        self._active_forecast.append(
-            (mode, None if magnitude is None else float(magnitude), int(t) + int(duration))
-        )
-        self.injected += 1
-        self.by_kind["forecast"] = self.by_kind.get("forecast", 0) + 1
-        if self.telemetry.enabled:
-            self.telemetry.emit(
-                "fault.inject",
-                t=int(t),
-                fault="forecast",
-                mode=mode,
-                duration=int(duration),
-                magnitude=magnitude,
-                origin=origin,
-                failed_groups=sorted(self.failed_groups),
-            )
-            self.telemetry.metrics.counter("fault.injected").inc()
-
-    def degrade_forecast(
-        self, t: int, fields: dict[str, "np.ndarray"]
-    ) -> dict[str, "np.ndarray"] | None:
-        """The advice channel's view of a forecast window under active
-        forecast faults.
-
-        ``fields`` maps forecast series names (``arrival``, ``onsite``,
-        ``price``, ...) to per-slot arrays over the window starting at
-        slot ``t``.  Returns the *same* object when no forecast fault is
-        active (preserving the bit-identity contract), ``None`` when a
-        ``dropout`` fault is active (the forecast is lost entirely), and
-        otherwise a new dict with every active fault applied in activation
-        order:
-
-        - ``bias``: arrivals scaled by ``1 + magnitude``;
-        - ``drift``: arrivals scaled by a bias growing linearly with lead
-          time, reaching ``magnitude`` at the window's end;
-        - ``adversarial``: arrival/price/onsite reflected around their
-          window midpoints (high forecasts where reality is low and vice
-          versa).
-
-        Each applied fault is emitted as a ``fault.forecast`` event with a
-        ``fault.forecast_<mode>`` counter.
-        """
-        import numpy as np
-
-        active = [f for f in self._active_forecast if f[2] > t]
-        if not active:
-            return fields
-
-        def _tally(mode: str, magnitude: float | None) -> None:
-            if self.telemetry.enabled:
-                self.telemetry.emit(
-                    "fault.forecast", t=int(t), mode=mode, magnitude=magnitude
-                )
-                self.telemetry.metrics.counter(f"fault.forecast_{mode}").inc()
-
-        for mode, magnitude, _ in active:
-            if mode == "dropout":
-                _tally(mode, magnitude)
-                return None
-
-        out = {k: np.array(v, dtype=np.float64, copy=True) for k, v in fields.items()}
-        for mode, magnitude, _ in active:
-            _tally(mode, magnitude)
-            if mode == "bias":
-                out["arrival"] = np.maximum(out["arrival"] * (1.0 + magnitude), 0.0)
-            elif mode == "drift":
-                n = out["arrival"].size
-                lead = np.arange(1, n + 1, dtype=np.float64) / max(n, 1)
-                out["arrival"] = np.maximum(
-                    out["arrival"] * (1.0 + magnitude * lead), 0.0
-                )
-            elif mode == "adversarial":
-                for name in ("arrival", "price", "onsite"):
-                    series = out.get(name)
-                    if series is not None and series.size:
-                        out[name] = (series.max() + series.min()) - series
-        return out
 
     # ------------------------------------------------------------------
     def degrade_observation(self, observation: SlotObservation) -> SlotObservation:
@@ -417,10 +299,6 @@ class FaultInjector:
                 field_: [str(mode), int(until)]
                 for field_, (mode, until) in sorted(self._active_signals.items())
             },
-            "active_forecast": [
-                [str(mode), None if mag is None else float(mag), int(until)]
-                for mode, mag, until in self._active_forecast
-            ],
             "last_clean": {k: float(v) for k, v in sorted(self._last_clean.items())},
             "solve_count": int(self._solve_count),
             "injected": int(self.injected),
@@ -430,16 +308,15 @@ class FaultInjector:
         }
 
     def load_state_dict(self, state: dict) -> None:
-        """Restore the injection cursor captured by :meth:`state_dict`."""
+        """Restore the injection cursor captured by :meth:`state_dict`.
+
+        Checkpoints of older versions also carry an ``active_forecast``
+        key (the removed forecast fault kind); it is ignored."""
         self.failed_groups = {int(g) for g in state["failed_groups"]}
         self._active_signals = {
             field_: (str(mode), int(until))
             for field_, (mode, until) in state["active_signals"].items()
         }
-        self._active_forecast = [
-            (str(mode), None if mag is None else float(mag), int(until))
-            for mode, mag, until in state.get("active_forecast", [])
-        ]
         self._last_clean = {k: float(v) for k, v in state["last_clean"].items()}
         self._solve_count = int(state["solve_count"])
         self.injected = int(state["injected"])

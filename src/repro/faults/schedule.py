@@ -7,8 +7,7 @@ the single source of truth for one chaos scenario:
 
 * **timed events** (:class:`FaultEvent`): server-group failures and
   repairs, stale/missing exogenous signals (price, on-site renewables,
-  the workload prediction), and degraded *forecasts* (bias, drift,
-  dropout, adversarial flips on the :mod:`repro.advice` channel);
+  the workload prediction);
 * a **message-fault profile** (:class:`MessageFaultProfile`): seeded
   loss/delay/duplication probabilities applied to every message of the
   distributed protocol in :mod:`repro.solvers.messaging`.
@@ -33,11 +32,10 @@ __all__ = [
     "MessageFaultProfile",
     "FaultSchedule",
     "FAULT_KINDS",
-    "FORECAST_MODES",
 ]
 
 #: Timed event kinds a schedule may contain.
-FAULT_KINDS = ("group_fail", "group_repair", "signal", "forecast")
+FAULT_KINDS = ("group_fail", "group_repair", "signal")
 
 #: Observation fields a ``signal`` event may degrade.
 SIGNAL_FIELDS = ("price", "onsite", "arrival")
@@ -46,16 +44,6 @@ SIGNAL_FIELDS = ("price", "onsite", "arrival")
 #: last clean value; ``missing`` drops it entirely (price/arrival fall back
 #: to hold-last-value, on-site supply conservatively to zero).
 SIGNAL_MODES = ("stale", "missing")
-
-#: Degradation modes for ``forecast`` faults, which corrupt the advice
-#: channel (:mod:`repro.advice`) rather than the slot observation:
-#: ``bias`` scales the forecast arrivals by ``1 + magnitude``; ``drift``
-#: applies a bias that grows linearly with lead time (reaching
-#: ``magnitude`` at the end of the window); ``dropout`` loses the forecast
-#: entirely (the advisor produces no advice); ``adversarial`` reflects
-#: arrival/price/on-site forecasts around their window midpoints, turning
-#: the advice actively anti-correlated with reality.
-FORECAST_MODES = ("bias", "drift", "dropout", "adversarial")
 
 
 def _rewind(bitgen: np.random.BitGenerator, draws: int) -> None:
@@ -93,14 +81,10 @@ class FaultEvent:
     field:
         Degraded observation field (``signal``); see :data:`SIGNAL_FIELDS`.
     mode:
-        ``"stale"`` or ``"missing"`` (``signal``); one of
-        :data:`FORECAST_MODES` (``forecast``).
+        ``"stale"`` or ``"missing"`` (``signal``).
     duration:
-        Number of slots a ``signal``/``forecast`` fault stays active
-        (failures persist until an explicit ``group_repair``).
-    magnitude:
-        Severity of a ``forecast`` ``bias``/``drift`` fault (relative
-        error injected into the forecast; defaults to 0.25).
+        Number of slots a ``signal`` fault stays active (failures persist
+        until an explicit ``group_repair``).
     """
 
     t: int
@@ -109,7 +93,6 @@ class FaultEvent:
     field: str | None = None
     mode: str | None = None
     duration: int = 1
-    magnitude: float | None = None
 
     def __post_init__(self) -> None:
         if self.t < 0:
@@ -130,21 +113,6 @@ class FaultEvent:
                 )
             if self.duration < 1:
                 raise ValueError("signal fault duration must be >= 1 slot")
-        if self.kind == "forecast":
-            if self.mode not in FORECAST_MODES:
-                raise ValueError(
-                    f"forecast fault mode must be one of {FORECAST_MODES}, got {self.mode!r}"
-                )
-            if self.duration < 1:
-                raise ValueError("forecast fault duration must be >= 1 slot")
-            if self.mode in ("bias", "drift"):
-                magnitude = 0.25 if self.magnitude is None else float(self.magnitude)
-                if not magnitude > -1.0 or magnitude == 0.0:
-                    raise ValueError(
-                        f"forecast {self.mode} magnitude must be > -1 and non-zero, "
-                        f"got {magnitude}"
-                    )
-                object.__setattr__(self, "magnitude", magnitude)
 
     def to_dict(self) -> dict:
         """Flat JSON-safe representation (``None`` fields omitted)."""
@@ -155,15 +123,13 @@ class FaultEvent:
             out["field"] = self.field
         if self.mode is not None:
             out["mode"] = self.mode
-        if self.kind in ("signal", "forecast"):
+        if self.kind == "signal":
             out["duration"] = int(self.duration)
-        if self.magnitude is not None:
-            out["magnitude"] = float(self.magnitude)
         return out
 
     @classmethod
     def from_dict(cls, data: dict) -> "FaultEvent":
-        known = {"t", "kind", "group", "field", "mode", "duration", "magnitude"}
+        known = {"t", "kind", "group", "field", "mode", "duration"}
         unknown = set(data) - known
         if unknown:
             raise ValueError(f"unknown fault event keys: {sorted(unknown)}")
@@ -174,9 +140,6 @@ class FaultEvent:
             field=data.get("field"),
             mode=data.get("mode"),
             duration=int(data.get("duration", 1)),
-            magnitude=(
-                None if data.get("magnitude") is None else float(data["magnitude"])
-            ),
         )
 
 
@@ -343,7 +306,6 @@ class FaultSchedule:
         failure_rate: float = 0.01,
         mean_repair: float = 6.0,
         signal_rate: float = 0.0,
-        forecast_rate: float = 0.0,
         loss: float = 0.0,
         delay: float = 0.0,
         duplicate: float = 0.0,
@@ -355,19 +317,15 @@ class FaultSchedule:
         ``mean_repair`` slots); at most ``num_groups - 1`` groups are ever
         down together, so the fleet always retains some capacity.  With
         probability ``signal_rate`` per slot one observation field degrades
-        for 1-3 slots, and with probability ``forecast_rate`` per slot the
-        advice channel degrades (a random :data:`FORECAST_MODES` mode, a
-        magnitude in [0.1, 0.6) for bias/drift, lasting 1-24 slots).  The
-        message profile reuses ``seed`` so the whole scenario hangs off a
-        single integer.  ``forecast_rate=0.0`` draws nothing from the RNG,
-        so pre-existing seeds keep generating bit-identical schedules.
+        for 1-3 slots.  The message profile reuses ``seed`` so the whole
+        scenario hangs off a single integer.
 
         Draw order (the contract ``tests/fault_schedule_oracle.py`` pins):
         per slot, one ``random()`` per group not down and not repaired this
         slot, in group order, each failure followed at once by its
-        ``geometric`` repair draw; then the signal draws, then the forecast
-        draws.  The healthy groups' uniforms are drawn as blocks, and the
-        draws past a failure are rewound before its repair draw.
+        ``geometric`` repair draw; then the signal draws.  The healthy
+        groups' uniforms are drawn as blocks, and the draws past a failure
+        are rewound before its repair draw.
         """
         if horizon < 1 or num_groups < 1:
             raise ValueError("horizon and num_groups must be positive")
@@ -377,8 +335,6 @@ class FaultSchedule:
             raise ValueError("mean_repair must be >= 1 slot")
         if not 0.0 <= signal_rate < 1.0:
             raise ValueError("signal_rate must be in [0, 1)")
-        if not 0.0 <= forecast_rate < 1.0:
-            raise ValueError("forecast_rate must be in [0, 1)")
         rng = np.random.default_rng(seed)
         bitgen = rng.bit_generator
         events: list[FaultEvent] = []
@@ -422,23 +378,6 @@ class FaultSchedule:
                 events.append(
                     FaultEvent(
                         t=t, kind="signal", field=field_, mode=mode, duration=duration
-                    )
-                )
-            if forecast_rate > 0.0 and rng.random() < forecast_rate:
-                mode = FORECAST_MODES[int(rng.integers(0, len(FORECAST_MODES)))]
-                duration = int(rng.integers(1, 25))
-                magnitude = (
-                    float(rng.uniform(0.1, 0.6))
-                    if mode in ("bias", "drift")
-                    else None
-                )
-                events.append(
-                    FaultEvent(
-                        t=t,
-                        kind="forecast",
-                        mode=mode,
-                        duration=duration,
-                        magnitude=magnitude,
                     )
                 )
         profile = MessageFaultProfile(loss=loss, delay=delay, duplicate=duplicate, seed=seed)

@@ -20,7 +20,6 @@ arithmetic or RNG, so an instrumented run stays bit-identical.  See
 ``docs/MONITORING.md`` for the monitor catalog.
 """
 
-from .advice import AdviceTrustMonitor
 from .alerts import SEVERITIES, Alert, AlertChannel, JsonlAlertSink, stderr_sink
 from .base import HealthMonitor, MonitorReport
 from .dashboard import DASHBOARD_SECTIONS, render_dashboard, write_dashboard
@@ -60,7 +59,6 @@ __all__ = [
     "GSDDispersionMonitor",
     "FaultActivityMonitor",
     "DeadlineMonitor",
-    "AdviceTrustMonitor",
     "MonitorSuite",
     "MonitoringTracer",
     "default_suite",

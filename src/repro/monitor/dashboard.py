@@ -45,7 +45,6 @@ DASHBOARD_SECTIONS = (
     "invariants",
     "alerts",
     "faults",
-    "advice",
     "deficit-queue",
     "energy-mix",
     "cost",
@@ -370,62 +369,6 @@ def _fault_table(events: list[dict]) -> str:
     )
 
 
-def _advice_section(events: list[dict]) -> str:
-    """Trust story of an advised run: config, frames, transitions, ratio."""
-    config = next((e for e in events if e.get("kind") == "advice.config"), None)
-    if config is None:
-        return (
-            '<p class="empty">no advice.* events — '
-            "this run used plain COCA</p>"
-        )
-    summary = next(
-        (e for e in reversed(events) if e.get("kind") == "advice.summary"), None
-    )
-    lam = float(config.get("lam", 0.0))
-    blurb = (
-        f"λ = {lam:g} (bound {1.0 + lam:g}×), provider "
-        f"{config.get('provider')}, frame {config.get('frame_length')} slots"
-    )
-    if summary is not None:
-        blurb += (
-            f" — final ratio {float(summary.get('cost_ratio', 1.0)):.4f}, "
-            f"{summary.get('advised_slots', 0)} advised / "
-            f"{summary.get('fallback_slots', 0)} fallback slot(s), "
-            f"{summary.get('budget_blocks', 0)} budget block(s)"
-        )
-    rows = []
-    for e in events:
-        kind = e.get("kind", "")
-        if kind == "advice.frame":
-            if e.get("has_advice"):
-                what = "frame advised"
-                detail = (
-                    f"mu {_fmt(float(e.get('mu') or 0.0))}"
-                    + (", degraded forecast" if e.get("degraded") else "")
-                )
-            else:
-                what = "frame without advice"
-                detail = "forecast dropped" if e.get("degraded") else "no window"
-        elif kind == "advice.transition":
-            what = "re-trusted" if e.get("trusted") else "distrusted"
-            detail = "trust hysteresis transition"
-        else:
-            continue
-        rows.append(
-            "<tr>"
-            f'<td class="num">{_esc(e.get("t", "–"))}</td>'
-            f"<td>{_esc(what)}</td><td>{_esc(detail)}</td>"
-            "</tr>"
-        )
-    table = (
-        "<table><thead><tr><th>slot</th><th>event</th><th>detail</th>"
-        f"</tr></thead><tbody>{''.join(rows)}</tbody></table>"
-        if rows
-        else '<p class="empty">no advice frames or transitions recorded</p>'
-    )
-    return f'<p class="subtitle">{_esc(blurb)}</p>{table}'
-
-
 # ------------------------------------------------------------------ render
 def render_dashboard(
     events: list[dict],
@@ -526,7 +469,6 @@ def render_dashboard(
         f'<section id="invariants"><h2>Invariants</h2>{_invariant_table(suite)}</section>',
         f'<section id="alerts"><h2>Alert log</h2>{_alert_table(suite)}</section>',
         f'<section id="faults"><h2>Fault injections</h2>{_fault_table(events)}</section>',
-        f'<section id="advice"><h2>Forecast advice</h2>{_advice_section(events)}</section>',
         _chart_section(
             "deficit-queue", "Carbon-deficit queue",
             "q(t) in MWh after each slot's update (Eq. 17)",

@@ -21,7 +21,6 @@ from typing import Iterable, Sequence
 
 from ..telemetry.bundle import Telemetry
 from ..telemetry.tracer import NULL_TRACER, SCHEMA_VERSION, Tracer, new_run_id
-from .advice import AdviceTrustMonitor
 from .alerts import Alert, AlertChannel
 from .base import HealthMonitor, MonitorReport
 from .deadline import DeadlineMonitor
@@ -168,7 +167,6 @@ def default_suite(
         GSDDispersionMonitor(),
         FaultActivityMonitor(),
         DeadlineMonitor(),
-        AdviceTrustMonitor(),
     ]
     monitors.extend(extra)
     return MonitorSuite(monitors, channel=channel)

@@ -84,10 +84,6 @@ SUITE_ARGS: dict[str, tuple[str, ...]] = {
     # dedicated scale-smoke CI job with the full 168-slot horizon, so the
     # ledger run skips it.
     "scale": ("--repeats", "2", "--skip-week", "--check"),
-    # advice self-gates the learning-augmented robustness contract: any
-    # (1+λ) bound violation or never-trusted bit-identity failure exits
-    # non-zero, which fails the ledger verdict even without a prior row.
-    "advice": ("--horizon", "120", "--check"),
 }
 
 #: Per-suite metric-name substrings that gate the --check verdict.  Only
@@ -98,11 +94,6 @@ GATE_METRICS: dict[str, tuple[str, ...]] = {
     # The chain's evaluation count is a pure function of the seed, so any
     # growth is a real algorithmic regression, not runner noise.
     "scale": ("evaluations",),
-    # Advice gating decisions are a pure function of the seeded traces
-    # and the guard's thresholds, so these counters are exact: more
-    # advised slots, budget blocks, or trust transitions than the prior
-    # row means the gating behavior itself changed.
-    "advice": ("advised_slots", "budget_blocks", "transition_count"),
 }
 
 #: Default relative tolerance for gated counters (matches the existing

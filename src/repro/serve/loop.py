@@ -204,11 +204,6 @@ class ControlService:
                 runner.environment.append(frame)
             if self.journal is not None:
                 self.journal.append(frame)
-            # Advice-aware controllers consume the frame's optional
-            # forecast payload; a frame without one degrades to fallback.
-            ingest = getattr(runner.controller, "ingest_frame", None)
-            if ingest is not None:
-                ingest(frame)
 
             runner.step(t)
             self.slots_run += 1

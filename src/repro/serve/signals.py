@@ -72,10 +72,6 @@ class SignalFrame:
     offsite: float | None = None
     network_delay: float = 0.0
     pue: float | None = None
-    #: Optional forecast-window payload (``ForecastWindow.to_dict()``) for
-    #: the advice layer; feeds attach it on advice-frame boundary slots.
-    #: Never required: a lost payload degrades advice to plain COCA.
-    forecast: dict | None = None
 
     def to_dict(self) -> dict:
         """JSON-ready form (the feed-file line format)."""
@@ -84,7 +80,8 @@ class SignalFrame:
     @classmethod
     def from_dict(cls, obj: dict) -> "SignalFrame":
         """Inverse of :meth:`to_dict`; unknown keys are ignored so feeds
-        can carry extra metadata."""
+        can carry extra metadata (and lines written by older versions,
+        whose frames could carry a ``forecast`` payload, still load)."""
         known = {f for f in cls.__dataclass_fields__}
         fields = {k: v for k, v in obj.items() if k in known}
         fields["slot"] = int(fields["slot"])
@@ -123,30 +120,10 @@ class SignalSource(ABC):
         return type(self).__name__
 
 
-def _forecast_payload(
-    environment: Environment, slot: int, length: int
-) -> dict | None:
-    """The advice window payload a feed attaches at a frame-boundary slot."""
-    from ..advice.forecast import TraceForecastProvider
-
-    window = TraceForecastProvider(environment).window(slot, length)
-    return None if window is None else window.to_dict()
-
-
-def frames_from_environment(
-    environment: Environment, *, start: int = 0, advice_frame: int | None = None
-):
-    """Yield the fully-populated frame for each slot of ``environment``.
-
-    ``advice_frame`` attaches a forecast-window payload (for the
-    :mod:`repro.advice` layer) on every slot that starts an advice frame
-    of that length; ``None`` keeps frames payload-free.
-    """
+def frames_from_environment(environment: Environment, *, start: int = 0):
+    """Yield the fully-populated frame for each slot of ``environment``."""
     for t in range(start, environment.horizon):
         obs = environment.observation(t)
-        forecast = None
-        if advice_frame is not None and t % advice_frame == 0:
-            forecast = _forecast_payload(environment, t, advice_frame)
         yield SignalFrame(
             slot=t,
             arrival=obs.arrival_rate,
@@ -156,29 +133,23 @@ def frames_from_environment(
             offsite=environment.offsite(t),
             network_delay=obs.network_delay,
             pue=obs.pue,
-            forecast=forecast,
         )
 
 
 def write_feed(environment: Environment, path: str | pathlib.Path, *,
-               start: int = 0, stop: int | None = None,
-               advice_frame: int | None = None) -> int:
+               start: int = 0, stop: int | None = None) -> int:
     """Export an environment as a JSONL feed file (one frame per line).
 
     The bridge between the trace world and the serving world: generate a
     feed from any scenario, then serve it back with ``--source file``.
-    ``advice_frame`` attaches forecast-window payloads on frame-boundary
-    slots (see :func:`frames_from_environment`).  Returns the number of
-    frames written.
+    Returns the number of frames written.
     """
     from ..traces.io import append_jsonl_rows
 
     stop = environment.horizon if stop is None else min(stop, environment.horizon)
     rows = [
         f.to_dict()
-        for f in frames_from_environment(
-            environment, start=start, advice_frame=advice_frame
-        )
+        for f in frames_from_environment(environment, start=start)
         if f.slot < stop
     ]
     append_jsonl_rows(path, rows, truncate=True)
@@ -194,11 +165,8 @@ class ReplaySignalSource(SignalSource):
     bit-identical to ``repro run``.
     """
 
-    def __init__(
-        self, environment: Environment, *, advice_frame: int | None = None
-    ) -> None:
+    def __init__(self, environment: Environment) -> None:
         self.environment = environment
-        self.advice_frame = advice_frame
         self._next = 0
 
     def poll(self) -> SignalFrame | None:
@@ -206,9 +174,6 @@ class ReplaySignalSource(SignalSource):
             return None
         t = self._next
         obs = self.environment.observation(t)
-        forecast = None
-        if self.advice_frame is not None and t % self.advice_frame == 0:
-            forecast = _forecast_payload(self.environment, t, self.advice_frame)
         frame = SignalFrame(
             slot=t,
             arrival=obs.arrival_rate,
@@ -218,7 +183,6 @@ class ReplaySignalSource(SignalSource):
             offsite=self.environment.offsite(t),
             network_delay=obs.network_delay,
             pue=obs.pue,
-            forecast=forecast,
         )
         self._next += 1
         return frame
@@ -329,7 +293,6 @@ class SyntheticSignalSource(SignalSource):
         p_late: float = 0.1,
         p_field_loss: float = 0.02,
         p_swap: float = 0.05,
-        advice_frame: int | None = None,
     ) -> None:
         for name, p in (("p_drop", p_drop), ("p_late", p_late),
                         ("p_field_loss", p_field_loss), ("p_swap", p_swap)):
@@ -339,11 +302,7 @@ class SyntheticSignalSource(SignalSource):
         self.seed = int(seed)
         rng = np.random.default_rng(self.seed)
         J = environment.horizon
-        # Forecast payloads ride the same imperfect delivery: a dropped or
-        # late boundary frame loses or delays its advice window too.
-        frames = list(
-            frames_from_environment(environment, advice_frame=advice_frame)
-        )
+        frames = list(frames_from_environment(environment))
 
         # Draw the whole delivery schedule up front: (deliveries, lateness).
         drop = rng.random(J) < p_drop

@@ -175,8 +175,6 @@ class StalenessResolver:
         }
         if frame is None:
             self._inject(t, tuple(_INJECTED_FIELDS), "missing_frame")
-            # No forecast payload: stale advice is never resurrected from
-            # the donor -- the advice layer degrades to plain COCA instead.
             return SignalFrame(
                 slot=t,
                 network_delay=last.network_delay if last is not None else 0.0,
@@ -194,12 +192,10 @@ class StalenessResolver:
         for field, value in merged.items():
             if value is None:
                 merged[field] = donor[field]
-        # A frame that arrived with holes still carries its advice payload.
         return SignalFrame(
             slot=t,
             network_delay=frame.network_delay,
             pue=frame.pue,
-            forecast=frame.forecast,
             **merged,
         )
 

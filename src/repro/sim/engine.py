@@ -248,11 +248,6 @@ class SlotRunner:
                     self.injector.num_groups = model.fleet.num_groups
             self.injector.bind_telemetry(self.tele)
             self.injector.install(controller)
-            # Advice-aware controllers route their forecast windows
-            # through the injector's forecast degradation.
-            attach = getattr(controller, "attach_injector", None)
-            if attach is not None:
-                attach(self.injector)
             self.policy = (
                 degradation if degradation is not None else DegradationPolicy()
             )

@@ -13,7 +13,6 @@ from __future__ import annotations
 import numpy as np
 
 from repro.faults.schedule import (
-    FORECAST_MODES,
     SIGNAL_FIELDS,
     SIGNAL_MODES,
     FaultEvent,
@@ -32,7 +31,6 @@ def oracle_generate(
     failure_rate: float = 0.01,
     mean_repair: float = 6.0,
     signal_rate: float = 0.0,
-    forecast_rate: float = 0.0,
     loss: float = 0.0,
     delay: float = 0.0,
     duplicate: float = 0.0,
@@ -63,21 +61,6 @@ def oracle_generate(
             duration = int(rng.integers(1, 4))
             events.append(
                 FaultEvent(t=t, kind="signal", field=field_, mode=mode, duration=duration)
-            )
-        if forecast_rate > 0.0 and rng.random() < forecast_rate:
-            mode = FORECAST_MODES[int(rng.integers(0, len(FORECAST_MODES)))]
-            duration = int(rng.integers(1, 25))
-            magnitude = (
-                float(rng.uniform(0.1, 0.6)) if mode in ("bias", "drift") else None
-            )
-            events.append(
-                FaultEvent(
-                    t=t,
-                    kind="forecast",
-                    mode=mode,
-                    duration=duration,
-                    magnitude=magnitude,
-                )
             )
     profile = MessageFaultProfile(loss=loss, delay=delay, duplicate=duplicate, seed=seed)
     return FaultSchedule(

@@ -80,12 +80,10 @@ class TestBlockDrawnGenerator:
         failure_rate=st.floats(0.0, 0.9),
         mean_repair=st.floats(1.0, 8.0),
         signal_rate=st.sampled_from((0.0, 0.15, 0.6)),
-        forecast_rate=st.sampled_from((0.0, 0.1, 0.5)),
     )
     @settings(max_examples=60, deadline=None)
     def test_matches_scalar_oracle(
-        self, seed, horizon, num_groups, failure_rate, mean_repair,
-        signal_rate, forecast_rate,
+        self, seed, horizon, num_groups, failure_rate, mean_repair, signal_rate,
     ):
         kw = dict(
             horizon=horizon,
@@ -93,7 +91,6 @@ class TestBlockDrawnGenerator:
             failure_rate=failure_rate,
             mean_repair=mean_repair,
             signal_rate=signal_rate,
-            forecast_rate=forecast_rate,
             loss=0.05,
         )
         got = FaultSchedule.generate(seed, **kw)
@@ -102,8 +99,7 @@ class TestBlockDrawnGenerator:
     def test_group_cap_binds(self):
         """At a 90% failure rate the ``num_groups - 1`` cap binds on most
         slots, so failures are skipped after their uniform is drawn."""
-        kw = dict(horizon=120, num_groups=3, failure_rate=0.9, signal_rate=0.5,
-                  forecast_rate=0.5)
+        kw = dict(horizon=120, num_groups=3, failure_rate=0.9, signal_rate=0.5)
         sched = FaultSchedule.generate(11, **kw)
         assert sched == oracle_generate(11, **kw)
         down: set[int] = set()
@@ -191,8 +187,17 @@ class TestScheduleValidation:
             FaultSchedule(events=(FaultEvent(t=3, kind="group_repair", group=0),))
 
     def test_unknown_kind_rejected(self):
-        with pytest.raises(ValueError):
-            FaultEvent(t=0, kind="meteor_strike", group=0)
+        # ``forecast`` is the removed forecast-advice fault kind: a schedule
+        # file of an older version that carries one is refused, not ignored.
+        for kind in ("meteor_strike", "forecast"):
+            with pytest.raises(ValueError, match="unknown fault kind"):
+                FaultEvent(t=0, kind=kind, group=0)
+        legacy = (
+            '{"events": [{"t": 0, "kind": "forecast", "mode": "dropout", '
+            '"duration": 3}]}'
+        )
+        with pytest.raises(ValueError, match="unknown fault kind"):
+            FaultSchedule.from_json(legacy)
 
     @pytest.mark.parametrize(
         "kw", [{"loss": 1.0}, {"loss": -0.1}, {"loss": 0.6, "delay": 0.5}]
@@ -389,6 +394,17 @@ class TestInjector:
         obs = injector.degrade_observation(chaos_scenario.environment.observation(0))
         assert obs.onsite == 0.0
 
+    def test_load_state_dict_ignores_legacy_active_forecast(self):
+        """Checkpoints of older versions carry an ``active_forecast`` key
+        (the removed forecast fault kind); restoring one still works."""
+        sched = FaultSchedule(events=(FaultEvent(t=0, kind="group_fail", group=1),))
+        injector = FaultInjector(sched, num_groups=3)
+        injector.begin_slot(0)
+        state = injector.state_dict()
+        clone = FaultInjector(sched, num_groups=3)
+        clone.load_state_dict({**state, "active_forecast": [["bias", 0.4, 5]]})
+        assert clone.state_dict() == state
+
 
 class TestDegradation:
     def test_proportional_action_serves_what_fits(self, tiny_model):
@@ -463,144 +479,3 @@ class TestFaultTelemetry:
         )
         assert fault_report.passed
         assert fault_report.checked > 0
-
-
-class TestForecastFaults:
-    """Forecast-fault kind: schedule validation, generation, degradation."""
-
-    def test_event_validation(self):
-        from repro.faults import FORECAST_MODES
-
-        assert set(FORECAST_MODES) == {"bias", "drift", "dropout", "adversarial"}
-        with pytest.raises(ValueError, match="forecast fault mode"):
-            FaultEvent(t=0, kind="forecast", mode="wobble")
-        with pytest.raises(ValueError, match="duration"):
-            FaultEvent(t=0, kind="forecast", mode="bias", duration=0)
-        with pytest.raises(ValueError, match="magnitude"):
-            FaultEvent(t=0, kind="forecast", mode="bias", magnitude=0.0)
-        with pytest.raises(ValueError, match="magnitude"):
-            FaultEvent(t=0, kind="forecast", mode="drift", magnitude=-1.5)
-        # bias/drift default their magnitude; dropout carries none.
-        assert FaultEvent(t=0, kind="forecast", mode="bias").magnitude == 0.25
-        assert FaultEvent(t=0, kind="forecast", mode="dropout").magnitude is None
-
-    def test_json_round_trip_with_magnitude(self):
-        sched = FaultSchedule(
-            events=(
-                FaultEvent(t=2, kind="forecast", mode="bias", duration=5,
-                           magnitude=0.6),
-                FaultEvent(t=9, kind="forecast", mode="dropout", duration=2),
-                FaultEvent(t=12, kind="forecast", mode="adversarial", duration=3),
-            )
-        )
-        again = FaultSchedule.from_json(sched.to_json())
-        assert again == sched
-        assert again.events[0].magnitude == 0.6
-
-    @given(seed=st.integers(0, 2**31 - 1))
-    @settings(max_examples=25, deadline=None)
-    def test_generate_covers_forecast_faults(self, seed):
-        sched = FaultSchedule.generate(
-            seed, horizon=200, num_groups=3, forecast_rate=0.2
-        )
-        forecast = [e for e in sched.events if e.kind == "forecast"]
-        assert forecast, "a 20% rate over 200 slots must draw some events"
-        from repro.faults import FORECAST_MODES
-
-        assert all(e.mode in FORECAST_MODES for e in forecast)
-        assert FaultSchedule.from_json(sched.to_json()) == sched
-
-    def test_forecast_rate_zero_preserves_draw_order(self):
-        """forecast_rate=0 must not consume RNG draws: pre-advice seeds
-        keep generating byte-identical schedules."""
-        kw = dict(horizon=100, num_groups=4, failure_rate=0.1, signal_rate=0.1)
-        assert FaultSchedule.generate(3, **kw) == FaultSchedule.generate(
-            3, forecast_rate=0.0, **kw
-        )
-
-    def _fields(self, n=4):
-        return {
-            "arrival": np.linspace(1.0, 4.0, n),
-            "onsite": np.full(n, 0.5),
-            "price": np.linspace(40.0, 43.0, n),
-            "offsite": np.zeros(n),
-        }
-
-    def _injector(self, events, *, telemetry=None):
-        injector = FaultInjector(
-            FaultSchedule(events=tuple(events)), num_groups=3,
-        )
-        if telemetry is not None:
-            injector.bind_telemetry(telemetry)
-        return injector
-
-    def test_no_fault_returns_same_object(self):
-        injector = self._injector([])
-        injector.begin_slot(0)
-        fields = self._fields()
-        assert injector.degrade_forecast(0, fields) is fields
-
-    def test_bias_scales_arrivals_only(self):
-        tele = Telemetry.recording()
-        injector = self._injector(
-            [FaultEvent(t=0, kind="forecast", mode="bias", duration=2,
-                        magnitude=0.5)],
-            telemetry=tele,
-        )
-        injector.begin_slot(0)
-        fields = self._fields()
-        out = injector.degrade_forecast(0, fields)
-        assert np.allclose(out["arrival"], fields["arrival"] * 1.5)
-        assert np.array_equal(out["price"], fields["price"])
-        assert tele.metrics.counter("fault.forecast_bias").value == 1
-        assert any(e["kind"] == "fault.forecast" for e in tele.events)
-        # Past the window the channel is clean again (same-object contract).
-        injector.begin_slot(2)
-        assert injector.degrade_forecast(2, fields) is fields
-
-    def test_drift_grows_with_lead_time(self):
-        injector = self._injector(
-            [FaultEvent(t=0, kind="forecast", mode="drift", duration=1,
-                        magnitude=0.8)]
-        )
-        injector.begin_slot(0)
-        out = injector.degrade_forecast(0, self._fields())
-        factors = out["arrival"] / self._fields()["arrival"]
-        assert np.all(np.diff(factors) > 0), "drift error must grow with lead"
-        assert factors[-1] == pytest.approx(1.8)
-
-    def test_dropout_loses_the_window(self):
-        tele = Telemetry.recording()
-        injector = self._injector(
-            [FaultEvent(t=0, kind="forecast", mode="dropout", duration=1)],
-            telemetry=tele,
-        )
-        injector.begin_slot(0)
-        assert injector.degrade_forecast(0, self._fields()) is None
-        assert tele.metrics.counter("fault.forecast_dropout").value == 1
-
-    def test_adversarial_reflects_series(self):
-        injector = self._injector(
-            [FaultEvent(t=0, kind="forecast", mode="adversarial", duration=1)]
-        )
-        injector.begin_slot(0)
-        fields = self._fields()
-        out = injector.degrade_forecast(0, fields)
-        for name in ("arrival", "price", "onsite"):
-            want = fields[name].max() + fields[name].min() - fields[name]
-            assert np.allclose(out[name], want)
-        # High where reality is low: the ordering is inverted.
-        assert out["arrival"][0] == fields["arrival"].max()
-
-    def test_runtime_injection_and_state_round_trip(self):
-        injector = self._injector([])
-        injector.begin_slot(0)
-        injector.inject_forecast("bias", t=0, duration=3, magnitude=0.4)
-        clone = self._injector([])
-        clone.load_state_dict(injector.state_dict())
-        clone.begin_slot(1)
-        fields = self._fields()
-        out = clone.degrade_forecast(1, fields)
-        assert np.allclose(out["arrival"], fields["arrival"] * 1.4)
-        with pytest.raises(ValueError, match="mode"):
-            injector.inject_forecast("wobble", t=0)

@@ -137,83 +137,3 @@ class TestGoldenRun:
             assert [float(x) for x in getattr(record, name)] == golden[
                 "arrays"
             ][name], _diff(name, getattr(record, name), golden["arrays"][name])
-
-
-# --------------------------------------------------------------- advice
-GOLDEN_ADVICE_PATH = GOLDEN_DIR / "golden_advice.json"
-
-
-def _advised_record(week_scenario, *, guard=None):
-    from repro.advice import AdvisedController, ForecastAdvisor, TraceForecastProvider
-
-    inner = COCA(
-        week_scenario.model,
-        week_scenario.environment.portfolio,
-        v_schedule=GOLDEN_V,
-        alpha=week_scenario.alpha,
-    )
-    advisor = ForecastAdvisor(
-        week_scenario.model,
-        week_scenario.environment.portfolio,
-        frame_length=24,
-        horizon=week_scenario.horizon,
-        provider=TraceForecastProvider(week_scenario.environment),
-        alpha=week_scenario.alpha,
-    )
-    controller = AdvisedController(inner, advisor=advisor, guard=guard)
-    return simulate(
-        week_scenario.model, controller, week_scenario.environment
-    )
-
-
-class TestGoldenAdvice:
-    """The advised week extends the corpus: trusted advice is pinned
-    bit-exactly, and a never-trusted guard reproduces the *plain* golden
-    (the advice layer's consistency-floor contract)."""
-
-    def test_advised_week_matches_golden(self, week_scenario, update_goldens):
-        record = _advised_record(week_scenario)
-        payload = _as_payload(record)
-        if update_goldens:
-            GOLDEN_DIR.mkdir(exist_ok=True)
-            with open(GOLDEN_ADVICE_PATH, "w") as fh:
-                json.dump(payload, fh, indent=1)
-                fh.write("\n")
-            pytest.skip(f"golden refreshed at {GOLDEN_ADVICE_PATH}")
-        if not GOLDEN_ADVICE_PATH.exists():
-            pytest.fail(
-                f"missing golden file {GOLDEN_ADVICE_PATH}; generate it "
-                "with --update-goldens and commit it"
-            )
-        with open(GOLDEN_ADVICE_PATH) as fh:
-            golden = json.load(fh)
-        assert payload["horizon"] == golden["horizon"], "horizon changed"
-        mismatches = [
-            _diff(name, getattr(record, name), golden["arrays"][name])
-            for name in GOLDEN_ARRAYS
-            if [float(x) for x in getattr(record, name)]
-            != golden["arrays"][name]
-        ]
-        assert not mismatches, (
-            "advised golden run diverged (advice gating or solve changed). "
-            "If intentional, refresh with --update-goldens.\n  "
-            + "\n  ".join(mismatches)
-        )
-
-    def test_never_trusted_advice_matches_plain_golden(
-        self, week_scenario, update_goldens
-    ):
-        if update_goldens or not GOLDEN_PATH.exists():
-            pytest.skip("golden file being refreshed or absent")
-        from repro.advice import TrustGuard
-
-        record = _advised_record(
-            week_scenario,
-            guard=TrustGuard(initial_trust=False, trust_after=10**9),
-        )
-        with open(GOLDEN_PATH) as fh:
-            golden = json.load(fh)
-        for name in GOLDEN_ARRAYS:
-            assert [float(x) for x in getattr(record, name)] == golden[
-                "arrays"
-            ][name], _diff(name, getattr(record, name), golden["arrays"][name])

@@ -30,9 +30,6 @@ CASES = {
     "run_gsd": ("run", *_H, "--solver", "gsd", "--iterations", "5"),
     "run_deadline": ("run", *_H, "--solve-deadline-ms", "50"),
     "serve_replay": ("serve", *_H, "--source", "replay"),
-    "serve_synthetic_advice": (
-        "serve", *_H, "--source", "synthetic", "--advice", "--advice-frame", "24",
-    ),
 }
 
 

@@ -208,8 +208,8 @@ class TestSyntheticSource:
 
 # ---------------------------------------------------------------- live env
 _finite = st.floats(allow_nan=False, allow_infinity=False)
-#: Resolved frame fields: every core field present, the optional ones
-#: (``pue``, ``forecast``) sometimes ``None``.
+#: Resolved frame fields: every core field present, the optional ``pue``
+#: sometimes ``None``.
 _frames_fields = st.fixed_dictionaries(
     {
         "arrival": _finite,
@@ -219,10 +219,6 @@ _frames_fields = st.fixed_dictionaries(
         "offsite": _finite,
         "network_delay": _finite,
         "pue": st.none() | st.floats(1.0, 3.0),
-        "forecast": st.none()
-        | st.fixed_dictionaries(
-            {"start": st.integers(0, 100), "price": st.lists(_finite, max_size=3)}
-        ),
     }
 )
 
@@ -275,7 +271,7 @@ class TestLiveEnvironment:
             assert env.fingerprint() == prefix_fingerprint(env.horizon, env.frames)
 
     def test_fingerprint_costs_one_to_dict_per_frame(self, scenario, monkeypatch):
-        frames = list(frames_from_environment(scenario.environment, advice_frame=24))
+        frames = list(frames_from_environment(scenario.environment))
         calls = []
         real = SignalFrame.to_dict
 
@@ -523,104 +519,42 @@ class TestServeCli:
         ) == []
 
 
-# ------------------------------------------------------------ forecast feed
-class TestForecastPayloads:
-    """Feeds carry optional advice windows on frame-boundary slots; the
-    payload rides the same JSONL line format and is never required."""
+# ------------------------------------------------------ legacy feed lines
+class TestLegacyForecastPayloads:
+    """Feed and journal lines written by older versions may carry a
+    ``forecast`` payload (the removed advice layer's forecast window).
+    The key is dropped on read: such a line resolves to the same frame as
+    the same line without it."""
 
-    def test_frames_attach_windows_on_boundaries_only(self, scenario):
-        frames = list(
-            frames_from_environment(scenario.environment, advice_frame=24)
-        )
-        for frame in frames:
-            if frame.slot % 24 == 0:
-                assert frame.forecast is not None
-                assert frame.forecast["start"] == frame.slot
-                assert len(frame.forecast["arrival"]) == 24
-            else:
-                assert frame.forecast is None
+    _PAYLOAD = {"start": 0, "arrival": [1.0, 2.0], "price": [40.0, 41.0]}
 
-    def test_forecast_round_trips_through_feed_file(self, scenario, tmp_path):
-        path = tmp_path / "feed.jsonl"
-        write_feed(scenario.environment, path, advice_frame=24)
-        source = FileTailSignalSource(path)
-        frames = []
-        while (frame := source.poll()) is not None:
-            frames.append(frame)
-        source.close()
-        assert frames == list(
-            frames_from_environment(scenario.environment, advice_frame=24)
-        )
+    def _lines(self, scenario, *, legacy):
+        rows = [f.to_dict() for f in frames_from_environment(scenario.environment)]
+        if legacy:
+            rows = [{**row, "forecast": self._PAYLOAD} for row in rows]
+        return "".join(json.dumps(row, sort_keys=True) + "\n" for row in rows)
 
-    def test_payload_free_feed_leaves_advised_serve_bit_identical(
-        self, scenario
-    ):
-        """No payloads ever arrive -> the feed-backed advisor never has a
-        window -> every slot falls back -> bit-identical to plain COCA."""
-        from repro.advice import (
-            AdvisedController,
-            FeedForecastProvider,
-            ForecastAdvisor,
+    def _resolved(self, path, horizon):
+        resolver = StalenessResolver(FileTailSignalSource(path))
+        try:
+            return [resolver.resolve(t) for t in range(horizon)]
+        finally:
+            resolver.source.close()
+
+    def test_feed_line_resolves_as_without_payload(self, scenario, tmp_path):
+        plain, legacy = tmp_path / "plain.jsonl", tmp_path / "legacy.jsonl"
+        plain.write_text(self._lines(scenario, legacy=False))
+        legacy.write_text(self._lines(scenario, legacy=True))
+        assert self._resolved(legacy, scenario.horizon) == self._resolved(
+            plain, scenario.horizon
         )
 
-        batch = _batch_record(scenario)
-        environment = LiveEnvironment(scenario.horizon, base=scenario.environment)
-        advisor = ForecastAdvisor(
-            scenario.model,
-            scenario.environment.portfolio,
-            frame_length=24,
-            horizon=scenario.horizon,
-            provider=FeedForecastProvider(),
-            alpha=scenario.alpha,
+    def test_journal_line_loads_as_without_payload(self, scenario, tmp_path):
+        path = tmp_path / JOURNAL_NAME
+        path.write_text(self._lines(scenario, legacy=True))
+        assert FrameJournal.load(str(path)) == list(
+            frames_from_environment(scenario.environment)
         )
-        controller = AdvisedController(_controller(scenario), advisor=advisor)
-        runner = SlotRunner(scenario.model, controller, environment)
-        # Replay source with no advice_frame: frames carry no payloads.
-        resolver = StalenessResolver(ReplaySignalSource(scenario.environment))
-        runner.start()
-        result = ControlService(runner, resolver).run()
-        assert result.status == "completed"
-        # Only the recorded controller label differs ("COCA+advice"); every
-        # numeric trajectory is bit-identical to the plain batch run.
-        assert record_mismatches(batch, result.record) == ["controller"]
-        for name in ("cost", "brown_energy", "queue", "served"):
-            assert list(getattr(result.record, name)) == list(
-                getattr(batch, name)
-            )
-        assert controller.guard.advised_slots == 0
-        assert controller.guard.fallback_slots == scenario.horizon
-
-    def test_advised_replay_serve_consumes_feed_windows(self, scenario):
-        """Payload-bearing frames reach the feed provider through the
-        service's ingest hook; every boundary window is consumed fresh."""
-        from repro.advice import (
-            AdvisedController,
-            FeedForecastProvider,
-            ForecastAdvisor,
-        )
-
-        environment = LiveEnvironment(scenario.horizon, base=scenario.environment)
-        provider = FeedForecastProvider()
-        advisor = ForecastAdvisor(
-            scenario.model,
-            scenario.environment.portfolio,
-            frame_length=24,
-            horizon=scenario.horizon,
-            provider=provider,
-            alpha=scenario.alpha,
-        )
-        controller = AdvisedController(_controller(scenario), advisor=advisor)
-        runner = SlotRunner(scenario.model, controller, environment)
-        resolver = StalenessResolver(
-            ReplaySignalSource(scenario.environment, advice_frame=24)
-        )
-        runner.start()
-        result = ControlService(runner, resolver).run()
-        assert result.status == "completed"
-        assert provider.ingested == scenario.horizon // 24
-        assert provider.stale_rejected == 0
-        total = controller.guard.advised_slots + controller.guard.fallback_slots
-        assert total == scenario.horizon
 
 
 # ------------------------------------------------- checkpoints across resume

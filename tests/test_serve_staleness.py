@@ -367,113 +367,3 @@ GOLDEN_STATS = {
     "out_of_order": 9,
     "degraded_fields": 9,
 }
-
-
-# ---------------------------------------------------------------- forecast
-class TestForecastStaleness:
-    """Advice payloads under loss: a synthesized or donor-patched frame
-    never resurrects a forecast, a degraded frame keeps its own payload,
-    and a feed-backed provider rejects windows left over from an earlier
-    frame -- staleness always degrades advice to plain COCA, never stalls
-    the slot clock or steers with outdated windows."""
-
-    def _payload(self, slot, length=2):
-        return {
-            "start": slot,
-            "arrival": [1.0] * length,
-            "onsite": [0.5] * length,
-            "price": [40.0] * length,
-            "offsite": [0.0] * length,
-        }
-
-    def test_missing_slot_never_resurrects_forecast(self):
-        donor = SignalFrame.from_dict(
-            {**_frame(0, value=3.0).to_dict(), "forecast": self._payload(0)}
-        )
-        resolver = _resolver([donor])
-        assert resolver.resolve(0).forecast == self._payload(0)
-        frame = resolver.resolve(1)  # feed dried up: synthesized from donor
-        assert resolver.stats()["missing"] == 1
-        assert frame.forecast is None
-
-    def test_gap_synthesis_never_resurrects_forecast(self):
-        donor = SignalFrame.from_dict(
-            {**_frame(0).to_dict(), "forecast": self._payload(0)}
-        )
-        resolver = _resolver([donor, _frame(2)])
-        resolver.resolve(0)
-        frame = resolver.resolve(1)  # slot 2 arrived instead: gap at 1
-        assert resolver.stats()["gap"] == 1
-        assert frame.forecast is None
-
-    def test_degraded_frame_keeps_its_own_payload(self):
-        degraded = SignalFrame(slot=1, arrival=2.0, forecast=self._payload(1))
-        resolver = _resolver([_frame(0, value=7.0), degraded])
-        resolver.resolve(0)
-        frame = resolver.resolve(1)
-        assert resolver.stats()["degraded_fields"] == 1
-        assert frame.price == 7.0  # hole frozen from the donor...
-        assert frame.forecast == self._payload(1)  # ...payload untouched
-
-    def test_stale_window_is_rejected_not_reused(self):
-        from repro.advice import FeedForecastProvider
-
-        provider = FeedForecastProvider()
-        provider.ingest(self._payload(0))
-        assert provider.window(0, 2) is not None
-        # Frame at slot 2 lost its payload: the slot-0 window must not be
-        # reused for it.
-        assert provider.window(2, 2) is None
-        assert provider.stale_rejected == 1
-
-    def test_lossy_advised_serve_completes_without_stalling(self):
-        """End to end: an advised service on a lossy feed finishes every
-        slot; lost boundary payloads cost advice, never progress."""
-        from repro.core.coca import COCA
-        from repro.advice import (
-            AdvisedController,
-            FeedForecastProvider,
-            ForecastAdvisor,
-        )
-        from repro.faults import DegradationPolicy
-
-        scenario = small_scenario(horizon=36, seed=5)
-        source = SyntheticSignalSource(
-            scenario.environment, seed=3, advice_frame=12,
-            p_drop=0.3, p_late=0.2, p_field_loss=0.2, p_swap=0.2,
-        )
-        environment = LiveEnvironment(scenario.horizon)
-        provider = FeedForecastProvider()
-        advisor = ForecastAdvisor(
-            scenario.model,
-            scenario.environment.portfolio,
-            frame_length=12,
-            horizon=scenario.horizon,
-            provider=provider,
-            alpha=scenario.alpha,
-        )
-        controller = AdvisedController(
-            COCA(
-                scenario.model,
-                scenario.environment.portfolio,
-                v_schedule=150.0,
-                alpha=scenario.alpha,
-            ),
-            advisor=advisor,
-        )
-        runner = SlotRunner(
-            scenario.model, controller, environment,
-            faults=_injector(), degradation=DegradationPolicy(),
-        )
-        resolver = StalenessResolver(source, injector=runner.injector)
-        runner.start()
-        result = ControlService(runner, resolver).run()
-        assert result.status == "completed"
-        assert len(result.record.cost) == scenario.horizon
-        stats = resolver.stats()
-        assert stats["missing"] + stats["gap"] > 0  # feed really was lossy
-        # Some boundary payloads were lost with their frames, so not every
-        # frame could be advised -- and the run still covered every slot.
-        guard = controller.guard
-        assert guard.advised_slots + guard.fallback_slots == scenario.horizon
-        assert provider.ingested < scenario.horizon // 12
