@@ -9,22 +9,19 @@ of one checkpoint per slot.
 Method: the same closed-loop COCA run (small scenario, GSD solver at its
 ``repro run`` default of 200 iterations) is repeated ``--repeats`` times
 per mode after a warm-up, once without a
-:class:`~repro.state.CheckpointWriter` ("off") and once checkpointing
-*every slot* into a fresh rotation with ``sync=False`` ("on") -- fsync cost
-is the disk's, not the serializer's, and CI filesystems make it pure
+:class:`~repro.state.CheckpointWriter` ("off") and once appending a record
+*every slot* to a fresh checkpoint log with ``sync=False`` ("on") -- fsync
+cost is the disk's, not the serializer's, and CI filesystems make it pure
 noise.  Each repetition yields one *per-slot wall time* sample (run wall
-time / horizon); state capture and the atomic write both happen inside the
+time / horizon); state capture and the append both happen inside the
 slot loop, so whole-slot wall time is the honest measure.
 
 The budget is defined against the iterative solve path because that is
 the configuration checkpoints exist for.  A GSD-200 slot of this scenario
-takes ~6-8 ms on a shared 2-CPU x86_64 host and a full-state snapshot
-~0.5-1.5 ms, so the bench measures about +18% there (median of eight
-runs) and fails its budget (docs/OPERATIONS.md has the runs).  The
-homogeneous-enumeration fast path finishes a slot in ~0.2 ms -- faster
-than *any* durable full-state snapshot can be written -- which is why
-``--checkpoint-every`` exists: on sub-millisecond slot loops, checkpoint
-at a coarser cadence instead.
+takes ~6-8 ms on a shared 2-CPU x86_64 host; a record holds the O(1) run
+state plus the slot's new rows, and docs/OPERATIONS.md ("Overhead
+budget") has the measured runs.  On sub-millisecond slot loops (the
+homogeneous-enumeration fast path) coarsen ``--checkpoint-every``.
 
 The p50/p95 land in ``benchmarks/results/BENCH_checkpoint.json``::
 
@@ -60,8 +57,9 @@ BUDGET_PCT = 5.0
 
 
 def _run_once(scenario, *, checkpoint_dir: str | None) -> float:
-    """One full COCA run; returns wall seconds.  Fresh controller (and
-    checkpoint rotation) per call so no state leaks between repetitions."""
+    """One full COCA run; returns wall seconds.  Fresh controller (and a
+    fresh checkpoint log in a new directory under ``checkpoint_dir``) per
+    call so no state leaks between repetitions."""
     from repro.core import COCA
     from repro.sim import simulate
     from repro.solvers import GSDSolver
@@ -69,7 +67,9 @@ def _run_once(scenario, *, checkpoint_dir: str | None) -> float:
 
     writer = None
     if checkpoint_dir is not None:
-        writer = CheckpointWriter(checkpoint_dir, every=1, keep=3, sync=False)
+        writer = CheckpointWriter(
+            tempfile.mkdtemp(dir=checkpoint_dir), every=1, sync=False
+        )
     controller = COCA(
         scenario.model,
         scenario.environment.portfolio,
@@ -128,7 +128,7 @@ def measure(*, horizon: int, repeats: int, warmup: int) -> dict:
         "repeats": repeats,
         "warmup": warmup,
         "solver": "gsd-200",
-        "cadence": "every slot (keep 3, sync off)",
+        "cadence": "every slot (append-only log, sync off)",
         "unit": "ms per slot (wall time / horizon)",
         "off": off,
         "on": on,

@@ -609,9 +609,10 @@ def _print_run_summary(record, args) -> None:
 
 
 def _checkpoint_writer(spec, directory: str, *, save: bool = True):
-    """A checkpoint rotation in ``directory`` at the spec's cadence.  With
-    ``save`` the manifest is written first, so even a run killed before
-    its first checkpoint leaves a directory that says how to rebuild it."""
+    """A checkpoint log writer for ``directory`` at the spec's cadence.
+    With ``save`` the manifest is written first, so even a run killed
+    before its first checkpoint leaves a directory that says how to
+    rebuild it."""
     import os
 
     from .state import CheckpointWriter
@@ -619,7 +620,42 @@ def _checkpoint_writer(spec, directory: str, *, save: bool = True):
     os.makedirs(directory, exist_ok=True)
     if save:
         spec.save(directory)
-    return CheckpointWriter(directory, every=spec.checkpoint_every, keep=spec.checkpoint_keep)
+    return CheckpointWriter(directory, every=spec.checkpoint_every)
+
+
+def _used_checkpoint_dir(command: str, directory: str | None) -> bool:
+    """Whether a fresh run's ``directory`` already holds checkpoints
+    (printed to stderr): a new run must not mix its log with another's."""
+    from .state import checkpoint_files
+
+    found = checkpoint_files(directory) if directory else []
+    if found:
+        print(
+            f"repro {command}: {directory} already holds checkpoints "
+            f"({found[0]}); resume it or pick an empty directory",
+            file=sys.stderr,
+        )
+    return bool(found)
+
+
+def _resume_checkpoint(command: str, directory: str, telemetry):
+    """The fold of ``directory``'s checkpoint log; None after printing why
+    there is none to resume from."""
+    from .state import LOG_NAME, checkpoint_files, latest_valid_checkpoint
+
+    ckpt = latest_valid_checkpoint(directory, telemetry=telemetry)
+    if ckpt is None:
+        found = checkpoint_files(directory)
+        if found and LOG_NAME not in found:
+            print(
+                f"repro {command}: {directory} holds version-1 checkpoint "
+                "snapshots (ckpt-*.json), which this build no longer reads; "
+                "start a new run",
+                file=sys.stderr,
+            )
+        else:
+            print(f"repro {command}: no valid checkpoint in {directory}", file=sys.stderr)
+    return ckpt
 
 
 def _load_spec_or_fail(command: str, checkpoint_dir: str):
@@ -648,7 +684,7 @@ def _cmd_run(args) -> int:
         )
         return EXIT_BAD_INPUT
     spec = _spec_or_fail(args)
-    if spec is None:
+    if spec is None or _used_checkpoint_dir("run", args.checkpoint_dir):
         return EXIT_BAD_INPUT
     scenario = spec.scenario()
     if args.schedule or args.chaos:
@@ -670,7 +706,7 @@ def _cmd_run(args) -> int:
         writer = _checkpoint_writer(spec, args.checkpoint_dir)
         print(
             f"checkpointing every {spec.checkpoint_every} slot(s) "
-            f"into {args.checkpoint_dir} (keep {spec.checkpoint_keep})"
+            f"into {args.checkpoint_dir}"
         )
 
     with _telemetry_scope(args) as telemetry:
@@ -691,7 +727,7 @@ def _cmd_run(args) -> int:
 
 def _cmd_resume(args) -> int:
     from .sim import simulate
-    from .state import CheckpointError, latest_valid_checkpoint
+    from .state import CheckpointError
 
     spec = _load_spec_or_fail("resume", args.checkpoint_dir)
     if spec is None:
@@ -709,12 +745,8 @@ def _cmd_resume(args) -> int:
         return EXIT_BAD_INPUT
 
     with _telemetry_scope(args) as telemetry:
-        ckpt = latest_valid_checkpoint(args.checkpoint_dir, telemetry=telemetry)
+        ckpt = _resume_checkpoint("resume", args.checkpoint_dir, telemetry)
         if ckpt is None:
-            print(
-                f"repro resume: no valid checkpoint in {args.checkpoint_dir}",
-                file=sys.stderr,
-            )
             return EXIT_BAD_INPUT
         scenario, controller, injector, policy = spec.build()
         print(f"resuming from {ckpt.path} (slot {ckpt.slot}/{scenario.horizon})")
@@ -798,7 +830,7 @@ def _cmd_serve(args) -> int:
         frames_from_environment,
     )
     from .sim.engine import SlotRunner
-    from .state import CheckpointError, atomic_write_text, latest_valid_checkpoint
+    from .state import CheckpointError, atomic_write_text
     from .telemetry import RingBufferTracer
 
     if args.resume:
@@ -825,7 +857,9 @@ def _cmd_serve(args) -> int:
             return EXIT_BAD_INPUT
         print(f"dry run: config ok ({config.describe()})")
         return 0
-    if problems:
+    if problems or (
+        not args.resume and _used_checkpoint_dir("serve", config.checkpoint_dir)
+    ):
         return EXIT_BAD_INPUT
 
     scenario = spec.scenario()
@@ -869,16 +903,13 @@ def _cmd_serve(args) -> int:
             telemetry=telemetry,
             timeout_s=config.signal_timeout_s,
             poll_interval_s=config.poll_interval_s,
+            peak_arrival=scenario.model.fleet.capacity(scenario.model.gamma),
         )
         runner.start()
 
         if args.resume:
-            ckpt = latest_valid_checkpoint(config.checkpoint_dir, telemetry=telemetry)
+            ckpt = _resume_checkpoint("serve", config.checkpoint_dir, telemetry)
             if ckpt is None:
-                print(
-                    f"repro serve: no valid checkpoint in {config.checkpoint_dir}",
-                    file=sys.stderr,
-                )
                 return EXIT_BAD_INPUT
             # Refill the resolved prefix the checkpoint's fingerprint covers:
             # replay regenerates it from the scenario traces; live feeds replay
@@ -1013,9 +1044,6 @@ _SHARED_FLAGS = {
     ),
     "--checkpoint-every": dict(
         type=int, default=1, metavar="N", help="checkpoint cadence in slots"
-    ),
-    "--checkpoint-keep": dict(
-        type=int, default=3, metavar="K", help="checkpoints retained in the rotation"
     ),
     "--record-out": dict(
         default=None, metavar="FILE",
@@ -1266,7 +1294,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="inject a generated fault schedule (see the fault flags)",
     )
     _add_shared(
-        p, "--checkpoint-dir", "--checkpoint-every", "--checkpoint-keep",
+        p, "--checkpoint-dir", "--checkpoint-every",
         "--solve-deadline-ms", "--record-out",
     )
     p.add_argument(
@@ -1327,7 +1355,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     _add_shared(
         p, "--solve-deadline-ms", "--checkpoint-dir", "--checkpoint-every",
-        "--checkpoint-keep",
         checkpoint_dir=dict(
             help="write crash-safe checkpoints, the resume manifest, and the "
             "frame journal here"

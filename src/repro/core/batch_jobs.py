@@ -304,6 +304,14 @@ class BatchAwareCOCA(Controller):
         self._arrival_ema = float(state["arrival_ema"])
         self._solver.load_state_dict(state["probe_solver"])
 
+    def series(self) -> dict[str, list]:
+        """The inner COCA's histories."""
+        return self.inner.series()
+
+    def load_series(self, series: dict[str, list]) -> None:
+        """Restore the inner COCA's histories."""
+        self.inner.load_series(series)
+
     def set_solve_deadline(self, budget_ms: float | None) -> None:
         """Forward the budget to both the probe solver and the inner COCA."""
         self.inner.set_solve_deadline(budget_ms)

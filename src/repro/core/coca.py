@@ -211,14 +211,13 @@ class COCA(Controller):
 
     # -------------------------------------------------------- checkpointing
     def state_dict(self) -> dict:
-        """Everything Algorithm 1 carries across slots, checkpoint-ready."""
+        """Everything Algorithm 1 carries across slots, checkpoint-ready,
+        except the per-slot histories (:meth:`series`)."""
         from ..state.serialize import encode_array
 
         return {
             "queue": self.queue.state_dict(),
             "current_v": float(self._current_v),
-            "v_history": [float(v) for v in self.v_history],
-            "queue_at_decision": [float(q) for q in self.queue_at_decision],
             "prev_on": encode_array(self._prev_on),
             "frame_cost": float(self._frame_cost),
             "frame_deficit": float(self._frame_deficit),
@@ -234,8 +233,6 @@ class COCA(Controller):
 
         self.queue.load_state_dict(state["queue"])
         self._current_v = float(state["current_v"])
-        self.v_history = [float(v) for v in state["v_history"]]
-        self.queue_at_decision = [float(q) for q in state["queue_at_decision"]]
         self._prev_on = decode_array(state["prev_on"])
         self._frame_cost = float(state["frame_cost"])
         self._frame_deficit = float(state["frame_deficit"])
@@ -243,6 +240,20 @@ class COCA(Controller):
         self._frame_started = int(state["frame_started"])
         self._failed = frozenset(int(g) for g in state["failed"])
         self.solver.load_state_dict(state["solver"])
+
+    def series(self) -> dict[str, list]:
+        """The applied-V and queue histories (see :meth:`Controller.series`)."""
+        return {
+            "v_history": self.v_history,
+            "queue_at_decision": self.queue_at_decision,
+            "queue_lengths": self.queue.lengths,
+        }
+
+    def load_series(self, series: dict[str, list]) -> None:
+        """Restore the histories captured by :meth:`series`."""
+        self.v_history = [float(v) for v in series["v_history"]]
+        self.queue_at_decision = [float(q) for q in series["queue_at_decision"]]
+        self.queue.lengths = [float(x) for x in series["queue_lengths"]]
 
     def set_solve_deadline(self, budget_ms: float | None) -> None:
         """Forward the per-slot wall-clock budget to the P3 engine (only

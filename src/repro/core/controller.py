@@ -110,6 +110,18 @@ class Controller(ABC):
     def load_state_dict(self, state: dict) -> None:
         """Restore state captured by :meth:`state_dict` (no-op default)."""
 
+    def series(self) -> dict[str, list]:
+        """The controller's append-only per-slot series, by name.
+
+        They stay out of :meth:`state_dict`: the runner logs them like its
+        record columns, one record's new rows at a time, so a checkpoint
+        never re-encodes a whole history.  The default has none.
+        """
+        return {}
+
+    def load_series(self, series: dict[str, list]) -> None:
+        """Restore the series captured by :meth:`series` (no-op default)."""
+
     def set_solve_deadline(self, budget_ms: float | None) -> None:
         """Arm a per-slot wall-clock solve budget.
 

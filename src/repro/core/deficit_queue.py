@@ -38,7 +38,8 @@ class CarbonDeficitQueue:
     alpha: float = 1.0
     rec_per_slot: float = 0.0
     _length: float = field(default=0.0, init=False)
-    _history: list = field(default_factory=list, init=False, repr=False)
+    #: Queue length after each update so far (append-only).
+    lengths: list = field(default_factory=list, init=False, repr=False)
 
     def __post_init__(self) -> None:
         if self.alpha <= 0:
@@ -54,7 +55,7 @@ class CarbonDeficitQueue:
     @property
     def history(self) -> np.ndarray:
         """Queue length *after* each update so far."""
-        return np.asarray(self._history, dtype=np.float64)
+        return np.asarray(self.lengths, dtype=np.float64)
 
     def update(self, brown_energy: float, offsite: float) -> float:
         """Apply Eq. (17) for one slot and return the new length.
@@ -76,7 +77,7 @@ class CarbonDeficitQueue:
         arrival = brown_energy
         service = self.alpha * offsite + self.rec_per_slot
         self._length = max(self._length + arrival - service, 0.0)
-        self._history.append(self._length)
+        self.lengths.append(self._length)
         return self._length
 
     def reset(self) -> None:
@@ -86,16 +87,13 @@ class CarbonDeficitQueue:
 
     # -------------------------------------------------------- checkpointing
     def state_dict(self) -> dict:
-        """Queue length and full update history for a checkpoint."""
-        return {
-            "length": float(self._length),
-            "history": [float(x) for x in self._history],
-        }
+        """Queue length for a checkpoint; :attr:`lengths` is a per-slot
+        series its owner checkpoints separately."""
+        return {"length": float(self._length)}
 
     def load_state_dict(self, state: dict) -> None:
         """Restore queue state captured by :meth:`state_dict`."""
         self._length = float(state["length"])
-        self._history = [float(x) for x in state["history"]]
 
     def drift_bound_B(self, y_max: float, z_max: float) -> float:
         """The Theorem 2 constant ``B >= 0.5 * (y(t) - z(t))^2`` for all t,

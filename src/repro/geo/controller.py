@@ -221,11 +221,13 @@ class GeoCOCA:
 
     # -------------------------------------------------------- checkpointing
     def state_dict(self) -> dict:
-        """Queue, per-site switching memory, and warm-start split."""
+        """Queue and its history, per-site switching memory, and warm-start
+        split (no runner logs this controller's series)."""
         from ..state.serialize import encode_array
 
         return {
             "queue": self.queue.state_dict(),
+            "queue_lengths": [float(x) for x in self.queue.lengths],
             "prev_on": [encode_array(arr) for arr in self._prev_on],
             "prev_shares": encode_array(self._prev_shares),
             "last_v": float(self._last_v),
@@ -241,6 +243,7 @@ class GeoCOCA:
         from ..state.serialize import decode_array
 
         self.queue.load_state_dict(state["queue"])
+        self.queue.lengths = [float(x) for x in state["queue_lengths"]]
         self._prev_on = [decode_array(obj) for obj in state["prev_on"]]
         self._prev_shares = decode_array(state["prev_shares"])
         self._last_v = float(state["last_v"])

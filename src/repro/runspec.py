@@ -59,7 +59,6 @@ class RunSpec:
     solve_deadline_ms: float | None = None
     schedule: FaultSchedule | None = None
     checkpoint_every: int = 1
-    checkpoint_keep: int = 3
     serve: dict | None = None
 
     # ------------------------------------------------------------ sources
@@ -74,7 +73,7 @@ class RunSpec:
         """
         fields = {
             name: getattr(args, name)
-            for name in _SCENARIO_KEYS + _RUN_KEYS + ("checkpoint_every", "checkpoint_keep")
+            for name in _SCENARIO_KEYS + _RUN_KEYS + ("checkpoint_every",)
             if hasattr(args, name)
         }
         command = getattr(args, "command", None)
@@ -100,7 +99,8 @@ class RunSpec:
         """Inverse of :meth:`to_manifest`; refuses foreign files and
         manifests of the removed process-sharded solver and advice layer
         (ValueError).  Serve manifests of older versions carry
-        ``"advice": null``, which is accepted."""
+        ``"advice": null``, and older manifests a rotation depth
+        (``checkpoint.keep``); both are accepted and dropped."""
         if manifest.get("format") != _MANIFEST_FORMAT:
             raise ValueError(f"not a {_MANIFEST_FORMAT} file")
         run = manifest["run"]
@@ -121,7 +121,6 @@ class RunSpec:
             **{key: run[key] for key in _RUN_KEYS if key in run},
             schedule=schedule,
             checkpoint_every=manifest["checkpoint"]["every"],
-            checkpoint_keep=manifest["checkpoint"]["keep"],
             serve=manifest.get("serve"),
         )
 
@@ -144,7 +143,7 @@ class RunSpec:
             "scenario": {key: getattr(self, key) for key in _SCENARIO_KEYS},
             "run": run,
             "schedule": None if self.schedule is None else self.schedule.to_dict(),
-            "checkpoint": {"every": self.checkpoint_every, "keep": self.checkpoint_keep},
+            "checkpoint": {"every": self.checkpoint_every},
         }
         if self.serve is not None:
             manifest["serve"] = self.serve
@@ -183,8 +182,6 @@ class RunSpec:
             out.append(f"--solve-deadline-ms must be > 0, got {self.solve_deadline_ms}")
         if self.checkpoint_every < 1:
             out.append(f"--checkpoint-every must be >= 1, got {self.checkpoint_every}")
-        if self.checkpoint_keep < 1:
-            out.append(f"--checkpoint-keep must be >= 1, got {self.checkpoint_keep}")
         return out
 
     # ---------------------------------------------------------------- build

@@ -71,6 +71,11 @@ class StalenessResolver:
         the first empty poll (the deterministic setting -- no clock reads).
     poll_interval_s:
         Sleep between polls while waiting (ignored with ``timeout_s=0``).
+    peak_arrival:
+        The arrival rate a cold start plans for: a first frame that lost
+        its prediction gets this one (``repro serve`` passes the fleet's
+        capacity), so losing frame 0 over-provisions one slot instead of
+        switching every server off.  Realized values never observed stay 0.
     clock / sleep:
         Injectable time functions (tests use fakes; defaults are
         ``time.monotonic`` / ``time.sleep``).
@@ -84,6 +89,7 @@ class StalenessResolver:
         telemetry: Telemetry | None = None,
         timeout_s: float = 0.0,
         poll_interval_s: float = 0.05,
+        peak_arrival: float = 0.0,
         clock: Callable[[], float] | None = None,
         sleep: Callable[[float], None] | None = None,
     ) -> None:
@@ -105,6 +111,11 @@ class StalenessResolver:
         self._empty_polls = 0
         #: Last fully-resolved frame (the value donor for synthesis).
         self.last: SignalFrame | None = None
+        #: The donor before anything resolved.
+        self._cold = SignalFrame(
+            slot=-1, arrival=peak_arrival, onsite=0.0, price=0.0,
+            arrival_actual=0.0, offsite=0.0,
+        )
         self.counts: dict[str, int] = {k: 0 for k in RESOLUTIONS}
 
     # ------------------------------------------------------------------
@@ -164,22 +175,14 @@ class StalenessResolver:
 
     def _synthesize(self, t: int, frame: SignalFrame | None) -> SignalFrame:
         """Fill every hole in ``frame`` (or a wholly absent frame) from the
-        last resolved values, registering each loss with the injector."""
-        last = self.last
-        donor = {
-            "arrival": last.arrival if last is not None else 0.0,
-            "onsite": last.onsite if last is not None else 0.0,
-            "price": last.price if last is not None else 0.0,
-            "arrival_actual": last.arrival_actual if last is not None else 0.0,
-            "offsite": last.offsite if last is not None else 0.0,
-        }
+        last resolved values (the cold-start frame before any), registering
+        each loss with the injector."""
+        last = self.last if self.last is not None else self._cold
+        donor = {field: getattr(last, field) for field in OPTIONAL_FIELDS}
         if frame is None:
             self._inject(t, tuple(_INJECTED_FIELDS), "missing_frame")
             return SignalFrame(
-                slot=t,
-                network_delay=last.network_delay if last is not None else 0.0,
-                pue=last.pue if last is not None else None,
-                **donor,
+                slot=t, network_delay=last.network_delay, pue=last.pue, **donor
             )
         holes = frame.missing_fields
         self._inject(t, holes, "missing_fields")

@@ -38,7 +38,6 @@ from ..solvers.messaging import BusTimeoutError
 from ..solvers.problem import InfeasibleError
 from ..state.checkpoint import Checkpoint, CheckpointError, CheckpointWriter
 from ..state.serialize import (
-    EncodedColumns,
     decode_action,
     decode_array,
     encode_action,
@@ -66,6 +65,18 @@ RECORD_COLUMNS = (
     "dropped",
     "active_servers",
 )
+
+
+def _new_rows(series: dict, logged: dict) -> dict:
+    """``{name: {"from": n, "rows": rows[n:]}}`` for every series, where
+    ``n`` is the row count ``logged`` says the checkpoint log holds;
+    marks every row logged."""
+    out = {}
+    for name, rows in series.items():
+        start = logged.get(name, 0)
+        out[name] = {"from": start, "rows": rows[start:]}
+        logged[name] = len(rows)
+    return out
 
 
 def realize_action(
@@ -253,8 +264,8 @@ class SlotRunner:
             )
 
         self.cols: dict[str, list[float]] = {name: [] for name in RECORD_COLUMNS}
-        # Canonical JSON of ``cols``, extended by the rows each capture adds.
-        self._cols_json = EncodedColumns()
+        # Rows of each per-slot series the checkpoint log already holds.
+        self._logged: dict[str, dict[str, int]] = {"cols": {}, "controller": {}}
         self.prev_on: np.ndarray | None = None
         self.last_realized: FleetAction | None = None
         self.start_slot = 0
@@ -302,15 +313,23 @@ class SlotRunner:
                 f"{state['controller']['name']!r}, not {self.controller.name()!r}"
             )
         self.start_slot = int(resume_from.slot)
-        for name, values in state["cols"].items():
+        series = state["series"]
+        for name, values in series["cols"].items():
             self.cols[name] = [float(x) for x in values]
         if any(len(v) != self.start_slot for v in self.cols.values()):
             raise CheckpointError("checkpoint column lengths disagree with slot")
-        # The next capture re-encodes the restored columns from scratch.
-        self._cols_json.reset()
         self.prev_on = decode_array(state["prev_on"])
         self.last_realized = decode_action(state["last_realized"])
         self.controller.load_state_dict(state["controller"]["state"])
+        self.controller.load_series(series.get("controller", {}))
+        # Appending to the same log continues its series; a log of our own
+        # starts with every row.
+        self._logged = {"cols": {}, "controller": {}}
+        if self.checkpoint is not None and self.checkpoint.resume(resume_from):
+            self._logged = {
+                "cols": {n: len(v) for n, v in self.cols.items()},
+                "controller": {n: len(v) for n, v in self.controller.series().items()},
+            }
         if self.injector is not None and state.get("injector") is not None:
             self.injector.load_state_dict(state["injector"])
         if self.policy is not None and state.get("degradation") is not None:
@@ -328,21 +347,22 @@ class SlotRunner:
 
     # ------------------------------------------------------------------
     def capture(self, slot: int) -> dict:
-        """A complete snapshot of the run after ``slot`` slots, ready for
-        :func:`~repro.state.serialize.canonical_dumps`.
+        """The checkpoint record of the run after ``slot`` slots.
 
-        The record columns come back as pre-encoded fragments: only the
-        rows added since the previous capture are converted to text.
+        It holds the O(1) run state in full and, under ``series``, only
+        the rows the record columns and the controller's series gained
+        since the previous capture (see :mod:`repro.state.checkpoint`).
         """
+        controller = self.controller
         return {
             "slot": slot,
             "horizon": self.horizon,
             "env_crc": environment_fingerprint(self.environment),
-            "controller": {
-                "name": self.controller.name(),
-                "state": self.controller.state_dict(),
+            "controller": {"name": controller.name(), "state": controller.state_dict()},
+            "series": {
+                "cols": _new_rows(self.cols, self._logged["cols"]),
+                "controller": _new_rows(controller.series(), self._logged["controller"]),
             },
-            "cols": self._cols_json.encode(self.cols),
             "prev_on": encode_array(self.prev_on),
             "last_realized": encode_action(self.last_realized),
             "injector": None if self.injector is None else self.injector.state_dict(),
@@ -568,9 +588,10 @@ def simulate(
     bit-identical to the uninstrumented run.
 
     ``checkpoint`` attaches a :class:`~repro.state.CheckpointWriter`: at
-    the writer's cadence the complete run state (per-slot columns so far,
-    controller/solver state incl. RNG streams, fault cursor, switching
-    memory) is written crash-safely, so a killed process can continue from
+    the writer's cadence the run state (controller/solver state incl. RNG
+    streams, fault cursor, switching memory, and the per-slot rows added
+    since the previous record) is appended to its log, so a killed process
+    can continue from
     ``resume_from`` -- a :class:`~repro.state.Checkpoint` -- and the
     remaining slots replay **bit-identically** to an uninterrupted run,
     SIGKILL included.

@@ -11,8 +11,8 @@ run *survivable*:
 - :mod:`~repro.state.serialize` -- exact JSON round-trips for the pieces a
   checkpoint must carry (numpy arrays, RNG bit-generator states, fleet
   actions) plus the environment fingerprint a resume validates against;
-- :mod:`~repro.state.checkpoint` -- versioned, CRC-checksummed checkpoint
-  files in a bounded rotation, with corrupt-skipping recovery;
+- :mod:`~repro.state.checkpoint` -- an append-only, CRC-framed checkpoint
+  log whose records carry only the rows added since the previous one;
 - :mod:`~repro.state.records` -- :class:`~repro.sim.metrics.SimulationRecord`
   save/load for bit-exact golden diffs.
 
@@ -25,16 +25,15 @@ uninterrupted run.  See ``docs/OPERATIONS.md`` for the runbook.
 from .atomic import atomic_write_bytes, atomic_write_text, commit_file, fsync_dir
 from .checkpoint import (
     CHECKPOINT_VERSION,
+    LOG_NAME,
     Checkpoint,
     CheckpointError,
     CheckpointWriter,
-    checkpoint_path,
+    checkpoint_files,
     dumps_checkpoint,
     latest_valid_checkpoint,
-    list_checkpoints,
     load_checkpoint,
     loads_checkpoint,
-    write_checkpoint,
 )
 from .records import load_record, record_mismatches, save_record
 from .serialize import (
@@ -53,10 +52,11 @@ __all__ = [
     "Checkpoint",
     "CheckpointError",
     "CheckpointWriter",
+    "LOG_NAME",
     "atomic_write_bytes",
     "atomic_write_text",
     "canonical_dumps",
-    "checkpoint_path",
+    "checkpoint_files",
     "commit_file",
     "decode_action",
     "decode_array",
@@ -68,11 +68,9 @@ __all__ = [
     "environment_fingerprint",
     "fsync_dir",
     "latest_valid_checkpoint",
-    "list_checkpoints",
     "load_checkpoint",
     "load_record",
     "loads_checkpoint",
     "record_mismatches",
     "save_record",
-    "write_checkpoint",
 ]

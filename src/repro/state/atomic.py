@@ -5,13 +5,13 @@ the old file or the complete new one, never a prefix.  Combined with an
 ``fsync`` of the data before the rename (so the content is on disk when the
 name flips) and an ``fsync`` of the containing directory after (so the
 rename itself survives a power cut), this is the standard recipe for files
-that must never be seen torn -- checkpoints, fault schedules, metrics
+that must never be seen torn -- run manifests, fault schedules, metrics
 snapshots, finished traces.
 
 Two shapes are provided:
 
 - :func:`atomic_write_bytes` / :func:`atomic_write_text` -- one-shot
-  replacement of a whole file (checkpoints, ``--schedule-out``);
+  replacement of a whole file (run manifests, ``--schedule-out``);
 - :func:`commit_file` -- finalize a file handle that *streamed* into a
   temporary path (the JSONL tracer writes ``<path>.part`` during the run
   and commits it into place on close, so a crash leaves the readable

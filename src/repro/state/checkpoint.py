@@ -1,24 +1,33 @@
-"""Versioned, checksummed, atomically-written checkpoint files.
+"""An append-only, CRC-framed checkpoint log.
 
-File format (two lines of UTF-8 text, so a checkpoint is greppable):
+A run checkpoints into one file, ``D/checkpoint.log``.  Each due slot
+appends one record of two UTF-8 lines, so the log stays greppable:
 
 .. code-block:: text
 
-    {"crc32": C, "format": "repro-checkpoint", "payload_bytes": N, "slot": K, "version": 1}
+    {"crc32": C, "format": "repro-checkpoint", "payload_bytes": N, "slot": K, "version": 2}
     {...canonical JSON payload, exactly N bytes...}
 
 The CRC is computed over ``b"<slot>\\n" + payload``, so a bit flip anywhere
 -- in the payload, in the header's slot field, or in the separator -- is
 detected: payload flips break the CRC directly, a flipped ``slot`` digit
-disagrees with the checksummed one, a flipped ``payload_bytes`` digit fails
-the length check, and a mangled header fails to parse.  Truncation fails
-the length check before the CRC is even consulted.
+disagrees with the checksummed one, a flipped ``payload_bytes`` digit
+misplaces the record's closing newline, and a mangled header fails to
+parse.  A truncated record lacks its closing newline.
 
-Writes go through :func:`repro.state.atomic.atomic_write_bytes` (temp +
-fsync + rename), so a crash mid-write leaves the previous rotation intact
-and never a torn file.  :func:`latest_valid_checkpoint` walks the rotation
-newest-first, skipping (and reporting, via ``state.checkpoint_rejected``
-telemetry) anything corrupt -- the recovery path after an unclean shutdown.
+A payload holds the run's O(1) state in full.  Its ``series`` entry holds
+only the rows each append-only per-slot series gained since the previous
+record, as ``{group: {name: {"from": n, "rows": [...]}}}`` where ``n`` is
+the number of rows the log already holds.  One write therefore costs O(1)
+plus the new rows, and a run's log grows O(T) in total.
+
+:func:`load_checkpoint` folds the records in order: the newest record's
+state, with every series concatenated across all of them.  It stops at
+the first record that fails validation or does not continue the fold,
+reports it as a ``state.checkpoint_rejected`` event, and returns the fold
+so far; a crash mid-append costs only the torn record.  A resumed
+:class:`CheckpointWriter` cuts the log back to the last good record before
+it appends.
 """
 
 from __future__ import annotations
@@ -30,29 +39,31 @@ import zlib
 from dataclasses import dataclass
 
 from ..telemetry import Telemetry, coerce
-from .atomic import atomic_write_bytes
+from .atomic import fsync_dir
 from .serialize import canonical_dumps
 
 __all__ = [
     "CHECKPOINT_VERSION",
+    "LOG_NAME",
     "Checkpoint",
     "CheckpointError",
     "CheckpointWriter",
+    "checkpoint_files",
     "dumps_checkpoint",
     "latest_valid_checkpoint",
-    "list_checkpoints",
     "load_checkpoint",
     "loads_checkpoint",
-    "write_checkpoint",
 ]
 
-#: Format discriminator in every checkpoint header.
+#: Format discriminator in every record header.
 CHECKPOINT_MAGIC = "repro-checkpoint"
-#: Current checkpoint schema revision; readers reject files from the future.
-CHECKPOINT_VERSION = 1
+#: Record schema revision.  Version 1 was a rotation of full snapshots
+#: (``ckpt-*.json``), which this build does not read.
+CHECKPOINT_VERSION = 2
+#: The log's file name inside a checkpoint directory.
+LOG_NAME = "checkpoint.log"
 
-_FILENAME = "ckpt-{slot:08d}.json"
-_FILENAME_RE = re.compile(r"^ckpt-(\d{8})\.json$")
+_V1_NAME = re.compile(r"^ckpt-\d{8}\.json$")
 
 
 class CheckpointError(RuntimeError):
@@ -61,11 +72,13 @@ class CheckpointError(RuntimeError):
 
 @dataclass(frozen=True)
 class Checkpoint:
-    """One validated checkpoint: the slot it resumes *into* plus the state."""
+    """A validated checkpoint: the slot it resumes *into*, the state, the
+    log it came from, and the byte length of that log's valid prefix."""
 
     slot: int
     state: dict
     path: str | None = None
+    end: int = 0
 
 
 def _crc(slot: int, payload: bytes) -> int:
@@ -73,7 +86,7 @@ def _crc(slot: int, payload: bytes) -> int:
 
 
 def dumps_checkpoint(slot: int, state: dict) -> bytes:
-    """Serialize ``state`` into the two-line checkpoint format."""
+    """Serialize ``state`` into one two-line record."""
     if slot < 0:
         raise CheckpointError("checkpoint slot must be non-negative")
     payload = canonical_dumps(state)
@@ -89,38 +102,38 @@ def dumps_checkpoint(slot: int, state: dict) -> bytes:
     return header + b"\n" + payload + b"\n"
 
 
-def loads_checkpoint(data: bytes, *, path: str | None = None) -> Checkpoint:
-    """Parse and validate checkpoint bytes; raises :class:`CheckpointError`
-    on any corruption (truncation, bit flips, wrong format, future version)."""
-    where = f" ({path})" if path else ""
-    newline = data.find(b"\n")
+def _read_record(data: bytes, offset: int, where: str) -> tuple[int, dict, int]:
+    """Validate the record at ``offset``: ``(slot, payload, end offset)``."""
+    newline = data.find(b"\n", offset)
     if newline < 0:
         raise CheckpointError(f"checkpoint has no header line{where}")
     try:
-        header = json.loads(data[:newline])
+        header = json.loads(data[offset:newline])
     except (ValueError, UnicodeDecodeError) as exc:
         raise CheckpointError(f"checkpoint header is not valid JSON{where}: {exc}")
     if not isinstance(header, dict) or header.get("format") != CHECKPOINT_MAGIC:
-        raise CheckpointError(f"not a {CHECKPOINT_MAGIC} file{where}")
+        raise CheckpointError(f"not a {CHECKPOINT_MAGIC} record{where}")
     version = header.get("version")
-    if not isinstance(version, int) or version > CHECKPOINT_VERSION or version < 1:
+    if version != CHECKPOINT_VERSION:
         raise CheckpointError(
             f"unsupported checkpoint version {version!r}{where} "
-            f"(this build reads <= {CHECKPOINT_VERSION})"
+            f"(this build reads {CHECKPOINT_VERSION})"
         )
     slot = header.get("slot")
-    expected_bytes = header.get("payload_bytes")
+    size = header.get("payload_bytes")
     expected_crc = header.get("crc32")
-    if not isinstance(slot, int) or not isinstance(expected_bytes, int) or not isinstance(expected_crc, int):
+    if not all(isinstance(v, int) for v in (slot, size, expected_crc)) or size < 0:
         raise CheckpointError(f"checkpoint header fields malformed{where}")
-    payload = data[newline + 1 :]
-    if payload.endswith(b"\n"):
-        payload = payload[:-1]
-    if len(payload) != expected_bytes:
+    start = newline + 1
+    end = start + size
+    if len(data) <= end:
         raise CheckpointError(
-            f"checkpoint truncated{where}: header promises {expected_bytes} "
-            f"payload bytes, found {len(payload)}"
+            f"checkpoint truncated{where}: header promises {size} "
+            f"payload bytes, found {len(data) - start}"
         )
+    if data[end] != 0x0A:
+        raise CheckpointError(f"checkpoint payload length disagrees with its header{where}")
+    payload = data[start:end]
     if _crc(slot, payload) != expected_crc:
         raise CheckpointError(f"checkpoint checksum mismatch{where}")
     try:
@@ -129,99 +142,120 @@ def loads_checkpoint(data: bytes, *, path: str | None = None) -> Checkpoint:
         raise CheckpointError(f"checkpoint payload is not valid JSON{where}: {exc}")
     if not isinstance(state, dict):
         raise CheckpointError(f"checkpoint payload must be a JSON object{where}")
-    return Checkpoint(slot=slot, state=state, path=path)
+    return slot, state, end + 1
 
 
-def checkpoint_path(directory: str, slot: int) -> str:
-    """The rotation filename for ``slot`` inside ``directory``."""
-    return os.path.join(str(directory), _FILENAME.format(slot=int(slot)))
+def loads_checkpoint(data: bytes, *, path: str | None = None) -> Checkpoint:
+    """Parse and validate exactly one record; raises :class:`CheckpointError`
+    on any corruption (truncation, bit flips, wrong format, other version)."""
+    where = f" ({path})" if path else ""
+    slot, state, end = _read_record(data, 0, where)
+    if end != len(data):
+        raise CheckpointError(f"trailing bytes after the checkpoint record{where}")
+    return Checkpoint(slot=slot, state=state, path=path, end=end)
 
 
-def write_checkpoint(directory: str, slot: int, state: dict, *, sync: bool = True) -> str:
-    """Atomically write one checkpoint file; returns its path."""
-    os.makedirs(str(directory), exist_ok=True)
-    path = checkpoint_path(directory, slot)
-    atomic_write_bytes(path, dumps_checkpoint(slot, state), sync=sync)
-    return path
+def _fold(folded: dict | None, record: dict) -> dict:
+    """``record`` folded onto the fold so far (None before the first)."""
+    held = {} if folded is None else folded["series"]
+    try:
+        parts = [
+            (group, name, int(part["from"]), list(part["rows"]))
+            for group, named in record.get("series", {}).items()
+            for name, part in named.items()
+        ]
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+        raise CheckpointError(f"checkpoint series malformed: {exc!r}")
+    for group, name, start, _ in parts:
+        have = len(held.get(group, {}).get(name, ()))
+        if start != have:
+            raise CheckpointError(
+                f"checkpoint does not continue the log: series {group}/{name} "
+                f"starts at row {start}, the log holds {have}"
+            )
+    for group, name, _, rows in parts:
+        held.setdefault(group, {}).setdefault(name, []).extend(rows)
+    return {**record, "series": held}
 
 
-def load_checkpoint(path: str) -> Checkpoint:
-    """Read and validate one checkpoint file."""
+def load_checkpoint(path: str, *, telemetry: Telemetry | None = None) -> Checkpoint | None:
+    """The fold of the checkpoint log at ``path``; None when its first
+    record does not validate (or there is no log)."""
     try:
         with open(path, "rb") as fh:
             data = fh.read()
+    except FileNotFoundError:
+        return None
     except OSError as exc:
-        raise CheckpointError(f"cannot read checkpoint {path}: {exc}")
-    return loads_checkpoint(data, path=str(path))
-
-
-def list_checkpoints(directory: str) -> list[str]:
-    """Rotation files in ``directory``, oldest (lowest slot) first.
-
-    Only well-*named* files are listed; validity is the loader's job.
-    """
-    try:
-        names = os.listdir(str(directory))
-    except OSError:
-        return []
-    matched = sorted(
-        (int(m.group(1)), name)
-        for name in names
-        if (m := _FILENAME_RE.match(name)) is not None
-    )
-    return [os.path.join(str(directory), name) for _, name in matched]
+        raise CheckpointError(f"cannot read checkpoint log {path}: {exc}")
+    where = f" ({path})"
+    folded, slot, offset = None, 0, 0
+    while offset < len(data):
+        try:
+            record_slot, record, end = _read_record(data, offset, where)
+            folded = _fold(folded, record)
+        except CheckpointError as exc:
+            tele = coerce(telemetry)
+            if tele.enabled:
+                tele.emit(
+                    "state.checkpoint_rejected",
+                    path=str(path),
+                    offset=offset,
+                    error=str(exc),
+                )
+                tele.metrics.counter("state.checkpoints_rejected").inc()
+            break
+        slot, offset = record_slot, end
+    if folded is None:
+        return None
+    return Checkpoint(slot=slot, state=folded, path=str(path), end=offset)
 
 
 def latest_valid_checkpoint(
     directory: str, *, telemetry: Telemetry | None = None
 ) -> Checkpoint | None:
-    """The newest checkpoint in ``directory`` that validates.
+    """The fold of ``directory``'s checkpoint log (see :func:`load_checkpoint`)."""
+    return load_checkpoint(os.path.join(str(directory), LOG_NAME), telemetry=telemetry)
 
-    Corrupt files (truncated by a crash, bit-flipped on disk) are skipped
-    newest-first with a ``state.checkpoint_rejected`` telemetry event each,
-    so recovery falls back to the previous good rotation entry instead of
-    failing outright.  Returns ``None`` when nothing validates.
-    """
-    tele = coerce(telemetry)
-    for path in reversed(list_checkpoints(directory)):
-        try:
-            return load_checkpoint(path)
-        except CheckpointError as exc:
-            if tele.enabled:
-                tele.emit("state.checkpoint_rejected", path=str(path), error=str(exc))
-                tele.metrics.counter("state.checkpoints_rejected").inc()
-    return None
+
+def checkpoint_files(directory: str) -> list[str]:
+    """Names of the checkpoint log and any version-1 snapshots
+    (``ckpt-*.json``) in ``directory``, sorted."""
+    try:
+        names = os.listdir(str(directory))
+    except OSError:
+        return []
+    return sorted(n for n in names if n == LOG_NAME or _V1_NAME.match(n))
 
 
 class CheckpointWriter:
-    """Cadenced checkpoint writes with a bounded rotation.
+    """Cadenced appends to a directory's checkpoint log.
 
     Parameters
     ----------
     directory:
-        Where the rotation lives (created on first write).
+        Where the log lives (created on first write).
     every:
-        Write cadence in slots: a checkpoint lands after each slot ``t``
+        Write cadence in slots: a record lands after each slot ``t``
         with ``(t + 1) % every == 0``.
-    keep:
-        Rotation depth; older files beyond the ``keep`` newest are deleted
-        after each successful write (at least 2 is sensible, so a corrupt
-        newest file still has a fallback).
     sync:
-        Fsync data and directory on each write (disable only in tests).
+        Fsync each record, and the directory once when the log is created
+        (disable only in tests).
+
+    A fresh writer creates the log and refuses one that already exists;
+    :meth:`resume` continues an existing one instead.
     """
 
-    def __init__(self, directory: str, *, every: int = 1, keep: int = 3, sync: bool = True):
+    def __init__(self, directory: str, *, every: int = 1, sync: bool = True):
         if every < 1:
             raise ValueError("checkpoint cadence `every` must be >= 1")
-        if keep < 1:
-            raise ValueError("rotation depth `keep` must be >= 1")
         self.directory = str(directory)
+        self.path = os.path.join(self.directory, LOG_NAME)
         self.every = int(every)
-        self.keep = int(keep)
         self.sync = sync
         self.written = 0
         self.telemetry: Telemetry = coerce(None)
+        self._created = False
 
     def bind_telemetry(self, telemetry: Telemetry | None) -> None:
         """Attach the run's telemetry (``state.checkpoint`` events)."""
@@ -231,22 +265,57 @@ class CheckpointWriter:
         """Whether a checkpoint is scheduled at resume-slot ``slot``."""
         return slot > 0 and slot % self.every == 0
 
+    def resume(self, checkpoint: Checkpoint) -> bool:
+        """Continue the log ``checkpoint`` was folded from, cut back to its
+        last good record.  Returns False when the checkpoint came from
+        another file: this writer then starts a log of its own, whose first
+        record must carry every row."""
+        if not (
+            checkpoint.path is not None
+            and os.path.exists(checkpoint.path)
+            and os.path.exists(self.path)
+            and os.path.samefile(checkpoint.path, self.path)
+        ):
+            return False
+        fd = os.open(self.path, os.O_WRONLY)
+        try:
+            os.ftruncate(fd, checkpoint.end)
+            if self.sync:
+                os.fsync(fd)
+        finally:
+            os.close(fd)
+        self._created = True
+        return True
+
     def write(self, slot: int, state: dict) -> str:
-        """Write one checkpoint now (regardless of cadence) and rotate."""
-        path = write_checkpoint(self.directory, slot, state, sync=self.sync)
+        """Append one record now (regardless of cadence); returns the log path."""
+        data = dumps_checkpoint(slot, state)
+        flags = os.O_WRONLY | os.O_APPEND
+        if not self._created:
+            os.makedirs(self.directory, exist_ok=True)
+            flags |= os.O_CREAT | os.O_EXCL
+        try:
+            fd = os.open(self.path, flags, 0o644)
+        except FileExistsError:
+            raise CheckpointError(f"{self.path} already holds a checkpoint log")
+        try:
+            view = memoryview(data)
+            while view:
+                view = view[os.write(fd, view):]
+            if self.sync:
+                os.fsync(fd)
+        finally:
+            os.close(fd)
+        if not self._created:
+            self._created = True
+            if self.sync:
+                fsync_dir(self.directory)
         self.written += 1
-        self._rotate()
         tele = self.telemetry
         if tele.enabled:
-            tele.emit(
-                "state.checkpoint",
-                slot=int(slot),
-                path=path,
-                bytes=os.path.getsize(path),
-                kept=min(self.written, self.keep),
-            )
+            tele.emit("state.checkpoint", slot=int(slot), path=self.path, bytes=len(data))
             tele.metrics.counter("state.checkpoints").inc()
-        return path
+        return self.path
 
     def maybe_write(self, slot: int, build_state) -> str | None:
         """Write at the cadence; ``build_state`` is only called when due, so
@@ -254,10 +323,3 @@ class CheckpointWriter:
         if not self.due(slot):
             return None
         return self.write(slot, build_state())
-
-    def _rotate(self) -> None:
-        for path in list_checkpoints(self.directory)[: -self.keep or None]:
-            try:
-                os.unlink(path)
-            except OSError:  # pragma: no cover - racing cleanup is fine
-                pass

@@ -16,13 +16,6 @@ run state is a bug upstream, not something to round-trip -- telemetry
 sanitizes non-finite values to ``null`` at its own boundary).  Because the
 form is canonical, save -> load -> save is byte-identical, which is what
 the hypothesis suite in ``tests/test_state.py`` pins.
-
-A run's record columns grow by one row per slot, so re-encoding them at
-every checkpoint would make snapshots O(t).  :class:`EncodedColumns` keeps
-their canonical text and converts only the rows appended since the last
-snapshot; it hands the text to :func:`canonical_dumps` as :class:`Encoded`
-fragments, which are spliced in verbatim.  The bytes are the same as
-encoding the plain lists.
 """
 
 from __future__ import annotations
@@ -36,8 +29,6 @@ import numpy as np
 from ..cluster.fleet import FleetAction
 
 __all__ = [
-    "Encoded",
-    "EncodedColumns",
     "canonical_dumps",
     "decode_action",
     "decode_array",
@@ -46,7 +37,6 @@ __all__ = [
     "encode_array",
     "encode_rng",
     "environment_fingerprint",
-    "float_list_text",
     "trace_fingerprint",
 ]
 
@@ -71,89 +61,9 @@ _ENCODER = json.JSONEncoder(
 )
 
 
-class Encoded:
-    """Canonical JSON text that :func:`canonical_dumps` splices in verbatim.
-
-    Valid as the whole value or as a dict value at any depth; anywhere
-    else (inside a list, or in any other encoder) it is not serializable.
-    The producer guarantees the text is canonical.
-    """
-
-    __slots__ = ("text",)
-
-    def __init__(self, text: str) -> None:
-        self.text = text
-
-
 def canonical_dumps(value: Any) -> bytes:
-    """The canonical (sorted, compact, strict) JSON bytes of ``value``;
-    :class:`Encoded` values are spliced in as they are."""
-    return _canonical(value).encode("utf-8")
-
-
-def _canonical(value: Any) -> str:
-    # Only dicts that hold Encoded values are walked here; every other
-    # value goes to the C encoder whole, which emits the same text for a
-    # string-keyed dict as this sorted join does.
-    if isinstance(value, Encoded):
-        return value.text
-    if _holds_encoded(value) and all(isinstance(k, str) for k in value):
-        return "{%s}" % ",".join(
-            f"{_ENCODER.encode(k)}:{_canonical(v)}"
-            for k, v in sorted(value.items(), key=lambda kv: kv[0])
-        )
-    return _ENCODER.encode(value)
-
-
-def _holds_encoded(value: Any) -> bool:
-    return isinstance(value, dict) and any(
-        isinstance(v, Encoded) or _holds_encoded(v) for v in value.values()
-    )
-
-
-def float_list_text(values) -> str:
-    """Canonical JSON of ``values`` as floats, comma-joined, no brackets.
-
-    Raises ``ValueError`` on NaN or infinity, as ``allow_nan=False`` does.
-    """
-    text = ",".join(map(float.__repr__, map(float, values)))
-    # A finite float's repr never holds an "n"; nan, inf and -inf do.
-    if "n" in text:
-        raise ValueError("Out of range float values are not JSON compliant")
-    return text
-
-
-class EncodedColumns:
-    """Canonical JSON of append-only float columns, encoded incrementally.
-
-    :meth:`encode` converts only the rows appended to each column since
-    the previous call, so snapshotting a growing record costs O(new rows)
-    of float-to-text work however long the record already is.
-    """
-
-    def __init__(self) -> None:
-        self._text: dict[str, str] = {}
-        self._rows: dict[str, int] = {}
-
-    def reset(self) -> None:
-        """Forget all encoded rows; the next :meth:`encode` starts over
-        (call it whenever the columns are replaced rather than appended to)."""
-        self._text.clear()
-        self._rows.clear()
-
-    def encode(self, cols) -> dict[str, Encoded]:
-        """``{name: Encoded}`` for a mapping of column name to float list."""
-        out = {}
-        for name, values in cols.items():
-            done = self._rows.get(name, 0)
-            text = self._text.get(name, "")
-            if len(values) > done:
-                new = float_list_text(values[done:])
-                text = f"{text},{new}" if text else new
-                self._text[name] = text
-                self._rows[name] = len(values)
-            out[name] = Encoded(f"[{text}]")
-        return out
+    """The canonical (sorted, compact, strict) JSON bytes of ``value``."""
+    return _ENCODER.encode(value).encode("utf-8")
 
 
 # ---------------------------------------------------------------- arrays

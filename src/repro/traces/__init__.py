@@ -14,14 +14,6 @@ from .io import (
     trace_from_csv,
     trace_to_csv,
 )
-from .forecast import (
-    EWMA,
-    Forecaster,
-    Persistence,
-    SeasonalEWMA,
-    SeasonalNaive,
-    forecast_workload,
-)
 from .noise import PredictionModel, noisy_prediction, overestimate
 from .price import DEFAULT_MEAN_PRICE, price_trace
 from .solar import solar_trace
@@ -47,12 +39,6 @@ __all__ = [
     "PredictionModel",
     "overestimate",
     "noisy_prediction",
-    "Forecaster",
-    "Persistence",
-    "SeasonalNaive",
-    "EWMA",
-    "SeasonalEWMA",
-    "forecast_workload",
     "save_traces",
     "load_traces",
     "trace_to_csv",

@@ -22,7 +22,7 @@ MANIFEST_DIR = Path(__file__).parent / "goldens" / "manifests"
 ADVICE_MANIFEST = MANIFEST_DIR / "serve_synthetic_advice.json"
 
 #: A hand-written batch-run manifest in the format written before serve
-#: runs existed.
+#: runs existed (with the rotation depth ``keep`` the log replaced).
 LEGACY_MANIFEST = {
     "format": "repro-run-manifest",
     "version": 1,
@@ -130,14 +130,18 @@ class TestRunResume:
             ]
         )
 
-    def test_run_writes_manifest_and_rotation(self, tmp_path, capsys):
-        assert self._run(tmp_path / "ckpts", "--checkpoint-keep", "2") == 0
-        names = sorted(os.listdir(tmp_path / "ckpts"))
-        assert MANIFEST_NAME in names
-        assert [n for n in names if n.startswith("ckpt-")] == [
-            "ckpt-00000044.json",
-            "ckpt-00000048.json",
-        ]
+    def test_run_writes_manifest_and_log(self, tmp_path, capsys):
+        from repro.state import LOG_NAME
+        from tests.state_oracle import record_spans
+
+        assert self._run(tmp_path / "ckpts") == 0
+        assert sorted(os.listdir(tmp_path / "ckpts")) == [LOG_NAME, MANIFEST_NAME]
+        spans = record_spans(tmp_path / "ckpts" / LOG_NAME)
+        assert [slot for slot, _, _ in spans] == list(range(4, 49, 4))
+
+    def test_checkpoint_keep_flag_is_gone(self):
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(["run", "--checkpoint-keep", "2"])
 
     def test_run_without_checkpoints(self, capsys):
         assert main(["run", "--horizon", "48", "--seed", "3"]) == 0
@@ -232,6 +236,44 @@ class TestExitCodes:
         assert rc == EXIT_BAD_INPUT
         assert "no valid checkpoint" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("leftover", ["log", "v1"])
+    @pytest.mark.parametrize("command", ["run", "serve"])
+    def test_fresh_run_refuses_a_used_checkpoint_dir(
+        self, tmp_path, capsys, command, leftover
+    ):
+        # A new run must neither append to another run's log nor leave
+        # another run's snapshots beside its own manifest.
+        ckpt_dir = tmp_path / "ckpts"
+        if leftover == "log":
+            argv = [command, "--horizon", "24", "--checkpoint-dir", str(ckpt_dir)]
+            assert main(argv) == 0
+        else:
+            ckpt_dir.mkdir()
+            (ckpt_dir / "ckpt-00000024.json").write_text("{}")
+        before = {p.name: p.read_bytes() for p in ckpt_dir.iterdir()}
+        capsys.readouterr()
+        rc = main([command, "--horizon", "12", "--checkpoint-dir", str(ckpt_dir)])
+        assert rc == EXIT_BAD_INPUT
+        err = capsys.readouterr().err.strip()
+        assert "already holds checkpoints" in err and len(err.splitlines()) == 1
+        assert {p.name: p.read_bytes() for p in ckpt_dir.iterdir()} == before
+
+    @pytest.mark.parametrize("command", ["resume", "serve"])
+    def test_resume_refuses_version_1_snapshots(self, tmp_path, capsys, command):
+        (tmp_path / MANIFEST_NAME).write_text(json.dumps(LEGACY_MANIFEST))
+        (tmp_path / "ckpt-00000048.json").write_text(
+            '{"crc32":0,"format":"repro-checkpoint","payload_bytes":2,'
+            '"slot":48,"version":1}\n{}\n'
+        )
+        if command == "resume":
+            rc = main(["resume", str(tmp_path)])
+        else:
+            rc = main(["serve", "--resume", "--checkpoint-dir", str(tmp_path)])
+        assert rc == EXIT_BAD_INPUT
+        err = capsys.readouterr().err.strip()
+        assert "version-1" in err and "ckpt-*.json" in err
+        assert len(err.splitlines()) == 1
+
     def test_resume_verify_replay_refuses_deadline_runs(self, tmp_path, capsys):
         ckpt_dir = tmp_path / "ckpts"
         assert (
@@ -254,10 +296,7 @@ class TestExitCodes:
         # A *validly checksummed* checkpoint whose state was rewritten is
         # exactly what --verify-replay exists to catch: the resumed record
         # carries the tampered history and must diverge from golden.
-        from repro.state import (
-            latest_valid_checkpoint,
-            write_checkpoint,
-        )
+        from repro.state import LOG_NAME, dumps_checkpoint, latest_valid_checkpoint
 
         ckpt_dir = tmp_path / "ckpts"
         assert (
@@ -273,11 +312,14 @@ class TestExitCodes:
             == 0
         )
         ckpt = latest_valid_checkpoint(str(ckpt_dir))
-        state = dict(ckpt.state)
-        cols = {k: list(v) for k, v in state["cols"].items()}
-        cols["cost"][0] += 1.0
-        state["cols"] = cols
-        write_checkpoint(str(ckpt_dir), ckpt.slot, state)
+        state = json.loads(json.dumps(ckpt.state))
+        state["series"]["cols"]["cost"][0] += 1.0
+        # One record that carries every row: a log of its own.
+        state["series"] = {
+            group: {name: {"from": 0, "rows": rows} for name, rows in named.items()}
+            for group, named in state["series"].items()
+        }
+        (ckpt_dir / LOG_NAME).write_bytes(dumps_checkpoint(ckpt.slot, state))
         rc = main(["resume", str(ckpt_dir), "--verify-replay"])
         assert rc == EXIT_REPLAY_MISMATCH
         assert "DIVERGED" in capsys.readouterr().err
@@ -294,7 +336,9 @@ class TestRunSpec:
         assert RunSpec.from_manifest(manifest).to_manifest() == manifest
 
     def test_legacy_manifest_round_trips(self):
-        assert RunSpec.from_manifest(LEGACY_MANIFEST).to_manifest() == LEGACY_MANIFEST
+        # Everything round-trips except the rotation depth, which is dropped.
+        expected = {**LEGACY_MANIFEST, "checkpoint": {"every": 1}}
+        assert RunSpec.from_manifest(LEGACY_MANIFEST).to_manifest() == expected
 
     def test_null_advice_of_older_serve_manifests_is_accepted(self):
         # Serve manifests written before the advice layer was removed carry

@@ -5,7 +5,7 @@ This is the end-to-end proof of the ``repro.state`` contract: the harness
 launches ``repro run`` in a subprocess with per-slot checkpoints and an
 artificial per-slot sleep (so the kill lands mid-horizon at a
 timing-dependent slot), SIGKILLs it with no chance to clean up, then
-resumes in-process from whatever the rotation holds and diffs the final
+resumes in-process from whatever the checkpoint log holds and diffs the final
 :class:`~repro.sim.metrics.SimulationRecord` against a golden run that was
 never interrupted.  Seeds cover the plain deterministic path, the shipped
 GSD chain (its RNG position and warm-start state ride in the checkpoint),
@@ -26,7 +26,8 @@ import pytest
 from repro.cli import MANIFEST_NAME
 from repro.runspec import RunSpec
 from repro.sim import simulate
-from repro.state import latest_valid_checkpoint, list_checkpoints, record_mismatches
+from repro.state import LOG_NAME, latest_valid_checkpoint, record_mismatches
+from tests.state_oracle import record_spans
 
 _REPO_SRC = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
 
@@ -44,10 +45,11 @@ def _spawn_run(args):
 
 
 def _kill_mid_run(proc, ckpt_dir, *, min_checkpoints=5, timeout_s=90.0):
-    """SIGKILL ``proc`` once the rotation shows real mid-run progress.
+    """SIGKILL ``proc`` once the log shows real mid-run progress.
 
-    Returns the number of checkpoints on disk at kill time; fails the test
-    if the run finishes (or stalls) before a mid-horizon kill was possible.
+    Returns the number of checkpoints on disk at kill time (the fold's
+    slot, at a cadence of one slot); fails the test if the run finishes
+    (or stalls) before a mid-horizon kill was possible.
     """
     deadline = time.monotonic() + timeout_s
     while time.monotonic() < deadline:
@@ -56,11 +58,12 @@ def _kill_mid_run(proc, ckpt_dir, *, min_checkpoints=5, timeout_s=90.0):
                 "run finished before it could be killed mid-horizon; "
                 "raise --slot-sleep-ms or the horizon"
             )
-        seen = list_checkpoints(ckpt_dir)
-        if len(seen) >= min_checkpoints:
+        ckpt = latest_valid_checkpoint(ckpt_dir)
+        seen = 0 if ckpt is None else ckpt.slot
+        if seen >= min_checkpoints:
             proc.send_signal(signal.SIGKILL)
             proc.wait(timeout=30)
-            return len(seen)
+            return seen
         time.sleep(0.05)
     proc.kill()
     proc.wait(timeout=30)
@@ -108,7 +111,6 @@ def test_sigkill_then_resume_is_bit_identical(tmp_path, seed):
             "--seed", str(seed),
             "--checkpoint-dir", ckpt_dir,
             "--checkpoint-every", "1",
-            "--checkpoint-keep", "3",
             "--slot-sleep-ms", "40",
         ]
     )
@@ -127,7 +129,6 @@ def test_sigkill_then_resume_gsd_chain(tmp_path):
             "--iterations", "8",
             "--checkpoint-dir", ckpt_dir,
             "--checkpoint-every", "1",
-            "--checkpoint-keep", "3",
             "--slot-sleep-ms", "40",
         ]
     )
@@ -152,7 +153,6 @@ def test_sigkill_then_resume_under_lossy_bus_chaos(tmp_path):
             "--iterations", "6",
             "--checkpoint-dir", ckpt_dir,
             "--checkpoint-every", "1",
-            "--checkpoint-keep", "3",
             "--slot-sleep-ms", "40",
         ]
     )
@@ -168,13 +168,13 @@ def test_corrupt_newest_checkpoint_falls_back_on_resume(tmp_path):
             "--seed", "3",
             "--checkpoint-dir", ckpt_dir,
             "--checkpoint-every", "1",
-            "--checkpoint-keep", "3",
             "--slot-sleep-ms", "40",
         ]
     )
     _kill_mid_run(proc, ckpt_dir, min_checkpoints=3)
-    newest = list_checkpoints(ckpt_dir)[-1]
-    blob = bytearray(open(newest, "rb").read())
-    blob[len(blob) // 2] ^= 0x10
-    open(newest, "wb").write(bytes(blob))
+    log = os.path.join(ckpt_dir, LOG_NAME)
+    _, start, end = record_spans(log)[-1]
+    blob = bytearray(open(log, "rb").read())
+    blob[(start + end) // 2] ^= 0x10
+    open(log, "wb").write(bytes(blob))
     _resume_and_diff(ckpt_dir)

@@ -41,12 +41,14 @@ from repro.serve import (
 from repro.sim import simulate
 from repro.sim.engine import SlotRunner
 from repro.state import (
+    LOG_NAME,
     CheckpointWriter,
     environment_fingerprint,
     latest_valid_checkpoint,
+    load_record,
     record_mismatches,
 )
-from tests.state_oracle import prefix_fingerprint, without_run_id
+from tests.state_oracle import prefix_fingerprint, record_spans, without_run_id
 
 V = 150.0
 
@@ -559,23 +561,24 @@ class TestLegacyForecastPayloads:
 
 # ------------------------------------------------- checkpoints across resume
 def _payloads(directory) -> dict[int, bytes]:
-    """Slot -> checkpoint payload with ``run_id`` masked, for a directory."""
-    out = {}
-    for name in sorted(os.listdir(directory)):
-        if name.startswith("ckpt-"):
-            with open(os.path.join(directory, name), "rb") as fh:
-                header, payload = fh.read().split(b"\n")[:2]
-            out[json.loads(header)["slot"]] = without_run_id(payload)
-    return out
+    """Slot -> the last record payload at that slot in a directory's log,
+    with ``run_id`` masked."""
+    path = os.path.join(directory, LOG_NAME)
+    with open(path, "rb") as fh:
+        data = fh.read()
+    return {
+        slot: without_run_id(data[data.index(b"\n", start) + 1 : end - 1])
+        for slot, start, end in record_spans(path)
+    }
 
 
 class TestCheckpointBytesAcrossResume:
-    """Checkpoints written after a resume are byte-identical to the ones an
-    uninterrupted run writes at the same slot (``run_id`` aside): the
-    incrementally encoded columns restart cleanly from a restore."""
+    """Records appended after a resume are byte-identical to the ones an
+    uninterrupted run writes at the same slot (``run_id`` aside): each
+    carries the rows added since the previous record, also across a
+    restore."""
 
-    ARGS = ["--horizon", "30", "--seed", "4", "--checkpoint-every", "1",
-            "--checkpoint-keep", "100"]
+    ARGS = ["--horizon", "30", "--seed", "4", "--checkpoint-every", "1"]
 
     def _assert_resumed_bytes_match(self, golden_dir, resumed_dir, stop):
         golden = _payloads(golden_dir)
@@ -590,9 +593,9 @@ class TestCheckpointBytesAcrossResume:
         assert main(["run", *self.ARGS, "--checkpoint-dir", str(golden)]) == 0
         assert main(["run", *self.ARGS, "--checkpoint-dir", str(resumed)]) == 0
         stop = 11
-        for name in os.listdir(resumed):  # a crash right after slot `stop`
-            if name.startswith("ckpt-") and int(name[5:13]) > stop:
-                os.unlink(resumed / name)
+        log = resumed / LOG_NAME
+        end = [e for slot, _, e in record_spans(log) if slot == stop][-1]
+        os.truncate(log, end)  # a crash right after slot `stop`
         assert main(["resume", str(resumed)]) == 0
         self._assert_resumed_bytes_match(golden, resumed, stop)
 
@@ -608,3 +611,21 @@ class TestCheckpointBytesAcrossResume:
         assert "stopped at slot 13/30" in capsys.readouterr().out
         assert main(["serve", "--resume", "--checkpoint-dir", str(resumed)]) == 0
         self._assert_resumed_bytes_match(golden, resumed, stop)
+
+
+# ------------------------------------------------------------- cold start
+class TestColdStart:
+    """A feed that loses frame 0 plans slot 0 for the fleet's capacity: with
+    nothing resolved yet, a zero-load plan would switch every server off and
+    drop the whole slot."""
+
+    @pytest.mark.parametrize("seed", [5, 14])  # frame 0 lost whole / its prediction lost
+    def test_lost_first_frame_drops_nothing(self, tmp_path, capsys, seed):
+        out = tmp_path / "record.npz"
+        argv = ["serve", "--horizon", "24", "--source", "synthetic",
+                "--source-seed", str(seed), "--record-out", str(out)]
+        assert main(argv) == 0
+        record = load_record(str(out))
+        model = small_scenario(horizon=24).model
+        assert record.arrival_predicted[0] == model.fleet.capacity(model.gamma)
+        assert record.dropped[0] == 0.0

@@ -21,7 +21,7 @@ import urllib.request
 
 import pytest
 
-from repro.state import load_record, record_mismatches
+from repro.state import LOG_NAME, load_record, record_mismatches
 
 HORIZON = 48
 SEED = 9
@@ -119,9 +119,7 @@ def test_sigterm_then_resume_is_bit_identical_to_batch(tmp_path):
 
     assert proc.returncode == 4, out  # EXIT_SHUTDOWN
     assert "serve: stopped at slot" in out
-    assert os.path.isdir(ckpt) and any(
-        name.startswith("ckpt-") for name in os.listdir(ckpt)
-    ), out
+    assert os.path.isdir(ckpt) and LOG_NAME in os.listdir(ckpt), out
 
     # Resume the interrupted service run to completion, free-running.
     code, out = _run(

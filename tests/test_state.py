@@ -1,16 +1,17 @@
-"""Crash-safe state: checkpoint format, round-trips, rotation, resume.
+"""Crash-safe state: the checkpoint log's format, fold, recovery, resume.
 
 Four contracts anchor ``repro.state`` (docs/OPERATIONS.md):
 
-1. **Byte-identity** — save -> load -> save of a checkpoint is
-   byte-identical for arbitrary JSON-safe run state (hypothesis-pinned),
-   and a capture whose record columns are encoded incrementally dumps to
-   the same bytes as the plain capture (the oracle in
-   ``tests/state_oracle.py``).
-2. **Corruption detection** — truncation at any point and a single bit
-   flip anywhere are always rejected, never silently loaded.
-3. **Recovery** — a corrupt newest rotation entry falls back to the
-   previous valid one, with a ``state.checkpoint_rejected`` event.
+1. **Byte-identity** — save -> load -> save of a record is byte-identical
+   for arbitrary JSON-safe run state (hypothesis-pinned), and the fold of
+   a log equals the run's state with every per-slot series re-encoded
+   whole (the oracle in ``tests/state_oracle.py``).
+2. **Corruption detection** — truncating a log at any byte or flipping any
+   single bit folds it back to exactly the last intact record; a damaged
+   first record gives no checkpoint, never a different state.
+3. **Recovery** — a corrupt newest record falls back to the previous one
+   with a ``state.checkpoint_rejected`` event, and a resume cuts a torn
+   tail off and appends the bytes the uninterrupted run wrote.
 4. **Resume replay** — kill-at-slot-k plus resume reproduces the
    remaining slots bit-identically, including under chaos schedules
    with a lossy distributed bus.
@@ -21,6 +22,7 @@ from __future__ import annotations
 import dataclasses
 import json
 import os
+import statistics
 
 import numpy as np
 import pytest
@@ -34,12 +36,12 @@ from repro.sim import simulate
 from repro.sim.engine import RECORD_COLUMNS, SlotRunner
 from repro.solvers import DistributedGSD, GSDSolver
 from repro.state import (
+    LOG_NAME,
     CheckpointError,
     CheckpointWriter,
     atomic_write_bytes,
     atomic_write_text,
     canonical_dumps,
-    checkpoint_path,
     commit_file,
     decode_action,
     decode_array,
@@ -50,18 +52,15 @@ from repro.state import (
     encode_rng,
     environment_fingerprint,
     latest_valid_checkpoint,
-    list_checkpoints,
     load_checkpoint,
     load_record,
     loads_checkpoint,
     record_mismatches,
     save_record,
-    write_checkpoint,
 )
 from repro.state import serialize
-from repro.state.serialize import Encoded, EncodedColumns
 from repro.telemetry import InMemoryTracer, Telemetry
-from tests.state_oracle import plain_capture
+from tests.state_oracle import checkpoint_at, full_capture, record_spans
 
 
 def _record_fields_equal(a, b) -> list[str]:
@@ -121,6 +120,18 @@ class TestSerialize:
         second = canonical_dumps(json.loads(first))
         assert first == second
 
+    @given(json_values)
+    @settings(max_examples=150, deadline=None)
+    def test_canonical_dumps_matches_the_single_call_encoder(self, value):
+        assert canonical_dumps(value) == json.dumps(
+            value, sort_keys=True, separators=(",", ":"), allow_nan=False
+        ).encode("utf-8")
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_values_raise(self, bad):
+        with pytest.raises(ValueError):
+            canonical_dumps({"cost": [1.0, bad]})
+
     @pytest.mark.parametrize("dtype", ["float64", "int64", "float32"])
     def test_array_round_trip_preserves_dtype(self, dtype):
         arr = np.array([1, 2, 3], dtype=dtype)
@@ -170,10 +181,9 @@ class TestCheckpointFormat:
     @given(slots, states, st.data())
     @settings(max_examples=60, deadline=None)
     def test_truncation_always_rejected(self, slot, state, data):
-        # The final byte is a cosmetic trailing newline the loader tolerates
-        # losing; every cut that removes actual data must be rejected.
+        # The closing newline is part of the record: losing it is truncation.
         blob = dumps_checkpoint(slot, state)
-        cut = data.draw(st.integers(min_value=0, max_value=len(blob) - 2))
+        cut = data.draw(st.integers(min_value=0, max_value=len(blob) - 1))
         with pytest.raises(CheckpointError):
             loads_checkpoint(blob[:cut])
 
@@ -194,76 +204,97 @@ class TestCheckpointFormat:
     def test_future_version_rejected(self):
         blob = dumps_checkpoint(3, {"q": 1.5})
         header, payload = blob.split(b"\n", 1)
-        doc = json.loads(header)
-        doc["version"] = 99
-        forged = canonical_dumps(doc) + b"\n" + payload
-        with pytest.raises(CheckpointError, match="version"):
-            loads_checkpoint(forged)
+        for version in (1, 99):
+            doc = json.loads(header)
+            doc["version"] = version
+            forged = canonical_dumps(doc) + b"\n" + payload
+            with pytest.raises(CheckpointError, match="version"):
+                loads_checkpoint(forged)
 
     def test_non_checkpoint_file_rejected(self):
         with pytest.raises(CheckpointError):
-            loads_checkpoint(b'{"hello": "world"}\n{}')
+            loads_checkpoint(b'{"hello": "world"}\n{}\n')
 
     def test_file_round_trip(self, tmp_path):
-        path = write_checkpoint(tmp_path, 7, {"queue": 1.25})
+        path = CheckpointWriter(tmp_path, sync=False).write(7, {"queue": 1.25})
         ckpt = load_checkpoint(path)
         assert ckpt.slot == 7
-        assert ckpt.state == {"queue": 1.25}
-        assert ckpt.path == path
+        assert ckpt.state == {"queue": 1.25, "series": {}}
+        assert ckpt.path == path == str(tmp_path / LOG_NAME)
+        assert ckpt.end == os.path.getsize(path)
 
 
-# ----------------------------------------------------- rotation + recovery
+# ------------------------------------------------------------ log + recovery
+def _series(**named) -> dict:
+    """A record's ``series`` part: one group ``g`` of ``(start, rows)``."""
+    return {"g": {n: {"from": start, "rows": rows} for n, (start, rows) in named.items()}}
+
+
 class TestRotationAndRecovery:
-    def test_rotation_keeps_newest_k(self, tmp_path):
-        writer = CheckpointWriter(tmp_path, every=1, keep=3, sync=False)
-        for slot in range(1, 11):
-            writer.write(slot, {"slot": slot})
-        names = [os.path.basename(p) for p in list_checkpoints(tmp_path)]
-        assert names == [
-            "ckpt-00000008.json",
-            "ckpt-00000009.json",
-            "ckpt-00000010.json",
-        ]
+    """Cadence, the fold, corrupt-record recovery and the fresh-log rule of
+    the checkpoint log."""
 
     def test_cadence(self, tmp_path):
-        writer = CheckpointWriter(tmp_path, every=4, keep=10, sync=False)
+        writer = CheckpointWriter(tmp_path, every=4, sync=False)
         for slot in range(1, 13):
             writer.maybe_write(slot, lambda: {"slot": slot})
-        slot_nums = [
-            int(os.path.basename(p)[5:13]) for p in list_checkpoints(tmp_path)
-        ]
-        assert slot_nums == [4, 8, 12]
+        spans = record_spans(tmp_path / LOG_NAME)
+        assert [slot for slot, _, _ in spans] == [4, 8, 12]
 
     def test_build_state_not_called_off_cadence(self, tmp_path):
-        writer = CheckpointWriter(tmp_path, every=100, keep=2, sync=False)
+        writer = CheckpointWriter(tmp_path, every=100, sync=False)
         writer.maybe_write(3, lambda: pytest.fail("capture ran off-cadence"))
 
+    def test_fold_concatenates_series_and_keeps_the_newest_state(self, tmp_path):
+        writer = CheckpointWriter(tmp_path, sync=False)
+        writer.write(1, {"q": 1.0, "series": _series(a=(0, [1.0]), b=(0, []))})
+        writer.write(3, {"q": 2.0, "series": _series(a=(1, [2.0, 3.0]), b=(0, [9.0]))})
+        ckpt = latest_valid_checkpoint(tmp_path)
+        assert ckpt.slot == 3
+        assert ckpt.state == {"q": 2.0, "series": {"g": {"a": [1.0, 2.0, 3.0], "b": [9.0]}}}
+
+    def test_record_that_does_not_continue_the_log_is_rejected(self, tmp_path):
+        writer = CheckpointWriter(tmp_path, sync=False)
+        writer.write(1, {"series": _series(a=(0, [1.0]))})
+        writer.write(2, {"series": _series(a=(5, [2.0]))})
+        tracer = InMemoryTracer()
+        ckpt = latest_valid_checkpoint(tmp_path, telemetry=Telemetry(tracer=tracer))
+        assert ckpt.slot == 1 and ckpt.state["series"] == {"g": {"a": [1.0]}}
+        (event,) = [e for e in tracer.events if e["kind"] == "state.checkpoint_rejected"]
+        assert "does not continue" in event["error"]
+
     def test_corrupt_newest_falls_back_with_telemetry(self, tmp_path):
-        writer = CheckpointWriter(tmp_path, every=1, keep=3, sync=False)
+        writer = CheckpointWriter(tmp_path, every=1, sync=False)
         for slot in range(1, 4):
             writer.write(slot, {"slot": slot})
-        newest = checkpoint_path(tmp_path, 3)
-        blob = bytearray(open(newest, "rb").read())
-        blob[len(blob) // 2] ^= 0x01
-        open(newest, "wb").write(bytes(blob))
+        path = tmp_path / LOG_NAME
+        _, start, end = record_spans(path)[-1]
+        blob = bytearray(path.read_bytes())
+        blob[(start + end) // 2] ^= 0x01
+        path.write_bytes(bytes(blob))
 
         tracer = InMemoryTracer()
         ckpt = latest_valid_checkpoint(tmp_path, telemetry=Telemetry(tracer=tracer))
-        assert ckpt is not None and ckpt.slot == 2
+        assert ckpt is not None and ckpt.slot == 2 and ckpt.end == start
         rejected = [e for e in tracer.events if e["kind"] == "state.checkpoint_rejected"]
         assert len(rejected) == 1
-        assert rejected[0]["path"] == newest
+        assert rejected[0]["path"] == str(path)
+        assert rejected[0]["offset"] == start
 
     def test_no_valid_checkpoint_returns_none(self, tmp_path):
         assert latest_valid_checkpoint(tmp_path) is None
-        (tmp_path / "ckpt-00000001.json").write_bytes(b"garbage")
+        (tmp_path / LOG_NAME).write_bytes(b"garbage")
         assert latest_valid_checkpoint(tmp_path) is None
 
     def test_writer_validates_parameters(self, tmp_path):
         with pytest.raises(ValueError):
             CheckpointWriter(tmp_path, every=0)
-        with pytest.raises(ValueError):
-            CheckpointWriter(tmp_path, keep=0)
+
+    def test_fresh_writer_refuses_an_existing_log(self, tmp_path):
+        CheckpointWriter(tmp_path, sync=False).write(1, {})
+        with pytest.raises(CheckpointError, match="already holds"):
+            CheckpointWriter(tmp_path, sync=False).write(1, {})
+        assert len(record_spans(tmp_path / LOG_NAME)) == 1
 
 
 # ----------------------------------------------------------- record files
@@ -308,12 +339,12 @@ class TestResumeReplay:
             scenario.model,
             _coca(scenario),
             scenario.environment,
-            checkpoint=CheckpointWriter(tmp_path, every=1, keep=100, sync=False),
+            checkpoint=CheckpointWriter(tmp_path, every=1, sync=False),
         )
         assert record_mismatches(golden, checkpointed) == []
 
         kill_slot = 13 + seed
-        ckpt = load_checkpoint(checkpoint_path(tmp_path, kill_slot))
+        ckpt = checkpoint_at(tmp_path, kill_slot, tmp_path / "at")
         resumed = simulate(
             scenario.model, _coca(scenario), scenario.environment, resume_from=ckpt
         )
@@ -348,8 +379,8 @@ class TestResumeReplay:
             )
 
         golden = run()
-        run(checkpoint=CheckpointWriter(tmp_path, every=1, keep=100, sync=False))
-        ckpt = load_checkpoint(checkpoint_path(tmp_path, 17))
+        run(checkpoint=CheckpointWriter(tmp_path, every=1, sync=False))
+        ckpt = checkpoint_at(tmp_path, 17, tmp_path / "at")
         resumed = run(resume_from=ckpt)
         assert record_mismatches(golden, resumed) == []
 
@@ -366,8 +397,8 @@ class TestResumeReplay:
             )
 
         golden = run()
-        run(checkpoint=CheckpointWriter(tmp_path, every=1, keep=100, sync=False))
-        ckpt = load_checkpoint(checkpoint_path(tmp_path, 20))
+        run(checkpoint=CheckpointWriter(tmp_path, every=1, sync=False))
+        ckpt = checkpoint_at(tmp_path, 20, tmp_path / "at")
         resumed = run(resume_from=ckpt)
         assert record_mismatches(golden, resumed) == []
 
@@ -377,9 +408,9 @@ class TestResumeReplay:
             scenario.model,
             _coca(scenario),
             scenario.environment,
-            checkpoint=CheckpointWriter(tmp_path, every=1, keep=100, sync=False),
+            checkpoint=CheckpointWriter(tmp_path, every=1, sync=False),
         )
-        ckpt = load_checkpoint(checkpoint_path(tmp_path, 10))
+        ckpt = checkpoint_at(tmp_path, 10, tmp_path / "at")
         other = small_scenario(horizon=48, seed=4)
         with pytest.raises(CheckpointError, match="fingerprint"):
             simulate(other.model, _coca(other), other.environment, resume_from=ckpt)
@@ -392,9 +423,9 @@ class TestResumeReplay:
             scenario.model,
             _coca(scenario),
             scenario.environment,
-            checkpoint=CheckpointWriter(tmp_path, every=1, keep=100, sync=False),
+            checkpoint=CheckpointWriter(tmp_path, every=1, sync=False),
         )
-        ckpt = load_checkpoint(checkpoint_path(tmp_path, 10))
+        ckpt = checkpoint_at(tmp_path, 10, tmp_path / "at")
         with pytest.raises(CheckpointError, match="controller"):
             simulate(
                 scenario.model,
@@ -409,9 +440,9 @@ class TestResumeReplay:
             scenario.model,
             _coca(scenario),
             scenario.environment,
-            checkpoint=CheckpointWriter(tmp_path, every=1, keep=100, sync=False),
+            checkpoint=CheckpointWriter(tmp_path, every=1, sync=False),
         )
-        ckpt = load_checkpoint(checkpoint_path(tmp_path, 10))
+        ckpt = checkpoint_at(tmp_path, 10, tmp_path / "at")
         tracer = InMemoryTracer()
         simulate(
             scenario.model,
@@ -422,6 +453,45 @@ class TestResumeReplay:
         )
         resumes = [e for e in tracer.events if e["kind"] == "state.resume"]
         assert len(resumes) == 1 and resumes[0]["slot"] == 10
+
+    def test_torn_tail_resume_appends_the_uninterrupted_bytes(self, tmp_path):
+        scenario = small_scenario(horizon=24, seed=3)
+        golden_dir, torn_dir = tmp_path / "golden", tmp_path / "torn"
+        golden = simulate(
+            scenario.model, _coca(scenario), scenario.environment,
+            checkpoint=CheckpointWriter(golden_dir, sync=False),
+        )
+        blob = (golden_dir / LOG_NAME).read_bytes()
+        slot, start, end = record_spans(golden_dir / LOG_NAME)[10]
+        torn_dir.mkdir()
+        (torn_dir / LOG_NAME).write_bytes(blob[: (start + end) // 2])  # killed mid-append
+
+        ckpt = latest_valid_checkpoint(torn_dir)
+        assert ckpt.slot == slot - 1 and ckpt.end == start
+        resumed = simulate(
+            scenario.model, _coca(scenario), scenario.environment,
+            checkpoint=CheckpointWriter(torn_dir, sync=False),
+            resume_from=ckpt,
+        )
+        assert (torn_dir / LOG_NAME).read_bytes() == blob
+        assert record_mismatches(golden, resumed) == []
+
+    def test_resume_into_another_directory_starts_a_full_log(self, tmp_path):
+        scenario = small_scenario(horizon=24, seed=3)
+        simulate(
+            scenario.model, _coca(scenario), scenario.environment,
+            checkpoint=CheckpointWriter(tmp_path / "a", sync=False),
+        )
+        simulate(
+            scenario.model, _coca(scenario), scenario.environment,
+            checkpoint=CheckpointWriter(tmp_path / "b", sync=False),
+            resume_from=checkpoint_at(tmp_path / "a", 10, tmp_path / "at"),
+        )
+        assert [s for s, _, _ in record_spans(tmp_path / "b" / LOG_NAME)] == list(
+            range(11, 25)
+        )
+        whole, moved = (latest_valid_checkpoint(tmp_path / d) for d in "ab")
+        assert canonical_dumps(moved.state) == canonical_dumps(whole.state)
 
 
 # -------------------------------------------------- controller state dicts
@@ -445,11 +515,18 @@ class TestControllerStateRoundTrips:
 
     def test_coca_state_save_load_save_byte_identical(self):
         scenario = small_scenario(horizon=48, seed=3)
-        state = self._mid_run_state(_coca(scenario), scenario)
+        coca = _coca(scenario)
+        state = self._mid_run_state(coca, scenario)
         first = canonical_dumps(state)
         fresh = _coca(scenario)
         fresh.load_state_dict(json.loads(first))
         assert canonical_dumps(fresh.state_dict()) == first
+        # The per-slot histories travel as series, not in the state dict.
+        series = canonical_dumps(coca.series())
+        assert sorted(coca.series()) == ["queue_at_decision", "queue_lengths", "v_history"]
+        assert all(len(rows) == 9 for rows in coca.series().values())
+        fresh.load_series(json.loads(series))
+        assert canonical_dumps(fresh.series()) == series
 
     def test_injector_state_round_trip_including_empty_schedule(self):
         for schedule in (
@@ -494,100 +571,101 @@ class TestControllerStateRoundTrips:
         assert canonical_dumps(clone.state_dict()) == first
 
 
-# ------------------------------------------------ incremental encoding
-#: Floats whose text is easy to get wrong: signed zero, subnormals, the
-#: top of the range, integral values (``36720.0``), tiny and huge scales.
-edge_floats = st.one_of(
-    st.sampled_from(
-        [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e308, -1e308,
-         1.7976931348623157e308, 36720.0, 1e16, 1e-7, 0.1]
-    ),
-    st.floats(allow_nan=False, allow_infinity=False),
-    st.integers(min_value=-(2**53), max_value=2**53).map(float),
-)
-float_columns = st.dictionaries(
-    st.sampled_from(RECORD_COLUMNS), st.lists(edge_floats, max_size=12), max_size=4
-)
+# ------------------------------------------------------- the log's fold
+@pytest.fixture(scope="module")
+def built_log(tmp_path_factory):
+    """A 12-slot run's log with one record per slot, plus a second record
+    at slot 6 with no new rows: ``(bytes, record ends, oracle, scratch)``
+    where ``oracle[k]`` is the slot and full re-encode after record ``k``."""
+    scratch = tmp_path_factory.mktemp("log")
+    scenario = small_scenario(horizon=12, seed=3)
+    runner = SlotRunner(scenario.model, _coca(scenario), scenario.environment)
+    runner.start()
+    writer = CheckpointWriter(scratch, sync=False)
+    ends, oracle = [], []
+    for t in range(scenario.horizon):
+        runner.step(t)
+        for _ in range(2 if t == 5 else 1):
+            record = runner.capture(t + 1)
+            writer.write(t + 1, record)
+            ends.append(os.path.getsize(writer.path))
+            oracle.append((t + 1, full_capture(runner, record)))
+    return (scratch / LOG_NAME).read_bytes(), ends, oracle, scratch
 
 
-def _legacy_dumps(value) -> bytes:
-    """The single ``json.dumps`` call canonical_dumps used to be."""
-    return json.dumps(
-        value, sort_keys=True, separators=(",", ":"), allow_nan=False,
-        default=serialize._plain,
-    ).encode("utf-8")
+def _damage_in_a_record(built_log, data) -> tuple[int, int]:
+    """A drawn record index and a byte offset inside that record."""
+    _, ends, _, _ = built_log
+    k = data.draw(st.integers(min_value=0, max_value=len(ends) - 1))
+    start = ends[k - 1] if k else 0
+    return k, data.draw(st.integers(min_value=start, max_value=ends[k] - 1))
 
 
-def _encode_some(value, data):
-    """``value`` with random dict values swapped for their Encoded text."""
-    if isinstance(value, dict):
-        out = {}
-        for k, v in value.items():
-            if data.draw(st.booleans()):
-                out[k] = Encoded(canonical_dumps(v).decode("utf-8"))
-            else:
-                out[k] = _encode_some(v, data)
-        return out
-    return value
+def _assert_folds_to(built_log, blob: bytes, intact: int) -> None:
+    """The log ``blob`` folds to the state after its first ``intact``
+    records, or to no checkpoint when ``intact`` is 0."""
+    _, ends, oracle, scratch = built_log
+    probe = scratch / "probe.log"
+    probe.write_bytes(blob)
+    ckpt = load_checkpoint(str(probe))
+    if intact == 0:
+        assert ckpt is None
+        return
+    slot, full = oracle[intact - 1]
+    assert (ckpt.slot, ckpt.end) == (slot, ends[intact - 1])
+    assert canonical_dumps(ckpt.state) == full
 
 
-class TestEncodedFragments:
-    @given(json_values)
+class TestLogFold:
+    def test_whole_log_folds_to_the_full_re_encode(self, built_log):
+        blob, ends, _, _ = built_log
+        _assert_folds_to(built_log, blob, len(ends))
+
+    @given(st.data())
     @settings(max_examples=150, deadline=None)
-    def test_dumps_matches_the_single_call_encoder(self, value):
-        assert canonical_dumps(value) == _legacy_dumps(value)
+    def test_truncation_folds_to_the_last_intact_record(self, built_log, data):
+        blob = built_log[0]
+        k, cut = _damage_in_a_record(built_log, data)
+        _assert_folds_to(built_log, blob[:cut], k)
 
-    @given(states, st.data())
-    @settings(max_examples=100, deadline=None)
-    def test_fragments_splice_to_the_same_bytes(self, state, data):
-        assert canonical_dumps(_encode_some(state, data)) == canonical_dumps(state)
-
-    @given(float_columns, st.lists(st.integers(0, 5), max_size=4))
+    @given(st.data())
     @settings(max_examples=150, deadline=None)
-    def test_incremental_columns_match_plain_lists(self, cols, cuts):
-        # Grow the columns over several encodes, as captures do.
-        encoder = EncodedColumns()
-        for stop in [*sorted(cuts), None]:
-            prefix = {k: v[:stop] for k, v in cols.items()}
-            composed = {"slot": 1, "cols": encoder.encode(prefix), "run_id": None}
-            plain = {"slot": 1, "cols": prefix, "run_id": None}
-            assert canonical_dumps(composed) == _legacy_dumps(plain)
+    def test_single_bit_flip_folds_to_the_last_intact_record(self, built_log, data):
+        blob = bytearray(built_log[0])
+        k, idx = _damage_in_a_record(built_log, data)
+        blob[idx] ^= 1 << data.draw(st.integers(min_value=0, max_value=7))
+        _assert_folds_to(built_log, bytes(blob), k)
 
-    def test_empty_columns(self):
-        cols = {name: [] for name in RECORD_COLUMNS}
-        assert canonical_dumps({"cols": EncodedColumns().encode(cols)}) == (
-            _legacy_dumps({"cols": cols})
+    def test_record_bytes_do_not_grow_with_the_slot(self, tmp_path):
+        scenario = small_scenario(horizon=96, seed=3)
+        simulate(
+            scenario.model, _coca(scenario), scenario.environment,
+            checkpoint=CheckpointWriter(tmp_path, every=4, sync=False),
         )
-
-    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
-    def test_non_finite_values_raise(self, bad):
-        with pytest.raises(ValueError):
-            _legacy_dumps({"cost": [1.0, bad]})
-        with pytest.raises(ValueError):
-            canonical_dumps({"cost": [1.0, bad]})
-        encoder = EncodedColumns()
-        encoder.encode({"cost": [1.0]})
-        with pytest.raises(ValueError):
-            encoder.encode({"cost": [1.0, bad]})
-
-    def test_fragment_outside_a_dict_is_refused(self):
-        with pytest.raises(TypeError):
-            canonical_dumps({"a": [Encoded("1")]})
-        with pytest.raises(TypeError):
-            json.dumps({"a": Encoded("1")})
+        blob = (tmp_path / LOG_NAME).read_bytes()
+        spans = record_spans(tmp_path / LOG_NAME)
+        assert len(spans) == 24
+        floats = {_floats(blob[blob.index(b"\n", s) + 1 : e]) for _, s, e in spans}
+        assert len(floats) == 1, "a record's float count grew with the slot"
+        sizes = [e - s for _, s, e in spans]
+        early, late = statistics.mean(sizes[:6]), statistics.mean(sizes[-6:])
+        assert late <= 1.1 * early, f"records grew from {early:.0f} to {late:.0f} B"
 
 
-def _count_float_text(monkeypatch) -> list[int]:
-    """Patch the float-to-text converter to record its batch sizes."""
-    sizes: list[int] = []
-    real = serialize.float_list_text
+# ------------------------------------------------ incremental capture
+def _floats(payload) -> int:
+    """How many floats a state (or its JSON text) holds: each one is a
+    float-to-text conversion when the state is encoded."""
+    count = 0
 
-    def counting(values):
-        sizes.append(len(values))
-        return real(values)
+    def parse(text):
+        nonlocal count
+        count += 1
+        return float(text)
 
-    monkeypatch.setattr(serialize, "float_list_text", counting)
-    return sizes
+    text = payload if isinstance(payload, bytes) else canonical_dumps(payload)
+    json.loads(text, parse_float=parse)
+    return count
 
 
 class TestIncrementalCapture:
@@ -598,61 +676,67 @@ class TestIncrementalCapture:
         runner.start()
         return runner
 
-    def test_capture_converts_only_new_rows(self, monkeypatch):
+    def test_capture_converts_only_new_rows(self):
         scenario = small_scenario(horizon=24, seed=3)
-        sizes = _count_float_text(monkeypatch)
         runner = self._runner(scenario)
-        last = 0
+        # The 12 record columns and the controller's three histories.
+        per_slot = len(RECORD_COLUMNS) + len(runner.controller.series())
+        assert per_slot == 15
+        last, fixed = 0, set()
         for t, capture_after in enumerate([1, 0, 1, 1, 0, 0, 0, 1, 1, 0, 1, 1]):
             runner.step(t)
             if capture_after:
-                del sizes[:]
-                runner.capture(t + 1)
-                added = t + 1 - last
-                assert sum(sizes) == added * len(RECORD_COLUMNS)
+                floats = _floats(runner.capture(t + 1))
+                idle = _floats(runner.capture(t + 1))  # nothing new since
+                assert floats - idle == (t + 1 - last) * per_slot
+                fixed.add(idle)
                 last = t + 1
-        del sizes[:]
-        runner.capture(last)  # nothing new since the last capture
-        assert sum(sizes) == 0
+        assert len(fixed) == 1, "the O(1) part of a record grew"
 
     def test_no_checkpoint_writer_pays_nothing(self, monkeypatch):
         scenario = small_scenario(horizon=24, seed=3)
-        sizes = _count_float_text(monkeypatch)
+        monkeypatch.setattr(
+            SlotRunner, "capture", lambda *a: pytest.fail("captured without a writer")
+        )
         runner = self._runner(scenario)
         for t in range(scenario.horizon):
             runner.step(t)
         runner.finish()
-        assert sizes == []
 
-    def test_every_capture_matches_the_plain_capture(self):
+    def test_every_capture_matches_the_plain_capture(self, tmp_path):
         scenario = small_scenario(horizon=24, seed=3)
         runner = self._runner(scenario)
+        writer = CheckpointWriter(tmp_path, sync=False)
         for t in range(scenario.horizon):
             runner.step(t)
-            composed = canonical_dumps(runner.capture(t + 1))
-            assert composed == _legacy_dumps(plain_capture(runner, t + 1))
+            record = runner.capture(t + 1)
+            writer.write(t + 1, record)
+            folded = latest_valid_checkpoint(tmp_path)
+            assert canonical_dumps(folded.state) == full_capture(runner, record)
 
     def test_restore_rebuilds_from_restored_columns(self, tmp_path):
         scenario = small_scenario(horizon=24, seed=3)
+        golden = tmp_path / "golden"
         simulate(
             scenario.model, _coca(scenario), scenario.environment,
-            checkpoint=CheckpointWriter(tmp_path, every=1, keep=100, sync=False),
+            checkpoint=CheckpointWriter(golden, every=1, sync=False),
         )
-        runner = self._runner(scenario)
-        # Stale fragments the restore must drop: three rows of other values.
+        runner = self._runner(
+            scenario, checkpoint=CheckpointWriter(tmp_path / "new", sync=False)
+        )
+        # Stale rows the restore must drop: three of other values, captured.
         for values in runner.cols.values():
             values.extend([-1.0, -2.0, -3.0])
         runner.capture(3)
-        runner.restore(load_checkpoint(checkpoint_path(tmp_path, 10)))
+        runner.restore(checkpoint_at(golden, 10, tmp_path / "at"))
         for t in range(10, 14):
             runner.step(t)
-            assert canonical_dumps(runner.capture(t + 1)) == _legacy_dumps(
-                plain_capture(runner, t + 1)
-            )
-            written = load_checkpoint(checkpoint_path(tmp_path, t + 1))
-            assert canonical_dumps(runner.capture(t + 1)) == canonical_dumps(
-                written.state
-            )
+            record = runner.capture(t + 1)
+            runner.checkpoint.write(t + 1, record)
+            folded = latest_valid_checkpoint(tmp_path / "new")
+            assert canonical_dumps(folded.state) == full_capture(runner, record)
+            written = checkpoint_at(golden, t + 1, tmp_path / "at")
+            assert canonical_dumps(folded.state) == canonical_dumps(written.state)
 
     def test_batch_environment_fingerprint_walks_traces_once(self, monkeypatch):
         scenario = small_scenario(horizon=24, seed=3)
