@@ -40,7 +40,6 @@ from .cluster import (
 )
 from .core import (
     COCA,
-    BatchAwareCOCA,
     AdaptiveV,
     CarbonDeficitQueue,
     ConstantV,
@@ -77,7 +76,6 @@ __all__ = [
     "paper_scenario",
     "small_scenario",
     "COCA",
-    "BatchAwareCOCA",
     "Controller",
     "DataCenterModel",
     "CarbonDeficitQueue",

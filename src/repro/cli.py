@@ -692,13 +692,6 @@ def _cmd_run(args) -> int:
         if schedule is None:
             return EXIT_BAD_INPUT
         spec = dataclasses.replace(spec, schedule=schedule)
-    if spec.solve_deadline_ms is not None and spec.solver == "distributed":
-        print(
-            "note: --solve-deadline-ms applies to the local iterative "
-            "solvers (gsd/cd/enumeration); the distributed protocol "
-            "ignores it",
-            file=sys.stderr,
-        )
     _, controller, injector, policy = spec.build(scenario)
 
     writer = None

@@ -5,7 +5,6 @@ from .power import LinearTariff, PowerModel, Tariff, TieredTariff, brown_energy
 from .queueing import DELAY_UNIT_COST, DelayCostModel, MG1PSDelay, SquaredLoadDelay
 from .server import WATT, ServerProfile, cubic_dvfs_profile, opteron_2380
 from .switching import OPTERON_MAX_HOURLY_KWH, SwitchingCostModel
-from .thermal import pue_from_temperature, temperature_trace
 
 __all__ = [
     "ServerProfile",
@@ -27,6 +26,4 @@ __all__ = [
     "brown_energy",
     "SwitchingCostModel",
     "OPTERON_MAX_HOURLY_KWH",
-    "temperature_trace",
-    "pue_from_temperature",
 ]

@@ -1,6 +1,5 @@
 """COCA core: the paper's contribution (Algorithm 1, queue, V, bounds)."""
 
-from .batch_jobs import BatchAwareCOCA, BatchBacklog
 from .bounds import LyapunovConstants, cost_bound, deficit_bound, lyapunov_constants
 from .coca import COCA, default_solver
 from .config import DataCenterModel
@@ -10,8 +9,6 @@ from .vschedule import AdaptiveV, ConstantV, FrameFeedback, FrameV, VSchedule, q
 
 __all__ = [
     "COCA",
-    "BatchAwareCOCA",
-    "BatchBacklog",
     "default_solver",
     "DataCenterModel",
     "Controller",

@@ -8,15 +8,15 @@
 * degrades the controller's :class:`~repro.core.controller.SlotObservation`
   while a ``signal`` fault is active (stale = frozen at the last clean
   value, missing = conservative default);
-* installs a seeded :class:`~repro.faults.bus.FaultyMessageBus` factory
-  into a message-passing solver so the distributed protocol experiences
-  the schedule's loss/delay/duplication.
+* installs a seeded lossy :class:`~repro.solvers.messaging.MessageTransport`
+  factory into the distributed solver so the protocol experiences the
+  schedule's loss/delay/duplication.
 
 The injector holds **no RNG of its own** — every random choice was made
 when the schedule was generated (timed events) or is made by the seeded
-bus (message faults, salted with a deterministic per-solve counter), so a
-chaos run is a pure function of ``(scenario seed, fault schedule)`` and
-replays bit-identically.  With an empty schedule every method is a no-op
+transport (message faults, salted with a deterministic per-solve counter),
+so a chaos run is a pure function of ``(scenario seed, fault schedule)``
+and replays bit-identically.  With an empty schedule every method is a no-op
 returning its inputs unchanged, preserving the repo's bit-identical
 uninstrumented-run contract.
 
@@ -29,9 +29,11 @@ from __future__ import annotations
 
 from dataclasses import replace
 
+import numpy as np
+
 from ..core.controller import SlotObservation
+from ..solvers.messaging import MessageTransport
 from ..telemetry import NULL_TELEMETRY, Telemetry, coerce
-from .bus import FaultyMessageBus
 from .schedule import FaultEvent, FaultSchedule
 
 __all__ = ["FaultInjector"]
@@ -58,7 +60,7 @@ class FaultInjector:
         such events are suppressed and reported, not applied).
     default_retries:
         Retry budget handed to a message-passing solver that has none
-        configured when :meth:`install` wires in the faulty bus.
+        configured when :meth:`install` wires in the lossy transport.
     """
 
     def __init__(
@@ -81,7 +83,7 @@ class FaultInjector:
         self._last_clean: dict[str, float] = {}
         self._by_slot = schedule.by_slot()
         self._solve_count = 0
-        self.last_bus: FaultyMessageBus | None = None
+        self.last_transport: MessageTransport | None = None
 
         # Bookkeeping for summaries and monitors.
         self.injected = 0
@@ -249,24 +251,31 @@ class FaultInjector:
         return replace(observation, **overrides)
 
     # ------------------------------------------------------------------
-    def bus_factory(self) -> FaultyMessageBus:
-        """A fresh seeded faulty bus; each call salts the profile's seed
-        with a deterministic per-solve counter, so every slot sees a
-        distinct but fully reproducible fault pattern."""
+    def transport_factory(self, num_groups: int, retries: int) -> MessageTransport:
+        """A fresh lossy transport for one solve, seeded by ``(profile
+        seed, salt)``; the salt is a deterministic per-solve counter, so
+        every slot sees a distinct but fully reproducible fault pattern."""
         profile = self.schedule.messages
         if profile is None:
             raise ValueError("schedule has no message-fault profile")
         salt = self._solve_count
         self._solve_count += 1
-        bus = FaultyMessageBus.from_profile(profile, salt=salt)
-        self.last_bus = bus
-        return bus
+        transport = MessageTransport(
+            num_groups,
+            retries=retries,
+            loss=profile.loss,
+            delay=profile.delay,
+            duplicate=profile.duplicate,
+            rng=np.random.default_rng([int(profile.seed), salt]),
+        )
+        self.last_transport = transport
+        return transport
 
     def install(self, controller) -> bool:
         """Wire message faults into the controller's solver, if any.
 
         Returns True when a message-passing solver (one exposing
-        ``bus_factory``, e.g.
+        ``transport_factory``, i.e.
         :class:`~repro.solvers.messaging.DistributedGSD`) was found and
         the schedule carries a non-null message profile.  Solvers with no
         retry budget get ``default_retries`` so a single lost message does
@@ -276,9 +285,9 @@ class FaultInjector:
         if profile is None or profile.is_null:
             return False
         solver = getattr(controller, "solver", controller)
-        if not hasattr(solver, "bus_factory"):
+        if not hasattr(solver, "transport_factory"):
             return False
-        solver.bus_factory = self.bus_factory
+        solver.transport_factory = self.transport_factory
         if getattr(solver, "retries", 0) == 0:
             solver.retries = self.default_retries
         return True
@@ -290,8 +299,9 @@ class FaultInjector:
         The schedule itself is immutable configuration (the resume manifest
         carries it); what a checkpoint needs is the *cursor*: which groups
         are down, which signal faults are active and until when, the
-        last-clean observation values, the per-solve bus-salt counter, and
-        the accounting so ``fault.summary`` stays consistent after resume.
+        last-clean observation values, the per-solve transport-salt counter,
+        and the accounting so ``fault.summary`` stays consistent after
+        resume.
         """
         return {
             "failed_groups": sorted(int(g) for g in self.failed_groups),
@@ -335,6 +345,6 @@ class FaultInjector:
             "failed_groups_at_end": sorted(self.failed_groups),
             "bus_solves": int(self._solve_count),
         }
-        if self.last_bus is not None:
-            out["last_bus"] = self.last_bus.fault_stats()
+        if self.last_transport is not None:
+            out["last_bus"] = self.last_transport.fault_stats()
         return out

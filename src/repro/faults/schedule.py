@@ -147,11 +147,12 @@ class FaultEvent:
 class MessageFaultProfile:
     """Seeded per-message fault probabilities for the distributed protocol.
 
-    Each message crossing a :class:`~repro.faults.bus.FaultyMessageBus`
-    independently draws one uniform variate: with probability ``loss`` it
-    vanishes, with probability ``delay`` it is delivered but its reply
-    misses the sender's timeout window, with probability ``duplicate`` it
-    is delivered twice.  ``seed`` anchors the bus RNG so a run replays
+    Every attempt at a protocol message independently vanishes with
+    probability ``loss``, is delivered but has its reply miss the sender's
+    timeout window with probability ``delay``, or is delivered twice with
+    probability ``duplicate``; the
+    :class:`~repro.solvers.messaging.MessageTransport` draws these per
+    protocol phase.  ``seed`` anchors the transport RNG so a run replays
     bit-identically.
     """
 

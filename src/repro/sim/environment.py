@@ -41,8 +41,7 @@ class Environment:
         Optional time-varying user-to-data-center network delay (section
         2.3); added to the delay cost per served request.
     pue:
-        Optional hourly PUE trace (footnote 1's "(time-varying)" factor;
-        see :mod:`repro.cluster.thermal` for a weather-driven generator).
+        Optional hourly PUE trace (footnote 1's "(time-varying)" factor).
     """
 
     workload: Trace | PredictionModel

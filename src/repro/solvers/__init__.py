@@ -9,15 +9,7 @@ from .enumeration import HomogeneousEnumerationSolver
 from .fastpath import EvaluationCache, FastPathStats
 from .gsd import GSDSolver, GSDTrace, geometric_temperature
 from .load_distribution import LoadDistribution, distribute_load, solve_fixed_levels
-from .messaging import (
-    BusTimeoutError,
-    DistributedGSD,
-    DualLoadCoordinator,
-    Message,
-    MessageBus,
-    ServerAgent,
-    exchange,
-)
+from .messaging import BusTimeoutError, DistributedGSD, MessageTransport
 from .problem import InfeasibleError, SlotEvaluation, SlotProblem
 
 __all__ = [
@@ -41,11 +33,7 @@ __all__ = [
     "SolveDeadline",
     "DeadlineExceededError",
     "DistributedGSD",
-    "DualLoadCoordinator",
-    "MessageBus",
-    "Message",
-    "ServerAgent",
+    "MessageTransport",
     "BusTimeoutError",
-    "exchange",
     "solve_with_failed_groups",
 ]

@@ -9,12 +9,10 @@ GSD, the distributed protocol) because the sub-problem is an ordinary
 :class:`~repro.cluster.fleet.Fleet`; the failed groups come back as level
 ``-1`` (off) with zero load in the expanded action.
 
-:class:`~repro.solvers.gsd.GSDSolver` also accepts a native static
-``failed_groups`` argument; this module is the solver-agnostic path used by
-the fault-injection layer, where the failed set changes slot to slot.  Under
-generated failures it changes on almost every slot, so caching sub-fleets
-per failed set would not help; instead each slot's sub-fleet is sliced from
-the full fleet's tables by :meth:`~repro.cluster.fleet.Fleet.subset`.
+The fault-injection layer's failed set changes slot to slot -- under
+generated failures on almost every slot -- so caching sub-fleets per failed
+set would not help; instead each slot's sub-fleet is sliced from the full
+fleet's tables by :meth:`~repro.cluster.fleet.Fleet.subset`.
 """
 
 from __future__ import annotations

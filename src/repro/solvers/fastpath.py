@@ -325,6 +325,13 @@ class EvaluationCache:
         self._histogram_of[key] = hkey
         return obj
 
+    def distribution_of(self, levels: np.ndarray) -> LoadDistribution | None:
+        """The inner solve behind a vector :meth:`objective_of` scored, or
+        ``None`` when it had none (screened out, or the on-set cannot carry
+        the load)."""
+        hkey = self._histogram_of.get(levels.tobytes())
+        return None if hkey is None else self._solves[hkey].dist
+
     def solution_for(
         self, levels: np.ndarray
     ) -> tuple[FleetAction, SlotEvaluation]:

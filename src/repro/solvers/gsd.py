@@ -140,12 +140,6 @@ class GSDSolver(SlotSolver):
         slot is.
     record_history:
         When True, attach a :class:`GSDTrace` to ``info["trace"]``.
-    failed_groups:
-        Indices of groups currently down.  Per the paper, "in the event of
-        server failures, only functioning servers need to participate in
-        GSD, while those failed servers do not intervene the execution":
-        failed groups are pinned to the zero speed, never selected for
-        exploration, and carry no load.
     deadline_ms:
         Wall-clock budget per solve.  When it expires mid-chain the solver
         stops and returns the best feasible incumbent (anytime behaviour,
@@ -163,7 +157,6 @@ class GSDSolver(SlotSolver):
         rng: np.random.Generator | None = None,
         initial_levels: Sequence[int] | np.ndarray | None = None,
         record_history: bool = False,
-        failed_groups: Sequence[int] | None = None,
         deadline_ms: float | None = None,
     ):
         if iterations < 1:
@@ -185,11 +178,6 @@ class GSDSolver(SlotSolver):
         # gsd.iteration stream by chain.  Only advanced when telemetry is
         # enabled, so uninstrumented solver state is untouched.
         self._solve_count = 0
-        self.failed_groups = (
-            np.unique(np.asarray(failed_groups, dtype=np.int64))
-            if failed_groups is not None
-            else np.empty(0, dtype=np.int64)
-        )
 
     # ------------------------------------------------------------------
     def state_dict(self) -> dict:
@@ -226,6 +214,18 @@ class GSDSolver(SlotSolver):
         action = FleetAction(levels=levels, per_server_load=dist.per_server_load)
         return greediness * max(problem.objective(action), _OBJECTIVE_FLOOR)
 
+    def _scorer(
+        self,
+        problem: SlotProblem,
+        cache: EvaluationCache,
+        score: Callable[[np.ndarray], float],
+    ) -> Callable[[np.ndarray], float]:
+        """The candidate scorer of one solve, chosen once before the chain
+        runs.  GSD scores through the fast path as is; subclasses may wrap
+        it (:class:`~repro.solvers.messaging.DistributedGSD` charges each
+        candidate its pricing round trip)."""
+        return score
+
     def _temperature(self, iteration: int) -> float:
         return self.delta(iteration) if callable(self.delta) else float(self.delta)
 
@@ -242,16 +242,6 @@ class GSDSolver(SlotSolver):
         fleet = problem.fleet
         rng = self.rng
         G = fleet.num_groups
-        if self.failed_groups.size and (
-            self.failed_groups.min() < 0 or self.failed_groups.max() >= G
-        ):
-            raise ValueError("failed group index out of range")
-        up = np.ones(G, dtype=bool)
-        up[self.failed_groups] = False
-        healthy = np.flatnonzero(up)
-        if healthy.size == 0:
-            raise ValueError("every group has failed")
-
         cache = EvaluationCache(problem, warm_start=_WARM_START)
 
         scored_s = 0.0
@@ -283,6 +273,7 @@ class GSDSolver(SlotSolver):
 
         else:
             score = cache.objective_of
+        score = self._scorer(problem, cache, score)
 
         if self.initial_levels is not None:
             levels = self.initial_levels.copy()
@@ -290,11 +281,9 @@ class GSDSolver(SlotSolver):
                 raise ValueError("initial_levels must have one entry per group")
         else:
             levels = (fleet.num_levels - 1).astype(np.int64)
-        levels[self.failed_groups] = -1  # failed machines are dark
         current = score(levels)
         if not np.isfinite(current):
             levels = (fleet.num_levels - 1).astype(np.int64)
-            levels[self.failed_groups] = -1
             cache.note_all()
             current = score(levels)
         best_levels, best = levels.copy(), current
@@ -339,10 +328,8 @@ class GSDSolver(SlotSolver):
             delta = self._temperature(it)
             hist_temp[it] = delta
 
-            # Line 7: a random *functioning* group explores a random
-            # speed (incl. off); failed groups never hold the update
-            # token.
-            g = int(healthy[rng.integers(0, healthy.size)])
+            # Line 7: a random group explores a random speed (incl. off).
+            g = int(rng.integers(0, G))
             proposal = int(rng.integers(-1, fleet.num_levels[g]))
             old_level = levels[g]
             if proposal == old_level:
@@ -445,6 +432,7 @@ class GSDSolver(SlotSolver):
         if sp:
             sp.add("gsd.finalize", time.perf_counter() - t_final)
         info: dict = {
+            "iterations": completed,
             "chain_levels": levels.copy(),
             "inner_solves": stats.inner_solves,
             "evaluations": n_solves,

@@ -136,6 +136,11 @@ class LoadDistribution:
         The on-set's class ids (ascending, see
         :meth:`~repro.cluster.fleet.Fleet.class_histogram`) and the
         per-server load of each; ``None`` when there is no workload.
+    duals:
+        The dual variable of each fixed-weight water-fill the regime choice
+        ran before the ``mu`` bisection: ``(billed,)`` or ``(billed, free)``;
+        empty when there is no workload.  The distributed protocol's price
+        rounds depend on them (:mod:`repro.solvers.messaging`).
     """
 
     per_server_load: np.ndarray
@@ -146,6 +151,7 @@ class LoadDistribution:
     inner_iters: int = 0
     classes: np.ndarray | None = None
     class_load: np.ndarray | None = None
+    duals: tuple[float, ...] = ()
 
     def expand(self, fleet: Fleet, ids: np.ndarray) -> np.ndarray:
         """Per-group loads for any level vector with this solve's class
@@ -463,11 +469,11 @@ def distribute_load(
     def weight_full(brown_guess: float) -> float:
         return problem.V * problem.tariff.marginal(brown_guess, problem.price) + problem.q
 
-    def result(loads, nu, regime, we) -> LoadDistribution:
+    def result(loads, nu, regime, we, duals) -> LoadDistribution:
         class_load = np.array(loads)
         return LoadDistribution(
             _expand(fleet, ids, classes, class_load),
-            nu, regime, we, warm_any, total_iters, classes, class_load,
+            nu, regime, we, warm_any, total_iters, classes, class_load, duals,
         )
 
     # Regime "billed": full electricity weight (fixed-point on the tariff
@@ -486,7 +492,7 @@ def distribute_load(
             break
         we = new_we
     if facility(loads_a) >= problem.onsite * (1.0 - 1e-12):
-        return result(loads_a, nu_a, "billed", we)
+        return result(loads_a, nu_a, "billed", we, (nu_a,))
 
     # Regime "free": renewables may cover everything -> zero weight.
     free_hint = hint.nu if hint is not None and hint.regime == "free" else None
@@ -496,7 +502,7 @@ def distribute_load(
     total_iters += it_b
     warm_any |= warm_b
     if facility(loads_b) <= problem.onsite * (1.0 + 1e-12):
-        return result(loads_b, nu_b, "free", 0.0)
+        return result(loads_b, nu_b, "free", 0.0, (nu_a, nu_b))
 
     # Regime "boundary": power pinned at the renewable supply; bisect the
     # multiplier mu in (0, we) so that facility power == onsite supply.
@@ -554,7 +560,7 @@ def distribute_load(
     # hints seed their mu bracket from ``hint.electricity_weight``, so the
     # mismatch would hand every boundary-regime warm solve a bracket around
     # a weight no water-fill ever used.
-    return result(loads_m, nu_m, "boundary", mu)
+    return result(loads_m, nu_m, "boundary", mu, (nu_a, nu_b))
 
 
 def solve_fixed_levels(problem: SlotProblem, levels: np.ndarray):

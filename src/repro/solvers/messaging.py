@@ -1,521 +1,300 @@
-"""Simulated message-passing substrate for distributed execution.
+"""GSD as a distributed protocol: Algorithm 2 plus its message bill.
 
 The paper's headline feature is *distributed* server-level resource
 management: "each server autonomously adjusts its processing speed and
 optimally decides the amount of workloads to process", with servers
 communicating decisions to each other (or through a coordinating node, the
-"semi-distributed" variant, section 4.2).  The vectorized solvers elsewhere
-in this package compute the same mathematics centrally for speed; this
-module makes the distributed protocol itself concrete:
+"semi-distributed" variant, section 4.2).  One solve of that protocol is:
 
-* :class:`MessageBus` -- an in-process, instrumented message fabric
-  (deliveries, per-kind counters) standing in for the data center network.
-* :class:`ServerAgent` -- one autonomous group of homogeneous servers.  An
-  agent knows *only its own* profile (speed set, power curve) plus whatever
-  the coordinator broadcasts; its replies are computed purely from local
-  state, mirroring what would run on each machine.
-* :class:`DualLoadCoordinator` -- the dual-decomposition load-distribution
-  protocol of GSD line 3 (paper references [5, 27]): the coordinator
-  broadcasts a price ``nu`` (and an electricity weight for the ``[.]^+``
-  regime), each agent answers with its best-response load and power, and
-  the coordinator bisects until supply meets demand.
-* :class:`DistributedGSD` -- Algorithm 2 end to end over the bus: a random
-  agent explores a speed, the coordinator prices the explored configuration
-  via the dual protocol, and the accept/revert outcome is broadcast.
+* ``configure`` -- the coordinator broadcasts the slot's shared parameters
+  (delay weight, PUE) to the G server groups;
+* per Gibbs step, ``explore`` hands the update token to one random group,
+  which draws a speed (Algorithm 2 line 7); the explored configuration is
+  priced by the dual-decomposition load protocol of GSD line 3 (references
+  [5, 27]): each ``price`` round broadcasts a dual price ``nu`` and every
+  group answers with its best-response load and power, the coordinator
+  bisects ``nu`` until supply meets demand and broadcasts the result
+  (``commit``); ``decide`` then broadcasts accept or revert (line 5);
+* the best configuration visited is installed (``set_level``) and priced
+  once more.
 
-Tests verify the protocol reproduces the centralized water-filling solution
-to numerical tolerance, and the message counters document the communication
-complexity (O(G) messages per bisection round).
+Every group answers from its own profile plus the broadcast parameters, so
+the protocol lands on the same loads as the centralized water-fill of
+:mod:`repro.solvers.load_distribution` -- and the same Gibbs decisions.
+:class:`DistributedGSD` is therefore :class:`~repro.solvers.gsd.GSDSolver`
+itself: one chain, one RNG, one temperature, one warm start.  What it adds
+is a :class:`MessageTransport` that charges each protocol phase its message
+count in closed form (:func:`pricing_bill`) and, when a fault injector
+installs a lossy channel, draws the phase's message faults from a seeded
+stream.  A lost pricing makes that exploration infeasible (the chain moves
+on); lost ``configure``/``explore``/``decide``/``set_level`` traffic or a
+final commit lost on every attempt raises :class:`BusTimeoutError`, which
+the simulation layer retries and then degrades gracefully.
 
-The protocol tolerates an unreliable fabric (see
-:mod:`repro.faults.bus`): every side-effect handler acknowledges, the
-coordinator retries unanswered queries per agent (:func:`exchange`), and a
-query still unanswered after the retry budget raises
-:class:`BusTimeoutError` -- callers treat a lost round as a failed
-exploration and the simulation layer falls back gracefully.
+The message-level reference -- agents, an instrumented bus, the bisecting
+coordinator, a bus that loses, delays and duplicates single messages --
+lives in ``tests/protocol_oracle.py``; the tests pin the closed form and the
+fault statistics to it.
 """
 
 from __future__ import annotations
 
+import math
 from collections import Counter
-from dataclasses import dataclass, field
-from typing import Any, Callable
+from typing import Callable
 
 import numpy as np
 
-from ..cluster.fleet import Fleet, FleetAction
-from .base import SlotSolution, SlotSolver
-from .problem import InfeasibleError, SlotProblem
+from .base import SlotSolution
+from .fastpath import EvaluationCache
+from .gsd import GSDSolver
+from .load_distribution import LoadDistribution
+from .problem import SlotProblem
 
-__all__ = [
-    "Message",
-    "MessageBus",
-    "ServerAgent",
-    "DualLoadCoordinator",
-    "DistributedGSD",
-    "BusTimeoutError",
-    "exchange",
-]
+__all__ = ["BusTimeoutError", "DistributedGSD", "MessageTransport", "pricing_bill"]
 
-#: Bisection rounds used by the coordinator (matches the centralized solver).
+#: Fixed bisection rounds of one ``nu`` search after its bracket doubling,
+#: and ``mu`` steps of a boundary-regime pricing.
 _NU_ROUNDS = 100
 _MU_ROUNDS = 60
 
+#: The coordinator doubles its ``nu`` bracket from 1 and gives up once it
+#: passes 1e300: an on-set that cannot carry the load costs the probes
+#: 2**0 .. 2**996 (2**997 > 1e300) and is never committed.
+_EXPANSION_ROUNDS = 997
+
 
 class BusTimeoutError(RuntimeError):
-    """A protocol round could not complete: some agent's reply was never
+    """A protocol round could not complete: some group's reply was never
     received within the retry budget (lost request, or a reply that missed
     the timeout window)."""
 
 
-def exchange(
-    bus: "MessageBus",
-    sender: str,
-    recipient: str,
-    kind: str,
-    payload: dict[str, Any],
-    *,
-    retries: int = 0,
-) -> Message:
-    """Send and wait for the reply, retrying on a silent bus.
+def _bisection_rounds(nu: float) -> int:
+    """Price rounds of one ``nu`` bisection crossing at ``nu``: the bracket
+    probes 1, 2, 4, ... up to the first power of two >= ``nu``
+    (``max(0, ceil(log2 nu))`` doublings), the fixed bisection, and a final
+    probe at the bracket top."""
+    doublings = 0
+    if nu > 1.0:
+        mantissa, exponent = math.frexp(nu)
+        doublings = exponent - 1 if mantissa == 0.5 else exponent
+    return doublings + 1 + _NU_ROUNDS + 1
 
-    Every protocol message is acknowledged by its handler, so a ``None``
-    return from :meth:`MessageBus.send` means the fabric ate the request or
-    the reply; the message is re-sent up to ``retries`` extra times before
-    :class:`BusTimeoutError` is raised.  On a reliable bus with
-    ``retries=0`` this is exactly one ``send``.
+
+def pricing_bill(
+    problem: SlotProblem, dist: LoadDistribution | None
+) -> tuple[int, bool]:
+    """``(price rounds, committed)`` of pricing one configuration whose
+    inner solve is ``dist`` (``None``: the on-set cannot carry the load).
+
+    Regime *billed* runs one ``nu`` bisection, *free* two (full and zero
+    electricity weight), *boundary* those two plus 60 ``mu`` steps of one
+    bisection each.  A ``mu`` step's ``nu`` never exceeds the billed one
+    (``nu`` grows with the electricity weight), so charging each step the
+    billed doublings is an upper bound, exact up to ``60 *
+    doublings(billed)`` rounds.  Each round is one ``price`` message per
+    group, and a priced configuration is committed to every group.
     """
-    attempts = retries + 1
-    for _ in range(attempts):
-        reply = bus.send(Message(sender, recipient, kind, payload))
-        if reply is not None:
-            return reply
-    raise BusTimeoutError(
-        f"no reply from {recipient!r} to {kind!r} after {attempts} attempt(s)"
-    )
+    if problem.arrival_rate <= 0.0:
+        return 0, True
+    if dist is None:
+        return _EXPANSION_ROUNDS, False
+    billed = _bisection_rounds(dist.duals[0])
+    if dist.regime == "billed":
+        return billed, True
+    rounds = billed + _bisection_rounds(dist.duals[1])
+    if dist.regime == "boundary":
+        rounds += _MU_ROUNDS * billed
+    return rounds, True
 
 
-@dataclass(frozen=True)
-class Message:
-    """One message on the fabric."""
+class MessageTransport:
+    """Message ledger of one distributed solve, reliable or lossy.
 
-    sender: str
-    recipient: str
-    kind: str
-    payload: dict[str, Any] = field(default_factory=dict)
+    :meth:`send` charges one protocol phase -- a batch of messages, each
+    retried up to ``retries`` extra times until answered -- and reports
+    whether every message got through.  ``by_kind`` counts the protocol's
+    messages (first attempts); ``delivered`` counts handler executions
+    (re-sends and duplicates included, lost messages excluded).
 
-
-class MessageBus:
-    """Instrumented point-to-point + broadcast fabric."""
-
-    def __init__(self) -> None:
-        self.delivered: int = 0
-        self.by_kind: Counter[str] = Counter()
-        self._agents: dict[str, ServerAgent] = {}
-
-    def register(self, agent: ServerAgent) -> None:
-        """Attach an agent under its unique name."""
-        if agent.name in self._agents:
-            raise ValueError(f"duplicate agent name {agent.name!r}")
-        self._agents[agent.name] = agent
-
-    @property
-    def agent_names(self) -> list[str]:
-        """Names of registered agents, in registration order."""
-        return list(self._agents)
-
-    def send(self, message: Message) -> Message | None:
-        """Deliver one message; returns the recipient's reply, if any."""
-        agent = self._agents.get(message.recipient)
-        if agent is None:
-            raise KeyError(f"unknown recipient {message.recipient!r}")
-        self.delivered += 1
-        self.by_kind[message.kind] += 1
-        return agent.handle(message)
-
-    def broadcast(self, sender: str, kind: str, payload: dict[str, Any]) -> list[Message]:
-        """Deliver to every agent; returns the non-None replies."""
-        replies = []
-        for name in self._agents:
-            reply = self.send(Message(sender, name, kind, payload))
-            if reply is not None:
-                replies.append(reply)
-        return replies
-
-
-class ServerAgent:
-    """One autonomous server group.
-
-    The agent's knowledge is local: its own speed set, power curve, server
-    count, and utilization cap.  Broadcast parameters (delay weight, PUE)
-    arrive via ``configure``.
-    """
-
-    def __init__(self, name: str, fleet: Fleet, group_index: int):
-        self.name = name
-        g = fleet.groups[group_index]
-        self.group_index = group_index
-        self.count = float(g.count)
-        self.speeds = g.profile.speeds
-        self.dyn_coeff = g.profile.energy_per_request
-        self.static_power = g.profile.static_power
-        self.num_levels = g.profile.num_speeds
-        # Mutable local state
-        self.level: int = self.num_levels - 1
-        self.explored_level: int = self.level
-        self.load: float = 0.0
-        self._gamma = 0.95
-        self._delay_weight = 0.0
-        self._pue = 1.0
-        self._delay_model = None
-
-    # ------------------------------------------------------------------
-    def handle(self, msg: Message) -> Message | None:
-        """Dispatch on message kind; see module docstring for the protocol."""
-        handler = getattr(self, f"_on_{msg.kind.replace('-', '_')}", None)
-        if handler is None:
-            raise ValueError(f"{self.name}: unknown message kind {msg.kind!r}")
-        return handler(msg)
-
-    def _reply(self, msg: Message, kind: str, **payload: Any) -> Message:
-        return Message(self.name, msg.sender, kind, payload)
-
-    # -- protocol handlers ---------------------------------------------
-    # Side-effect handlers acknowledge so a sender on an unreliable bus can
-    # distinguish "delivered" from "lost" and retry; every handler is
-    # overwrite-idempotent, so duplicated deliveries are harmless.
-    def _on_configure(self, msg: Message) -> Message:
-        p = msg.payload
-        self._gamma = p["gamma"]
-        self._delay_weight = p["delay_weight"]  # V * beta * kappa
-        self._pue = p["pue"]
-        self._delay_model = p["delay_model"]
-        return self._reply(msg, "ack")
-
-    def _on_set_level(self, msg: Message) -> Message:
-        self.level = int(msg.payload["level"])
-        self.explored_level = self.level
-        return self._reply(msg, "ack")
-
-    def _on_explore(self, msg: Message) -> Message:
-        """The update token (Algorithm 2 line 7): draw a random speed."""
-        rng: np.random.Generator = msg.payload["rng"]
-        self.explored_level = int(rng.integers(-1, self.num_levels))
-        return self._reply(msg, "explored", level=self.explored_level)
-
-    def _on_decide(self, msg: Message) -> Message:
-        """Accept/revert broadcast (Algorithm 2 line 5)."""
-        if msg.payload["accept"]:
-            self.level = self.explored_level
-        else:
-            self.explored_level = self.level
-        return self._reply(msg, "ack")
-
-    def _price_response(self, nu: float, we: float, level: int) -> tuple[float, float]:
-        """Local best-response load (aggregate req/s) and dynamic IT power
-        (MW) at dual price ``nu`` with electricity weight ``we`` ($/MWh)."""
-        if level < 0:
-            return 0.0, 0.0
-        x = float(self.speeds[level])
-        c = float(self.dyn_coeff[level])
-        cap = self._gamma * x
-        wd = self._delay_weight
-        marginal_room = nu - we * self._pue * c
-        if wd <= 0.0:
-            lam = cap if marginal_room > 0 else 0.0
-        elif marginal_room <= 0.0:
-            lam = 0.0
-        else:
-            lam = float(
-                np.clip(
-                    self._delay_model.load_at_marginal(marginal_room / wd, x),
-                    0.0,
-                    cap,
-                )
-            )
-        return self.count * lam, self.count * c * lam
-
-    def _on_price(self, msg: Message) -> Message:
-        served, dyn_power = self._price_response(
-            msg.payload["nu"], msg.payload["we"], self._active_level(msg)
-        )
-        static = self.count * self.static_power if self._active_level(msg) >= 0 else 0.0
-        return self._reply(msg, "response", served=served, power=dyn_power + static)
-
-    def _on_commit(self, msg: Message) -> Message:
-        served, _ = self._price_response(
-            msg.payload["nu"], msg.payload["we"], self._active_level(msg)
-        )
-        self.load = served / self.count
-        return self._reply(msg, "ack")
-
-    def _active_level(self, msg: Message) -> int:
-        return self.explored_level if msg.payload.get("explored", False) else self.level
-
-
-class DualLoadCoordinator:
-    """Semi-distributed dual-decomposition load distribution (GSD line 3).
-
-    The coordinator knows the slot's aggregate quantities (total workload,
-    renewable supply, price, deficit weight) but not any server's power
-    curve; all per-group information arrives through price responses.
-
-    ``retries`` is the per-message retry budget on an unreliable bus: a
-    query unanswered after ``retries + 1`` attempts raises
-    :class:`BusTimeoutError` (``retries_used`` counts the re-sends).  On a
-    reliable bus the retry path is never taken and the message pattern is
-    byte-for-byte the historical one.
-    """
-
-    def __init__(self, bus: MessageBus, name: str = "coordinator", *, retries: int = 0):
-        if retries < 0:
-            raise ValueError("retries must be non-negative")
-        self.bus = bus
-        self.name = name
-        self.retries = retries
-        self.retries_used = 0
-
-    # ------------------------------------------------------------------
-    def _exchange(self, recipient: str, kind: str, payload: dict[str, Any]) -> Message:
-        for attempt in range(self.retries + 1):
-            reply = self.bus.send(Message(self.name, recipient, kind, payload))
-            if reply is not None:
-                if attempt:
-                    self.retries_used += attempt
-                return reply
-        self.retries_used += self.retries
-        raise BusTimeoutError(
-            f"no reply from {recipient!r} to {kind!r} after {self.retries + 1} attempt(s)"
-        )
-
-    def _bcast(self, kind: str, payload: dict[str, Any]) -> None:
-        """Deliver to every agent, retrying each until acknowledged."""
-        for name in self.bus.agent_names:
-            self._exchange(name, kind, payload)
-
-    def configure(self, problem: SlotProblem) -> None:
-        """Broadcast the slot's shared parameters."""
-        self._bcast(
-            "configure",
-            {
-                "gamma": problem.gamma,
-                "delay_weight": problem.V * problem.delay_weight,
-                "pue": problem.pue,
-                "delay_model": problem.delay_model,
-            },
-        )
-
-    def _round(self, nu: float, we: float, explored: bool) -> tuple[float, float]:
-        payload = {"nu": nu, "we": we, "explored": explored}
-        served = 0.0
-        power = 0.0
-        for name in self.bus.agent_names:
-            reply = self._exchange(name, "price", payload)
-            served += reply.payload["served"]
-            power += reply.payload["power"]
-        return served, power
-
-    def _bisect_nu(
-        self, lam: float, we: float, explored: bool
-    ) -> tuple[float, float]:
-        """Find nu with aggregate served load = lam; returns (nu, facility
-        dynamic+static IT power in MW, pre-PUE)."""
-        lo, hi = 0.0, 1.0
-        while self._round(hi, we, explored)[0] < lam:
-            hi *= 2.0
-            if hi > 1e300:
-                raise InfeasibleError("explored on-set cannot serve the workload")
-        for _ in range(_NU_ROUNDS):
-            mid = 0.5 * (lo + hi)
-            if self._round(mid, we, explored)[0] < lam:
-                lo = mid
-            else:
-                hi = mid
-        served, power = self._round(hi, we, explored)
-        return hi, power
-
-    def solve(self, problem: SlotProblem, *, explored: bool = False) -> float:
-        """Run the full kink-aware protocol; agents end holding their loads
-        (via ``commit``).  Returns the final dual price ``nu``."""
-        lam = problem.arrival_rate
-        pue = problem.pue
-        if lam <= 0.0:
-            self._bcast("commit", {"nu": 0.0, "we": 0.0, "explored": explored})
-            return 0.0
-
-        we_full = problem.electricity_weight
-        nu, power = self._bisect_nu(lam, we_full, explored)
-        if pue * power >= problem.onsite * (1.0 - 1e-12):
-            self._bcast("commit", {"nu": nu, "we": we_full, "explored": explored})
-            return nu
-
-        nu_free, power_free = self._bisect_nu(lam, 0.0, explored)
-        if pue * power_free <= problem.onsite * (1.0 + 1e-12):
-            self._bcast("commit", {"nu": nu_free, "we": 0.0, "explored": explored})
-            return nu_free
-
-        lo_mu, hi_mu = 0.0, we_full
-        for _ in range(_MU_ROUNDS):
-            mu = 0.5 * (lo_mu + hi_mu)
-            nu, power = self._bisect_nu(lam, mu, explored)
-            if pue * power > problem.onsite:
-                lo_mu = mu
-            else:
-                hi_mu = mu
-        self._bcast("commit", {"nu": nu, "we": 0.5 * (lo_mu + hi_mu), "explored": explored})
-        return nu
-
-
-class DistributedGSD(SlotSolver):
-    """Algorithm 2 executed over the message fabric.
-
-    Functionally equivalent to :class:`~repro.solvers.gsd.GSDSolver` but
-    every quantity crosses the bus; use it to demonstrate and measure the
-    distributed protocol, not for year-long sweeps.
-
-    ``bus_factory`` lets a fault injector substitute an unreliable fabric
-    (e.g. :class:`repro.faults.bus.FaultyMessageBus`) per solve; ``retries``
-    is the per-message retry budget handed to the coordinator and used for
-    the driver's own explore/decide/set_level traffic.  A lost pricing round
-    inside an exploration just marks that exploration infeasible (the Gibbs
-    chain moves on); a decide/commit that stays silent past the budget
-    escapes as :class:`BusTimeoutError` so the simulation layer can fall
-    back to a degraded action.
+    With fault probabilities and an ``rng`` the faults are drawn in
+    distribution rather than per message: per attempt, one binomial draw of
+    how many outstanding messages fail (lost, or delayed past the timeout),
+    and further draws splitting them into dropped and delayed and counting
+    duplicated deliveries.  The phase is lost exactly when some message
+    still fails after its last attempt, with the probability of a bus that
+    fails every attempt independently.
     """
 
     def __init__(
         self,
+        num_groups: int,
         *,
-        iterations: int = 200,
-        delta: float = 1e6,
-        rng: np.random.Generator | None = None,
-        bus_factory: Callable[[], MessageBus] | None = None,
         retries: int = 0,
-    ):
-        if iterations < 1:
-            raise ValueError("iterations must be >= 1")
-        if delta <= 0:
-            raise ValueError("delta must be positive")
+        loss: float = 0.0,
+        delay: float = 0.0,
+        duplicate: float = 0.0,
+        rng: np.random.Generator | None = None,
+    ) -> None:
+        self.num_groups = num_groups
+        self.retries = retries
+        self.loss = loss
+        self.delay = delay
+        self.duplicate = duplicate
+        self.rng = rng
+        self.by_kind: Counter[str] = Counter()
+        self.delivered = 0
+        self.dropped = 0
+        self.delayed = 0
+        self.duplicated = 0
+        self.retries_used = 0
+        self.pricings = 0
+        self.lost_pricings = 0
+        #: ``levels.tobytes()`` -> :func:`pricing_bill` of every configuration
+        #: priced this solve, so revisits are charged without re-deriving it.
+        self.bills: dict[bytes, tuple[int, bool]] = {}
+
+    def send(self, **counts: int) -> bool:
+        """Charge one phase of ``kind=count`` messages; True when all of
+        them were answered within the retry budget."""
+        n = 0
+        for kind, k in counts.items():
+            if k:
+                self.by_kind[kind] += k
+                n += k
+        if self.rng is None:
+            self.delivered += n
+            return True
+        rng = self.rng
+        fail = self.loss + self.delay
+        for attempt in range(self.retries + 1):
+            if attempt:
+                self.retries_used += n
+            failed = int(rng.binomial(n, fail)) if fail else 0
+            dropped = int(rng.binomial(failed, self.loss / fail)) if failed else 0
+            duplicated = (
+                int(rng.binomial(n - failed, self.duplicate / (1.0 - fail)))
+                if self.duplicate
+                else 0
+            )
+            self.dropped += dropped
+            self.delayed += failed - dropped
+            self.duplicated += duplicated
+            self.delivered += n - dropped + duplicated
+            n = failed
+            if not n:
+                return True
+        return False
+
+    def price(self, bill: tuple[int, bool]) -> bool:
+        """Charge one pricing of the load protocol; True when it completed."""
+        rounds, committed = bill
+        g = self.num_groups
+        self.pricings += 1
+        if self.send(price=g * rounds, commit=g if committed else 0):
+            return True
+        self.lost_pricings += 1
+        return False
+
+    def fault_stats(self) -> dict[str, int]:
+        """Degradation counters for telemetry and run summaries."""
+        return {
+            "delivered": int(self.delivered),
+            "dropped": int(self.dropped),
+            "delayed": int(self.delayed),
+            "duplicated": int(self.duplicated),
+        }
+
+
+class DistributedGSD(GSDSolver):
+    """Algorithm 2 run as the distributed protocol over a message transport.
+
+    The chain is :class:`~repro.solvers.gsd.GSDSolver`'s: the transport never
+    touches the chain RNG, so on a reliable transport a solve makes exactly
+    GSD's decisions and ``info`` adds the message bill (``messages``,
+    ``messages_by_kind``, ``retries_used``).  ``retries`` is the per-message
+    retry budget.  A fault injector sets ``transport_factory`` to hand each
+    solve a lossy :class:`MessageTransport`; ``info["bus_faults"]`` then
+    carries its delivered/dropped/delayed/duplicated counters.
+    """
+
+    def __init__(self, *, retries: int = 0, **kwargs) -> None:
+        super().__init__(**kwargs)
         if retries < 0:
             raise ValueError("retries must be non-negative")
-        self.iterations = iterations
-        self.delta = delta
-        self.rng = rng if rng is not None else np.random.default_rng(2)
-        self.bus_factory = bus_factory
         self.retries = retries
-        self.last_bus: MessageBus | None = None
-
-    def state_dict(self) -> dict:
-        """Chain RNG position (the bus RNG lives in the fault injector)."""
-        from ..state.serialize import encode_rng
-
-        return {"rng": encode_rng(self.rng)}
+        #: ``(num_groups, retries) -> MessageTransport``, set by
+        #: :meth:`repro.faults.FaultInjector.install`; ``None`` is reliable.
+        self.transport_factory: Callable[[int, int], MessageTransport] | None = None
+        self.last_transport: MessageTransport | None = None
 
     def load_state_dict(self, state: dict) -> None:
-        """Restore the chain RNG from a checkpoint."""
-        from ..state.serialize import decode_rng
+        """Restore the chain; refuses state of the retired message-bus
+        chain (no ``solve_count``), which drew its own decisions under loss."""
+        if "solve_count" not in state:
+            from ..state.checkpoint import CheckpointError
 
-        self.rng = decode_rng(state["rng"])
+            raise CheckpointError(
+                "checkpoint holds distributed-solver state of the retired "
+                "message-bus chain, which this version cannot continue; "
+                "rerun from the start"
+            )
+        super().load_state_dict(state)
 
-    def _objective(self, problem: SlotProblem, agents: list[ServerAgent], coord: DualLoadCoordinator, explored: bool) -> float:
-        try:
-            coord.solve(problem, explored=explored)
-        except (InfeasibleError, BusTimeoutError):
-            return np.inf
-        action = self._action(agents, explored)
-        evaluation = problem.evaluate(action)
-        if problem.violates_caps(evaluation):
-            return np.inf
-        return evaluation.objective
-
-    @staticmethod
-    def _action(agents: list[ServerAgent], explored: bool) -> FleetAction:
-        levels = np.array(
-            [a.explored_level if explored else a.level for a in agents],
-            dtype=np.int64,
+    def _scorer(
+        self,
+        problem: SlotProblem,
+        cache: EvaluationCache,
+        score: Callable[[np.ndarray], float],
+    ) -> Callable[[np.ndarray], float]:
+        g = problem.fleet.num_groups
+        factory = self.transport_factory
+        transport = (
+            factory(g, self.retries)
+            if factory is not None
+            else MessageTransport(g, retries=self.retries)
         )
-        loads = np.array(
-            [a.load if (a.explored_level if explored else a.level) >= 0 else 0.0 for a in agents]
-        )
-        return FleetAction(levels=levels, per_server_load=loads)
+        self.last_transport = transport
+        if not transport.send(configure=g):
+            raise BusTimeoutError("configure broadcast unanswered within retries")
+        bills = transport.bills
 
-    def _decide_all(self, bus: MessageBus, agents: list[ServerAgent], accept: bool) -> None:
-        """Accept/revert must reach *every* agent or their level state
-        diverges from the driver's; an unreachable agent is fatal for this
-        solve and escapes as :class:`BusTimeoutError`."""
-        for a in agents:
-            exchange(bus, "driver", a.name, "decide", {"accept": accept}, retries=self.retries)
+        def priced(levels: np.ndarray) -> float:
+            value = score(levels)
+            key = levels.tobytes()
+            bill = bills.get(key)
+            if bill is None:
+                bill = bills[key] = pricing_bill(problem, cache.distribution_of(levels))
+            return value if transport.price(bill) else math.inf
+
+        return priced
 
     def solve(self, problem: SlotProblem) -> SlotSolution:
-        problem.check_feasible()
-        fleet = problem.fleet
-        bus = self.bus_factory() if self.bus_factory is not None else MessageBus()
-        agents = [ServerAgent(f"group-{g}", fleet, g) for g in range(fleet.num_groups)]
-        for a in agents:
-            bus.register(a)
-        coord = DualLoadCoordinator(bus, retries=self.retries)
-        coord.configure(problem)
-        self.last_bus = bus
-
-        current = self._objective(problem, agents, coord, explored=False)
-        best = current
-        best_levels = np.array([a.level for a in agents], dtype=np.int64)
-
-        for _ in range(self.iterations):
-            g = int(self.rng.integers(0, fleet.num_groups))
-            reply = exchange(
-                bus, "driver", agents[g].name, "explore", {"rng": self.rng},
-                retries=self.retries,
-            )
-            if reply.payload["level"] == agents[g].level:
-                self._decide_all(bus, agents, accept=False)
-                continue
-            explored_obj = self._objective(problem, agents, coord, explored=True)
-            if np.isfinite(explored_obj):
-                ge = max(explored_obj, 1e-12)
-                gs = max(current, 1e-12)
-                exponent = np.clip(self.delta * (1.0 / ge - 1.0 / gs), -700.0, 700.0)
-                accept = self.rng.random() < 1.0 / (1.0 + np.exp(-exponent))
-            else:
-                accept = False
-            self._decide_all(bus, agents, accept=bool(accept))
-            if accept:
-                current = explored_obj
-                if explored_obj < best:
-                    best = explored_obj
-                    best_levels = np.array([a.level for a in agents], dtype=np.int64)
-
-        # Final commit of the best configuration found.  Unlike a failed
-        # exploration this must land: propagate BusTimeoutError to the
-        # caller's degradation policy if the fabric stays silent.  The
-        # pricing protocol spans hundreds of messages, so one lost round is
-        # likely over a long lossy solve -- re-running the whole (idempotent)
-        # commit a few times keeps a transient loss from dooming the solve,
+        solution = super().solve(problem)
+        transport = self.last_transport
+        g = transport.num_groups
+        done = solution.info["iterations"]
+        # The accept/revert traffic and the install of the best
+        # configuration must reach every group, or their levels diverge
+        # from the chain's.
+        if not transport.send(explore=done, decide=g * done, set_level=g):
+            raise BusTimeoutError("explore/decide traffic unanswered within retries")
+        # The final commit spans hundreds of messages, so one lost round is
+        # likely over a long lossy solve; re-running the (idempotent)
+        # pricing a few times keeps a transient loss from dooming the solve
         # while a persistent outage still escapes.
-        for a, lvl in zip(agents, best_levels):
-            exchange(
-                bus, "driver", a.name, "set_level", {"level": int(lvl)},
-                retries=self.retries,
-            )
-        commit_attempts = 1 if self.retries == 0 else 3
-        for attempt in range(commit_attempts):
-            try:
-                coord.solve(problem, explored=False)
+        bill = transport.bills[solution.action.levels.tobytes()]
+        for _ in range(1 if self.retries == 0 else 3):
+            if transport.price(bill):
                 break
-            except BusTimeoutError:
-                if attempt == commit_attempts - 1:
-                    raise
-        action = self._action(agents, explored=False)
-        info: dict[str, Any] = {
-            "messages": bus.delivered,
-            "messages_by_kind": dict(bus.by_kind),
-            "retries_used": coord.retries_used,
-        }
-        fault_stats = getattr(bus, "fault_stats", None)
-        if fault_stats is not None:
-            info["bus_faults"] = fault_stats()
-        return SlotSolution(
-            action=action,
-            evaluation=problem.evaluate(action),
-            info=info,
+        else:
+            raise BusTimeoutError("final commit unanswered within retries")
+        solution.info.update(
+            messages=transport.delivered,
+            messages_by_kind=dict(transport.by_kind),
+            retries_used=transport.retries_used,
         )
+        if transport.rng is not None:
+            solution.info["bus_faults"] = transport.fault_stats()
+        return solution

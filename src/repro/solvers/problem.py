@@ -106,8 +106,7 @@ class SlotProblem:
         cap is rejected.
     pue_override:
         Optional per-slot PUE replacing the power model's constant (the
-        paper absorbs cooling into a "(time-varying) PUE factor"; see
-        :mod:`repro.cluster.thermal` for a weather-driven source).
+        paper absorbs cooling into a "(time-varying) PUE factor").
     network_delay:
         Mean network delay between users and the data center for this slot,
         in the same per-request units as Eq. (4)'s response time (section

@@ -163,6 +163,43 @@ class TestRunResume:
         assert main(["resume", str(ckpt_dir), "--record-out", str(b)]) == 0
         assert record_mismatches(load_record(str(a)), load_record(str(b))) == []
 
+    @pytest.mark.parametrize("faults", [[], ["--chaos", "--failure-rate", "0.05"]])
+    def test_distributed_matches_gsd_records(self, tmp_path, capsys, faults):
+        # With no message faults the distributed solver is the GSD chain:
+        # same seed and iterations, bit-identical records.
+        from repro.state import load_record, record_mismatches
+
+        records = []
+        for solver in ("gsd", "distributed"):
+            out = tmp_path / f"{solver}.npz"
+            argv = [
+                "run", "--horizon", "24", "--seed", "4", "--fault-seed", "7",
+                "--solver", solver, "--iterations", "20", "--record-out", str(out),
+            ]
+            assert main(argv + faults) == 0
+            records.append(load_record(str(out)))
+        assert record_mismatches(*records) == []
+
+    def test_resume_refuses_message_bus_checkpoint(self, tmp_path, capsys):
+        # The retired message-bus chain wrote solver state without a
+        # ``solve_count``; its checkpoints cannot continue on the GSD chain.
+        from repro.state import LOG_NAME, dumps_checkpoint, loads_checkpoint
+        from tests.state_oracle import record_spans
+
+        ckpt_dir = tmp_path / "ckpts"
+        assert self._run(ckpt_dir, "--solver", "distributed", "--iterations", "4") == 0
+        log = ckpt_dir / LOG_NAME
+        data, rewritten = log.read_bytes(), b""
+        for slot, start, end in record_spans(log):
+            record = loads_checkpoint(data[start:end]).state
+            del record["controller"]["state"]["solver"]["solve_count"]
+            rewritten += dumps_checkpoint(slot, record)
+        log.write_bytes(rewritten)
+        capsys.readouterr()
+        assert main(["resume", str(ckpt_dir)]) == EXIT_BAD_INPUT
+        err = capsys.readouterr().err.strip()
+        assert "message-bus" in err and len(err.splitlines()) == 1
+
 
 class TestExitCodes:
     """The three failure classes exit with distinct codes (satellite

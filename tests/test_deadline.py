@@ -24,6 +24,7 @@ from repro.solvers import (
     BruteForceSolver,
     CoordinateDescentSolver,
     DeadlineExceededError,
+    DistributedGSD,
     GSDSolver,
     InfeasibleError,
     SolveDeadline,
@@ -80,6 +81,20 @@ class TestAnytimeSolvers:
         info = solution.info["deadline"]
         assert info["expired"] and info["completed"] == 0
         assert info["planned"] == 50
+        self._assert_feasible(problem, solution)
+
+    def test_distributed_expired_bills_only_completed_iterations(self, tiny_model):
+        # The distributed solver is the GSD chain, so the budget cuts it
+        # the same way; the explore/decide bill covers what actually ran.
+        problem = make_problem(tiny_model)
+        solver = DistributedGSD(
+            iterations=50, rng=np.random.default_rng(0), deadline_ms=0.0
+        )
+        solution = solver.solve(problem)
+        info = solution.info["deadline"]
+        assert info["expired"] and info["completed"] == 0
+        assert "explore" not in solution.info["messages_by_kind"]
+        assert solution.info["messages_by_kind"]["set_level"] == 3
         self._assert_feasible(problem, solution)
 
     def test_gsd_unbounded_reports_full_run(self, tiny_model):

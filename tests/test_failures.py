@@ -1,6 +1,6 @@
 """Tests for GSD under server failures (section 4.2's failure remark).
 
-The first half covers the *static* failure mask on a single solve; the
+The first half covers a *static* failed set on a single solve; the
 ``TestDynamicFailures`` half drives whole simulations through
 ``FaultSchedule`` so groups fail and recover mid-horizon (including
 fail → repair → fail cycles and concurrent outages), asserting the served
@@ -27,14 +27,12 @@ from tests.conftest import make_problem
 
 
 class TestGSDWithFailures:
+    """GSD on the surviving groups via :func:`solve_with_failed_groups`."""
+
     def test_failed_groups_stay_dark(self, tiny_model):
         p = make_problem(tiny_model, lam_frac=0.4)
-        sol = GSDSolver(
-            iterations=1500,
-            delta=1e5,
-            rng=np.random.default_rng(0),
-            failed_groups=[1],
-        ).solve(p)
+        solver = GSDSolver(iterations=1500, delta=1e5, rng=np.random.default_rng(0))
+        sol = solve_with_failed_groups(solver, p, [1])
         assert sol.action.levels[1] == -1
         assert sol.action.per_server_load[1] == 0.0
         assert sol.action.served_load(tiny_model.fleet) == pytest.approx(
@@ -46,12 +44,8 @@ class TestGSDWithFailures:
         the fleet with the failed group removed."""
         p = make_problem(tiny_model, lam_frac=0.5)
         delta = GSDSolver.auto_delta(p, greediness=50.0)
-        sol = GSDSolver(
-            iterations=3000,
-            delta=delta,
-            rng=np.random.default_rng(1),
-            failed_groups=[0],
-        ).solve(p)
+        solver = GSDSolver(iterations=3000, delta=delta, rng=np.random.default_rng(1))
+        sol = solve_with_failed_groups(solver, p, [0])
 
         degraded = Fleet([ServerGroup(opteron_2380(), 10) for _ in range(2)])
         dm = DataCenterModel(fleet=degraded, beta=10.0)
@@ -63,25 +57,22 @@ class TestGSDWithFailures:
 
     def test_all_failed_rejected(self, tiny_model):
         p = make_problem(tiny_model, lam_frac=0.1)
-        with pytest.raises(ValueError, match="every group"):
-            GSDSolver(iterations=10, delta=1e5, failed_groups=[0, 1, 2]).solve(p)
+        solver = GSDSolver(iterations=10, delta=1e5)
+        with pytest.raises(InfeasibleError, match="every server group"):
+            solve_with_failed_groups(solver, p, [0, 1, 2])
 
     def test_out_of_range_rejected(self, tiny_model):
         p = make_problem(tiny_model, lam_frac=0.1)
+        solver = GSDSolver(iterations=10, delta=1e5)
         with pytest.raises(ValueError, match="out of range"):
-            GSDSolver(iterations=10, delta=1e5, failed_groups=[7]).solve(p)
+            solve_with_failed_groups(solver, p, [7])
 
     def test_infeasible_when_survivors_lack_capacity(self, tiny_model):
         p = make_problem(tiny_model, lam_frac=0.9)  # needs ~2.7 groups
-        sol = GSDSolver(
-            iterations=50, delta=1e5, failed_groups=[0, 1]
-        )
-        from repro.solvers import InfeasibleError
-
+        solver = GSDSolver(iterations=50, delta=1e5)
         with pytest.raises(InfeasibleError):
-            # The remaining single group cannot carry 90% of total capacity;
-            # every configuration the chain can reach is infeasible.
-            sol.solve(p)
+            # The remaining single group cannot carry 90% of total capacity.
+            solve_with_failed_groups(solver, p, [0, 1])
 
 
 @pytest.fixture(scope="module")

@@ -23,15 +23,15 @@ from repro.faults import (
     FaultEvent,
     FaultInjector,
     FaultSchedule,
-    FaultyMessageBus,
     MessageFaultProfile,
     proportional_action,
 )
 from repro.scenarios import small_scenario
 from repro.sim import simulate
-from repro.solvers import DistributedGSD, Message, ServerAgent
+from repro.solvers import DistributedGSD
 from repro.telemetry import Telemetry
 from tests.fault_schedule_oracle import oracle_generate
+from tests.protocol_oracle import FaultyMessageBus, Message, ServerAgent
 
 RECORD_ARRAYS = ("cost", "brown_energy", "queue", "served", "dropped")
 
@@ -208,6 +208,8 @@ class TestScheduleValidation:
 
 
 class TestFaultyBus:
+    """The protocol oracle's per-message lossy bus (tests/protocol_oracle.py)."""
+
     def _bus_pair(self, fleet, **kw):
         buses = []
         for _ in range(2):
@@ -281,7 +283,7 @@ class TestNullTransparency:
         )
         injector = FaultInjector(FaultSchedule.empty())
         assert injector.install(controller) is False
-        assert solver.bus_factory is None
+        assert solver.transport_factory is None
 
 
 class TestChaosReplay:

@@ -1,22 +1,36 @@
-"""Tests for the distributed message-passing substrate and DistributedGSD."""
+"""Tests for the distributed GSD protocol: the message-level oracle
+(``tests/protocol_oracle.py``) and the shipped :class:`DistributedGSD`, whose
+closed-form message bill and per-phase fault draws are pinned to it."""
+
+import itertools
+import math
 
 import numpy as np
 import pytest
 
-from repro.faults import FaultyMessageBus
+from repro.cluster import Fleet, FleetAction, ServerGroup, opteron_2380
+from repro.core import DataCenterModel
 from repro.solvers import (
     BruteForceSolver,
     BusTimeoutError,
     DistributedGSD,
+    GSDSolver,
+    InfeasibleError,
+    MessageTransport,
+    distribute_load,
+)
+from repro.solvers.messaging import _bisection_rounds, pricing_bill
+from repro.state import CheckpointError
+from tests.conftest import make_problem
+from tests.protocol_oracle import (
+    BusDistributedGSD,
     DualLoadCoordinator,
+    FaultyMessageBus,
     Message,
     MessageBus,
     ServerAgent,
-    distribute_load,
     exchange,
 )
-from repro.solvers.messaging import DistributedGSD as _DG
-from tests.conftest import make_problem
 
 
 def build_bus(fleet):
@@ -161,14 +175,11 @@ class TestLossyCoordinator:
         p = make_problem(tiny_model, lam_frac=0.5, q=5.0)
         bf = BruteForceSolver().solve(p)
         solver = DistributedGSD(
-            iterations=150,
-            delta=1e4,
-            rng=np.random.default_rng(7),
-            bus_factory=lambda: FaultyMessageBus(
-                loss=0.10, delay=0.03, duplicate=0.02,
-                rng=np.random.default_rng(23),
-            ),
-            retries=5,
+            iterations=150, delta=1e4, rng=np.random.default_rng(7), retries=5
+        )
+        solver.transport_factory = lambda groups, retries: MessageTransport(
+            groups, retries=retries, loss=0.10, delay=0.03, duplicate=0.02,
+            rng=np.random.default_rng(23),
         )
         sol = solver.solve(p)
         assert sol.objective <= bf.objective * 1.20 + 1e-12
@@ -313,3 +324,237 @@ class TestLateAckAfterTimeout:
         )
         # The parked replies stayed parked: exactly the timed-out round.
         assert len(bus.late_acks) == stale
+
+
+def _all_levels(fleet):
+    for combo in itertools.product(*[range(-1, int(n)) for n in fleet.num_levels]):
+        yield np.array(combo, dtype=np.int64)
+
+
+def _regime_problems(model, V=1000.0):
+    """A billed, a free and a boundary slot at half load.  ``V`` lifts the
+    dual prices above 1 so the coordinator's bracket doubling is exercised."""
+    top = (model.fleet.num_levels - 1).astype(np.int64)
+
+    def power(onsite):
+        p = make_problem(model, lam_frac=0.5, q=5.0, V=V, onsite=onsite)
+        action = FleetAction(top, distribute_load(p, top).per_server_load)
+        return p.evaluate(action).facility_power
+
+    between = 0.5 * (power(0.0) + power(1e9))
+    return {
+        regime: make_problem(model, lam_frac=0.5, q=5.0, V=V, onsite=onsite)
+        for regime, onsite in [("billed", 0.0), ("free", 1e9), ("boundary", between)]
+    }
+
+
+def _oracle_pricing(problem, levels):
+    """Messages of one oracle run of the load protocol on ``levels``."""
+    bus, agents = build_bus(problem.fleet)
+    for agent, level in zip(agents, levels):
+        agent.level = agent.explored_level = int(level)
+    coord = DualLoadCoordinator(bus)
+    coord.configure(problem)
+    bus.by_kind.clear()
+    try:
+        coord.solve(problem)
+    except InfeasibleError:
+        pass
+    return bus.by_kind
+
+
+class TestPricingBill:
+    """:func:`pricing_bill` is the closed form of the coordinator's rounds."""
+
+    @pytest.mark.parametrize("regime", ["billed", "free", "boundary"])
+    def test_every_configuration_matches_the_coordinator(self, hetero_model, regime):
+        problem = _regime_problems(hetero_model)[regime]
+        G = hetero_model.fleet.num_groups
+        seen = set()
+        for levels in _all_levels(hetero_model.fleet):
+            try:
+                dist = distribute_load(problem, levels)
+            except InfeasibleError:
+                dist = None
+            rounds, committed = pricing_bill(problem, dist)
+            oracle = _oracle_pricing(problem, levels)
+            assert committed == (oracle["commit"] == G)
+            extra = rounds - oracle["price"] // G
+            if dist is not None and dist.regime == "boundary":
+                # Each mu step is charged the billed doublings: an upper
+                # bound on its own, never more than 60 x those doublings.
+                assert 0 <= extra <= 60 * (_bisection_rounds(dist.duals[0]) - 102)
+            else:
+                assert extra == 0
+            seen.add(None if dist is None else dist.regime)
+        assert regime in seen and None in seen
+
+    def test_doublings_counted_from_the_dual(self):
+        assert _bisection_rounds(0.3) == 102
+        assert _bisection_rounds(1.0) == 102
+        assert _bisection_rounds(4.0) == 104
+        assert _bisection_rounds(4.5) == 105
+
+    def test_zero_workload_commits_without_rounds(self, tiny_model):
+        problem = make_problem(tiny_model, lam_frac=0.0)
+        levels = np.zeros(3, dtype=np.int64)
+        assert pricing_bill(problem, distribute_load(problem, levels)) == (0, True)
+        assert _oracle_pricing(problem, levels) == {"commit": 3}
+
+
+class TestOracleAgreement:
+    """On a reliable bus the shipped solver and the message-level oracle
+    walk the same chain and send the same messages."""
+
+    @pytest.mark.parametrize("model_name", ["tiny_model", "hetero_model"])
+    @pytest.mark.parametrize("regime", ["billed", "free", "boundary"])
+    def test_same_levels_and_messages(self, request, model_name, regime):
+        model = request.getfixturevalue(model_name)
+        problem = _regime_problems(model)[regime]
+        G = model.fleet.num_groups
+        for seed in range(2):
+            kw = dict(iterations=40, delta=1e7)
+            oracle = BusDistributedGSD(rng=np.random.default_rng(seed), **kw).solve(problem)
+            shipped = DistributedGSD(rng=np.random.default_rng(seed), **kw).solve(problem)
+            np.testing.assert_array_equal(shipped.action.levels, oracle.action.levels)
+            assert shipped.objective == pytest.approx(oracle.objective, rel=1e-9)
+            ours = shipped.info["messages_by_kind"]
+            theirs = oracle.info["messages_by_kind"]
+            assert shipped.info["messages"] == sum(ours.values())
+            if regime != "boundary":
+                assert ours == theirs
+                continue
+            assert {k: v for k, v in ours.items() if k != "price"} == {
+                k: v for k, v in theirs.items() if k != "price"
+            }
+            # Bound: every committed pricing over-counts at most 60 x the
+            # doublings of the largest billed dual any configuration has.
+            duals = []
+            for levels in _all_levels(model.fleet):
+                try:
+                    duals.append(distribute_load(problem, levels).duals[0])
+                except InfeasibleError:
+                    pass
+            slack = 60 * G * (_bisection_rounds(max(duals)) - 102)
+            assert theirs["price"] <= ours["price"] <= theirs["price"] + slack * (
+                ours["commit"] // G
+            )
+
+    def test_reliable_transport_is_gsd_bit_for_bit(self, hetero_model):
+        problem = _regime_problems(hetero_model)["boundary"]
+        kw = dict(iterations=80, delta=1e7)
+        gsd = GSDSolver(rng=np.random.default_rng(4), **kw).solve(problem)
+        dist = DistributedGSD(rng=np.random.default_rng(4), **kw).solve(problem)
+        np.testing.assert_array_equal(dist.action.levels, gsd.action.levels)
+        np.testing.assert_array_equal(
+            dist.action.per_server_load, gsd.action.per_server_load
+        )
+        assert dist.evaluation == gsd.evaluation
+        assert dist.info["retries_used"] == 0 and "bus_faults" not in dist.info
+
+
+class TestLossAgreement:
+    """Under loss the shipped solver draws each phase's faults in
+    distribution, so it agrees with the oracle's per-message bus on the
+    *fraction* of lost explorations, not bit for bit.  Bit-equality cannot
+    be the contract: the oracle's bus spends one random draw per message
+    attempt, and its ``explore`` message carries the chain RNG, so a delayed
+    or duplicated explore advances the chain RNG twice."""
+
+    LOSS = dict(loss=0.04, delay=0.02, duplicate=0.01)
+
+    def _oracle(self, problem, solves):
+        solver = BusDistributedGSD(
+            iterations=50, delta=1e4, rng=np.random.default_rng(0), retries=1
+        )
+        for s in range(solves):
+            solver.bus_factory = lambda s=s: FaultyMessageBus(
+                rng=np.random.default_rng([1, s]), **self.LOSS
+            )
+            try:
+                solver.solve(problem)
+            except BusTimeoutError:
+                pass  # the explorations priced so far still count
+        return solver.pricings, solver.lost_pricings
+
+    def _shipped(self, problem, solves):
+        solver = DistributedGSD(
+            iterations=50, delta=1e4, rng=np.random.default_rng(0), retries=1
+        )
+        pricings = lost = 0
+        for s in range(solves):
+            solver.transport_factory = lambda groups, retries, s=s: MessageTransport(
+                groups, retries=retries, rng=np.random.default_rng([2, s]), **self.LOSS
+            )
+            try:
+                solver.solve(problem)
+            except BusTimeoutError:
+                pass
+            pricings += solver.last_transport.pricings
+            lost += solver.last_transport.lost_pricings
+        return pricings, lost
+
+    def test_lost_exploration_fraction_within_4_sigma(self):
+        # One group keeps the message-level oracle affordable: a pricing is
+        # ~100 messages, and an off proposal ~1,000 cheap ones.
+        model = DataCenterModel(fleet=Fleet([ServerGroup(opteron_2380(), 10)]), beta=10.0)
+        problem = make_problem(model, lam_frac=0.3, q=5.0)
+        n1, k1 = self._oracle(problem, 32)
+        n2, k2 = self._shipped(problem, 32)
+        assert min(n1, n2) >= 1000
+        p1, p2 = k1 / n1, k2 / n2
+        pooled = (k1 + k2) / (n1 + n2)
+        sigma = math.sqrt(pooled * (1.0 - pooled) * (1.0 / n1 + 1.0 / n2))
+        assert 0.05 < pooled < 0.95  # the faults bite, but not always
+        assert abs(p1 - p2) <= 4.0 * sigma
+
+
+class TestMessageTransport:
+    def test_reliable_counts_every_message_once(self):
+        transport = MessageTransport(4)
+        assert transport.send(configure=4, explore=0)
+        assert transport.price((102, True))
+        assert transport.by_kind == {"configure": 4, "price": 408, "commit": 4}
+        assert transport.delivered == 416 and transport.retries_used == 0
+
+    def test_same_seed_same_fault_pattern(self):
+        def run():
+            t = MessageTransport(
+                5, retries=2, loss=0.2, delay=0.1, duplicate=0.05,
+                rng=np.random.default_rng(9),
+            )
+            outcomes = [t.price((110, True)) for _ in range(50)]
+            return outcomes, t.fault_stats(), t.retries_used
+
+        assert run() == run()
+        outcomes, stats, retries_used = run()
+        assert stats["dropped"] > 0 and stats["delayed"] > 0
+        assert stats["duplicated"] > 0 and retries_used > 0
+        assert not all(outcomes)
+
+    def test_phase_loss_probability(self):
+        """A phase of n messages is lost with probability
+        ``1 - (1 - p**(retries+1))**n``."""
+        rng = np.random.default_rng(3)
+        t = MessageTransport(1, retries=1, loss=0.05, delay=0.05, rng=rng)
+        trials = 4000
+        lost = sum(not t.send(price=50) for _ in range(trials))
+        expected = 1.0 - (1.0 - 0.1**2) ** 50
+        sigma = math.sqrt(expected * (1 - expected) / trials)
+        assert abs(lost / trials - expected) <= 4 * sigma
+
+    def test_dead_channel_raises_bus_timeout(self, tiny_model):
+        solver = DistributedGSD(iterations=10, rng=np.random.default_rng(0))
+        solver.transport_factory = lambda groups, retries: MessageTransport(
+            groups, retries=retries, loss=0.9, rng=np.random.default_rng(0)
+        )
+        with pytest.raises(BusTimeoutError):
+            solver.solve(make_problem(tiny_model))
+
+    def test_refuses_state_of_the_message_bus_chain(self):
+        from repro.state.serialize import encode_rng
+
+        solver = DistributedGSD(iterations=5)
+        with pytest.raises(CheckpointError, match="message-bus"):
+            solver.load_state_dict({"rng": encode_rng(np.random.default_rng(1))})
+        solver.load_state_dict(GSDSolver(iterations=5).state_dict())

@@ -34,8 +34,9 @@ from repro.solvers import (
     InfeasibleError,
     distribute_load,
     geometric_temperature,
+    solve_with_failed_groups,
 )
-from tests.conftest import assert_local_minimum, solve_cold
+from tests.conftest import assert_local_minimum
 
 _PROFILES = (opteron_2380, cubic_dvfs_profile)
 
@@ -94,15 +95,18 @@ def oracle_objective(problem, failed=()):
     return best
 
 
-def gsd_long_chain(problem, seed, *, cold=False, **kw):
+def gsd_long_chain(problem, seed, *, cold=False, failed=()):
+    """A long annealed GSD chain, on the groups outside ``failed``."""
     delta = GSDSolver.auto_delta(problem, greediness=2.0)
     solver = GSDSolver(
         iterations=3000,
         delta=geometric_temperature(delta, 1.002),
         rng=np.random.default_rng(seed),
-        **kw,
     )
-    return solve_cold(solver, problem) if cold else solver.solve(problem)
+    with pytest.MonkeyPatch.context() as mp:
+        if cold:
+            mp.setattr("repro.solvers.gsd._WARM_START", False)
+        return solve_with_failed_groups(solver, problem, failed)
 
 
 class TestCrossSolverConsistency:
@@ -194,7 +198,7 @@ class TestCrossSolverConsistency:
             pytest.skip("drawn load needs the failed group")
 
         for cold in (False, True):
-            sol = gsd_long_chain(p, seed, failed_groups=[failed], cold=cold)
+            sol = gsd_long_chain(p, seed, failed=[failed], cold=cold)
             assert sol.action.levels[failed] == -1
             assert sol.action.per_server_load[failed] == 0.0
             assert (

@@ -1,64 +1,13 @@
-"""Tests for the weather-driven time-varying PUE (footnote 1)."""
+"""Tests for the per-slot time-varying PUE override (footnote 1's cooling
+overhead "(time-varying) PUE factor")."""
 
 import numpy as np
 import pytest
 
 from repro.baselines import CarbonUnaware, OfflineOptimal
-from repro.cluster.thermal import pue_from_temperature, temperature_trace
 from repro.sim import Environment, simulate
 from repro.solvers.batch import batch_enumerate
 from repro.traces import Trace
-
-
-class TestTemperatureTrace:
-    def test_reproducible(self):
-        a = temperature_trace(500, seed=1)
-        b = temperature_trace(500, seed=1)
-        np.testing.assert_array_equal(a.values, b.values)
-
-    def test_seasonal_structure(self):
-        t = temperature_trace(8760, seed=2)
-        daily = t.values[: 364 * 24].reshape(-1, 24).mean(axis=1)
-        july = daily[182:213].mean()
-        january = daily[:31].mean()
-        assert july > january + 5.0
-
-    def test_diurnal_structure(self):
-        t = temperature_trace(24 * 60, seed=2)
-        profile = t.daily_profile()
-        assert profile[15] > profile[4]
-
-    def test_bad_horizon(self):
-        with pytest.raises(ValueError):
-            temperature_trace(0)
-
-
-class TestPUEMap:
-    def test_floor_below_threshold(self):
-        temp = Trace(np.array([5.0, 10.0, 18.0]))
-        pue = pue_from_temperature(temp, base_pue=1.1, free_cooling_threshold=18.0)
-        np.testing.assert_allclose(pue.values, 1.1)
-
-    def test_linear_above_threshold(self):
-        temp = Trace(np.array([20.0, 28.0]))
-        pue = pue_from_temperature(
-            temp, base_pue=1.1, free_cooling_threshold=18.0, slope_per_degree=0.02
-        )
-        np.testing.assert_allclose(pue.values, [1.14, 1.3])
-
-    def test_saturation(self):
-        temp = Trace(np.array([100.0]))
-        pue = pue_from_temperature(temp, max_pue=1.5)
-        assert pue.values[0] == 1.5
-
-    def test_validation(self):
-        temp = Trace(np.ones(3) * 20.0)
-        with pytest.raises(ValueError):
-            pue_from_temperature(temp, base_pue=0.9)
-        with pytest.raises(ValueError):
-            pue_from_temperature(temp, base_pue=1.5, max_pue=1.2)
-        with pytest.raises(ValueError):
-            pue_from_temperature(temp, slope_per_degree=-0.1)
 
 
 class TestTimeVaryingPUEEndToEnd:
@@ -112,9 +61,9 @@ class TestTimeVaryingPUEEndToEnd:
 
     def test_opt_respects_budget_under_pue_trace(self, week_scenario):
         sc = week_scenario
-        pue = pue_from_temperature(
-            temperature_trace(sc.horizon, seed=5), base_pue=1.1
-        )
+        # A hot-afternoon cooling cycle: PUE 1.1 at night, 1.4 mid-afternoon.
+        hour = np.arange(sc.horizon) % 24
+        pue = Trace(1.25 - 0.15 * np.cos(2.0 * np.pi * (hour - 3) / 24.0))
         env = Environment(
             workload=sc.environment.workload,
             portfolio=sc.environment.portfolio,
