@@ -14,7 +14,8 @@ from repro.solvers.batch import batch_enumerate
 
 
 def test_batch_year_sweep(benchmark, fiu_scenario):
-    """One vectorized year (8760 slots x 201 x 4 candidates) at fixed q."""
+    """One whole-horizon year sweep (8760 slots x 4 speed levels, the
+    servers-on count bisected over 201 sizes) at fixed q."""
     sc = fiu_scenario
     env = sc.environment
 

