@@ -260,6 +260,12 @@ class Fleet:
         return table.ravel(), offsets, speed, coeff, static
 
     @property
+    def class_id_table(self) -> tuple[np.ndarray, np.ndarray]:
+        """``(flat, offsets)``: group ``g`` at level ``l`` belongs to class
+        ``flat[offsets[g] + l]`` (level ``-1`` maps to the off class ``0``)."""
+        return self._class_tables[:2]
+
+    @property
     def num_classes(self) -> int:
         """Size of the class-id space, the "off" class ``0`` included."""
         return self._class_tables[2].size
@@ -279,6 +285,16 @@ class Fleet:
         """Per-server idle power per class id (MW)."""
         return self._class_tables[4]
 
+    def class_counts(self, levels: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """``(ids, counts)``: the class id of every group (``0`` when off)
+        and the summed server count of every class id, ``num_classes``
+        long, with the off class ``0`` at zero."""
+        flat, offsets, speed, _, _ = self._class_tables
+        ids = flat[offsets + levels]
+        counts = np.bincount(ids, weights=self.counts, minlength=speed.size)
+        counts[0] = 0.0
+        return ids, counts
+
     def class_histogram(
         self, levels: np.ndarray
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -286,14 +302,10 @@ class Fleet:
 
         Returns ``(ids, classes, counts)``: the class id of every group
         (``0`` when off), the ascending ids of the classes with at least
-        one on group, and the summed server count of each of those.
+        one server on, and the summed server count of each of those.
         """
-        flat, offsets, speed, _, _ = self._class_tables
-        ids = flat[offsets + levels]
-        members = np.bincount(ids, minlength=speed.size)
-        members[0] = 0
-        classes = np.flatnonzero(members)
-        counts = np.bincount(ids, weights=self.counts, minlength=speed.size)
+        ids, counts = self.class_counts(levels)
+        classes = np.flatnonzero(counts)
         return ids, classes, counts[classes]
 
     @cached_property

@@ -64,6 +64,10 @@ class DelayCostModel(ABC):
     # generic fallbacks route through the vectorized methods; models with a
     # closed form override them.
 
+    def cost_at(self, load: float, speed: float) -> float:
+        """Scalar :meth:`cost` for one server."""
+        return float(self.cost(load, speed))
+
     def marginal_at(self, load: float, speed: float) -> float:
         """Scalar :meth:`marginal` for one server."""
         return float(self.marginal(load, speed))
@@ -72,6 +76,18 @@ class DelayCostModel(ABC):
         """Scalar :meth:`load_at_marginal` for one server, ``m > 0``, clipped
         to ``[0, speed]``."""
         return float(np.clip(self.load_at_marginal(m, speed), 0.0, speed))
+
+    def inverse_marginal_slope(self, m: float, speed: float) -> float:
+        """Derivative of the unclipped :meth:`inverse_marginal` with respect
+        to ``m`` (``m > 0``): the slope of one server's water-fill load in
+        its marginal price, which the warm water-fill's Newton steps use.
+        The fallback is a central difference; models with a closed form
+        override it."""
+        h = 1e-6 * m
+        return (
+            float(self.load_at_marginal(m + h, speed))
+            - float(self.load_at_marginal(m - h, speed))
+        ) / (2.0 * h)
 
 
 @dataclass(frozen=True)
@@ -104,12 +120,21 @@ class MG1PSDelay(DelayCostModel):
             lam = speed - np.sqrt(speed / m)
         return np.clip(lam, 0.0, speed)
 
+    def cost_at(self, load, speed):
+        if load <= 0.0:
+            return 0.0
+        return load / (speed - load) if load < speed else math.inf
+
     def marginal_at(self, load, speed):
         return speed / (speed - load) ** 2 if load < speed else math.inf
 
     def inverse_marginal(self, m, speed):
         load = speed - math.sqrt(speed / m)
         return load if load > 0.0 else 0.0
+
+    def inverse_marginal_slope(self, m, speed):
+        # d/dm (speed - sqrt(speed / m)) = 0.5 sqrt(speed / m) / m
+        return 0.5 * math.sqrt(speed / m) / m
 
     def mean_response_time(self, load, speed):
         """Mean response time (seconds, for req/s rates): ``1/(x - lambda)``
@@ -143,9 +168,15 @@ class SquaredLoadDelay(DelayCostModel):
         speed = np.asarray(speed, dtype=np.float64)
         return np.clip(m * speed / 2.0, 0.0, speed)
 
+    def cost_at(self, load, speed):
+        return load * load / speed
+
     def marginal_at(self, load, speed):
         return 2.0 * load / speed
 
     def inverse_marginal(self, m, speed):
         load = m * speed / 2.0
         return speed if load > speed else load
+
+    def inverse_marginal_slope(self, m, speed):
+        return speed / 2.0

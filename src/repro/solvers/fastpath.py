@@ -14,31 +14,37 @@ candidate:
   ``levels.tobytes()``.  A hit returns the float computed the first time
   the vector was seen; since the inner solve is deterministic, the cached
   value equals what a recompute would produce bit for bit.
-- **Class-histogram memo**: the inner solve depends on a level vector only
-  through its (profile, level) class histogram
+- **Class space end to end**: the inner solve depends on a level vector
+  only through its (profile, level) class histogram
   (:meth:`~repro.cluster.fleet.Fleet.class_histogram`), and so do the IT
-  power, delay and served-load totals of its evaluation.  Both are
-  memoized per histogram, summed over class rows rather than groups; a
-  *new* vector whose histogram was already solved -- a GSD flip between
-  two groups of one profile, say -- reuses them and only adds its own
+  power, delay and served-load totals of its evaluation.  The cache keeps
+  that histogram up to date as callers report which group they toggled
+  (:meth:`EvaluationCache.note_changed`): each flip moves the group's
+  server count from its old class to its new one, exact because server
+  counts are integers.  The inner solve takes the histogram and the
+  per-problem :class:`~repro.solvers.load_distribution.ClassTable`
+  directly, and the totals are summed over class rows, so no per-group
+  pass runs on the hot path.  Both are memoized per histogram; a *new*
+  vector whose histogram was already solved -- a GSD flip between two
+  groups of one profile, say -- reuses them and only adds its own
   switching term, the one part that depends on which groups toggled.
   Class sums differ from the per-group sums of
   :meth:`~repro.solvers.problem.SlotProblem.evaluate` only in rounding;
-  :meth:`EvaluationCache.solution_for` re-evaluates the chosen action per
-  group.
-- **O(1) delta feasibility screen**: the on-set's capped capacity, static
-  IT power, and on-group count are maintained incrementally as callers
-  report which group they toggled (:meth:`EvaluationCache.note_changed`).
+  :meth:`EvaluationCache.solution_for` expands the chosen action to
+  per-group loads and re-evaluates it per group.
+- **Delta feasibility screen**: from the same histogram, the on-set's
+  capacity and static IT power cost one sum over its few classes.
   Candidates that provably cannot serve the workload -- or whose static
   draw alone already breaks the peak-power cap -- are rejected without
   touching the inner solve.  The screen margin (``_SCREEN_RTOL``) exceeds
-  the worst-case float drift of the incremental sums, so a screened-out
-  candidate is *provably* one the full solve would also reject: verdicts
-  never change, only their cost.
+  the rounding gap between those sums and the exact check's, so a
+  screened-out candidate is *provably* one the full solve would also
+  reject: verdicts never change, only their cost.
 - **Warm starts**: the most recent inner solve is handed to
-  :func:`distribute_load` as a bracket hint for the next candidate.
-  Warm-started solves match cold ones to <= 1e-9 relative objective error
-  (see :mod:`~repro.solvers.load_distribution`).  Whether an engine warm
+  :func:`distribute_load` as a hint: its dual variable starts the next
+  candidate's Newton refinement.  Warm-started solves match cold ones to
+  <= 1e-9 relative objective error (see
+  :mod:`~repro.solvers.load_distribution`).  Whether an engine warm
   starts is fixed per engine: GSD always does, coordinate descent and
   brute force never do (the cache's default).
 
@@ -53,20 +59,16 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..cluster.fleet import FleetAction
-from .load_distribution import LoadDistribution, distribute_load
+from .load_distribution import ClassTable, LoadDistribution, distribute_load
 from .problem import InfeasibleError, SlotEvaluation, SlotProblem
 
 __all__ = ["EvaluationCache", "FastPathStats"]
 
-#: Conservative relative margin of the delta screen.  Incremental float
-#: drift of the running sums is bounded by ~iterations * eps (~1e-13 for
-#: any realistic chain between refreshes); the margin is six orders of
-#: magnitude above that, and borderline candidates inside the margin fall
-#: through to the exact check in ``distribute_load``.
+#: Conservative relative margin of the delta screen.  Its class sums
+#: differ from the exact check's in ``distribute_load`` by a few ulps; the
+#: margin is six orders of magnitude above that, and borderline candidates
+#: inside it fall through to the exact check.
 _SCREEN_RTOL = 1e-9
-
-#: Rebuild the incremental sums from scratch this often, bounding drift.
-_REFRESH_EVERY = 256
 
 
 @dataclass(frozen=True)
@@ -83,21 +85,26 @@ class _ClassSolve:
     def of(
         cls,
         problem: SlotProblem,
+        table: ClassTable,
         dist: LoadDistribution,
-        classes: np.ndarray,
-        counts: np.ndarray,
+        counts: list[float],
     ) -> "_ClassSolve":
-        fleet = problem.fleet
-        # A zero-workload solve carries no class loads: every on server idles.
-        load = dist.class_load if dist.class_load is not None else np.zeros(counts.size)
-        per_server = fleet.class_static_power[classes] + fleet.class_dyn_coeff[classes] * load
-        delay = problem.delay_model.cost(load, fleet.class_speed[classes])
-        return cls(
-            dist,
-            float(np.dot(counts, per_server)),
-            float(np.dot(counts, delay)),
-            float(np.dot(counts, load)),
-        )
+        """Sum the totals over the class rows of ``dist``; ``counts`` is the
+        server count of every class id."""
+        cost = problem.delay_model.cost_at
+        it_power = delay_sum = served = 0.0
+        if dist.classes is None:
+            # A zero-workload solve places no load: every on server idles.
+            for k in range(1, len(counts)):
+                if counts[k] > 0.0:
+                    it_power += counts[k] * table.static[k]
+            return cls(dist, it_power, 0.0, 0.0)
+        for k, load in zip(dist.classes, dist.class_load):
+            n = counts[k]
+            it_power += n * (table.static[k] + table.coeff[k] * load)
+            delay_sum += n * cost(load, table.speed[k])
+            served += n * load
+        return cls(dist, it_power, delay_sum, served)
 
 
 @dataclass
@@ -163,7 +170,7 @@ class EvaluationCache:
     problem:
         The slot problem every queried configuration is evaluated against.
     warm_start:
-        When True, each inner solve seeds the next one's bisection brackets
+        When True, each inner solve seeds the next one's water-fills
         (<= 1e-9 relative objective contract).  Default False: cold solves
         only.
 
@@ -183,19 +190,22 @@ class EvaluationCache:
         # Inner solves by class histogram (``None`` = the on-set cannot
         # carry the load), and the histogram of every vector objective_of
         # scored.
-        self._solves: dict[bytes, _ClassSolve | None] = {}
-        self._histogram_of: dict[bytes, bytes] = {}
+        self._solves: dict[tuple[float, ...], _ClassSolve | None] = {}
+        self._histogram_of: dict[bytes, tuple[float, ...]] = {}
         self._hint: LoadDistribution | None = None
-        # Delta-screen state: running on-set aggregates vs a private copy
-        # of the last-synced level vector.
+        self._table = ClassTable(problem)
+        # Delta-screen state: the on-set's class histogram (servers on per
+        # class id) vs a private copy of the last-synced level vector.
+        # Group g at level l is class ``_class_flat[_class_row[g] + l]``.
         fleet = problem.fleet
         self._fleet = fleet
-        self._screen_levels: np.ndarray | None = None
+        flat, offsets = fleet.class_id_table
+        self._class_flat = flat.tolist()
+        self._class_row = offsets.tolist()
+        self._group_count = fleet.counts.tolist()
+        self._hist: list[float] = []
+        self._screen_levels: list[int] | None = None
         self._dirty: set[int] = set()
-        self._cap_sum = 0.0  # sum_g n_g x_g over the on-set (req/s)
-        self._static_sum = 0.0  # sum_g n_g static_g over the on-set (MW, IT)
-        self._on_count = 0
-        self._updates = 0
 
     # ------------------------------------------------------------------
     # Delta screen
@@ -208,63 +218,51 @@ class EvaluationCache:
     def note_all(self) -> None:
         """Invalidate the delta-screen state (the caller replaced or bulk
         rewrote its level vector, e.g. a restart); the next query rebuilds
-        the running sums from scratch."""
+        the class histogram from scratch."""
         self._screen_levels = None
         self._dirty.clear()
 
-    def _rebuild_screen(self, levels: np.ndarray) -> None:
-        fleet = self._fleet
-        on = levels >= 0
-        idx = np.nonzero(on)[0]
-        x = fleet.speed_table[idx, levels[idx]]
-        self._cap_sum = float(np.sum(fleet.counts[idx] * x))
-        self._static_sum = float(np.sum(fleet.counts[idx] * fleet.static_power[idx]))
-        self._on_count = int(idx.size)
-        self._screen_levels = levels.astype(np.int64, copy=True)
-        self._dirty.clear()
-        self._updates = 0
-
     def _sync_screen(self, levels: np.ndarray) -> None:
-        if self._screen_levels is None or self._updates >= _REFRESH_EVERY:
-            self._rebuild_screen(levels)
+        if self._screen_levels is None:
+            self._hist = self._fleet.class_counts(levels)[1].tolist()
+            self._screen_levels = levels.tolist()
+            self._dirty.clear()
             return
-        if not self._dirty:
-            return
-        fleet = self._fleet
+        hist, flat, row = self._hist, self._class_flat, self._class_row
+        synced = self._screen_levels
         for g in self._dirty:
-            old = int(self._screen_levels[g])
+            old = synced[g]
             new = int(levels[g])
             if old == new:
                 continue
-            n = fleet.counts[g]
+            # Server counts are integers: these updates are exact, so the
+            # histogram equals a from-scratch one bit for bit.
+            count = self._group_count[g]
             if old >= 0:
-                self._cap_sum -= n * fleet.speed_table[g, old]
-                self._static_sum -= n * fleet.static_power[g]
-                self._on_count -= 1
+                hist[flat[row[g] + old]] -= count
             if new >= 0:
-                self._cap_sum += n * fleet.speed_table[g, new]
-                self._static_sum += n * fleet.static_power[g]
-                self._on_count += 1
-            self._screen_levels[g] = new
-            self._updates += 1
+                hist[flat[row[g] + new]] += count
+            synced[g] = new
         self._dirty.clear()
 
     def _screened_infeasible(self) -> bool:
-        """Conservative O(1) verdict: True only when the exact path would
-        certainly reject this configuration."""
+        """Conservative verdict over the class histogram: True only when
+        the exact path would certainly reject this configuration."""
         p = self.problem
         lam = p.arrival_rate
         if lam <= 0.0:
             return False
-        if self._on_count == 0:
-            return True
-        if lam > p.gamma * self._cap_sum * (1.0 + _SCREEN_RTOL):
-            return True
-        if p.peak_power_cap is not None:
-            # Static draw alone is a lower bound on facility power.
-            if p.pue * self._static_sum > p.peak_power_cap * (1.0 + _SCREEN_RTOL):
-                return True
-        return False
+        table = self._table
+        speed = static = 0.0  # sum_k n_k x_k (req/s), sum_k n_k static_k (MW, IT)
+        for k, n in enumerate(self._hist):
+            if n > 0.0:
+                speed += n * table.speed[k]
+                static += n * table.static[k]
+        if lam > p.gamma * speed * (1.0 + _SCREEN_RTOL):
+            return True  # an all-off on-set included: it serves nothing
+        # Static draw alone is a lower bound on facility power.
+        cap = p.peak_power_cap
+        return cap is not None and p.pue * static > cap * (1.0 + _SCREEN_RTOL)
 
     # ------------------------------------------------------------------
     # Scoring
@@ -285,8 +283,7 @@ class EvaluationCache:
             self._objectives[key] = np.inf
             return np.inf
 
-        _, classes, counts = self._fleet.class_histogram(levels)
-        hkey = classes.tobytes() + counts.tobytes()
+        hkey = tuple(self._hist)
         if hkey in self._solves:
             self.stats.histogram_hits += 1
             solve = self._solves[hkey]
@@ -297,7 +294,8 @@ class EvaluationCache:
             try:
                 dist = distribute_load(
                     self.problem,
-                    levels,
+                    histogram=self._hist,
+                    table=self._table,
                     hint=self._hint if self.warm_start else None,
                 )
             except InfeasibleError:
@@ -311,7 +309,7 @@ class EvaluationCache:
                 self.stats.cold_solves += 1
             self.stats.inner_iters += dist.inner_iters
             solve = self._solves[hkey] = _ClassSolve.of(
-                self.problem, dist, classes, counts
+                self.problem, self._table, dist, self._hist
             )
         if self.warm_start:
             self._hint = solve.dist
@@ -341,7 +339,7 @@ class EvaluationCache:
         if hkey is None:
             loads = distribute_load(self.problem, levels).per_server_load
         else:
-            ids = self._fleet.class_histogram(levels)[0]
+            ids = self._fleet.class_counts(levels)[0]
             loads = self._solves[hkey].dist.expand(self._fleet, ids)
         action = FleetAction(levels=levels, per_server_load=loads)
         return action, self.problem.evaluate(action)

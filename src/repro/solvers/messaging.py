@@ -58,9 +58,12 @@ __all__ = ["BusTimeoutError", "DistributedGSD", "MessageTransport", "pricing_bil
 _NU_ROUNDS = 100
 _MU_ROUNDS = 60
 
-#: The coordinator doubles its ``nu`` bracket from 1 and gives up once it
-#: passes 1e300: an on-set that cannot carry the load costs the probes
-#: 2**0 .. 2**996 (2**997 > 1e300) and is never committed.
+#: The coordinator doubles its ``nu`` bracket from 1 and stops once it
+#: passes 1e300: an on-set whose capped capacity falls short of the load
+#: costs the probes 2**0 .. 2**996 (2**997 > 1e300).  It is never
+#: committed, unless the shortfall is a rounding error inside the 1e-12
+#: capacity window: then every group is committed at its cap, the
+#: unbounded dual ``nu = inf`` of :func:`~repro.solvers.distribute_load`.
 _EXPANSION_ROUNDS = 997
 
 
@@ -74,7 +77,10 @@ def _bisection_rounds(nu: float) -> int:
     """Price rounds of one ``nu`` bisection crossing at ``nu``: the bracket
     probes 1, 2, 4, ... up to the first power of two >= ``nu``
     (``max(0, ceil(log2 nu))`` doublings), the fixed bisection, and a final
-    probe at the bracket top."""
+    probe at the bracket top.  An infinite ``nu`` (every group at its cap)
+    is the doubling run out, with no bisection."""
+    if math.isinf(nu):
+        return _EXPANSION_ROUNDS
     doublings = 0
     if nu > 1.0:
         mantissa, exponent = math.frexp(nu)

@@ -26,6 +26,7 @@ It is not importable from the package and no engine calls it.
 
 from __future__ import annotations
 
+import math
 from collections import Counter
 from dataclasses import dataclass, field
 from typing import Any, Callable
@@ -360,9 +361,16 @@ class DualLoadCoordinator:
         """Find nu with aggregate served load = lam; returns (nu, facility
         dynamic+static IT power in MW, pre-PUE)."""
         lo, hi = 0.0, 1.0
-        while self._round(hi, we, explored)[0] < lam:
+        while True:
+            served, power = self._round(hi, we, explored)
+            if served >= lam:
+                break
             hi *= 2.0
             if hi > 1e300:
+                if lam <= served * (1.0 + 1e-12):
+                    # A rounding shortfall inside the capacity window:
+                    # commit every agent at its cap (an unbounded dual).
+                    return math.inf, power
                 raise InfeasibleError("explored on-set cannot serve the workload")
         for _ in range(_NU_ROUNDS):
             mid = 0.5 * (lo + hi)

@@ -389,6 +389,30 @@ class TestPricingBill:
             seen.add(None if dist is None else dist.regime)
         assert regime in seen and None in seen
 
+    @pytest.mark.parametrize("onsite", [0.0, 1e9])
+    def test_load_at_capacity_matches_the_coordinator(self, onsite):
+        """At ``lambda`` = the capped capacity, the class rows' capped total
+        can round below the load.  The solver then puts every group at its
+        cap with an unbounded dual, and the coordinator, whose doubling
+        runs out at 1e300, commits the same caps: the bill is the
+        expansion's rounds per fixed-weight water-fill, committed.  One
+        group, so the two sum the capacity identically."""
+        fleet = Fleet([ServerGroup(opteron_2380(), 10)])
+        top = np.array([int(fleet.num_levels[0]) - 1])
+        saturated = 0
+        for gamma in np.linspace(0.5, 0.99, 50):
+            model = DataCenterModel(fleet=fleet, beta=10.0, gamma=float(gamma))
+            problem = model.slot_problem(
+                arrival_rate=fleet.capacity(float(gamma)), onsite=onsite, price=40.0
+            )
+            dist = distribute_load(problem, top)
+            rounds, committed = pricing_bill(problem, dist)
+            oracle = _oracle_pricing(problem, top)
+            assert committed and oracle["commit"] == 1
+            assert rounds == oracle["price"]
+            saturated += bool(np.isinf(dist.nu))
+        assert saturated >= 1
+
     def test_doublings_counted_from_the_dual(self):
         assert _bisection_rounds(0.3) == 102
         assert _bisection_rounds(1.0) == 102
