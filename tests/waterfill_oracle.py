@@ -7,10 +7,12 @@ cold bisection to floating-point bracket collapse -- so tests can pin the
 shipped solver against an independent computation of the same optimum.
 It is not importable from the package and no engine calls it.
 
-The one departure from the historical code is shared with the shipped
+Two departures from the historical code are shared with the shipped
 solver: at ``Wd == 0`` and zero electricity weight, where every split is
 optimal, the greedy fill takes the least power-hungry rows first instead
-of going by index.
+of going by index; and a load the ``(1 + 1e-12)`` capacity check admits
+but the rows' capped total rounds below puts every row at its cap with an
+unbounded dual instead of raising.
 """
 
 from __future__ import annotations
@@ -68,6 +70,9 @@ def _waterfill(problem, lam, we, x, c, n):
     wd = problem.V * problem.delay_weight
     caps = problem.gamma * x
     elec_marginal = we * problem.pue * c
+
+    if lam > float(np.sum(n * caps)):
+        return caps.copy(), np.inf, 0
 
     if wd <= 0.0:
         weights = elec_marginal if we * problem.pue > 0.0 else c
