@@ -8,9 +8,10 @@ historical formulation -- every ``(slot, servers-on, speed)`` cell of a
 not importable from the package and no engine calls it.
 
 :func:`oracle_batch_enumerate` is the historical ``batch_enumerate`` body
-verbatim.  It keeps the historical capacity tolerance, so a slot whose load
-lies just above capacity comes back "all off" here where the shipped sweep
-raises :class:`~repro.solvers.problem.InfeasibleError`.
+verbatim, with one change it shares with the shipped sweep: a cell whose
+per-server load lies within ``check_feasible``'s ``(1 + 1e-12)`` window
+above ``gamma * s`` is feasible (its load clamped to the cap), so a load
+at the fleet's capped capacity is served rather than rejected.
 """
 
 from __future__ import annotations
@@ -103,7 +104,7 @@ def oracle_batch_enumerate(
         lam = arrival[lo:hi, None, None]  # (c, 1, 1)
         with np.errstate(divide="ignore", invalid="ignore"):
             load = np.where(M > 0, lam / M, np.inf)  # (c, G+1, 1)
-        feasible = load <= cap_per_server[None, None, :]  # (c, G+1, K)
+        feasible = load <= cap_per_server[None, None, :] * (1.0 + 1e-12)  # (c, G+1, K)
         zero_lam = arrival[lo:hi] <= 0.0
         if zero_lam.any():
             feasible[zero_lam, 0, :] = True

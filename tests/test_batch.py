@@ -246,13 +246,13 @@ class TestAgainstOracle:
 
 class TestFeasibility:
     def test_load_just_above_capacity_raises(self):
-        """A load inside the grid's old 1e-12 tolerance above capacity has
-        no feasible candidate: it must raise like the per-slot engine, not
-        come back as an all-off slot."""
+        """A load beyond ``check_feasible``'s 1e-12 window above capacity
+        has no feasible candidate: it must raise like the per-slot engine,
+        not come back as an all-off slot."""
         model = scenarios.small_scenario(horizon=4).model
         speeds = model.fleet.groups[0].profile.speeds
         capacity = model.fleet.counts.sum() * (model.gamma * speeds)[-1]
-        lam = capacity * (1.0 + 5e-13)
+        lam = capacity * (1.0 + 1e-11)
         assert lam > capacity
         with pytest.raises(InfeasibleError):
             batch_enumerate(
@@ -261,6 +261,46 @@ class TestFeasibility:
         problem = model.slot_problem(arrival_rate=lam, onsite=0.0, price=40.0)
         with pytest.raises(InfeasibleError):
             HomogeneousEnumerationSolver(switching_aware=False).solve(problem)
+
+    def test_load_inside_the_window_is_served_at_the_cap(self):
+        """A load a few ulps above capacity, inside ``check_feasible``'s
+        window, is served by every server at its cap in both engines."""
+        model = scenarios.small_scenario(horizon=4).model
+        speeds = model.fleet.groups[0].profile.speeds
+        capacity = model.fleet.counts.sum() * (model.gamma * speeds)[-1]
+        lam = capacity * (1.0 + 5e-13)
+        model.slot_problem(arrival_rate=lam, onsite=0.0, price=40.0).check_feasible()
+        res = batch_enumerate(model, np.array([lam]), np.zeros(1), np.full(1, 40.0))
+        assert res.servers_on[0] == model.fleet.num_servers
+        problem = model.slot_problem(arrival_rate=lam, onsite=0.0, price=40.0)
+        sol = HomogeneousEnumerationSolver(switching_aware=False).solve(problem)
+        assert np.all(sol.action.per_server_load == model.gamma * speeds[-1])
+
+    @pytest.mark.parametrize("gamma", np.linspace(0.5, 0.99, 50).tolist())
+    def test_paper_fleet_at_capped_capacity(self, gamma):
+        """The paper fleet at exactly ``fleet.capacity(gamma)`` -- accepted
+        by ``check_feasible`` on the whole grid, while the rows' per-server
+        load rounds above ``gamma * s`` at 0.59, 0.69, 0.72, 0.85 and 0.94
+        -- is served by every server at top speed, within its cap, in both
+        engines and their oracles alike."""
+        fleet = Fleet([ServerGroup(opteron_2380(), 1080) for _ in range(200)])
+        model = DataCenterModel(fleet=fleet, gamma=gamma)
+        lam = fleet.capacity(gamma)
+        top = fleet.groups[0].profile.speeds.size - 1
+        problem = model.slot_problem(arrival_rate=lam, onsite=0.0, price=40.0)
+        problem.check_feasible()
+        sol = HomogeneousEnumerationSolver().solve(problem)
+        assert np.all(sol.action.levels == top)
+        assert np.all(sol.action.per_server_load <= gamma * fleet.speed_table[:, top])
+        fleet.validate_action(
+            sol.action.levels, sol.action.per_server_load, lam, gamma
+        )
+        args = (model, np.array([lam]), np.zeros(1), np.full(1, 40.0))
+        res = batch_enumerate(*args)
+        assert res.servers_on[0] == fleet.num_servers
+        assert res.speed_level[0] == top
+        assert res.objective[0] == pytest.approx(sol.evaluation.objective, rel=1e-12)
+        assert_same_result(res, oracle_batch_enumerate(*args))
 
     def test_load_at_capacity_is_feasible(self, tiny_model):
         speeds = tiny_model.fleet.groups[0].profile.speeds

@@ -195,11 +195,17 @@ class TestKernelMatchesOracle:
         fleet = random_fleet(rng)
         over = random_problem(rng, fleet, arrival_rate=1.01 * fleet.max_capacity)
         assert assert_same(over) is InfeasibleError
-        # Inside check_feasible's 1e-12 slack, yet beyond every candidate.
+        # Beyond check_feasible's 1e-12 window: no candidate serves it.
         edge = random_problem(
-            rng, fleet, gamma=0.9, arrival_rate=0.9 * fleet.max_capacity * (1 + 5e-13)
+            rng, fleet, gamma=0.9, arrival_rate=0.9 * fleet.max_capacity * (1 + 1e-11)
         )
         assert assert_same(edge) is InfeasibleError
+        # Inside the window both engines serve it with every load at its cap.
+        inside = random_problem(
+            rng, fleet, gamma=0.9, arrival_rate=0.9 * fleet.max_capacity * (1 + 5e-13)
+        )
+        loads = np.frombuffer(assert_same(inside)[1])
+        assert np.all(loads == 0.9 * fleet.groups[0].profile.speeds[-1])
         capped = random_problem(rng, fleet, peak_power_cap=1e-9)
         assert assert_same(capped) is InfeasibleError
         mixed = random_problem(rng, hetero_fleet, arrival_rate=1.0)
