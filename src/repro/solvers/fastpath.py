@@ -23,15 +23,22 @@ candidate:
   server count from its old class to its new one, exact because server
   counts are integers.  The inner solve takes the histogram and the
   per-problem :class:`~repro.solvers.load_distribution.ClassTable`
-  directly, and the totals are summed over class rows, so no per-group
-  pass runs on the hot path.  Both are memoized per histogram; a *new*
-  vector whose histogram was already solved -- a GSD flip between two
-  groups of one profile, say -- reuses them and only adds its own
-  switching term, the one part that depends on which groups toggled.
-  Class sums differ from the per-group sums of
+  directly and returns a plain
+  :class:`~repro.solvers.load_distribution.ClassSolve` record: the class
+  loads, dual and regime, and the totals summed over the class rows in
+  the same pass.  The cache keeps one record per histogram and scores it
+  with the scalar :meth:`~repro.solvers.problem.SlotProblem.cost_terms`
+  and :meth:`~repro.solvers.problem.SlotProblem.exceeds_caps`, so no
+  per-group pass runs and no solution or evaluation object is built on
+  the hot path.  A *new* vector whose histogram was already solved -- a
+  GSD flip between two groups of one profile, say -- reuses the record
+  and only adds its own switching term, the one part that depends on
+  which groups toggled.  Class sums differ from the per-group sums of
   :meth:`~repro.solvers.problem.SlotProblem.evaluate` only in rounding;
   :meth:`EvaluationCache.solution_for` expands the chosen action to
-  per-group loads and re-evaluates it per group.
+  per-group loads and re-evaluates it per group, and
+  :meth:`EvaluationCache.distribution_of` turns a record into a
+  :class:`~repro.solvers.load_distribution.LoadDistribution` on demand.
 - **Delta feasibility screen**: from the same histogram, the on-set's
   capacity and static IT power cost one sum over its few classes.
   Candidates that provably cannot serve the workload -- or whose static
@@ -40,9 +47,9 @@ candidate:
   the rounding gap between those sums and the exact check's, so a
   screened-out candidate is *provably* one the full solve would also
   reject: verdicts never change, only their cost.
-- **Warm starts**: the most recent inner solve is handed to
-  :func:`distribute_load` as a hint: its dual variable starts the next
-  candidate's Newton refinement.  Warm-started solves match cold ones to
+- **Warm starts**: the most recent inner solve's record is handed to
+  :func:`distribute_load` as a hint, of which it reads the dual, regime
+  and weight: the dual starts the next candidate's Newton refinement.  Warm-started solves match cold ones to
   <= 1e-9 relative objective error (see
   :mod:`~repro.solvers.load_distribution`).  Whether an engine warm
   starts is fixed per engine: GSD always does, coordinate descent and
@@ -59,7 +66,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..cluster.fleet import FleetAction
-from .load_distribution import ClassTable, LoadDistribution, distribute_load
+from .load_distribution import ClassSolve, ClassTable, LoadDistribution, distribute_load
 from .problem import InfeasibleError, SlotEvaluation, SlotProblem
 
 __all__ = ["EvaluationCache", "FastPathStats"]
@@ -69,42 +76,6 @@ __all__ = ["EvaluationCache", "FastPathStats"]
 #: margin is six orders of magnitude above that, and borderline candidates
 #: inside it fall through to the exact check.
 _SCREEN_RTOL = 1e-9
-
-
-@dataclass(frozen=True)
-class _ClassSolve:
-    """One class histogram's inner solve and the switching-free totals of
-    its evaluation (see :meth:`SlotProblem.evaluate_totals`)."""
-
-    dist: LoadDistribution
-    it_power: float
-    delay_sum: float
-    served: float
-
-    @classmethod
-    def of(
-        cls,
-        problem: SlotProblem,
-        table: ClassTable,
-        dist: LoadDistribution,
-        counts: list[float],
-    ) -> "_ClassSolve":
-        """Sum the totals over the class rows of ``dist``; ``counts`` is the
-        server count of every class id."""
-        cost = problem.delay_model.cost_at
-        it_power = delay_sum = served = 0.0
-        if dist.classes is None:
-            # A zero-workload solve places no load: every on server idles.
-            for k in range(1, len(counts)):
-                if counts[k] > 0.0:
-                    it_power += counts[k] * table.static[k]
-            return cls(dist, it_power, 0.0, 0.0)
-        for k, load in zip(dist.classes, dist.class_load):
-            n = counts[k]
-            it_power += n * (table.static[k] + table.coeff[k] * load)
-            delay_sum += n * cost(load, table.speed[k])
-            served += n * load
-        return cls(dist, it_power, delay_sum, served)
 
 
 @dataclass
@@ -190,9 +161,9 @@ class EvaluationCache:
         # Inner solves by class histogram (``None`` = the on-set cannot
         # carry the load), and the histogram of every vector objective_of
         # scored.
-        self._solves: dict[tuple[float, ...], _ClassSolve | None] = {}
+        self._solves: dict[tuple[float, ...], ClassSolve | None] = {}
         self._histogram_of: dict[bytes, tuple[float, ...]] = {}
-        self._hint: LoadDistribution | None = None
+        self._hint: ClassSolve | None = None
         self._table = ClassTable(problem)
         # Delta-screen state: the on-set's class histogram (servers on per
         # class id) vs a private copy of the last-synced level vector.
@@ -283,42 +254,38 @@ class EvaluationCache:
             self._objectives[key] = np.inf
             return np.inf
 
+        stats = self.stats
         hkey = tuple(self._hist)
         if hkey in self._solves:
-            self.stats.histogram_hits += 1
+            stats.histogram_hits += 1
             solve = self._solves[hkey]
             if solve is None:
                 self._objectives[key] = np.inf
                 return np.inf
         else:
             try:
-                dist = distribute_load(
-                    self.problem,
-                    histogram=self._hist,
-                    table=self._table,
-                    hint=self._hint if self.warm_start else None,
+                solve = distribute_load(
+                    self.problem, histogram=self._hist, table=self._table, hint=self._hint
                 )
             except InfeasibleError:
-                self.stats.infeasible += 1
+                stats.infeasible += 1
                 self._solves[hkey] = None
                 self._objectives[key] = np.inf
                 return np.inf
-            if dist.warm_started:
-                self.stats.warm_solves += 1
+            if solve.warm_started:
+                stats.warm_solves += 1
             else:
-                self.stats.cold_solves += 1
-            self.stats.inner_iters += dist.inner_iters
-            solve = self._solves[hkey] = _ClassSolve.of(
-                self.problem, self._table, dist, self._hist
-            )
+                stats.cold_solves += 1
+            stats.inner_iters += solve.inner_iters
+            self._solves[hkey] = solve
         if self.warm_start:
-            self._hint = solve.dist
+            self._hint = solve
 
         p = self.problem
-        evaluation = p.evaluate_totals(
+        facility, _, _, _, delay_cost, _, objective = p.cost_terms(
             solve.it_power, solve.delay_sum, solve.served, p.switching_energy(levels)
         )
-        obj = np.inf if p.violates_caps(evaluation) else float(evaluation.objective)
+        obj = np.inf if p.exceeds_caps(facility, delay_cost) else float(objective)
         self._objectives[key] = obj
         self._histogram_of[key] = hkey
         return obj
@@ -328,7 +295,7 @@ class EvaluationCache:
         ``None`` when it had none (screened out, or the on-set cannot carry
         the load)."""
         hkey = self._histogram_of.get(levels.tobytes())
-        return None if hkey is None else self._solves[hkey].dist
+        return None if hkey is None else self._solves[hkey].distribution()
 
     def solution_for(
         self, levels: np.ndarray
@@ -340,6 +307,6 @@ class EvaluationCache:
             loads = distribute_load(self.problem, levels).per_server_load
         else:
             ids = self._fleet.class_counts(levels)[0]
-            loads = self._solves[hkey].dist.expand(self._fleet, ids)
+            loads = self._solves[hkey].expand(self._fleet, ids)
         action = FleetAction(levels=levels, per_server_load=loads)
         return action, self.problem.evaluate(action)

@@ -27,24 +27,29 @@ Class compression
 ``l_g(nu)`` depends on a group only through its (profile, level) pair: the
 speed ``x_g`` and coefficient ``c_g``.  The count ``n_g`` only weights it.
 So the solve runs over **classes**, not groups
-(:meth:`~repro.cluster.fleet.Fleet.class_histogram`): one row per (profile,
-level) with servers on, carrying the summed server count.  The paper's 200
-homogeneous groups need at most 4 rows, a two-profile fleet at most 8,
-whatever its size.  Regime choice, the nu/mu loops and the residual
-closure all run over those rows.  Everything about a class that does not
-depend on the on-set -- speed, cap, power coefficients and the marginal
-delay prices at zero load and at the cap -- sits in a :class:`ClassTable`
-built once per problem, so a caller that already holds the class counts
-(the evaluation cache keeps them up to date per candidate) solves in class
-space end to end: :func:`distribute_load` takes that histogram instead of a
-level vector and returns class loads only.  Per-group loads are expanded
-only where a caller reads them (a level vector passed in, or
-:meth:`LoadDistribution.expand`); every group of a class carries the same
-per-server load.  At a handful of rows numpy's per-call dispatch costs
-more than the arithmetic, so the loops run on plain floats; the delay
-model's scalar :meth:`~repro.cluster.queueing.DelayCostModel.inverse_marginal`
-stays the one source of the inverse marginal.  The scalar loops assume few
-distinct profiles (every fleet in this package has one or two); a fleet of
+(:meth:`~repro.cluster.fleet.Fleet.class_histogram`): one row per
+(profile, level) with servers on, carrying the summed server count.  The
+paper's 200 homogeneous groups need at most 4 rows, a two-profile fleet at
+most 8, whatever its size.  Regime choice, the nu/mu loops and the
+residual closure all run over those rows.  Everything about a class that
+does not depend on the on-set -- speed, cap, power coefficients, the
+marginal delay prices at zero load and at the cap, and its electricity
+price and cold nu bracket at the full weight of the billed regime -- sits
+in a :class:`ClassTable` built once per problem, so a caller that already
+holds the class counts (the evaluation cache keeps them up to date per
+candidate) solves in class space end to end: :func:`distribute_load` takes
+that histogram instead of a level vector and returns a plain
+:class:`ClassSolve` record -- the class loads, the dual, the regime and
+the evaluation's IT power, delay and served-load totals, gathered in one
+pass over the class rows -- and builds no :class:`LoadDistribution`.
+Per-group loads are expanded only where a caller reads them (a level
+vector passed in, or :meth:`ClassSolve.expand`); every group of a class
+carries the same per-server load.  At a handful of rows numpy's per-call
+dispatch costs more than the arithmetic, so the loops run on plain floats;
+the delay model's scalar
+:meth:`~repro.cluster.queueing.DelayCostModel.inverse_marginal` stays the
+one source of the inverse marginal.  The scalar loops assume few distinct
+profiles (every fleet in this package has one or two); a fleet of
 thousands of distinct profiles would pay ~0.3 us per class per step.
 
 Fast path
@@ -59,26 +64,29 @@ docs/PERFORMANCE.md):
   early-exited result is *bit-identical* to the fixed-count loop.  The
   module flag ``_EARLY_EXIT`` exists so tests can re-run the fixed-count
   path and assert exact equality.
-- **Warm starts**: :func:`distribute_load` accepts the
-  :class:`LoadDistribution` of a *neighboring* configuration (one group's
-  level changed) as a ``hint``.  The nu water-fill starts a safeguarded
-  Newton iteration on the monotone served-load curve at the hint's dual
-  variable: the slope comes from the delay model's
+- **Warm starts**: :func:`distribute_load` accepts the solve of a
+  *neighboring* configuration (one group's level changed) as a ``hint``,
+  of which it reads the dual, regime and weight.  The nu water-fill starts
+  a safeguarded Newton iteration on the monotone served-load curve at the
+  hint's dual variable: the slope comes from the delay model's
   :meth:`~repro.cluster.queueing.DelayCostModel.inverse_marginal_slope`,
   every evaluation narrows a bracket around the crossing, and a Newton
   step that leaves that bracket is replaced by its midpoint.  It stops
   once the served load is within ``_WARM_FTOL`` of the workload, where
   bisection would still need ~log2(width/ulp) steps; if the bracket
   collapses first, the cold path takes over.  Warm-started solves agree
-  with cold solves to <= 1e-9 relative objective error (the closed
-  balance restores feasibility exactly, so the objective error is
-  second-order in the remaining dual error).
+  with cold solves to <= 1e-9 relative objective error (the closed balance
+  restores feasibility exactly, so the objective error is second-order in
+  the remaining dual error).  In the boundary regime each of the mu
+  bisection's water-fills starts from the previous one's dual, the first
+  from the hint's, whatever the hint's regime.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -116,14 +124,16 @@ _WARM_FTOL = 1e-10
 
 @dataclass(frozen=True)
 class LoadDistribution:
-    """Result of a fixed-speed load-distribution solve.
+    """Result of a fixed-speed load-distribution solve for a level vector
+    (a class-histogram solve returns a :class:`ClassSolve`, which
+    :meth:`ClassSolve.distribution` turns into one of these).
 
     Attributes
     ----------
     per_server_load:
-        Length-``G`` array (zeros for off groups) when the solve was given
-        a level vector; ``None`` when it was given a class histogram (use
-        :meth:`expand`).
+        Length-``G`` array (zeros for off groups); ``None`` when built from
+        a :class:`ClassSolve` without per-group class ids (use
+        :meth:`ClassSolve.expand`).
     nu:
         Final dual variable (marginal objective per unit of served load);
         ``inf`` when every class sits at its cap because the workload
@@ -162,13 +172,6 @@ class LoadDistribution:
     class_load: tuple[float, ...] | None = None
     duals: tuple[float, ...] = ()
 
-    def expand(self, fleet: Fleet, ids: np.ndarray) -> np.ndarray:
-        """Per-group loads for any level vector with this solve's class
-        histogram, given its per-group class ids ``ids``."""
-        table = np.zeros(fleet.num_classes)
-        if self.classes is not None:  # zero workload: nothing to place
-            table[list(self.classes)] = self.class_load
-        return table[ids]
 
 
 class ClassTable:
@@ -181,40 +184,106 @@ class ClassTable:
     water-fill row reads of class ``k``: its speed ``x``, dynamic
     coefficient ``c``, cap ``gamma x`` and the delay prices
     ``Wd * d'(0, x)`` and ``Wd * d'(gamma x, x)``, which bound the cold nu
-    bracket whatever the electricity weight.
+    bracket whatever the electricity weight.  ``we`` is the full
+    electricity weight at zero brown draw -- the billed regime's weight
+    for a linear tariff, its first pass for any other -- and
+    ``billed[k]`` is class ``k``'s row at that weight: its electricity
+    price ``e = we PUE c`` per unit of load and the cold bracket ends
+    ``e + Wd d'(0, x)`` and ``e + Wd d'(gamma x, x)``.
     """
 
-    __slots__ = ("wd", "speed", "coeff", "static", "rows")
+    __slots__ = (
+        "wd", "pue", "we", "linear", "speed", "coeff", "static", "caps",
+        "rows", "billed", "inv", "slope", "cost",
+    )
 
     def __init__(self, problem: SlotProblem):
         fleet = problem.fleet
-        marginal = problem.delay_model.marginal_at
+        model = problem.delay_model
+        marginal = model.marginal_at
         wd = self.wd = problem.V * problem.delay_weight
+        self.pue = problem.pue
+        self.we = problem.V * problem.tariff.marginal(0.0, problem.price) + problem.q
+        self.linear = isinstance(problem.tariff, LinearTariff)
         self.speed = fleet.class_speed.tolist()
         self.coeff = fleet.class_dyn_coeff.tolist()
         self.static = fleet.class_static_power.tolist()
-        caps = (problem.gamma * fleet.class_speed).tolist()
+        self.caps = (problem.gamma * fleet.class_speed).tolist()
         self.rows = [(0.0, 0.0, 0.0, 0.0, 0.0)] + [
             (x, c, cap, wd * marginal(0.0, x), wd * marginal(cap, x))
-            for x, c, cap in zip(self.speed[1:], self.coeff[1:], caps[1:])
+            for x, c, cap in zip(self.speed[1:], self.coeff[1:], self.caps[1:])
         ]
+        self.billed = self._at(self.we, range(len(self.rows)))
+        self.inv = model.inverse_marginal
+        self.slope = model.inverse_marginal_slope
+        self.cost = model.cost_at
+
+    def weighted(self, we: float, ids) -> list[tuple[float, float, float, float, float]]:
+        """``(e, x, cap, lo, hi)`` of classes ``ids`` at electricity weight
+        ``we``: the price ``e`` of a unit of load, speed, cap and the cold
+        nu bracket ends ``e + Wd d'(0, x)`` and ``e + Wd d'(cap, x)``."""
+        if we == self.we:
+            billed = self.billed
+            return [billed[k] for k in ids]
+        return self._at(we, ids)
+
+    def _at(self, we: float, ids) -> list[tuple[float, float, float, float, float]]:
+        wp = we * self.pue
+        out = []
+        for k in ids:
+            x, c, cap, d0, dcap = self.rows[k]
+            e = wp * c  # $ per (req/s) routed to the row
+            out.append((e, x, cap, e + d0, e + dcap))
+        return out
 
 
-class _ClassRows:
-    """The classes of one on-set -- those with servers on, ascending ids --
-    gathered from the :class:`ClassTable` with their server counts
-    (``counts`` has one entry per class id, the off class ``0`` at zero)."""
+class ClassSolve(NamedTuple):
+    """One inner solve in class space: what :func:`distribute_load` returns
+    for a class histogram, and what the evaluation cache keeps of it.
 
-    __slots__ = ("ids", "x", "c", "n", "caps", "d0", "dcap", "wd", "capped")
+    The fields mirror :class:`LoadDistribution` (``class_load`` is a list),
+    plus the switching-free totals of the solve's evaluation, summed over
+    the class rows: IT power (MW), the unweighted delay sum and the served
+    load (req/s); see :meth:`SlotProblem.evaluate_totals`.  With no
+    workload every on server idles: ``it_power`` is their static draw.
+    """
 
-    def __init__(self, table: ClassTable, counts):
-        self.wd = table.wd
-        ids = self.ids = tuple([k for k, nk in enumerate(counts) if nk > 0.0])
-        self.n = [counts[k] for k in ids]
-        columns = zip(*[table.rows[k] for k in ids])
-        self.x, self.c, self.caps, self.d0, self.dcap = columns if ids else [()] * 5
-        # The most the rows can serve, summed in the order ``served`` sums.
-        self.capped = _served_total(self.n, self.caps)
+    nu: float
+    regime: str
+    electricity_weight: float
+    classes: tuple[int, ...] | None
+    class_load: list[float] | None
+    duals: tuple[float, ...]
+    warm_started: bool
+    inner_iters: int
+    it_power: float
+    delay_sum: float
+    served: float
+
+    def expand(self, fleet: Fleet, ids: np.ndarray) -> np.ndarray:
+        """Per-group loads for any level vector with this solve's class
+        histogram, given its per-group class ids ``ids``."""
+        table = np.zeros(fleet.num_classes)
+        if self.classes is not None:  # zero workload: nothing to place
+            table[list(self.classes)] = self.class_load
+        return table[ids]
+
+    def distribution(
+        self, fleet: Fleet | None = None, ids: np.ndarray | None = None
+    ) -> LoadDistribution:
+        """This solve as a :class:`LoadDistribution`, with the per-group
+        loads expanded when given the fleet and every group's class id."""
+        return LoadDistribution(
+            None if ids is None else self.expand(fleet, ids),
+            self.nu,
+            self.regime,
+            self.electricity_weight,
+            self.warm_started,
+            self.inner_iters,
+            self.classes,
+            None if self.class_load is None else tuple(self.class_load),
+            self.duals,
+        )
 
 
 def _fill_when_delay_free(
@@ -246,6 +315,12 @@ def _served_total(n: list[float], loads: list[float]) -> float:
     for nk, lk in zip(n, loads):
         total += nk * lk
     return total
+
+
+def _facility(pue: float, static_it: float, per_load: list[float], loads) -> float:
+    """Facility power (MW) of the rows at per-server ``loads``: idle IT
+    power plus each row's IT power per unit of per-server load, times PUE."""
+    return pue * (static_it + _served_total(per_load, loads))
 
 
 def _close_residual(
@@ -349,86 +424,96 @@ def _newton(
     return None, nu, _NU_ITERS
 
 
+def _loads_at(rows, wd: float, inv, nu: float) -> list[float]:
+    """Per-server load of every water-fill row ``(e, x, cap, n)`` at dual
+    ``nu``."""
+    out = []
+    for e, x, cap, _ in rows:
+        m = (nu - e) / wd
+        if m > 0.0:
+            load = inv(m, x)
+            out.append(cap if load > cap else load)
+        else:
+            out.append(0.0)
+    return out
+
+
+def _served_at(rows, wd: float, inv, nu: float) -> float:
+    """Load the water-fill rows ``(e, x, cap, n)`` serve at dual ``nu``."""
+    total = 0.0
+    for e, x, cap, n in rows:
+        m = (nu - e) / wd
+        if m > 0.0:
+            load = inv(m, x)
+            total += n * (cap if load > cap else load)
+    return total
+
+
 def _waterfill(
-    problem: SlotProblem,
     lam: float,
     we: float,
-    rows: _ClassRows,
+    table: ClassTable,
+    ids: list[int],
+    n: list[float],
+    capped: float,
     nu_hint: float | None = None,
 ) -> tuple[list[float], float, int, bool]:
-    """Water-filling over class rows for a fixed electricity weight ``we``
-    ($/MWh brown).
+    """Water-filling over the on classes ``ids`` (server counts ``n``,
+    capped total ``capped``) for a fixed electricity weight ``we`` ($/MWh
+    brown).
 
     Returns ``(per-server load of each row, dual variable nu, refinement
     steps, warm-start used)``.  ``nu_hint`` is a previous solve's dual
     variable; when it lies inside the cold bracket, a Newton refinement
     starts there (:func:`_newton`) instead of the cold bisection.
     """
-    wd = rows.wd
-    wp = we * problem.pue
-    elec = [wp * ck for ck in rows.c]  # $ per (req/s) routed to each row
-    caps = rows.caps
-
-    if lam > rows.capped:
+    if lam > capped:
         # The workload passed the (1 + 1e-12) capacity check, but the rows'
         # capped total rounds below it: no nu closes the balance (the dual
         # is unbounded), and the closest feasible point puts every row at
         # its cap, a rounding error away from ``lam``.
-        return list(caps), math.inf, 0, False
+        return [table.caps[k] for k in ids], math.inf, 0, False
 
+    wd = table.wd
     if wd <= 0.0:
         # At zero electricity weight too every split is optimal; filling
         # the least power-hungry rows first keeps facility power (and so
         # the regime choice) independent of the row order.
-        return (
-            _fill_when_delay_free(lam, elec if wp > 0.0 else rows.c, caps, rows.n),
-            min(0.0, *elec),
-            0,
-            False,
-        )
+        rows = table.weighted(we, ids)
+        elec = [row[0] for row in rows]
+        order = elec if we * table.pue > 0.0 else [table.coeff[k] for k in ids]
+        caps = [row[2] for row in rows]
+        return _fill_when_delay_free(lam, order, caps, n), min(0.0, *elec), 0, False
 
-    model = problem.delay_model
-    inv = model.inverse_marginal
-    table = list(zip(elec, rows.x, caps, rows.n))
-    lo = min([e + d for e, d in zip(elec, rows.d0)])
-    hi = max(lo, max([e + d for e, d in zip(elec, rows.dcap)])) + 1.0
+    # The rows (e, x, cap, n) and the cold bracket: lo is the least
+    # marginal price at zero load, hi the greatest at the cap, plus one.
+    rows = []
+    caps = []
+    lo, top = math.inf, -math.inf
+    for (e, x, cap, lo_k, hi_k), nk in zip(table.weighted(we, ids), n):
+        rows.append((e, x, cap, nk))
+        caps.append(cap)
+        if lo_k < lo:
+            lo = lo_k
+        if hi_k > top:
+            top = hi_k
+    hi = max(lo, top) + 1.0
+    inv = table.inv
 
     iters = 0
     if nu_hint is not None and lo < nu_hint < hi:
-        loads, nu, iters = _newton(
-            lam, table, wd, inv, model.inverse_marginal_slope, lo, hi, nu_hint
-        )
+        loads, nu, iters = _newton(lam, rows, wd, inv, table.slope, lo, hi, nu_hint)
         if loads is not None:
-            return _close_residual(lam, loads, caps, rows.n), nu, iters, True
+            return _close_residual(lam, loads, caps, n), nu, iters, True
 
-    def loads_at(nu: float) -> list[float]:
-        out = []
-        for e, x, cap, _ in table:
-            m = (nu - e) / wd
-            if m > 0.0:
-                load = inv(m, x)
-                out.append(cap if load > cap else load)
-            else:
-                out.append(0.0)
-        return out
-
-    def served(nu: float) -> float:
-        total = 0.0
-        for e, x, cap, n in table:
-            m = (nu - e) / wd
-            if m > 0.0:
-                load = inv(m, x)
-                total += n * (cap if load > cap else load)
-        return total
-
-    while served(hi) < lam:
+    while _served_at(rows, wd, inv, hi) < lam:
         hi = 2.0 * hi + 1.0
         if hi > 1e300:
             raise InfeasibleError("load exceeds capped capacity of the on-set")
     for _ in range(_NU_ITERS):
         mid = 0.5 * (lo + hi)
         collapsed = mid == lo or mid == hi
-        if served(mid) < lam:
+        if _served_at(rows, wd, inv, mid) < lam:
             lo = mid
         else:
             hi = mid
@@ -437,17 +522,172 @@ def _waterfill(
             break
 
     # Close the residual balance exactly on rows strictly inside their box.
-    return _close_residual(lam, loads_at(hi), caps, rows.n), hi, iters, False
+    return _close_residual(lam, _loads_at(rows, wd, inv, hi), caps, n), hi, iters, False
+
+
+def _solution(
+    table: ClassTable,
+    ids: list[int],
+    n: list[float],
+    loads: list[float],
+    nu: float,
+    regime: str,
+    we: float,
+    duals: tuple[float, ...],
+    warm: bool,
+    iters: int,
+) -> ClassSolve:
+    """The :class:`ClassSolve` of the chosen regime's loads, with the
+    evaluation totals summed over its class rows."""
+    static, coeff, speed, cost = table.static, table.coeff, table.speed, table.cost
+    it_power = delay_sum = served = 0.0
+    for k, nk, load in zip(ids, n, loads):
+        it_power += nk * (static[k] + coeff[k] * load)
+        delay_sum += nk * cost(load, speed[k])
+        served += nk * load
+    return ClassSolve(
+        nu, regime, we, tuple(ids), loads, duals, warm, iters, it_power, delay_sum, served
+    )
+
+
+def _solve_classes(
+    problem: SlotProblem,
+    table: ClassTable,
+    counts: list[float],
+    hint_nu: float | None,
+    hint_regime: str | None,
+    hint_weight: float,
+) -> ClassSolve:
+    """:func:`distribute_load` for the class histogram ``counts``, warm
+    started from a hint's dual, regime and electricity weight (``None``,
+    ``None``, ``0.0`` for a cold solve).  One pass over the classes gathers
+    everything the regime choice reads."""
+    lam = problem.arrival_rate
+    static, coeff, caps = table.static, table.coeff, table.caps
+    ids = []  # the on classes, ascending
+    n = []  # their server counts
+    power_per_load = []  # IT power per unit of per-server load, per row
+    capped = 0.0  # the most the rows can serve, summed as served loads are
+    static_it = 0.0  # idle IT power of the on-set
+    for k, nk in enumerate(counts):
+        if nk > 0.0:
+            ids.append(k)
+            n.append(nk)
+            power_per_load.append(nk * coeff[k])
+            capped += nk * caps[k]
+            static_it += nk * static[k]
+    if lam <= 0.0:  # no workload: every on server idles
+        return ClassSolve(0.0, "free", 0.0, None, None, (), False, 0, static_it, 0.0, 0.0)
+    if not ids:
+        raise InfeasibleError("positive workload but every group is off")
+    if lam > capped * (1.0 + 1e-12):
+        raise InfeasibleError("load exceeds capped capacity of the on-set")
+
+    pue = table.pue
+    onsite = problem.onsite
+    total_iters = 0
+    warm_any = False
+
+    # Regime "billed": full electricity weight (fixed-point on the tariff
+    # marginal for nonlinear tariffs; exact in one pass for LinearTariff).
+    billed_hint = hint_nu if hint_regime == "billed" else None
+    linear = table.linear
+    we = table.we
+    for _ in range(1 if linear else 3):
+        loads_a, nu_a, it_a, warm_a = _waterfill(
+            lam, we, table, ids, n, capped, billed_hint
+        )
+        total_iters += it_a
+        warm_any |= warm_a
+        power_a = _facility(pue, static_it, power_per_load, loads_a)
+        if linear:
+            break  # the marginal price does not depend on the brown draw
+        brown = max(power_a - onsite, 0.0) * problem.slot_hours
+        new_we = problem.V * problem.tariff.marginal(brown, problem.price) + problem.q
+        if abs(new_we - we) <= 1e-12 * max(we, 1.0):
+            break
+        we = new_we
+    if power_a >= onsite * (1.0 - 1e-12):
+        return _solution(
+            table, ids, n, loads_a, nu_a, "billed", we, (nu_a,), warm_any, total_iters
+        )
+
+    # Regime "free": renewables may cover everything -> zero weight.
+    free_hint = hint_nu if hint_regime == "free" else None
+    loads_b, nu_b, it_b, warm_b = _waterfill(lam, 0.0, table, ids, n, capped, free_hint)
+    total_iters += it_b
+    warm_any |= warm_b
+    if _facility(pue, static_it, power_per_load, loads_b) <= onsite * (1.0 + 1e-12):
+        return _solution(
+            table, ids, n, loads_b, nu_b, "free", 0.0, (nu_a, nu_b), warm_any, total_iters
+        )
+
+    # Regime "boundary": power pinned at the renewable supply; bisect the
+    # multiplier mu in (0, we) so that facility power == onsite supply.
+    # A boundary hint seeds a tight mu bracket (verified before use).  With
+    # any hint, each inner water-fill reuses the previous iteration's dual
+    # variable as its own hint -- consecutive mu values are close, so the
+    # chained hints cut the inner bracket down to the warm width, whether
+    # or not the hint's own mu validated.  Cold solves (no hint) stay exact.
+    lo_mu, hi_mu = 0.0, we
+    mu_h = hint_weight if hint_regime == "boundary" else 0.0
+    if 0.0 < mu_h < we:
+        for rtol in (_WARM_RTOL, _WARM_RTOL_WIDE):
+            w = rtol * max(mu_h, 1e-300)
+            cand_lo, cand_hi = max(0.0, mu_h - w), min(we, mu_h + w)
+            if cand_lo >= cand_hi:
+                continue
+            loads_lo, _, it_lo, _ = _waterfill(
+                lam, cand_lo, table, ids, n, capped, hint_nu
+            )
+            loads_hi, _, it_hi, _ = _waterfill(
+                lam, cand_hi, table, ids, n, capped, hint_nu
+            )
+            total_iters += it_lo + it_hi
+            if (
+                _facility(pue, static_it, power_per_load, loads_lo) > onsite
+                and _facility(pue, static_it, power_per_load, loads_hi) <= onsite
+            ):
+                lo_mu, hi_mu = cand_lo, cand_hi
+                warm_any = True
+                break
+    loads_m, nu_m = loads_b, nu_b
+    mu = 0.5 * (lo_mu + hi_mu)
+    nu_chain = hint_nu
+    for _ in range(_MU_ITERS):
+        mu = 0.5 * (lo_mu + hi_mu)
+        collapsed = mu == lo_mu or mu == hi_mu
+        loads_m, nu_m, it_m, warm_m = _waterfill(
+            lam, mu, table, ids, n, capped, nu_chain
+        )
+        total_iters += it_m
+        warm_any |= warm_m
+        if hint_regime is not None:
+            nu_chain = nu_m
+        if _facility(pue, static_it, power_per_load, loads_m) > onsite:
+            lo_mu = mu
+        else:
+            hi_mu = mu
+        if collapsed and _EARLY_EXIT:
+            break
+    # Report the weight the returned loads were actually computed at: the
+    # last midpoint ``mu``, not the final bracket's center.  Warm-start
+    # hints seed their mu bracket from ``hint.electricity_weight``, so the
+    # mismatch would hand every boundary-regime warm solve a bracket around
+    # a weight no water-fill ever used.
+    return _solution(
+        table, ids, n, loads_m, nu_m, "boundary", mu, (nu_a, nu_b), warm_any, total_iters
+    )
 
 
 def distribute_load(
     problem: SlotProblem,
     levels: np.ndarray | None = None,
     *,
-    hint: LoadDistribution | None = None,
+    hint: LoadDistribution | ClassSolve | None = None,
     histogram=None,
     table: ClassTable | None = None,
-) -> LoadDistribution:
+) -> LoadDistribution | ClassSolve:
     """Solve the load-distribution subproblem for a fixed level vector, or
     for the class histogram of one.
 
@@ -456,19 +696,22 @@ def distribute_load(
     problem:
         The slot's P3 instance.
     levels:
-        Per-group speed levels (``-1`` = off); the result carries the
-        per-group loads.
+        Per-group speed levels (``-1`` = off); the result is a
+        :class:`LoadDistribution` carrying the per-group loads.
     hint:
-        Optional :class:`LoadDistribution` of a neighboring configuration
-        (typically the previous candidate of a GSD chain or coordinate
-        sweep).  Its dual variable and regime seed the water-fills; the
-        warm-started solution matches the cold one to <= 1e-9 relative
-        objective error.  ``None`` (the default) runs the cold path.
+        Optional solve of a neighboring configuration (typically the
+        previous candidate of a GSD chain or coordinate sweep): a
+        :class:`LoadDistribution` or :class:`ClassSolve`, of which only
+        ``nu``, ``regime`` and ``electricity_weight`` are read.  They seed
+        the water-fills; the warm-started solution matches the cold one to
+        <= 1e-9 relative objective error.  ``None`` (the default) runs the
+        cold path.
     histogram:
         Instead of ``levels``: the number of servers on in every class id
         (``fleet.num_classes`` entries, see
         :meth:`~repro.cluster.fleet.Fleet.class_counts`).  The solve then
-        stays in class space and ``per_server_load`` is ``None``.
+        stays in class space and returns a :class:`ClassSolve` (class
+        loads and evaluation totals, no per-group loads).
     table:
         The problem's :class:`ClassTable`, when the caller holds one;
         built here otherwise.
@@ -481,135 +724,19 @@ def distribute_load(
     InfeasibleError
         If the on-set cannot serve ``lambda`` within the utilization cap.
     """
-    fleet = problem.fleet
-    lam = problem.arrival_rate
     ids = None
     if histogram is None:
-        ids, counts = fleet.class_counts(np.asarray(levels, dtype=np.int64))
+        ids, counts = problem.fleet.class_counts(np.asarray(levels, dtype=np.int64))
         histogram = counts.tolist()
-
-    if lam <= 0.0:
-        zeros = None if ids is None else np.zeros(fleet.num_groups)
-        return LoadDistribution(zeros, 0.0, "free", 0.0)
     if table is None:
         table = ClassTable(problem)
-    rows = _ClassRows(table, histogram)
-    if not rows.ids:
-        raise InfeasibleError("positive workload but every group is off")
-    if lam > rows.capped * (1.0 + 1e-12):
-        raise InfeasibleError("load exceeds capped capacity of the on-set")
-
-    pue = problem.pue
-    slot_h = problem.slot_hours
-    static_it = 0.0
-    for nk, k in zip(rows.n, rows.ids):
-        static_it += nk * table.static[k]
-    power_per_load = [nk * ck for nk, ck in zip(rows.n, rows.c)]
-    total_iters = 0
-    warm_any = False
-
-    def facility(loads: list[float]) -> float:
-        return pue * (static_it + _served_total(power_per_load, loads))
-
-    def weight_full(brown_guess: float) -> float:
-        return problem.V * problem.tariff.marginal(brown_guess, problem.price) + problem.q
-
-    def result(loads, nu, regime, we, duals) -> LoadDistribution:
-        dist = LoadDistribution(
-            None, nu, regime, we, warm_any, total_iters, rows.ids, tuple(loads), duals
+    if hint is None:
+        solve = _solve_classes(problem, table, histogram, None, None, 0.0)
+    else:
+        solve = _solve_classes(
+            problem, table, histogram, hint.nu, hint.regime, hint.electricity_weight
         )
-        if ids is None:
-            return dist
-        return replace(dist, per_server_load=dist.expand(fleet, ids))
-
-    # Regime "billed": full electricity weight (fixed-point on the tariff
-    # marginal for nonlinear tariffs; exact in one pass for LinearTariff).
-    billed_hint = hint.nu if hint is not None and hint.regime == "billed" else None
-    linear = isinstance(problem.tariff, LinearTariff)
-    we = weight_full(0.0)
-    for _ in range(1 if linear else 3):
-        loads_a, nu_a, it_a, warm_a = _waterfill(
-            problem, lam, we, rows, nu_hint=billed_hint
-        )
-        total_iters += it_a
-        warm_any |= warm_a
-        power_a = facility(loads_a)
-        if linear:
-            break  # the marginal price does not depend on the brown draw
-        new_we = weight_full(max(power_a - problem.onsite, 0.0) * slot_h)
-        if abs(new_we - we) <= 1e-12 * max(we, 1.0):
-            break
-        we = new_we
-    if power_a >= problem.onsite * (1.0 - 1e-12):
-        return result(loads_a, nu_a, "billed", we, (nu_a,))
-
-    # Regime "free": renewables may cover everything -> zero weight.
-    free_hint = hint.nu if hint is not None and hint.regime == "free" else None
-    loads_b, nu_b, it_b, warm_b = _waterfill(
-        problem, lam, 0.0, rows, nu_hint=free_hint
-    )
-    total_iters += it_b
-    warm_any |= warm_b
-    if facility(loads_b) <= problem.onsite * (1.0 + 1e-12):
-        return result(loads_b, nu_b, "free", 0.0, (nu_a, nu_b))
-
-    # Regime "boundary": power pinned at the renewable supply; bisect the
-    # multiplier mu in (0, we) so that facility power == onsite supply.
-    # A boundary hint seeds a tight mu bracket (verified before use), and
-    # each inner water-fill reuses the previous iteration's dual variable
-    # as its own hint -- consecutive mu values are close, so the chained
-    # hints cut the inner bracket down to the warm width.  The chaining is
-    # active only on warm-started solves so cold solves stay exact.
-    lo_mu, hi_mu = 0.0, we
-    if (
-        hint is not None
-        and hint.regime == "boundary"
-        and 0.0 < hint.electricity_weight < we
-    ):
-        mu_h = hint.electricity_weight
-        for rtol in (_WARM_RTOL, _WARM_RTOL_WIDE):
-            w = rtol * max(mu_h, 1e-300)
-            cand_lo, cand_hi = max(0.0, mu_h - w), min(we, mu_h + w)
-            if cand_lo >= cand_hi:
-                continue
-            loads_lo, _, it_lo, _ = _waterfill(
-                problem, lam, cand_lo, rows, nu_hint=hint.nu
-            )
-            loads_hi, _, it_hi, _ = _waterfill(
-                problem, lam, cand_hi, rows, nu_hint=hint.nu
-            )
-            total_iters += it_lo + it_hi
-            if (
-                facility(loads_lo) > problem.onsite
-                and facility(loads_hi) <= problem.onsite
-            ):
-                lo_mu, hi_mu = cand_lo, cand_hi
-                warm_any = True
-                break
-    loads_m, nu_m = loads_b, nu_b
-    mu = 0.5 * (lo_mu + hi_mu)
-    nu_chain = hint.nu if warm_any and hint is not None else None
-    for _ in range(_MU_ITERS):
-        mu = 0.5 * (lo_mu + hi_mu)
-        collapsed = mu == lo_mu or mu == hi_mu
-        loads_m, nu_m, it_m, _ = _waterfill(
-            problem, lam, mu, rows, nu_hint=nu_chain
-        )
-        total_iters += it_m
-        if warm_any:
-            nu_chain = nu_m
-        if facility(loads_m) > problem.onsite:
-            lo_mu = mu
-        else:
-            hi_mu = mu
-        if collapsed and _EARLY_EXIT:
-            break
-    # Report the weight the returned loads were actually computed at: the
-    # last midpoint ``mu``, not the final bracket's center.  Warm-start
-    # hints seed their mu bracket from ``hint.electricity_weight``, so the
-    # mismatch would hand every boundary-regime warm solve a bracket around
-    # a weight no water-fill ever used.
-    return result(loads_m, nu_m, "boundary", mu, (nu_a, nu_b))
+    return solve if ids is None else solve.distribution(problem.fleet, ids)
 
 
 def solve_fixed_levels(problem: SlotProblem, levels: np.ndarray):

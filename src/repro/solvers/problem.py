@@ -221,14 +221,18 @@ class SlotProblem:
     def violates_caps(self, evaluation: "SlotEvaluation") -> bool:
         """Whether an evaluated action breaks the optional operational caps
         (peak facility power / maximum delay cost) of section 3.1."""
+        return self.exceeds_caps(evaluation.facility_power, evaluation.delay_cost)
+
+    def exceeds_caps(self, facility_power: float, delay_cost: float) -> bool:
+        """:meth:`violates_caps` from the two evaluated quantities it reads."""
         if (
             self.peak_power_cap is not None
-            and evaluation.facility_power > self.peak_power_cap * (1 + 1e-12)
+            and facility_power > self.peak_power_cap * (1 + 1e-12)
         ):
             return True
         if (
             self.max_delay_cost is not None
-            and evaluation.delay_cost > self.max_delay_cost * (1 + 1e-12)
+            and delay_cost > self.max_delay_cost * (1 + 1e-12)
         ):
             return True
         return False
@@ -266,6 +270,34 @@ class SlotProblem:
         when ``network_delay`` is set), and the switching energy (MWh).
         Lets a caller that already aggregated these -- per (profile,
         level) class, say -- skip the per-group pass."""
+        facility, brown, e_cost, delay_sum, d_cost, g, objective = self.cost_terms(
+            it_power, delay_sum, served_load, switching_energy
+        )
+        return SlotEvaluation(
+            it_power=it_power,
+            facility_power=facility,
+            brown_energy=brown,
+            electricity_cost=e_cost,
+            delay_sum=delay_sum,
+            delay_cost=d_cost,
+            switching_energy=switching_energy,
+            switching_cost=0.0,  # switching is charged as energy, inside e_cost
+            cost=g,
+            objective=objective,
+        )
+
+    def cost_terms(
+        self,
+        it_power: float,
+        delay_sum: float,
+        served_load: float,
+        switching_energy: float,
+    ) -> tuple[float, float, float, float, float, float, float]:
+        """The scalar core of :meth:`evaluate_totals`, same arguments:
+        ``(facility_power, brown_energy, electricity_cost, delay_sum,
+        delay_cost, cost, objective)``, the delay sum with the network
+        delay added.  A caller that reads only the objective and the caps
+        (:meth:`exceeds_caps`) builds no :class:`SlotEvaluation`."""
         if self.network_delay > 0.0:
             delay_sum += self.network_delay * served_load
 
@@ -279,21 +311,8 @@ class SlotProblem:
         brown = max(facility - self.onsite, 0.0) * self.slot_hours
         e_cost = self.tariff.cost(brown, self.price)
         d_cost = self.delay_weight * delay_sum * self.slot_hours
-        sw_cost = 0.0  # switching is charged as energy, already inside e_cost
         g = e_cost + d_cost
-        objective = self.V * g + self.q * brown
-        return SlotEvaluation(
-            it_power=it_power,
-            facility_power=facility,
-            brown_energy=brown,
-            electricity_cost=e_cost,
-            delay_sum=delay_sum,
-            delay_cost=d_cost,
-            switching_energy=switching_energy,
-            switching_cost=sw_cost,
-            cost=g,
-            objective=objective,
-        )
+        return facility, brown, e_cost, delay_sum, d_cost, g, self.V * g + self.q * brown
 
     def objective(self, action: FleetAction) -> float:
         """Shortcut for ``evaluate(action).objective``."""

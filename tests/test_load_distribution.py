@@ -380,11 +380,16 @@ class TestBoundaryWeightReporting:
         # Re-running the water-fill at the reported weight (seeded with the
         # reported dual) must land on the returned loads.
         counts = p.fleet.class_counts(levels)[1].tolist()
+        table = ld.ClassTable(p)
+        ids = [k for k, nk in enumerate(counts) if nk > 0.0]
+        n = [counts[k] for k in ids]
         loads2, _, _, _ = ld._waterfill(
-            p,
             p.arrival_rate,
             dist.electricity_weight,
-            ld._ClassRows(ld.ClassTable(p), counts),
+            table,
+            ids,
+            n,
+            ld._served_total(n, [table.caps[k] for k in ids]),
             nu_hint=dist.nu,
         )
         np.testing.assert_allclose(loads2, dist.class_load, rtol=1e-6, atol=1e-12)
