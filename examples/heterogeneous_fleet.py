@@ -9,7 +9,7 @@ mixes three server generations, including cubic-power DVFS parts where
 intermediate speeds are genuinely the most energy-efficient, and shows:
 
 1. the chosen speed *levels* vary with load and electricity price;
-2. coordinate descent, GSD, and brute force agree on small instances;
+2. coordinate descent and a long adaptive-delta GSD chain agree;
 3. a short COCA run on the mixed fleet stays carbon-neutral.
 
 Run:  python examples/heterogeneous_fleet.py
@@ -22,12 +22,7 @@ from repro.analysis import render_table
 from repro.cluster import cubic_dvfs_profile, opteron_2380
 from repro.energy import RenewablePortfolio, onsite_mix
 from repro.sim import Environment
-from repro.solvers import (
-    BruteForceSolver,
-    CoordinateDescentSolver,
-    GSDSolver,
-    geometric_temperature,
-)
+from repro.solvers import CoordinateDescentSolver, GSDSolver, geometric_temperature
 from repro.traces import fiu_workload, price_trace
 
 # Three server generations: the paper's Opteron, an efficient cubic-DVFS
@@ -87,7 +82,6 @@ print("(-1 = group off; higher level = faster DVFS state)")
 problem = model.slot_problem(
     arrival_rate=0.5 * fleet.capacity(model.gamma), onsite=0.0, price=45.0, q=1.0
 )
-bf = BruteForceSolver().solve(problem)
 cd = CoordinateDescentSolver(restarts=6).solve(problem)
 delta0 = GSDSolver.auto_delta(problem, greediness=30.0)
 gsd = GSDSolver(
@@ -99,7 +93,6 @@ print("\nSolver agreement at 50% load:")
 print(
     render_table(
         [
-            {"solver": "brute force (oracle)", "objective": bf.objective},
             {"solver": "coordinate descent", "objective": cd.objective},
             {"solver": "GSD (adaptive delta)", "objective": gsd.objective},
         ]

@@ -16,12 +16,12 @@ Package layout (see DESIGN.md for the full inventory):
 - :mod:`repro.core` -- the paper's contribution: COCA (Algorithm 1), the
   carbon-deficit queue, V-schedules, Theorem 2 bounds.
 - :mod:`repro.solvers` -- P3 engines: GSD (Algorithm 2), exact enumeration,
-  coordinate descent, brute force, the dual-decomposition load distributor,
-  and the simulated distributed message-passing substrate.
+  coordinate descent, the dual-decomposition load distributor, and the
+  distributed protocol's message bill.
 - :mod:`repro.cluster` -- servers, fleets, queueing, power, switching.
 - :mod:`repro.energy` -- renewables, RECs, carbon accounting.
 - :mod:`repro.traces` -- synthetic workload/renewable/price generators.
-- :mod:`repro.sim` -- slot simulator, metrics, event-level PS queues.
+- :mod:`repro.sim` -- slot simulator, metrics.
 - :mod:`repro.baselines` -- carbon-unaware, PerfectHP, OPT, T-step lookahead.
 - :mod:`repro.analysis` -- sweeps, summaries, table rendering.
 - :mod:`repro.telemetry` -- structured tracing, metrics, profiling hooks.
@@ -40,7 +40,6 @@ from .cluster import (
 )
 from .core import (
     COCA,
-    AdaptiveV,
     CarbonDeficitQueue,
     ConstantV,
     Controller,
@@ -48,11 +47,10 @@ from .core import (
     FrameV,
     quarterly,
 )
-from .energy import CarbonLedger, RECAccount, RenewablePortfolio
+from .energy import CarbonLedger, RenewablePortfolio
 from .scenarios import Scenario, paper_scenario, small_scenario
 from .sim import Environment, SimulationRecord, simulate
 from .solvers import (
-    BruteForceSolver,
     CoordinateDescentSolver,
     DistributedGSD,
     GSDSolver,
@@ -81,7 +79,6 @@ __all__ = [
     "CarbonDeficitQueue",
     "ConstantV",
     "FrameV",
-    "AdaptiveV",
     "quarterly",
     "Fleet",
     "FleetAction",
@@ -92,7 +89,6 @@ __all__ = [
     "default_fleet",
     "opteron_2380",
     "RenewablePortfolio",
-    "RECAccount",
     "CarbonLedger",
     "Environment",
     "simulate",
@@ -102,7 +98,6 @@ __all__ = [
     "DistributedGSD",
     "HomogeneousEnumerationSolver",
     "CoordinateDescentSolver",
-    "BruteForceSolver",
     "CarbonUnaware",
     "PerfectHP",
     "OfflineOptimal",

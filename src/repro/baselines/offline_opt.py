@@ -12,9 +12,9 @@ energy of the per-slot minimizers is nonincreasing in ``mu``; bisection on
 ``mu`` finds the smallest multiplier whose sweep meets the budget.  For the
 discrete speed sets the per-slot problems are nonconvex, so this dual
 approach carries a (tiny, with 200 groups) duality gap: the returned policy
-is *feasible* and near-optimal, and :func:`dual_lower_bound` reports the
-certified lower bound ``L(mu) = sum_t min[g + mu y] - mu * budget`` that
-brackets the true optimum from below.
+is *feasible* and near-optimal, and :meth:`DualSweep.lower_bound` reports
+the certified per-slot lower bound ``(sum_t min[g + mu y] - mu * budget) /
+J`` that brackets the true optimum from below.
 """
 
 from __future__ import annotations

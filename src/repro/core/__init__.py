@@ -5,7 +5,7 @@ from .coca import COCA, default_solver
 from .config import DataCenterModel
 from .controller import Controller, SlotObservation, SlotOutcome
 from .deficit_queue import CarbonDeficitQueue
-from .vschedule import AdaptiveV, ConstantV, FrameFeedback, FrameV, VSchedule, quarterly
+from .vschedule import ConstantV, FrameV, VSchedule, quarterly
 
 __all__ = [
     "COCA",
@@ -18,8 +18,6 @@ __all__ = [
     "VSchedule",
     "ConstantV",
     "FrameV",
-    "FrameFeedback",
-    "AdaptiveV",
     "quarterly",
     "LyapunovConstants",
     "lyapunov_constants",

@@ -25,7 +25,7 @@ from ..solvers.enumeration import HomogeneousEnumerationSolver
 from .config import DataCenterModel
 from .controller import Controller, SlotObservation, SlotOutcome
 from .deficit_queue import CarbonDeficitQueue
-from .vschedule import ConstantV, FrameFeedback, VSchedule
+from .vschedule import ConstantV, VSchedule
 
 __all__ = ["COCA", "default_solver"]
 
@@ -89,10 +89,6 @@ class COCA(Controller):
         # Per-slot records for analysis.
         self.v_history: list[float] = []
         self.queue_at_decision: list[float] = []
-        # Frame bookkeeping for adaptive schedules.
-        self._frame_cost = 0.0
-        self._frame_deficit = 0.0
-        self._frame_slots = 0
         self._frame_started = -1  # guards frame logic against decide retries
         # Groups currently down (fault injection); empty = all healthy.
         self._failed: frozenset[int] = frozenset()
@@ -145,20 +141,10 @@ class COCA(Controller):
         frame = t // T
         # The frame guard makes decide idempotent per slot: a degraded
         # simulator may retry a slot's decide after a lost protocol round,
-        # and the reset must not run twice (nor feed an adaptive schedule
-        # zeroed feedback).
+        # and the reset must not run twice.
         if t % T == 0 and frame != self._frame_started:
-            feedback = None
-            if self._frame_slots > 0:
-                feedback = FrameFeedback(
-                    average_cost=self._frame_cost / self._frame_slots,
-                    final_queue_length=self.queue.length,
-                    average_deficit=self._frame_deficit / self._frame_slots,
-                )
-            self._current_v = self.v_schedule.value(frame, feedback=feedback)
+            self._current_v = self.v_schedule.value(frame)
             self.queue.reset()
-            self._frame_cost = self._frame_deficit = 0.0
-            self._frame_slots = 0
             self._frame_started = frame
 
         problem = self.model.slot_problem(
@@ -219,24 +205,22 @@ class COCA(Controller):
             "queue": self.queue.state_dict(),
             "current_v": float(self._current_v),
             "prev_on": encode_array(self._prev_on),
-            "frame_cost": float(self._frame_cost),
-            "frame_deficit": float(self._frame_deficit),
-            "frame_slots": int(self._frame_slots),
             "frame_started": int(self._frame_started),
             "failed": sorted(self._failed),
             "solver": self.solver.state_dict(),
         }
 
     def load_state_dict(self, state: dict) -> None:
-        """Restore Algorithm 1 state captured by :meth:`state_dict`."""
+        """Restore Algorithm 1 state captured by :meth:`state_dict`.
+
+        Checkpoints of older versions also carry ``frame_cost``,
+        ``frame_deficit`` and ``frame_slots`` (the removed adaptive-V
+        accumulators); they are ignored."""
         from ..state.serialize import decode_array
 
         self.queue.load_state_dict(state["queue"])
         self._current_v = float(state["current_v"])
         self._prev_on = decode_array(state["prev_on"])
-        self._frame_cost = float(state["frame_cost"])
-        self._frame_deficit = float(state["frame_deficit"])
-        self._frame_slots = int(state["frame_slots"])
         self._frame_started = int(state["frame_started"])
         self._failed = frozenset(int(g) for g in state["failed"])
         self.solver.load_state_dict(state["solver"])
@@ -266,10 +250,6 @@ class COCA(Controller):
         brown = outcome.evaluation.brown_energy
         queue_before = self.queue.length
         self.queue.update(brown, outcome.offsite)
-        z = self.queue.rec_per_slot
-        self._frame_cost += outcome.evaluation.cost
-        self._frame_deficit += brown - self.alpha * outcome.offsite - z
-        self._frame_slots += 1
         tele = self.telemetry
         if tele.enabled:
             tele.emit(
@@ -279,7 +259,7 @@ class COCA(Controller):
                 after=self.queue.length,
                 brown=brown,
                 offsite=outcome.offsite,
-                rec_per_slot=z,
+                rec_per_slot=self.queue.rec_per_slot,
                 v=self._current_v,
             )
             tele.metrics.gauge("sim.queue_depth").set(self.queue.length)

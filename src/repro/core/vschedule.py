@@ -9,11 +9,8 @@ error basis", COCA explicitly supports a *time-varying* ``V_r`` per frame of
 analysis decouples.
 
 Schedules here implement the experiments' needs: a constant ``V`` (Fig.
-2(a,b)), a quarterly schedule (Fig. 2(c,d)), and a feedback rule that raises
-``V`` when usage is comfortably under budget and lowers it when the deficit
-queue is persistently backed up -- the paper's "if the current cost is too
-high whereas the electricity usage is far below the allowed budget, the data
-center operator can increase the value of V" worked into an automatic rule.
+2(a,b)) and a quarterly schedule (Fig. 2(c,d)); :class:`FrameV` takes any
+explicit per-frame sequence.
 """
 
 from __future__ import annotations
@@ -29,7 +26,6 @@ __all__ = [
     "ConstantV",
     "FrameV",
     "quarterly",
-    "AdaptiveV",
 ]
 
 
@@ -37,18 +33,8 @@ class VSchedule(ABC):
     """Maps a frame index ``r`` to the cost-carbon parameter ``V_r``."""
 
     @abstractmethod
-    def value(self, frame: int, *, feedback: "FrameFeedback | None" = None) -> float:
-        """``V_r`` for frame ``r``; adaptive schedules may consult the
-        previous frame's feedback."""
-
-
-@dataclass(frozen=True)
-class FrameFeedback:
-    """Summary of the frame that just ended, for adaptive schedules."""
-
-    average_cost: float
-    final_queue_length: float
-    average_deficit: float  # brown minus budget per slot, may be negative
+    def value(self, frame: int) -> float:
+        """``V_r`` for frame ``r``."""
 
 
 @dataclass(frozen=True)
@@ -61,7 +47,7 @@ class ConstantV(VSchedule):
         if self.v <= 0:
             raise ValueError("V must be positive")
 
-    def value(self, frame: int, *, feedback=None) -> float:
+    def value(self, frame: int) -> float:
         return self.v
 
 
@@ -76,7 +62,7 @@ class FrameV(VSchedule):
         if not self.values or any(v <= 0 for v in self.values):
             raise ValueError("need a non-empty sequence of positive V values")
 
-    def value(self, frame: int, *, feedback=None) -> float:
+    def value(self, frame: int) -> float:
         if frame < 0:
             raise ValueError("frame index must be non-negative")
         return self.values[min(frame, len(self.values) - 1)]
@@ -89,40 +75,3 @@ def quarterly(values: Sequence[float]) -> FrameV:
     if len(vals) != 4:
         raise ValueError("quarterly schedule needs exactly 4 values")
     return FrameV(vals)
-
-
-@dataclass
-class AdaptiveV(VSchedule):
-    """Multiplicative feedback rule on the frame deficit.
-
-    Starting from ``v0``, the parameter is multiplied by ``up`` after a
-    frame that finished under budget (average deficit below
-    ``-slack_threshold``) and by ``down`` after a frame that ended with a
-    backed-up queue (average deficit above ``+slack_threshold``), clamped to
-    ``[v_min, v_max]``.
-    """
-
-    v0: float
-    up: float = 1.5
-    down: float = 0.5
-    slack_threshold: float = 0.0
-    v_min: float = 1e-3
-    v_max: float = 1e9
-    _current: float | None = None
-
-    def __post_init__(self) -> None:
-        if self.v0 <= 0 or self.up < 1.0 or not 0 < self.down <= 1.0:
-            raise ValueError("need v0 > 0, up >= 1, 0 < down <= 1")
-        if not 0 < self.v_min <= self.v0 <= self.v_max:
-            raise ValueError("need v_min <= v0 <= v_max")
-
-    def value(self, frame: int, *, feedback: FrameFeedback | None = None) -> float:
-        if frame == 0 or self._current is None:
-            self._current = self.v0
-            return self._current
-        if feedback is not None:
-            if feedback.average_deficit < -self.slack_threshold:
-                self._current = min(self._current * self.up, self.v_max)
-            elif feedback.average_deficit > self.slack_threshold:
-                self._current = max(self._current * self.down, self.v_min)
-        return self._current

@@ -1,7 +1,6 @@
 """Energy and carbon substrate: renewables, RECs, neutrality accounting."""
 
-from .carbon import CarbonLedger, neutrality_gap
-from .rec import RECAccount
+from .carbon import CarbonLedger
 from .rec_market import (
     PurchasingReport,
     ThresholdRECTrader,
@@ -13,11 +12,9 @@ from .renewables import RenewablePortfolio, onsite_mix
 __all__ = [
     "RenewablePortfolio",
     "onsite_mix",
-    "RECAccount",
     "rec_price_trace",
     "ThresholdRECTrader",
     "PurchasingReport",
     "evaluate_purchasing",
     "CarbonLedger",
-    "neutrality_gap",
 ]

@@ -22,16 +22,7 @@ import numpy as np
 
 from .renewables import RenewablePortfolio
 
-__all__ = ["CarbonLedger", "neutrality_gap"]
-
-
-def neutrality_gap(
-    brown_energy: np.ndarray, portfolio: RenewablePortfolio, alpha: float = 1.0
-) -> float:
-    """Total constraint violation in MWh (positive = neutrality violated):
-    ``sum_t y(t) - alpha * (sum_t f(t) + Z)``."""
-    brown = np.asarray(brown_energy, dtype=np.float64)
-    return float(brown.sum() - alpha * portfolio.carbon_budget)
+__all__ = ["CarbonLedger"]
 
 
 @dataclass

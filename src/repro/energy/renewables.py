@@ -9,7 +9,9 @@ The paper's data center draws on three renewable sources:
   the grid elsewhere, it cannot power the servers but offsets brown energy
   in the carbon-neutrality ledger.
 * **RECs** ``Z``: a fixed tradable credit purchased ahead of the budgeting
-  period (see :mod:`repro.energy.rec`).
+  period; COCA amortizes it as ``z = alpha * Z / J`` per slot of the
+  deficit queue's service (:class:`repro.core.coca.COCA`), and
+  :mod:`repro.energy.rec_market` prices buying it dynamically instead.
 
 :class:`RenewablePortfolio` bundles the two traces and the REC total, plus
 the constructors the experiments need: an on-site mix scaled to ~20% of a

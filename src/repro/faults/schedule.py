@@ -242,11 +242,6 @@ class FaultSchedule:
         """The no-fault schedule (simulation must be bit-identical)."""
         return cls()
 
-    @property
-    def is_empty(self) -> bool:
-        """True when there is nothing to inject."""
-        return not self.events and (self.messages is None or self.messages.is_null)
-
     def by_slot(self) -> dict[int, list[FaultEvent]]:
         """``t -> events`` map for O(1) per-slot lookup in the injector."""
         out: dict[int, list[FaultEvent]] = {}

@@ -1,8 +1,7 @@
-"""Simulation layer: environment, slot engine, metrics, event substrate."""
+"""Simulation layer: environment, slot engine, metrics."""
 
 from .engine import realize_action, simulate
 from .environment import Environment
-from .events import PSQueueStats, empirical_delay_sum, simulate_ps_queue
 from .metrics import RunSummary, SimulationRecord
 
 __all__ = [
@@ -11,7 +10,4 @@ __all__ = [
     "realize_action",
     "SimulationRecord",
     "RunSummary",
-    "PSQueueStats",
-    "simulate_ps_queue",
-    "empirical_delay_sum",
 ]

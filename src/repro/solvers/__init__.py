@@ -1,7 +1,6 @@
 """P3 solver engines: problem definition, load distribution, and search."""
 
 from .base import SlotSolution, SlotSolver
-from .brute_force import BruteForceSolver
 from .convex import CoordinateDescentSolver, initial_levels
 from .deadline import DeadlineExceededError, SolveDeadline
 from .degraded import solve_with_failed_groups
@@ -29,7 +28,6 @@ __all__ = [
     "GSDSolver",
     "GSDTrace",
     "geometric_temperature",
-    "BruteForceSolver",
     "SolveDeadline",
     "DeadlineExceededError",
     "DistributedGSD",

@@ -12,13 +12,13 @@ Engine                       Use case
 HomogeneousEnumerationSolver exact & fast for single-profile fleets (year-long runs)
 CoordinateDescentSolver      deterministic local search for heterogeneous fleets
 GSDSolver                    the paper's distributed Gibbs sampler (Algorithm 2)
-BruteForceSolver             exhaustive oracle for small instances (tests)
 ===========================  =======================================================
 
-The iterative engines (GSD, coordinate descent, brute force) share a common
-fast path -- a per-solve evaluation cache, an O(1) delta feasibility screen,
-and opt-in warm-started inner solves -- in :mod:`repro.solvers.fastpath`;
-see ``docs/PERFORMANCE.md`` for the design and its exactness contracts.
+The iterative engines (GSD, coordinate descent) share a common fast path
+-- a per-solve evaluation cache, an O(1) delta feasibility screen, and
+warm-started inner solves (GSD always warm-starts, coordinate descent
+never does) -- in :mod:`repro.solvers.fastpath`; see
+``docs/PERFORMANCE.md`` for the design and its exactness contracts.
 """
 
 from __future__ import annotations
@@ -82,8 +82,7 @@ class SlotSolver(ABC):
     def state_dict(self) -> dict:
         """Mutable solver state a checkpoint must carry to resume exactly.
 
-        Stateless engines (enumeration, brute force) inherit this empty
-        default; engines with RNG streams or counters override it.
+        Stateless engines (enumeration) inherit this empty default; engines with RNG streams or counters override it.
         """
         return {}
 

@@ -4,7 +4,7 @@ A slot in the paper's setting is an *hour*, but production slot solves run
 inside real-time control loops where a solver that silently stretches the
 slot is worse than a slightly suboptimal action.  :class:`SolveDeadline`
 is a monotonic wall-clock budget the iterative engines (GSD, coordinate
-descent, brute force) poll between candidate evaluations.  On expiry an
+descent) poll between candidate evaluations.  On expiry an
 engine stops searching and returns its **best feasible incumbent** -- the
 anytime contract: every iteration only improves the incumbent, so cutting
 the search short yields a valid (cap-feasible) action, just possibly a

@@ -1,8 +1,8 @@
 """Shared solver fast path: memo cache, delta screen, warm-started solves.
 
 Every candidate configuration a P3 engine touches -- a GSD proposal
-(Algorithm 2 line 2), a coordinate-descent best response, a brute-force
-combo -- pays for the same three things: a feasibility check, an exact
+(Algorithm 2 line 2), a coordinate-descent best response -- pays for the
+same three things: a feasibility check, an exact
 convex inner solve (Eq. (18), :func:`~repro.solvers.load_distribution
 .distribute_load`), and an evaluation of the resulting action.  Chains
 revisit the same level vectors constantly and consecutive candidates differ
@@ -52,8 +52,8 @@ candidate:
   and weight: the dual starts the next candidate's Newton refinement.  Warm-started solves match cold ones to
   <= 1e-9 relative objective error (see
   :mod:`~repro.solvers.load_distribution`).  Whether an engine warm
-  starts is fixed per engine: GSD always does, coordinate descent and
-  brute force never do (the cache's default).
+  starts is fixed per engine: GSD always does, coordinate descent never
+  does (the cache's default).
 
 The cache is *per solve*: engines construct one :class:`EvaluationCache`
 per ``solve(problem)`` call, so nothing leaks across slots or problems.

@@ -23,7 +23,6 @@ __all__ = [
     "trace_to_csv",
     "trace_from_csv",
     "append_jsonl_rows",
-    "iter_jsonl_rows",
 ]
 
 
@@ -70,22 +69,6 @@ def append_jsonl_rows(
             fh.write(json.dumps(row, sort_keys=True))
             fh.write("\n")
         fh.flush()
-
-
-def iter_jsonl_rows(path: str | pathlib.Path):
-    """Yield the complete rows of a JSONL file, tolerating a torn tail.
-
-    The read-at-rest counterpart of :func:`append_jsonl_rows` -- a final
-    line without its newline (a producer killed mid-append) is skipped,
-    matching the tailing reader's behaviour.
-    """
-    with pathlib.Path(path).open() as fh:
-        for line in fh:
-            if not line.endswith("\n"):
-                return
-            line = line.strip()
-            if line:
-                yield json.loads(line)
 
 
 def trace_to_csv(trace: Trace, path: str | pathlib.Path) -> None:

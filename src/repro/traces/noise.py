@@ -1,29 +1,24 @@
-"""Prediction-error and overestimation models for sensitivity studies.
+"""Workload overestimation for the sensitivity study (Fig. 5(c)).
 
 COCA consumes the *current-slot* workload arrival rate as an input.  The
-paper's sensitivity study (Fig. 5(c)) stresses this assumption two ways:
+paper's sensitivity study stresses this assumption with an
+**overestimation factor** ``phi >= 1``: the controller provisions for
+``phi * lambda(t)`` while the data center actually serves ``lambda(t)``.
+The paper notes this also subsumes imperfect service-rate modeling, and
+reports that costs rise by <2.5% even at 20% overestimation.
 
-* **Overestimation factor** ``phi >= 1``: the controller provisions for
-  ``phi * lambda(t)`` while the data center actually serves ``lambda(t)``.
-  The paper notes this also subsumes imperfect service-rate modeling, and
-  reports that costs rise by <2.5% even at 20% overestimation.
-* **Prediction noise**: hour-ahead estimates that are off by a random
-  multiplicative factor, which we expose for additional robustness studies.
-
-These helpers produce *pairs* of traces -- what the controller believes and
-what the environment delivers -- so the simulator can feed each side its own
-view.
+:func:`overestimate` produces a *pair* of traces -- what the controller
+believes and what the environment delivers -- so the simulator can feed
+each side its own view.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from .base import Trace
 
-__all__ = ["PredictionModel", "overestimate", "noisy_prediction"]
+__all__ = ["PredictionModel", "overestimate"]
 
 
 @dataclass(frozen=True)
@@ -50,16 +45,6 @@ class PredictionModel:
         """Number of slots covered by the pair."""
         return len(self.actual)
 
-    @property
-    def mean_absolute_relative_error(self) -> float:
-        """Mean |predicted - actual| / actual over slots with actual > 0."""
-        a = self.actual.values
-        p = self.predicted.values
-        mask = a > 0
-        if not mask.any():
-            return 0.0
-        return float(np.mean(np.abs(p[mask] - a[mask]) / a[mask]))
-
 
 def overestimate(actual: Trace, phi: float) -> PredictionModel:
     """Uniform workload overestimation by factor ``phi >= 1`` (Fig. 5(c)).
@@ -71,27 +56,3 @@ def overestimate(actual: Trace, phi: float) -> PredictionModel:
         raise ValueError("overestimation factor phi must be >= 1")
     return PredictionModel(predicted=actual.scale(phi), actual=actual)
 
-
-def noisy_prediction(
-    actual: Trace,
-    rng: np.random.Generator,
-    *,
-    relative_error: float = 0.1,
-    bias: float = 0.0,
-) -> PredictionModel:
-    """Hour-ahead prediction with multiplicative error.
-
-    Each slot's prediction is ``actual * (1 + bias) * U`` with
-    ``U ~ Uniform[1-relative_error, 1+relative_error]``, floored at zero.
-    """
-    if relative_error < 0:
-        raise ValueError("relative_error must be non-negative")
-    factors = (1.0 + bias) * rng.uniform(
-        1.0 - relative_error, 1.0 + relative_error, size=len(actual)
-    )
-    predicted = Trace(
-        np.maximum(actual.values * factors, 0.0),
-        name=f"{actual.name}-predicted",
-        unit=actual.unit,
-    )
-    return PredictionModel(predicted=predicted, actual=actual)

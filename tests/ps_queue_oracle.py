@@ -1,8 +1,8 @@
-"""Discrete-event M/G/1/PS queue simulator.
+"""Discrete-event M/G/1/PS queue simulator: the test oracle for Eq. (4).
 
 The paper's evaluation is an "event-based simulation" whose delay metric is
-the M/G/1/PS mean-number-in-system formula (Eq. (4)); this module provides
-the request-level substrate that *validates* that formula: jobs arrive
+the M/G/1/PS mean-number-in-system formula (Eq. (4)); this module is the
+request-level simulator that *validates* that formula: jobs arrive
 Poisson, bring i.i.d. service requirements, and share the server capacity
 equally (processor sharing).  For M/G/1/PS the mean number in system is
 ``rho / (1 - rho)`` regardless of the service-time distribution
@@ -17,6 +17,10 @@ job accrues service at rate ``x / n(t)``; defining virtual time ``V`` with
 ``V`` reaches ``V(a) + S``.  Completions therefore pop from a min-heap of
 virtual departure thresholds, and between events ``V`` advances linearly --
 an O((#jobs) log(#jobs)) exact simulation.
+
+No command, workload or engine runs it: the slot simulator bills delay
+with the analytic formula, and ``tests/test_events.py`` checks that
+formula against this simulator.
 """
 
 from __future__ import annotations

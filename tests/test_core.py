@@ -4,14 +4,12 @@ import numpy as np
 import pytest
 
 from repro.core import (
-    AdaptiveV,
     CarbonDeficitQueue,
     ConstantV,
     FrameV,
     quarterly,
 )
 from repro.core.bounds import cost_bound, deficit_bound, lyapunov_constants
-from repro.core.vschedule import FrameFeedback
 
 
 class TestDeficitQueue:
@@ -87,30 +85,6 @@ class TestVSchedules:
         assert quarterly([1, 2, 3, 4]).value(2) == 3.0
         with pytest.raises(ValueError):
             quarterly([1, 2, 3])
-
-    def test_adaptive_raises_v_when_under_budget(self):
-        s = AdaptiveV(v0=10.0, up=2.0, down=0.5)
-        assert s.value(0) == 10.0
-        fb = FrameFeedback(average_cost=1.0, final_queue_length=0.0, average_deficit=-5.0)
-        assert s.value(1, feedback=fb) == 20.0
-
-    def test_adaptive_lowers_v_when_over_budget(self):
-        s = AdaptiveV(v0=10.0, up=2.0, down=0.5)
-        s.value(0)
-        fb = FrameFeedback(average_cost=1.0, final_queue_length=9.0, average_deficit=5.0)
-        assert s.value(1, feedback=fb) == 5.0
-
-    def test_adaptive_clamped(self):
-        s = AdaptiveV(v0=10.0, up=100.0, v_max=50.0)
-        s.value(0)
-        fb = FrameFeedback(average_cost=0.0, final_queue_length=0.0, average_deficit=-1.0)
-        assert s.value(1, feedback=fb) == 50.0
-
-    def test_adaptive_validation(self):
-        with pytest.raises(ValueError):
-            AdaptiveV(v0=-1.0)
-        with pytest.raises(ValueError):
-            AdaptiveV(v0=1.0, down=1.5)
 
 
 class TestTheorem2Constants:

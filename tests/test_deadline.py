@@ -21,7 +21,6 @@ from repro.monitor import AlertChannel, DeadlineMonitor, default_suite, replay
 from repro.scenarios import small_scenario
 from repro.sim import simulate
 from repro.solvers import (
-    BruteForceSolver,
     CoordinateDescentSolver,
     DeadlineExceededError,
     DistributedGSD,
@@ -114,13 +113,6 @@ class TestAnytimeSolvers:
     def test_coordinate_descent_expired_returns_incumbent(self, tiny_model):
         problem = make_problem(tiny_model)
         solver = CoordinateDescentSolver(deadline_ms=0.0)
-        solution = solver.solve(problem)
-        assert solution.info["deadline"]["expired"]
-        self._assert_feasible(problem, solution)
-
-    def test_brute_force_expired_returns_incumbent(self, tiny_model):
-        problem = make_problem(tiny_model)
-        solver = BruteForceSolver(deadline_ms=0.0)
         solution = solver.solve(problem)
         assert solution.info["deadline"]["expired"]
         self._assert_feasible(problem, solution)

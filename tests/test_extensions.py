@@ -9,13 +9,13 @@ from dataclasses import replace
 from repro.core import DataCenterModel
 from repro.sim import Environment, simulate
 from repro.solvers import (
-    BruteForceSolver,
     CoordinateDescentSolver,
     GSDSolver,
     HomogeneousEnumerationSolver,
     InfeasibleError,
 )
 from repro.traces import Trace
+from tests.brute_force_oracle import BruteForceOracle
 from tests.conftest import make_problem
 
 
@@ -36,7 +36,7 @@ class TestPeakPowerCap:
         cap = 0.85 * HomogeneousEnumerationSolver().solve(p).evaluation.facility_power
         p = replace(p, peak_power_cap=cap)
         for solver in (
-            BruteForceSolver(),
+            BruteForceOracle(),
             CoordinateDescentSolver(),
             GSDSolver(iterations=1500, delta=1e5, rng=np.random.default_rng(0)),
         ):
@@ -48,7 +48,7 @@ class TestPeakPowerCap:
         with pytest.raises(InfeasibleError):
             HomogeneousEnumerationSolver().solve(p)
         with pytest.raises(InfeasibleError):
-            BruteForceSolver().solve(p)
+            BruteForceOracle().solve(p)
 
     def test_cap_validation(self, tiny_model):
         with pytest.raises(ValueError):

@@ -17,12 +17,12 @@ from repro.faults import FaultEvent, FaultSchedule
 from repro.scenarios import small_scenario
 from repro.sim import realize_action, simulate
 from repro.solvers import (
-    BruteForceSolver,
     GSDSolver,
     InfeasibleError,
     solve_with_failed_groups,
 )
 from repro.state.records import record_mismatches
+from tests.brute_force_oracle import BruteForceOracle
 from tests.conftest import make_problem
 
 
@@ -52,7 +52,7 @@ class TestGSDWithFailures:
         p2 = dm.slot_problem(
             arrival_rate=p.arrival_rate, onsite=p.onsite, price=p.price, q=p.q
         )
-        oracle = BruteForceSolver().solve(p2)
+        oracle = BruteForceOracle().solve(p2)
         assert sol.objective <= oracle.objective * 1.02 + 1e-12
 
     def test_all_failed_rejected(self, tiny_model):
@@ -264,7 +264,7 @@ class TestSlicedSubFleets:
 
     def test_solve_with_failed_groups_checks(self, tiny_model):
         p = make_problem(tiny_model, lam_frac=0.2)
-        solver = BruteForceSolver()
+        solver = BruteForceOracle()
         with pytest.raises(ValueError, match="out of range"):
             solve_with_failed_groups(solver, p, [1, 3])
         with pytest.raises(ValueError, match="out of range"):

@@ -38,7 +38,6 @@ from repro.cluster import (
 from repro.cluster.switching import SwitchingCostModel
 from repro.core import DataCenterModel
 from repro.solvers import (
-    BruteForceSolver,
     CoordinateDescentSolver,
     EvaluationCache,
     GSDSolver,
@@ -46,6 +45,7 @@ from repro.solvers import (
     InfeasibleError,
     distribute_load,
 )
+from tests.brute_force_oracle import BruteForceOracle
 from tests.conftest import assert_local_minimum, cold_objective, make_problem, solve_cold
 
 
@@ -96,16 +96,6 @@ def boundary_problem(model, levels, *, lam_frac=0.5, q=5.0):
 # ---------------------------------------------------------------------------
 # Bit-identity: engine answers vs the cold, uncached scoring path
 # ---------------------------------------------------------------------------
-def exhaustive_cold_minimum(problem):
-    """First minimizer, in enumeration order, of :func:`cold_objective`."""
-    best, best_levels = np.inf, None
-    for combo in product(*(range(-1, int(k)) for k in problem.fleet.num_levels)):
-        obj = cold_objective(problem, combo)
-        if obj < best:
-            best, best_levels = obj, np.asarray(combo, dtype=np.int64)
-    return best_levels, best
-
-
 class TestCacheBitIdentity:
     def _assert_cold_exact(self, problem, sol):
         """The chosen action is the one the cold path builds, to the bit."""
@@ -141,21 +131,43 @@ class TestCacheBitIdentity:
         assert_local_minimum(p, sol)
 
     def _assert_exhaustive_optimum(self, problem):
-        sol = BruteForceSolver().solve(problem)
-        levels, objective = exhaustive_cold_minimum(problem)
-        assert np.array_equal(sol.action.levels, levels)
-        assert sol.objective == objective  # exact, not approx
-        return sol
+        """The cache walked in exhaustive enumeration order -- one trailing
+        group flipped at a time, the access pattern its delta screen is
+        built for -- scores every configuration exactly as the cold path
+        does, and its first minimizer is the oracle's, to the bit."""
+        cache = EvaluationCache(problem)
+        levels = np.empty(problem.fleet.num_groups, dtype=np.int64)
+        best, best_levels, prev = np.inf, None, None
+        for combo in product(*(range(-1, int(k)) for k in problem.fleet.num_levels)):
+            if prev is None:
+                levels[:] = combo
+                cache.note_all()
+            else:
+                for g, cand in enumerate(combo):
+                    if cand != prev[g]:
+                        levels[g] = cand
+                        cache.note_changed(g)
+            prev = combo
+            obj = cache.objective_of(levels)
+            assert obj == cold_objective(problem, levels)  # exact, not approx
+            if obj < best:
+                best, best_levels = obj, levels.copy()
+        oracle = BruteForceOracle().solve(problem)
+        assert np.array_equal(oracle.action.levels, best_levels)
+        action, evaluation = cache.solution_for(best_levels)
+        assert evaluation.objective == oracle.objective
+        assert action.per_server_load.tobytes() == oracle.action.per_server_load.tobytes()
+        return cache, oracle
 
     def test_brute_force(self, hetero_model):
         p = make_problem(hetero_model, lam_frac=0.45, q=1.0)
-        sol = self._assert_exhaustive_optimum(p)
-        assert sol.info["configs_feasible"] > 0
-        assert sol.info["configs_total"] == int(np.prod(hetero_model.fleet.num_levels + 1))
+        cache, oracle = self._assert_exhaustive_optimum(p)
+        assert cache.stats.inner_solves > 0
+        assert oracle.info["configs_total"] == int(np.prod(hetero_model.fleet.num_levels + 1))
 
     def test_brute_force_with_caps(self, tiny_model):
         base = make_problem(tiny_model, lam_frac=0.5, q=2.0)
-        unbounded = BruteForceSolver().solve(base)
+        unbounded = BruteForceOracle().solve(base)
         p = dataclasses.replace(
             base,
             peak_power_cap=1.05 * unbounded.evaluation.facility_power,
@@ -165,7 +177,7 @@ class TestCacheBitIdentity:
 
     def test_gsd_under_peak_power_cap(self, tiny_model):
         base = make_problem(tiny_model, lam_frac=0.5, q=2.0)
-        unbounded = BruteForceSolver().solve(base)
+        unbounded = BruteForceOracle().solve(base)
         p = dataclasses.replace(
             base, peak_power_cap=1.05 * unbounded.evaluation.facility_power
         )
@@ -590,7 +602,7 @@ class TestSlotHours:
         again = p.evaluate(sol.action)
         assert sol.evaluation.objective == pytest.approx(again.objective, rel=1e-12)
         # ... and the choice is exactly the brute-force optimum.
-        oracle = BruteForceSolver().solve(p)
+        oracle = BruteForceOracle().solve(p)
         assert sol.evaluation.objective == pytest.approx(
             oracle.evaluation.objective, rel=1e-9
         )

@@ -11,7 +11,6 @@ import pytest
 from repro.cluster import Fleet, FleetAction, ServerGroup, opteron_2380
 from repro.core import DataCenterModel
 from repro.solvers import (
-    BruteForceSolver,
     BusTimeoutError,
     DistributedGSD,
     GSDSolver,
@@ -21,6 +20,7 @@ from repro.solvers import (
 )
 from repro.solvers.messaging import _bisection_rounds, pricing_bill
 from repro.state import CheckpointError
+from tests.brute_force_oracle import BruteForceOracle
 from tests.conftest import make_problem
 from tests.protocol_oracle import (
     BusDistributedGSD,
@@ -173,7 +173,7 @@ class TestLossyCoordinator:
 
     def test_distributed_gsd_near_oracle_under_loss(self, tiny_model):
         p = make_problem(tiny_model, lam_frac=0.5, q=5.0)
-        bf = BruteForceSolver().solve(p)
+        bf = BruteForceOracle().solve(p)
         solver = DistributedGSD(
             iterations=150, delta=1e4, rng=np.random.default_rng(7), retries=5
         )
@@ -190,7 +190,7 @@ class TestLossyCoordinator:
 class TestDistributedGSD:
     def test_reaches_near_oracle(self, tiny_model):
         p = make_problem(tiny_model, lam_frac=0.5, q=5.0)
-        bf = BruteForceSolver().solve(p)
+        bf = BruteForceOracle().solve(p)
         sol = DistributedGSD(
             iterations=250, delta=1e4, rng=np.random.default_rng(7)
         ).solve(p)

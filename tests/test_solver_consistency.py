@@ -14,7 +14,7 @@ groups -- the engines agree with a test-local exhaustive enumeration:
   inside their 1e-9 contract of that chain; coordinate descent's answer is
   a local minimum of the cold, uncached scoring path.
 
-The local oracle -- unlike :class:`BruteForceSolver` -- can pin failed
+The local oracle -- unlike :class:`BruteForceOracle` -- can pin failed
 groups off and recompute the optimum under caps chosen *after* looking at
 the config distribution, which is how the caps are made binding.
 """
@@ -27,7 +27,6 @@ import pytest
 from repro.cluster import Fleet, FleetAction, ServerGroup, cubic_dvfs_profile, opteron_2380
 from repro.core import DataCenterModel
 from repro.solvers import (
-    BruteForceSolver,
     CoordinateDescentSolver,
     GSDSolver,
     HomogeneousEnumerationSolver,
@@ -36,6 +35,7 @@ from repro.solvers import (
     geometric_temperature,
     solve_with_failed_groups,
 )
+from tests.brute_force_oracle import BruteForceOracle
 from tests.conftest import assert_local_minimum
 
 _PROFILES = (opteron_2380, cubic_dvfs_profile)
@@ -66,7 +66,7 @@ def random_problem(model, rng):
 
 def enumerate_feasible(problem, failed=()):
     """All ``(levels, evaluation)`` pairs whose inner solve succeeds, with
-    ``failed`` groups pinned off -- the restricted enumeration BruteForce
+    ``failed`` groups pinned off -- the restricted enumeration BruteForceOracle
     does not offer."""
     fleet = problem.fleet
     ranges = [
@@ -127,7 +127,7 @@ class TestCrossSolverConsistency:
         # and never better than the exhaustive optimum:
         assert gsd.objective >= oracle * (1.0 - 1e-9) - 1e-12
 
-        bf = BruteForceSolver().solve(p)
+        bf = BruteForceOracle().solve(p)
         assert bf.objective == pytest.approx(oracle, rel=1e-12)
 
     @pytest.mark.parametrize("seed", range(4))
@@ -183,7 +183,7 @@ class TestCrossSolverConsistency:
                 <= oracle * 1.02 + 1e-12
             )
 
-        bf = BruteForceSolver().solve(capped)
+        bf = BruteForceOracle().solve(capped)
         assert bf.objective == pytest.approx(oracle, rel=1e-12)
 
     @pytest.mark.parametrize("seed", range(3))

@@ -10,13 +10,13 @@ import numpy as np
 import pytest
 
 from repro.solvers import (
-    BruteForceSolver,
     CoordinateDescentSolver,
     GSDSolver,
     HomogeneousEnumerationSolver,
     InfeasibleError,
     geometric_temperature,
 )
+from tests.brute_force_oracle import BruteForceOracle
 from tests.conftest import make_problem
 
 
@@ -32,20 +32,20 @@ def random_problem(model, rng, *, q_choices=(0.0, 5.0, 50.0)):
 
 class TestBruteForce:
     def test_config_count(self, tiny_model):
-        assert BruteForceSolver().config_count(make_problem(tiny_model)) == 5**3
+        assert BruteForceOracle().config_count(make_problem(tiny_model)) == 5**3
 
     def test_cap_enforced(self, tiny_model):
-        solver = BruteForceSolver(max_configs=10)
+        solver = BruteForceOracle(max_configs=10)
         with pytest.raises(ValueError, match="cap"):
             solver.solve(make_problem(tiny_model))
 
     def test_infeasible_slot(self, tiny_model):
         with pytest.raises(InfeasibleError):
-            BruteForceSolver().solve(make_problem(tiny_model, lam_frac=1.2))
+            BruteForceOracle().solve(make_problem(tiny_model, lam_frac=1.2))
 
     def test_action_is_valid(self, tiny_model):
         p = make_problem(tiny_model, lam_frac=0.5)
-        sol = BruteForceSolver().solve(p)
+        sol = BruteForceOracle().solve(p)
         tiny_model.fleet.validate_action(
             sol.action.levels, sol.action.per_server_load, p.arrival_rate, p.gamma
         )
@@ -56,7 +56,7 @@ class TestEnumerationExactness:
     def test_matches_brute_force_homogeneous(self, tiny_model, seed):
         rng = np.random.default_rng(seed)
         p = random_problem(tiny_model, rng)
-        bf = BruteForceSolver().solve(p)
+        bf = BruteForceOracle().solve(p)
         en = HomogeneousEnumerationSolver().solve(p)
         assert en.objective == pytest.approx(bf.objective, rel=1e-9, abs=1e-12)
 
@@ -104,7 +104,7 @@ class TestCoordinateDescent:
     def test_matches_brute_force(self, hetero_model, seed):
         rng = np.random.default_rng(seed)
         p = random_problem(hetero_model, rng, q_choices=(0.0, 20.0))
-        bf = BruteForceSolver().solve(p)
+        bf = BruteForceOracle().solve(p)
         cd = CoordinateDescentSolver(restarts=8).solve(p)
         assert cd.objective <= bf.objective * (1.0 + 1e-9) + 1e-12
 
@@ -127,7 +127,7 @@ class TestGSD:
         """Theorem 1: large delta concentrates on the global optimum."""
         rng = np.random.default_rng(seed)
         p = random_problem(tiny_model, rng)
-        bf = BruteForceSolver().solve(p)
+        bf = BruteForceOracle().solve(p)
         delta = GSDSolver.auto_delta(p, greediness=3.0)
         gsd = GSDSolver(
             iterations=3000,
@@ -146,7 +146,7 @@ class TestGSD:
             delta=geometric_temperature(delta, 1.002),
             rng=np.random.default_rng(seed),
         ).solve(p)
-        bf = BruteForceSolver().solve(p)
+        bf = BruteForceOracle().solve(p)
         assert gsd.objective <= bf.objective * 1.02 + 1e-12
 
     def test_history_recorded(self, tiny_model):

@@ -350,6 +350,38 @@ class TestResumeReplay:
         )
         assert record_mismatches(golden, resumed) == []
 
+    def test_resume_from_legacy_frame_accumulators(self, tmp_path):
+        """Checkpoints of older versions carry COCA's adaptive-V frame
+        accumulators (``frame_cost``, ``frame_deficit``, ``frame_slots``);
+        a run resumed from one is bit-identical to an uninterrupted run."""
+        scenario = small_scenario(horizon=48, seed=5)
+        golden = simulate(scenario.model, _coca(scenario), scenario.environment)
+        simulate(
+            scenario.model,
+            _coca(scenario),
+            scenario.environment,
+            checkpoint=CheckpointWriter(tmp_path, every=1, sync=False),
+        )
+        log = tmp_path / LOG_NAME
+        data = log.read_bytes()
+        legacy = bytearray()
+        for slot, start, end in record_spans(log):
+            if slot > 20:
+                break
+            record = loads_checkpoint(data[start:end]).state
+            controller = record["controller"]["state"]
+            assert "frame_cost" not in controller
+            controller.update(frame_cost=1.5 * slot, frame_deficit=-0.25, frame_slots=slot)
+            legacy += dumps_checkpoint(slot, record)
+        (tmp_path / "legacy.log").write_bytes(bytes(legacy))
+        ckpt = load_checkpoint(str(tmp_path / "legacy.log"))
+        assert ckpt.slot == 20
+        assert ckpt.state["controller"]["state"]["frame_slots"] == 20
+        resumed = simulate(
+            scenario.model, _coca(scenario), scenario.environment, resume_from=ckpt
+        )
+        assert record_mismatches(golden, resumed) == []
+
     def test_resume_under_chaos_with_lossy_bus(self, tmp_path):
         scenario = small_scenario(horizon=36, seed=5)
         schedule = FaultSchedule.generate(
