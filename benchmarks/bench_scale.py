@@ -17,12 +17,12 @@ land on the same levels as the cold chain (the same ``GSDSolver`` with
 ``repro.solvers.gsd._WARM_START`` patched off) and match its objective
 within the 1e-9 contract -- a scale benchmark that quietly computed the wrong answer would
 be worse than a slow one.  The cold chain's own wall time is reported as
-``cold_solve_s``.  The deterministic ``evaluations`` counter lands in the
-report for the trend ledger to gate (see ``repro bench``).
+``cold_solve_s``.  The deterministic ``evaluations`` counter is reported
+with it, not gated.
 
-Run it directly (CI does)::
+Run it directly, as CI does::
 
-    PYTHONPATH=src python benchmarks/bench_scale.py --check
+    PYTHONPATH=src python benchmarks/bench_scale.py --check -o BENCH_scale.json
 """
 
 from __future__ import annotations

@@ -25,23 +25,26 @@ verifies the fast path's contracts on every invocation:
   is what every candidate would cost without the fast path.
 
 ``--check REF`` adds the CI gates: the >20% regression tolerance on the
-deterministic ``inner_solves`` counters against the committed reference,
-plus the **warm-start floor** on the shipped GSD path -- its inner solves
-must take ``GSD_WARM_ITER_FLOOR`` (3x) fewer bisection steps each than the
-cold chain's.  Both step counts are fixed by the seeds, so the gate is
-exact on any runner.  Wall times and their ratios are reported, never
-gated.
+deterministic ``inner_solves``, ``cold_solves`` and ``evaluations``
+counters of every mode against the committed reference, plus the
+**warm-start floor** on the shipped GSD path -- its inner solves must take
+``GSD_WARM_ITER_FLOOR`` (3x) fewer bisection steps each than the cold
+chain's.  All of these counts are fixed by the seeds, so the gate is exact
+on any runner.  Wall times and their ratios are reported, never gated.
 
-The report lands in ``benchmarks/results/BENCH_solver_fastpath.json`` and
-one flattened row per run is appended to the trend ledger by
-``repro bench`` (see ``repro.profile.ledger``).  ``--quick`` only reduces
-the wall-time repetitions (counters are configuration-determined, so
-quick and full runs agree on them).
+The report lands in ``benchmarks/results/BENCH_solver_fastpath.json``
+unless ``-o`` says otherwise; that file is also the committed full-run
+reference, so a quick run that should not replace it writes elsewhere.
+The reference is read before the report is written, so a run whose ``-o``
+is its ``--check`` file is still checked against the committed numbers.
+``--quick`` only reduces the wall-time repetitions (counters are
+configuration-determined, so quick and full runs agree on them).
 
-Run it directly (CI does)::
+Run it directly, as CI does::
 
     PYTHONPATH=src python benchmarks/bench_solver_fastpath.py --quick \
-        --check benchmarks/results/BENCH_solver_fastpath.json
+        --check benchmarks/results/BENCH_solver_fastpath.json \
+        -o BENCH_solver_fastpath.json
 """
 
 from __future__ import annotations
@@ -57,9 +60,12 @@ import numpy as np
 
 RESULTS_DIR = pathlib.Path(__file__).parent / "results"
 
-#: ``--check`` fails when a mode's deterministic ``inner_solves`` count
+#: ``--check`` fails when one of a mode's deterministic ``GATED_COUNTERS``
 #: grew by more than this fraction over the committed reference.
 REGRESSION_TOLERANCE = 0.20
+
+#: Fast-path counters gated under ``--check``, per mode.
+GATED_COUNTERS = ("inner_solves", "cold_solves", "evaluations")
 
 #: Acceptance bar: the shipped GSD chain on the 200-group/500-iter case must
 #: run at least this factor fewer cold inner solves than candidates scored.
@@ -172,10 +178,9 @@ def measure(*, repeats: int) -> dict:
     }
 
 
-def check_against(report: dict, reference_path: pathlib.Path) -> list[str]:
+def check_against(report: dict, reference: dict) -> list[str]:
     """The CI gates: counter regressions vs the committed reference, plus
     the warm-start floor on the GSD case."""
-    reference = json.loads(reference_path.read_text())
     failures = []
     for name, ref_case in reference.get("cases", {}).items():
         case = report["cases"].get(name)
@@ -183,15 +188,17 @@ def check_against(report: dict, reference_path: pathlib.Path) -> list[str]:
             failures.append(f"{name}: missing from this run")
             continue
         for mode in CASE_MODES.get(name, ()):
-            ref_n = ref_case.get(mode, {}).get("inner_solves")
-            if ref_n is None:
-                continue
-            cur_n = case.get(mode, {}).get("inner_solves")
-            if cur_n is None or cur_n > ref_n * (1.0 + REGRESSION_TOLERANCE):
-                failures.append(
-                    f"{name}/{mode}: inner_solves {cur_n} vs reference "
-                    f"{ref_n} (tolerance {REGRESSION_TOLERANCE:.0%})"
-                )
+            ref_mode, cur_mode = ref_case.get(mode, {}), case.get(mode, {})
+            for counter in GATED_COUNTERS:
+                ref_n = ref_mode.get(counter)
+                if ref_n is None:
+                    continue
+                cur_n = cur_mode.get(counter)
+                if cur_n is None or cur_n > ref_n * (1.0 + REGRESSION_TOLERANCE):
+                    failures.append(
+                        f"{name}/{mode}: {counter} {cur_n} vs reference "
+                        f"{ref_n} (tolerance {REGRESSION_TOLERANCE:.0%})"
+                    )
     warm = report["cases"]["gsd_200g_500it"]["warm_iter_speedup"]
     if warm < GSD_WARM_ITER_FLOOR:
         failures.append(
@@ -219,11 +226,13 @@ def main(argv: list[str] | None = None) -> int:
         "--check",
         metavar="REF",
         default=None,
-        help="reference JSON; exit 1 on >20%% inner-solve regression or GSD "
-        "warm starts saving less than the floor in bisection steps",
+        help="reference JSON; exit 1 on a >20%% fast-path counter regression "
+        "or GSD warm starts saving less than the floor in bisection steps",
     )
     args = parser.parse_args(argv)
     repeats = args.repeats if args.repeats is not None else (2 if args.quick else 3)
+    # Read before the report is written: -o may name the reference itself.
+    reference = json.loads(pathlib.Path(args.check).read_text()) if args.check else None
 
     report = measure(repeats=repeats)
     out = pathlib.Path(args.output)
@@ -247,8 +256,8 @@ def main(argv: list[str] | None = None) -> int:
     print(f"report -> {out}")
 
     failed = list(report["contract_errors"])
-    if args.check:
-        failed += check_against(report, pathlib.Path(args.check))
+    if reference is not None:
+        failed += check_against(report, reference)
     for message in failed:
         print(f"bench_solver_fastpath: FAIL {message}", file=sys.stderr)
     return 1 if failed else 0

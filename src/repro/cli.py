@@ -15,7 +15,6 @@ traces         summarize any of the synthetic trace generators
 telemetry      summarize a JSONL event trace written by ``--trace-out``
 dashboard      offline HTML health report (monitors + charts) from a trace
 profile        sampling flamegraph of a COCA run with span attribution
-bench          run benchmark suites; append rows to the trend ledger
 chaos          COCA under seeded fault injection (failures, lossy messaging)
 run            checkpointed long-horizon run (crash-safe, resumable)
 resume         continue a killed ``run`` from its newest valid checkpoint
@@ -390,84 +389,6 @@ def _cmd_profile(args) -> int:
         )
         return EXIT_BAD_INPUT
     return 0
-
-
-def _cmd_bench(args) -> int:
-    from datetime import datetime, timezone
-
-    from .profile import (
-        append_row,
-        check_rows,
-        discover_benches,
-        git_revision,
-        load_rows,
-        make_row,
-        run_suite,
-    )
-
-    suites = discover_benches(args.bench_dir)
-    if not suites:
-        print(
-            f"repro bench: no bench_*.py found under {args.bench_dir}",
-            file=sys.stderr,
-        )
-        return EXIT_BAD_INPUT
-    if args.list:
-        for name, suite in sorted(suites.items()):
-            tag = "runnable" if suite.runnable else "figure driver (not runnable)"
-            print(f"{name:24s} {tag}")
-        return 0
-    if args.suites:
-        bad = [
-            n for n in args.suites if n not in suites or not suites[n].runnable
-        ]
-        if bad:
-            print(
-                f"repro bench: not a runnable suite: {', '.join(bad)} "
-                "(see `repro bench --list`)",
-                file=sys.stderr,
-            )
-            return EXIT_BAD_INPUT
-        selected = [suites[n] for n in args.suites]
-    else:
-        selected = [s for _, s in sorted(suites.items()) if s.runnable]
-
-    history = load_rows(args.ledger)
-    rev = git_revision()
-    timestamp = datetime.now(timezone.utc).strftime("%Y-%m-%dT%H:%M:%SZ")
-    fresh = []
-    for suite in selected:
-        print(
-            f"running {suite.name} [{' '.join(suite.default_args) or 'defaults'}]",
-            flush=True,
-        )
-        result = run_suite(suite, out_dir=args.out_dir)
-        row = make_row(result, git_rev=rev, timestamp=timestamp)
-        fresh.append(row)
-        print(
-            f"  exit {result.exit_code}, wall {result.wall_s:.2f} s, "
-            f"{len(row['metrics'])} metrics"
-        )
-    if not args.no_append:
-        for row in fresh:
-            append_row(args.ledger, row)
-        print(f"{len(fresh)} row(s) appended to {args.ledger}")
-
-    rc = 0
-    if args.check:
-        ok, messages = check_rows(history, fresh, tolerance=args.tolerance)
-        for message in messages:
-            print(f"  {message}")
-        if ok:
-            print("repro bench: check passed")
-        else:
-            print("repro bench: REGRESSION detected", file=sys.stderr)
-            rc = EXIT_BAD_INPUT
-    if any(row["exit_code"] != 0 for row in fresh):
-        # A suite's own contract failed (overhead budget, bit-identity, ...)
-        # even without --check; never report success over that.
-        rc = rc or EXIT_BAD_INPUT
-    return rc
 
 
 def _fault_schedule(args, scenario):
@@ -1204,48 +1125,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="hotspot frames printed to the console",
     )
     p.set_defaults(func=_cmd_profile)
-
-    p = sub.add_parser(
-        "bench",
-        help="run benchmark suites; append rows to the trend ledger",
-    )
-    p.add_argument(
-        "suites", nargs="*", metavar="SUITE",
-        help="suite names (default: every runnable suite; see --list)",
-    )
-    p.add_argument(
-        "--bench-dir", default="benchmarks", metavar="DIR",
-        help="directory scanned for bench_*.py suites",
-    )
-    p.add_argument(
-        "--ledger", default="benchmarks/results/trend.jsonl", metavar="FILE",
-        help="JSONL trend ledger to append to and check against",
-    )
-    p.add_argument(
-        # Not benchmarks/results: ledger runs use shortened suite args
-        # (--quick, fewer repeats), and writing there would clobber the
-        # committed full-run references CI checks against.
-        "--out-dir", default="benchmarks/results/latest", metavar="DIR",
-        help="where suites write their BENCH_<suite>.json reports",
-    )
-    p.add_argument(
-        "--list", action="store_true",
-        help="list discovered suites (runnable or not) and exit",
-    )
-    p.add_argument(
-        "--check", action="store_true",
-        help="exit 1 when a gated counter regressed vs the previous "
-        "ledger row for the same suite",
-    )
-    p.add_argument(
-        "--tolerance", type=float, default=0.20, metavar="FRAC",
-        help="relative growth allowed on gated counters with --check",
-    )
-    p.add_argument(
-        "--no-append", action="store_true",
-        help="run (and optionally check) without writing ledger rows",
-    )
-    p.set_defaults(func=_cmd_bench)
 
     p = sub.add_parser(
         "chaos", help="COCA under seeded fault injection (chaos run)"

@@ -1,8 +1,7 @@
 """`repro.profile`: where the wall-clock time actually goes.
 
-Three tools with one purpose -- turning "the sweep takes 0.63 s" into an
-actionable attribution (ROADMAP item 1 needs to know *which* lines of the
-ν/μ bisection to vectorize first):
+Two tools behind ``repro profile``, turning "the run takes 0.63 s" into an
+attribution to the functions that spend it:
 
 - :class:`~repro.profile.sampler.StackSampler`: a signal-free sampling
   profiler built on ``sys.setprofile``, keyed off the same
@@ -12,12 +11,6 @@ actionable attribution (ROADMAP item 1 needs to know *which* lines of the
 - :mod:`~repro.profile.flame`: renders folded stacks as a self-contained
   HTML flame (icicle) view -- no external assets, openable from CI
   artifacts directly.
-- :mod:`~repro.profile.ledger`: the unified benchmark registry behind
-  ``repro bench``.  Discovers ``benchmarks/bench_*.py``, runs selected
-  suites, appends machine-readable rows (git rev, timestamp, wall times,
-  every numeric metric a suite reports) to ``benchmarks/results/
-  trend.jsonl``, and renders a regression verdict against the previous row
-  (``repro bench --check``).
 
 The profiler *observes* a run without participating in it: it never draws
 from any RNG and never mutates profiled state, so a profiled run's outputs
@@ -25,18 +18,6 @@ are bit-identical to an unprofiled one.
 """
 
 from .flame import flamegraph_html, write_flamegraph, write_folded
-from .ledger import (
-    BenchResult,
-    BenchSuite,
-    append_row,
-    check_rows,
-    discover_benches,
-    flatten_metrics,
-    git_revision,
-    load_rows,
-    make_row,
-    run_suite,
-)
 from .sampler import StackSampler
 
 __all__ = [
@@ -44,14 +25,4 @@ __all__ = [
     "flamegraph_html",
     "write_flamegraph",
     "write_folded",
-    "BenchSuite",
-    "BenchResult",
-    "discover_benches",
-    "run_suite",
-    "flatten_metrics",
-    "make_row",
-    "append_row",
-    "load_rows",
-    "check_rows",
-    "git_revision",
 ]

@@ -1,38 +1,20 @@
-"""Tests for repro.profile: sampler, flame export, bench ledger, CLI.
+"""Tests for repro.profile: sampler, flame export, ``repro profile``.
 
 The sampler's contract is the same as telemetry's: observe, never
 participate -- a profiled run's outputs are bit-identical to an unprofiled
 one.  Its mechanics are deterministic given a clock, so tests inject one.
-The ledger tests drive ``repro bench --check`` through both verdicts with a
-stub suite, so the pass/fail exit codes are pinned without paying for a
-real benchmark run.
 """
 
 from __future__ import annotations
 
-import json
 import sys
-import textwrap
 
 import numpy as np
 import pytest
 
 from repro.cli import main
 from repro.core import COCA
-from repro.profile import (
-    StackSampler,
-    check_rows,
-    discover_benches,
-    flamegraph_html,
-    flatten_metrics,
-    git_revision,
-    load_rows,
-    make_row,
-    run_suite,
-    write_flamegraph,
-    write_folded,
-)
-from repro.profile.ledger import BenchResult, BenchSuite, append_row, host_stamp
+from repro.profile import StackSampler, flamegraph_html, write_flamegraph, write_folded
 from repro.sim import simulate
 from repro.telemetry import JsonlTracer, Telemetry
 
@@ -162,176 +144,6 @@ class TestFlame:
 
     def test_empty_profile_renders_placeholder(self):
         assert "no samples collected" in flamegraph_html({})
-
-
-def _write_stub_suite(bench_dir, *, inner_solves=100, exit_code=0):
-    """A stub bench_solver_fastpath.py following the standalone-CLI
-    convention (and reusing that suite's gated-counter config)."""
-    bench_dir.mkdir(exist_ok=True)
-    (bench_dir / "bench_solver_fastpath.py").write_text(
-        textwrap.dedent(
-            f"""
-            import argparse, json
-
-            def main(argv=None):
-                p = argparse.ArgumentParser()
-                p.add_argument("--quick", action="store_true")
-                p.add_argument("--check", default=None)
-                p.add_argument("-o", "--output", required=True)
-                args = p.parse_args(argv)
-                report = {{
-                    "suites": {{"gsd": {{"inner_solves": {inner_solves}}}}},
-                    "quick": args.quick,
-                }}
-                with open(args.output, "w") as fh:
-                    json.dump(report, fh)
-                return {exit_code}
-            """
-        )
-    )
-
-
-class TestLedger:
-    def test_discovers_real_benchmarks(self):
-        suites = discover_benches("benchmarks")
-        assert suites["solver_fastpath"].runnable
-        assert suites["span_overhead"].runnable
-        assert not suites["fig4_gsd"].runnable
-
-    def test_flatten_metrics(self):
-        flat = flatten_metrics(
-            {"a": 1, "b": {"c": 2.5, "ok": True}, "d": [3, "skip"], "e": "no"}
-        )
-        assert flat == {"a": 1.0, "b.c": 2.5, "b.ok": 1.0, "d.0": 3.0}
-
-    def test_run_suite_and_row_round_trip(self, tmp_path):
-        _write_stub_suite(tmp_path / "benches")
-        suites = discover_benches(str(tmp_path / "benches"))
-        result = run_suite(
-            suites["solver_fastpath"], out_dir=str(tmp_path / "out")
-        )
-        assert result.exit_code == 0
-        assert result.report["quick"] is True  # default args were applied
-        row = make_row(result, git_rev="abc1234", timestamp="2026-01-01T00:00:00Z")
-        assert row["metrics"]["suites.gsd.inner_solves"] == 100.0
-        ledger = tmp_path / "trend.jsonl"
-        append_row(str(ledger), row)
-        append_row(str(ledger), row)
-        assert load_rows(str(ledger)) == [row, row]
-
-    def test_check_rows_verdicts(self):
-        def row(inner, *, exit_code=0):
-            return {
-                "suite": "solver_fastpath",
-                "exit_code": exit_code,
-                "git_rev": "aaa",
-                "timestamp": "t",
-                "wall_s": 1.0,
-                "metrics": {"suites.gsd.inner_solves": float(inner)},
-            }
-
-        # no prior row: seeds the trend, passes
-        ok, messages = check_rows([], [row(100)])
-        assert ok and any("seeding" in m for m in messages)
-        # within tolerance: passes
-        ok, _ = check_rows([row(100)], [row(115)])
-        assert ok
-        # beyond tolerance: fails and names the counter
-        ok, messages = check_rows([row(100)], [row(130)])
-        assert not ok
-        assert any("inner_solves" in m and "regressed" in m for m in messages)
-        # the suite's own contract failed: always fails
-        ok, messages = check_rows([row(100)], [row(100, exit_code=1)])
-        assert not ok and any("exited 1" in m for m in messages)
-
-    def test_rows_are_host_stamped(self, tmp_path):
-        stamp = host_stamp()
-        assert stamp["cpus"] >= 1
-        assert stamp["python"].count(".") == 1
-        suite = BenchSuite(name="x", path="x.py", runnable=True)
-        result = BenchResult(suite=suite, args=(), exit_code=0, wall_s=1.0, report={})
-        row = make_row(result, git_rev="abc", timestamp="t")
-        assert row["host"] == stamp
-
-    def test_check_rows_refuses_unlike_hosts(self):
-        def row(inner, host):
-            return {
-                "suite": "solver_fastpath",
-                "exit_code": 0,
-                "git_rev": "aaa",
-                "timestamp": "t",
-                "wall_s": 1.0,
-                "host": host,
-                "metrics": {"suites.gsd.inner_solves": float(inner)},
-            }
-
-        two = {"cpus": 2, "python": "3.12"}
-        one = {"cpus": 1, "python": "3.12"}
-        older = {"cpus": 2, "python": "3.10"}
-        # Only unlike history: never compared, the fresh row seeds its host.
-        for other in (one, older, None):
-            ok, messages = check_rows([row(100, other)], [row(500, two)])
-            assert ok
-            assert any("like host" in m and "seeding" in m for m in messages)
-        # The like-host row is the baseline even when an unlike one is newer.
-        history = [row(100, two), row(1000, one)]
-        ok, messages = check_rows(history, [row(130, two)])
-        assert not ok
-        assert any("100 -> 130" in m for m in messages)
-        ok, _ = check_rows(history, [row(110, two)])
-        assert ok
-
-    def test_git_revision_is_short_string(self):
-        rev = git_revision()
-        assert isinstance(rev, str) and rev
-        assert git_revision("/nonexistent-dir") == "unknown"
-
-
-class TestBenchCLI:
-    def _bench(self, tmp_path, *extra):
-        return main(
-            [
-                "bench",
-                "--bench-dir", str(tmp_path / "benches"),
-                "--ledger", str(tmp_path / "trend.jsonl"),
-                "--out-dir", str(tmp_path / "out"),
-                *extra,
-            ]
-        )
-
-    def test_check_pass_then_fail_on_regression(self, tmp_path, capsys):
-        benches = tmp_path / "benches"
-        _write_stub_suite(benches, inner_solves=100)
-        assert self._bench(tmp_path, "--check") == 0
-        assert "seeding trend" in capsys.readouterr().out
-        # same counters again: passes against the seeded row
-        assert self._bench(tmp_path, "--check") == 0
-        assert "check passed" in capsys.readouterr().out
-        # the counter regresses past 20%: exit 1
-        _write_stub_suite(benches, inner_solves=200)
-        assert self._bench(tmp_path, "--check") == 1
-        assert "REGRESSION" in capsys.readouterr().err
-        assert len(load_rows(str(tmp_path / "trend.jsonl"))) == 3
-
-    def test_failing_suite_fails_without_check(self, tmp_path, capsys):
-        _write_stub_suite(tmp_path / "benches", exit_code=1)
-        assert self._bench(tmp_path) == 1
-        assert "exit 1" in capsys.readouterr().out
-
-    def test_no_append_leaves_ledger_alone(self, tmp_path, capsys):
-        _write_stub_suite(tmp_path / "benches")
-        assert self._bench(tmp_path, "--no-append") == 0
-        assert load_rows(str(tmp_path / "trend.jsonl")) == []
-
-    def test_unknown_suite_rejected(self, tmp_path, capsys):
-        _write_stub_suite(tmp_path / "benches")
-        assert self._bench(tmp_path, "nope") == 1
-        assert "not a runnable suite" in capsys.readouterr().err
-
-    def test_list_shows_runnable_state(self, tmp_path, capsys):
-        _write_stub_suite(tmp_path / "benches")
-        assert self._bench(tmp_path, "--list") == 0
-        assert "solver_fastpath" in capsys.readouterr().out
 
 
 class TestProfileCLI:
