@@ -38,13 +38,13 @@ from __future__ import annotations
 import operator
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
 from .server import ServerProfile, opteron_2380
 
-__all__ = ["ServerGroup", "Fleet", "FleetAction", "default_fleet"]
+__all__ = ["ServerGroup", "Fleet", "FleetAction", "ClassRows", "default_fleet"]
 
 
 @dataclass(frozen=True)
@@ -217,6 +217,7 @@ class Fleet:
         "is_homogeneous",
         "profile_ids",
         "_class_tables",
+        "class_lists",
         "prefix_servers",
     )
 
@@ -294,6 +295,39 @@ class Fleet:
         counts = np.bincount(ids, weights=self.counts, minlength=speed.size)
         counts[0] = 0.0
         return ids, counts
+
+    @cached_property
+    def class_lists(self) -> tuple[list[float], list[float], list[float]]:
+        """``(speed, dynamic coefficient, static power)`` per class id as
+        plain float lists, for the scalar loops over a few class rows."""
+        _, _, speed, coeff, static = self._class_tables
+        return speed.tolist(), coeff.tolist(), static.tolist()
+
+    def class_rows(
+        self, levels: np.ndarray, per_server_load: np.ndarray
+    ) -> "ClassRows":
+        """The :class:`ClassRows` of a per-group action (off groups' loads
+        are ignored).
+
+        Raises ``ValueError`` when two on groups of one class carry
+        different loads: a class row holds one per-server load.  Every
+        engine and fallback in this package loads a class uniformly.
+        """
+        ids, counts = self.class_counts(levels)
+        loads = np.asarray(per_server_load, dtype=np.float64)
+        table = np.zeros(counts.size)
+        table[ids] = loads
+        on = ids > 0
+        if not np.array_equal(table[ids[on]], loads[on]):
+            raise ValueError(
+                "per-server loads differ within a (profile, level) class"
+            )
+        classes = np.flatnonzero(counts)
+        return ClassRows(
+            tuple(classes.tolist()),
+            tuple(counts[classes].tolist()),
+            tuple(table[classes].tolist()),
+        )
 
     def class_histogram(
         self, levels: np.ndarray
@@ -413,6 +447,60 @@ class Fleet:
             raise ValueError(
                 f"load distribution serves {served:.6g}, expected {total_load:.6g}"
             )
+
+
+class ClassRows(NamedTuple):
+    """One slot's decision in (profile, level) class space.
+
+    Every group of a class runs at the same speed, and every engine here
+    gives each of them the same per-server load.  So a decision is billed
+    whole by one row per class with servers on: its class id (the ids of
+    :meth:`Fleet.class_counts`, ascending), the servers on in it and that
+    per-server load.  The paper's 200 homogeneous groups make one row;
+    nothing about a row depends on how many groups it spans.
+
+    Sums over rows differ from the per-group sums of a
+    :class:`FleetAction` only in rounding.  The per-group arrays stay where
+    something reads groups: the on-counts behind switching energy, a fault
+    run's last realized action and the checkpoints.
+    """
+
+    classes: tuple[int, ...]
+    counts: tuple[float, ...]
+    loads: tuple[float, ...]
+
+    @property
+    def served(self) -> float:
+        """Total arrival rate served (req/s)."""
+        total = 0.0
+        for n, load in zip(self.counts, self.loads):
+            total += n * load
+        return total
+
+    @property
+    def active_servers(self) -> float:
+        """Servers that are on (an integer-valued float, exactly)."""
+        return float(sum(self.counts))
+
+    def totals(self, fleet: "Fleet", delay_model) -> tuple[float, float, float]:
+        """``(it_power, delay_sum, served)``: IT power (MW), the unweighted
+        delay sum of ``delay_model`` and the served load (req/s), in one
+        pass over the rows."""
+        speed, coeff, static = fleet.class_lists
+        cost = delay_model.cost_at
+        it_power = delay_sum = served = 0.0
+        for k, n, load in zip(self.classes, self.counts, self.loads):
+            it_power += n * (static[k] + coeff[k] * load)
+            delay_sum += n * cost(load, speed[k])
+            served += n * load
+        return it_power, delay_sum, served
+
+    def expand(self, fleet: "Fleet", levels: np.ndarray) -> np.ndarray:
+        """Per-group loads of the level vector these rows were taken from."""
+        flat, offsets = fleet.class_id_table
+        table = np.zeros(fleet.num_classes)
+        table[list(self.classes)] = self.loads
+        return table[flat[offsets + levels]]
 
 
 @dataclass(frozen=True)

@@ -119,10 +119,13 @@ class DegradationPolicy:
             network_delay=observation.network_delay,
             pue_override=observation.pue,
         )
+        # The loads are gamma * s * ratio per group, so one per class.
+        rows = model.fleet.class_rows(action.levels, action.per_server_load)
         return SlotSolution(
             action=action,
-            evaluation=problem.evaluate(action),
+            evaluation=problem.evaluate_rows(rows, action.levels),
             info={"fallback": used, "failed_groups": sorted(failed)},
+            rows=rows,
         )
 
     def _rescale_last(

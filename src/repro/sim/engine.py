@@ -15,6 +15,15 @@ mirroring the paper's information structure:
 4. the controller observes the outcome, including the off-site supply
    ``f(t)`` realized only now (COCA updates its deficit queue here).
 
+Steps 2 and 3 run in (profile, level) class space.  Every engine hands
+its decision over as :class:`~repro.cluster.fleet.ClassRows` -- the
+servers on and the per-server load of each class with servers on, one row
+for the paper's 200 identical groups -- and :func:`realize_action`
+rescales those rows, which :meth:`~repro.solvers.problem.SlotProblem
+.evaluate_rows` then bills in one pass.  The realized per-group levels are
+kept for what reads groups: the next slot's switching charge, a fault
+run's last realized action and the checkpoints.
+
 The per-slot arithmetic lives in :class:`SlotRunner` so two drivers can
 share it verbatim: :func:`simulate` (the offline batch loop, which owns the
 whole horizon up front) and the :mod:`repro.serve` control service (which
@@ -30,7 +39,7 @@ import time
 
 import numpy as np
 
-from ..cluster.fleet import FleetAction
+from ..cluster.fleet import ClassRows, FleetAction
 from ..core.config import DataCenterModel
 from ..core.controller import Controller, SlotOutcome
 from ..solvers.deadline import DeadlineExceededError
@@ -85,64 +94,79 @@ def realize_action(
     actual_arrival: float,
     planned_arrival: float,
     *,
+    rows: ClassRows | None = None,
     failed_groups: "frozenset[int] | set[int] | None" = None,
-) -> tuple[FleetAction, float]:
-    """Map a planned action onto the realized arrival rate.
+) -> tuple[np.ndarray, ClassRows, float]:
+    """Map a planned action onto the realized arrival rate, in class space.
 
-    Returns ``(realized_action, dropped_load)``.  Loads scale by
-    ``actual / planned`` on the committed speeds; scaling *up* is capped at
-    ``gamma * speed`` per server, and load that cannot be placed is dropped
-    (recorded, so experiments can verify it stays zero).
+    ``rows`` is the action's :class:`~repro.cluster.fleet.ClassRows`, as
+    the engine returned them; they are derived from ``action`` when
+    omitted.  Returns ``(levels, rows, dropped)``: the realized per-group
+    levels, the realized class rows and the dropped load.  Loads scale by
+    ``actual / planned`` on the committed speeds; scaling *up* is capped
+    at ``gamma * speed`` per server, load over the caps goes to the
+    headroom left, pro rata, and load that still cannot be placed is
+    dropped (recorded, so experiments can verify it stays zero).  A plan
+    that serves nothing spreads the arrival pro rata to capacity.
 
     ``failed_groups`` enforces physical reality under fault injection:
     servers in failed groups cannot run whatever the plan said, so their
-    levels are forced off and their load joins the redistribution (placed
-    on healthy headroom pro rata, dropped past capacity).  ``None`` keeps
-    the historical path untouched.
+    levels are forced off and their load joins the redistribution.  The
+    controllers here already plan failed groups off; only a plan that
+    does not has its rows re-derived.
+
+    Every group of a row carries the same per-server load before and
+    after, so the arithmetic runs over the few rows, not the groups.
     """
     fleet = model.fleet
-    if failed_groups:
-        mask = np.zeros(fleet.num_groups, dtype=bool)
-        mask[list(failed_groups)] = True
-        action = FleetAction(
-            levels=np.where(mask, -1, action.levels).astype(np.int64),
-            per_server_load=np.where(mask, 0.0, action.per_server_load),
-        )
     levels = action.levels
+    if failed_groups:
+        failed = sorted(failed_groups)
+        if (levels[failed] >= 0).any():
+            levels = levels.copy()
+            levels[failed] = -1
+            rows = None
+    if rows is None:
+        rows = fleet.class_rows(levels, action.per_server_load)
+    counts = rows.counts
     if actual_arrival <= 0.0:
-        return FleetAction(levels, np.zeros(fleet.num_groups)), 0.0
+        return levels, rows._replace(loads=(0.0,) * len(counts)), 0.0
 
-    # Per-server capacity gamma * speed on the on groups, zero when off.
-    idx = (levels >= 0).nonzero()[0]
-    caps = np.zeros(fleet.num_groups)
-    caps[idx] = model.gamma * fleet.speed_table[idx, levels[idx]]
-    if planned_arrival > 0.0 and action.served_load(fleet) > 0.0:
-        scaled = action.per_server_load * (actual_arrival / planned_arrival)
+    speed = fleet.class_lists[0]
+    gamma = model.gamma
+    caps = [gamma * speed[k] for k in rows.classes]
+    if planned_arrival > 0.0 and rows.served > 0.0:
+        ratio = actual_arrival / planned_arrival
+        scaled = [load * ratio for load in rows.loads]
     else:
         # Nothing was planned; spread over whatever is on, pro rata to capacity.
-        total_cap = float((fleet.counts * caps).sum())
+        total_cap = 0.0
+        for n, cap in zip(counts, caps):
+            total_cap += n * cap
         if total_cap <= 0.0:
-            return FleetAction(levels, np.zeros(fleet.num_groups)), actual_arrival
-        scaled = caps * min(actual_arrival / total_cap, 1.0)
+            return levels, rows._replace(loads=(0.0,) * len(counts)), actual_arrival
+        share = min(actual_arrival / total_cap, 1.0)
+        scaled = [cap * share for cap in caps]
 
-    clipped = np.minimum(scaled, caps)
-    served = float((fleet.counts * clipped).sum())
+    clipped = [min(x, cap) for x, cap in zip(scaled, caps)]
+    served = 0.0
+    for n, x in zip(counts, clipped):
+        served += n * x
     shortfall = actual_arrival - served
-    if shortfall > 1e-9 * max(actual_arrival, 1.0):
-        # Push the excess onto servers with headroom, pro rata.
-        headroom = fleet.counts * (caps - clipped)
-        total_head = float(headroom.sum())
-        take = min(shortfall, total_head)
-        if total_head > 0.0:
-            clipped = clipped + np.where(
-                fleet.counts > 0, take * (headroom / max(total_head, 1e-300)) / np.maximum(fleet.counts, 1.0), 0.0
-            )
-            served += take
-            shortfall -= take
     # Shortfalls below solver tolerance are floating-point residue of the
     # load-balance bisection, not real drops.
-    dropped = shortfall if shortfall > 1e-9 * max(actual_arrival, 1.0) else 0.0
-    return FleetAction(action.levels, clipped), dropped
+    tol = 1e-9 * max(actual_arrival, 1.0)
+    if shortfall > tol:
+        # Push the excess onto servers with headroom, pro rata.
+        total_head = 0.0
+        for n, x, cap in zip(counts, clipped, caps):
+            total_head += n * (cap - x)
+        if total_head > 0.0:
+            take = min(shortfall, total_head)
+            clipped = [x + take * (cap - x) / total_head for x, cap in zip(clipped, caps)]
+            shortfall -= take
+    dropped = shortfall if shortfall > tol else 0.0
+    return levels, rows._replace(loads=tuple(clipped)), dropped
 
 
 def _decide_degraded(
@@ -410,15 +434,17 @@ class SlotRunner:
                     self.last_realized, tele,
                 )
         actual = environment.actual_arrival(t)
-        realized, dropped = realize_action(
+        levels, rows, dropped = realize_action(
             model,
             solution.action,
             actual,
             obs.arrival_rate,
+            rows=solution.rows,
             failed_groups=None if injector is None else injector.failed_groups,
         )
+        fleet = model.fleet
         if injector is not None:
-            self.last_realized = realized
+            self.last_realized = FleetAction(levels, rows.expand(fleet, levels))
         realized_problem = model.slot_problem(
             arrival_rate=actual,
             onsite=obs.onsite,
@@ -429,8 +455,9 @@ class SlotRunner:
             network_delay=obs.network_delay,
             pue_override=obs.pue,
         )
-        evaluation = realized_problem.evaluate(realized)
-        self.prev_on = realized.on_counts(model.fleet)
+        evaluation = realized_problem.evaluate_rows(rows, levels)
+        self.prev_on = np.where(levels >= 0, fleet.counts, 0.0)
+        served = rows.served
 
         controller.observe(
             SlotOutcome(t=t, evaluation=evaluation, offsite=environment.offsite(t))
@@ -456,7 +483,7 @@ class SlotRunner:
                 price=obs.price,
                 objective=solution.objective,
                 planned_cost=solution.cost,
-                active_servers=solution.action.active_servers(model.fleet),
+                active_servers=solution.action.active_servers(fleet),
                 solve_time_s=solve_timer.elapsed,
             )
             tele.emit(
@@ -468,7 +495,7 @@ class SlotRunner:
                 brown_energy=evaluation.brown_energy,
                 switching_energy=evaluation.switching_energy,
                 arrival_actual=actual,
-                served=realized.served_load(model.fleet),
+                served=served,
                 dropped=dropped,
             )
             if dropped > 0.0:
@@ -493,7 +520,7 @@ class SlotRunner:
             metrics.gauge("sim.slot_switching_energy_mwh").set(
                 evaluation.switching_energy
             )
-            metrics.gauge("sim.slot_served_load").set(realized.served_load(model.fleet))
+            metrics.gauge("sim.slot_served_load").set(served)
             metrics.gauge("sim.slot_dropped_load").set(dropped)
             metrics.gauge("sim.slot_solve_time_s").set(solve_timer.elapsed)
 
@@ -507,9 +534,9 @@ class SlotRunner:
         cols["switching_energy"].append(evaluation.switching_energy)
         cols["arrival_predicted"].append(obs.arrival_rate)
         cols["arrival_actual"].append(actual)
-        cols["served"].append(realized.served_load(model.fleet))
+        cols["served"].append(served)
         cols["dropped"].append(dropped)
-        cols["active_servers"].append(realized.active_servers(model.fleet))
+        cols["active_servers"].append(rows.active_servers)
 
         if self.checkpoint is not None:
             self.checkpoint.maybe_write(t + 1, lambda: self.capture(t + 1))

@@ -12,7 +12,11 @@ GSD, the distributed protocol) because the sub-problem is an ordinary
 The fault-injection layer's failed set changes slot to slot -- under
 generated failures on almost every slot -- so caching sub-fleets per failed
 set would not help; instead each slot's sub-fleet is sliced from the full
-fleet's tables by :meth:`~repro.cluster.fleet.Fleet.subset`.
+fleet's tables by :meth:`~repro.cluster.fleet.Fleet.subset`.  The
+sub-solution's class rows carry over to the full fleet as they are when
+the fleet has one profile (a class id is then ``1 + level`` on any
+sub-fleet); otherwise they are re-derived from the expanded action on the
+full fleet, whose class tables are built once per run.
 """
 
 from __future__ import annotations
@@ -68,10 +72,17 @@ def solve_with_failed_groups(
     levels[healthy] = sub_solution.action.levels
     loads[healthy] = sub_solution.action.per_server_load
     action = FleetAction(levels=levels, per_server_load=loads)
+    if fleet.is_homogeneous and sub_solution.rows is not None:
+        # One profile: a class id is 1 + level on every sub-fleet, so the
+        # sub-fleet's rows are the full fleet's.
+        rows = sub_solution.rows
+    else:
+        rows = fleet.class_rows(levels, loads)
     info = dict(sub_solution.info)
     info["failed_groups"] = failed_list
     return SlotSolution(
         action=action,
-        evaluation=problem.evaluate(action),
+        evaluation=problem.evaluate_rows(rows, levels),
         info=info,
+        rows=rows,
     )

@@ -18,6 +18,15 @@ is written in closed form -- and the argmin is exact within the
 single-shared-speed family.  This is the engine used for year-long sweeps
 (8760 slots run in seconds).
 
+The chosen cell is one (profile, level) class row -- ``M`` servers at
+level ``k``, each carrying ``lambda / M`` -- and the solution carries it
+as :class:`~repro.cluster.fleet.ClassRows`.  Its evaluation is billed from
+those three numbers through
+:meth:`~repro.solvers.problem.SlotProblem.evaluate_totals`, not by a pass
+over the groups; it differs from the per-group sums only in rounding.
+The per-group action is still built for what reads groups (the on-counts
+of the next slot's switching charge, say).
+
 The one restriction relative to GSD's search space is mixed-speed
 configurations (different groups at different positive speeds in the same
 slot).  The ablation benchmark ``bench_ablation_solvers`` quantifies the
@@ -31,7 +40,7 @@ import time
 
 import numpy as np
 
-from ..cluster.fleet import FleetAction
+from ..cluster.fleet import ClassRows, FleetAction
 from ..cluster.power import LinearTariff, Tariff
 from .base import SlotSolution, SlotSolver
 from .problem import InfeasibleError, SlotProblem
@@ -166,9 +175,25 @@ class HomogeneousEnumerationSolver(SlotSolver):
         levels = np.full(G, -1, dtype=np.int64)
         levels[:j] = k
         per_server = np.zeros(G)
-        per_server[:j] = min(load[j], problem.gamma * speeds[k, 0])
+        if j:
+            # The chosen cell as one class row: M_j servers at level k, each
+            # carrying lambda / M_j (clipped to the cap it may round a few
+            # ulps above).  One profile means profile id 0: class 1 + k.
+            n = float(M[j])
+            s = float(profile.speeds[k])
+            x = min(float(load[j]), problem.gamma * s)
+            per_server[:j] = x
+            rows = ClassRows((1 + k,), (n,), (x,))
+            it_power = n * (profile.static_power + float(dyn_coeff[k, 0]) * x)
+            delay = n * problem.delay_model.cost_at(x, s)
+            served = n * x
+        else:
+            rows = ClassRows((), (), ())
+            it_power = delay = served = 0.0
         action = FleetAction(levels=levels, per_server_load=per_server)
-        evaluation = problem.evaluate(action)
+        evaluation = problem.evaluate_totals(
+            it_power, delay, served, problem.switching_energy(levels)
+        )
         if sp:
             sp.add("enum.finalize", time.perf_counter() - t_phase)
         return SlotSolution(
@@ -179,6 +204,7 @@ class HomogeneousEnumerationSolver(SlotSolver):
                 "speed_level": k if j > 0 else -1,
                 "candidates": int(feasible.sum()),
             },
+            rows=rows,
         )
 
     def _switching_energy(self, problem: SlotProblem) -> np.ndarray | None:

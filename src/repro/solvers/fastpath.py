@@ -34,9 +34,11 @@ candidate:
   GSD flip between two groups of one profile, say -- reuses the record
   and only adds its own switching term, the one part that depends on
   which groups toggled.  Class sums differ from the per-group sums of
-  :meth:`~repro.solvers.problem.SlotProblem.evaluate` only in rounding;
-  :meth:`EvaluationCache.solution_for` expands the chosen action to
-  per-group loads and re-evaluates it per group, and
+  :meth:`~repro.solvers.problem.SlotProblem.evaluate` only in rounding.
+  :meth:`EvaluationCache.solution_for` hands the chosen vector's record
+  on as :class:`~repro.cluster.fleet.ClassRows`, billed from the same
+  totals (its evaluation's objective is the scored one, bit for bit), and
+  expands per-group loads only for the action;
   :meth:`EvaluationCache.distribution_of` turns a record into a
   :class:`~repro.solvers.load_distribution.LoadDistribution` on demand.
 - **Delta feasibility screen**: from the same histogram, the on-set's
@@ -65,7 +67,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..cluster.fleet import FleetAction
+from ..cluster.fleet import ClassRows, FleetAction
 from .load_distribution import ClassSolve, ClassTable, LoadDistribution, distribute_load
 from .problem import InfeasibleError, SlotEvaluation, SlotProblem
 
@@ -150,7 +152,8 @@ class EvaluationCache:
     :meth:`objective_of` for the P3 objective (``inf`` for infeasible or
     cap-violating configurations).
     :meth:`solution_for` turns any previously scored vector back into a
-    full ``(FleetAction, SlotEvaluation)`` pair without re-solving.
+    full ``(FleetAction, SlotEvaluation, ClassRows)`` triple without
+    re-solving.
     """
 
     def __init__(self, problem: SlotProblem, *, warm_start: bool = False):
@@ -299,14 +302,31 @@ class EvaluationCache:
 
     def solution_for(
         self, levels: np.ndarray
-    ) -> tuple[FleetAction, SlotEvaluation]:
-        """Exact ``(action, evaluation)`` for a level vector, reusing the
-        cached inner solve when :meth:`objective_of` scored it before."""
+    ) -> tuple[FleetAction, SlotEvaluation, ClassRows]:
+        """Exact ``(action, evaluation, rows)`` for a level vector, from the
+        cached inner solve when :meth:`objective_of` scored it before.
+
+        The rows are the solve's class rows and the evaluation is billed
+        from its totals, as :meth:`objective_of` scores it, so the
+        evaluation's objective is the scored one bit for bit.
+        """
         hkey = self._histogram_of.get(levels.tobytes())
         if hkey is None:
-            loads = distribute_load(self.problem, levels).per_server_load
+            hkey = tuple(self._fleet.class_counts(levels)[1].tolist())
+            solve = distribute_load(self.problem, histogram=hkey, table=self._table)
         else:
-            ids = self._fleet.class_counts(levels)[0]
-            loads = self._solves[hkey].expand(self._fleet, ids)
-        action = FleetAction(levels=levels, per_server_load=loads)
-        return action, self.problem.evaluate(action)
+            solve = self._solves[hkey]
+        classes = tuple(k for k, n in enumerate(hkey) if n > 0.0)
+        counts = tuple(hkey[k] for k in classes)
+        loads = (
+            (0.0,) * len(classes)  # zero workload: every on server idles
+            if solve.class_load is None
+            else tuple(solve.class_load)
+        )
+        rows = ClassRows(classes, counts, loads)
+        p = self.problem
+        action = FleetAction(levels=levels, per_server_load=rows.expand(self._fleet, levels))
+        evaluation = p.evaluate_totals(
+            solve.it_power, solve.delay_sum, solve.served, p.switching_energy(levels)
+        )
+        return action, evaluation, rows

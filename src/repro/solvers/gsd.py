@@ -428,7 +428,7 @@ class GSDSolver(SlotSolver):
                 "operational caps; increase iterations or relax the caps"
             )
         t_final = time.perf_counter() if sp else 0.0
-        action, final_evaluation = cache.solution_for(best_levels)
+        action, final_evaluation, rows = cache.solution_for(best_levels)
         if sp:
             sp.add("gsd.finalize", time.perf_counter() - t_final)
         info: dict = {
@@ -454,4 +454,6 @@ class GSDSolver(SlotSolver):
                 accepted=hist_acc,
                 temperature=hist_temp,
             )
-        return SlotSolution(action=action, evaluation=final_evaluation, info=info)
+        return SlotSolution(
+            action=action, evaluation=final_evaluation, info=info, rows=rows
+        )

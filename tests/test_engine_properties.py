@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from repro.baselines import CarbonUnaware
 from repro.cluster import Fleet, FleetAction, ServerGroup, opteron_2380
 from repro.core import DataCenterModel
-from repro.sim.engine import realize_action
+from repro.sim import engine
 
 
 @pytest.fixture(scope="module")
@@ -21,6 +21,12 @@ def planned_action(model, planned):
     """A plausible committed action for a planned arrival rate."""
     problem = model.slot_problem(arrival_rate=planned, onsite=0.0, price=40.0)
     return CarbonUnaware(model).solver.solve(problem).action
+
+
+def realize_action(model, action, actual, planned):
+    """The shipped class-space realization, its rows expanded per group."""
+    levels, rows, dropped = engine.realize_action(model, action, actual, planned)
+    return FleetAction(levels, rows.expand(model.fleet, levels)), dropped
 
 
 class TestRealizeActionProperties:

@@ -253,13 +253,17 @@ class TestSlicedSubFleets:
             levels=np.where(mask, -1, action.levels).astype(np.int64),
             per_server_load=np.where(mask, 0.0, action.per_server_load),
         )
+        rows = model.fleet.class_rows(action.levels, action.per_server_load)
         for actual in (0.8 * planned, 1.1 * planned):
-            got, got_drop = realize_action(
-                model, action, actual, planned, failed_groups=frozenset(failed)
+            got_levels, got, got_drop = realize_action(
+                model, action, actual, planned,
+                rows=rows, failed_groups=frozenset(failed),
             )
-            want, want_drop = realize_action(model, forced, actual, planned)
-            assert np.array_equal(got.levels, want.levels)
-            assert np.array_equal(got.per_server_load, want.per_server_load)
+            want_levels, want, want_drop = realize_action(
+                model, forced, actual, planned
+            )
+            assert np.array_equal(got_levels, want_levels)
+            assert got == want
             assert got_drop == want_drop
 
     def test_solve_with_failed_groups_checks(self, tiny_model):

@@ -154,7 +154,7 @@ class TestCacheBitIdentity:
                 best, best_levels = obj, levels.copy()
         oracle = BruteForceOracle().solve(problem)
         assert np.array_equal(oracle.action.levels, best_levels)
-        action, evaluation = cache.solution_for(best_levels)
+        action, evaluation, _ = cache.solution_for(best_levels)
         assert evaluation.objective == oracle.objective
         assert action.per_server_load.tobytes() == oracle.action.per_server_load.tobytes()
         return cache, oracle
@@ -258,7 +258,7 @@ class TestEvaluationCache:
         levels = (p.fleet.num_levels - 1).astype(np.int64)
         obj = cache.objective_of(levels)
         solves_before = cache.stats.inner_solves
-        action, evaluation = cache.solution_for(levels)
+        action, evaluation, _ = cache.solution_for(levels)
         assert cache.stats.inner_solves == solves_before
         assert evaluation.objective == obj
         dist = distribute_load(p, levels)
@@ -299,7 +299,7 @@ class TestEvaluationCache:
         assert cache.distribution_of(scored).classes is not None
         unscored = np.array([3, 3, 3], dtype=np.int64)
         assert cache.distribution_of(unscored) is None
-        action, evaluation = cache.solution_for(unscored)
+        action, evaluation, _ = cache.solution_for(unscored)
         want = distribute_load(p, unscored).per_server_load
         assert action.per_server_load.tobytes() == want.tobytes()
         assert evaluation.objective == pytest.approx(cold_objective(p, unscored))

@@ -139,7 +139,7 @@ def _check(problem: SlotProblem, cache: EvaluationCache, levels: np.ndarray) -> 
         action = FleetAction(levels=levels, per_server_load=dist.per_server_load)
         assert problem.violates_caps(problem.evaluate(action))
         return "caps"
-    action, _ = cache.solution_for(levels)
+    action, _, _ = cache.solution_for(levels)
     want = problem.evaluate(action)
     if math.isinf(got):
         assert problem.violates_caps(want)

@@ -52,24 +52,24 @@ class TestRealizeAction:
         unaware = CarbonUnaware(sc.model)
         obs = sc.environment.observation(12)
         sol = unaware.decide(obs)
-        realized, dropped = realize_action(
-            sc.model, sol.action, obs.arrival_rate, obs.arrival_rate
+        levels, rows, dropped = realize_action(
+            sc.model, sol.action, obs.arrival_rate, obs.arrival_rate, rows=sol.rows
         )
         assert dropped == 0.0
-        np.testing.assert_allclose(
-            realized.per_server_load, sol.action.per_server_load
-        )
+        assert np.array_equal(levels, sol.action.levels)
+        assert rows.classes == sol.rows.classes
+        np.testing.assert_allclose(rows.loads, sol.rows.loads)
 
     def test_overestimation_scales_down(self, week_scenario):
         sc = week_scenario
         unaware = CarbonUnaware(sc.model)
         obs = sc.environment.observation(12)
         sol = unaware.decide(obs)
-        realized, dropped = realize_action(
+        _, rows, dropped = realize_action(
             sc.model, sol.action, 0.5 * obs.arrival_rate, obs.arrival_rate
         )
         assert dropped == 0.0
-        assert realized.served_load(sc.model.fleet) == pytest.approx(
+        assert rows.served == pytest.approx(
             0.5 * obs.arrival_rate
         )
 
@@ -79,7 +79,7 @@ class TestRealizeAction:
         obs = sc.environment.observation(12)
         sol = unaware.decide(obs)
         actual = 1.2 * obs.arrival_rate
-        realized, dropped = realize_action(sc.model, sol.action, actual, obs.arrival_rate)
+        _, rows, dropped = realize_action(sc.model, sol.action, actual, obs.arrival_rate)
         capacity_on = float(
             np.sum(
                 sc.model.fleet.counts
@@ -87,7 +87,7 @@ class TestRealizeAction:
                 * sc.model.fleet.group_speeds(sol.action.levels)
             )
         )
-        served = realized.served_load(sc.model.fleet)
+        served = rows.served
         assert served + dropped == pytest.approx(actual, rel=1e-9)
         assert served <= capacity_on * (1 + 1e-9)
 
@@ -95,8 +95,8 @@ class TestRealizeAction:
         sc = week_scenario
         unaware = CarbonUnaware(sc.model)
         sol = unaware.decide(sc.environment.observation(12))
-        realized, dropped = realize_action(sc.model, sol.action, 0.0, 100.0)
-        assert realized.served_load(sc.model.fleet) == 0.0
+        _, rows, dropped = realize_action(sc.model, sol.action, 0.0, 100.0)
+        assert rows.served == 0.0
         assert dropped == 0.0
 
     def test_nothing_on_drops_everything(self, week_scenario):
@@ -104,7 +104,8 @@ class TestRealizeAction:
 
         sc = week_scenario
         off = FleetAction.all_off(sc.model.fleet)
-        realized, dropped = realize_action(sc.model, off, 50.0, 0.0)
+        _, rows, dropped = realize_action(sc.model, off, 50.0, 0.0)
+        assert rows.classes == ()
         assert dropped == pytest.approx(50.0)
 
 
