@@ -11,9 +11,20 @@ Refresh after an intentional behavior change with::
 
     PYTHONPATH=src python -m pytest tests/test_golden_run.py --update-goldens
 
-and commit the rewritten JSON alongside the change.  JSON stores float64
-via ``repr``, which round-trips exactly, so comparisons are ``==``, not
-approx.
+and commit the rewritten JSON on its own, with the tolerance the
+re-baseline moved the values by written below.  JSON stores float64 via
+``repr``, which round-trips exactly, so comparisons are ``==``, not
+approx: within a commit the run is bit-exact.
+
+Re-baselines of a numeric contract, and how far each moved the pins:
+
+- Class-space slot bill (the engine's chosen cell and the realized slot
+  billed as (profile, level) class rows instead of per-group sums): the
+  contract is the per-group bill within 1e-12 relative
+  (``tests/test_class_billing.py``).  ``cost``, ``brown_energy``,
+  ``queue``, ``served`` and ``facility_power`` moved on 163 of 1,176
+  pinned values, by at most 1.2e-15 relative; ``dropped`` and
+  ``v_applied`` did not move.
 """
 
 from __future__ import annotations
