@@ -9,7 +9,8 @@ forever (or until the horizon, a stop signal, or ``--max-slots``).
   per slot, degrading losses through the fault injector;
 - the **journal** persists each resolved frame before the slot executes,
   so a SIGKILL loses at most the in-flight slot;
-- the **board** (and its HTTP view) is refreshed once per slot;
+- the **board** (and its HTTP view) is refreshed once per slot; the
+  solve-latency percentiles are computed only when ``/status`` is read;
 - the **dashboard** re-renders every N slots from a bounded ring of recent
   events, so operators get a live HTML health report without unbounded
   memory;
@@ -93,6 +94,26 @@ class ControlService:
         self._summed = 0
         self._brown = 0.0
         self._cost = 0.0
+        self.board.compute("solver_latency", self._solver_latency)
+
+    def _solver_latency(self) -> dict:
+        """The board's ``solver_latency`` block, built when ``/status`` is
+        read: the percentiles sort the whole latency reservoir, which would
+        cost a third of a serve slot if refreshed every slot."""
+        metrics = self.runner.tele.metrics
+        if "sim.solve_time_s" not in metrics:  # read-only: create nothing
+            return {}
+        hist = metrics.histogram("sim.solve_time_s")
+        if not hist.count:
+            return {}
+        p50, p90, p99 = hist.percentiles((50, 90, 99))
+        return {
+            "count": hist.count,
+            "p50_ms": p50 * 1000.0,
+            "p90_ms": p90 * 1000.0,
+            "p99_ms": p99 * 1000.0,
+            "max_ms": hist.max * 1000.0,
+        }
 
     # ------------------------------------------------------------------
     def _render_dashboard(self) -> None:
@@ -116,17 +137,6 @@ class ControlService:
         self._summed = len(cols["cost"])
         brown = float(self._brown)
         cost = float(self._cost)
-        latency = {}
-        hist = runner.tele.metrics.histogram("sim.solve_time_s")
-        if hist.count:
-            p50, p90, p99 = hist.percentiles((50, 90, 99))
-            latency = {
-                "count": hist.count,
-                "p50_ms": p50 * 1000.0,
-                "p90_ms": p90 * 1000.0,
-                "p99_ms": p99 * 1000.0,
-                "max_ms": hist.max * 1000.0,
-            }
         alerts: dict = {"total": 0}
         if self.suite is not None:
             channel = self.suite.channel
@@ -158,7 +168,6 @@ class ControlService:
             },
             cost_dollars=cost,
             alerts=alerts,
-            solver_latency=latency,
             signals=self.resolver.stats(),
             checkpoint=checkpointing,
         )
@@ -198,8 +207,11 @@ class ControlService:
                 return self._stop(t, "max_slots")
 
             frame = self.resolver.resolve(t)
-            # Journal before executing: after a kill mid-step the frame is
-            # on disk and the resumed run re-executes the slot from it.
+            # Journal before executing, so the journal holds every frame a
+            # checkpoint can cover.  A resume reloads only the first
+            # ``checkpoint.slot`` frames and re-resolves every later slot,
+            # the in-flight one included, from the source.  Appends are
+            # flushed, not fsynced (docs/SERVING.md, "Journal durability").
             if isinstance(runner.environment, LiveEnvironment):
                 runner.environment.append(frame)
             if self.journal is not None:

@@ -1,7 +1,8 @@
 """The service's status endpoint: a thread-safe board plus an HTTP view.
 
 :class:`StatusBoard` is the single source of truth the control loop updates
-once per slot (cheap: one dict swap under a lock).  :class:`StatusServer`
+once per slot (cheap: one dict swap under a lock); fields that cost a sort
+to build are computed when ``/status`` is read.  :class:`StatusServer`
 is a stdlib ``ThreadingHTTPServer`` on a daemon thread serving the board as
 JSON -- ``GET /status`` for the full snapshot, ``GET /healthz`` for
 liveness probes, and (when a :class:`~repro.telemetry.MetricsRegistry` is
@@ -19,6 +20,7 @@ from __future__ import annotations
 import json
 import threading
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+from typing import Any, Callable
 
 from ..telemetry.metrics import MetricsRegistry
 from ..telemetry.prometheus import PROMETHEUS_CONTENT_TYPE, render_prometheus
@@ -28,21 +30,43 @@ __all__ = ["StatusBoard", "StatusServer"]
 
 
 class StatusBoard:
-    """Mutable snapshot of a running service, safe to read from any thread."""
+    """Mutable snapshot of a running service, safe to read from any thread.
+
+    Most fields are stored as the loop sets them.  A field whose value
+    costs real work and may go unread (the solve-latency percentiles, one
+    sort of the whole latency reservoir) is registered with
+    :meth:`compute` instead and evaluated only when a snapshot is read.
+    """
 
     def __init__(self) -> None:
         self._lock = threading.Lock()
         self._data: dict = {"state": "starting", "slot": 0}
+        self._computed: dict[str, Callable[[], Any]] = {}
 
     def update(self, **fields) -> None:
         """Merge ``fields`` into the snapshot."""
         with self._lock:
             self._data.update(fields)
 
-    def snapshot(self) -> dict:
-        """A consistent copy of the current snapshot."""
+    def compute(self, name: str, read: Callable[[], Any]) -> None:
+        """Serve field ``name`` as ``read()``, called on each snapshot."""
         with self._lock:
-            return dict(self._data)
+            self._computed[name] = read
+
+    def get(self, name: str, default: Any = None) -> Any:
+        """One stored field, without evaluating the computed ones."""
+        with self._lock:
+            return self._data.get(name, default)
+
+    def snapshot(self) -> dict:
+        """A consistent copy of the current snapshot, computed fields
+        evaluated now."""
+        with self._lock:
+            data = dict(self._data)
+            computed = list(self._computed.items())
+        for name, read in computed:
+            data[name] = read()
+        return data
 
 
 class _Handler(BaseHTTPRequestHandler):
@@ -59,7 +83,7 @@ class _Handler(BaseHTTPRequestHandler):
             ).encode()
             self._respond(200, body)
         elif path == "/healthz":
-            state = self.board.snapshot().get("state", "unknown")
+            state = self.board.get("state", "unknown")
             code = 200 if state in ("starting", "running", "stopping") else 503
             self._respond(code, json.dumps({"state": state}).encode())
         elif path == "/metrics" and self.registry is not None:

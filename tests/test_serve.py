@@ -48,6 +48,8 @@ from repro.state import (
     load_record,
     record_mismatches,
 )
+from repro.telemetry import Telemetry
+from repro.telemetry.metrics import Histogram
 from tests.state_oracle import prefix_fingerprint, record_spans, without_run_id
 
 V = 150.0
@@ -390,6 +392,35 @@ class TestStatusEndpoint:
             server.close()
 
 
+    def test_latency_percentiles_only_when_read(self, scenario, monkeypatch):
+        """Slots run with nobody reading ``/status`` sort nothing; a read
+        builds the latency block from the reservoir then."""
+        calls = []
+        percentiles = Histogram.percentiles
+
+        def counting(hist, ps):
+            calls.append(hist.name)
+            return percentiles(hist, ps)
+
+        monkeypatch.setattr(Histogram, "percentiles", counting)
+        environment = LiveEnvironment(scenario.horizon, base=scenario.environment)
+        runner = SlotRunner(
+            scenario.model, _controller(scenario), environment, telemetry=Telemetry()
+        )
+        runner.start()
+        service = ControlService(
+            runner,
+            StalenessResolver(ReplaySignalSource(scenario.environment)),
+            max_slots=12,
+        )
+        assert service.run().status == "stopped"
+        assert calls == []
+        latency = service.board.snapshot()["solver_latency"]
+        assert calls == ["sim.solve_time_s"]
+        assert latency["count"] == 12
+        assert 0.0 < latency["p50_ms"] <= latency["max_ms"]
+
+
 # ------------------------------------------------------------ bit-identity
 class TestReplayBitIdentity:
     def test_uninterrupted_serve_matches_batch(self, scenario):
@@ -598,6 +629,26 @@ class TestCheckpointBytesAcrossResume:
         os.truncate(log, end)  # a crash right after slot `stop`
         assert main(["resume", str(resumed)]) == 0
         self._assert_resumed_bytes_match(golden, resumed, stop)
+
+    def test_journal_behind_the_checkpoint_refuses_resume(self, tmp_path, capsys):
+        """The journal is flushed but not fsynced while every checkpoint
+        record is, so after an OS crash the log can hold more slots than
+        the journal (docs/SERVING.md, "Journal durability").  Resume then
+        cannot rebuild the resolved prefix and exits 1."""
+        serve = ["serve", "--source", "synthetic", "--source-seed", "7", *self.ARGS]
+        ckpt = tmp_path / "ckpt"
+        assert main([*serve, "--checkpoint-dir", str(ckpt), "--max-slots", "13"]) == 0
+        capsys.readouterr()
+        journal = ckpt / JOURNAL_NAME
+        lines = journal.read_text().splitlines(keepends=True)
+        assert len(lines) == 13
+        journal.write_text("".join(lines[:9]))
+        assert main(["serve", "--resume", "--checkpoint-dir", str(ckpt)]) == EXIT_BAD_INPUT
+        err = capsys.readouterr().err
+        assert (
+            f"journal {journal} holds 9 frame(s) but the checkpoint is at slot 13; "
+            "cannot rebuild the resolved prefix"
+        ) in err
 
     def test_synthetic_serve_stop_and_resume(self, tmp_path, capsys):
         serve = ["serve", "--source", "synthetic", "--source-seed", "7", *self.ARGS]
