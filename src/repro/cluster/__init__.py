@@ -1,6 +1,6 @@
 """Data-center substrate: servers, fleets, queueing, power, switching."""
 
-from .fleet import Fleet, FleetAction, ServerGroup, default_fleet
+from .fleet import ClassRows, Fleet, FleetAction, ServerGroup, default_fleet
 from .power import LinearTariff, PowerModel, Tariff, TieredTariff, brown_energy
 from .queueing import DELAY_UNIT_COST, DelayCostModel, MG1PSDelay, SquaredLoadDelay
 from .server import WATT, ServerProfile, cubic_dvfs_profile, opteron_2380
@@ -11,6 +11,7 @@ __all__ = [
     "opteron_2380",
     "cubic_dvfs_profile",
     "WATT",
+    "ClassRows",
     "Fleet",
     "FleetAction",
     "ServerGroup",

@@ -10,18 +10,19 @@ count of identical servers, possibly with *different* profiles across groups
 
 A one-slot decision -- the pair (speed vector, load distribution) of problem
 P3 -- is a :class:`FleetAction`: one speed level per group (``-1`` = off,
-i.e. the zero speed ``s_{i,0}``) plus a per-server load for each group.  By
-symmetry and convexity of the delay cost, servers inside a group always
-share load equally at an optimum, so a per-group scalar loses nothing.
+i.e. the zero speed ``s_{i,0}``) plus the load split as :class:`ClassRows`.
+By symmetry and convexity of the delay cost, servers that share a profile
+and a speed share load equally at an optimum, so one per-server load per
+(profile, level) class loses nothing.
 
-Everything is laid out as padded NumPy tables so solvers can evaluate power
-(Eq. (2)) and delay cost (Eq. (4)) for whole fleets, or for batches of
-candidate actions, without Python-level loops.
+Everything is laid out as padded NumPy tables so solvers can score power
+(Eq. (2)) and delay cost (Eq. (4)) for batches of candidate on-sets without
+Python-level loops.
 
 Groups that share a profile and a speed level are interchangeable inside
 the load-distribution solve: a per-server load depends only on the
 (profile, level) *class*, and the group's server count only weights it.
-:meth:`Fleet.class_histogram` collapses a level vector onto those classes;
+:meth:`Fleet.class_counts` collapses a level vector onto those classes;
 the profile ids behind it are computed on first use, so fleets that never
 reach the water-fill (per-slot failure sub-fleets on the enumeration
 engine) never pay for them.
@@ -36,7 +37,7 @@ its pickled bytes.
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from typing import NamedTuple, Sequence
 
@@ -303,45 +304,6 @@ class Fleet:
         _, _, speed, coeff, static = self._class_tables
         return speed.tolist(), coeff.tolist(), static.tolist()
 
-    def class_rows(
-        self, levels: np.ndarray, per_server_load: np.ndarray
-    ) -> "ClassRows":
-        """The :class:`ClassRows` of a per-group action (off groups' loads
-        are ignored).
-
-        Raises ``ValueError`` when two on groups of one class carry
-        different loads: a class row holds one per-server load.  Every
-        engine and fallback in this package loads a class uniformly.
-        """
-        ids, counts = self.class_counts(levels)
-        loads = np.asarray(per_server_load, dtype=np.float64)
-        table = np.zeros(counts.size)
-        table[ids] = loads
-        on = ids > 0
-        if not np.array_equal(table[ids[on]], loads[on]):
-            raise ValueError(
-                "per-server loads differ within a (profile, level) class"
-            )
-        classes = np.flatnonzero(counts)
-        return ClassRows(
-            tuple(classes.tolist()),
-            tuple(counts[classes].tolist()),
-            tuple(table[classes].tolist()),
-        )
-
-    def class_histogram(
-        self, levels: np.ndarray
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Collapse a level vector onto (profile, level) classes.
-
-        Returns ``(ids, classes, counts)``: the class id of every group
-        (``0`` when off), the ascending ids of the classes with at least
-        one server on, and the summed server count of each of those.
-        """
-        ids, counts = self.class_counts(levels)
-        classes = np.flatnonzero(counts)
-        return ids, classes, counts[classes]
-
     @cached_property
     def prefix_servers(self) -> np.ndarray:
         """Server count of every group prefix: ``prefix_servers[j]`` servers
@@ -356,9 +318,6 @@ class Fleet:
         """Usable service rate under the utilization cap ``gamma`` (Eq. (7))."""
         return gamma * self.max_capacity
 
-    # ------------------------------------------------------------------
-    # Vectorized action evaluation
-    # ------------------------------------------------------------------
     def group_speeds(self, levels: np.ndarray) -> np.ndarray:
         """Per-group service rate for a level vector (``-1`` -> 0 speed)."""
         levels = np.asarray(levels)
@@ -367,107 +326,34 @@ class Fleet:
         out[on] = self.speed_table[np.nonzero(on)[0], levels[on]]
         return out
 
-    def action_power(self, levels: np.ndarray, per_server_load: np.ndarray) -> float:
-        """Total IT power (MW) of an action -- Eq. (2) summed over groups."""
-        return self.action_totals(
-            np.asarray(levels), np.asarray(per_server_load, dtype=np.float64)
-        )[0]
-
-    def action_delay_sum(
-        self,
-        levels: np.ndarray,
-        per_server_load: np.ndarray,
-        delay_model=None,
-    ) -> float:
-        """Unweighted delay sum over all servers.
-
-        With the default ``delay_model=None`` this is Eq. (4)'s M/G/1/PS
-        form ``sum_i lambda_i / (x_i - lambda_i)``; pass any
-        :class:`~repro.cluster.queueing.DelayCostModel` to evaluate an
-        alternative convex delay cost (section 2.3's generality claim).
-        Infinite when any server is at or beyond saturation under the
-        M/G/1/PS model; other models define their own saturation behavior.
-        """
-        return self.action_totals(
-            np.asarray(levels),
-            np.asarray(per_server_load, dtype=np.float64),
-            delay_model,
-        )[1]
-
-    def action_totals(
-        self, levels: np.ndarray, per_server_load: np.ndarray, delay_model=None
-    ) -> tuple[float, float]:
-        """``(action_power, action_delay_sum)`` of a level array and a float
-        load array (a :class:`FleetAction`'s), gathering the on groups'
-        rows once for both sums."""
-        idx = (levels >= 0).nonzero()[0]
-        if idx.size == 0:
-            return 0.0, (0.0 if (per_server_load <= 0).all() else np.inf)
-        on_levels = levels[idx]
-        lam = per_server_load[idx]
-        counts = self.counts[idx]
-        per_server = self.static_power[idx] + self.dyn_coeff[idx, on_levels] * lam
-        power = float((counts * per_server).sum())
-        x = self.speed_table[idx, on_levels]
-        if delay_model is not None:
-            return power, float((counts * delay_model.cost(lam, x)).sum())
-        if (lam >= x).any():
-            return power, np.inf
-        return power, float((counts * lam / (x - lam)).sum())
-
-    def validate_action(
-        self,
-        levels: np.ndarray,
-        per_server_load: np.ndarray,
-        total_load: float,
-        gamma: float,
-        *,
-        atol: float = 1e-6,
-    ) -> None:
-        """Raise ``ValueError`` unless the action satisfies constraints
-        (7)-(9): valid levels, loads in ``[0, gamma * x]``, and loads summing
-        to ``total_load``."""
-        levels = np.asarray(levels)
-        load = np.asarray(per_server_load, dtype=np.float64)
-        if levels.shape != (self.num_groups,) or load.shape != (self.num_groups,):
-            raise ValueError("action arrays must have one entry per group")
-        if np.any(levels >= self.num_levels):
-            raise ValueError("speed level out of range for some group")
-        off = levels < 0
-        if np.any(load[off] > atol):
-            raise ValueError("off groups must carry zero load")
-        if np.any(load < -atol):
-            raise ValueError("negative per-server load")
-        speeds = self.group_speeds(levels)
-        if np.any(load > gamma * speeds + atol * np.maximum(speeds, 1.0)):
-            raise ValueError("per-server load exceeds gamma * speed")
-        served = float(np.sum(self.counts * load))
-        scale = max(abs(total_load), 1.0)
-        if abs(served - total_load) > 1e-6 * scale + atol:
-            raise ValueError(
-                f"load distribution serves {served:.6g}, expected {total_load:.6g}"
-            )
-
 
 class ClassRows(NamedTuple):
-    """One slot's decision in (profile, level) class space.
+    """The load split of one slot's decision, in (profile, level) class
+    space.
 
-    Every group of a class runs at the same speed, and every engine here
-    gives each of them the same per-server load.  So a decision is billed
-    whole by one row per class with servers on: its class id (the ids of
-    :meth:`Fleet.class_counts`, ascending), the servers on in it and that
-    per-server load.  The paper's 200 homogeneous groups make one row;
-    nothing about a row depends on how many groups it spans.
-
-    Sums over rows differ from the per-group sums of a
-    :class:`FleetAction` only in rounding.  The per-group arrays stay where
-    something reads groups: the on-counts behind switching energy, a fault
-    run's last realized action and the checkpoints.
+    In the KKT water-fill a group's per-server load depends only on its
+    class, and every engine and fallback here loads a class uniformly.  So
+    the split is one row per class with servers on: its class id (the ids
+    of :meth:`Fleet.class_counts`, ascending), the servers on in it and
+    their per-server load.  The paper's 200 homogeneous groups make one
+    row; nothing about a row depends on how many groups it spans.
     """
 
     classes: tuple[int, ...]
     counts: tuple[float, ...]
     loads: tuple[float, ...]
+
+    @classmethod
+    def of(cls, fleet: "Fleet", levels: np.ndarray, class_load) -> "ClassRows":
+        """The rows of ``levels`` with per-server load ``class_load[k]`` on
+        every on class ``k`` (an array or mapping indexed by class id)."""
+        counts = fleet.class_counts(levels)[1]
+        classes = np.flatnonzero(counts).tolist()
+        return cls(
+            tuple(classes),
+            tuple(counts[classes].tolist()),
+            tuple(float(class_load[k]) for k in classes),
+        )
 
     @property
     def served(self) -> float:
@@ -495,56 +381,35 @@ class ClassRows(NamedTuple):
             served += n * load
         return it_power, delay_sum, served
 
-    def expand(self, fleet: "Fleet", levels: np.ndarray) -> np.ndarray:
-        """Per-group loads of the level vector these rows were taken from."""
-        flat, offsets = fleet.class_id_table
-        table = np.zeros(fleet.num_classes)
-        table[list(self.classes)] = self.loads
-        return table[flat[offsets + levels]]
-
 
 @dataclass(frozen=True)
 class FleetAction:
-    """One slot's capacity-provisioning + load-distribution decision.
+    """One slot's decision of problem P3: a speed vector and a load split.
 
     Attributes
     ----------
     levels:
         Integer speed level per group; ``-1`` means the zero speed (off).
-    per_server_load:
-        Arrival rate (req/s) routed to *each server* of each group.
+        The on-counts behind switching energy are read from these.
+    rows:
+        The load split as :class:`ClassRows`: every server of a class
+        carries its row's per-server load (req/s).
     """
 
     levels: np.ndarray
-    per_server_load: np.ndarray
+    rows: ClassRows
 
     def __post_init__(self) -> None:
         levels = np.asarray(self.levels, dtype=np.int64).copy()
-        load = np.asarray(self.per_server_load, dtype=np.float64).copy()
-        if levels.shape != load.shape or levels.ndim != 1:
-            raise ValueError("levels and per_server_load must be equal-length 1-D")
+        if levels.ndim != 1:
+            raise ValueError("levels must be 1-D")
         levels.setflags(write=False)
-        load.setflags(write=False)
         object.__setattr__(self, "levels", levels)
-        object.__setattr__(self, "per_server_load", load)
 
     @classmethod
     def all_off(cls, fleet: Fleet) -> "FleetAction":
         """The idle action: every group at the zero speed."""
-        g = fleet.num_groups
-        return cls(levels=np.full(g, -1, dtype=np.int64), per_server_load=np.zeros(g))
-
-    def power(self, fleet: Fleet) -> float:
-        """Total IT power (MW) under this action."""
-        return fleet.action_power(self.levels, self.per_server_load)
-
-    def delay_sum(self, fleet: Fleet) -> float:
-        """Unweighted delay-cost sum (Eq. (4)) under this action."""
-        return fleet.action_delay_sum(self.levels, self.per_server_load)
-
-    def served_load(self, fleet: Fleet) -> float:
-        """Total arrival rate served (req/s)."""
-        return float((fleet.counts * self.per_server_load).sum())
+        return cls(np.full(fleet.num_groups, -1, dtype=np.int64), ClassRows((), (), ()))
 
     def active_servers(self, fleet: Fleet) -> float:
         """Number of servers that are on (at a positive speed)."""

@@ -30,7 +30,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..cluster.fleet import FleetAction
+from ..cluster.fleet import ClassRows, FleetAction
 from ..core.config import DataCenterModel
 from ..core.controller import SlotObservation
 from ..solvers.base import SlotSolution
@@ -40,6 +40,22 @@ __all__ = ["DegradationPolicy", "proportional_action"]
 
 #: Fallback modes a policy may use.
 FALLBACK_MODES = ("last_action", "proportional")
+
+
+def _spread(
+    model: DataCenterModel, levels: np.ndarray, arrival_rate: float
+) -> FleetAction | None:
+    """``levels`` with the arrival spread pro rata to capped capacity:
+    ``gamma * x_k * ratio`` per server of every on class ``k``; ``None``
+    when nothing is on."""
+    fleet = model.fleet
+    caps = np.where(levels >= 0, model.gamma * fleet.group_speeds(levels), 0.0)
+    total = float(np.sum(fleet.counts * caps))
+    if total <= 0.0:
+        return None
+    ratio = min(max(arrival_rate, 0.0) / total, 1.0)
+    class_load = model.gamma * fleet.class_speed * ratio
+    return FleetAction(levels, ClassRows.of(fleet, levels, class_load))
 
 
 def proportional_action(
@@ -60,12 +76,10 @@ def proportional_action(
         ],
         dtype=np.int64,
     )
-    caps = np.where(levels >= 0, model.gamma * fleet.group_speeds(levels), 0.0)
-    total = float(np.sum(fleet.counts * caps))
-    if total <= 0.0:
+    action = _spread(model, levels, arrival_rate)
+    if action is None:
         raise InfeasibleError("no healthy capacity for proportional dispatch")
-    ratio = min(max(arrival_rate, 0.0) / total, 1.0)
-    return FleetAction(levels=levels, per_server_load=caps * ratio)
+    return action
 
 
 @dataclass
@@ -93,18 +107,22 @@ class DegradationPolicy:
         self,
         model: DataCenterModel,
         observation: SlotObservation,
-        last_action: FleetAction | None,
+        last_levels: np.ndarray | None,
         failed: frozenset[int] | set[int] = frozenset(),
     ) -> SlotSolution:
-        """The action to run instead of the failed solve.
+        """The action to run instead of the failed solve; ``last_levels``
+        are the last realized per-group levels (``None`` before any).
 
         Raises :class:`InfeasibleError` only when *no* healthy capacity
         exists at all — the one situation with nothing left to degrade to.
         """
         action: FleetAction | None = None
         used = self.mode
-        if self.mode == "last_action" and last_action is not None:
-            action = self._rescale_last(model, observation, last_action, failed)
+        if self.mode == "last_action" and last_levels is not None:
+            levels = np.where(
+                np.isin(np.arange(model.fleet.num_groups), sorted(failed)), -1, last_levels
+            ).astype(np.int64)
+            action = _spread(model, levels, observation.arrival_rate)
         if action is None:
             used = "proportional"
             action = proportional_action(model, observation.arrival_rate, failed)
@@ -119,37 +137,11 @@ class DegradationPolicy:
             network_delay=observation.network_delay,
             pue_override=observation.pue,
         )
-        # The loads are gamma * s * ratio per group, so one per class.
-        rows = model.fleet.class_rows(action.levels, action.per_server_load)
         return SlotSolution(
             action=action,
-            evaluation=problem.evaluate_rows(rows, action.levels),
+            evaluation=problem.evaluate(action),
             info={"fallback": used, "failed_groups": sorted(failed)},
-            rows=rows,
         )
-
-    def _rescale_last(
-        self,
-        model: DataCenterModel,
-        observation: SlotObservation,
-        last_action: FleetAction,
-        failed: frozenset[int] | set[int],
-    ) -> FleetAction | None:
-        """Mask the last action to healthy groups and retarget its load to
-        the slot's workload; ``None`` when nothing usable remains on."""
-        fleet = model.fleet
-        levels = np.where(
-            np.isin(np.arange(fleet.num_groups), sorted(failed)),
-            -1,
-            last_action.levels,
-        ).astype(np.int64)
-        caps = np.where(levels >= 0, model.gamma * fleet.group_speeds(levels), 0.0)
-        weights = fleet.counts * caps
-        total = float(weights.sum())
-        if total <= 0.0:
-            return None
-        ratio = min(max(observation.arrival_rate, 0.0) / total, 1.0)
-        return FleetAction(levels=levels, per_server_load=caps * ratio)
 
     # ------------------------------------------------------------------
     def record(self, reason: str, *, fallback: bool) -> None:

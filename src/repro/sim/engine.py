@@ -15,14 +15,16 @@ mirroring the paper's information structure:
 4. the controller observes the outcome, including the off-site supply
    ``f(t)`` realized only now (COCA updates its deficit queue here).
 
-Steps 2 and 3 run in (profile, level) class space.  Every engine hands
-its decision over as :class:`~repro.cluster.fleet.ClassRows` -- the
-servers on and the per-server load of each class with servers on, one row
-for the paper's 200 identical groups -- and :func:`realize_action`
-rescales those rows, which :meth:`~repro.solvers.problem.SlotProblem
-.evaluate_rows` then bills in one pass.  The realized per-group levels are
-kept for what reads groups: the next slot's switching charge, a fault
-run's last realized action and the checkpoints.
+Steps 2 and 3 run in (profile, level) class space.  Every engine and
+fallback hands its decision over as a
+:class:`~repro.cluster.fleet.FleetAction`: per-group speed levels plus the
+load split as :class:`~repro.cluster.fleet.ClassRows` -- the servers on
+and the per-server load of each class with servers on, one row for the
+paper's 200 identical groups.  :func:`realize_action` rescales the rows,
+and :meth:`~repro.solvers.problem.SlotProblem.evaluate` bills them in one
+pass.  The per-group levels serve what reads groups: the next slot's
+switching charge, and a fault run's fallback and checkpoints, which keep
+the last realized levels.
 
 The per-slot arithmetic lives in :class:`SlotRunner` so two drivers can
 share it verbatim: :func:`simulate` (the offline batch loop, which owns the
@@ -46,13 +48,7 @@ from ..solvers.deadline import DeadlineExceededError
 from ..solvers.messaging import BusTimeoutError
 from ..solvers.problem import InfeasibleError
 from ..state.checkpoint import Checkpoint, CheckpointError, CheckpointWriter
-from ..state.serialize import (
-    decode_action,
-    decode_array,
-    encode_action,
-    encode_array,
-    environment_fingerprint,
-)
+from ..state.serialize import decode_array, encode_array, environment_fingerprint
 from ..telemetry import Telemetry, coerce
 from .environment import Environment
 from .metrics import SimulationRecord
@@ -94,43 +90,39 @@ def realize_action(
     actual_arrival: float,
     planned_arrival: float,
     *,
-    rows: ClassRows | None = None,
     failed_groups: "frozenset[int] | set[int] | None" = None,
-) -> tuple[np.ndarray, ClassRows, float]:
+) -> tuple[FleetAction, float]:
     """Map a planned action onto the realized arrival rate, in class space.
 
-    ``rows`` is the action's :class:`~repro.cluster.fleet.ClassRows`, as
-    the engine returned them; they are derived from ``action`` when
-    omitted.  Returns ``(levels, rows, dropped)``: the realized per-group
-    levels, the realized class rows and the dropped load.  Loads scale by
-    ``actual / planned`` on the committed speeds; scaling *up* is capped
-    at ``gamma * speed`` per server, load over the caps goes to the
-    headroom left, pro rata, and load that still cannot be placed is
-    dropped (recorded, so experiments can verify it stays zero).  A plan
-    that serves nothing spreads the arrival pro rata to capacity.
+    Returns ``(realized_action, dropped)``.  Loads scale by ``actual /
+    planned`` on the committed speeds; scaling *up* is capped at ``gamma *
+    speed`` per server, load over the caps goes to the headroom left, pro
+    rata, and load that still cannot be placed is dropped (recorded, so
+    experiments can verify it stays zero).  A plan that serves nothing
+    spreads the arrival pro rata to capacity.
 
     ``failed_groups`` enforces physical reality under fault injection:
     servers in failed groups cannot run whatever the plan said, so their
     levels are forced off and their load joins the redistribution.  The
-    controllers here already plan failed groups off; only a plan that
-    does not has its rows re-derived.
+    controllers here already plan failed groups off; a plan that does not
+    has its rows re-counted from the masked levels at the same class
+    loads.
 
     Every group of a row carries the same per-server load before and
     after, so the arithmetic runs over the few rows, not the groups.
     """
     fleet = model.fleet
     levels = action.levels
+    rows = action.rows
     if failed_groups:
         failed = sorted(failed_groups)
         if (levels[failed] >= 0).any():
             levels = levels.copy()
             levels[failed] = -1
-            rows = None
-    if rows is None:
-        rows = fleet.class_rows(levels, action.per_server_load)
+            rows = ClassRows.of(fleet, levels, dict(zip(rows.classes, rows.loads)))
     counts = rows.counts
     if actual_arrival <= 0.0:
-        return levels, rows._replace(loads=(0.0,) * len(counts)), 0.0
+        return FleetAction(levels, rows._replace(loads=(0.0,) * len(counts))), 0.0
 
     speed = fleet.class_lists[0]
     gamma = model.gamma
@@ -144,7 +136,8 @@ def realize_action(
         for n, cap in zip(counts, caps):
             total_cap += n * cap
         if total_cap <= 0.0:
-            return levels, rows._replace(loads=(0.0,) * len(counts)), actual_arrival
+            idle = rows._replace(loads=(0.0,) * len(counts))
+            return FleetAction(levels, idle), actual_arrival
         share = min(actual_arrival / total_cap, 1.0)
         scaled = [cap * share for cap in caps]
 
@@ -166,7 +159,7 @@ def realize_action(
             clipped = [x + take * (cap - x) / total_head for x, cap in zip(clipped, caps)]
             shortfall -= take
     dropped = shortfall if shortfall > tol else 0.0
-    return levels, rows._replace(loads=tuple(clipped)), dropped
+    return FleetAction(levels, rows._replace(loads=tuple(clipped))), dropped
 
 
 def _decide_degraded(
@@ -175,7 +168,7 @@ def _decide_degraded(
     obs,
     policy,
     injector,
-    last_action: FleetAction | None,
+    last_levels: np.ndarray | None,
     tele: Telemetry,
 ):
     """One slot's decide under a degradation policy.
@@ -208,7 +201,7 @@ def _decide_degraded(
             reason = "infeasible"
             break
     failed = frozenset(injector.failed_groups)
-    solution = policy.fallback(model, obs, last_action, failed)
+    solution = policy.fallback(model, obs, last_levels, failed)
     policy.record(reason, fallback=True)
     if tele.enabled:
         tele.emit(
@@ -291,7 +284,8 @@ class SlotRunner:
         # Rows of each per-slot series the checkpoint log already holds.
         self._logged: dict[str, dict[str, int]] = {"cols": {}, "controller": {}}
         self.prev_on: np.ndarray | None = None
-        self.last_realized: FleetAction | None = None
+        #: Per-group levels of the last realized action (fault runs only).
+        self.last_realized: np.ndarray | None = None
         self.start_slot = 0
 
     # ------------------------------------------------------------------
@@ -343,7 +337,10 @@ class SlotRunner:
         if any(len(v) != self.start_slot for v in self.cols.values()):
             raise CheckpointError("checkpoint column lengths disagree with slot")
         self.prev_on = decode_array(state["prev_on"])
-        self.last_realized = decode_action(state["last_realized"])
+        # Records written before the load split moved to class rows also
+        # carry the realized per-group loads; only the levels are read.
+        last = state["last_realized"]
+        self.last_realized = None if last is None else decode_array(last["levels"])
         self.controller.load_state_dict(state["controller"]["state"])
         self.controller.load_series(series.get("controller", {}))
         # Appending to the same log continues its series; a log of our own
@@ -388,7 +385,11 @@ class SlotRunner:
                 "controller": _new_rows(controller.series(), self._logged["controller"]),
             },
             "prev_on": encode_array(self.prev_on),
-            "last_realized": encode_action(self.last_realized),
+            "last_realized": (
+                None
+                if self.last_realized is None
+                else {"levels": encode_array(self.last_realized)}
+            ),
             "injector": None if self.injector is None else self.injector.state_dict(),
             "degradation": None if self.policy is None else self.policy.state_dict(),
             "run_id": getattr(getattr(self.tele, "tracer", None), "run_id", None),
@@ -434,17 +435,17 @@ class SlotRunner:
                     self.last_realized, tele,
                 )
         actual = environment.actual_arrival(t)
-        levels, rows, dropped = realize_action(
+        realized, dropped = realize_action(
             model,
             solution.action,
             actual,
             obs.arrival_rate,
-            rows=solution.rows,
             failed_groups=None if injector is None else injector.failed_groups,
         )
         fleet = model.fleet
+        levels, rows = realized.levels, realized.rows
         if injector is not None:
-            self.last_realized = FleetAction(levels, rows.expand(fleet, levels))
+            self.last_realized = levels
         realized_problem = model.slot_problem(
             arrival_rate=actual,
             onsite=obs.onsite,
@@ -455,7 +456,7 @@ class SlotRunner:
             network_delay=obs.network_delay,
             pue_override=obs.pue,
         )
-        evaluation = realized_problem.evaluate_rows(rows, levels)
+        evaluation = realized_problem.evaluate(realized)
         self.prev_on = np.where(levels >= 0, fleet.counts, 0.0)
         served = rows.served
 

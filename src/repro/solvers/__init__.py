@@ -7,7 +7,7 @@ from .degraded import solve_with_failed_groups
 from .enumeration import HomogeneousEnumerationSolver
 from .fastpath import EvaluationCache, FastPathStats
 from .gsd import GSDSolver, GSDTrace, geometric_temperature
-from .load_distribution import LoadDistribution, distribute_load, solve_fixed_levels
+from .load_distribution import ClassSolve, distribute_load, solve_fixed_levels
 from .messaging import BusTimeoutError, DistributedGSD, MessageTransport
 from .problem import InfeasibleError, SlotEvaluation, SlotProblem
 
@@ -17,7 +17,7 @@ __all__ = [
     "InfeasibleError",
     "SlotSolution",
     "SlotSolver",
-    "LoadDistribution",
+    "ClassSolve",
     "distribute_load",
     "solve_fixed_levels",
     "EvaluationCache",

@@ -27,7 +27,7 @@ from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
 from typing import Any
 
-from ..cluster.fleet import ClassRows, FleetAction
+from ..cluster.fleet import FleetAction
 from ..telemetry import NULL_TELEMETRY, Telemetry
 from .problem import SlotEvaluation, SlotProblem
 
@@ -36,18 +36,11 @@ __all__ = ["SlotSolution", "SlotSolver"]
 
 @dataclass(frozen=True)
 class SlotSolution:
-    """An action together with its evaluation and solver diagnostics.
-
-    ``rows`` is the same decision in (profile, level) class space, which
-    the slot engine realizes and bills.  Every engine and fallback here
-    returns it; the slot engine derives it from the action when a solution
-    comes without it.
-    """
+    """An action together with its evaluation and solver diagnostics."""
 
     action: FleetAction
     evaluation: SlotEvaluation
     info: dict[str, Any] = field(default_factory=dict)
-    rows: ClassRows | None = None
 
     @property
     def objective(self) -> float:

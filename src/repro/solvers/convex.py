@@ -210,7 +210,7 @@ class CoordinateDescentSolver(SlotSolver):
                 "coordinate descent found no configuration satisfying the "
                 "operational caps; try more restarts or another engine"
             )
-        action, evaluation, rows = cache.solution_for(best_levels)
+        action, evaluation = cache.solution_for(best_levels)
 
         info: dict = {"sweeps": total_sweeps, "restarts": self.restarts}
         if self.deadline_ms is not None:
@@ -238,4 +238,4 @@ class CoordinateDescentSolver(SlotSolver):
                 stats.screened_infeasible
             )
 
-        return SlotSolution(action=action, evaluation=evaluation, info=info, rows=rows)
+        return SlotSolution(action=action, evaluation=evaluation, info=info)

@@ -15,8 +15,8 @@ set would not help; instead each slot's sub-fleet is sliced from the full
 fleet's tables by :meth:`~repro.cluster.fleet.Fleet.subset`.  The
 sub-solution's class rows carry over to the full fleet as they are when
 the fleet has one profile (a class id is then ``1 + level`` on any
-sub-fleet); otherwise they are re-derived from the expanded action on the
-full fleet, whose class tables are built once per run.
+sub-fleet); otherwise their class ids are mapped onto the full fleet's,
+whose class tables are built once per run.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ from typing import Iterable
 
 import numpy as np
 
-from ..cluster.fleet import FleetAction
+from ..cluster.fleet import ClassRows, Fleet, FleetAction
 from .base import SlotSolution, SlotSolver
 from .problem import InfeasibleError, SlotProblem
 
@@ -42,7 +42,7 @@ def solve_with_failed_groups(
 
     Builds the sub-fleet of healthy groups, solves the restricted problem
     with ``solver``, and expands the solution back to full-fleet shape
-    (failed groups at level ``-1``, zero load).  Raises
+    (failed groups at level ``-1``, in no class row).  Raises
     :class:`InfeasibleError` when every group is down or the survivors
     cannot serve the workload within the utilization cap.
     """
@@ -68,21 +68,30 @@ def solve_with_failed_groups(
     sub_solution = solver.solve(sub_problem)
 
     levels = np.full(fleet.num_groups, -1, dtype=np.int64)
-    loads = np.zeros(fleet.num_groups)
     levels[healthy] = sub_solution.action.levels
-    loads[healthy] = sub_solution.action.per_server_load
-    action = FleetAction(levels=levels, per_server_load=loads)
-    if fleet.is_homogeneous and sub_solution.rows is not None:
-        # One profile: a class id is 1 + level on every sub-fleet, so the
-        # sub-fleet's rows are the full fleet's.
-        rows = sub_solution.rows
-    else:
-        rows = fleet.class_rows(levels, loads)
+    rows = sub_solution.action.rows
+    if not fleet.is_homogeneous:
+        rows = _full_fleet_rows(fleet, sub_fleet, healthy, levels, rows)
+    action = FleetAction(levels, rows)
     info = dict(sub_solution.info)
     info["failed_groups"] = failed_list
-    return SlotSolution(
-        action=action,
-        evaluation=problem.evaluate_rows(rows, levels),
-        info=info,
-        rows=rows,
-    )
+    return SlotSolution(action=action, evaluation=problem.evaluate(action), info=info)
+
+
+def _full_fleet_rows(
+    fleet: Fleet, sub_fleet: Fleet, healthy: np.ndarray, levels: np.ndarray, rows: ClassRows
+) -> ClassRows:
+    """Sub-fleet class ``rows`` under the full fleet's class ids.
+
+    A sub-fleet numbers its profiles by first appearance among the
+    survivors and pads its tables to their widest profile, so its class
+    ids need not be the full fleet's.  Each healthy group maps its class
+    on the sub-fleet to its class on the full fleet (``levels`` is the
+    expanded full-fleet vector); the rows keep their loads, and the failed
+    groups, all off, add no servers to any row.
+    """
+    sub_ids = sub_fleet.class_counts(levels[healthy])[0].tolist()
+    full_ids = fleet.class_counts(levels)[0][healthy].tolist()
+    load = dict(zip(rows.classes, rows.loads))
+    class_load = {full: load[sub] for sub, full in zip(sub_ids, full_ids) if sub}
+    return ClassRows.of(fleet, levels, class_load)

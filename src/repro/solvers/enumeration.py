@@ -19,13 +19,14 @@ single-shared-speed family.  This is the engine used for year-long sweeps
 (8760 slots run in seconds).
 
 The chosen cell is one (profile, level) class row -- ``M`` servers at
-level ``k``, each carrying ``lambda / M`` -- and the solution carries it
-as :class:`~repro.cluster.fleet.ClassRows`.  Its evaluation is billed from
+level ``k``, each carrying ``lambda / M`` -- and the action carries it as
+its :class:`~repro.cluster.fleet.ClassRows`, beside the per-group levels
+the next slot's switching charge reads.  Its evaluation is billed from
 those three numbers through
-:meth:`~repro.solvers.problem.SlotProblem.evaluate_totals`, not by a pass
-over the groups; it differs from the per-group sums only in rounding.
-The per-group action is still built for what reads groups (the on-counts
-of the next slot's switching charge, say).
+:meth:`~repro.solvers.problem.SlotProblem.evaluate_totals`, with the
+profile's own power coefficient; it differs from
+:meth:`~repro.solvers.problem.SlotProblem.evaluate` of the action only in
+rounding.
 
 The one restriction relative to GSD's search space is mixed-speed
 configurations (different groups at different positive speeds in the same
@@ -174,7 +175,6 @@ class HomogeneousEnumerationSolver(SlotSolver):
         G = fleet.num_groups
         levels = np.full(G, -1, dtype=np.int64)
         levels[:j] = k
-        per_server = np.zeros(G)
         if j:
             # The chosen cell as one class row: M_j servers at level k, each
             # carrying lambda / M_j (clipped to the cap it may round a few
@@ -182,7 +182,6 @@ class HomogeneousEnumerationSolver(SlotSolver):
             n = float(M[j])
             s = float(profile.speeds[k])
             x = min(float(load[j]), problem.gamma * s)
-            per_server[:j] = x
             rows = ClassRows((1 + k,), (n,), (x,))
             it_power = n * (profile.static_power + float(dyn_coeff[k, 0]) * x)
             delay = n * problem.delay_model.cost_at(x, s)
@@ -190,7 +189,7 @@ class HomogeneousEnumerationSolver(SlotSolver):
         else:
             rows = ClassRows((), (), ())
             it_power = delay = served = 0.0
-        action = FleetAction(levels=levels, per_server_load=per_server)
+        action = FleetAction(levels, rows)
         evaluation = problem.evaluate_totals(
             it_power, delay, served, problem.switching_energy(levels)
         )
@@ -204,7 +203,6 @@ class HomogeneousEnumerationSolver(SlotSolver):
                 "speed_level": k if j > 0 else -1,
                 "candidates": int(feasible.sum()),
             },
-            rows=rows,
         )
 
     def _switching_energy(self, problem: SlotProblem) -> np.ndarray | None:

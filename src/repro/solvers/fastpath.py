@@ -16,7 +16,7 @@ candidate:
   value equals what a recompute would produce bit for bit.
 - **Class space end to end**: the inner solve depends on a level vector
   only through its (profile, level) class histogram
-  (:meth:`~repro.cluster.fleet.Fleet.class_histogram`), and so do the IT
+  (:meth:`~repro.cluster.fleet.Fleet.class_counts`), and so do the IT
   power, delay and served-load totals of its evaluation.  The cache keeps
   that histogram up to date as callers report which group they toggled
   (:meth:`EvaluationCache.note_changed`): each flip moves the group's
@@ -33,14 +33,13 @@ candidate:
   the hot path.  A *new* vector whose histogram was already solved -- a
   GSD flip between two groups of one profile, say -- reuses the record
   and only adds its own switching term, the one part that depends on
-  which groups toggled.  Class sums differ from the per-group sums of
-  :meth:`~repro.solvers.problem.SlotProblem.evaluate` only in rounding.
-  :meth:`EvaluationCache.solution_for` hands the chosen vector's record
-  on as :class:`~repro.cluster.fleet.ClassRows`, billed from the same
-  totals (its evaluation's objective is the scored one, bit for bit), and
-  expands per-group loads only for the action;
-  :meth:`EvaluationCache.distribution_of` turns a record into a
-  :class:`~repro.solvers.load_distribution.LoadDistribution` on demand.
+  which groups toggled.  :meth:`EvaluationCache.solution_for` hands the
+  chosen vector's record on as the action's
+  :class:`~repro.cluster.fleet.ClassRows`, billed from the same totals:
+  the evaluation is :meth:`~repro.solvers.problem.SlotProblem.evaluate`
+  of the action and its objective the scored one, bit for bit;
+  :meth:`EvaluationCache.distribution_of` returns a scored vector's
+  record.
 - **Delta feasibility screen**: from the same histogram, the on-set's
   capacity and static IT power cost one sum over its few classes.
   Candidates that provably cannot serve the workload -- or whose static
@@ -67,8 +66,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..cluster.fleet import ClassRows, FleetAction
-from .load_distribution import ClassSolve, ClassTable, LoadDistribution, distribute_load
+from ..cluster.fleet import FleetAction
+from .load_distribution import ClassSolve, ClassTable, distribute_load
 from .problem import InfeasibleError, SlotEvaluation, SlotProblem
 
 __all__ = ["EvaluationCache", "FastPathStats"]
@@ -152,8 +151,7 @@ class EvaluationCache:
     :meth:`objective_of` for the P3 objective (``inf`` for infeasible or
     cap-violating configurations).
     :meth:`solution_for` turns any previously scored vector back into a
-    full ``(FleetAction, SlotEvaluation, ClassRows)`` triple without
-    re-solving.
+    full ``(FleetAction, SlotEvaluation)`` pair without re-solving.
     """
 
     def __init__(self, problem: SlotProblem, *, warm_start: bool = False):
@@ -293,21 +291,19 @@ class EvaluationCache:
         self._histogram_of[key] = hkey
         return obj
 
-    def distribution_of(self, levels: np.ndarray) -> LoadDistribution | None:
+    def distribution_of(self, levels: np.ndarray) -> ClassSolve | None:
         """The inner solve behind a vector :meth:`objective_of` scored, or
         ``None`` when it had none (screened out, or the on-set cannot carry
         the load)."""
         hkey = self._histogram_of.get(levels.tobytes())
-        return None if hkey is None else self._solves[hkey].distribution()
+        return None if hkey is None else self._solves[hkey]
 
-    def solution_for(
-        self, levels: np.ndarray
-    ) -> tuple[FleetAction, SlotEvaluation, ClassRows]:
-        """Exact ``(action, evaluation, rows)`` for a level vector, from the
+    def solution_for(self, levels: np.ndarray) -> tuple[FleetAction, SlotEvaluation]:
+        """Exact ``(action, evaluation)`` for a level vector, from the
         cached inner solve when :meth:`objective_of` scored it before.
 
-        The rows are the solve's class rows and the evaluation is billed
-        from its totals, as :meth:`objective_of` scores it, so the
+        The action's rows are the solve's class rows and the evaluation is
+        billed from its totals, as :meth:`objective_of` scores it, so the
         evaluation's objective is the scored one bit for bit.
         """
         hkey = self._histogram_of.get(levels.tobytes())
@@ -316,17 +312,9 @@ class EvaluationCache:
             solve = distribute_load(self.problem, histogram=hkey, table=self._table)
         else:
             solve = self._solves[hkey]
-        classes = tuple(k for k, n in enumerate(hkey) if n > 0.0)
-        counts = tuple(hkey[k] for k in classes)
-        loads = (
-            (0.0,) * len(classes)  # zero workload: every on server idles
-            if solve.class_load is None
-            else tuple(solve.class_load)
-        )
-        rows = ClassRows(classes, counts, loads)
         p = self.problem
-        action = FleetAction(levels=levels, per_server_load=rows.expand(self._fleet, levels))
+        action = FleetAction(levels, solve.rows(hkey))
         evaluation = p.evaluate_totals(
             solve.it_power, solve.delay_sum, solve.served, p.switching_energy(levels)
         )
-        return action, evaluation, rows
+        return action, evaluation

@@ -37,11 +37,10 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from ..cluster.fleet import FleetAction
 from .base import SlotSolution, SlotSolver
 from .deadline import DeadlineExceededError, SolveDeadline
 from .fastpath import EvaluationCache
-from .load_distribution import distribute_load
+from .load_distribution import solve_fixed_levels
 from .problem import InfeasibleError, SlotProblem
 
 __all__ = ["GSDSolver", "GSDTrace", "geometric_temperature"]
@@ -208,11 +207,9 @@ class GSDSolver(SlotSolver):
         """
         if greediness <= 0:
             raise ValueError("greediness must be positive")
-        fleet = problem.fleet
-        levels = (fleet.num_levels - 1).astype(np.int64)
-        dist = distribute_load(problem, levels)
-        action = FleetAction(levels=levels, per_server_load=dist.per_server_load)
-        return greediness * max(problem.objective(action), _OBJECTIVE_FLOOR)
+        levels = (problem.fleet.num_levels - 1).astype(np.int64)
+        objective = solve_fixed_levels(problem, levels)[1].objective
+        return greediness * max(objective, _OBJECTIVE_FLOOR)
 
     def _scorer(
         self,
@@ -428,7 +425,7 @@ class GSDSolver(SlotSolver):
                 "operational caps; increase iterations or relax the caps"
             )
         t_final = time.perf_counter() if sp else 0.0
-        action, final_evaluation, rows = cache.solution_for(best_levels)
+        action, final_evaluation = cache.solution_for(best_levels)
         if sp:
             sp.add("gsd.finalize", time.perf_counter() - t_final)
         info: dict = {
@@ -454,6 +451,4 @@ class GSDSolver(SlotSolver):
                 accepted=hist_acc,
                 temperature=hist_temp,
             )
-        return SlotSolution(
-            action=action, evaluation=final_evaluation, info=info, rows=rows
-        )
+        return SlotSolution(action=action, evaluation=final_evaluation, info=info)

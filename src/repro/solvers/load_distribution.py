@@ -27,7 +27,7 @@ Class compression
 ``l_g(nu)`` depends on a group only through its (profile, level) pair: the
 speed ``x_g`` and coefficient ``c_g``.  The count ``n_g`` only weights it.
 So the solve runs over **classes**, not groups
-(:meth:`~repro.cluster.fleet.Fleet.class_histogram`): one row per
+(:meth:`~repro.cluster.fleet.Fleet.class_counts`): one row per
 (profile, level) with servers on, carrying the summed server count.  The
 paper's 200 homogeneous groups need at most 4 rows, a two-profile fleet at
 most 8, whatever its size.  Regime choice, the nu/mu loops and the
@@ -37,16 +37,17 @@ marginal delay prices at zero load and at the cap, and its electricity
 price and cold nu bracket at the full weight of the billed regime -- sits
 in a :class:`ClassTable` built once per problem, so a caller that already
 holds the class counts (the evaluation cache keeps them up to date per
-candidate) solves in class space end to end: :func:`distribute_load` takes
-that histogram instead of a level vector and returns a plain
-:class:`ClassSolve` record -- the class loads, the dual, the regime and
-the evaluation's IT power, delay and served-load totals, gathered in one
-pass over the class rows -- and builds no :class:`LoadDistribution`.
-Per-group loads are expanded only where a caller reads them (a level
-vector passed in, or :meth:`ClassSolve.expand`); every group of a class
-carries the same per-server load.  At a handful of rows numpy's per-call
-dispatch costs more than the arithmetic, so the loops run on plain floats;
-the delay model's scalar
+candidate) passes that histogram instead of a level vector.  Either way
+:func:`distribute_load` returns a plain :class:`ClassSolve` record -- the
+class loads, the dual, the regime and the evaluation's IT power, delay
+and served-load totals, gathered in one pass over the class rows.  The
+class loads are the whole load split: every group of a class carries the
+same per-server load, so no per-group load is ever built, and
+:meth:`ClassSolve.rows` hands the split on as the
+:class:`~repro.cluster.fleet.ClassRows` of a
+:class:`~repro.cluster.fleet.FleetAction`.  At a handful of rows numpy's
+per-call dispatch costs more than the arithmetic, so the loops run on
+plain floats; the delay model's scalar
 :meth:`~repro.cluster.queueing.DelayCostModel.inverse_marginal` stays the
 one source of the inverse marginal.  The scalar loops assume few distinct
 profiles (every fleet in this package has one or two); a fleet of
@@ -85,16 +86,15 @@ docs/PERFORMANCE.md):
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
-from ..cluster.fleet import Fleet, FleetAction
+from ..cluster.fleet import ClassRows, FleetAction
 from ..cluster.power import LinearTariff
 from .problem import InfeasibleError, SlotProblem
 
-__all__ = ["LoadDistribution", "distribute_load", "solve_fixed_levels"]
+__all__ = ["ClassSolve", "distribute_load", "solve_fixed_levels"]
 
 _NU_ITERS = 100
 _MU_ITERS = 60
@@ -120,58 +120,6 @@ _WARM_RTOL_WIDE = 5e-2
 #: of the objective itself, far inside the 1e-9 warm contract.  Cold
 #: bisections still run to fp bracket collapse.
 _WARM_FTOL = 1e-10
-
-
-@dataclass(frozen=True)
-class LoadDistribution:
-    """Result of a fixed-speed load-distribution solve for a level vector
-    (a class-histogram solve returns a :class:`ClassSolve`, which
-    :meth:`ClassSolve.distribution` turns into one of these).
-
-    Attributes
-    ----------
-    per_server_load:
-        Length-``G`` array (zeros for off groups); ``None`` when built from
-        a :class:`ClassSolve` without per-group class ids (use
-        :meth:`ClassSolve.expand`).
-    nu:
-        Final dual variable (marginal objective per unit of served load);
-        ``inf`` when every class sits at its cap because the workload
-        rounds above the on-set's capped capacity.
-    regime:
-        ``"billed"`` (power exceeds renewables, full electricity weight),
-        ``"free"`` (renewables cover everything), or ``"boundary"``
-        (facility power pinned at the renewable supply).
-    electricity_weight:
-        The effective $/MWh weight the solution was computed with.
-    warm_started:
-        Whether a caller-supplied hint seeded at least one water-fill that
-        converged from it (diagnostic; cold solves report False).
-    inner_iters:
-        Total refinement steps (bisection or Newton, one served-load
-        evaluation each) across all water-filling calls of this solve
-        (diagnostic for the fast-path benchmarks).
-    classes, class_load:
-        The on-set's class ids (ascending, see
-        :meth:`~repro.cluster.fleet.Fleet.class_histogram`) and the
-        per-server load of each; ``None`` when there is no workload.
-    duals:
-        The dual variable of each fixed-weight water-fill the regime choice
-        ran before the ``mu`` bisection: ``(billed,)`` or ``(billed, free)``;
-        empty when there is no workload.  The distributed protocol's price
-        rounds depend on them (:mod:`repro.solvers.messaging`).
-    """
-
-    per_server_load: np.ndarray | None
-    nu: float
-    regime: str
-    electricity_weight: float
-    warm_started: bool = False
-    inner_iters: int = 0
-    classes: tuple[int, ...] | None = None
-    class_load: tuple[float, ...] | None = None
-    duals: tuple[float, ...] = ()
-
 
 
 class ClassTable:
@@ -238,14 +186,44 @@ class ClassTable:
 
 
 class ClassSolve(NamedTuple):
-    """One inner solve in class space: what :func:`distribute_load` returns
-    for a class histogram, and what the evaluation cache keeps of it.
+    """Result of one fixed-speed load-distribution solve, in class space:
+    what :func:`distribute_load` returns and what the evaluation cache
+    keeps of it.
 
-    The fields mirror :class:`LoadDistribution` (``class_load`` is a list),
-    plus the switching-free totals of the solve's evaluation, summed over
-    the class rows: IT power (MW), the unweighted delay sum and the served
-    load (req/s); see :meth:`SlotProblem.evaluate_totals`.  With no
-    workload every on server idles: ``it_power`` is their static draw.
+    Attributes
+    ----------
+    nu:
+        Final dual variable (marginal objective per unit of served load);
+        ``inf`` when every class sits at its cap because the workload
+        rounds above the on-set's capped capacity.
+    regime:
+        ``"billed"`` (power exceeds renewables, full electricity weight),
+        ``"free"`` (renewables cover everything), or ``"boundary"``
+        (facility power pinned at the renewable supply).
+    electricity_weight:
+        The effective $/MWh weight the solution was computed with.
+    classes, class_load:
+        The on-set's class ids (ascending, see
+        :meth:`~repro.cluster.fleet.Fleet.class_counts`) and the
+        per-server load of each; ``None`` when there is no workload.
+    duals:
+        The dual variable of each fixed-weight water-fill the regime choice
+        ran before the ``mu`` bisection: ``(billed,)`` or ``(billed, free)``;
+        empty when there is no workload.  The distributed protocol's price
+        rounds depend on them (:mod:`repro.solvers.messaging`).
+    warm_started:
+        Whether a caller-supplied hint seeded at least one water-fill that
+        converged from it (diagnostic; cold solves report False).
+    inner_iters:
+        Total refinement steps (bisection or Newton, one served-load
+        evaluation each) across all water-filling calls of this solve
+        (diagnostic for the fast-path benchmarks).
+    it_power, delay_sum, served:
+        The switching-free totals of the solve's evaluation, summed over
+        the class rows: IT power (MW), the unweighted delay sum and the
+        served load (req/s); see :meth:`SlotProblem.evaluate_totals`.  With
+        no workload every on server idles: ``it_power`` is their static
+        draw.
     """
 
     nu: float
@@ -260,30 +238,14 @@ class ClassSolve(NamedTuple):
     delay_sum: float
     served: float
 
-    def expand(self, fleet: Fleet, ids: np.ndarray) -> np.ndarray:
-        """Per-group loads for any level vector with this solve's class
-        histogram, given its per-group class ids ``ids``."""
-        table = np.zeros(fleet.num_classes)
-        if self.classes is not None:  # zero workload: nothing to place
-            table[list(self.classes)] = self.class_load
-        return table[ids]
-
-    def distribution(
-        self, fleet: Fleet | None = None, ids: np.ndarray | None = None
-    ) -> LoadDistribution:
-        """This solve as a :class:`LoadDistribution`, with the per-group
-        loads expanded when given the fleet and every group's class id."""
-        return LoadDistribution(
-            None if ids is None else self.expand(fleet, ids),
-            self.nu,
-            self.regime,
-            self.electricity_weight,
-            self.warm_started,
-            self.inner_iters,
-            self.classes,
-            None if self.class_load is None else tuple(self.class_load),
-            self.duals,
-        )
+    def rows(self, histogram) -> ClassRows:
+        """The solve's load split as :class:`~repro.cluster.fleet.ClassRows`,
+        given the class histogram it solved (servers on per class id)."""
+        classes = tuple(k for k, n in enumerate(histogram) if n > 0.0)
+        counts = tuple(histogram[k] for k in classes)
+        if self.class_load is None:  # zero workload: every on server idles
+            return ClassRows(classes, counts, (0.0,) * len(classes))
+        return ClassRows(classes, counts, tuple(self.class_load))
 
 
 def _fill_when_delay_free(
@@ -684,10 +646,10 @@ def distribute_load(
     problem: SlotProblem,
     levels: np.ndarray | None = None,
     *,
-    hint: LoadDistribution | ClassSolve | None = None,
+    hint: ClassSolve | None = None,
     histogram=None,
     table: ClassTable | None = None,
-) -> LoadDistribution | ClassSolve:
+) -> ClassSolve:
     """Solve the load-distribution subproblem for a fixed level vector, or
     for the class histogram of one.
 
@@ -696,22 +658,18 @@ def distribute_load(
     problem:
         The slot's P3 instance.
     levels:
-        Per-group speed levels (``-1`` = off); the result is a
-        :class:`LoadDistribution` carrying the per-group loads.
+        Per-group speed levels (``-1`` = off).
     hint:
         Optional solve of a neighboring configuration (typically the
-        previous candidate of a GSD chain or coordinate sweep): a
-        :class:`LoadDistribution` or :class:`ClassSolve`, of which only
-        ``nu``, ``regime`` and ``electricity_weight`` are read.  They seed
-        the water-fills; the warm-started solution matches the cold one to
-        <= 1e-9 relative objective error.  ``None`` (the default) runs the
-        cold path.
+        previous candidate of a GSD chain or coordinate sweep), of which
+        only ``nu``, ``regime`` and ``electricity_weight`` are read.  They
+        seed the water-fills; the warm-started solution matches the cold
+        one to <= 1e-9 relative objective error.  ``None`` (the default)
+        runs the cold path.
     histogram:
         Instead of ``levels``: the number of servers on in every class id
         (``fleet.num_classes`` entries, see
-        :meth:`~repro.cluster.fleet.Fleet.class_counts`).  The solve then
-        stays in class space and returns a :class:`ClassSolve` (class
-        loads and evaluation totals, no per-group loads).
+        :meth:`~repro.cluster.fleet.Fleet.class_counts`).
     table:
         The problem's :class:`ClassTable`, when the caller holds one;
         built here otherwise.
@@ -724,27 +682,21 @@ def distribute_load(
     InfeasibleError
         If the on-set cannot serve ``lambda`` within the utilization cap.
     """
-    ids = None
     if histogram is None:
-        ids, counts = problem.fleet.class_counts(np.asarray(levels, dtype=np.int64))
-        histogram = counts.tolist()
+        histogram = problem.fleet.class_counts(np.asarray(levels, dtype=np.int64))[1].tolist()
     if table is None:
         table = ClassTable(problem)
     if hint is None:
-        solve = _solve_classes(problem, table, histogram, None, None, 0.0)
-    else:
-        solve = _solve_classes(
-            problem, table, histogram, hint.nu, hint.regime, hint.electricity_weight
-        )
-    return solve if ids is None else solve.distribution(problem.fleet, ids)
+        return _solve_classes(problem, table, histogram, None, None, 0.0)
+    return _solve_classes(
+        problem, table, histogram, hint.nu, hint.regime, hint.electricity_weight
+    )
 
 
 def solve_fixed_levels(problem: SlotProblem, levels: np.ndarray):
     """Convenience: distribute load for ``levels`` and return the resulting
     ``(FleetAction, SlotEvaluation)`` pair."""
-    dist = distribute_load(problem, levels)
-    action = FleetAction(
-        levels=np.asarray(levels, dtype=np.int64),
-        per_server_load=dist.per_server_load,
-    )
+    levels = np.asarray(levels, dtype=np.int64)
+    histogram = problem.fleet.class_counts(levels)[1].tolist()
+    action = FleetAction(levels, distribute_load(problem, histogram=histogram).rows(histogram))
     return action, problem.evaluate(action)

@@ -48,7 +48,7 @@ import numpy as np
 from .base import SlotSolution
 from .fastpath import EvaluationCache
 from .gsd import GSDSolver
-from .load_distribution import LoadDistribution
+from .load_distribution import ClassSolve
 from .problem import SlotProblem
 
 __all__ = ["BusTimeoutError", "DistributedGSD", "MessageTransport", "pricing_bill"]
@@ -89,7 +89,7 @@ def _bisection_rounds(nu: float) -> int:
 
 
 def pricing_bill(
-    problem: SlotProblem, dist: LoadDistribution | None
+    problem: SlotProblem, dist: ClassSolve | None
 ) -> tuple[int, bool]:
     """``(price rounds, committed)`` of pricing one configuration whose
     inner solve is ``dist`` (``None``: the on-set cannot carry the load).

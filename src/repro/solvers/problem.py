@@ -22,7 +22,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from ..cluster.fleet import ClassRows, Fleet, FleetAction
+from ..cluster.fleet import Fleet, FleetAction
 from ..cluster.power import LinearTariff, PowerModel, Tariff
 from ..cluster.queueing import DELAY_UNIT_COST, DelayCostModel, MG1PSDelay
 from ..cluster.switching import SwitchingCostModel
@@ -241,24 +241,11 @@ class SlotProblem:
         """Full cost breakdown of an action, including the P3 objective
         value ``V * g + q * y`` (Eq. (16)) and any switching charges.
 
-        Sums over the groups, so it takes any action; the engines and the
-        slot engine bill class rows instead (:meth:`evaluate_rows`)."""
-        fleet = self.fleet
-        it_power, delay_sum = fleet.action_totals(
-            action.levels, action.per_server_load, self.delay_model
-        )
-        served = action.served_load(fleet) if self.network_delay > 0.0 else 0.0
+        The totals come from one pass over the action's class rows; its
+        per-group levels are read only for the switching energy."""
+        it_power, delay_sum, served = action.rows.totals(self.fleet, self.delay_model)
         return self.evaluate_totals(
             it_power, delay_sum, served, self.switching_energy(action.levels)
-        )
-
-    def evaluate_rows(self, rows: ClassRows, levels: np.ndarray) -> SlotEvaluation:
-        """:meth:`evaluate` of a decision given as class rows: the totals
-        come from one pass over the rows, and ``levels`` (per group) is
-        read only for the switching energy."""
-        it_power, delay_sum, served = rows.totals(self.fleet, self.delay_model)
-        return self.evaluate_totals(
-            it_power, delay_sum, served, self.switching_energy(levels)
         )
 
     def switching_energy(self, levels: np.ndarray) -> float:
@@ -280,8 +267,8 @@ class SlotProblem:
         """:meth:`evaluate` from an action's fleet-wide totals: IT power
         (MW), the unweighted delay sum, the served load (req/s; read only
         when ``network_delay`` is set), and the switching energy (MWh).
-        Lets a caller that already aggregated these -- per (profile,
-        level) class, say -- skip the per-group pass."""
+        Lets a caller that already aggregated these -- an inner solve's
+        class sums, say -- skip the pass over the rows."""
         facility, brown, e_cost, delay_sum, d_cost, g, objective = self.cost_terms(
             it_power, delay_sum, served_load, switching_energy
         )

@@ -9,8 +9,8 @@ run *survivable*:
 - :mod:`~repro.state.atomic` -- the shared write-temp + fsync + rename
   pattern, so no consumer of this repo ever reads a torn file;
 - :mod:`~repro.state.serialize` -- exact JSON round-trips for the pieces a
-  checkpoint must carry (numpy arrays, RNG bit-generator states, fleet
-  actions) plus the environment fingerprint a resume validates against;
+  checkpoint must carry (numpy arrays, RNG bit-generator states) plus the
+  environment fingerprint a resume validates against;
 - :mod:`~repro.state.checkpoint` -- an append-only, CRC-framed checkpoint
   log whose records carry only the rows added since the previous one;
 - :mod:`~repro.state.records` -- :class:`~repro.sim.metrics.SimulationRecord`
@@ -38,10 +38,8 @@ from .checkpoint import (
 from .records import load_record, record_mismatches, save_record
 from .serialize import (
     canonical_dumps,
-    decode_action,
     decode_array,
     decode_rng,
-    encode_action,
     encode_array,
     encode_rng,
     environment_fingerprint,
@@ -58,11 +56,9 @@ __all__ = [
     "canonical_dumps",
     "checkpoint_files",
     "commit_file",
-    "decode_action",
     "decode_array",
     "decode_rng",
     "dumps_checkpoint",
-    "encode_action",
     "encode_array",
     "encode_rng",
     "environment_fingerprint",

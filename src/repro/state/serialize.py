@@ -26,14 +26,10 @@ from typing import Any
 
 import numpy as np
 
-from ..cluster.fleet import FleetAction
-
 __all__ = [
     "canonical_dumps",
-    "decode_action",
     "decode_array",
     "decode_rng",
-    "encode_action",
     "encode_array",
     "encode_rng",
     "environment_fingerprint",
@@ -80,26 +76,6 @@ def decode_array(obj: dict | None) -> np.ndarray | None:
     if obj is None:
         return None
     return np.asarray(obj["data"], dtype=np.dtype(obj["dtype"]))
-
-
-def encode_action(action: FleetAction | None) -> dict | None:
-    """Lossless JSON form of a fleet action (levels + per-server loads)."""
-    if action is None:
-        return None
-    return {
-        "levels": encode_array(action.levels),
-        "per_server_load": encode_array(action.per_server_load),
-    }
-
-
-def decode_action(obj: dict | None) -> FleetAction | None:
-    """Inverse of :func:`encode_action`."""
-    if obj is None:
-        return None
-    return FleetAction(
-        levels=decode_array(obj["levels"]),
-        per_server_load=decode_array(obj["per_server_load"]),
-    )
 
 
 # ---------------------------------------------------------------- RNG state

@@ -17,8 +17,13 @@ from itertools import product
 
 import numpy as np
 
-from repro.cluster import FleetAction
-from repro.solvers import InfeasibleError, SlotProblem, SlotSolution, SlotSolver, distribute_load
+from repro.solvers import (
+    InfeasibleError,
+    SlotProblem,
+    SlotSolution,
+    SlotSolver,
+    solve_fixed_levels,
+)
 from tests.conftest import cold_objective
 
 __all__ = ["BruteForceOracle"]
@@ -57,10 +62,7 @@ class BruteForceOracle(SlotSolver):
                 best_obj, best_levels = obj, np.asarray(combo, dtype=np.int64)
         if best_levels is None:
             raise InfeasibleError("no feasible configuration exists for this slot")
-        dist = distribute_load(problem, best_levels)
-        action = FleetAction(levels=best_levels, per_server_load=dist.per_server_load)
+        action, evaluation = solve_fixed_levels(problem, best_levels)
         return SlotSolution(
-            action=action,
-            evaluation=problem.evaluate(action),
-            info={"configs_total": total},
+            action=action, evaluation=evaluation, info={"configs_total": total}
         )

@@ -11,10 +11,10 @@ import numpy as np
 import pytest
 
 import repro.solvers.gsd as gsd
-from repro.cluster import Fleet, FleetAction, ServerGroup, cubic_dvfs_profile, opteron_2380
+from repro.cluster import Fleet, ServerGroup, cubic_dvfs_profile, opteron_2380
 from repro.core import DataCenterModel
 from repro.scenarios import small_scenario
-from repro.solvers import InfeasibleError, distribute_load
+from repro.solvers import InfeasibleError, solve_fixed_levels
 
 
 def pytest_addoption(parser) -> None:
@@ -86,17 +86,40 @@ def make_problem(model, *, lam_frac=0.5, onsite=0.0, price=40.0, q=0.0, V=1.0, *
     )
 
 
+def validate_action(fleet, action, total_load, gamma, *, atol=1e-6) -> None:
+    """Raise ``ValueError`` unless ``action`` satisfies constraints (7)-(9)
+    in class space: valid levels, rows that are the on classes of those
+    levels with their server counts, row loads in ``[0, gamma * x]``, and
+    loads serving ``total_load``."""
+    levels = action.levels
+    if levels.shape != (fleet.num_groups,):
+        raise ValueError("levels must have one entry per group")
+    if np.any(levels >= fleet.num_levels) or np.any(levels < -1):
+        raise ValueError("speed level out of range for some group")
+    counts = fleet.class_counts(levels)[1]
+    classes = np.flatnonzero(counts)
+    rows = action.rows
+    if rows.classes != tuple(classes.tolist()) or rows.counts != tuple(counts[classes].tolist()):
+        raise ValueError("rows are not the on classes of the levels: an off group carries load")
+    loads = np.asarray(rows.loads, dtype=np.float64)
+    if np.any(loads < -atol):
+        raise ValueError("negative per-server load")
+    speeds = fleet.class_speed[classes]
+    if np.any(loads > gamma * speeds + atol * np.maximum(speeds, 1.0)):
+        raise ValueError("per-server load exceeds gamma * speed")
+    served = rows.served
+    if abs(served - total_load) > 1e-6 * max(abs(total_load), 1.0) + atol:
+        raise ValueError(f"load distribution serves {served:.6g}, expected {total_load:.6g}")
+
+
 def cold_objective(problem, levels):
     """P3 objective of ``levels`` scored without the fast path: one cold
-    inner solve and a per-group evaluation; ``inf`` when the on-set cannot
-    carry the load or the action violates the operational caps."""
-    levels = np.asarray(levels, dtype=np.int64)
+    inner solve and its evaluation; ``inf`` when the on-set cannot carry
+    the load or the action violates the operational caps."""
     try:
-        dist = distribute_load(problem, levels)
+        _, evaluation = solve_fixed_levels(problem, levels)
     except InfeasibleError:
         return np.inf
-    action = FleetAction(levels=levels, per_server_load=dist.per_server_load)
-    evaluation = problem.evaluate(action)
     if problem.violates_caps(evaluation):
         return np.inf
     return evaluation.objective

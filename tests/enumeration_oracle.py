@@ -22,10 +22,10 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.cluster.fleet import FleetAction
 from repro.cluster.power import LinearTariff, Tariff
 from repro.solvers.base import SlotSolution
 from repro.solvers.problem import InfeasibleError, SlotEvaluation, SlotProblem
+from tests.billing_oracle import action_from_loads
 
 __all__ = ["oracle_solve", "oracle_evaluate"]
 
@@ -72,22 +72,23 @@ def _action_delay_sum(fleet, levels, per_server_load, delay_model=None) -> float
     return float(np.sum(fleet.counts[idx] * delay_model.cost(lam, x)))
 
 
-def oracle_evaluate(problem: SlotProblem, action: FleetAction) -> SlotEvaluation:
-    """The historical ``SlotProblem.evaluate``."""
+def oracle_evaluate(problem: SlotProblem, levels, per_server_load) -> SlotEvaluation:
+    """The historical ``SlotProblem.evaluate`` of per-group levels and
+    loads."""
     fleet = problem.fleet
     delay_sum = _action_delay_sum(
-        fleet, action.levels, action.per_server_load, delay_model=problem.delay_model
+        fleet, levels, per_server_load, delay_model=problem.delay_model
     )
     served = (
-        float(np.sum(fleet.counts * action.per_server_load))
+        float(np.sum(fleet.counts * per_server_load))
         if problem.network_delay > 0.0
         else 0.0
     )
     return problem.evaluate_totals(
-        _action_power(fleet, action.levels, action.per_server_load),
+        _action_power(fleet, levels, per_server_load),
         delay_sum,
         served,
-        problem.switching_energy(action.levels),
+        problem.switching_energy(levels),
     )
 
 
@@ -174,8 +175,8 @@ def oracle_solve(
     per_server = np.where(
         np.arange(G) < j, min(load[j, k], problem.gamma * speeds[k]), 0.0
     )
-    action = FleetAction(levels=levels, per_server_load=per_server)
-    evaluation = oracle_evaluate(problem, action)
+    action = action_from_loads(fleet, levels, per_server)
+    evaluation = oracle_evaluate(problem, levels, per_server)
     return SlotSolution(
         action=action,
         evaluation=evaluation,

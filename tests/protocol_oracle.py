@@ -33,11 +33,12 @@ from typing import Any, Callable
 
 import numpy as np
 
-from repro.cluster.fleet import Fleet, FleetAction
+from repro.cluster.fleet import Fleet
 from repro.faults import MessageFaultProfile
 from repro.solvers.base import SlotSolution, SlotSolver
 from repro.solvers.messaging import BusTimeoutError
 from repro.solvers.problem import InfeasibleError, SlotProblem
+from tests.billing_oracle import action_from_loads, evaluate
 
 __all__ = [
     "Message",
@@ -454,18 +455,19 @@ class BusDistributedGSD(SlotSolver):
             self._price(problem, coord, explored)
         except (InfeasibleError, BusTimeoutError):
             return np.inf
-        evaluation = problem.evaluate(self._action(agents, explored))
+        evaluation = evaluate(problem, *self._split(agents, explored))
         if problem.violates_caps(evaluation):
             return np.inf
         return evaluation.objective
 
     @staticmethod
-    def _action(agents: list[ServerAgent], explored: bool) -> FleetAction:
+    def _split(agents: list[ServerAgent], explored: bool) -> tuple[np.ndarray, np.ndarray]:
+        """Per-group levels and per-server loads the agents hold."""
         levels = np.array(
             [a.explored_level if explored else a.level for a in agents], dtype=np.int64
         )
         loads = np.array([a.load if lv >= 0 else 0.0 for a, lv in zip(agents, levels)])
-        return FleetAction(levels=levels, per_server_load=loads)
+        return levels, loads
 
     def _decide_all(self, bus: MessageBus, agents: list[ServerAgent], accept: bool) -> None:
         for a in agents:
@@ -523,7 +525,8 @@ class BusDistributedGSD(SlotSolver):
             except BusTimeoutError:
                 if attempt == commit_attempts - 1:
                     raise
-        action = self._action(agents, explored=False)
+        levels, loads = self._split(agents, explored=False)
+        action = action_from_loads(fleet, levels, loads)
         info: dict[str, Any] = {
             "messages": bus.delivered,
             "messages_by_kind": dict(bus.by_kind),
@@ -532,4 +535,6 @@ class BusDistributedGSD(SlotSolver):
         fault_stats = getattr(bus, "fault_stats", None)
         if fault_stats is not None:
             info["bus_faults"] = fault_stats()
-        return SlotSolution(action=action, evaluation=problem.evaluate(action), info=info)
+        return SlotSolution(
+            action=action, evaluation=evaluate(problem, levels, loads), info=info
+        )

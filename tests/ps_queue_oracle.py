@@ -180,8 +180,9 @@ def empirical_delay_sum(
 
     Servers within a group are stochastically identical, so one server per
     *on* group is simulated and its mean jobs-in-system is multiplied by the
-    group count -- the event-based counterpart of
-    :meth:`Fleet.action_delay_sum`, used to validate the analytic model.
+    group count -- the event-based counterpart of the per-group delay sum
+    of :func:`tests.billing_oracle.totals`, used to validate the analytic
+    model.
     """
     gen = rng if rng is not None else np.random.default_rng(13)
     levels = np.asarray(levels)

@@ -24,6 +24,8 @@ from repro.solvers import HomogeneousEnumerationSolver, InfeasibleError
 from repro.solvers.batch import BatchResult, batch_enumerate, supports_batch
 
 from tests.batch_oracle import oracle_batch_enumerate
+from tests.billing_oracle import group_loads
+from tests.conftest import validate_action
 
 
 @pytest.fixture(scope="module")
@@ -274,7 +276,7 @@ class TestFeasibility:
         assert res.servers_on[0] == model.fleet.num_servers
         problem = model.slot_problem(arrival_rate=lam, onsite=0.0, price=40.0)
         sol = HomogeneousEnumerationSolver(switching_aware=False).solve(problem)
-        assert np.all(sol.action.per_server_load == model.gamma * speeds[-1])
+        assert np.all(group_loads(model.fleet, sol.action) == model.gamma * speeds[-1])
 
     @pytest.mark.parametrize("gamma", np.linspace(0.5, 0.99, 50).tolist())
     def test_paper_fleet_at_capped_capacity(self, gamma):
@@ -291,10 +293,8 @@ class TestFeasibility:
         problem.check_feasible()
         sol = HomogeneousEnumerationSolver().solve(problem)
         assert np.all(sol.action.levels == top)
-        assert np.all(sol.action.per_server_load <= gamma * fleet.speed_table[:, top])
-        fleet.validate_action(
-            sol.action.levels, sol.action.per_server_load, lam, gamma
-        )
+        assert np.all(group_loads(fleet, sol.action) <= gamma * fleet.speed_table[:, top])
+        validate_action(fleet, sol.action, lam, gamma)
         args = (model, np.array([lam]), np.zeros(1), np.full(1, 40.0))
         res = batch_enumerate(*args)
         assert res.servers_on[0] == fleet.num_servers

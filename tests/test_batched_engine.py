@@ -20,13 +20,13 @@ from dataclasses import replace
 
 import numpy as np
 
-from repro.cluster import FleetAction
 from repro.cluster.power import TieredTariff
 from repro.solvers import distribute_load
 from repro.solvers.problem import InfeasibleError
+from tests.billing_oracle import evaluate, solve_action
 from tests.test_fastpath import boundary_problem
 from tests.test_solver_consistency import random_model, random_problem
-from tests.waterfill_oracle import oracle_distribute
+from tests.waterfill_oracle import OracleDistribution, oracle_distribute
 
 #: Relative P3-objective tolerance between the shipped solver and the oracle.
 OBJ_RTOL = 1e-9
@@ -49,7 +49,11 @@ def oracle_solve(problem, levels):
 
 
 def objective(problem, levels, dist):
-    return problem.evaluate(FleetAction(levels, dist.per_server_load)).objective
+    """P3 objective of a shipped solve (billed over its class rows) or of
+    an oracle solve (summed over the groups)."""
+    if isinstance(dist, OracleDistribution):
+        return evaluate(problem, levels, dist.per_server_load).objective
+    return problem.evaluate(solve_action(problem.fleet, levels, dist)).objective
 
 
 def contract_mismatches(tag, problem, levels, got, want, k):

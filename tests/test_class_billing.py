@@ -3,20 +3,22 @@
 :class:`~repro.sim.engine.SlotRunner` realizes every slot's decision over
 its (profile, level) class rows and bills the rows once
 (:func:`repro.sim.engine.realize_action`,
-:meth:`~repro.solvers.SlotProblem.evaluate_rows`).
-:mod:`tests.billing_oracle` keeps the per-group form: a realization group
-by group and :meth:`~repro.solvers.SlotProblem.evaluate` of the realized
-action.  The contract is the same bill to rounding: every field of the
+:meth:`~repro.solvers.SlotProblem.evaluate`).  :mod:`tests.billing_oracle`
+keeps the per-group form: the action's rows spread over its groups, a
+realization group by group and the sums over the realized groups.  The
+contract is the same bill to rounding: every field of the
 evaluation within ``RTOL`` relative, equal realized levels, equal dropped
 load (zero on both or within ``RTOL``).  The ``[.]^+`` kink is the one
 place where rounding moves a value from zero: a boundary-regime slot puts
 facility power exactly at the renewable supply, so brown energy and the
 costs after it are held to ``RTOL`` of the slot's facility draw instead.
 
-The randomized half bills engine decisions directly; the run half records
-every decision of a simulated run, fallbacks and failed-group slots
-included, and re-bills it with the oracle.  The last class checks that the
-slot path never reaches the per-group evaluation at all.
+The randomized half bills engine decisions directly and holds every
+decision to the rows check of ``tests.conftest.validate_action``: one row
+per on class, under the full fleet's class ids even when a failed-group
+sub-fleet renumbered them.  The run half records every decision of a
+simulated run, fallbacks and failed-group slots included, and re-bills it
+with the oracle.
 """
 
 from __future__ import annotations
@@ -45,7 +47,8 @@ from repro.solvers import (
     SlotEvaluation,
     solve_with_failed_groups,
 )
-from tests.billing_oracle import bill
+from tests.billing_oracle import bill, evaluate, group_loads
+from tests.conftest import validate_action
 
 #: Relative tolerance between the class-space bill and the per-group one.
 RTOL = 1e-12
@@ -102,13 +105,8 @@ def assert_same_dropped(got: float, want: float) -> None:
 
 def class_bill(model, solution, actual, obs, prev_on, failed):
     """The slot engine's bill: realize the rows, bill them once."""
-    levels, rows, dropped = realize_action(
-        model,
-        solution.action,
-        actual,
-        obs.arrival_rate,
-        rows=solution.rows,
-        failed_groups=failed,
+    realized, dropped = realize_action(
+        model, solution.action, actual, obs.arrival_rate, failed_groups=failed
     )
     problem = model.slot_problem(
         arrival_rate=actual,
@@ -118,25 +116,23 @@ def class_bill(model, solution, actual, obs, prev_on, failed):
         network_delay=obs.network_delay,
         pue_override=obs.pue,
     )
-    return levels, rows, dropped, problem.evaluate_rows(rows, levels), problem
+    return realized, dropped, problem.evaluate(realized), problem
 
 
 def check_slot(model, solution, actual, obs, prev_on=None, failed=None):
-    levels, rows, dropped, got, problem = class_bill(
+    realized, dropped, got, problem = class_bill(
         model, solution, actual, obs, prev_on, failed
     )
-    realized, want_dropped, want = bill(
+    levels, loads, want_dropped, want = bill(
         model, solution.action, actual, obs, prev_on, failed
     )
     fleet = model.fleet
-    assert np.array_equal(levels, realized.levels)
+    assert np.array_equal(realized.levels, levels)
     assert_same_dropped(dropped, want_dropped)
     assert_same_bill(got, want, problem)
-    assert close(rows.served, realized.served_load(fleet))
-    assert rows.active_servers == realized.active_servers(fleet)
-    np.testing.assert_allclose(
-        rows.expand(fleet, levels), realized.per_server_load, rtol=RTOL, atol=0.0
-    )
+    assert close(realized.rows.served, float((fleet.counts * loads).sum()))
+    assert realized.rows.active_servers == float(fleet.counts[levels >= 0].sum())
+    np.testing.assert_allclose(group_loads(fleet, realized), loads, rtol=RTOL, atol=0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -221,7 +217,7 @@ def test_randomized_slots_bill_like_the_oracle(engine_name, failures):
             solution = decide(model, ENGINES[engine_name](), obs, prev_on, failed, rng)
         except InfeasibleError:
             continue
-        assert solution.rows is not None
+        validate_action(fleet, solution.action, obs.arrival_rate, model.gamma)
         solved += 1
         for actual in actual_arrivals(rng, model, solution, obs.arrival_rate):
             check_slot(model, solution, actual, obs, prev_on, failed)
@@ -243,6 +239,63 @@ def test_plan_with_failed_groups_on_is_masked():
     prev_on = fleet.counts.copy()
     for actual in actual_arrivals(rng, model, solution, obs.arrival_rate):
         check_slot(model, solution, actual, obs, prev_on, failed)
+
+
+# ---------------------------------------------------------------------------
+# Failed-group sub-fleets that renumber class ids
+# ---------------------------------------------------------------------------
+#: Two-profile fleets whose failed set takes out one profile entirely:
+#: ``(profiles in listed order, failed groups)``.  Opteron has four speed
+#: levels, the narrow cubic profile two.
+REMAP_CASES = {
+    # The first-listed profile is down: the survivors become profile 0.
+    "first_profile_down": (
+        (lambda: cubic_dvfs_profile(levels=2), opteron_2380), (0, 2, 4)
+    ),
+    # The widest profile is down: the survivors are renumbered and the
+    # sub-fleet's tables shrink from four levels to two.
+    "widest_profile_down": (
+        (opteron_2380, lambda: cubic_dvfs_profile(levels=2)), (0, 2, 4)
+    ),
+}
+
+
+@pytest.mark.parametrize("engine_name", ["gsd", "distributed", "coordinate_descent"])
+@pytest.mark.parametrize("case", list(REMAP_CASES))
+def test_failed_profile_rows_carry_full_fleet_ids(case, engine_name):
+    makers, failed = REMAP_CASES[case]
+    fleet = Fleet([ServerGroup(makers[g % 2](), 6 + 5 * g) for g in range(6)])
+    survivors = fleet.subset([g for g in range(6) if g not in failed])
+    assert survivors.profile_ids.tolist() == [0, 0, 0]
+    assert fleet.profile_ids[1] == 1
+    if case == "widest_profile_down":
+        assert survivors.max_levels < fleet.max_levels
+    rng = np.random.default_rng(17)
+    for _ in range(4):
+        model, obs = random_slot(rng, fleet, switching=True)
+        share = float(rng.uniform(0.05, 0.9))
+        obs = replace(obs, arrival_rate=share * survivors.capacity(model.gamma))
+        prev_on = np.where(rng.random(fleet.num_groups) < 0.5, fleet.counts, 0.0)
+        solution = decide(
+            model, ENGINES[engine_name](), obs, prev_on, frozenset(failed), rng
+        )
+        # Every row is a class of a surviving (profile 1) group on the full
+        # fleet, never the sub-fleet's profile 0 id.
+        K = fleet.max_levels
+        assert solution.action.rows.classes
+        assert all(c > K for c in solution.action.rows.classes)
+        validate_action(fleet, solution.action, obs.arrival_rate, model.gamma)
+        problem = model.slot_problem(
+            arrival_rate=obs.arrival_rate, onsite=obs.onsite, price=obs.price,
+            prev_on_counts=prev_on, network_delay=obs.network_delay,
+            pue_override=obs.pue,
+        )
+        planned = problem.evaluate(solution.action)
+        want = evaluate(
+            problem, solution.action.levels, group_loads(fleet, solution.action)
+        )
+        assert_same_bill(planned, want, problem)
+        check_slot(model, solution, obs.arrival_rate, obs, prev_on, frozenset(failed))
 
 
 # ---------------------------------------------------------------------------
@@ -292,7 +345,9 @@ def rebill(model, environment, recorder, record) -> int:
         obs, solution, failed = recorder.slots[t]
         fallbacks += "fallback" in solution.info
         actual = environment.actual_arrival(t)
-        realized, dropped, want = bill(model, solution.action, actual, obs, prev_on, failed)
+        levels, loads, dropped, want = bill(
+            model, solution.action, actual, obs, prev_on, failed
+        )
         problem = model.slot_problem(
             arrival_rate=actual, onsite=obs.onsite, price=obs.price,
             network_delay=obs.network_delay, pue_override=obs.pue,
@@ -311,9 +366,10 @@ def rebill(model, environment, recorder, record) -> int:
         )
         assert_same_bill(got, want, problem)
         assert_same_dropped(record.dropped[t], dropped)
-        assert close(record.served[t], realized.served_load(model.fleet))
-        assert record.active_servers[t] == realized.active_servers(model.fleet)
-        prev_on = realized.on_counts(model.fleet)
+        counts = model.fleet.counts
+        assert close(record.served[t], float((counts * loads).sum()))
+        assert record.active_servers[t] == float(counts[levels >= 0].sum())
+        prev_on = np.where(levels >= 0, counts, 0.0)
     return fallbacks
 
 
@@ -377,44 +433,28 @@ def test_unaware_controller_run_bills_like_the_oracle(day):
     rebill(day.model, day.environment, recorder, record)
 
 
-# ---------------------------------------------------------------------------
-# The slot path never evaluates per group
-# ---------------------------------------------------------------------------
-class TestNoPerGroupBilling:
-    """With :meth:`Fleet.action_totals` (the per-group evaluation's only
-    aggregate) raising, a week on each shipped engine still runs: the
-    solve, the failed-group expansion, the fallback and the slot bill all
-    stay in class space."""
-
-    @pytest.fixture
-    def no_action_totals(self, monkeypatch):
-        def refuse(*args, **kwargs):
-            raise AssertionError("per-group evaluation on the slot path")
-
-        monkeypatch.setattr(Fleet, "action_totals", refuse)
-
-    @pytest.mark.parametrize(
-        "make",
-        [
-            lambda: HomogeneousEnumerationSolver(),
-            lambda: GSDSolver(iterations=20, rng=np.random.default_rng(1)),
-        ],
-        ids=["enumeration", "gsd"],
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: HomogeneousEnumerationSolver(),
+        lambda: GSDSolver(iterations=20, rng=np.random.default_rng(1)),
+    ],
+    ids=["enumeration", "gsd"],
+)
+def test_chaos_week_runs(week_scenario, make):
+    """A small-scenario week under generated group failures and degraded
+    signals completes on the exact engine and on GSD with a finite bill
+    on every slot."""
+    sc = week_scenario
+    schedule = FaultSchedule.generate(
+        3, horizon=sc.horizon, num_groups=sc.model.fleet.num_groups,
+        failure_rate=0.1, mean_repair=6.0, signal_rate=0.05,
     )
-    @pytest.mark.parametrize("faults", [False, True], ids=["healthy", "chaos"])
-    def test_week(self, week_scenario, no_action_totals, make, faults):
-        sc = week_scenario
-        schedule = None
-        if faults:
-            schedule = FaultSchedule.generate(
-                3, horizon=sc.horizon, num_groups=sc.model.fleet.num_groups,
-                failure_rate=0.1, mean_repair=6.0, signal_rate=0.05,
-            )
-        record = simulate(
-            sc.model,
-            COCA(sc.model, sc.environment.portfolio, v_schedule=150.0, solver=make()),
-            sc.environment,
-            faults=schedule,
-        )
-        assert record.horizon == sc.horizon
-        assert np.all(np.isfinite(record.cost))
+    record = simulate(
+        sc.model,
+        COCA(sc.model, sc.environment.portfolio, v_schedule=150.0, solver=make()),
+        sc.environment,
+        faults=schedule,
+    )
+    assert record.horizon == sc.horizon
+    assert np.all(np.isfinite(record.cost))

@@ -3,12 +3,12 @@
 :func:`repro.solvers.distribute_load` solves Eq. (18) over (profile, level)
 classes, warm-started from a hint when one is given.  On randomized fleets
 and slot problems it must agree with the cold group-level oracle
-(:mod:`tests.waterfill_oracle`) on four things:
+(:mod:`tests.waterfill_oracle`) on three things:
 
 - the P3 objective, to <= 1e-9 relative error;
 - the regime (billed / free / boundary);
-- feasibility: :meth:`Fleet.validate_action` accepts the returned action;
-- symmetry: every group of a class carries the same per-server load.
+- feasibility: the rows check ``tests.conftest.validate_action`` accepts
+  the returned action, one row per on class of the level vector.
 
 The draws cover heterogeneous profiles, unequal and zero server counts,
 failed-group sub-fleets, peak-power and delay caps, switching costs, all
@@ -27,12 +27,14 @@ import pytest
 from hypothesis import HealthCheck, event, example, given, settings
 from hypothesis import strategies as st
 
-from repro.cluster import Fleet, FleetAction, ServerGroup, cubic_dvfs_profile, opteron_2380
+from repro.cluster import Fleet, ServerGroup, cubic_dvfs_profile, opteron_2380
 from repro.cluster.power import LinearTariff, TieredTariff
 from repro.cluster.queueing import MG1PSDelay, SquaredLoadDelay
 from repro.cluster.switching import SwitchingCostModel
 from repro.core import DataCenterModel
 from repro.solvers import InfeasibleError, SlotProblem, distribute_load
+from tests.billing_oracle import evaluate, solve_action
+from tests.conftest import validate_action
 from tests.waterfill_oracle import oracle_distribute
 
 OBJ_RTOL = 1e-9
@@ -149,8 +151,7 @@ def cases(draw):
 
 
 def _facility(problem, levels, dist):
-    action = FleetAction(levels=levels, per_server_load=dist.per_server_load)
-    return problem.evaluate(action).facility_power
+    return evaluate(problem, levels, dist.per_server_load).facility_power
 
 
 def _target_regime(problem, levels, regime):
@@ -201,18 +202,17 @@ def test_compressed_matches_group_oracle(case):
     got = _solve_shipped(problem, levels, hint_kind, neighbor)
 
     fleet = problem.fleet
-    action_w = FleetAction(levels=levels, per_server_load=want.per_server_load)
     if caps is not None:
         # Caps straddling the oracle's own footprint: the verdicts must
         # agree on every draw whose value is not within 1e-9 of the cap.
-        ev = problem.evaluate(action_w)
+        ev = evaluate(problem, levels, want.per_server_load)
         problem = replace(
             problem,
             peak_power_cap=caps * ev.facility_power if ev.facility_power > 0 else None,
             max_delay_cost=caps * ev.delay_cost if ev.delay_cost > 0 else None,
         )
-    ev_w = problem.evaluate(action_w)
-    action_g = FleetAction(levels=levels, per_server_load=got.per_server_load)
+    ev_w = evaluate(problem, levels, want.per_server_load)
+    action_g = solve_action(fleet, levels, got)
     ev_g = problem.evaluate(action_g)
 
     assert got.regime == want.regime
@@ -226,13 +226,7 @@ def test_compressed_matches_group_oracle(case):
     assert abs(ev_g.objective - ev_w.objective) <= OBJ_RTOL * scale
     if caps is not None and caps != 1.0:
         assert problem.violates_caps(ev_g) == problem.violates_caps(ev_w)
-    fleet.validate_action(
-        levels, got.per_server_load, problem.arrival_rate, problem.gamma
-    )
-    ids, _, _ = fleet.class_histogram(levels)
-    for cls in np.unique(ids[levels >= 0]):
-        loads = got.per_server_load[ids == cls]
-        assert np.all(loads == loads[0])
+    validate_action(fleet, action_g, problem.arrival_rate, problem.gamma)
 
 
 @pytest.mark.parametrize("regime", ["billed", "free", "boundary"])
@@ -264,8 +258,8 @@ def test_homogeneous_fleet_collapses_to_level_rows():
     """200 identical groups over mixed levels solve as at most 4 rows."""
     fleet = Fleet([ServerGroup(opteron_2380(), 1080) for _ in range(200)])
     levels = np.arange(200, dtype=np.int64) % 5 - 1
-    ids, classes, counts = fleet.class_histogram(levels)
-    assert classes.size == 4
+    ids, counts = fleet.class_counts(levels)
+    assert np.count_nonzero(counts) == 4
     assert counts.sum() == 1080 * np.count_nonzero(levels >= 0)
     assert np.all(ids[levels < 0] == 0)
 
@@ -305,10 +299,8 @@ def neighbor_cases(draw):
 def _objective_gap(problem, levels, got, want):
     """Relative objective error of ``got`` against ``want``, scaled like
     :func:`test_compressed_matches_group_oracle`."""
-    ev_w, ev_g = (
-        problem.evaluate(FleetAction(levels=levels, per_server_load=d.per_server_load))
-        for d in (want, got)
-    )
+    ev_w = evaluate(problem, levels, want.per_server_load)
+    ev_g = problem.evaluate(solve_action(problem.fleet, levels, got))
     scale = max(
         abs(ev_w.objective),
         (problem.V * problem.price + problem.q) * ev_w.facility_power,
@@ -338,8 +330,9 @@ def test_newton_refinement_matches_group_oracle(case):
     event(f"warm={got.warm_started}")
     assert got.regime == want.regime
     assert _objective_gap(problem, levels, got, want) <= OBJ_RTOL
-    problem.fleet.validate_action(
-        levels, got.per_server_load, problem.arrival_rate, problem.gamma
+    validate_action(
+        problem.fleet, solve_action(problem.fleet, levels, got),
+        problem.arrival_rate, problem.gamma,
     )
 
 

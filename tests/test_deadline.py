@@ -29,6 +29,7 @@ from repro.solvers import (
     SolveDeadline,
 )
 from repro.telemetry import InMemoryTracer, Telemetry
+from tests.billing_oracle import group_loads
 from tests.conftest import make_problem
 
 
@@ -67,8 +68,8 @@ class TestAnytimeSolvers:
             problem.gamma * fleet.group_speeds(solution.action.levels),
             0.0,
         )
-        assert np.all(solution.action.per_server_load <= caps + 1e-9)
-        assert solution.action.served_load(fleet) >= problem.arrival_rate - 1e-6
+        assert np.all(group_loads(fleet, solution.action) <= caps + 1e-9)
+        assert solution.action.rows.served >= problem.arrival_rate - 1e-6
         assert np.isfinite(solution.evaluation.cost)
 
     def test_gsd_expired_returns_cap_feasible_incumbent(self, tiny_model):

@@ -6,9 +6,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.baselines import CarbonUnaware
-from repro.cluster import Fleet, FleetAction, ServerGroup, opteron_2380
+from repro.cluster import Fleet, ServerGroup, opteron_2380
 from repro.core import DataCenterModel
 from repro.sim import engine
+from tests.billing_oracle import group_loads
 
 
 @pytest.fixture(scope="module")
@@ -24,9 +25,8 @@ def planned_action(model, planned):
 
 
 def realize_action(model, action, actual, planned):
-    """The shipped class-space realization, its rows expanded per group."""
-    levels, rows, dropped = engine.realize_action(model, action, actual, planned)
-    return FleetAction(levels, rows.expand(model.fleet, levels)), dropped
+    """The shipped class-space realization."""
+    return engine.realize_action(model, action, actual, planned)
 
 
 class TestRealizeActionProperties:
@@ -40,7 +40,7 @@ class TestRealizeActionProperties:
         model = DataCenterModel(fleet=fleet, beta=10.0)
         action = planned_action(model, planned)
         realized, dropped = realize_action(model, action, actual, planned)
-        served = realized.served_load(model.fleet)
+        served = realized.rows.served
         assert served + dropped == pytest.approx(actual, rel=1e-6, abs=1e-6)
         assert dropped >= 0.0
 
@@ -53,8 +53,9 @@ class TestRealizeActionProperties:
         realized, _ = realize_action(model, action, actual, planned)
         speeds = model.fleet.group_speeds(realized.levels)
         caps = model.gamma * speeds
-        assert np.all(realized.per_server_load <= caps + 1e-9)
-        assert np.all(realized.per_server_load >= -1e-12)
+        loads = group_loads(model.fleet, realized)
+        assert np.all(loads <= caps + 1e-9)
+        assert np.all(loads >= -1e-12)
 
     @settings(max_examples=30, deadline=None)
     @given(st.floats(1.0, 280.0), st.floats(0.0, 280.0))
@@ -79,5 +80,5 @@ class TestRealizeActionProperties:
         )
         realized, dropped = realize_action(model, action, on_capacity * 2, 50.0)
         assert dropped == pytest.approx(on_capacity, rel=1e-6)
-        served = realized.served_load(model.fleet)
+        served = realized.rows.served
         assert served == pytest.approx(on_capacity, rel=1e-6)

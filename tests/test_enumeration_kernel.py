@@ -20,6 +20,7 @@ whether a solve has touched it.
 from __future__ import annotations
 
 import gc
+import math
 import pickle
 import weakref
 from dataclasses import astuple, replace
@@ -27,7 +28,7 @@ from dataclasses import astuple, replace
 import numpy as np
 import pytest
 
-from repro.cluster.fleet import Fleet, FleetAction, ServerGroup
+from repro.cluster.fleet import ClassRows, Fleet, FleetAction, ServerGroup
 from repro.cluster.power import PowerModel, TieredTariff
 from repro.cluster.queueing import SquaredLoadDelay
 from repro.cluster.server import cubic_dvfs_profile, opteron_2380
@@ -37,6 +38,7 @@ from repro.solvers.degraded import solve_with_failed_groups
 from repro.solvers.enumeration import HomogeneousEnumerationSolver
 from repro.solvers.problem import InfeasibleError, SlotProblem
 from repro.telemetry import Telemetry
+from tests.billing_oracle import group_loads
 from tests.enumeration_oracle import oracle_evaluate, oracle_solve
 
 #: Seeded problems per randomized case.
@@ -89,7 +91,7 @@ def outcome(solve, problem):
         return type(exc)
     return (
         sol.action.levels.tolist(),
-        sol.action.per_server_load.tobytes(),
+        group_loads(problem.fleet, sol.action).tobytes(),
         sol.info,
         astuple(sol.evaluation),
     )
@@ -231,9 +233,11 @@ class TestKernelMatchesOracle:
             assert_same(random_problem(rng, sub))
 
     def test_evaluate_on_any_action(self, rng):
-        """The shipped evaluate matches the historical one beyond the
-        engine's prefix-shaped actions: random levels, zero-load on groups,
-        all-off, saturated servers."""
+        """The shipped evaluate (one pass over the class rows) matches the
+        historical per-group one within 1e-12 relative beyond the engine's
+        prefix-shaped actions: random levels, zero-load classes, all-off,
+        saturated servers.  Fields past the ``[.]^+`` kink are held to the
+        slot's facility draw."""
         for _ in range(CASES):
             fleet = random_fleet(rng)
             problem = random_problem(
@@ -242,15 +246,23 @@ class TestKernelMatchesOracle:
             if rng.random() < 0.3:
                 problem = replace(problem, delay_model=SquaredLoadDelay())
             levels = rng.integers(-1, fleet.num_levels)
-            speeds = fleet.group_speeds(levels)
-            load = speeds * rng.uniform(0.0, 1.05, fleet.num_groups)
-            load[rng.random(fleet.num_groups) < 0.2] = 0.0
             if rng.random() < 0.1:
                 levels[:] = -1
-            action = FleetAction(levels, np.where(levels >= 0, load, 0.0))
-            assert bits(problem.evaluate(action)) == bits(
-                oracle_evaluate(problem, action)
-            )
+            share = rng.uniform(0.0, 1.05, fleet.num_classes)
+            share[rng.random(fleet.num_classes) < 0.2] = 0.0
+            load = fleet.class_speed * share
+            action = FleetAction(levels, ClassRows.of(fleet, levels, load))
+            got = problem.evaluate(action)
+            want = oracle_evaluate(problem, levels, group_loads(fleet, action))
+            draw = want.facility_power * problem.slot_hours
+            scales = {"brown_energy": draw, "electricity_cost": problem.tariff.cost(draw, problem.price)}
+            for name in ("it_power", "facility_power", "delay_sum", "delay_cost",
+                         "switching_energy", "brown_energy", "electricity_cost"):
+                a, b = getattr(got, name), getattr(want, name)
+                if math.isinf(b):
+                    assert a == b, name
+                else:
+                    assert abs(a - b) <= 1e-12 * max(abs(b), scales.get(name, 0.0)), name
 
 
 class _FleetProbe(SlotSolver):

@@ -8,6 +8,7 @@ service distribution beyond its mean.  The event simulator must agree.
 import numpy as np
 import pytest
 
+from tests.billing_oracle import totals
 from tests.ps_queue_oracle import empirical_delay_sum, simulate_ps_queue
 
 
@@ -96,10 +97,10 @@ class TestValidation:
 
 class TestEmpiricalDelaySum:
     def test_matches_analytic_fleet_delay(self, tiny_fleet):
-        """The event-based delay sum validates Fleet.action_delay_sum."""
+        """The event-based delay sum validates the analytic per-group one."""
         levels = np.array([3, 3, -1])
         loads = np.array([6.0, 4.0, 0.0])
-        analytic = tiny_fleet.action_delay_sum(levels, loads)
+        analytic = totals(tiny_fleet, levels, loads)[1]
         empirical = empirical_delay_sum(
             tiny_fleet,
             levels,

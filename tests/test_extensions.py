@@ -92,7 +92,7 @@ class TestNetworkDelay:
         sol = HomogeneousEnumerationSolver().solve(base)
         ev_base = base.evaluate(sol.action)
         ev_net = with_net.evaluate(sol.action)
-        extra = 0.2 * sol.action.served_load(tiny_model.fleet)
+        extra = 0.2 * sol.action.rows.served
         assert ev_net.delay_sum == pytest.approx(ev_base.delay_sum + extra)
         assert ev_net.delay_cost == pytest.approx(
             ev_base.delay_cost + base.delay_weight * extra

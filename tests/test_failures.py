@@ -10,7 +10,7 @@ load and the Theorem 2 carbon accounting across the transitions.
 import numpy as np
 import pytest
 
-from repro.cluster import Fleet, FleetAction, ServerGroup, opteron_2380
+from repro.cluster import Fleet, ServerGroup, opteron_2380
 from repro.core import DataCenterModel
 from repro.core.coca import COCA
 from repro.faults import FaultEvent, FaultSchedule
@@ -22,6 +22,7 @@ from repro.solvers import (
     solve_with_failed_groups,
 )
 from repro.state.records import record_mismatches
+from tests.billing_oracle import action_from_loads, group_loads
 from tests.brute_force_oracle import BruteForceOracle
 from tests.conftest import make_problem
 
@@ -34,8 +35,8 @@ class TestGSDWithFailures:
         solver = GSDSolver(iterations=1500, delta=1e5, rng=np.random.default_rng(0))
         sol = solve_with_failed_groups(solver, p, [1])
         assert sol.action.levels[1] == -1
-        assert sol.action.per_server_load[1] == 0.0
-        assert sol.action.served_load(tiny_model.fleet) == pytest.approx(
+        assert group_loads(tiny_model.fleet, sol.action)[1] == 0.0
+        assert sol.action.rows.served == pytest.approx(
             p.arrival_rate, rel=1e-6
         )
 
@@ -245,25 +246,22 @@ class TestSlicedSubFleets:
         model = outage_scenario.model
         G = model.fleet.num_groups
         levels = np.full(G, model.fleet.num_levels[0] - 1, dtype=np.int64)
-        action = FleetAction(levels=levels, per_server_load=np.full(G, 20.0))
-        planned = action.served_load(model.fleet)
+        action = action_from_loads(model.fleet, levels, np.full(G, 20.0))
+        planned = action.rows.served
 
         mask = np.isin(np.arange(G), sorted(failed))
-        forced = FleetAction(
-            levels=np.where(mask, -1, action.levels).astype(np.int64),
-            per_server_load=np.where(mask, 0.0, action.per_server_load),
+        forced = action_from_loads(
+            model.fleet,
+            np.where(mask, -1, action.levels),
+            np.where(mask, 0.0, group_loads(model.fleet, action)),
         )
-        rows = model.fleet.class_rows(action.levels, action.per_server_load)
         for actual in (0.8 * planned, 1.1 * planned):
-            got_levels, got, got_drop = realize_action(
-                model, action, actual, planned,
-                rows=rows, failed_groups=frozenset(failed),
+            got, got_drop = realize_action(
+                model, action, actual, planned, failed_groups=frozenset(failed)
             )
-            want_levels, want, want_drop = realize_action(
-                model, forced, actual, planned
-            )
-            assert np.array_equal(got_levels, want_levels)
-            assert got == want
+            want, want_drop = realize_action(model, forced, actual, planned)
+            assert np.array_equal(got.levels, want.levels)
+            assert got.rows == want.rows
             assert got_drop == want_drop
 
     def test_solve_with_failed_groups_checks(self, tiny_model):

@@ -12,7 +12,7 @@ Four exactness contracts are pinned here:
 - warm-started inner solves match cold ones to <= 1e-9 relative objective
   error, in every regime of the ``[.]^+`` kink;
 - the class histogram the cache keeps up to date flip by flip equals
-  :meth:`Fleet.class_histogram` of the current vector bit for bit.
+  :meth:`Fleet.class_counts` of the current vector bit for bit.
 
 Plus the slot-length unit fix: switching *energy* (MWh) enters facility
 *power* (MW) divided by ``slot_hours``, pinned at a non-unit slot length.
@@ -30,7 +30,6 @@ from hypothesis import strategies as st
 import repro.solvers.load_distribution as ld
 from repro.cluster import (
     Fleet,
-    FleetAction,
     ServerGroup,
     cubic_dvfs_profile,
     opteron_2380,
@@ -44,7 +43,9 @@ from repro.solvers import (
     HomogeneousEnumerationSolver,
     InfeasibleError,
     distribute_load,
+    solve_fixed_levels,
 )
+from tests.billing_oracle import solve_action
 from tests.brute_force_oracle import BruteForceOracle
 from tests.conftest import assert_local_minimum, cold_objective, make_problem, solve_cold
 
@@ -83,9 +84,7 @@ def boundary_problem(model, levels, *, lam_frac=0.5, q=5.0):
     )
 
     def fac(problem):
-        dist = distribute_load(problem, levels)
-        action = FleetAction(levels=levels, per_server_load=dist.per_server_load)
-        return problem.evaluate(action).facility_power
+        return solve_fixed_levels(problem, levels)[1].facility_power
 
     billed = fac(p)
     free = fac(dataclasses.replace(p, onsite=1e9))
@@ -100,8 +99,7 @@ class TestCacheBitIdentity:
     def _assert_cold_exact(self, problem, sol):
         """The chosen action is the one the cold path builds, to the bit."""
         levels = sol.action.levels
-        dist = distribute_load(problem, levels)
-        assert sol.action.per_server_load.tobytes() == dist.per_server_load.tobytes()
+        assert sol.action.rows == solve_fixed_levels(problem, levels)[0].rows
         assert sol.objective == cold_objective(problem, levels)  # exact
         assert sol.info["final_objective"] == pytest.approx(sol.objective, rel=1e-12)
 
@@ -154,9 +152,9 @@ class TestCacheBitIdentity:
                 best, best_levels = obj, levels.copy()
         oracle = BruteForceOracle().solve(problem)
         assert np.array_equal(oracle.action.levels, best_levels)
-        action, evaluation, _ = cache.solution_for(best_levels)
+        action, evaluation = cache.solution_for(best_levels)
         assert evaluation.objective == oracle.objective
-        assert action.per_server_load.tobytes() == oracle.action.per_server_load.tobytes()
+        assert action.rows == oracle.action.rows
         return cache, oracle
 
     def test_brute_force(self, hetero_model):
@@ -205,9 +203,7 @@ class TestEvaluationCache:
         top = (fleet.num_levels - 1).astype(np.int64)
         if capped:
             # Below the all-top draw, so the cap binds on part of the walk.
-            top_power = p.evaluate(
-                FleetAction(levels=top, per_server_load=distribute_load(p, top).per_server_load)
-            ).facility_power
+            top_power = solve_fixed_levels(p, top)[1].facility_power
             p = dataclasses.replace(p, peak_power_cap=0.9 * top_power)
         cache = EvaluationCache(p, warm_start=warm)
         levels = top.copy()
@@ -258,11 +254,11 @@ class TestEvaluationCache:
         levels = (p.fleet.num_levels - 1).astype(np.int64)
         obj = cache.objective_of(levels)
         solves_before = cache.stats.inner_solves
-        action, evaluation, _ = cache.solution_for(levels)
+        action, evaluation = cache.solution_for(levels)
         assert cache.stats.inner_solves == solves_before
         assert evaluation.objective == obj
-        dist = distribute_load(p, levels)
-        assert action.per_server_load.tobytes() == dist.per_server_load.tobytes()
+        assert action.rows == solve_fixed_levels(p, levels)[0].rows
+        assert evaluation == p.evaluate(action)
 
     def test_zero_workload_prices_idle_servers(self, hetero_model):
         p = make_problem(hetero_model, lam_frac=0.0)
@@ -299,9 +295,8 @@ class TestEvaluationCache:
         assert cache.distribution_of(scored).classes is not None
         unscored = np.array([3, 3, 3], dtype=np.int64)
         assert cache.distribution_of(unscored) is None
-        action, evaluation, _ = cache.solution_for(unscored)
-        want = distribute_load(p, unscored).per_server_load
-        assert action.per_server_load.tobytes() == want.tobytes()
+        action, evaluation = cache.solution_for(unscored)
+        assert action.rows == solve_fixed_levels(p, unscored)[0].rows
         assert evaluation.objective == pytest.approx(cold_objective(p, unscored))
 
     def test_gsd_counters_add_up(self, tiny_model, wide_model):
@@ -354,15 +349,13 @@ def histogram_walks(draw):
 
 class TestIncrementalHistogram:
     """The cache's class histogram, updated flip by flip, equals the one
-    :meth:`Fleet.class_histogram` builds from scratch -- bit for bit."""
+    :meth:`Fleet.class_counts` builds from scratch -- bit for bit."""
 
     @staticmethod
     def _assert_matches(cache, fleet, levels):
         cache._sync_screen(levels)
-        _, classes, counts = fleet.class_histogram(levels)
-        hist = np.array(cache._hist)
-        assert np.flatnonzero(hist).tolist() == classes.tolist()
-        assert hist[classes].tobytes() == counts.tobytes()
+        counts = fleet.class_counts(levels)[1]
+        assert np.array(cache._hist).tobytes() == counts.tobytes()
 
     @settings(max_examples=150, deadline=None)
     @given(histogram_walks())
@@ -443,7 +436,7 @@ class TestEarlyExitExact:
         slow = distribute_load(p, levels)
 
         assert fast.regime == slow.regime
-        assert fast.per_server_load.tobytes() == slow.per_server_load.tobytes()
+        assert fast.class_load == slow.class_load
         assert fast.nu == slow.nu
         assert fast.electricity_weight == slow.electricity_weight
         assert fast.inner_iters <= slow.inner_iters
@@ -477,7 +470,7 @@ class TestWarmStart:
         hint = distribute_load(p, base)
 
         def objective(levels, dist):
-            action = FleetAction(levels=levels, per_server_load=dist.per_server_load)
+            action = solve_action(p.fleet, levels, dist)
             return p.evaluate(action).objective
 
         for g in range(min(model.fleet.num_groups, 12)):
@@ -529,7 +522,7 @@ class TestWarmStart:
         assert warm.inner_iters < cold.inner_iters
 
         def objective(dist):
-            action = FleetAction(levels=neighbor, per_server_load=dist.per_server_load)
+            action = solve_action(p.fleet, neighbor, dist)
             return p.evaluate(action).objective
 
         assert objective(warm) == pytest.approx(objective(cold), rel=1e-9)
@@ -539,11 +532,11 @@ class TestWarmStart:
         a saturated on-set -- seeds nothing: the cold result comes back bit
         for bit."""
         p, hint, neighbor = self._far_neighbor(hetero_model)
-        hint = dataclasses.replace(hint, nu=math.inf)
+        hint = hint._replace(nu=math.inf)
         warm = distribute_load(p, neighbor, hint=hint)
         cold = distribute_load(p, neighbor)
         assert not warm.warm_started
-        assert warm.per_server_load.tobytes() == cold.per_server_load.tobytes()
+        assert warm.class_load == cold.class_load
 
     def test_gsd_warm_objective_close_to_cold(self, wide_model):
         p = make_problem(wide_model, lam_frac=0.55, onsite=0.0, q=3.0)
@@ -575,7 +568,7 @@ class TestSlotHours:
         p = self._problem_with_switching(tiny_model, h)
         levels = (p.fleet.num_levels - 1).astype(np.int64)
         dist = distribute_load(p, levels)
-        action = FleetAction(levels=levels, per_server_load=dist.per_server_load)
+        action = solve_action(p.fleet, levels, dist)
         ev = p.evaluate(action)
 
         sw_energy = p.switching.energy(p.prev_on_counts, action.on_counts(p.fleet))

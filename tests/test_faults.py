@@ -413,7 +413,7 @@ class TestDegradation:
         cap = tiny_model.fleet.capacity(tiny_model.gamma)
         action = proportional_action(tiny_model, 0.4 * cap, failed=frozenset({0}))
         assert action.levels[0] == -1
-        served = action.served_load(tiny_model.fleet)
+        served = action.rows.served
         assert served == pytest.approx(0.4 * cap, rel=1e-9)
 
     def test_fallback_conservation_under_overload(self, chaos_scenario):

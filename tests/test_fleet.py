@@ -1,4 +1,5 @@
-"""Tests for fleets and fleet actions (Eqs. (2), (4), constraints (7)-(9))."""
+"""Tests for fleets, fleet actions and their class rows (Eqs. (2), (4),
+constraints (7)-(9))."""
 
 import pickle
 
@@ -8,13 +9,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.cluster import (
+    ClassRows,
     Fleet,
     FleetAction,
+    MG1PSDelay,
     ServerGroup,
     cubic_dvfs_profile,
     default_fleet,
     opteron_2380,
 )
+from tests.billing_oracle import action_from_loads
+from tests.conftest import validate_action
 
 
 class TestFleetStructure:
@@ -144,7 +149,7 @@ class TestFleetSubset:
         levels = np.array(
             [data.draw(st.integers(-1, int(k) - 1)) for k in ref.num_levels]
         )
-        for got, want in zip(sub.class_histogram(levels), ref.class_histogram(levels)):
+        for got, want in zip(sub.class_counts(levels), ref.class_counts(levels)):
             assert np.array_equal(got, want)
         assert pickle.dumps(sub) == pickle.dumps(ref)
 
@@ -175,76 +180,78 @@ class TestGroupSpeeds:
 
 
 class TestActionEvaluation:
+    """A decision's class rows billed in one pass (:meth:`ClassRows.totals`)."""
+
     def test_power_matches_manual(self, tiny_fleet):
-        """Eq. (2): sum over groups of n * (static + coeff * load)."""
-        levels = np.array([3, 3, -1])
-        load = np.array([5.0, 2.0, 0.0])
-        p = tiny_fleet.action_power(levels, load)
+        """Eq. (2): sum over rows of n * (static + coeff * load)."""
+        rows = ClassRows.of(tiny_fleet, np.array([3, 2, -1]), {3: 2.0, 4: 5.0})
+        assert rows == ClassRows((3, 4), (10.0, 10.0), (2.0, 5.0))
+        power, _, _ = rows.totals(tiny_fleet, MG1PSDelay())
         prof = opteron_2380()
-        expected = 10 * prof.power(5.0, 3) + 10 * prof.power(2.0, 3)
-        assert p == pytest.approx(expected)
+        expected = 10 * prof.power(5.0, 3) + 10 * prof.power(2.0, 2)
+        assert power == pytest.approx(expected)
 
     def test_all_off_power_zero(self, tiny_fleet):
         action = FleetAction.all_off(tiny_fleet)
-        assert action.power(tiny_fleet) == 0.0
-        assert action.delay_sum(tiny_fleet) == 0.0
+        assert action.rows.totals(tiny_fleet, MG1PSDelay()) == (0.0, 0.0, 0.0)
         assert action.active_servers(tiny_fleet) == 0.0
 
     def test_delay_sum_matches_mg1ps(self, tiny_fleet):
-        """Eq. (4): n * lambda / (x - lambda) per group."""
-        levels = np.array([3, -1, -1])
-        load = np.array([4.0, 0.0, 0.0])
-        d = tiny_fleet.action_delay_sum(levels, load)
+        """Eq. (4): n * lambda / (x - lambda) per row."""
+        rows = ClassRows((4,), (10.0,), (4.0,))
+        _, d, _ = rows.totals(tiny_fleet, MG1PSDelay())
         assert d == pytest.approx(10 * 4.0 / (10.0 - 4.0))
 
     def test_delay_infinite_at_saturation(self, tiny_fleet):
-        levels = np.array([3, -1, -1])
-        load = np.array([10.0, 0.0, 0.0])
-        assert tiny_fleet.action_delay_sum(levels, load) == np.inf
+        rows = ClassRows((4,), (10.0,), (10.0,))
+        assert rows.totals(tiny_fleet, MG1PSDelay())[1] == np.inf
 
     def test_off_group_with_load_is_infinite_delay(self, tiny_fleet):
-        levels = np.array([-1, -1, -1])
-        load = np.array([1.0, 0.0, 0.0])
-        assert tiny_fleet.action_delay_sum(levels, load) == np.inf
+        """A row on the off class serves at zero speed."""
+        rows = ClassRows((0,), (10.0,), (1.0,))
+        assert rows.totals(tiny_fleet, MG1PSDelay())[1] == np.inf
 
     def test_served_load(self, tiny_fleet):
-        action = FleetAction(np.array([3, 2, -1]), np.array([1.0, 2.0, 0.0]))
-        assert action.served_load(tiny_fleet) == pytest.approx(30.0)
+        action = FleetAction(np.array([3, 2, -1]), ClassRows((3, 4), (10.0, 10.0), (2.0, 1.0)))
+        assert action.rows.served == pytest.approx(30.0)
+        assert action.rows.active_servers == action.active_servers(tiny_fleet) == 20.0
 
     def test_on_counts(self, tiny_fleet):
-        action = FleetAction(np.array([3, -1, 0]), np.array([1.0, 0.0, 0.5]))
+        action = FleetAction(np.array([3, -1, 0]), ClassRows((1, 4), (10.0, 10.0), (0.5, 1.0)))
         np.testing.assert_allclose(action.on_counts(tiny_fleet), [10, 0, 10])
 
 
+def _action(fleet, levels, loads):
+    return action_from_loads(fleet, np.array(levels), np.array(loads))
+
+
 class TestActionValidation:
+    """The rows check the tests hold every engine's action to."""
+
     def test_valid_action_passes(self, tiny_fleet):
-        levels = np.array([3, 3, 3])
-        load = np.array([2.0, 2.0, 2.0])
-        tiny_fleet.validate_action(levels, load, 60.0, gamma=0.95)
+        action = _action(tiny_fleet, [3, 3, 3], [2.0, 2.0, 2.0])
+        validate_action(tiny_fleet, action, 60.0, gamma=0.95)
 
     def test_overload_rejected(self, tiny_fleet):
-        levels = np.array([3, 3, 3])
-        load = np.array([9.9, 9.9, 9.9])
+        action = _action(tiny_fleet, [3, 3, 3], [9.9, 9.9, 9.9])
         with pytest.raises(ValueError, match="gamma"):
-            tiny_fleet.validate_action(levels, load, 3 * 99.0, gamma=0.95)
+            validate_action(tiny_fleet, action, 3 * 99.0, gamma=0.95)
 
     def test_balance_mismatch_rejected(self, tiny_fleet):
-        levels = np.array([3, 3, 3])
-        load = np.array([2.0, 2.0, 2.0])
+        action = _action(tiny_fleet, [3, 3, 3], [2.0, 2.0, 2.0])
         with pytest.raises(ValueError, match="serves"):
-            tiny_fleet.validate_action(levels, load, 100.0, gamma=0.95)
+            validate_action(tiny_fleet, action, 100.0, gamma=0.95)
 
     def test_off_group_with_load_rejected(self, tiny_fleet):
-        levels = np.array([-1, 3, 3])
-        load = np.array([1.0, 2.0, 2.0])
+        """Rows counting an off group's servers."""
+        action = FleetAction(np.array([-1, 3, 3]), ClassRows((4,), (30.0,), (50.0 / 30.0,)))
         with pytest.raises(ValueError, match="off"):
-            tiny_fleet.validate_action(levels, load, 50.0, gamma=0.95)
+            validate_action(tiny_fleet, action, 50.0, gamma=0.95)
 
     def test_bad_level_rejected(self, tiny_fleet):
-        levels = np.array([4, 3, 3])  # only 4 levels: 0..3
-        load = np.array([1.0, 1.0, 1.0])
+        action = FleetAction(np.array([4, 3, 3]), ClassRows((4,), (20.0,), (1.5,)))
         with pytest.raises(ValueError, match="level"):
-            tiny_fleet.validate_action(levels, load, 30.0, gamma=0.95)
+            validate_action(tiny_fleet, action, 30.0, gamma=0.95)
 
 
 class TestFleetActionContainer:
@@ -255,4 +262,4 @@ class TestFleetActionContainer:
 
     def test_shape_mismatch_rejected(self):
         with pytest.raises(ValueError):
-            FleetAction(np.array([1, 2]), np.array([1.0]))
+            FleetAction(np.array([[1, 2]]), ClassRows((), (), ()))

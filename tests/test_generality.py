@@ -23,6 +23,7 @@ from repro.solvers import (
     distribute_load,
 )
 from repro.traces import Trace, fiu_workload, price_trace
+from tests.billing_oracle import solve_loads
 from tests.brute_force_oracle import BruteForceOracle
 from tests.conftest import make_problem
 
@@ -47,7 +48,8 @@ class TestAlternativeDelayModel:
     def test_waterfilling_balances_load(self, squared_model):
         p = make_problem(squared_model, lam_frac=0.5)
         dist = distribute_load(p, np.full(3, 3))
-        served = float(np.sum(squared_model.fleet.counts * dist.per_server_load))
+        loads = solve_loads(squared_model.fleet, np.full(3, 3), dist)
+        served = float(np.sum(squared_model.fleet.counts * loads))
         assert served == pytest.approx(p.arrival_rate, rel=1e-6)
 
     @pytest.mark.parametrize("seed", range(3))

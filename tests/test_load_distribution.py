@@ -11,11 +11,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.optimize import minimize
 
-from repro.cluster import FleetAction
 from repro.cluster.queueing import MG1PSDelay, SquaredLoadDelay
 from repro.solvers import InfeasibleError, distribute_load, solve_fixed_levels
 from repro.solvers import load_distribution as ld
-from tests.conftest import make_problem
+from tests.billing_oracle import evaluate, solve_action, solve_loads
+from tests.conftest import make_problem, validate_action
 
 
 def scipy_reference(problem, levels):
@@ -30,8 +30,7 @@ def scipy_reference(problem, levels):
     def objective(loads):
         full = np.zeros(fleet.num_groups)
         full[on] = loads
-        action = FleetAction(np.asarray(levels, dtype=np.int64), full)
-        return problem.objective(action)
+        return evaluate(problem, np.asarray(levels, dtype=np.int64), full).objective
 
     x0 = np.full(on.size, problem.arrival_rate / max(float(np.sum(n)), 1.0))
     x0 = np.minimum(x0, 0.99 * caps)
@@ -57,20 +56,21 @@ class TestBalanceAndCaps:
         p = make_problem(tiny_model, lam_frac=lam_frac)
         levels = np.full(3, 3, dtype=np.int64)
         dist = distribute_load(p, levels)
-        served = float(np.sum(tiny_model.fleet.counts * dist.per_server_load))
+        loads = solve_loads(tiny_model.fleet, levels, dist)
+        served = float(np.sum(tiny_model.fleet.counts * loads))
         assert served == pytest.approx(p.arrival_rate, rel=1e-9, abs=1e-9)
 
     def test_caps_respected(self, tiny_model):
         p = make_problem(tiny_model, lam_frac=0.999)
         levels = np.full(3, 3, dtype=np.int64)
         dist = distribute_load(p, levels)
-        assert np.all(dist.per_server_load <= p.gamma * 10.0 + 1e-9)
+        assert np.all(solve_loads(tiny_model.fleet, levels, dist) <= p.gamma * 10.0 + 1e-9)
 
     def test_off_groups_carry_nothing(self, tiny_model):
         p = make_problem(tiny_model, lam_frac=0.3)
         levels = np.array([3, -1, 3])
         dist = distribute_load(p, levels)
-        assert dist.per_server_load[1] == 0.0
+        assert solve_loads(tiny_model.fleet, levels, dist)[1] == 0.0
 
     def test_infeasible_raises(self, tiny_model):
         p = make_problem(tiny_model, lam_frac=0.9)
@@ -86,7 +86,7 @@ class TestBalanceAndCaps:
     def test_zero_load_trivial(self, tiny_model):
         p = make_problem(tiny_model, lam_frac=0.0)
         dist = distribute_load(p, np.full(3, 3))
-        assert np.all(dist.per_server_load == 0.0)
+        assert dist.classes is None and dist.served == 0.0
         assert dist.regime == "free"
 
 
@@ -113,12 +113,12 @@ class TestCapacityWindow:
             )
             p.check_feasible()
             dist = distribute_load(p, top)
-            fleet.validate_action(top, dist.per_server_load, p.arrival_rate, p.gamma)
+            validate_action(fleet, solve_action(fleet, top, dist), p.arrival_rate, p.gamma)
             if np.isinf(dist.nu):
                 # The unbounded dual: every class sits exactly at its cap.
                 saturated += 1
                 caps = p.gamma * fleet.class_speed[list(dist.classes)]
-                assert dist.class_load == tuple(caps)
+                assert tuple(dist.class_load) == tuple(caps)
         assert saturated >= 1  # the grid reaches the rounding window
 
     def test_beyond_the_window_still_raises(self, tiny_model):
@@ -205,7 +205,7 @@ class TestRegimes:
         p = make_problem(tiny_model, lam_frac=0.5, onsite=100.0)
         dist = distribute_load(p, np.full(3, 3))
         assert dist.regime == "free"
-        action = FleetAction(np.full(3, 3, dtype=np.int64), dist.per_server_load)
+        action = solve_action(p.fleet, np.full(3, 3), dist)
         assert p.evaluate(action).brown_energy == 0.0
 
     def test_boundary_regime_pins_power_at_supply(self, hetero_model):
@@ -213,12 +213,12 @@ class TestRegimes:
         p = make_problem(hetero_model, lam_frac=0.5, onsite=0.0, q=100.0)
         levels = (hetero_model.fleet.num_levels - 1).astype(np.int64)
         billed = distribute_load(p, levels)
-        action_b = FleetAction(levels, billed.per_server_load)
+        action_b = solve_action(p.fleet, levels, billed)
         power_billed = p.evaluate(action_b).facility_power
 
         p_free = make_problem(hetero_model, lam_frac=0.5, onsite=1e9, q=100.0)
         free = distribute_load(p_free, levels)
-        action_f = FleetAction(levels, free.per_server_load)
+        action_f = solve_action(p.fleet, levels, free)
         power_free = p_free.evaluate(action_f).facility_power
 
         if power_free > power_billed + 1e-9:
@@ -226,7 +226,7 @@ class TestRegimes:
             p_mid = make_problem(hetero_model, lam_frac=0.5, onsite=r_mid, q=100.0)
             dist = distribute_load(p_mid, levels)
             assert dist.regime == "boundary"
-            action = FleetAction(levels, dist.per_server_load)
+            action = solve_action(p.fleet, levels, dist)
             assert p_mid.evaluate(action).facility_power == pytest.approx(
                 r_mid, rel=1e-5
             )
@@ -246,7 +246,7 @@ class TestOptimality:
         )
         levels = (hetero_model.fleet.num_levels - 1).astype(np.int64)
         dist = distribute_load(p, levels)
-        ours = p.objective(FleetAction(levels, dist.per_server_load))
+        ours = p.objective(solve_action(p.fleet, levels, dist))
         ref = scipy_reference(p, levels)
         assert ours <= ref.fun * (1.0 + 1e-6) + 1e-12
 
@@ -254,7 +254,7 @@ class TestOptimality:
         """Interior groups share one marginal objective (KKT)."""
         p = make_problem(tiny_model, lam_frac=0.5)
         dist = distribute_load(p, np.full(3, 3))
-        loads = dist.per_server_load
+        loads = solve_loads(p.fleet, np.full(3, 3), dist)
         np.testing.assert_allclose(loads, loads[0], rtol=1e-6)
 
     def test_cheaper_groups_loaded_first(self, hetero_model):
@@ -265,7 +265,7 @@ class TestOptimality:
         dist = distribute_load(p, levels)
         fleet = hetero_model.fleet
         coeff = fleet.dyn_coeff[np.arange(2), levels]
-        util = dist.per_server_load / fleet.speed_table[np.arange(2), levels]
+        util = solve_loads(fleet, levels, dist) / fleet.speed_table[np.arange(2), levels]
         order = np.argsort(coeff)
         assert util[order[0]] >= util[order[1]] - 1e-9
 
@@ -357,8 +357,9 @@ class TestDelayFreeZeroCount:
         model.fleet.counts = counts
         p = model.slot_problem(arrival_rate=50.0, onsite=0.0, price=40.0)
         dist = distribute_load(p, np.full(3, 3))
-        assert not np.any(np.isnan(dist.per_server_load))
-        served = float(np.sum(counts * dist.per_server_load))
+        loads = solve_loads(model.fleet, np.full(3, 3), dist)
+        assert not np.any(np.isnan(loads))
+        served = float(np.sum(counts * loads))
         assert served == pytest.approx(50.0)
 
 
@@ -408,7 +409,7 @@ class TestBoundaryWeightReporting:
             dist.electricity_weight, rel=1e-6
         )
         np.testing.assert_allclose(
-            redo.per_server_load, dist.per_server_load, rtol=1e-6, atol=1e-12
+            redo.class_load, dist.class_load, rtol=1e-6, atol=1e-12
         )
 
 
@@ -426,11 +427,12 @@ class TestSolveFixedLevels:
         model = DataCenterModel(fleet=tiny_fleet, beta=0.0)
         p = model.slot_problem(arrival_rate=50.0, onsite=0.0, price=40.0)
         dist = distribute_load(p, np.full(3, 3))
-        served = float(np.sum(tiny_fleet.counts * dist.per_server_load))
+        loads = solve_loads(tiny_fleet, np.full(3, 3), dist)
+        served = float(np.sum(tiny_fleet.counts * loads))
         assert served == pytest.approx(50.0)
         # Homogeneous coefficients: the three groups form one (profile,
         # level) class, which the greedy fills as a whole -- 50 req/s over
         # 30 servers, well under the 9.5 req/s cap each.  (Any split is
         # optimal for a linear objective; per group, the historical fill
         # put all 50 req/s on group 0 at the same cost.)
-        np.testing.assert_allclose(dist.per_server_load, 50.0 / 30.0)
+        np.testing.assert_allclose(loads, 50.0 / 30.0)

@@ -8,7 +8,7 @@ import math
 import numpy as np
 import pytest
 
-from repro.cluster import Fleet, FleetAction, ServerGroup, opteron_2380
+from repro.cluster import Fleet, ServerGroup, opteron_2380
 from repro.core import DataCenterModel
 from repro.solvers import (
     BusTimeoutError,
@@ -17,9 +17,11 @@ from repro.solvers import (
     InfeasibleError,
     MessageTransport,
     distribute_load,
+    solve_fixed_levels,
 )
 from repro.solvers.messaging import _bisection_rounds, pricing_bill
 from repro.state import CheckpointError
+from tests.billing_oracle import solve_loads
 from tests.brute_force_oracle import BruteForceOracle
 from tests.conftest import make_problem
 from tests.protocol_oracle import (
@@ -80,9 +82,8 @@ class TestDualCoordinatorProtocol:
         coord.configure(p)
         coord.solve(p)
         distributed = np.array([a.load for a in agents])
-        central = distribute_load(
-            p, np.array([a.level for a in agents], dtype=np.int64)
-        ).per_server_load
+        levels = np.array([a.level for a in agents], dtype=np.int64)
+        central = solve_loads(tiny_model.fleet, levels, distribute_load(p, levels))
         np.testing.assert_allclose(distributed, central, rtol=1e-6, atol=1e-9)
 
     def test_free_regime_with_huge_renewables(self, tiny_model):
@@ -205,7 +206,7 @@ class TestDistributedGSD:
     def test_action_serves_workload(self, tiny_model):
         p = make_problem(tiny_model, lam_frac=0.6)
         sol = DistributedGSD(iterations=100, delta=1e4).solve(p)
-        assert sol.action.served_load(tiny_model.fleet) == pytest.approx(
+        assert sol.action.rows.served == pytest.approx(
             p.arrival_rate, rel=1e-6
         )
 
@@ -338,8 +339,7 @@ def _regime_problems(model, V=1000.0):
 
     def power(onsite):
         p = make_problem(model, lam_frac=0.5, q=5.0, V=V, onsite=onsite)
-        action = FleetAction(top, distribute_load(p, top).per_server_load)
-        return p.evaluate(action).facility_power
+        return solve_fixed_levels(p, top)[1].facility_power
 
     between = 0.5 * (power(0.0) + power(1e9))
     return {
@@ -470,9 +470,7 @@ class TestOracleAgreement:
         gsd = GSDSolver(rng=np.random.default_rng(4), **kw).solve(problem)
         dist = DistributedGSD(rng=np.random.default_rng(4), **kw).solve(problem)
         np.testing.assert_array_equal(dist.action.levels, gsd.action.levels)
-        np.testing.assert_array_equal(
-            dist.action.per_server_load, gsd.action.per_server_load
-        )
+        assert dist.action.rows == gsd.action.rows
         assert dist.evaluation == gsd.evaluation
         assert dist.info["retries_used"] == 0 and "bus_faults" not in dist.info
 

@@ -3,8 +3,9 @@
 import numpy as np
 import pytest
 
-from repro.cluster import FleetAction, PowerModel, SwitchingCostModel, TieredTariff
+from repro.cluster import PowerModel, SwitchingCostModel, TieredTariff
 from repro.solvers import InfeasibleError, SlotProblem
+from tests.billing_oracle import action_from_loads
 from tests.conftest import make_problem
 
 
@@ -69,7 +70,7 @@ class TestEvaluation:
         p = make_problem(tiny_model, lam_frac=0.5, price=40.0, q=5.0, V=2.0)
         levels = np.full(3, 3, dtype=np.int64)
         lam = p.arrival_rate / 30.0
-        action = FleetAction(levels, np.full(3, lam))
+        action = action_from_loads(tiny_model.fleet, levels, np.full(3, lam))
         ev = p.evaluate(action)
         assert ev.objective == pytest.approx(2.0 * ev.cost + 5.0 * ev.brown_energy)
         assert ev.cost == pytest.approx(ev.electricity_cost + ev.delay_cost)
@@ -78,7 +79,7 @@ class TestEvaluation:
         p_dark = make_problem(tiny_model, lam_frac=0.5, onsite=0.0)
         p_sunny = make_problem(tiny_model, lam_frac=0.5, onsite=1e9)
         levels = np.full(3, 3, dtype=np.int64)
-        action = FleetAction(levels, np.full(3, p_dark.arrival_rate / 30.0))
+        action = action_from_loads(tiny_model.fleet, levels, np.full(3, p_dark.arrival_rate / 30.0))
         assert p_dark.evaluate(action).electricity_cost > 0
         assert p_sunny.evaluate(action).electricity_cost == 0.0
         assert p_sunny.evaluate(action).brown_energy == 0.0
@@ -89,7 +90,7 @@ class TestEvaluation:
         m1 = DataCenterModel(fleet=tiny_fleet)
         m2 = DataCenterModel(fleet=tiny_fleet, power_model=PowerModel(pue=1.5))
         levels = np.full(3, 3, dtype=np.int64)
-        action = FleetAction(levels, np.full(3, 2.0))
+        action = action_from_loads(tiny_fleet, levels, np.full(3, 2.0))
         e1 = m1.slot_problem(arrival_rate=60.0, onsite=0.0, price=40.0).evaluate(action)
         e2 = m2.slot_problem(arrival_rate=60.0, onsite=0.0, price=40.0).evaluate(action)
         assert e2.facility_power == pytest.approx(1.5 * e1.facility_power)
@@ -108,7 +109,7 @@ class TestEvaluation:
             prev_on_counts=np.zeros(3),
         )
         levels = np.full(3, 3, dtype=np.int64)
-        action = FleetAction(levels, np.full(3, 2.0))
+        action = action_from_loads(tiny_fleet, levels, np.full(3, 2.0))
         ev = p.evaluate(action)
         assert ev.switching_energy == pytest.approx(30 * 1e-3)
         # Switching energy increases facility power and hence cost.
@@ -121,7 +122,7 @@ class TestEvaluation:
         model = DataCenterModel(fleet=tiny_fleet, tariff=tariff)
         p = model.slot_problem(arrival_rate=60.0, onsite=0.0, price=40.0)
         levels = np.full(3, 3, dtype=np.int64)
-        action = FleetAction(levels, np.full(3, 2.0))
+        action = action_from_loads(tiny_fleet, levels, np.full(3, 2.0))
         ev = p.evaluate(action)
         expected = tariff.cost(ev.brown_energy, 40.0)
         assert ev.electricity_cost == pytest.approx(expected)

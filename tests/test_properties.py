@@ -6,10 +6,11 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from repro.cluster import FleetAction, MG1PSDelay, SquaredLoadDelay
+from repro.cluster import MG1PSDelay, SquaredLoadDelay
 from repro.core import CarbonDeficitQueue
 from repro.solvers import distribute_load
 from repro.traces import Trace
+from tests.billing_oracle import group_loads, solve_action
 from tests.conftest import make_problem
 
 finite_floats = st.floats(
@@ -130,7 +131,8 @@ class TestLoadDistributionProperties:
         p = make_problem(model, lam_frac=lam_frac, onsite=onsite, price=price, q=q)
         levels = np.full(3, 3, dtype=np.int64)
         dist = distribute_load(p, levels)
-        loads = dist.per_server_load
+        action = solve_action(fleet, levels, dist)
+        loads = group_loads(fleet, action)
         # Balance
         served = float(np.sum(fleet.counts * loads))
         assert served == pytest.approx(p.arrival_rate, rel=1e-6, abs=1e-6)
@@ -138,7 +140,6 @@ class TestLoadDistributionProperties:
         assert np.all(loads >= -1e-12)
         assert np.all(loads <= p.gamma * 10.0 + 1e-9)
         # Objective finite and action valid
-        action = FleetAction(levels, loads)
         assert np.isfinite(p.objective(action))
 
     @settings(max_examples=15, deadline=None)

@@ -3,10 +3,12 @@
 :meth:`EvaluationCache.objective_of` scores a candidate from the class
 record :func:`distribute_load` returns for its histogram -- totals summed
 over class rows and :meth:`SlotProblem.cost_terms`, no action and no
-:class:`SlotEvaluation` -- while the engines report
-``problem.evaluate(action)`` of the action :meth:`EvaluationCache.solution_for`
-expands.  On every scoring path the two must agree: the same verdict, and
-the same objective up to summation order (1e-12 relative).
+:class:`SlotEvaluation`.  The engines report the evaluation
+:meth:`EvaluationCache.solution_for` returns, which must be
+``problem.evaluate(action)`` of its action bit for bit.  Against the
+per-group evaluation of that action (``tests.billing_oracle``) the score
+must agree on every scoring path: the same verdict, and the same
+objective up to summation order (1e-12 relative).
 
 The paths: the billed, free and boundary regimes, a tiered tariff,
 peak-power and max-delay caps, switching charged on and off, network
@@ -23,11 +25,18 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from repro.cluster import Fleet, FleetAction, ServerGroup, cubic_dvfs_profile, opteron_2380
+from repro.cluster import Fleet, ServerGroup, cubic_dvfs_profile, opteron_2380
 from repro.cluster.power import TieredTariff
 from repro.cluster.queueing import SquaredLoadDelay
 from repro.cluster.switching import SwitchingCostModel
-from repro.solvers import EvaluationCache, InfeasibleError, SlotProblem, distribute_load
+from repro.solvers import (
+    EvaluationCache,
+    InfeasibleError,
+    SlotProblem,
+    distribute_load,
+    solve_fixed_levels,
+)
+from tests.billing_oracle import evaluate, group_loads
 
 RTOL = 1e-12
 
@@ -51,9 +60,7 @@ def _mixed(fleet: Fleet) -> np.ndarray:
 
 
 def _facility(problem: SlotProblem, levels: np.ndarray) -> float:
-    dist = distribute_load(problem, levels)
-    action = FleetAction(levels=levels, per_server_load=dist.per_server_load)
-    return problem.evaluate(action).facility_power
+    return solve_fixed_levels(problem, levels)[1].facility_power
 
 
 def _case(name: str) -> tuple[SlotProblem, np.ndarray]:
@@ -86,10 +93,7 @@ def _case(name: str) -> tuple[SlotProblem, np.ndarray]:
         return replace(base, tariff=tariff), top
     if name == "caps":
         power = _facility(base, top)
-        dist = distribute_load(base, top)
-        delay = base.evaluate(
-            FleetAction(levels=top, per_server_load=dist.per_server_load)
-        ).delay_cost
+        delay = solve_fixed_levels(base, top)[1].delay_cost
         return replace(base, peak_power_cap=0.97 * power, max_delay_cost=1.3 * delay), top
     if name == "switching":
         prev = np.where(np.arange(fleet.num_groups) % 3 == 0, 0.0, fleet.counts)
@@ -133,14 +137,15 @@ def _check(problem: SlotProblem, cache: EvaluationCache, levels: np.ndarray) -> 
         # Screened out or rejected by the inner solve: a fresh per-group
         # solve must reject it too, or break a cap.
         try:
-            dist = distribute_load(problem, levels)
+            action, _ = solve_fixed_levels(problem, levels)
         except InfeasibleError:
             return "infeasible"
-        action = FleetAction(levels=levels, per_server_load=dist.per_server_load)
-        assert problem.violates_caps(problem.evaluate(action))
+        want = evaluate(problem, levels, group_loads(problem.fleet, action))
+        assert problem.violates_caps(want)
         return "caps"
-    action, _, _ = cache.solution_for(levels)
-    want = problem.evaluate(action)
+    action, evaluation = cache.solution_for(levels)
+    assert evaluation == problem.evaluate(action)
+    want = evaluate(problem, levels, group_loads(problem.fleet, action))
     if math.isinf(got):
         assert problem.violates_caps(want)
         return "caps"

@@ -52,24 +52,24 @@ class TestRealizeAction:
         unaware = CarbonUnaware(sc.model)
         obs = sc.environment.observation(12)
         sol = unaware.decide(obs)
-        levels, rows, dropped = realize_action(
-            sc.model, sol.action, obs.arrival_rate, obs.arrival_rate, rows=sol.rows
+        realized, dropped = realize_action(
+            sc.model, sol.action, obs.arrival_rate, obs.arrival_rate
         )
         assert dropped == 0.0
-        assert np.array_equal(levels, sol.action.levels)
-        assert rows.classes == sol.rows.classes
-        np.testing.assert_allclose(rows.loads, sol.rows.loads)
+        assert np.array_equal(realized.levels, sol.action.levels)
+        assert realized.rows.classes == sol.action.rows.classes
+        np.testing.assert_allclose(realized.rows.loads, sol.action.rows.loads)
 
     def test_overestimation_scales_down(self, week_scenario):
         sc = week_scenario
         unaware = CarbonUnaware(sc.model)
         obs = sc.environment.observation(12)
         sol = unaware.decide(obs)
-        _, rows, dropped = realize_action(
+        realized, dropped = realize_action(
             sc.model, sol.action, 0.5 * obs.arrival_rate, obs.arrival_rate
         )
         assert dropped == 0.0
-        assert rows.served == pytest.approx(
+        assert realized.rows.served == pytest.approx(
             0.5 * obs.arrival_rate
         )
 
@@ -79,7 +79,7 @@ class TestRealizeAction:
         obs = sc.environment.observation(12)
         sol = unaware.decide(obs)
         actual = 1.2 * obs.arrival_rate
-        _, rows, dropped = realize_action(sc.model, sol.action, actual, obs.arrival_rate)
+        realized, dropped = realize_action(sc.model, sol.action, actual, obs.arrival_rate)
         capacity_on = float(
             np.sum(
                 sc.model.fleet.counts
@@ -87,7 +87,7 @@ class TestRealizeAction:
                 * sc.model.fleet.group_speeds(sol.action.levels)
             )
         )
-        served = rows.served
+        served = realized.rows.served
         assert served + dropped == pytest.approx(actual, rel=1e-9)
         assert served <= capacity_on * (1 + 1e-9)
 
@@ -95,8 +95,8 @@ class TestRealizeAction:
         sc = week_scenario
         unaware = CarbonUnaware(sc.model)
         sol = unaware.decide(sc.environment.observation(12))
-        _, rows, dropped = realize_action(sc.model, sol.action, 0.0, 100.0)
-        assert rows.served == 0.0
+        realized, dropped = realize_action(sc.model, sol.action, 0.0, 100.0)
+        assert realized.rows.served == 0.0
         assert dropped == 0.0
 
     def test_nothing_on_drops_everything(self, week_scenario):
@@ -104,8 +104,8 @@ class TestRealizeAction:
 
         sc = week_scenario
         off = FleetAction.all_off(sc.model.fleet)
-        _, rows, dropped = realize_action(sc.model, off, 50.0, 0.0)
-        assert rows.classes == ()
+        realized, dropped = realize_action(sc.model, off, 50.0, 0.0)
+        assert realized.rows.classes == ()
         assert dropped == pytest.approx(50.0)
 
 

@@ -24,19 +24,19 @@ from itertools import product
 import numpy as np
 import pytest
 
-from repro.cluster import Fleet, FleetAction, ServerGroup, cubic_dvfs_profile, opteron_2380
+from repro.cluster import Fleet, ServerGroup, cubic_dvfs_profile, opteron_2380
 from repro.core import DataCenterModel
 from repro.solvers import (
     CoordinateDescentSolver,
     GSDSolver,
     HomogeneousEnumerationSolver,
     InfeasibleError,
-    distribute_load,
     geometric_temperature,
+    solve_fixed_levels,
     solve_with_failed_groups,
 )
 from tests.brute_force_oracle import BruteForceOracle
-from tests.conftest import assert_local_minimum
+from tests.conftest import assert_local_minimum, validate_action
 
 _PROFILES = (opteron_2380, cubic_dvfs_profile)
 
@@ -77,11 +77,10 @@ def enumerate_feasible(problem, failed=()):
     for combo in product(*ranges):
         levels = np.asarray(combo, dtype=np.int64)
         try:
-            dist = distribute_load(problem, levels)
+            _, evaluation = solve_fixed_levels(problem, levels)
         except InfeasibleError:
             continue
-        action = FleetAction(levels=levels, per_server_load=dist.per_server_load)
-        out.append((levels, problem.evaluate(action)))
+        out.append((levels, evaluation))
     return out
 
 
@@ -200,7 +199,7 @@ class TestCrossSolverConsistency:
         for cold in (False, True):
             sol = gsd_long_chain(p, seed, failed=[failed], cold=cold)
             assert sol.action.levels[failed] == -1
-            assert sol.action.per_server_load[failed] == 0.0
+            validate_action(p.fleet, sol.action, p.arrival_rate, p.gamma)
             assert (
                 oracle * (1.0 - 1e-9) - 1e-12
                 <= sol.objective

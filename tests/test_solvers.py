@@ -17,7 +17,7 @@ from repro.solvers import (
     geometric_temperature,
 )
 from tests.brute_force_oracle import BruteForceOracle
-from tests.conftest import make_problem
+from tests.conftest import make_problem, validate_action
 
 
 def random_problem(model, rng, *, q_choices=(0.0, 5.0, 50.0)):
@@ -46,9 +46,7 @@ class TestBruteForce:
     def test_action_is_valid(self, tiny_model):
         p = make_problem(tiny_model, lam_frac=0.5)
         sol = BruteForceOracle().solve(p)
-        tiny_model.fleet.validate_action(
-            sol.action.levels, sol.action.per_server_load, p.arrival_rate, p.gamma
-        )
+        validate_action(tiny_model.fleet, sol.action, p.arrival_rate, p.gamma)
 
 
 class TestEnumerationExactness:

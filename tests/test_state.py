@@ -43,11 +43,9 @@ from repro.state import (
     atomic_write_text,
     canonical_dumps,
     commit_file,
-    decode_action,
     decode_array,
     decode_rng,
     dumps_checkpoint,
-    encode_action,
     encode_array,
     encode_rng,
     environment_fingerprint,
@@ -142,18 +140,6 @@ class TestSerialize:
     def test_array_none_passes_through(self):
         assert encode_array(None) is None
         assert decode_array(None) is None
-
-    def test_action_round_trip(self):
-        from repro.cluster.fleet import FleetAction
-
-        action = FleetAction(
-            levels=np.array([2, -1, 0], dtype=np.int64),
-            per_server_load=np.array([0.5, 0.0, 0.25]),
-        )
-        back = decode_action(encode_action(action))
-        assert np.array_equal(back.levels, action.levels)
-        assert np.array_equal(back.per_server_load, action.per_server_load)
-        assert decode_action(None) is None
 
     def test_rng_round_trip_continues_identically(self):
         rng = np.random.default_rng(42)
@@ -380,6 +366,57 @@ class TestResumeReplay:
         resumed = simulate(
             scenario.model, _coca(scenario), scenario.environment, resume_from=ckpt
         )
+        assert record_mismatches(golden, resumed) == []
+
+    def test_resume_from_legacy_last_realized_loads(self, tmp_path):
+        """Checkpoints of older versions store a fault run's last realized
+        action with its per-group loads (``last_realized`` holds
+        ``levels`` and ``per_server_load``); only the levels are read, and a
+        run resumed from one -- with last-action fallbacks after the
+        resume slot -- is bit-identical to an uninterrupted run."""
+        scenario = small_scenario(horizon=36, seed=5)
+        G = scenario.model.fleet.num_groups
+        schedule = FaultSchedule.generate(
+            3, horizon=36, num_groups=G, failure_rate=0.1, mean_repair=4.0, loss=0.3
+        )
+
+        def run(policy, **kwargs):
+            solver = DistributedGSD(iterations=6, rng=np.random.default_rng(2))
+            return simulate(
+                scenario.model,
+                _coca(scenario, solver=solver),
+                scenario.environment,
+                faults=FaultInjector(schedule, num_groups=G),
+                degradation=policy,
+                **kwargs,
+            )
+
+        golden_policy = DegradationPolicy(retries=0)
+        golden = run(golden_policy)
+        run(
+            DegradationPolicy(retries=0),
+            checkpoint=CheckpointWriter(tmp_path, every=1, sync=False),
+        )
+        log = tmp_path / LOG_NAME
+        data = log.read_bytes()
+        legacy = bytearray()
+        for slot, start, end in record_spans(log):
+            if slot > 20:
+                break
+            record = loads_checkpoint(data[start:end]).state
+            last = record["last_realized"]
+            if last is not None:
+                assert set(last) == {"levels"}
+                levels = serialize.decode_array(last["levels"])
+                loads = np.where(levels >= 0, 1.5, 0.0)
+                last["per_server_load"] = serialize.encode_array(loads)
+            legacy += dumps_checkpoint(slot, record)
+        (tmp_path / "legacy.log").write_bytes(bytes(legacy))
+        ckpt = load_checkpoint(str(tmp_path / "legacy.log"))
+        assert ckpt.slot == 20
+        assert "per_server_load" in ckpt.state["last_realized"]
+        assert golden_policy.fallbacks > ckpt.state["degradation"]["fallbacks"]
+        resumed = run(DegradationPolicy(retries=0), resume_from=ckpt)
         assert record_mismatches(golden, resumed) == []
 
     def test_resume_under_chaos_with_lossy_bus(self, tmp_path):

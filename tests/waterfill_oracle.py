@@ -17,18 +17,27 @@ unbounded dual instead of raising.
 
 from __future__ import annotations
 
+from typing import NamedTuple
+
 import numpy as np
 
 from repro.cluster.power import LinearTariff
-from repro.solvers.load_distribution import (
-    _EARLY_EXIT,
-    _MU_ITERS,
-    _NU_ITERS,
-    LoadDistribution,
-)
+from repro.solvers.load_distribution import _EARLY_EXIT, _MU_ITERS, _NU_ITERS
 from repro.solvers.problem import InfeasibleError, SlotProblem
 
-__all__ = ["oracle_distribute"]
+__all__ = ["OracleDistribution", "oracle_distribute"]
+
+
+class OracleDistribution(NamedTuple):
+    """The oracle's solve: a per-server load for every group (zero when
+    off), the final dual, the regime and its electricity weight."""
+
+    per_server_load: np.ndarray
+    nu: float
+    regime: str
+    electricity_weight: float
+    warm_started: bool = False
+    inner_iters: int = 0
 
 
 def _fill_when_delay_free(lam, weights, caps, counts):
@@ -110,7 +119,7 @@ def _waterfill(problem, lam, we, x, c, n):
     return _close_residual(lam, loads_at(hi), caps, n), hi, iters
 
 
-def oracle_distribute(problem: SlotProblem, levels: np.ndarray) -> LoadDistribution:
+def oracle_distribute(problem: SlotProblem, levels: np.ndarray) -> OracleDistribution:
     """Cold group-level solve of Eq. (18) for ``levels`` (same regimes,
     same :class:`InfeasibleError` conditions as the shipped solver)."""
     fleet = problem.fleet
@@ -119,7 +128,7 @@ def oracle_distribute(problem: SlotProblem, levels: np.ndarray) -> LoadDistribut
     on = np.nonzero(levels >= 0)[0]
     full = np.zeros(fleet.num_groups)
     if lam <= 0.0:
-        return LoadDistribution(full, 0.0, "free", 0.0)
+        return OracleDistribution(full, 0.0, "free", 0.0)
     if on.size == 0:
         raise InfeasibleError("positive workload but every group is off")
 
@@ -150,13 +159,13 @@ def oracle_distribute(problem: SlotProblem, levels: np.ndarray) -> LoadDistribut
         we = new_we
     if facility(loads_a) >= problem.onsite * (1.0 - 1e-12):
         full[on] = loads_a
-        return LoadDistribution(full, nu_a, "billed", we, False, total_iters)
+        return OracleDistribution(full, nu_a, "billed", we, False, total_iters)
 
     loads_b, nu_b, it_b = _waterfill(problem, lam, 0.0, x, c, n)
     total_iters += it_b
     if facility(loads_b) <= problem.onsite * (1.0 + 1e-12):
         full[on] = loads_b
-        return LoadDistribution(full, nu_b, "free", 0.0, False, total_iters)
+        return OracleDistribution(full, nu_b, "free", 0.0, False, total_iters)
 
     lo_mu, hi_mu = 0.0, we
     loads_m, nu_m = loads_b, nu_b
@@ -173,4 +182,4 @@ def oracle_distribute(problem: SlotProblem, levels: np.ndarray) -> LoadDistribut
         if collapsed and _EARLY_EXIT:
             break
     full[on] = loads_m
-    return LoadDistribution(full, nu_m, "boundary", mu, False, total_iters)
+    return OracleDistribution(full, nu_m, "boundary", mu, False, total_iters)
