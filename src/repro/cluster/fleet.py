@@ -156,6 +156,7 @@ class Fleet:
         sub._group_power = self._group_power.take(idx)
         if self.is_homogeneous:
             sub.is_homogeneous = True
+            sub.nondominated_levels = self.nondominated_levels
         return sub
 
     # ------------------------------------------------------------------
@@ -220,6 +221,7 @@ class Fleet:
         "_class_tables",
         "class_lists",
         "prefix_servers",
+        "nondominated_levels",
     )
 
     def __getstate__(self) -> dict:
@@ -305,14 +307,28 @@ class Fleet:
         return speed.tolist(), coeff.tolist(), static.tolist()
 
     @cached_property
-    def prefix_servers(self) -> np.ndarray:
+    def prefix_servers(self) -> list[float]:
         """Server count of every group prefix: ``prefix_servers[j]`` servers
-        in the first ``j`` groups, ``j = 0..G``.  These are the on-set sizes
-        the exact engine scores each slot; built on first use and kept out
-        of pickles, so they live exactly as long as this fleet."""
-        M = np.concatenate(([0.0], np.cumsum(self.counts)))
-        M.setflags(write=False)
-        return M
+        in the first ``j`` groups, ``j = 0..G``, as plain floats.  These are
+        the on-set sizes the exact engine searches each slot; built on first
+        use and kept out of pickles, so they live exactly as long as this
+        fleet."""
+        return [0.0, *np.cumsum(self.counts).tolist()]
+
+    @cached_property
+    def nondominated_levels(self) -> tuple[int, ...]:
+        """Speed levels of the first group's profile (the whole fleet's, on
+        a homogeneous fleet) that no other level dominates.
+
+        Level ``k`` is dominated when another level is at least as fast and
+        draws at most as much dynamic power per request, one of the two
+        strictly.  Speeds strictly increase, so that is a higher level with
+        a dynamic coefficient no larger than ``k``'s.  On the Opteron 2380
+        the top level dominates the other three."""
+        coeff = self.groups[0].profile.energy_per_request.tolist()
+        return tuple(
+            k for k, c in enumerate(coeff) if all(c < other for other in coeff[k + 1:])
+        )
 
     def capacity(self, gamma: float) -> float:
         """Usable service rate under the utilization cap ``gamma`` (Eq. (7))."""
@@ -382,7 +398,7 @@ class ClassRows(NamedTuple):
         return it_power, delay_sum, served
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FleetAction:
     """One slot's decision of problem P3: a speed vector and a load split.
 
@@ -390,21 +406,42 @@ class FleetAction:
     ----------
     levels:
         Integer speed level per group; ``-1`` means the zero speed (off).
-        The on-counts behind switching energy are read from these.
+        The on-counts behind switching energy are read from these.  Kept
+        as given when already a 1-D, read-only ``int64`` array that owns
+        its data (nothing else can write to it); any other input is copied.
     rows:
         The load split as :class:`ClassRows`: every server of a class
         carries its row's per-server load (req/s).
+
+    Two actions are equal when their levels and rows are.
     """
 
     levels: np.ndarray
     rows: ClassRows
 
     def __post_init__(self) -> None:
-        levels = np.asarray(self.levels, dtype=np.int64).copy()
+        levels = self.levels
+        if (
+            isinstance(levels, np.ndarray)
+            and levels.ndim == 1
+            and levels.dtype == np.int64
+            and not levels.flags.writeable
+            and levels.flags.owndata
+        ):
+            return
+        levels = np.asarray(levels, dtype=np.int64).copy()
         if levels.ndim != 1:
             raise ValueError("levels must be 1-D")
         levels.setflags(write=False)
         object.__setattr__(self, "levels", levels)
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, FleetAction):
+            return NotImplemented
+        return np.array_equal(self.levels, other.levels) and self.rows == other.rows
+
+    def __hash__(self) -> int:
+        return hash((self.levels.tobytes(), self.rows))
 
     @classmethod
     def all_off(cls, fleet: Fleet) -> "FleetAction":

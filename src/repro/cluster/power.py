@@ -55,7 +55,12 @@ class PowerModel:
 
 
 class Tariff(ABC):
-    """Electricity-cost function ``e(brown_energy; price)`` for one slot."""
+    """Electricity-cost function ``e(brown_energy; price)`` for one slot.
+
+    Contract: at a fixed nonnegative price, :meth:`cost` is nondecreasing
+    and convex in ``brown``.  The exact engine relies on it to bisect the
+    servers-on count (:mod:`repro.solvers.enumeration`).
+    """
 
     @abstractmethod
     def cost(self, brown: float, price: float) -> float:

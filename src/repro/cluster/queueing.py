@@ -40,7 +40,11 @@ class DelayCostModel(ABC):
 
     All methods are vectorized: ``load`` and ``speed`` may be arrays of a
     common broadcast shape.  Implementations must be convex and increasing
-    in ``load``, decreasing in ``speed``, with ``cost(0, x) == 0``.
+    in ``load``, with ``cost(0, x) == 0``, and strictly decreasing in
+    ``speed`` at any positive load short of saturation.  The exact engine
+    (:mod:`repro.solvers.enumeration`) relies on the last to drop speed
+    levels that another level dominates, and on the first two for the
+    convexity of its search.
     """
 
     @abstractmethod

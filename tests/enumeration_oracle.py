@@ -1,13 +1,14 @@
 """Broadcast-grid enumeration kernel: the test oracle for the exact engine.
 
-:class:`repro.solvers.enumeration.HomogeneousEnumerationSolver` scores the
-``(G+1) x K`` (servers-on, shared-speed) grid from a prefix-sum table the
-fleet builds once, and :meth:`repro.solvers.problem.SlotProblem.evaluate`
-aggregates an action with one on-set gather.  This module keeps the
-historical formulation -- prefix sums rebuilt per solve, the load column
-broadcast and copied to the full grid, ``np.sum`` reductions, one on-set
-index per aggregate -- so tests can pin the shipped engine to it bit for
-bit.  It is not importable from the package and no engine calls it.
+:class:`repro.solvers.enumeration.HomogeneousEnumerationSolver` bisects
+the servers-on count of the ``(G+1) x K`` (servers-on, shared-speed) grid
+instead of scoring it, and :meth:`repro.solvers.problem.SlotProblem.evaluate`
+bills an action over its class rows.  This module keeps the historical
+formulation -- every cell of the grid scored, prefix sums rebuilt per
+solve, the load column broadcast and copied to the full grid, ``np.sum``
+reductions, one on-set index per aggregate -- so tests can pin the
+shipped engine to it.  It is not importable from the package and no
+engine calls it.
 
 :func:`oracle_solve` is the historical ``_solve`` body verbatim, less its
 span bookkeeping, and it ends with :func:`oracle_evaluate` (the historical

@@ -1,20 +1,23 @@
 """The exact engine's slot against its historical kernel.
 
-:class:`HomogeneousEnumerationSolver` scores its (servers-on, speed) grid
-from the fleet's cached prefix sums in a (K, G+1) layout, and bills the
-chosen cell as one class row (M_j servers at level k, each at
-lambda / M_j); :meth:`SlotProblem.evaluate` aggregates an action from one
-on-set gather.  Every test here replays seeded random slot problems
-through the shipped engine and through :mod:`tests.enumeration_oracle`
-(the historical kernel and its per-group evaluation) and asserts ``==`` on
-the levels, the per-server loads (by their bytes) and the ``info`` dict.
-Every field of the :class:`SlotEvaluation` agrees within ``RTOL``
-relative: the cell's bill and the per-group sums differ only in rounding.
-Infeasible inputs must raise the same exception type on both.
+:class:`HomogeneousEnumerationSolver` bisects the servers-on count on each
+speed level no other level dominates, over the interval of on-set sizes
+the load window and the caps leave (it scans every feasible cell when the
+previous on-set is not a group prefix), and bills the chosen cell as one
+class row (M_j servers at level k, each at lambda / M_j).  Every test here
+replays seeded random slot problems through the shipped engine and
+through :mod:`tests.enumeration_oracle` (the historical full-grid kernel
+and its per-group evaluation) and asserts ``==`` on the levels, the
+per-server loads (by their bytes) and the ``info`` dict.  Every field of
+the :class:`SlotEvaluation` agrees within ``RTOL`` relative: the cell's
+bill and the per-group sums differ only in rounding.  Infeasible inputs
+must raise the same exception type on both.  A paper-scale COCA week, with
+and without failed groups, must pick the oracle's cell on every slot, and
+the paper fleet's solve may score only a logarithmic number of cells.
 
-A second group guards the cached table's lifetime: a failed-group
-sub-fleet dies with its slot, and a fleet's pickled bytes do not depend on
-whether a solve has touched it.
+A last group guards the cached tables' lifetime: a failed-group sub-fleet
+dies with its slot, and a fleet's pickled bytes do not depend on whether
+a solve has touched it.
 """
 
 from __future__ import annotations
@@ -28,14 +31,18 @@ from dataclasses import astuple, replace
 import numpy as np
 import pytest
 
-from repro.cluster.fleet import ClassRows, Fleet, FleetAction, ServerGroup
+from repro.cluster.fleet import ClassRows, Fleet, FleetAction, ServerGroup, default_fleet
 from repro.cluster.power import PowerModel, TieredTariff
-from repro.cluster.queueing import SquaredLoadDelay
+from repro.cluster.queueing import MG1PSDelay, SquaredLoadDelay
 from repro.cluster.server import cubic_dvfs_profile, opteron_2380
 from repro.cluster.switching import SwitchingCostModel
+from repro.core import COCA
+from repro.faults import FaultSchedule
+from repro.scenarios import paper_scenario
+from repro.sim import simulate
 from repro.solvers.base import SlotSolver
 from repro.solvers.degraded import solve_with_failed_groups
-from repro.solvers.enumeration import HomogeneousEnumerationSolver
+from repro.solvers.enumeration import HomogeneousEnumerationSolver, _window_start
 from repro.solvers.problem import InfeasibleError, SlotProblem
 from repro.telemetry import Telemetry
 from tests.billing_oracle import group_loads
@@ -133,6 +140,41 @@ class TestKernelMatchesOracle:
                 rng, fleet, switching=sw, prev_on_counts=prev_on(rng, fleet)
             )
             assert_same(problem, switching_aware=aware)
+
+    @pytest.mark.parametrize("capped", [False, True])
+    @pytest.mark.parametrize("charge_off", [False, True])
+    def test_switching_from_prefix(self, rng, charge_off, capped):
+        """A previous on-set that is a group prefix makes the switching
+        charge the convex hinge the bisection relies on; with a peak cap
+        the facility power is convex rather than rising in M."""
+        for _ in range(CASES):
+            fleet = random_fleet(rng)
+            sw = SwitchingCostModel(
+                energy_per_toggle=float(rng.uniform(1e-6, 1e-3)),
+                charge_off=charge_off,
+            )
+            p = int(rng.integers(0, fleet.num_groups + 1))
+            prev = np.where(np.arange(fleet.num_groups) < p, fleet.counts, 0.0)
+            cap = {}
+            if capped:
+                cap["peak_power_cap"] = float(rng.uniform(0.05, 1.5)) * fleet.max_power
+            problem = random_problem(
+                rng, fleet, switching=sw, prev_on_counts=prev, **cap
+            )
+            assert_same(problem)
+
+    def test_switching_scan_with_caps(self, rng):
+        """A previous on-set that is not a group prefix has every feasible
+        cell scanned; the caps are checked cell by cell there."""
+        for _ in range(CASES):
+            fleet = random_fleet(rng)
+            sw = SwitchingCostModel(energy_per_toggle=float(rng.uniform(1e-6, 1e-3)))
+            problem = random_problem(
+                rng, fleet, switching=sw, prev_on_counts=prev_on(rng, fleet),
+                peak_power_cap=float(rng.uniform(0.2, 1.5)) * fleet.max_power,
+                max_delay_cost=float(rng.uniform(0.0, 0.5)),
+            )
+            assert_same(problem)
 
     def test_peak_power_and_max_delay_caps(self, rng):
         raised = solved = 0
@@ -263,6 +305,101 @@ class TestKernelMatchesOracle:
                     assert a == b, name
                 else:
                     assert abs(a - b) <= 1e-12 * max(abs(b), scales.get(name, 0.0)), name
+
+
+class CountingDelay(MG1PSDelay):
+    """The paper's delay model, counting the (load, speed) elements it is
+    asked to score, array or scalar."""
+
+    def __init__(self):
+        object.__setattr__(self, "scored", 0)
+
+    def cost(self, load, speed):
+        out = super().cost(load, speed)
+        object.__setattr__(self, "scored", self.scored + int(np.size(out)))
+        return out
+
+    def cost_at(self, load, speed):
+        object.__setattr__(self, "scored", self.scored + 1)
+        return super().cost_at(load, speed)
+
+
+class TestSearchCost:
+    def test_paper_fleet_scores_a_logarithmic_number_of_cells(self, rng):
+        """On the 200-group Opteron fleet only the top level is searched,
+        and a bisection over 201 on-set sizes scores two cells a step; the
+        finalize bills one more.  The full grid scores 4 x 201."""
+        fleet = default_fleet()
+        bound = 2 * math.ceil(math.log2(fleet.num_groups + 1)) + 2
+        engine = HomogeneousEnumerationSolver()
+        for _ in range(CASES):
+            counting = CountingDelay()
+            problem = random_problem(
+                rng, fleet, delay_model=counting, beta=float(rng.uniform(0.1, 20.0))
+            )
+            got = engine.solve(problem)
+            assert 0 < counting.scored <= bound
+            want = oracle_solve(replace(problem, delay_model=MG1PSDelay()))
+            assert got.info == want.info
+
+    def test_window_start_settles_rounding_at_the_edge(self, rng):
+        """The load window's edge from a bisection on the prefix sizes
+        equals the first prefix the predicate admits, also when the load
+        sits within a few ulps of a prefix's capped capacity."""
+        for _ in range(2000):
+            counts = rng.integers(1, 2000, int(rng.integers(1, 30))).astype(float)
+            M = [0.0, *np.cumsum(counts).tolist()]
+            cap = float(rng.uniform(0.1, 10.0))
+            lam = M[int(rng.integers(1, len(M)))] * cap
+            toward = np.inf if rng.random() < 0.5 else 0.0
+            for _ in range(int(rng.integers(0, 4))):
+                lam = float(np.nextafter(lam, toward))
+            want = next(
+                (j for j in range(1, len(M)) if lam / M[j] <= cap), len(M)
+            )
+            assert _window_start(M, lam, cap) == want
+        assert _window_start([0.0, 5.0], 0.0, 1.0) == 0
+        assert _window_start([0.0, 5.0], 6.0, 1.0) == 2
+
+
+class _OracleProbe(SlotSolver):
+    """Solves with the exact engine and checks every slot's cell against
+    the historical kernel."""
+
+    def __init__(self):
+        self.inner = HomogeneousEnumerationSolver()
+        self.groups: list[int] = []
+
+    def solve(self, problem):
+        solution = self.inner.solve(problem)
+        want = oracle_solve(problem)
+        cell = ("servers_on", "speed_level")
+        assert [solution.info[k] for k in cell] == [want.info[k] for k in cell]
+        self.groups.append(problem.fleet.num_groups)
+        return solution
+
+
+class TestCocaWeek:
+    @pytest.mark.parametrize("faults", [False, True])
+    def test_paper_week_picks_the_oracle_cell(self, faults):
+        sc = paper_scenario(horizon=168)
+        schedule = None
+        if faults:
+            schedule = FaultSchedule.generate(
+                17, horizon=sc.horizon, num_groups=sc.model.fleet.num_groups,
+                failure_rate=0.05, mean_repair=6.0,
+            )
+        probe = _OracleProbe()
+        simulate(
+            sc.model,
+            COCA(sc.model, sc.environment.portfolio, v_schedule=50.0, solver=probe),
+            sc.environment,
+            faults=schedule,
+        )
+        assert len(probe.groups) >= sc.horizon
+        full = sc.model.fleet.num_groups
+        # With faults, slots with a group down solve on a sub-fleet.
+        assert (min(probe.groups) < full) == faults
 
 
 class _FleetProbe(SlotSolver):

@@ -14,6 +14,7 @@ from repro.cluster import (
     FleetAction,
     MG1PSDelay,
     ServerGroup,
+    ServerProfile,
     cubic_dvfs_profile,
     default_fleet,
     opteron_2380,
@@ -263,3 +264,84 @@ class TestFleetActionContainer:
     def test_shape_mismatch_rejected(self):
         with pytest.raises(ValueError):
             FleetAction(np.array([[1, 2]]), ClassRows((), (), ()))
+
+    def test_read_only_owned_levels_kept(self):
+        levels = np.array([3, 3, -1], dtype=np.int64)
+        levels.setflags(write=False)
+        action = FleetAction(levels, ClassRows((4,), (20.0,), (1.5,)))
+        assert action.levels is levels
+        # Handing an action's levels to the next one copies nothing.
+        assert FleetAction(action.levels, action.rows).levels is levels
+
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda: np.array([3, 3, -1], dtype=np.int64),  # writable
+            lambda: [3, 3, -1],  # not an array
+            lambda: np.array([3, 3, -1], dtype=np.int32),  # another dtype
+        ],
+    )
+    def test_other_levels_copied(self, make):
+        levels = make()
+        action = FleetAction(levels, ClassRows((4,), (20.0,), (1.5,)))
+        assert action.levels is not levels
+        assert not action.levels.flags.writeable
+        levels[0] = -1
+        assert action.levels.tolist() == [3, 3, -1]
+
+    def test_read_only_view_copied(self):
+        """A read-only view can still change through its writable base."""
+        base = np.array([3, 3, -1, -1], dtype=np.int64)
+        view = base[:3]
+        view.setflags(write=False)
+        action = FleetAction(view, ClassRows((4,), (20.0,), (1.5,)))
+        base[0] = -1
+        assert action.levels.tolist() == [3, 3, -1]
+
+    def test_equality_and_hash(self):
+        rows = ClassRows((4,), (20.0,), (1.5,))
+        a = FleetAction(np.array([3, 3]), rows)
+        b = FleetAction([3, 3], ClassRows((4,), (20.0,), (1.5,)))
+        assert a == b and hash(a) == hash(b)
+        assert len({a, b}) == 1
+        assert a != FleetAction(np.array([3, -1]), rows)
+        assert a != FleetAction(np.array([3, 3]), ClassRows((4,), (20.0,), (1.25,)))
+        assert a != FleetAction(np.array([3, 3, -1]), rows)
+        assert a != (a.levels, a.rows)
+
+
+class TestNondominatedLevels:
+    def test_opteron_top_level_dominates(self):
+        assert default_fleet(num_groups=3).nondominated_levels == (3,)
+
+    def test_cubic_profile_keeps_every_level(self):
+        fleet = Fleet([ServerGroup(cubic_dvfs_profile(levels=5), 4)])
+        assert fleet.nondominated_levels == (0, 1, 2, 3, 4)
+
+    def test_matches_pairwise_definition(self):
+        """Level k is dominated when another level is at least as fast and
+        at most as costly per request, one of the two strictly."""
+        rng = np.random.default_rng(7)
+        for _ in range(50):
+            K = int(rng.integers(1, 7))
+            speeds = np.cumsum(rng.uniform(0.5, 3.0, K))
+            dyn = speeds * rng.choice([1.0, 2.0, 3.0], K) * 1e-5
+            fleet = Fleet([ServerGroup(ServerProfile("p", 1e-4, speeds, dyn), 3)])
+            coeff = fleet.groups[0].profile.energy_per_request
+            want = tuple(
+                k for k in range(K)
+                if not any(
+                    speeds[o] >= speeds[k] and coeff[o] <= coeff[k]
+                    and (speeds[o] > speeds[k] or coeff[o] < coeff[k])
+                    for o in range(K) if o != k
+                )
+            )
+            assert fleet.nondominated_levels == want
+
+    def test_sub_fleet_inherits_and_pickles_without_it(self):
+        fleet = default_fleet(num_groups=6)
+        before = pickle.dumps(fleet)
+        sub = fleet.subset([4, 1])
+        assert sub.__dict__["nondominated_levels"] is fleet.nondominated_levels
+        assert pickle.dumps(fleet) == before
+        assert pickle.dumps(sub) == pickle.dumps(Fleet([fleet.groups[4], fleet.groups[1]]))

@@ -6,7 +6,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from repro.cluster import MG1PSDelay, SquaredLoadDelay
+from repro.cluster import LinearTariff, MG1PSDelay, SquaredLoadDelay, TieredTariff
 from repro.core import CarbonDeficitQueue
 from repro.solvers import distribute_load
 from repro.traces import Trace
@@ -112,6 +112,40 @@ class TestDelayModelProperties:
             mid = model.cost(0.5 * (a + b), speed)
             avg = 0.5 * (model.cost(a, speed) + model.cost(b, speed))
             assert mid <= avg + 1e-9
+
+
+@st.composite
+def tariffs(draw):
+    if draw(st.booleans()):
+        return LinearTariff()
+    n = draw(st.integers(1, 4))
+    thresholds = sorted(draw(st.sets(st.floats(1e-4, 10.0), min_size=n, max_size=n)))
+    steps = draw(st.lists(st.floats(0.0, 3.0), min_size=n + 1, max_size=n + 1))
+    return TieredTariff(tuple(thresholds), tuple(np.cumsum(steps).tolist()))
+
+
+class TestModelContracts:
+    """The contracts the exact engine's search relies on: a tariff is
+    nondecreasing and convex in brown energy, and a delay cost is strictly
+    decreasing in speed at positive load."""
+
+    @given(tariffs(), st.floats(0.0, 20.0), st.floats(0.0, 20.0), st.floats(0.0, 200.0))
+    def test_tariff_nondecreasing_and_convex(self, tariff, a, b, price):
+        lo, hi = min(a, b), max(a, b)
+        assert tariff.cost(lo, price) <= tariff.cost(hi, price)
+        mid = tariff.cost(0.5 * (lo + hi), price)
+        avg = 0.5 * (tariff.cost(lo, price) + tariff.cost(hi, price))
+        assert mid <= avg + 1e-9 * (1.0 + avg)
+
+    @given(st.floats(1e-6, 9.0), st.floats(1e-3, 10.0), st.floats(1e-3, 10.0))
+    def test_delay_strictly_decreasing_in_speed(self, load, slow, extra):
+        fast = slow + extra
+        assume(fast > slow)
+        for model in (MG1PSDelay(), SquaredLoadDelay()):
+            for cost in (model.cost_at, lambda x, s: float(model.cost(x, s))):
+                quick, lagging = cost(load, fast), cost(load, slow)
+                # Past saturation at both speeds the cost is infinite.
+                assert quick < lagging or quick == lagging == np.inf
 
 
 class TestLoadDistributionProperties:
