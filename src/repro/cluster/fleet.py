@@ -24,19 +24,11 @@ the load-distribution solve: a per-server load depends only on the
 (profile, level) *class*, and the group's server count only weights it.
 :meth:`Fleet.class_counts` collapses a level vector onto those classes;
 the profile ids behind it are computed on first use, so fleets that never
-reach the water-fill (per-slot failure sub-fleets on the enumeration
-engine) never pay for them.
-
-Fault injection solves every slot on the sub-fleet of surviving groups.
-:meth:`Fleet.subset` derives that sub-fleet by slicing the parent's tables
-and per-group aggregates instead of re-walking its :class:`ServerGroup`
-entries; the result equals ``Fleet(groups)`` on the same groups, down to
-its pickled bytes.
+reach the water-fill (the exact engine's) never pay for them.
 """
 
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass
 from functools import cached_property
 from typing import NamedTuple, Sequence
@@ -115,50 +107,6 @@ class Fleet:
         self.level_valid = level_valid
         self.dyn_coeff = dyn_coeff
 
-    def subset(self, indices) -> "Fleet":
-        """The sub-fleet of groups ``indices`` (in that order), sliced from
-        this fleet's tables.
-
-        Equal to ``Fleet([self.groups[i] for i in indices])`` -- same tables
-        (the padded width trimmed to the subset's own widest group), same
-        aggregates bit for bit, same pickled bytes -- without walking the
-        groups' profiles.  Fault injection derives one of these every slot.
-        """
-        idx = np.asarray(indices, dtype=np.intp)
-        if idx.ndim != 1 or idx.size == 0:
-            raise ValueError("fleet needs at least one group")
-        num_levels = self.num_levels.take(idx)
-        K = int(num_levels.max())
-
-        def rows(table: np.ndarray) -> np.ndarray:
-            out = table.take(idx, axis=0)
-            if out.ndim == 2 and K < out.shape[1]:
-                out = np.ascontiguousarray(out[:, :K])
-            out.setflags(write=False)
-            return out
-
-        ids = idx.tolist()
-        sub = Fleet.__new__(Fleet)
-        # Same assignment order as __init__, so the pickled bytes match.
-        sub.groups = (
-            operator.itemgetter(*ids)(self.groups)
-            if len(ids) > 1
-            else (self.groups[ids[0]],)
-        )
-        sub.counts = rows(self.counts)
-        sub.num_levels = num_levels
-        sub.speed_table = rows(self.speed_table)
-        sub.dynamic_power_table = rows(self.dynamic_power_table)
-        sub.static_power = rows(self.static_power)
-        sub.level_valid = rows(self.level_valid)
-        sub.dyn_coeff = rows(self.dyn_coeff)
-        sub._group_capacity = self._group_capacity.take(idx)
-        sub._group_power = self._group_power.take(idx)
-        if self.is_homogeneous:
-            sub.is_homogeneous = True
-            sub.nondominated_levels = self.nondominated_levels
-        return sub
-
     # ------------------------------------------------------------------
     @property
     def num_groups(self) -> int:
@@ -177,16 +125,12 @@ class Fleet:
 
     # Aggregates over ``groups`` are cached: groups never change, and the
     # per-slot feasibility check reads them on every solve.  The totals are
-    # Python ``sum`` over the per-group values (``np.sum`` is pairwise and
-    # can differ in the last bit), so a sub-fleet sliced by :meth:`subset`
-    # gets the same bits as one built from its groups.
+    # Python ``sum`` over the per-group values in index order (``np.sum``
+    # is pairwise and can differ in the last bit), so :meth:`capacity` of
+    # any list of groups has the same bits as a fleet built from them.
     @cached_property
     def _group_capacity(self) -> np.ndarray:
         return np.array([g.max_capacity for g in self.groups], dtype=np.float64)
-
-    @cached_property
-    def _group_power(self) -> np.ndarray:
-        return np.array([g.max_power for g in self.groups], dtype=np.float64)
 
     @cached_property
     def max_capacity(self) -> float:
@@ -196,7 +140,7 @@ class Fleet:
     @cached_property
     def max_power(self) -> float:
         """Total power (MW) with every server at top speed, fully loaded."""
-        return float(sum(self._group_power.tolist()))
+        return float(sum(g.max_power for g in self.groups))
 
     @cached_property
     def is_homogeneous(self) -> bool:
@@ -213,7 +157,6 @@ class Fleet:
     #: a solver has touched it yet.
     _LAZY = (
         "_group_capacity",
-        "_group_power",
         "max_capacity",
         "max_power",
         "is_homogeneous",
@@ -330,9 +273,13 @@ class Fleet:
             k for k, c in enumerate(coeff) if all(c < other for other in coeff[k + 1:])
         )
 
-    def capacity(self, gamma: float) -> float:
-        """Usable service rate under the utilization cap ``gamma`` (Eq. (7))."""
-        return gamma * self.max_capacity
+    def capacity(self, gamma: float, groups: np.ndarray | None = None) -> float:
+        """Usable service rate under the utilization cap ``gamma`` (Eq. (7))
+        of the groups at indices ``groups`` (all when ``None``), summed in
+        index order like :attr:`max_capacity`."""
+        if groups is None:
+            return gamma * self.max_capacity
+        return gamma * float(sum(self._group_capacity[groups].tolist()))
 
     def group_speeds(self, levels: np.ndarray) -> np.ndarray:
         """Per-group service rate for a level vector (``-1`` -> 0 speed)."""

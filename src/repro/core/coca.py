@@ -20,7 +20,6 @@ import numpy as np
 from ..energy.renewables import RenewablePortfolio
 from ..solvers.base import SlotSolution, SlotSolver
 from ..solvers.convex import CoordinateDescentSolver
-from ..solvers.degraded import solve_with_failed_groups
 from ..solvers.enumeration import HomogeneousEnumerationSolver
 from .config import DataCenterModel
 from .controller import Controller, SlotObservation, SlotOutcome
@@ -130,9 +129,10 @@ class COCA(Controller):
 
     # ------------------------------------------------------------------
     def set_failed_groups(self, failed: frozenset[int]) -> None:
-        """Fault-injection hook: solve subsequent slots on the sub-fleet of
-        healthy groups (section 4.2's failures-shrink-the-feasible-set
-        reading).  The empty set restores the ordinary solve path."""
+        """Fault-injection hook: subsequent slot problems carry ``failed``
+        as :attr:`~repro.solvers.problem.SlotProblem.failed`, so the engine
+        holds those groups off (section 4.2: failures shrink the feasible
+        set).  The empty set means every group is up."""
         self._failed = frozenset(failed)
 
     def decide(self, observation: SlotObservation) -> SlotSolution:
@@ -156,11 +156,9 @@ class COCA(Controller):
             q=self.queue.length,
             V=self._current_v,
             prev_on_counts=self._prev_on,
+            failed=self._failed or None,
         )
-        if self._failed:
-            solution = solve_with_failed_groups(self.solver, problem, self._failed)
-        else:
-            solution = self.solver.solve(problem)
+        solution = self.solver.solve(problem)
         # Histories are appended only once the solve succeeds, so a failed
         # slot (handled via on_fallback) never records twice or misaligns.
         self.v_history.append(self._current_v)

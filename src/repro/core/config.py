@@ -74,8 +74,10 @@ class DataCenterModel:
         prev_on_counts: np.ndarray | None = None,
         network_delay: float = 0.0,
         pue_override: float | None = None,
+        failed: frozenset[int] | None = None,
     ) -> SlotProblem:
-        """Build the P3 instance for one slot."""
+        """Build the P3 instance for one slot; ``failed`` names the server
+        groups that are down (see :class:`SlotProblem`)."""
         return SlotProblem(
             fleet=self.fleet,
             arrival_rate=arrival_rate,
@@ -96,6 +98,7 @@ class DataCenterModel:
             network_delay=network_delay,
             pue_override=pue_override,
             slot_hours=self.slot_hours,
+            failed=failed,
         )
 
     @property

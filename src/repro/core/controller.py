@@ -82,9 +82,10 @@ class Controller(ABC):
 
         Called by the simulator before each ``decide`` when fault
         injection is active; the empty set means all groups are healthy.
-        The default ignores it — the engine still masks failed groups out
-        of the *realized* action, so an unaware controller stays
-        physically correct, just suboptimal.
+        COCA puts the set on its slot problem, whose engines hold those
+        groups off.  The default ignores it — the simulator still masks
+        failed groups out of the *realized* action, so an unaware
+        controller stays physically correct, just suboptimal.
         """
 
     def on_fallback(self, observation: SlotObservation, solution: SlotSolution) -> None:

@@ -3,7 +3,6 @@
 from .base import SlotSolution, SlotSolver
 from .convex import CoordinateDescentSolver, initial_levels
 from .deadline import DeadlineExceededError, SolveDeadline
-from .degraded import solve_with_failed_groups
 from .enumeration import HomogeneousEnumerationSolver
 from .fastpath import EvaluationCache, FastPathStats
 from .gsd import GSDSolver, GSDTrace, geometric_temperature
@@ -33,5 +32,4 @@ __all__ = [
     "DistributedGSD",
     "MessageTransport",
     "BusTimeoutError",
-    "solve_with_failed_groups",
 ]

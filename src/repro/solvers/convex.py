@@ -39,22 +39,25 @@ __all__ = ["CoordinateDescentSolver", "initial_levels"]
 def initial_levels(problem: SlotProblem, kind: str = "max") -> np.ndarray:
     """Feasible starting configurations for iterative engines.
 
-    ``"max"`` puts every group at its top speed (always feasible when the
-    slot is feasible at all); ``"min-capacity"`` turns groups on at top
-    speed in index order only until the capped capacity covers the load.
+    ``"max"`` puts every healthy group at its top speed (always feasible
+    when the slot is feasible at all); ``"min-capacity"`` turns healthy
+    groups on at top speed in index order only until the capped capacity
+    covers the load.  Failed groups stay off in both.
     """
     fleet = problem.fleet
-    top = fleet.num_levels - 1
     if kind == "max":
-        return top.astype(np.int64)
+        levels = (fleet.num_levels - 1).astype(np.int64)
+        if problem.failed is not None:
+            levels[list(problem.failed)] = -1
+        return levels
     if kind == "min-capacity":
-        caps = problem.gamma * fleet.counts * fleet.speed_table[
-            np.arange(fleet.num_groups), top
-        ]
+        healthy = problem.healthy
+        top = fleet.num_levels[healthy] - 1
+        caps = problem.gamma * fleet.counts[healthy] * fleet.speed_table[healthy, top]
         cum = np.cumsum(caps)
         need = int(np.searchsorted(cum, problem.arrival_rate * (1 + 1e-12))) + 1
         levels = np.full(fleet.num_groups, -1, dtype=np.int64)
-        levels[: min(need, fleet.num_groups)] = top[: min(need, fleet.num_groups)]
+        levels[healthy[:need]] = top[:need]
         return levels
     raise ValueError(f"unknown initial-levels kind: {kind!r}")
 
@@ -126,7 +129,7 @@ class CoordinateDescentSolver(SlotSolver):
         for _ in range(self.max_sweeps):
             sweeps += 1
             improved = False
-            for g in range(fleet.num_groups):
+            for g in problem.healthy.tolist():
                 current = levels[g]
                 for cand in range(-1, int(fleet.num_levels[g])):
                     if cand == current:
@@ -170,13 +173,9 @@ class CoordinateDescentSolver(SlotSolver):
             elif attempt == 1:
                 levels = initial_levels(problem, "min-capacity")
             else:
-                levels = np.array(
-                    [
-                        int(self.rng.integers(-1, fleet.num_levels[g]))
-                        for g in range(fleet.num_groups)
-                    ],
-                    dtype=np.int64,
-                )
+                levels = np.full(fleet.num_groups, -1, dtype=np.int64)
+                for g in problem.healthy.tolist():
+                    levels[g] = self.rng.integers(-1, fleet.num_levels[g])
                 cache.note_all()
                 if not np.isfinite(cache.objective_of(levels)):
                     levels = initial_levels(problem, "max")

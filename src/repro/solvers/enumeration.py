@@ -11,7 +11,9 @@ a candidate solution is fully described by the pair
 with the shared per-server load forced to ``lambda / M``.  On-sets are taken
 in group-prefix order, so ``M`` ranges over the ``G + 1`` prefix sums of the
 group counts; with equal group sizes this is every multiple of the group
-size, i.e. the paper's own group-batching granularity.
+size, i.e. the paper's own group-batching granularity.  Failed groups
+(:attr:`~repro.solvers.problem.SlotProblem.failed`) stay off: the prefixes
+run over the healthy groups in index order.
 
 The engine returns the argmin of that ``(G+1) x K`` cell grid, in the
 grid's tie order (fewest servers, then lowest level), without scoring the
@@ -117,13 +119,16 @@ def _capped(cell, s, c, lo, hi, peak_cap, delay_cap) -> tuple[int, int]:
 
 
 def _switching_energies(problem: SlotProblem) -> tuple[list[float], bool]:
-    """Switching energy (MWh) of every on-set prefix from the previous
-    slot's on-counts, and whether that previous on-set is a group prefix
-    (which makes the charge convex in the on-set size).  The running sums
-    add in :func:`numpy.cumsum` order."""
+    """Switching energy (MWh) of every on-set prefix of the healthy groups
+    from their previous on-counts, and whether that previous on-set is a
+    prefix (which makes the charge convex in the on-set size).  The
+    running sums add in :func:`numpy.cumsum` order."""
     sw = problem.switching
-    counts = problem.fleet.counts.tolist()
-    prev = problem.prev_on_counts.tolist()
+    counts = problem.fleet.counts
+    prev = problem.prev_on_counts
+    if problem.failed is not None:
+        counts, prev = counts[problem.healthy], prev[problem.healthy]
+    counts, prev = counts.tolist(), prev.tolist()
     e = sw.energy_per_toggle
     up = 0.0
     turned_on = [0.0]
@@ -186,7 +191,11 @@ class HomogeneousEnumerationSolver(SlotSolver):
         speeds = profile.speeds.tolist()
         coeffs = fleet.dyn_coeff[0].tolist()  # MW per req/s
         static = profile.static_power
-        M = fleet.prefix_servers  # servers in the first j groups, j = 0..G
+        # Servers in the first j healthy groups, j = 0..G.
+        if problem.failed is None:
+            M = fleet.prefix_servers
+        else:
+            M = [0.0, *np.cumsum(fleet.counts[problem.healthy]).tolist()]
         G = len(M) - 1
         lam = problem.arrival_rate
         slot_h = problem.slot_hours
@@ -303,8 +312,11 @@ class HomogeneousEnumerationSolver(SlotSolver):
             t_phase = now
 
         _, j, k = best
-        levels = np.full(G, -1, dtype=np.int64)
-        levels[:j] = k
+        levels = np.full(fleet.num_groups, -1, dtype=np.int64)
+        if problem.failed is None:
+            levels[:j] = k
+        else:
+            levels[problem.healthy[:j]] = k
         levels.setflags(write=False)
         if j:
             # The chosen cell as one class row: M_j servers at level k, each

@@ -62,7 +62,7 @@ per ``solve(problem)`` call, so nothing leaks across slots or problems.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -166,6 +166,14 @@ class EvaluationCache:
         self._histogram_of: dict[bytes, tuple[float, ...]] = {}
         self._hint: ClassSolve | None = None
         self._table = ClassTable(problem)
+        # A failed group's forced power-off is billed but decided by no
+        # candidate: scores count the healthy groups' transitions only, as
+        # the exact engine's do.
+        self._scoring = problem
+        if problem.failed is not None and problem.prev_on_counts is not None:
+            prev = problem.prev_on_counts.copy()
+            prev[list(problem.failed)] = 0.0
+            self._scoring = replace(problem, prev_on_counts=prev)
         # Delta-screen state: the on-set's class histogram (servers on per
         # class id) vs a private copy of the last-synced level vector.
         # Group g at level l is class ``_class_flat[_class_row[g] + l]``.
@@ -284,7 +292,8 @@ class EvaluationCache:
 
         p = self.problem
         facility, _, _, _, delay_cost, _, objective = p.cost_terms(
-            solve.it_power, solve.delay_sum, solve.served, p.switching_energy(levels)
+            solve.it_power, solve.delay_sum, solve.served,
+            self._scoring.switching_energy(levels),
         )
         obj = np.inf if p.exceeds_caps(facility, delay_cost) else float(objective)
         self._objectives[key] = obj
@@ -304,7 +313,8 @@ class EvaluationCache:
 
         The action's rows are the solve's class rows and the evaluation is
         billed from its totals, as :meth:`objective_of` scores it, so the
-        evaluation's objective is the scored one bit for bit.
+        evaluation's objective is the scored one bit for bit -- unless a
+        failed group that was on last slot is charged its power-off.
         """
         hkey = self._histogram_of.get(levels.tobytes())
         if hkey is None:

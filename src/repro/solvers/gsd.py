@@ -37,6 +37,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
+from . import convex
 from .base import SlotSolution, SlotSolver
 from .deadline import DeadlineExceededError, SolveDeadline
 from .fastpath import EvaluationCache
@@ -134,9 +135,9 @@ class GSDSolver(SlotSolver):
     rng:
         Randomness source; defaults to a fixed seed for reproducibility.
     initial_levels:
-        Optional starting configuration (per-group levels, ``-1`` = off);
-        defaults to all groups at top speed, which is feasible whenever the
-        slot is.
+        Optional starting configuration (per-group levels, ``-1`` = off;
+        failed groups are forced off); defaults to every healthy group at
+        top speed, which is feasible whenever the slot is.
     record_history:
         When True, attach a :class:`GSDTrace` to ``info["trace"]``.
     deadline_ms:
@@ -200,14 +201,14 @@ class GSDSolver(SlotSolver):
         The acceptance exponent is ``delta * (1/g~^e - 1/g~^*)``; for the
         chain to discriminate between configurations differing by a ~10%
         objective gap, ``delta`` must be on the order of the objective
-        itself.  This helper evaluates the all-top-speed configuration and
-        returns ``greediness`` times its objective: ``greediness ~ 1`` is
-        exploratory, ``>> 1`` nearly greedy (the paper's Fig. 4 sweeps this
-        knob as its different-``delta`` curves).
+        itself.  This helper evaluates the all-top-speed configuration
+        (failed groups off) and returns ``greediness`` times its objective:
+        ``greediness ~ 1`` is exploratory, ``>> 1`` nearly greedy (the
+        paper's Fig. 4 sweeps this knob as its different-``delta`` curves).
         """
         if greediness <= 0:
             raise ValueError("greediness must be positive")
-        levels = (problem.fleet.num_levels - 1).astype(np.int64)
+        levels = convex.initial_levels(problem)
         objective = solve_fixed_levels(problem, levels)[1].objective
         return greediness * max(objective, _OBJECTIVE_FLOOR)
 
@@ -238,7 +239,9 @@ class GSDSolver(SlotSolver):
         problem.check_feasible()
         fleet = problem.fleet
         rng = self.rng
-        G = fleet.num_groups
+        # The chain explores the healthy groups only: failed ones stay off.
+        groups = problem.healthy.tolist()
+        H = len(groups)
         cache = EvaluationCache(problem, warm_start=_WARM_START)
 
         scored_s = 0.0
@@ -274,13 +277,15 @@ class GSDSolver(SlotSolver):
 
         if self.initial_levels is not None:
             levels = self.initial_levels.copy()
-            if levels.shape != (G,):
+            if levels.shape != (fleet.num_groups,):
                 raise ValueError("initial_levels must have one entry per group")
+            if problem.failed is not None:
+                levels[list(problem.failed)] = -1
         else:
-            levels = (fleet.num_levels - 1).astype(np.int64)
+            levels = convex.initial_levels(problem)
         current = score(levels)
         if not np.isfinite(current):
-            levels = (fleet.num_levels - 1).astype(np.int64)
+            levels = convex.initial_levels(problem)
             cache.note_all()
             current = score(levels)
         best_levels, best = levels.copy(), current
@@ -326,7 +331,7 @@ class GSDSolver(SlotSolver):
             hist_temp[it] = delta
 
             # Line 7: a random group explores a random speed (incl. off).
-            g = int(rng.integers(0, G))
+            g = groups[int(rng.integers(0, H))]
             proposal = int(rng.integers(-1, fleet.num_levels[g]))
             old_level = levels[g]
             if proposal == old_level:

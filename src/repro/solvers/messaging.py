@@ -254,7 +254,7 @@ class DistributedGSD(GSDSolver):
         cache: EvaluationCache,
         score: Callable[[np.ndarray], float],
     ) -> Callable[[np.ndarray], float]:
-        g = problem.fleet.num_groups
+        g = problem.healthy.size  # failed groups take no part
         factory = self.transport_factory
         transport = (
             factory(g, self.retries)

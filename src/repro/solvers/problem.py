@@ -19,6 +19,7 @@ identically.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -121,6 +122,17 @@ class SlotProblem:
         slot length, and brown energy is the power shortfall times the slot
         length.  With the historical implicit 1-hour slots the two were
         numerically interchangeable; at any other slot length they are not.
+    failed:
+        Server groups that are down this slot (fault injection), as group
+        indices; ``None`` (or empty) when every group is up.  The paper's
+        section 4.2 remark is that server failures just shrink the
+        feasible set, and that is how the slot problem carries them: a
+        failed group's only level is off.  Every engine solves on the full
+        fleet with failed groups held at level ``-1``, searching the
+        healthy groups in index order, and :meth:`check_feasible` reads
+        the healthy groups' capacity.  An index out of range raises
+        :class:`ValueError`; a set naming every group raises
+        :class:`InfeasibleError`.
     """
 
     fleet: Fleet
@@ -142,6 +154,7 @@ class SlotProblem:
     network_delay: float = 0.0
     pue_override: float | None = None
     slot_hours: float = 1.0
+    failed: tuple[int, ...] | None = None
 
     def __post_init__(self) -> None:
         if self.arrival_rate < 0:
@@ -173,6 +186,23 @@ class SlotProblem:
             raise ValueError("PUE must be >= 1")
         if self.slot_hours <= 0:
             raise ValueError("slot length must be positive")
+        if self.failed is not None:
+            failed = tuple(sorted({int(g) for g in self.failed}))
+            for g in failed[:1] + failed[-1:]:
+                if not 0 <= g < self.fleet.num_groups:
+                    raise ValueError(f"failed group index {g} out of range")
+            if len(failed) == self.fleet.num_groups:
+                raise InfeasibleError("every server group has failed")
+            object.__setattr__(self, "failed", failed or None)
+
+    @cached_property
+    def healthy(self) -> np.ndarray:
+        """Indices of the groups that are up, ascending: every group when
+        :attr:`failed` is ``None``."""
+        mask = np.ones(self.fleet.num_groups, dtype=bool)
+        if self.failed is not None:
+            mask[list(self.failed)] = False
+        return np.flatnonzero(mask)
 
     # ------------------------------------------------------------------
     # Derived weights
@@ -196,8 +226,9 @@ class SlotProblem:
 
     def check_feasible(self) -> None:
         """Raise :class:`InfeasibleError` if the workload exceeds the
-        fleet's capped capacity (assumption of section 3.2)."""
-        cap = self.fleet.capacity(self.gamma)
+        healthy groups' capped capacity (assumption of section 3.2)."""
+        groups = None if self.failed is None else self.healthy
+        cap = self.fleet.capacity(self.gamma, groups)
         if self.arrival_rate > cap * (1.0 + 1e-12):
             raise InfeasibleError(
                 f"arrival rate {self.arrival_rate:.6g} req/s exceeds capped "

@@ -45,10 +45,10 @@ from repro.solvers import (
     HomogeneousEnumerationSolver,
     InfeasibleError,
     SlotEvaluation,
-    solve_with_failed_groups,
 )
 from tests.billing_oracle import bill, evaluate, group_loads
 from tests.conftest import validate_action
+from tests.failed_groups_oracle import solve_with_failed_groups, subset
 
 #: Relative tolerance between the class-space bill and the per-group one.
 RTOL = 1e-12
@@ -265,7 +265,7 @@ REMAP_CASES = {
 def test_failed_profile_rows_carry_full_fleet_ids(case, engine_name):
     makers, failed = REMAP_CASES[case]
     fleet = Fleet([ServerGroup(makers[g % 2](), 6 + 5 * g) for g in range(6)])
-    survivors = fleet.subset([g for g in range(6) if g not in failed])
+    survivors = subset(fleet, [g for g in range(6) if g not in failed])
     assert survivors.profile_ids.tolist() == [0, 0, 0]
     assert fleet.profile_ids[1] == 1
     if case == "widest_profile_down":

@@ -83,7 +83,7 @@ def cases(draw):
     counts = draw(st.lists(st.integers(1, 20), min_size=G, max_size=G))
     groups = [ServerGroup(_PROFILES[k](), n) for k, n in zip(kinds, counts)]
     if draw(st.booleans()):
-        # A failed-group sub-fleet, built the way degraded solves build it.
+        # The survivors of a failed set, as the sub-fleet oracle builds them.
         failed = set(draw(st.lists(st.integers(0, G - 1), max_size=G - 1)))
         groups = [grp for g, grp in enumerate(groups) if g not in failed]
     fleet = Fleet(groups)

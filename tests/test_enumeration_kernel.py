@@ -27,6 +27,7 @@ import math
 import pickle
 import weakref
 from dataclasses import astuple, replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -41,12 +42,12 @@ from repro.faults import FaultSchedule
 from repro.scenarios import paper_scenario
 from repro.sim import simulate
 from repro.solvers.base import SlotSolver
-from repro.solvers.degraded import solve_with_failed_groups
 from repro.solvers.enumeration import HomogeneousEnumerationSolver, _window_start
 from repro.solvers.problem import InfeasibleError, SlotProblem
 from repro.telemetry import Telemetry
 from tests.billing_oracle import group_loads
 from tests.enumeration_oracle import oracle_evaluate, oracle_solve
+from tests.failed_groups_oracle import solve_with_failed_groups, subset
 
 #: Seeded problems per randomized case.
 CASES = 40
@@ -271,7 +272,7 @@ class TestKernelMatchesOracle:
             keep = np.flatnonzero(rng.random(fleet.num_groups) < 0.6)
             if keep.size == 0:
                 keep = np.array([0])
-            sub = fleet.subset(rng.permutation(keep))
+            sub = subset(fleet, rng.permutation(keep))
             assert_same(random_problem(rng, sub))
 
     def test_evaluate_on_any_action(self, rng):
@@ -364,7 +365,8 @@ class TestSearchCost:
 
 class _OracleProbe(SlotSolver):
     """Solves with the exact engine and checks every slot's cell against
-    the historical kernel."""
+    the historical kernel, run on the survivors' sub-fleet when groups
+    are down."""
 
     def __init__(self):
         self.inner = HomogeneousEnumerationSolver()
@@ -372,10 +374,13 @@ class _OracleProbe(SlotSolver):
 
     def solve(self, problem):
         solution = self.inner.solve(problem)
-        want = oracle_solve(problem)
+        kernel = SimpleNamespace(solve=oracle_solve)
+        want = solve_with_failed_groups(
+            kernel, replace(problem, failed=None), problem.failed or ()
+        )
         cell = ("servers_on", "speed_level")
         assert [solution.info[k] for k in cell] == [want.info[k] for k in cell]
-        self.groups.append(problem.fleet.num_groups)
+        self.groups.append(problem.healthy.size)
         return solution
 
 
@@ -398,7 +403,7 @@ class TestCocaWeek:
         )
         assert len(probe.groups) >= sc.horizon
         full = sc.model.fleet.num_groups
-        # With faults, slots with a group down solve on a sub-fleet.
+        # With faults, slots with a group down solve on the survivors.
         assert (min(probe.groups) < full) == faults
 
 
@@ -435,7 +440,7 @@ class TestTableLifetime:
 
     def test_pickled_bytes_unchanged_by_a_solve(self):
         fleet = Fleet([ServerGroup(opteron_2380(), n) for n in (10, 20, 30)])
-        sub = fleet.subset([2, 0])
+        sub = subset(fleet, [2, 0])
         before = pickle.dumps(fleet), pickle.dumps(sub)
         engine = HomogeneousEnumerationSolver()
         for f in (fleet, sub):

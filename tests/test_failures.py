@@ -7,33 +7,37 @@ fail → repair → fail cycles and concurrent outages), asserting the served
 load and the Theorem 2 carbon accounting across the transitions.
 """
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
-from repro.cluster import Fleet, ServerGroup, opteron_2380
+from repro.cluster import Fleet, ServerGroup, cubic_dvfs_profile, opteron_2380
 from repro.core import DataCenterModel
 from repro.core.coca import COCA
 from repro.faults import FaultEvent, FaultSchedule
 from repro.scenarios import small_scenario
 from repro.sim import realize_action, simulate
 from repro.solvers import (
+    CoordinateDescentSolver,
+    DistributedGSD,
     GSDSolver,
     InfeasibleError,
-    solve_with_failed_groups,
 )
 from repro.state.records import record_mismatches
 from tests.billing_oracle import action_from_loads, group_loads
 from tests.brute_force_oracle import BruteForceOracle
 from tests.conftest import make_problem
+from tests.failed_groups_oracle import solve_on_sub_fleets
 
 
 class TestGSDWithFailures:
-    """GSD on the surviving groups via :func:`solve_with_failed_groups`."""
+    """GSD with failed groups on the slot problem: only the survivors run."""
 
     def test_failed_groups_stay_dark(self, tiny_model):
-        p = make_problem(tiny_model, lam_frac=0.4)
+        p = make_problem(tiny_model, lam_frac=0.4, failed=[1])
         solver = GSDSolver(iterations=1500, delta=1e5, rng=np.random.default_rng(0))
-        sol = solve_with_failed_groups(solver, p, [1])
+        sol = solver.solve(p)
         assert sol.action.levels[1] == -1
         assert group_loads(tiny_model.fleet, sol.action)[1] == 0.0
         assert sol.action.rows.served == pytest.approx(
@@ -43,10 +47,10 @@ class TestGSDWithFailures:
     def test_matches_oracle_on_degraded_fleet(self, tiny_model):
         """GSD restricted to functioning groups must match brute force on
         the fleet with the failed group removed."""
-        p = make_problem(tiny_model, lam_frac=0.5)
+        p = make_problem(tiny_model, lam_frac=0.5, failed=[0])
         delta = GSDSolver.auto_delta(p, greediness=50.0)
         solver = GSDSolver(iterations=3000, delta=delta, rng=np.random.default_rng(1))
-        sol = solve_with_failed_groups(solver, p, [0])
+        sol = solver.solve(p)
 
         degraded = Fleet([ServerGroup(opteron_2380(), 10) for _ in range(2)])
         dm = DataCenterModel(fleet=degraded, beta=10.0)
@@ -57,23 +61,20 @@ class TestGSDWithFailures:
         assert sol.objective <= oracle.objective * 1.02 + 1e-12
 
     def test_all_failed_rejected(self, tiny_model):
-        p = make_problem(tiny_model, lam_frac=0.1)
-        solver = GSDSolver(iterations=10, delta=1e5)
         with pytest.raises(InfeasibleError, match="every server group"):
-            solve_with_failed_groups(solver, p, [0, 1, 2])
+            make_problem(tiny_model, lam_frac=0.1, failed=[0, 1, 2])
 
     def test_out_of_range_rejected(self, tiny_model):
-        p = make_problem(tiny_model, lam_frac=0.1)
-        solver = GSDSolver(iterations=10, delta=1e5)
         with pytest.raises(ValueError, match="out of range"):
-            solve_with_failed_groups(solver, p, [7])
+            make_problem(tiny_model, lam_frac=0.1, failed=[7])
 
     def test_infeasible_when_survivors_lack_capacity(self, tiny_model):
-        p = make_problem(tiny_model, lam_frac=0.9)  # needs ~2.7 groups
+        # needs ~2.7 groups
+        p = make_problem(tiny_model, lam_frac=0.9, failed=[0, 1])
         solver = GSDSolver(iterations=50, delta=1e5)
         with pytest.raises(InfeasibleError):
             # The remaining single group cannot carry 90% of total capacity.
-            solve_with_failed_groups(solver, p, [0, 1])
+            solver.solve(p)
 
 
 @pytest.fixture(scope="module")
@@ -190,56 +191,70 @@ class TestDynamicFailures:
         _assert_carbon_accounting(record, controller, outage_scenario)
 
 
-def _constructed_subset(fleet, indices):
-    """The sub-fleet built from its groups: the oracle for ``Fleet.subset``."""
-    return Fleet([fleet.groups[i] for i in indices])
+def _two_profile(model):
+    """``model`` on a fleet alternating the Opteron and a cubic profile of
+    the same top speed, group for group, so its capacity is unchanged."""
+    groups = [
+        ServerGroup(opteron_2380() if g % 2 == 0 else cubic_dvfs_profile(), grp.count)
+        for g, grp in enumerate(model.fleet.groups)
+    ]
+    return replace(model, fleet=Fleet(groups))
+
+
+#: ``engine -> (model transform, solver factory, message loss)``.
+_CHAOS_ENGINES = {
+    "enumeration": (lambda m: m, lambda: None, 0.0),
+    "gsd": (
+        lambda m: m,
+        lambda: GSDSolver(iterations=60, rng=np.random.default_rng(5)),
+        0.0,
+    ),
+    "distributed": (
+        lambda m: m,
+        lambda: DistributedGSD(iterations=12, rng=np.random.default_rng(5)),
+        0.10,
+    ),
+    "coordinate_descent": (
+        _two_profile, lambda: CoordinateDescentSolver(restarts=3), 0.0
+    ),
+}
 
 
 class TestSlicedSubFleets:
-    """Per-slot failed-group sub-fleets are sliced from the full fleet's
-    tables; a chaos run must not change when they are built from groups."""
+    """Failed groups are a constraint of the slot problem; a chaos run must
+    not change when every failed-group slot is solved on the sub-fleet of
+    survivors instead (``tests/failed_groups_oracle.py``)."""
 
-    @pytest.mark.parametrize("engine", ["enumeration", "gsd"])
-    def test_chaos_run_matches_constructed_sub_fleets(
-        self, outage_scenario, monkeypatch, engine
-    ):
-        G = outage_scenario.model.fleet.num_groups
+    @pytest.mark.parametrize("engine", list(_CHAOS_ENGINES))
+    def test_chaos_run_matches_constructed_sub_fleets(self, outage_scenario, engine):
+        transform, make_solver, loss = _CHAOS_ENGINES[engine]
+        model = transform(outage_scenario.model)
+        G = model.fleet.num_groups
         schedule = FaultSchedule.generate(
             7, horizon=outage_scenario.horizon, num_groups=G,
-            failure_rate=0.15, mean_repair=3.0,
+            failure_rate=0.15, mean_repair=3.0, loss=loss,
         )
 
-        def run():
-            solver = (
-                None
-                if engine == "enumeration"
-                else GSDSolver(iterations=60, rng=np.random.default_rng(5))
-            )
+        def run(oracle):
+            solver = make_solver()
             controller = COCA(
-                outage_scenario.model,
+                model,
                 outage_scenario.environment.portfolio,
                 v_schedule=150.0,
                 alpha=outage_scenario.alpha,
                 solver=solver,
             )
+            if oracle:
+                solve_on_sub_fleets(controller.solver, calls)
             return simulate(
-                outage_scenario.model,
-                controller,
-                outage_scenario.environment,
-                faults=schedule,
+                model, controller, outage_scenario.environment, faults=schedule
             )
 
-        shipped = run()
         calls = []
-
-        def oracle(fleet, indices):
-            calls.append(len(indices))
-            return _constructed_subset(fleet, indices)
-
-        monkeypatch.setattr(Fleet, "subset", oracle)
-        reference = run()
+        masked = run(False)
+        reference = run(True)
         assert len(calls) >= outage_scenario.horizon // 2  # failures on most slots
-        assert record_mismatches(shipped, reference) == []
+        assert record_mismatches(masked, reference) == []
 
     @pytest.mark.parametrize("failed", [(), (4,), tuple(range(1, 8))])
     def test_realize_mask_matches_isin(self, outage_scenario, failed):
@@ -263,21 +278,3 @@ class TestSlicedSubFleets:
             assert np.array_equal(got.levels, want.levels)
             assert got.rows == want.rows
             assert got_drop == want_drop
-
-    def test_solve_with_failed_groups_checks(self, tiny_model):
-        p = make_problem(tiny_model, lam_frac=0.2)
-        solver = BruteForceOracle()
-        with pytest.raises(ValueError, match="out of range"):
-            solve_with_failed_groups(solver, p, [1, 3])
-        with pytest.raises(ValueError, match="out of range"):
-            solve_with_failed_groups(solver, p, [-1])
-        with pytest.raises(InfeasibleError, match="every server group"):
-            solve_with_failed_groups(solver, p, [0, 1, 2])
-        with pytest.raises(InfeasibleError):
-            solve_with_failed_groups(
-                solver, make_problem(tiny_model, lam_frac=0.9), [0, 1]
-            )
-        sol = solve_with_failed_groups(solver, p, (2, 0, 2))
-        assert sol.info["failed_groups"] == [0, 2]
-        assert list(sol.action.levels[[0, 2]]) == [-1, -1]
-        assert sol.evaluation == p.evaluate(sol.action)

@@ -21,6 +21,7 @@ from repro.cluster import (
 )
 from tests.billing_oracle import action_from_loads
 from tests.conftest import validate_action
+from tests.failed_groups_oracle import subset
 
 
 class TestFleetStructure:
@@ -53,9 +54,10 @@ class TestFleetStructure:
             # Cached values stay out of pickles and come back recomputed.
             assert not set(Fleet._LAZY) & set(fleet.__getstate__())
             assert cached(pickle.loads(pickle.dumps(fleet))) == cached(fleet)
-            # A failed-group sub-fleet computes its own values, not its
-            # parent's, whether built from groups or sliced per slot.
-            for sub in (Fleet(fleet.groups[1:]), fleet.subset(range(1, fleet.num_groups))):
+            # A sub-fleet computes its own values, not its parent's,
+            # whether built from groups or sliced by the oracle.
+            sliced = subset(fleet, range(1, fleet.num_groups))
+            for sub in (Fleet(fleet.groups[1:]), sliced):
                 assert cached(sub) == recomputed(sub)
         assert Fleet(hetero_fleet.groups[1:]).is_homogeneous
 
@@ -123,8 +125,9 @@ def _fleet_and_subset(draw):
 
 
 class TestFleetSubset:
-    """``Fleet.subset`` slices the parent's tables; it must equal the fleet
-    built from the same groups in every observable way."""
+    """The failed-group oracle's ``subset`` slices the parent's tables; it
+    must equal the fleet built from the same groups in every observable
+    way."""
 
     @given(_fleet_and_subset(), st.data())
     @settings(max_examples=60, deadline=None)
@@ -132,7 +135,7 @@ class TestFleetSubset:
         fleet, idx = case
         if data.draw(st.booleans()):
             fleet.max_capacity  # parent aggregates cached or not
-        sub = fleet.subset(np.asarray(idx))
+        sub = subset(fleet, np.asarray(idx))
         ref = Fleet([fleet.groups[i] for i in idx])
 
         assert sub.groups == ref.groups
@@ -156,19 +159,19 @@ class TestFleetSubset:
 
     def test_homogeneous_parent_seeds_flag(self):
         fleet = default_fleet(num_groups=6)
-        sub = fleet.subset([0, 2, 5])
+        sub = subset(fleet, [0, 2, 5])
         assert "is_homogeneous" in sub.__dict__ and sub.is_homogeneous
 
     def test_nested_subset(self, hetero_fleet):
         fleet = Fleet(list(hetero_fleet.groups) * 3)
-        inner = fleet.subset([1, 2, 4, 5]).subset([0, 3])
+        inner = subset(subset(fleet, [1, 2, 4, 5]), [0, 3])
         ref = Fleet([fleet.groups[1], fleet.groups[5]])
         assert pickle.dumps(inner) == pickle.dumps(ref)
         assert inner.max_power == ref.max_power
 
     def test_empty_subset_rejected(self, tiny_fleet):
         with pytest.raises(ValueError, match="at least one group"):
-            tiny_fleet.subset([])
+            subset(tiny_fleet, [])
 
 
 class TestGroupSpeeds:
@@ -341,7 +344,7 @@ class TestNondominatedLevels:
     def test_sub_fleet_inherits_and_pickles_without_it(self):
         fleet = default_fleet(num_groups=6)
         before = pickle.dumps(fleet)
-        sub = fleet.subset([4, 1])
+        sub = subset(fleet, [4, 1])
         assert sub.__dict__["nondominated_levels"] is fleet.nondominated_levels
         assert pickle.dumps(fleet) == before
         assert pickle.dumps(sub) == pickle.dumps(Fleet([fleet.groups[4], fleet.groups[1]]))

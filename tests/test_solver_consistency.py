@@ -33,10 +33,10 @@ from repro.solvers import (
     InfeasibleError,
     geometric_temperature,
     solve_fixed_levels,
-    solve_with_failed_groups,
 )
 from tests.brute_force_oracle import BruteForceOracle
 from tests.conftest import assert_local_minimum, validate_action
+from tests.failed_groups_oracle import solve_with_failed_groups
 
 _PROFILES = (opteron_2380, cubic_dvfs_profile)
 
