@@ -727,7 +727,6 @@ def _serve_feed(config, scenario):
 
 def _cmd_serve(args) -> int:
     import dataclasses
-    import os
     import signal as _signal
     import threading
 
@@ -735,9 +734,7 @@ def _cmd_serve(args) -> int:
     from .monitor import default_suite
     from .monitor.alerts import AlertChannel, stderr_sink
     from .serve import (
-        JOURNAL_NAME,
         ControlService,
-        FrameJournal,
         StalenessResolver,
         StatusBoard,
         StatusServer,
@@ -797,9 +794,8 @@ def _cmd_serve(args) -> int:
     # until the reservoir fills, uniformly sampled after).
     reservoir = args.metrics_reservoir if args.metrics_reservoir > 0 else None
     with _telemetry_scope(args, suite=suite, ring=ring, reservoir=reservoir) as telemetry:
-        writer = journal = journal_path = None
+        writer = None
         if config.checkpoint_dir:
-            journal_path = os.path.join(config.checkpoint_dir, JOURNAL_NAME)
             writer = _checkpoint_writer(spec, config.checkpoint_dir, save=not args.resume)
         runner = SlotRunner(
             scenario.model,
@@ -825,37 +821,32 @@ def _cmd_serve(args) -> int:
             ckpt = _resume_checkpoint("serve", config.checkpoint_dir, telemetry)
             if ckpt is None:
                 return EXIT_BAD_INPUT
-            # Refill the resolved prefix the checkpoint's fingerprint covers:
-            # replay regenerates it from the scenario traces; live feeds replay
-            # the journal (synthesized values exist nowhere else).
+            # The resolved prefix the checkpoint's fingerprint covers: replay
+            # regenerates it from the scenario traces; a live feed's frames
+            # (synthesized values exist nowhere else) come from the log,
+            # in runner.restore.
             if config.source == "replay":
-                frames = [
-                    f for f in frames_from_environment(scenario.environment)
-                    if f.slot < ckpt.slot
-                ]
+                for frame in frames_from_environment(scenario.environment):
+                    if frame.slot < ckpt.slot:
+                        environment.append(frame)
             else:
-                frames = FrameJournal.load(journal_path, upto=ckpt.slot)
-                if len(frames) < ckpt.slot:
+                held = len(ckpt.state["series"].get("environment", {}).get("frames", ()))
+                if held < ckpt.slot:
                     print(
-                        f"repro serve: journal {journal_path} holds "
-                        f"{len(frames)} frame(s) but the checkpoint is at slot "
-                        f"{ckpt.slot}; cannot rebuild the resolved prefix",
+                        f"repro serve: checkpoint log {ckpt.path} carries {held} "
+                        f"resolved frame(s) but is at slot {ckpt.slot} (written "
+                        "before frames moved into the log); re-serve from the start",
                         file=sys.stderr,
                     )
                     return EXIT_BAD_INPUT
-                FrameJournal.truncate(journal_path, frames)
-            for frame in frames:
-                environment.append(frame)
             try:
                 runner.restore(ckpt)
             except CheckpointError as exc:
                 print(f"repro serve: {exc}", file=sys.stderr)
                 return EXIT_BAD_INPUT
             source.seek(ckpt.slot)
-            resolver.restore(frames[-1] if frames else None)
+            resolver.restore(environment.frames[-1] if environment.frames else None)
             print(f"resuming from {ckpt.path} (slot {ckpt.slot}/{scenario.horizon})")
-        if journal_path is not None:
-            journal = FrameJournal(journal_path)
 
         board = StatusBoard()
         server = None
@@ -873,7 +864,6 @@ def _cmd_serve(args) -> int:
             resolver,
             board=board,
             suite=suite,
-            journal=journal,
             budget_mwh=scenario.budget,
             slot_period_s=config.slot_period_s,
             max_slots=config.max_slots,
@@ -892,8 +882,6 @@ def _cmd_serve(args) -> int:
         finally:
             for sig, handler in previous_handlers.items():
                 _signal.signal(sig, handler)
-            if journal is not None:
-                journal.close()
             source.close()
             if server is not None:
                 server.close()
@@ -1228,8 +1216,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_shared(
         p, "--solve-deadline-ms", "--checkpoint-dir", "--checkpoint-every",
         checkpoint_dir=dict(
-            help="write crash-safe checkpoints, the resume manifest, and the "
-            "frame journal here"
+            help="write crash-safe checkpoints (with a live feed's resolved "
+            "frames) and the resume manifest here"
         ),
     )
     p.add_argument(

@@ -13,14 +13,15 @@ through an explicit staleness policy
 ``repro serve --source replay`` is bit-identical to ``repro run``.
 
 Operational trimmings: live :mod:`repro.monitor` alerts, periodic
-dashboard re-renders, cadenced :mod:`repro.state` checkpoints plus a frame
-journal (SIGTERM -> ``repro resume`` completes bit-identically), and a
-stdlib HTTP status endpoint (:class:`~repro.serve.status.StatusServer`).
+dashboard re-renders, cadenced :mod:`repro.state` checkpoints that also
+carry a live feed's resolved frames (SIGTERM, SIGKILL or a host crash ->
+``repro serve --resume`` completes bit-identically), and a stdlib HTTP
+status endpoint (:class:`~repro.serve.status.StatusServer`).
 See ``docs/SERVING.md`` for the architecture and runbook.
 """
 
 from .config import SOURCE_KINDS, ServeConfig
-from .environment import JOURNAL_NAME, FrameJournal, LiveEnvironment
+from .environment import LiveEnvironment
 from .loop import ControlService, ServiceResult
 from .signals import (
     FileTailSignalSource,
@@ -37,8 +38,6 @@ from .status import StatusBoard, StatusServer
 __all__ = [
     "SOURCE_KINDS",
     "ServeConfig",
-    "JOURNAL_NAME",
-    "FrameJournal",
     "LiveEnvironment",
     "ControlService",
     "ServiceResult",

@@ -15,19 +15,19 @@ Two extra contracts make serve runs crash-safe and auditable:
   (replay mode) it delegates to the full trace fingerprint, so checkpoints
   written by a replay serve are *interchangeable* with batch ``repro run``
   checkpoints.  Without one, it CRCs the resolved prefix, so a resumed
-  service refuses a journal that diverged from what the checkpoint saw.
+  service refuses frames that diverged from what the checkpoint saw.
   The CRC is chained frame by frame as frames are appended, so reading it
   costs O(1) at any slot.
-- :class:`FrameJournal` persists every resolved frame (JSONL, flushed per
-  append), so a killed service can refill the exact prefix -- including
-  values that were synthesized by the staleness policy and exist nowhere
-  else -- before resuming.
+- Without a ``base``, :meth:`series` hands the resolved frames to the
+  checkpoint log like any other per-slot series, so the record that makes
+  a slot durable also holds the frames that produced it -- including
+  values synthesized by the staleness policy, which exist nowhere else --
+  and :meth:`load_series` refills the exact prefix on resume.
 """
 
 from __future__ import annotations
 
 import json
-import os
 import zlib
 
 import numpy as np
@@ -38,10 +38,7 @@ from ..sim.environment import Environment
 from ..traces.base import Trace
 from .signals import SignalFrame
 
-__all__ = ["LiveEnvironment", "FrameJournal", "JOURNAL_NAME"]
-
-#: Journal filename inside a serve checkpoint directory.
-JOURNAL_NAME = "frames.jsonl"
+__all__ = ["LiveEnvironment"]
 
 
 class LiveEnvironment:
@@ -57,6 +54,8 @@ class LiveEnvironment:
         self._horizon = int(horizon)
         self.base = base
         self.frames: list[SignalFrame] = []
+        # ``frame.to_dict()`` of each resolved frame (live mode only).
+        self._rows: list[dict] = []
         # Running CRC32 of the resolved prefix (live mode only): CRC32
         # chains, so folding each frame in as it arrives gives exactly
         # the full-prefix fold.
@@ -81,9 +80,23 @@ class LiveEnvironment:
                 "resolve staleness before feeding the environment"
             )
         if self.base is None:
-            row = json.dumps(frame.to_dict(), sort_keys=True, separators=(",", ":"))
-            self._crc = zlib.crc32(row.encode(), self._crc)
+            row = frame.to_dict()
+            text = json.dumps(row, sort_keys=True, separators=(",", ":"))
+            self._crc = zlib.crc32(text.encode(), self._crc)
+            self._rows.append(row)
         self.frames.append(frame)
+
+    def series(self) -> dict[str, list]:
+        """The resolved frames as an append-only checkpoint series (see
+        :meth:`repro.core.controller.Controller.series`); none in replay
+        mode, whose frames are its base traces."""
+        return {} if self.base is not None else {"frames": self._rows}
+
+    def load_series(self, series: dict[str, list]) -> None:
+        """Refill an empty environment with the frames :meth:`series`
+        captured."""
+        for row in series.get("frames", ()):
+            self.append(SignalFrame.from_dict(row))
 
     @property
     def resolved(self) -> int:
@@ -159,62 +172,3 @@ class LiveEnvironment:
 
             return environment_fingerprint(self.base)
         return self._crc & 0xFFFFFFFF
-
-
-class FrameJournal:
-    """Append-only JSONL persistence of resolved frames.
-
-    One line per resolved frame, flushed per append: after a SIGKILL the
-    journal holds every frame the service committed to (a torn final line
-    is tolerated on read), which is exactly what a resume needs to refill
-    the :class:`LiveEnvironment` prefix bit-identically.
-    """
-
-    def __init__(self, path: str) -> None:
-        self.path = str(path)
-        self._fh = open(self.path, "a")
-
-    def append(self, frame: SignalFrame) -> None:
-        self._fh.write(json.dumps(frame.to_dict(), sort_keys=True))
-        self._fh.write("\n")
-        self._fh.flush()
-
-    def close(self) -> None:
-        if not self._fh.closed:
-            self._fh.close()
-
-    @staticmethod
-    def load(path: str, *, upto: int | None = None) -> list[SignalFrame]:
-        """Read resolved frames back, tolerating a torn final line.
-
-        ``upto`` truncates to the first ``upto`` frames (the checkpoint's
-        slot): frames journaled after the checkpoint was written are
-        re-resolved from the source on resume, not replayed.
-        """
-        frames: list[SignalFrame] = []
-        if not os.path.exists(path):
-            return frames
-        with open(path) as fh:
-            for line in fh:
-                if not line.endswith("\n"):
-                    break  # torn tail from a mid-append kill
-                line = line.strip()
-                if not line:
-                    continue
-                frames.append(SignalFrame.from_dict(json.loads(line)))
-                if upto is not None and len(frames) >= upto:
-                    break
-        return frames
-
-    @staticmethod
-    def truncate(path: str, frames: list[SignalFrame]) -> None:
-        """Rewrite the journal to exactly ``frames`` (resume housekeeping,
-        dropping post-checkpoint lines so journal and checkpoint agree)."""
-        from ..state.atomic import atomic_write_text
-
-        atomic_write_text(
-            path,
-            "".join(
-                json.dumps(f.to_dict(), sort_keys=True) + "\n" for f in frames
-            ),
-        )

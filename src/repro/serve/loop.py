@@ -7,8 +7,9 @@ forever (or until the horizon, a stop signal, or ``--max-slots``).
   ``repro run`` (bit-identity by construction);
 - the **resolver** turns the signal feed into exactly one complete frame
   per slot, degrading losses through the fault injector;
-- the **journal** persists each resolved frame before the slot executes,
-  so a SIGKILL loses at most the in-flight slot;
+- the **environment** holds each resolved frame before the slot executes,
+  and the runner's checkpoint records carry a live feed's frames with the
+  slots they produced, so a SIGKILL loses at most the in-flight slot;
 - the **board** (and its HTTP view) is refreshed once per slot; the
   solve-latency percentiles are computed only when ``/status`` is read;
 - the **dashboard** re-renders every N slots from a bounded ring of recent
@@ -32,7 +33,7 @@ from typing import Callable
 
 from ..sim.engine import SlotRunner
 from ..sim.metrics import SimulationRecord
-from .environment import FrameJournal, LiveEnvironment
+from .environment import LiveEnvironment
 from .staleness import StalenessResolver
 from .status import StatusBoard
 
@@ -65,7 +66,6 @@ class ControlService:
         *,
         board: StatusBoard | None = None,
         suite=None,
-        journal: FrameJournal | None = None,
         budget_mwh: float | None = None,
         slot_period_s: float = 0.0,
         max_slots: int | None = None,
@@ -78,7 +78,6 @@ class ControlService:
         self.resolver = resolver
         self.board = board if board is not None else StatusBoard()
         self.suite = suite
-        self.journal = journal
         self.budget_mwh = budget_mwh
         self.slot_period_s = float(slot_period_s)
         self.max_slots = max_slots
@@ -207,15 +206,11 @@ class ControlService:
                 return self._stop(t, "max_slots")
 
             frame = self.resolver.resolve(t)
-            # Journal before executing, so the journal holds every frame a
-            # checkpoint can cover.  A resume reloads only the first
-            # ``checkpoint.slot`` frames and re-resolves every later slot,
-            # the in-flight one included, from the source.  Appends are
-            # flushed, not fsynced (docs/SERVING.md, "Journal durability").
+            # The slot's checkpoint record carries this frame (live feeds);
+            # a resume re-resolves every later slot, the in-flight one
+            # included, from the source.
             if isinstance(runner.environment, LiveEnvironment):
                 runner.environment.append(frame)
-            if self.journal is not None:
-                self.journal.append(frame)
 
             runner.step(t)
             self.slots_run += 1

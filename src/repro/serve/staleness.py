@@ -231,6 +231,7 @@ class StalenessResolver:
     # ------------------------------------------------------------------
     def restore(self, last: SignalFrame | None) -> None:
         """Reposition after a resume: the donor for synthesis is the last
-        *journaled* frame, so degraded values reproduce bit-identically."""
+        frame of the prefix the checkpoint covers, so degraded values
+        reproduce bit-identically."""
         self.pending.clear()
         self.last = last

@@ -282,7 +282,7 @@ class SlotRunner:
 
         self.cols: dict[str, list[float]] = {name: [] for name in RECORD_COLUMNS}
         # Rows of each per-slot series the checkpoint log already holds.
-        self._logged: dict[str, dict[str, int]] = {"cols": {}, "controller": {}}
+        self._logged: dict[str, dict[str, int]] = {}
         self.prev_on: np.ndarray | None = None
         #: Per-group levels of the last realized action (fault runs only).
         self.last_realized: np.ndarray | None = None
@@ -308,11 +308,17 @@ class SlotRunner:
     def restore(self, resume_from: Checkpoint) -> int:
         """Position the runner at a checkpoint; returns the resume slot.
 
-        Validates the checkpoint against this runner's environment
-        (fingerprint), horizon, and controller identity before restoring
-        anything, raising :class:`CheckpointError` on any mismatch.
+        A live feed's environment is refilled with the frames the log
+        carries first.  The checkpoint is then validated against the
+        environment (fingerprint), horizon, and controller identity before
+        anything else is restored, raising :class:`CheckpointError` on any
+        mismatch.
         """
         state = resume_from.state
+        series = state["series"]
+        load = getattr(self.environment, "load_series", None)
+        if load is not None:
+            load(series.get("environment", {}))
         env_crc = environment_fingerprint(self.environment)
         if int(state.get("env_crc", -1)) != env_crc:
             raise CheckpointError(
@@ -331,7 +337,6 @@ class SlotRunner:
                 f"{state['controller']['name']!r}, not {self.controller.name()!r}"
             )
         self.start_slot = int(resume_from.slot)
-        series = state["series"]
         for name, values in series["cols"].items():
             self.cols[name] = [float(x) for x in values]
         if any(len(v) != self.start_slot for v in self.cols.values()):
@@ -345,11 +350,11 @@ class SlotRunner:
         self.controller.load_series(series.get("controller", {}))
         # Appending to the same log continues its series; a log of our own
         # starts with every row.
-        self._logged = {"cols": {}, "controller": {}}
+        self._logged = {}
         if self.checkpoint is not None and self.checkpoint.resume(resume_from):
             self._logged = {
-                "cols": {n: len(v) for n, v in self.cols.items()},
-                "controller": {n: len(v) for n, v in self.controller.series().items()},
+                group: {name: len(rows) for name, rows in named.items()}
+                for group, named in self._series().items()
             }
         if self.injector is not None and state.get("injector") is not None:
             self.injector.load_state_dict(state["injector"])
@@ -371,8 +376,9 @@ class SlotRunner:
         """The checkpoint record of the run after ``slot`` slots.
 
         It holds the O(1) run state in full and, under ``series``, only
-        the rows the record columns and the controller's series gained
-        since the previous capture (see :mod:`repro.state.checkpoint`).
+        the rows the record columns, the controller's series and a live
+        feed's resolved frames gained since the previous capture (see
+        :mod:`repro.state.checkpoint`).
         """
         controller = self.controller
         return {
@@ -381,8 +387,8 @@ class SlotRunner:
             "env_crc": environment_fingerprint(self.environment),
             "controller": {"name": controller.name(), "state": controller.state_dict()},
             "series": {
-                "cols": _new_rows(self.cols, self._logged["cols"]),
-                "controller": _new_rows(controller.series(), self._logged["controller"]),
+                group: _new_rows(named, self._logged.setdefault(group, {}))
+                for group, named in self._series().items()
             },
             "prev_on": encode_array(self.prev_on),
             "last_realized": (
@@ -394,6 +400,16 @@ class SlotRunner:
             "degradation": None if self.policy is None else self.policy.state_dict(),
             "run_id": getattr(getattr(self.tele, "tracer", None), "run_id", None),
         }
+
+    def _series(self) -> dict[str, dict[str, list]]:
+        """Every append-only per-slot series a record logs, by group."""
+        groups = {"cols": self.cols, "controller": self.controller.series()}
+        # A live feed's resolved frames (LiveEnvironment.series); a trace
+        # environment has none, and its records no such group.
+        frames = getattr(self.environment, "series", dict)()
+        if frames:
+            groups["environment"] = frames
+        return groups
 
     def checkpoint_now(self, slot: int) -> str | None:
         """Force a checkpoint at ``slot`` regardless of cadence (shutdown)."""

@@ -15,6 +15,7 @@ import os
 import re
 import zlib
 
+from repro.serve import LiveEnvironment
 from repro.state import LOG_NAME, canonical_dumps, load_checkpoint
 
 __all__ = [
@@ -38,16 +39,16 @@ def prefix_fingerprint(horizon: int, frames) -> int:
 def full_capture(runner, record: dict) -> bytes:
     """Canonical JSON of the fold a log should give once ``record`` (a
     :meth:`SlotRunner.capture` result) is appended: its O(1) state, with
-    every series re-encoded whole from ``runner``."""
-    return canonical_dumps(
-        {
-            **record,
-            "series": {
-                "cols": _whole(runner.cols),
-                "controller": _whole(runner.controller.series()),
-            },
-        }
-    )
+    every series re-encoded whole from ``runner`` -- a live feed's
+    resolved frames included."""
+    series = {
+        "cols": _whole(runner.cols),
+        "controller": _whole(runner.controller.series()),
+    }
+    environment = runner.environment
+    if isinstance(environment, LiveEnvironment) and environment.base is None:
+        series["environment"] = {"frames": [f.to_dict() for f in environment.frames]}
+    return canonical_dumps({**record, "series": series})
 
 
 def _whole(series: dict) -> dict:

@@ -5,7 +5,7 @@ is **bit-identical** to the batch run, whether it runs uninterrupted or is
 stopped at an arbitrary slot boundary and resumed -- both through the
 in-process service API and through the ``repro serve`` CLI.  The rest of
 this file covers the pieces individually: signal sources, the live
-environment, the frame journal, config validation, the status endpoint.
+environment, config validation, the status endpoint.
 """
 
 from __future__ import annotations
@@ -23,10 +23,8 @@ from repro.core.coca import COCA
 from repro.runspec import RunSpec
 from repro.scenarios import small_scenario
 from repro.serve import (
-    JOURNAL_NAME,
     ControlService,
     FileTailSignalSource,
-    FrameJournal,
     LiveEnvironment,
     ReplaySignalSource,
     ServeConfig,
@@ -43,6 +41,7 @@ from repro.sim.engine import SlotRunner
 from repro.state import (
     LOG_NAME,
     CheckpointWriter,
+    dumps_checkpoint,
     environment_fingerprint,
     latest_valid_checkpoint,
     load_record,
@@ -84,10 +83,7 @@ def _replay_service(scenario, *, checkpoint_dir=None, max_slots=None):
     )
     resolver = StalenessResolver(ReplaySignalSource(scenario.environment))
     runner.start()
-    journal = (
-        FrameJournal(str(checkpoint_dir / JOURNAL_NAME)) if checkpoint_dir else None
-    )
-    return ControlService(runner, resolver, journal=journal, max_slots=max_slots)
+    return ControlService(runner, resolver, max_slots=max_slots)
 
 
 # ---------------------------------------------------------------- frames
@@ -295,29 +291,17 @@ class TestLiveEnvironment:
         monkeypatch.undo()
         assert env.fingerprint() == prefix_fingerprint(scenario.horizon, frames)
 
-
-class TestFrameJournal:
-    def test_round_trips_and_truncates(self, scenario, tmp_path):
-        path = str(tmp_path / "frames.jsonl")
+    def test_series_refills_the_resolved_prefix(self, scenario):
         frames = list(frames_from_environment(scenario.environment))[:6]
-        journal = FrameJournal(path)
+        env = LiveEnvironment(scenario.horizon)
         for f in frames:
-            journal.append(f)
-        journal.close()
-        assert FrameJournal.load(path) == frames
-        assert FrameJournal.load(path, upto=3) == frames[:3]
-        FrameJournal.truncate(path, frames[:3])
-        assert FrameJournal.load(path) == frames[:3]
-
-    def test_torn_tail_is_dropped(self, scenario, tmp_path):
-        path = tmp_path / "frames.jsonl"
-        frames = list(frames_from_environment(scenario.environment))[:2]
-        lines = [json.dumps(f.to_dict()) for f in frames]
-        path.write_text(lines[0] + "\n" + lines[1][:10])
-        assert FrameJournal.load(str(path)) == frames[:1]
-
-    def test_missing_file_is_empty(self, tmp_path):
-        assert FrameJournal.load(str(tmp_path / "absent.jsonl")) == []
+            env.append(f)
+        rows = json.loads(json.dumps(env.series()))  # as the log carries them
+        refilled = LiveEnvironment(scenario.horizon)
+        refilled.load_series(rows)
+        assert refilled.frames == frames
+        assert refilled.fingerprint() == env.fingerprint()
+        assert refilled.series() == env.series()
 
 
 # ---------------------------------------------------------------- config
@@ -440,8 +424,9 @@ class TestReplayBitIdentity:
         ckpt = latest_valid_checkpoint(str(tmp_path))
         assert ckpt is not None and ckpt.slot == 19
         environment = LiveEnvironment(scenario.horizon, base=scenario.environment)
-        for frame in FrameJournal.load(str(tmp_path / JOURNAL_NAME), upto=19):
-            environment.append(frame)
+        for frame in frames_from_environment(scenario.environment):
+            if frame.slot < 19:
+                environment.append(frame)
         runner = SlotRunner(scenario.model, _controller(scenario), environment)
         source = ReplaySignalSource(scenario.environment)
         resolver = StalenessResolver(source)
@@ -554,7 +539,7 @@ class TestServeCli:
 
 # ------------------------------------------------------ legacy feed lines
 class TestLegacyForecastPayloads:
-    """Feed and journal lines written by older versions may carry a
+    """Feed lines written by older versions may carry a
     ``forecast`` payload (the removed advice layer's forecast window).
     The key is dropped on read: such a line resolves to the same frame as
     the same line without it."""
@@ -580,13 +565,6 @@ class TestLegacyForecastPayloads:
         legacy.write_text(self._lines(scenario, legacy=True))
         assert self._resolved(legacy, scenario.horizon) == self._resolved(
             plain, scenario.horizon
-        )
-
-    def test_journal_line_loads_as_without_payload(self, scenario, tmp_path):
-        path = tmp_path / JOURNAL_NAME
-        path.write_text(self._lines(scenario, legacy=True))
-        assert FrameJournal.load(str(path)) == list(
-            frames_from_environment(scenario.environment)
         )
 
 
@@ -630,33 +608,75 @@ class TestCheckpointBytesAcrossResume:
         assert main(["resume", str(resumed)]) == 0
         self._assert_resumed_bytes_match(golden, resumed, stop)
 
-    def test_journal_behind_the_checkpoint_refuses_resume(self, tmp_path, capsys):
-        """The journal is flushed but not fsynced while every checkpoint
-        record is, so after an OS crash the log can hold more slots than
-        the journal (docs/SERVING.md, "Journal durability").  Resume then
-        cannot rebuild the resolved prefix and exits 1."""
-        serve = ["serve", "--source", "synthetic", "--source-seed", "7", *self.ARGS]
+    SYNTHETIC = ["serve", "--source", "synthetic", "--source-seed", "7", *ARGS]
+
+    def test_replay_serve_writes_the_batch_run_bytes(self, tmp_path, capsys):
+        """A replay's frames are its scenario traces, so its records carry
+        no frame group and stay interchangeable with `repro run`'s."""
+        run, serve = tmp_path / "run", tmp_path / "serve"
+        assert main(["run", *self.ARGS, "--checkpoint-dir", str(run)]) == 0
+        assert main(["serve", "--source", "replay", *self.ARGS,
+                     "--checkpoint-dir", str(serve)]) == 0
+        assert sorted(os.listdir(serve)) == [LOG_NAME, MANIFEST_NAME]
+        assert _payloads(serve) == _payloads(run)
+
+    def test_synthetic_log_alone_resumes_after_a_host_crash(self, tmp_path, capsys):
+        """Each fsynced record carries the frames that produced its slots,
+        so a directory holding only the manifest and a log cut anywhere --
+        at a record boundary or mid-record, as a host crash leaves it --
+        resumes to the uninterrupted run's record and bytes."""
+        golden = tmp_path / "golden"
+        golden_out = tmp_path / "golden.npz"
+        assert main([*self.SYNTHETIC, "--checkpoint-dir", str(golden),
+                     "--record-out", str(golden_out)]) == 0
+        spans = {slot: (start, end) for slot, start, end in record_spans(golden / LOG_NAME)}
+        # Record boundaries after slots 1, 12 and 29; inside slot 7's header
+        # and slot 21's payload (the fold keeps the record before each).
+        cuts = {
+            1: spans[1][1], 12: spans[12][1], 29: spans[29][1],
+            6: spans[7][0] + 20, 20: spans[21][1] - 40,
+        }
+        for stop, cut in cuts.items():
+            crashed = tmp_path / f"crashed-{stop}"
+            crashed.mkdir()
+            for name in (LOG_NAME, MANIFEST_NAME):  # nothing else survives
+                (crashed / name).write_bytes((golden / name).read_bytes())
+            os.truncate(crashed / LOG_NAME, cut)
+            out = tmp_path / f"resumed-{stop}.npz"
+            assert main(["serve", "--resume", "--checkpoint-dir", str(crashed),
+                         "--record-out", str(out)]) == 0
+            assert f"(slot {stop}/30)" in capsys.readouterr().out
+            assert record_mismatches(load_record(str(golden_out)), load_record(str(out))) == []
+            self._assert_resumed_bytes_match(golden, crashed, stop)
+
+    def test_live_log_without_frames_is_refused(self, tmp_path, capsys):
+        """A live serve's log written before frames moved into the log
+        cannot rebuild the resolved prefix: resume refuses it in one line."""
         ckpt = tmp_path / "ckpt"
-        assert main([*serve, "--checkpoint-dir", str(ckpt), "--max-slots", "13"]) == 0
+        assert main([*self.SYNTHETIC, "--checkpoint-dir", str(ckpt), "--max-slots", "13"]) == 0
+        log = ckpt / LOG_NAME
+        blob = log.read_bytes()
+        legacy = b""
+        for slot, start, end in record_spans(log):
+            state = json.loads(blob[blob.index(b"\n", start) + 1 : end - 1])
+            del state["series"]["environment"]
+            legacy += dumps_checkpoint(slot, state)
+        log.write_bytes(legacy)
         capsys.readouterr()
-        journal = ckpt / JOURNAL_NAME
-        lines = journal.read_text().splitlines(keepends=True)
-        assert len(lines) == 13
-        journal.write_text("".join(lines[:9]))
         assert main(["serve", "--resume", "--checkpoint-dir", str(ckpt)]) == EXIT_BAD_INPUT
         err = capsys.readouterr().err
-        assert (
-            f"journal {journal} holds 9 frame(s) but the checkpoint is at slot 13; "
-            "cannot rebuild the resolved prefix"
-        ) in err
+        assert err == (
+            f"repro serve: checkpoint log {log} carries 0 resolved frame(s) but is "
+            "at slot 13 (written before frames moved into the log); re-serve from "
+            "the start\n"
+        )
 
     def test_synthetic_serve_stop_and_resume(self, tmp_path, capsys):
-        serve = ["serve", "--source", "synthetic", "--source-seed", "7", *self.ARGS]
         golden, resumed = tmp_path / "golden", tmp_path / "resumed"
-        assert main([*serve, "--checkpoint-dir", str(golden)]) == 0
+        assert main([*self.SYNTHETIC, "--checkpoint-dir", str(golden)]) == 0
         stop = 13
         assert (
-            main([*serve, "--checkpoint-dir", str(resumed), "--max-slots", str(stop)])
+            main([*self.SYNTHETIC, "--checkpoint-dir", str(resumed), "--max-slots", str(stop)])
             == 0
         )
         assert "stopped at slot 13/30" in capsys.readouterr().out

@@ -1,12 +1,18 @@
 """End-to-end serve smoke: real process, real signals, real resume.
 
-This is the test behind CI's ``serve-smoke`` job: start ``repro serve`` as
-a subprocess on a replayed feed, poll the live ``/status`` endpoint,
-SIGTERM it mid-horizon (exit code 4), then ``repro serve --resume`` to
-completion and require the stitched record to be bit-identical to a batch
-``repro run`` of the same scenario.  Everything here crosses a process
-boundary on purpose -- in-process coverage of the same flows lives in
-``test_serve.py``.
+These are the tests behind CI's ``serve-smoke`` job:
+
+- start ``repro serve`` as a subprocess on a replayed feed, poll the live
+  ``/status`` endpoint, SIGTERM it mid-horizon (exit code 4), then
+  ``repro serve --resume`` to completion and require the stitched record
+  to be bit-identical to a batch ``repro run`` of the same scenario;
+- start it on a lossy synthetic feed, SIGKILL it once a few checkpoint
+  records are on disk (no shutdown path runs), resume, and require the
+  record of an uninterrupted synthetic serve.  The resolved frames,
+  degraded ones included, come back from the checkpoint log alone.
+
+Everything here crosses a process boundary on purpose -- in-process
+coverage of the same flows lives in ``test_serve.py``.
 """
 
 from __future__ import annotations
@@ -21,7 +27,12 @@ import urllib.request
 
 import pytest
 
-from repro.state import LOG_NAME, load_record, record_mismatches
+from repro.state import (
+    LOG_NAME,
+    latest_valid_checkpoint,
+    load_record,
+    record_mismatches,
+)
 
 HORIZON = 48
 SEED = 9
@@ -135,5 +146,61 @@ def test_sigterm_then_resume_is_bit_identical_to_batch(tmp_path):
 
     mismatches = record_mismatches(
         load_record(batch_record), load_record(serve_record)
+    )
+    assert mismatches == []
+
+
+@pytest.mark.slow
+def test_sigkill_of_a_live_feed_then_resume_is_bit_identical(tmp_path):
+    d = str(tmp_path)
+    ckpt = os.path.join(d, "ckpt")
+    golden_record = os.path.join(d, "golden.npz")
+    resumed_record = os.path.join(d, "resumed.npz")
+    feed = ["--source", "synthetic", "--source-seed", "7", *SCENARIO_ARGS]
+
+    code, out = _run(["serve", *feed, "--record-out", golden_record], d)
+    assert code == 0, out
+
+    proc = _spawn(
+        [
+            "serve",
+            *feed,
+            "--slot-period-s", "0.2",
+            "--checkpoint-dir", ckpt,
+            "--checkpoint-every", "1",
+        ],
+        d,
+    )
+    try:
+        _wait_for(
+            lambda: (c := latest_valid_checkpoint(ckpt)) is not None and c.slot >= 3,
+            what="three checkpoint records",
+        )
+        proc.kill()
+        out, _ = proc.communicate(timeout=60)
+    finally:
+        if proc.poll() is None:
+            proc.kill()
+            proc.communicate(timeout=30)
+
+    assert proc.returncode == -signal.SIGKILL, out
+    assert "serve: stopped" not in out
+    stopped = latest_valid_checkpoint(ckpt).slot
+    assert 3 <= stopped < HORIZON
+
+    code, out = _run(
+        [
+            "serve",
+            "--resume",
+            "--checkpoint-dir", ckpt,
+            "--record-out", resumed_record,
+        ],
+        d,
+    )
+    assert code == 0, out
+    assert f"(slot {stopped}/{HORIZON})" in out
+
+    mismatches = record_mismatches(
+        load_record(golden_record), load_record(resumed_record)
     )
     assert mismatches == []

@@ -32,6 +32,7 @@ from hypothesis import strategies as st
 from repro.core.coca import COCA
 from repro.faults import DegradationPolicy, FaultInjector, FaultSchedule
 from repro.scenarios import small_scenario
+from repro.serve import LiveEnvironment, StalenessResolver, SyntheticSignalSource
 from repro.sim import simulate
 from repro.sim.engine import RECORD_COLUMNS, SlotRunner
 from repro.solvers import DistributedGSD, GSDSolver
@@ -643,16 +644,25 @@ class TestControllerStateRoundTrips:
 # ------------------------------------------------------- the log's fold
 @pytest.fixture(scope="module")
 def built_log(tmp_path_factory):
-    """A 12-slot run's log with one record per slot, plus a second record
-    at slot 6 with no new rows: ``(bytes, record ends, oracle, scratch)``
-    where ``oracle[k]`` is the slot and full re-encode after record ``k``."""
+    """A 12-slot live serve's log with one record per slot, plus a second
+    record at slot 6 with no new rows: ``(bytes, record ends, oracle,
+    scratch)`` where ``oracle[k]`` is the slot and full re-encode after
+    record ``k``.  A lossy synthetic feed resolves the frames, so the
+    records carry the ``environment`` group beside the other series."""
     scratch = tmp_path_factory.mktemp("log")
     scenario = small_scenario(horizon=12, seed=3)
-    runner = SlotRunner(scenario.model, _coca(scenario), scenario.environment)
+    environment = LiveEnvironment(scenario.horizon)
+    runner = SlotRunner(
+        scenario.model, _coca(scenario), environment, faults=FaultSchedule()
+    )
+    resolver = StalenessResolver(
+        SyntheticSignalSource(scenario.environment, seed=7), injector=runner.injector
+    )
     runner.start()
     writer = CheckpointWriter(scratch, sync=False)
     ends, oracle = [], []
     for t in range(scenario.horizon):
+        environment.append(resolver.resolve(t))
         runner.step(t)
         for _ in range(2 if t == 5 else 1):
             record = runner.capture(t + 1)
@@ -689,6 +699,8 @@ class TestLogFold:
     def test_whole_log_folds_to_the_full_re_encode(self, built_log):
         blob, ends, _, _ = built_log
         _assert_folds_to(built_log, blob, len(ends))
+        frames = load_checkpoint(str(built_log[3] / LOG_NAME)).state["series"]
+        assert len(frames["environment"]["frames"]) == 12
 
     @given(st.data())
     @settings(max_examples=150, deadline=None)
