@@ -46,24 +46,27 @@ SIGNAL_FIELDS = ("price", "onsite", "arrival")
 SIGNAL_MODES = ("stale", "missing")
 
 
-def _rewind(bitgen: np.random.BitGenerator, draws: int) -> None:
-    """Step ``bitgen`` (PCG64) back by ``draws`` 64-bit outputs.
+#: PCG64's period: advancing by ``_PERIOD - k`` steps back ``k`` outputs.
+_PERIOD = 1 << 128
 
-    ``advance`` moves the state modulo the 2**128 period, so advancing by
-    the period minus ``draws`` steps back.  It also drops the buffered half
-    of a 64-bit output that bounded 32-bit ``integers`` draws leave behind;
-    that buffer is put back, so later ``integers`` draws see the same
-    stream as if nothing had been rewound.
+
+def _rewind_buffered(bitgen: np.random.BitGenerator, draws: int) -> None:
+    """Step ``bitgen`` (PCG64) back by ``draws`` 64-bit outputs while it
+    holds the buffered half of a 64-bit output.
+
+    ``advance`` moves the state modulo the period, and it also drops the
+    half that bounded 32-bit ``integers`` draws leave behind.  That half
+    is put back, so later ``integers`` draws see the same stream as if
+    nothing had been rewound.  With no half buffered a bare
+    ``advance(_PERIOD - draws)`` does the same, without the state round
+    trip.
     """
-    if draws == 0:
-        return
     before = bitgen.state
-    bitgen.advance((1 << 128) - draws)
-    if before["has_uint32"]:
-        after = bitgen.state
-        after["has_uint32"] = before["has_uint32"]
-        after["uinteger"] = before["uinteger"]
-        bitgen.state = after
+    bitgen.advance(_PERIOD - draws)
+    after = bitgen.state
+    after["has_uint32"] = before["has_uint32"]
+    after["uinteger"] = before["uinteger"]
+    bitgen.state = after
 
 
 @dataclass(frozen=True)
@@ -143,6 +146,17 @@ class FaultEvent:
         )
 
 
+def _group_event(t: int, kind: str, group: int) -> FaultEvent:
+    """A group failure or repair whose fields the generator knows are
+    valid, built without the dataclass ``__init__`` and its checks.  The
+    unset fields read their defaults off the class."""
+    event = object.__new__(FaultEvent)
+    object.__setattr__(event, "t", t)
+    object.__setattr__(event, "kind", kind)
+    object.__setattr__(event, "group", group)
+    return event
+
+
 @dataclass(frozen=True)
 class MessageFaultProfile:
     """Seeded per-message fault probabilities for the distributed protocol.
@@ -201,7 +215,8 @@ class FaultSchedule:
     """A full chaos scenario: timed events plus a message-fault profile.
 
     ``events`` are stored sorted by ``(t, kind, group, field)`` so equal
-    schedules compare equal regardless of construction order; ``seed``
+    schedules compare equal regardless of construction order, and grouped
+    by slot once for :meth:`by_slot`; ``seed``
     records provenance when the schedule came from :meth:`generate` (it is
     informational -- replay uses the events themselves, never the seed).
     """
@@ -222,7 +237,9 @@ class FaultSchedule:
         # repair must target a group that is down: catching these statically
         # keeps injection-time behavior unambiguous.
         down: set[int] = set()
+        slots: dict[int, list[FaultEvent]] = {}
         for e in events:
+            slots.setdefault(e.t, []).append(e)
             if e.kind == "group_fail":
                 if e.group in down:
                     raise ValueError(
@@ -235,6 +252,7 @@ class FaultSchedule:
                         f"group {e.group} repaired at t={e.t} but was never down"
                     )
                 down.discard(e.group)  # type: ignore[arg-type]
+        object.__setattr__(self, "_slots", {t: tuple(es) for t, es in slots.items()})
 
     # ------------------------------------------------------------------
     @classmethod
@@ -242,12 +260,9 @@ class FaultSchedule:
         """The no-fault schedule (simulation must be bit-identical)."""
         return cls()
 
-    def by_slot(self) -> dict[int, list[FaultEvent]]:
+    def by_slot(self) -> dict[int, tuple[FaultEvent, ...]]:
         """``t -> events`` map for O(1) per-slot lookup in the injector."""
-        out: dict[int, list[FaultEvent]] = {}
-        for e in self.events:
-            out.setdefault(e.t, []).append(e)
-        return out
+        return dict(self._slots)
 
     # ------------------------------------------------------------------
     def to_dict(self) -> dict:
@@ -321,7 +336,9 @@ class FaultSchedule:
         slot, in group order, each failure followed at once by its
         ``geometric`` repair draw; then the signal draws.  The healthy
         groups' uniforms are drawn as blocks, and the draws past a failure
-        are rewound before its repair draw.
+        are rewound before its repair draw: O(1) numpy calls per slot and
+        per failure.  Each slot's events come out in canonical order, so
+        the schedule is built without a sort or a validation pass.
         """
         if horizon < 1 or num_groups < 1:
             raise ValueError("horizon and num_groups must be positive")
@@ -333,52 +350,72 @@ class FaultSchedule:
             raise ValueError("signal_rate must be in [0, 1)")
         rng = np.random.default_rng(seed)
         bitgen = rng.bit_generator
+        random, geometric, advance = rng.random, rng.geometric, bitgen.advance
+        p_repair = 1.0 / mean_repair
+        cap = num_groups - 1
+        up = np.ones(num_groups, dtype=bool)  # groups not down
+        down = 0
+        comeback: dict[int, list[int]] = {}  # slot -> groups repaired then
+        # Whether the generator holds half of a 64-bit output; only the
+        # signal draws' bounded ``integers`` leave one behind.
+        buffered = False
         events: list[FaultEvent] = []
-        repair_at: dict[int, int] = {}  # group -> slot it comes back
+        slots: dict[int, tuple[FaultEvent, ...]] = {}
         for t in range(horizon):
-            just_repaired = sorted(g for g, tr in repair_at.items() if tr == t)
-            for g in just_repaired:
-                events.append(FaultEvent(t=t, kind="group_repair", group=g))
-                del repair_at[g]
-            # A group that just came back spends the slot healthy; letting
-            # it fail again at the same t would order fail-before-repair
-            # after the canonical sort and fail validation.
-            skip = np.zeros(num_groups, dtype=bool)
-            skip[list(repair_at)] = True
-            skip[just_repaired] = True
-            healthy = np.flatnonzero(~skip)
+            # A group that comes back at t spends the slot healthy but
+            # draws no uniform: it stays out of ``up`` until the draws are
+            # done, so it cannot fail again at the same t.
+            back = comeback.pop(t, None)
+            if back:
+                down -= len(back)
+            healthy = up.nonzero()[0]
+            n = healthy.size
+            slot: list[FaultEvent] = []
             # One uniform per healthy group, in group order, drawn as one
             # block; a failure's repair time is drawn right after its
             # uniform, so the draws past it are handed back first.
             start = 0
-            while start < healthy.size:
-                u = rng.random(healthy.size - start)
-                hits = np.flatnonzero(u < failure_rate)
-                if hits.size == 0 or len(repair_at) >= num_groups - 1:
+            while start < n:
+                below = random(n - start) < failure_rate
+                hit = int(below.argmax())
+                if not below[hit] or down >= cap:
                     break
-                hit = int(hits[0])
-                _rewind(bitgen, u.size - hit - 1)
+                past = n - start - hit - 1
+                if past:
+                    if buffered:
+                        _rewind_buffered(bitgen, past)
+                    else:
+                        advance(_PERIOD - past)
                 g = int(healthy[start + hit])
-                down_for = 1 + int(rng.geometric(1.0 / mean_repair))
-                events.append(FaultEvent(t=t, kind="group_fail", group=g))
-                back = t + down_for
-                if back < horizon:
-                    repair_at[g] = back
-                else:
-                    repair_at[g] = horizon + 1  # never repaired in-run
+                up[g] = False
+                down += 1
+                slot.append(_group_event(t, "group_fail", g))
+                # A repair at or past the horizon never happens in-run.
+                repair = t + 1 + int(geometric(p_repair))
+                if repair < horizon:
+                    comeback.setdefault(repair, []).append(g)
                 start += hit + 1
-            if signal_rate > 0.0 and rng.random() < signal_rate:
+            # Canonical order within a slot: failures, repairs, the signal.
+            if back:
+                back.sort()
+                up[back] = True
+                slot += [_group_event(t, "group_repair", g) for g in back]
+            if signal_rate > 0.0 and random() < signal_rate:
                 field_ = SIGNAL_FIELDS[int(rng.integers(0, len(SIGNAL_FIELDS)))]
                 mode = SIGNAL_MODES[int(rng.integers(0, len(SIGNAL_MODES)))]
                 duration = int(rng.integers(1, 4))
-                events.append(
-                    FaultEvent(
-                        t=t, kind="signal", field=field_, mode=mode, duration=duration
-                    )
-                )
+                slot.append(FaultEvent(t, "signal", None, field_, mode, duration))
+                buffered = bitgen.state["has_uint32"]
+            if slot:
+                slots[t] = tuple(slot)
+                events += slot
         profile = MessageFaultProfile(loss=loss, delay=delay, duplicate=duplicate, seed=seed)
-        return cls(
-            events=tuple(events),
-            messages=None if profile.is_null else profile,
-            seed=seed,
-        )
+        # Valid and in canonical order by construction: no sort, no check.
+        schedule = object.__new__(cls)
+        object.__setattr__(schedule, "__dict__", {
+            "events": tuple(events),
+            "messages": None if profile.is_null else profile,
+            "seed": seed,
+            "_slots": slots,
+        })
+        return schedule

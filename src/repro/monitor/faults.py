@@ -34,6 +34,7 @@ class FaultActivityMonitor(HealthMonitor):
         "fault.solve_retry",
         "fault.fallback",
         "fault.summary",
+        "state.resume",
     )
 
     def __init__(self) -> None:
@@ -88,6 +89,14 @@ class FaultActivityMonitor(HealthMonitor):
             )
         elif kind == "fault.summary":
             self._summary = event
+        elif kind == "state.resume" and "faults" in event:
+            # A resumed run's summary counts the slots before the resume too.
+            before = event["faults"]
+            self.injected = int(before["injected"])
+            self.by_fault = {str(k): int(v) for k, v in before["by_kind"].items()}
+            self.suppressed = int(before["suppressed"])
+            self.retries = int(before["solve_retries"])
+            self.fallbacks = int(before["fallbacks"])
 
     def finalize(self, alerts: AlertChannel) -> None:
         if self.fallbacks and self.injected == 0 and self._summary is None:

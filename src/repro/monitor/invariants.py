@@ -151,7 +151,7 @@ class BudgetTrajectoryMonitor(HealthMonitor):
 
     name = "budget-trajectory"
     description = "cumulative brown energy tracks alpha * renewable budget"
-    kinds = ("queue.update", "controller.config", "geo.config")
+    kinds = ("queue.update", "controller.config", "geo.config", "state.resume")
 
     def __init__(
         self,
@@ -171,6 +171,7 @@ class BudgetTrajectoryMonitor(HealthMonitor):
         self.cum_budget = 0.0
         self.slots = 0
         self.worst_excess = 0.0
+        self._rec_per_slot = 0.0
 
     @property
     def alpha(self) -> float:
@@ -179,9 +180,21 @@ class BudgetTrajectoryMonitor(HealthMonitor):
         return self._alpha_seen if self._alpha_seen is not None else 1.0
 
     def observe(self, event: dict, alerts: AlertChannel) -> None:
-        if event["kind"] in ("controller.config", "geo.config"):
-            if "alpha" in event:
-                self._alpha_seen = float(event["alpha"])
+        kind = event["kind"]
+        if kind != "queue.update":
+            if kind == "state.resume":
+                # A resumed run starts from the budget the slots before it
+                # drew and released, so its verdicts are the whole run's.
+                self.slots = int(event["slot"])
+                self.cum_brown = float(event.get("brown", 0.0))
+                self.cum_budget = (
+                    self.alpha * float(event.get("offsite", 0.0))
+                    + self.slots * self._rec_per_slot
+                )
+            else:  # controller.config / geo.config
+                if "alpha" in event:
+                    self._alpha_seen = float(event["alpha"])
+                self._rec_per_slot = float(event.get("rec_per_slot", 0.0))
             return
         brown = float(event.get("brown", 0.0))
         offsite = float(event.get("offsite", 0.0))

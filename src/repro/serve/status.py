@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import json
 import threading
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Any, Callable
 
 from ..telemetry.metrics import MetricsRegistry
@@ -69,43 +68,47 @@ class StatusBoard:
         return data
 
 
-class _Handler(BaseHTTPRequestHandler):
-    """Serves the board; silent (no per-request stderr lines)."""
+def _handler(board: StatusBoard, registry: MetricsRegistry | None) -> type:
+    """The request handler class serving ``board`` (and ``registry`` on
+    ``/metrics``; ``None`` disables it), built when a server starts."""
+    from http.server import BaseHTTPRequestHandler
 
-    board: StatusBoard  # injected by StatusServer via a subclass attribute
-    registry: MetricsRegistry | None  # likewise; None disables /metrics
+    class Handler(BaseHTTPRequestHandler):
+        """Serves the board; silent (no per-request stderr lines)."""
 
-    def do_GET(self) -> None:  # noqa: N802 (stdlib naming)
-        path = self.path.split("?", 1)[0]
-        if path in ("/status", "/"):
-            body = json.dumps(
-                sanitize_json_value(self.board.snapshot()), indent=2
-            ).encode()
-            self._respond(200, body)
-        elif path == "/healthz":
-            state = self.board.get("state", "unknown")
-            code = 200 if state in ("starting", "running", "stopping") else 503
-            self._respond(code, json.dumps({"state": state}).encode())
-        elif path == "/metrics" and self.registry is not None:
-            # The loop thread writes instruments while we render; values may
-            # be one slot apart but each read is of a plain float/list, so
-            # no lock is needed for a consistent-enough scrape.
-            body = render_prometheus(self.registry).encode("utf-8")
-            self._respond(200, body, content_type=PROMETHEUS_CONTENT_TYPE)
-        else:
-            self._respond(404, b'{"error": "not found"}')
+        def do_GET(self) -> None:  # noqa: N802 (stdlib naming)
+            path = self.path.split("?", 1)[0]
+            if path in ("/status", "/"):
+                body = json.dumps(
+                    sanitize_json_value(board.snapshot()), indent=2
+                ).encode()
+                self._respond(200, body)
+            elif path == "/healthz":
+                state = board.get("state", "unknown")
+                code = 200 if state in ("starting", "running", "stopping") else 503
+                self._respond(code, json.dumps({"state": state}).encode())
+            elif path == "/metrics" and registry is not None:
+                # The loop thread writes instruments while we render; values may
+                # be one slot apart but each read is of a plain float/list, so
+                # no lock is needed for a consistent-enough scrape.
+                body = render_prometheus(registry).encode("utf-8")
+                self._respond(200, body, content_type=PROMETHEUS_CONTENT_TYPE)
+            else:
+                self._respond(404, b'{"error": "not found"}')
 
-    def _respond(
-        self, code: int, body: bytes, *, content_type: str = "application/json"
-    ) -> None:
-        self.send_response(code)
-        self.send_header("Content-Type", content_type)
-        self.send_header("Content-Length", str(len(body)))
-        self.end_headers()
-        self.wfile.write(body)
+        def _respond(
+            self, code: int, body: bytes, *, content_type: str = "application/json"
+        ) -> None:
+            self.send_response(code)
+            self.send_header("Content-Type", content_type)
+            self.send_header("Content-Length", str(len(body)))
+            self.end_headers()
+            self.wfile.write(body)
 
-    def log_message(self, format: str, *args) -> None:  # noqa: A002
-        pass  # probes every few seconds would otherwise spam stderr
+        def log_message(self, format: str, *args) -> None:  # noqa: A002
+            pass  # probes every few seconds would otherwise spam stderr
+
+    return Handler
 
 
 class StatusServer:
@@ -118,10 +121,11 @@ class StatusServer:
 
     def __init__(self, board: StatusBoard, *, host: str = "127.0.0.1",
                  port: int = 0, registry: MetricsRegistry | None = None) -> None:
-        handler = type(
-            "BoundHandler", (_Handler,), {"board": board, "registry": registry}
-        )
-        self._httpd = ThreadingHTTPServer((host, port), handler)
+        # The HTTP stack (http.server pulls in email, ssl and socket) loads
+        # only when a server starts, not with every ``repro serve``.
+        from http.server import ThreadingHTTPServer
+
+        self._httpd = ThreadingHTTPServer((host, port), _handler(board, registry))
         self._httpd.daemon_threads = True
         self.host = host
         self.port = int(self._httpd.server_address[1])

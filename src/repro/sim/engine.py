@@ -341,7 +341,10 @@ class SlotRunner:
             self.cols[name] = [float(x) for x in values]
         if any(len(v) != self.start_slot for v in self.cols.values()):
             raise CheckpointError("checkpoint column lengths disagree with slot")
-        self.prev_on = decode_array(state["prev_on"])
+        # A record without its own on-counts realized the controller's.
+        self.prev_on = decode_array(
+            state.get("prev_on", state["controller"]["state"].get("prev_on"))
+        )
         # Records written before the load split moved to class rows also
         # carry the realized per-group loads; only the levels are read.
         last = state["last_realized"]
@@ -367,9 +370,29 @@ class SlotRunner:
                 horizon=self.horizon,
                 path=resume_from.path,
                 controller=self.controller.name(),
+                **self._totals(),
             )
             self.tele.metrics.counter("state.resumes").inc()
         return self.start_slot
+
+    def _totals(self) -> dict:
+        """What the run did before :attr:`start_slot`, for the monitors of
+        a resumed run, which never saw those slots' events: brown energy
+        and off-site supply in MWh, and the fault and fallback counts."""
+        offsite = self.environment.offsite
+        totals: dict = {
+            "brown": float(sum(self.cols["brown_energy"])),
+            "offsite": float(sum(offsite(t) for t in range(self.start_slot))),
+        }
+        if self.injector is not None:
+            totals["faults"] = {
+                "injected": self.injector.injected,
+                "suppressed": self.injector.suppressed,
+                "by_kind": dict(self.injector.by_kind),
+                "fallbacks": self.policy.fallbacks,
+                "solve_retries": self.policy.solve_retries,
+            }
+        return totals
 
     # ------------------------------------------------------------------
     def capture(self, slot: int) -> dict:
@@ -381,16 +404,16 @@ class SlotRunner:
         :mod:`repro.state.checkpoint`).
         """
         controller = self.controller
-        return {
+        state = controller.state_dict()
+        record = {
             "slot": slot,
             "horizon": self.horizon,
             "env_crc": environment_fingerprint(self.environment),
-            "controller": {"name": controller.name(), "state": controller.state_dict()},
+            "controller": {"name": controller.name(), "state": state},
             "series": {
                 group: _new_rows(named, self._logged.setdefault(group, {}))
                 for group, named in self._series().items()
             },
-            "prev_on": encode_array(self.prev_on),
             "last_realized": (
                 None
                 if self.last_realized is None
@@ -400,6 +423,13 @@ class SlotRunner:
             "degradation": None if self.policy is None else self.policy.state_dict(),
             "run_id": getattr(getattr(self.tele, "tracer", None), "run_id", None),
         }
+        # The realized on-counts differ from the controller's planned ones
+        # only after a fallback or a masked realization; otherwise the
+        # controller's copy stands for both.
+        prev_on = encode_array(self.prev_on)
+        if "prev_on" not in state or prev_on != state["prev_on"]:
+            record["prev_on"] = prev_on
+        return record
 
     def _series(self) -> dict[str, dict[str, list]]:
         """Every append-only per-slot series a record logs, by group."""

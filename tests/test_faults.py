@@ -122,6 +122,49 @@ class TestBlockDrawnGenerator:
             )
 
 
+class _CountingGenerator(np.random.Generator):
+    """``default_rng``'s generator, counting its uniform and repair draws."""
+
+    def __init__(self, seed):
+        super().__init__(np.random.PCG64(seed))
+        self.uniform_calls = 0
+        self.repair_calls = 0
+
+    def random(self, *args, **kwargs):
+        self.uniform_calls += 1
+        return super().random(*args, **kwargs)
+
+    def geometric(self, *args, **kwargs):
+        self.repair_calls += 1
+        return super().geometric(*args, **kwargs)
+
+
+class TestGeneratorCost:
+    def test_draw_calls_scale_with_failures_not_group_slots(self, monkeypatch):
+        """On a paper-scale quarter (200 groups x 2,190 slots) the uniform
+        draw calls number at most one block per slot, one more per failure
+        and one signal draw per slot -- not one per group-slot, as the
+        scalar oracle makes."""
+        kw = dict(horizon=2190, num_groups=200, failure_rate=0.02, mean_repair=6.0,
+                  signal_rate=0.05)
+        want = oracle_generate(2012, **kw)
+        made = []
+
+        def counting_rng(seed):
+            made.append(_CountingGenerator(seed))
+            return made[-1]
+
+        monkeypatch.setattr(np.random, "default_rng", counting_rng)
+        got = FaultSchedule.generate(2012, **kw)
+        assert got.to_json() == want.to_json()
+        failures = sum(e.kind == "group_fail" for e in got.events)
+        assert failures > 7000
+        (rng,) = made
+        assert rng.repair_calls == failures
+        assert rng.uniform_calls <= 2190 + failures + 2190
+        assert rng.uniform_calls < 0.05 * 2190 * 200
+
+
 class TestScheduleDeterminism:
     @given(seed=st.integers(0, 2**31 - 1), horizon=st.integers(1, 120))
     @settings(max_examples=25, deadline=None)

@@ -12,6 +12,8 @@ from __future__ import annotations
 
 import json
 import os
+import subprocess
+import sys
 import urllib.request
 
 import pytest
@@ -47,7 +49,8 @@ from repro.state import (
     load_record,
     record_mismatches,
 )
-from repro.telemetry import Telemetry
+from repro.monitor import replay
+from repro.telemetry import Telemetry, load_trace
 from repro.telemetry.metrics import Histogram
 from tests.state_oracle import prefix_fingerprint, record_spans, without_run_id
 
@@ -375,6 +378,24 @@ class TestStatusEndpoint:
         finally:
             server.close()
 
+    def test_serve_import_leaves_the_http_stack_unloaded(self):
+        """Only a started :class:`StatusServer` loads ``http.server`` (and
+        with it email, ssl and socket); ``repro serve`` without
+        ``--status-port`` never pays for it."""
+        import repro
+
+        src = os.path.dirname(os.path.dirname(repro.__file__))
+        env = dict(os.environ, PYTHONPATH=src)
+        probe = (
+            "import sys, repro.serve, repro.cli\n"
+            "print(sorted(m for m in ('http.server', 'socketserver', 'ssl') "
+            "if m in sys.modules))"
+        )
+        out = subprocess.run(
+            [sys.executable, "-c", probe], env=env, capture_output=True,
+            text=True, check=True,
+        ).stdout
+        assert out.strip() == "[]"
 
     def test_latency_percentiles_only_when_read(self, scenario, monkeypatch):
         """Slots run with nobody reading ``/status`` sort nothing; a read
@@ -649,6 +670,33 @@ class TestCheckpointBytesAcrossResume:
             assert record_mismatches(load_record(str(golden_out)), load_record(str(out))) == []
             self._assert_resumed_bytes_match(golden, crashed, stop)
 
+    def test_log_with_both_on_count_copies_resumes(self, tmp_path, capsys):
+        """Records written before the on-counts were stored once carry the
+        runner's copy beside the controller's.  Such a log resumes to the
+        uninterrupted run's record, and the records appended after it are
+        the ones an uninterrupted run writes."""
+        golden, legacy = tmp_path / "golden", tmp_path / "legacy"
+        golden_out, out = tmp_path / "golden.npz", tmp_path / "legacy.npz"
+        assert main([*self.SYNTHETIC, "--checkpoint-dir", str(golden),
+                     "--record-out", str(golden_out)]) == 0
+        stop = 13
+        blob = (golden / LOG_NAME).read_bytes()
+        old = b""
+        for slot, start, end in record_spans(golden / LOG_NAME):
+            if slot <= stop:
+                state = json.loads(blob[blob.index(b"\n", start) + 1 : end - 1])
+                assert "prev_on" not in state
+                state["prev_on"] = state["controller"]["state"]["prev_on"]
+                old += dumps_checkpoint(slot, state)
+        legacy.mkdir()
+        (legacy / LOG_NAME).write_bytes(old)
+        (legacy / MANIFEST_NAME).write_bytes((golden / MANIFEST_NAME).read_bytes())
+        assert main(["serve", "--resume", "--checkpoint-dir", str(legacy),
+                     "--record-out", str(out)]) == 0
+        assert f"(slot {stop}/30)" in capsys.readouterr().out
+        assert record_mismatches(load_record(str(golden_out)), load_record(str(out))) == []
+        self._assert_resumed_bytes_match(golden, legacy, stop)
+
     def test_live_log_without_frames_is_refused(self, tmp_path, capsys):
         """A live serve's log written before frames moved into the log
         cannot rebuild the resolved prefix: resume refuses it in one line."""
@@ -670,6 +718,31 @@ class TestCheckpointBytesAcrossResume:
             "at slot 13 (written before frames moved into the log); re-serve from "
             "the start\n"
         )
+
+    def test_resumed_serve_gets_the_whole_run_monitor_verdicts(self, tmp_path, capsys):
+        """The monitors of a resumed serve start from the totals of the
+        slots before the resume: its strict exit and its budget and fault
+        reports are the uninterrupted serve's."""
+        whole, cut = tmp_path / "whole", tmp_path / "cut"
+        assert main([*self.SYNTHETIC, "--checkpoint-dir", str(whole), "--strict",
+                     "--trace-out", str(tmp_path / "whole.jsonl")]) == 0
+        assert main([*self.SYNTHETIC, "--checkpoint-dir", str(cut), "--max-slots", "13",
+                     "--strict"]) == 0
+        assert main(["serve", "--resume", "--checkpoint-dir", str(cut), "--strict",
+                     "--trace-out", str(tmp_path / "cut.jsonl")]) == 0
+        assert capsys.readouterr().out.count("10/10 monitors passing") == 3
+
+        def reports(name):
+            suite = replay(load_trace(str(tmp_path / name)))
+            return {r.monitor: r for r in suite.reports()}
+
+        want, got = reports("whole.jsonl"), reports("cut.jsonl")
+        assert {m: r.passed for m, r in got.items()} == {m: r.passed for m, r in want.items()}
+        budget = [r["budget-trajectory"].detail.split(" (worst")[0] for r in (got, want)]
+        assert budget[0] == budget[1]
+        faults = got["fault-activity"].detail
+        assert faults.startswith("12 injected; signal=12;")
+        assert faults.split("; ")[:2] == want["fault-activity"].detail.split("; ")[:2]
 
     def test_synthetic_serve_stop_and_resume(self, tmp_path, capsys):
         golden, resumed = tmp_path / "golden", tmp_path / "resumed"

@@ -38,6 +38,7 @@ from repro.sim.engine import RECORD_COLUMNS, SlotRunner
 from repro.solvers import DistributedGSD, GSDSolver
 from repro.state import (
     LOG_NAME,
+    Checkpoint,
     CheckpointError,
     CheckpointWriter,
     atomic_write_bytes,
@@ -818,6 +819,29 @@ class TestIncrementalCapture:
             assert canonical_dumps(folded.state) == full_capture(runner, record)
             written = checkpoint_at(golden, t + 1, tmp_path / "at")
             assert canonical_dumps(folded.state) == canonical_dumps(written.state)
+
+    def test_on_counts_are_written_once_unless_they_differ(self, tmp_path):
+        """The runner's realized on-counts ride in a record only when they
+        differ from the controller's planned ones; a restore rebuilds each
+        copy exactly either way."""
+        scenario = small_scenario(horizon=24, seed=3)
+        runner = self._runner(scenario)
+        for t in range(4):
+            runner.step(t)
+        shared = runner.capture(4)
+        planned = shared["controller"]["state"]["prev_on"]
+        assert "prev_on" not in shared and planned is not None
+        realized = runner.prev_on.copy()
+        realized[0] = 0.0  # as a masked realization leaves it
+        runner.prev_on = realized
+        distinct = runner.capture(4)
+        assert distinct["prev_on"] == encode_array(realized)
+        for record, want in ((shared, decode_array(planned)), (distinct, realized)):
+            clone = self._runner(scenario)
+            state = json.loads(full_capture(runner, record))
+            clone.restore(Checkpoint(slot=4, state=state, path=str(tmp_path)))
+            assert clone.prev_on.tobytes() == want.tobytes()
+            assert clone.controller.state_dict()["prev_on"] == planned
 
     def test_batch_environment_fingerprint_walks_traces_once(self, monkeypatch):
         scenario = small_scenario(horizon=24, seed=3)
