@@ -1,7 +1,8 @@
 """Extension bench: geo-distributed COCA vs naive dispatch.
 
-Not a paper figure -- the geo subpackage extends the paper toward its
-related work (geographical load balancing [21, 29, 32]).  Three sites with
+Not a paper figure -- the ``geo_extension`` package beside this bench
+extends the paper toward its related work (geographical load balancing
+[21, 29, 32]).  Three sites with
 different markets/renewables/latencies, one month, one global carbon
 budget: GeoCOCA (marginal-cost dispatch + global deficit queue) against a
 capacity-proportional carbon-unaware split.
@@ -9,10 +10,10 @@ capacity-proportional carbon-unaware split.
 
 import numpy as np
 
+from geo_extension import GeoCOCA, GeoEnvironment, ProportionalGeo, Site, simulate_geo
 from repro.analysis import render_table
 from repro.cluster import Fleet, ServerGroup, opteron_2380
 from repro.core import DataCenterModel
-from repro.geo import GeoCOCA, GeoEnvironment, ProportionalGeo, Site, simulate_geo
 from repro.traces import fiu_workload, price_trace, solar_trace, wind_trace
 
 HORIZON = 24 * 30
@@ -48,13 +49,13 @@ def test_geo_extension(benchmark, publish):
         lo, hi, v_star = 1e-4, 1e4, None
         for _ in range(7):
             mid = float(np.sqrt(lo * hi))
-            rec = simulate_geo(GeoCOCA(env, v_schedule=mid, dispatch_rounds=10), env)
+            rec = simulate_geo(GeoCOCA(env, v=mid, dispatch_rounds=10), env)
             if rec.is_neutral(env):
                 lo, v_star = mid, mid
             else:
                 hi = mid
         v_star = v_star if v_star is not None else lo
-        best = simulate_geo(GeoCOCA(env, v_schedule=v_star, dispatch_rounds=10), env)
+        best = simulate_geo(GeoCOCA(env, v=v_star, dispatch_rounds=10), env)
         return naive, best, v_star
 
     naive, geo, v_star = benchmark.pedantic(run, rounds=1, iterations=1)

@@ -3,7 +3,8 @@
 Fuses the paper's online carbon-neutral control with geographical load
 balancing (the related-work direction of [21, 29, 32]): one global carbon
 budget and deficit queue, per-site fleets/prices/renewables/latencies, and
-a marginal-cost-equalizing dispatcher.  See DESIGN.md section 5.
+a marginal-cost-equalizing dispatcher.  ``bench_geo_extension.py`` runs it;
+see DESIGN.md section 5.
 """
 
 from .controller import GeoCOCA, GeoEnvironment, ProportionalGeo

@@ -14,10 +14,11 @@ proportional split, it repeatedly moves a shrinking block of load from the
 site with the highest marginal cost to the one with the lowest, accepting
 only improving transfers -- a derivative-free analogue of projected
 gradient descent that is robust to the discrete kinks of ``F_s`` (server
-counts change in group-size steps).
+counts change in group-size steps).  Each site's P3 is solved exactly by
+:class:`~repro.solvers.enumeration.HomogeneousEnumerationSolver`.
 
-:class:`ProportionalDispatch` (split by capacity, ignore prices and
-renewables) is the naive baseline the geo ablation compares against.
+:func:`proportional_shares` (split by capacity, ignore prices and
+renewables) is the naive baseline the geo bench compares against.
 """
 
 from __future__ import annotations
@@ -27,10 +28,10 @@ from typing import Sequence
 
 import numpy as np
 
-from ..solvers.base import SlotSolution, SlotSolver
-from ..solvers.enumeration import HomogeneousEnumerationSolver
-from ..solvers.convex import CoordinateDescentSolver
-from ..solvers.problem import InfeasibleError
+from repro.solvers.base import SlotSolution
+from repro.solvers.enumeration import HomogeneousEnumerationSolver
+from repro.solvers.problem import InfeasibleError
+
 from .site import Site
 
 __all__ = ["DispatchResult", "dispatch_slot", "proportional_shares"]
@@ -43,23 +44,11 @@ class DispatchResult:
     shares: np.ndarray  # req/s routed to each site
     solutions: tuple[SlotSolution, ...]  # per-site local solutions
     total_objective: float
-    evaluations: int  # number of site-level P3 solves performed
-
-    @property
-    def total_cost(self) -> float:
-        """Aggregate operational cost ``sum_s g_s`` for the slot."""
-        return float(sum(s.cost for s in self.solutions))
 
     @property
     def total_brown(self) -> float:
         """Aggregate brown energy (MWh) for the slot."""
         return float(sum(s.evaluation.brown_energy for s in self.solutions))
-
-
-def _default_solver(site: Site) -> SlotSolver:
-    if site.model.fleet.is_homogeneous:
-        return HomogeneousEnumerationSolver()
-    return CoordinateDescentSolver()
 
 
 def proportional_shares(sites: Sequence[Site], total_load: float) -> np.ndarray:
@@ -78,7 +67,6 @@ def dispatch_slot(
     q: float = 0.0,
     V: float = 1.0,
     prev_on: Sequence[np.ndarray | None] | None = None,
-    solvers: Sequence[SlotSolver] | None = None,
     rounds: int = 24,
     initial_shares: np.ndarray | None = None,
 ) -> DispatchResult:
@@ -94,8 +82,6 @@ def dispatch_slot(
         Global deficit weight and cost-carbon parameter.
     prev_on:
         Per-site previous on-counts (switching awareness), or None.
-    solvers:
-        Per-site engines (defaults chosen per fleet).
     rounds:
         Transfer rounds; each tries one highest-to-lowest-marginal move
         with a geometrically shrinking block size.
@@ -107,8 +93,7 @@ def dispatch_slot(
         raise ValueError("need at least one site")
     if prev_on is None:
         prev_on = [None] * S
-    if solvers is None:
-        solvers = [_default_solver(s) for s in sites]
+    solver = HomogeneousEnumerationSolver()
     caps = np.array([s.capacity() for s in sites])
     shares = (
         initial_shares.astype(np.float64).copy()
@@ -118,11 +103,9 @@ def dispatch_slot(
     if abs(shares.sum() - total_load) > 1e-6 * max(total_load, 1.0):
         raise ValueError("initial shares must sum to the total load")
 
-    evaluations = 0
     cache: dict[tuple[int, float], SlotSolution] = {}
 
     def solve_site(i: int, load: float) -> SlotSolution:
-        nonlocal evaluations
         key = (i, round(load, 6))
         hit = cache.get(key)
         if hit is not None:
@@ -130,8 +113,7 @@ def dispatch_slot(
         problem = sites[i].slot_problem(
             t, load, q=q, V=V, prev_on_counts=prev_on[i]
         )
-        solution = solvers[i].solve(problem)
-        evaluations += 1
+        solution = solver.solve(problem)
         cache[key] = solution
         return solution
 
@@ -178,5 +160,4 @@ def dispatch_slot(
         shares=shares,
         solutions=tuple(solutions),
         total_objective=float(objectives.sum()),
-        evaluations=evaluations,
     )

@@ -6,7 +6,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..telemetry import NULL_TELEMETRY, Telemetry, coerce
 from .controller import GeoEnvironment
 
 __all__ = ["GeoRecord", "simulate_geo"]
@@ -16,7 +15,7 @@ __all__ = ["GeoRecord", "simulate_geo"]
 class GeoRecord:
     """Per-slot outcomes of a multi-site run.
 
-    Matrices are ``(horizon, sites)``; vectors are per-slot totals.
+    Matrices are ``(horizon, sites)``.
     """
 
     controller: str
@@ -24,9 +23,6 @@ class GeoRecord:
     shares: np.ndarray  # req/s routed to each site
     brown: np.ndarray  # MWh drawn at each site
     cost: np.ndarray  # $ spent at each site (g_s)
-    electricity_cost: np.ndarray
-    delay_cost: np.ndarray
-    queue: np.ndarray  # global deficit queue at decision time
 
     @property
     def horizon(self) -> int:
@@ -55,50 +51,25 @@ class GeoRecord:
         )
 
 
-def simulate_geo(
-    controller,
-    environment: GeoEnvironment,
-    *,
-    telemetry: Telemetry | None = None,
-) -> GeoRecord:
+def simulate_geo(controller, environment: GeoEnvironment) -> GeoRecord:
     """Run a geo controller over the full period.
 
     The controller must expose ``decide(t) -> DispatchResult`` and
-    ``observe(t, result)`` (see :class:`~repro.geo.controller.GeoCOCA`).
-
-    ``telemetry`` roots each slot in a ``geo.slot`` attribution span so the
-    controller's ``geo.dispatch_time_s`` timer (and any per-site solver
-    spans beneath it) nest under the slot.  When omitted, the controller's
-    own bound telemetry is used, so instrumented :class:`GeoCOCA` runs gain
-    span structure without any call-site change; runs with no telemetry at
-    all stay bit-identical.
+    ``observe(t, result)`` (see :class:`~geo_extension.controller.GeoCOCA`).
     """
-    tele = (
-        coerce(telemetry)
-        if telemetry is not None
-        else getattr(controller, "telemetry", NULL_TELEMETRY)
-    )
     J = environment.horizon
     S = len(environment.sites)
     shares = np.empty((J, S))
     brown = np.empty((J, S))
     cost = np.empty((J, S))
-    e_cost = np.empty((J, S))
-    d_cost = np.empty((J, S))
-    queue = np.zeros(J)
 
     for t in range(J):
-        with tele.span("geo.slot", t=t):
-            q_now = getattr(controller, "queue", None)
-            queue[t] = q_now.length if q_now is not None else 0.0
-            result = controller.decide(t)
-            shares[t] = result.shares
-            for i, sol in enumerate(result.solutions):
-                brown[t, i] = sol.evaluation.brown_energy
-                cost[t, i] = sol.cost
-                e_cost[t, i] = sol.evaluation.electricity_cost
-                d_cost[t, i] = sol.evaluation.delay_cost
-            controller.observe(t, result)
+        result = controller.decide(t)
+        shares[t] = result.shares
+        for i, sol in enumerate(result.solutions):
+            brown[t, i] = sol.evaluation.brown_energy
+            cost[t, i] = sol.cost
+        controller.observe(t, result)
 
     return GeoRecord(
         controller=controller.name(),
@@ -106,7 +77,4 @@ def simulate_geo(
         shares=shares,
         brown=brown,
         cost=cost,
-        electricity_cost=e_cost,
-        delay_cost=d_cost,
-        queue=queue,
     )

@@ -2,7 +2,7 @@
 
 The paper's related-work section positions COCA against geographical load
 balancing ([21, 29, 32]: route work to where energy is cheap/green); this
-subpackage *combines* the two -- COCA's online carbon-neutral control with
+package *combines* the two -- COCA's online carbon-neutral control with
 multi-site dispatch -- as the natural extension of the framework.
 
 A :class:`Site` bundles what is local to one location: the facility model
@@ -20,9 +20,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..core.config import DataCenterModel
-from ..solvers.problem import SlotProblem
-from ..traces.base import Trace
+from repro.core.config import DataCenterModel
+from repro.solvers.problem import SlotProblem
+from repro.traces.base import Trace
 
 __all__ = ["Site"]
 
@@ -36,7 +36,8 @@ class Site:
     name:
         Identifier used in reports.
     model:
-        Facility-side parameters for this location's fleet.
+        Facility-side parameters for this location's fleet, which must be
+        homogeneous (each site's P3 is solved by exact enumeration).
     onsite:
         Local on-site renewable supply ``r_s(t)`` in MW.
     price:
@@ -59,6 +60,8 @@ class Site:
             raise ValueError(f"site {self.name!r}: trace horizons differ")
         if self.network_delay < 0:
             raise ValueError("network delay must be non-negative")
+        if not self.model.fleet.is_homogeneous:
+            raise ValueError(f"site {self.name!r}: fleet must be homogeneous")
 
     @property
     def horizon(self) -> int:

@@ -3,9 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.cluster import Fleet, ServerGroup, opteron_2380
-from repro.core import DataCenterModel
-from repro.geo import (
+from geo_extension import (
     GeoCOCA,
     GeoEnvironment,
     ProportionalGeo,
@@ -14,6 +12,8 @@ from repro.geo import (
     proportional_shares,
     simulate_geo,
 )
+from repro.cluster import Fleet, ServerGroup, cubic_dvfs_profile, opteron_2380
+from repro.core import DataCenterModel
 from repro.solvers import InfeasibleError
 from repro.traces import Trace, fiu_workload, price_trace, solar_trace
 
@@ -60,6 +60,11 @@ class TestSite:
         with pytest.raises(ValueError):
             Site(name="bad", model=site.model, onsite=site.onsite,
                  price=site.price, network_delay=-1.0)
+        mixed = Fleet([ServerGroup(opteron_2380(), 8),
+                       ServerGroup(cubic_dvfs_profile(), 12)])
+        with pytest.raises(ValueError, match="homogeneous"):
+            Site(name="mixed", model=DataCenterModel(fleet=mixed),
+                 onsite=site.onsite, price=site.price)
 
     def test_slot_problem_carries_network_delay(self):
         site = make_site("a", 48, net_delay=0.07)
@@ -178,7 +183,7 @@ class TestGeoEnvironment:
 
 class TestGeoCOCA:
     def test_full_run_conserves_and_records(self, geo_env):
-        controller = GeoCOCA(geo_env, v_schedule=1.0, dispatch_rounds=10)
+        controller = GeoCOCA(geo_env, v=1.0, dispatch_rounds=10)
         record = simulate_geo(controller, geo_env)
         assert record.horizon == geo_env.horizon
         np.testing.assert_allclose(
@@ -187,22 +192,22 @@ class TestGeoCOCA:
         assert record.site_share_of_load().sum() == pytest.approx(1.0)
 
     def test_queue_enforces_global_neutrality(self, geo_env):
-        tight = GeoCOCA(geo_env, v_schedule=1e-4, dispatch_rounds=10)
+        tight = GeoCOCA(geo_env, v=1e-4, dispatch_rounds=10)
         tight_record = simulate_geo(tight, geo_env)
-        loose = GeoCOCA(geo_env, v_schedule=1e6, dispatch_rounds=10)
+        loose = GeoCOCA(geo_env, v=1e6, dispatch_rounds=10)
         loose_record = simulate_geo(loose, geo_env)
         assert tight_record.total_brown <= loose_record.total_brown + 1e-9
         assert tight_record.average_cost >= loose_record.average_cost - 1e-9
 
     def test_beats_proportional_baseline(self, geo_env):
-        coca = GeoCOCA(geo_env, v_schedule=1e6, dispatch_rounds=16)
+        coca = GeoCOCA(geo_env, v=1e6, dispatch_rounds=16)
         coca_record = simulate_geo(coca, geo_env)
         naive = ProportionalGeo(geo_env)
         naive_record = simulate_geo(naive, geo_env)
         assert coca_record.average_cost <= naive_record.average_cost * 1.001
 
     def test_warm_start_used(self, geo_env):
-        controller = GeoCOCA(geo_env, v_schedule=1.0, dispatch_rounds=6)
+        controller = GeoCOCA(geo_env, v=1.0, dispatch_rounds=6)
         controller.decide(0)
         warm = controller._warm_start(1)
         assert warm is not None

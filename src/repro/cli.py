@@ -815,6 +815,8 @@ def _cmd_serve(args) -> int:
             poll_interval_s=config.poll_interval_s,
             peak_arrival=scenario.model.fleet.capacity(scenario.model.gamma),
         )
+        if config.source != "replay":
+            environment.signals = resolver.counts  # copied into each record
         runner.start()
 
         if args.resume:
@@ -845,7 +847,12 @@ def _cmd_serve(args) -> int:
                 print(f"repro serve: {exc}", file=sys.stderr)
                 return EXIT_BAD_INPUT
             source.seek(ckpt.slot)
-            resolver.restore(environment.frames[-1] if environment.frames else None)
+            # A replay delivers every slot on time; a live log carries its
+            # feed's counts (none if written before they were logged).
+            resolver.restore(
+                environment.frames[-1] if environment.frames else None,
+                {"ok": ckpt.slot} if config.source == "replay" else ckpt.state.get("signals"),
+            )
             print(f"resuming from {ckpt.path} (slot {ckpt.slot}/{scenario.horizon})")
 
         board = StatusBoard()

@@ -94,10 +94,3 @@ class CarbonDeficitQueue:
     def load_state_dict(self, state: dict) -> None:
         """Restore queue state captured by :meth:`state_dict`."""
         self._length = float(state["length"])
-
-    def drift_bound_B(self, y_max: float, z_max: float) -> float:
-        """The Theorem 2 constant ``B >= 0.5 * (y(t) - z(t))^2`` for all t,
-        from the boundedness assumption: ``0.5 * max(y_max, z_max)^2``."""
-        if y_max < 0 or z_max < 0:
-            raise ValueError("bounds must be non-negative")
-        return 0.5 * max(y_max, z_max) ** 2

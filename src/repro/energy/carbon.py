@@ -87,13 +87,6 @@ class CarbonLedger:
         means neutrality is currently violated on a pro-rata basis."""
         return self.total_brown - self.budget_through()
 
-    @property
-    def average_hourly_deficit(self) -> float:
-        """Deficit divided by slots recorded -- the paper's Fig. 2(b)/3(b)
-        metric.  May be negative when the budget exceeds usage."""
-        n = self.slots_recorded
-        return self.deficit / n if n else 0.0
-
     def is_neutral(self, *, tolerance: float = 1e-9) -> bool:
         """Whether Eq. (10) holds over the slots recorded so far."""
         return self.deficit <= tolerance * max(self.budget_through(), 1.0)

@@ -90,6 +90,8 @@ class FaultInjector:
         self.suppressed = 0
         self.ignored = 0
         self.by_kind: dict[str, int] = {}
+        #: Observation fields degraded so far (one per ``fault.signal``).
+        self.degraded = 0
 
     # ------------------------------------------------------------------
     def bind_telemetry(self, telemetry: Telemetry | None) -> None:
@@ -239,6 +241,7 @@ class FaultInjector:
                 degraded = self._last_clean.get(field_, value)
             attr = "arrival_rate" if field_ == "arrival" else field_
             overrides[attr] = degraded
+            self.degraded += 1
             if self.telemetry.enabled:
                 self.telemetry.emit(
                     "fault.signal",
@@ -301,9 +304,11 @@ class FaultInjector:
         are down, which signal faults are active and until when, the
         last-clean observation values, the per-solve transport-salt counter,
         and the accounting so ``fault.summary`` stays consistent after
-        resume.
+        resume.  The degraded-observation count is written once an
+        observation has been degraded, so a run without signal faults
+        writes the state it always did.
         """
-        return {
+        state = {
             "failed_groups": sorted(int(g) for g in self.failed_groups),
             "active_signals": {
                 field_: [str(mode), int(until)]
@@ -316,6 +321,9 @@ class FaultInjector:
             "ignored": int(self.ignored),
             "by_kind": {str(k): int(v) for k, v in sorted(self.by_kind.items())},
         }
+        if self.degraded:
+            state["degraded"] = int(self.degraded)
+        return state
 
     def load_state_dict(self, state: dict) -> None:
         """Restore the injection cursor captured by :meth:`state_dict`.
@@ -333,6 +341,7 @@ class FaultInjector:
         self.suppressed = int(state["suppressed"])
         self.ignored = int(state["ignored"])
         self.by_kind = {str(k): int(v) for k, v in state["by_kind"].items()}
+        self.degraded = int(state.get("degraded", 0))
 
     # ------------------------------------------------------------------
     def summary(self) -> dict:

@@ -50,6 +50,21 @@ class FaultActivityMonitor(HealthMonitor):
     # ------------------------------------------------------------------
     def observe(self, event: dict, alerts: AlertChannel) -> None:
         kind = event["kind"]
+        if kind == "state.resume":
+            if "faults" in event:
+                # A resumed run's summary counts the slots before the resume too.
+                before = event["faults"]
+                self.injected = int(before["injected"])
+                self.by_fault = {str(k): int(v) for k, v in before["by_kind"].items()}
+                self.suppressed = int(before["suppressed"])
+                self.signals = int(before.get("signals", 0))
+                self.retries = int(before["solve_retries"])
+                self.fallbacks = int(before["fallbacks"])
+                # Not a clean run if the slots before the resume saw faults.
+                self.checked += bool(
+                    self.injected or self.suppressed or self.retries or self.fallbacks
+                )
+            return
         self.checked += 1
         if kind == "fault.inject":
             self.injected += 1
@@ -89,14 +104,6 @@ class FaultActivityMonitor(HealthMonitor):
             )
         elif kind == "fault.summary":
             self._summary = event
-        elif kind == "state.resume" and "faults" in event:
-            # A resumed run's summary counts the slots before the resume too.
-            before = event["faults"]
-            self.injected = int(before["injected"])
-            self.by_fault = {str(k): int(v) for k, v in before["by_kind"].items()}
-            self.suppressed = int(before["suppressed"])
-            self.retries = int(before["solve_retries"])
-            self.fallbacks = int(before["fallbacks"])
 
     def finalize(self, alerts: AlertChannel) -> None:
         if self.fallbacks and self.injected == 0 and self._summary is None:

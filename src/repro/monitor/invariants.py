@@ -53,7 +53,7 @@ class QueueBoundMonitor(HealthMonitor):
 
     name = "queue-bound"
     description = "deficit queue q(t) <= V*w_max + y_max (Theorem 2 recursion)"
-    kinds = ("queue.update", "slot.decision", "run.start", "geo.dispatch")
+    kinds = ("queue.update", "slot.decision", "run.start")
 
     def __init__(
         self,
@@ -70,7 +70,6 @@ class QueueBoundMonitor(HealthMonitor):
         self.slack = slack
         self._w_max_seen = 0.0
         self._y_max_seen = 0.0
-        self._last_v: float | None = None
         self.worst_ratio = 0.0
 
     def _w_max(self) -> float:
@@ -93,14 +92,8 @@ class QueueBoundMonitor(HealthMonitor):
             if power > self._y_max_seen:
                 self._y_max_seen = power
             return
-        if kind == "geo.dispatch":
-            if "v" in event:
-                self._last_v = float(event["v"])
-            return
-        # queue.update
-        v = float(event["v"]) if "v" in event else self._last_v
-        if v is not None:
-            self._last_v = v
+        # queue.update: each one COCA emits carries the slot's V
+        v = event.get("v")
         brown = float(event.get("brown", 0.0))
         if brown > self._y_max_seen:
             self._y_max_seen = brown
@@ -151,7 +144,7 @@ class BudgetTrajectoryMonitor(HealthMonitor):
 
     name = "budget-trajectory"
     description = "cumulative brown energy tracks alpha * renewable budget"
-    kinds = ("queue.update", "controller.config", "geo.config", "state.resume")
+    kinds = ("queue.update", "controller.config", "state.resume")
 
     def __init__(
         self,
@@ -191,7 +184,7 @@ class BudgetTrajectoryMonitor(HealthMonitor):
                     self.alpha * float(event.get("offsite", 0.0))
                     + self.slots * self._rec_per_slot
                 )
-            else:  # controller.config / geo.config
+            else:  # controller.config
                 if "alpha" in event:
                     self._alpha_seen = float(event["alpha"])
                 self._rec_per_slot = float(event.get("rec_per_slot", 0.0))
@@ -250,13 +243,12 @@ class LoadConservationMonitor(HealthMonitor):
 
     From ``slot.outcome``: served + dropped must equal the actual arrivals
     (no load silently created or destroyed), and served load must fit the
-    fleet's capped capacity from ``run.start``.  From ``geo.dispatch``:
-    the per-site shares must sum to the dispatched load.
+    fleet's capped capacity from ``run.start``.
     """
 
     name = "load-conservation"
-    description = "served + dropped = arrivals; served <= capacity; shares sum to load"
-    kinds = ("slot.outcome", "geo.dispatch", "run.start")
+    description = "served + dropped = arrivals; served <= capacity"
+    kinds = ("slot.outcome", "run.start")
 
     def __init__(self, *, capacity: float | None = None, rtol: float = 1e-6) -> None:
         super().__init__()
@@ -280,58 +272,38 @@ class LoadConservationMonitor(HealthMonitor):
                 self._capacity_seen = float(event["capacity"])
             return
         rtol = self.rtol
-        if kind == "slot.outcome":
-            arrival = float(event.get("arrival_actual", 0.0))
-            served = float(event.get("served", 0.0))
-            dropped = float(event.get("dropped", 0.0))
-            gap = served + dropped - arrival
-            if gap < 0.0:
-                gap = -gap
-            self.checked += 1
-            if gap > self.worst_gap:
-                self.worst_gap = gap
-            if gap > rtol * max(arrival, 1.0):
-                self.violations += 1
-                alerts.raise_alert(
-                    "critical",
-                    self.name,
-                    f"load not conserved: served {served:.6g} + dropped "
-                    f"{dropped:.6g} != arrivals {arrival:.6g}",
-                    t=event.get("t"),
-                    key=f"{self.name}:conservation",
-                )
-            cap = self.capacity
-            if cap is not None:
-                self.checked += 1
-                if served > cap * (1.0 + rtol):
-                    self.violations += 1
-                    alerts.raise_alert(
-                        "critical",
-                        self.name,
-                        f"served load {served:.6g} exceeds fleet capacity {cap:.6g}",
-                        t=event.get("t"),
-                        key=f"{self.name}:capacity",
-                    )
-            return
-        # geo.dispatch
-        shares = event.get("shares")
-        if shares is None:
-            return
-        total = float(sum(float(s) for s in shares))
-        load = float(event.get("load", 0.0))
-        gap = abs(total - load)
+        # slot.outcome
+        arrival = float(event.get("arrival_actual", 0.0))
+        served = float(event.get("served", 0.0))
+        dropped = float(event.get("dropped", 0.0))
+        gap = served + dropped - arrival
+        if gap < 0.0:
+            gap = -gap
         self.checked += 1
         if gap > self.worst_gap:
             self.worst_gap = gap
-        if gap > rtol * max(load, 1.0):
+        if gap > rtol * max(arrival, 1.0):
             self.violations += 1
             alerts.raise_alert(
                 "critical",
                 self.name,
-                f"dispatch shares sum to {total:.6g} but slot load is {load:.6g}",
+                f"load not conserved: served {served:.6g} + dropped "
+                f"{dropped:.6g} != arrivals {arrival:.6g}",
                 t=event.get("t"),
-                key=f"{self.name}:shares",
+                key=f"{self.name}:conservation",
             )
+        cap = self.capacity
+        if cap is not None:
+            self.checked += 1
+            if served > cap * (1.0 + rtol):
+                self.violations += 1
+                alerts.raise_alert(
+                    "critical",
+                    self.name,
+                    f"served load {served:.6g} exceeds fleet capacity {cap:.6g}",
+                    t=event.get("t"),
+                    key=f"{self.name}:capacity",
+                )
 
     def detail(self) -> str:
         if not self.checked:

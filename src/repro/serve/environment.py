@@ -22,7 +22,8 @@ Two extra contracts make serve runs crash-safe and auditable:
   checkpoint log like any other per-slot series, so the record that makes
   a slot durable also holds the frames that produced it -- including
   values synthesized by the staleness policy, which exist nowhere else --
-  and :meth:`load_series` refills the exact prefix on resume.
+  and :meth:`load_series` refills the exact prefix on resume.  The
+  records also copy the feed's resolution counts (:attr:`signals`).
 """
 
 from __future__ import annotations
@@ -60,6 +61,10 @@ class LiveEnvironment:
         # chains, so folding each frame in as it arrives gives exactly
         # the full-prefix fold.
         self._crc = zlib.crc32(str(self._horizon).encode())
+        #: The feed's resolution counts (live mode: the resolver's
+        #: ``counts``, shared), which each checkpoint record copies so a
+        #: resumed serve reports the whole run's feed.
+        self.signals: dict[str, int] | None = None
 
     # ------------------------------------------------------- feed side
     def append(self, frame: SignalFrame) -> None:

@@ -229,9 +229,13 @@ class StalenessResolver:
         return resolved
 
     # ------------------------------------------------------------------
-    def restore(self, last: SignalFrame | None) -> None:
+    def restore(
+        self, last: SignalFrame | None, counts: dict[str, int] | None = None
+    ) -> None:
         """Reposition after a resume: the donor for synthesis is the last
         frame of the prefix the checkpoint covers, so degraded values
-        reproduce bit-identically."""
+        reproduce bit-identically, and ``counts`` are that prefix's
+        resolutions, so :meth:`stats` reports the whole run."""
         self.pending.clear()
         self.last = last
+        self.counts.update(counts or {})  # in place: the environment shares it

@@ -389,6 +389,7 @@ class SlotRunner:
                 "injected": self.injector.injected,
                 "suppressed": self.injector.suppressed,
                 "by_kind": dict(self.injector.by_kind),
+                "signals": self.injector.degraded,
                 "fallbacks": self.policy.fallbacks,
                 "solve_retries": self.policy.solve_retries,
             }
@@ -429,6 +430,10 @@ class SlotRunner:
         prev_on = encode_array(self.prev_on)
         if "prev_on" not in state or prev_on != state["prev_on"]:
             record["prev_on"] = prev_on
+        # A live feed's resolution counts (LiveEnvironment.signals).
+        signals = getattr(self.environment, "signals", None)
+        if signals is not None:
+            record["signals"] = dict(signals)
         return record
 
     def _series(self) -> dict[str, dict[str, list]]:

@@ -65,12 +65,6 @@ class SolveDeadline:
         """Milliseconds since the deadline was armed."""
         return (time.perf_counter() - self._started) * 1000.0
 
-    def remaining_ms(self) -> float:
-        """Milliseconds left (``inf`` for an unbounded deadline, floored at 0)."""
-        if self._deadline is None:
-            return float("inf")
-        return max(0.0, (self._deadline - time.perf_counter()) * 1000.0)
-
     def expired(self) -> bool:
         """Whether the budget has run out (never, when unbounded)."""
         return self._deadline is not None and time.perf_counter() >= self._deadline

@@ -351,15 +351,6 @@ class SlotProblem:
     # ------------------------------------------------------------------
     # Variants
     # ------------------------------------------------------------------
-    def with_q(self, q: float) -> "SlotProblem":
-        """Copy with a different carbon-deficit weight (used by the dual
-        baselines and the deficit-queue controller)."""
-        return replace(self, q=q)
-
-    def with_arrival_rate(self, arrival_rate: float) -> "SlotProblem":
-        """Copy with a different workload (used by overestimation studies)."""
-        return replace(self, arrival_rate=arrival_rate)
-
     def carbon_unaware(self) -> "SlotProblem":
         """Copy with ``q = 0`` -- pure cost minimization (the paper's
         carbon-unaware algorithm, COCA's V -> infinity limit)."""

@@ -11,7 +11,7 @@ The subsystem has three layers, bundled by :class:`Telemetry`:
   exposition (:mod:`~repro.telemetry.prometheus`).
 - **Profiling** (:mod:`~repro.telemetry.timing`,
   :mod:`~repro.telemetry.spans`): scoped wall-clock timers wired into the
-  hot paths (P3 solves, the slot loop, geo dispatch), nested into
+  hot paths (P3 solves, the slot loop), nested into
   parent-linked attribution spans when one is open.
 
 Everything is opt-in: ``simulate()``, the solvers, and the sweep drivers

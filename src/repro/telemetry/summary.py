@@ -3,7 +3,7 @@
 ``python -m repro telemetry run.jsonl`` lands here.  The summarizer only
 relies on the shared event schema (see ``docs/OBSERVABILITY.md``): slot
 events carry ``t``, timing fields end in ``_s``, and solver events are
-namespaced (``gsd.*``, ``geo.*``).  Unknown kinds still appear in the
+namespaced (``gsd.*``).  Unknown kinds still appear in the
 event-count table, so traces from future instrumentation degrade
 gracefully.
 """
@@ -137,7 +137,7 @@ def trace_summary_tables(events: list[dict]) -> dict[str, list[dict]]:
         brown energy, dropped load, queue depth).
     ``timings``
         Wall-time percentiles per timing source (``slot.decision`` solve
-        times, ``gsd.solve`` solve times, ``geo.dispatch`` times).
+        times, ``gsd.solve`` solve times).
     ``gsd``
         Chain statistics from ``gsd.solve`` events.
     ``spans``
@@ -181,10 +181,6 @@ def trace_summary_tables(events: list[dict]) -> dict[str, list[dict]]:
                 timings.setdefault("gsd.solve/solve_time_s", []).append(
                     float(event["solve_time_s"])
                 )
-        elif kind == "geo.dispatch" and "solve_time_s" in event:
-            timings.setdefault("geo.dispatch/solve_time_s", []).append(
-                float(event["solve_time_s"])
-            )
 
     tables: dict[str, list[dict]] = {
         "events": [],

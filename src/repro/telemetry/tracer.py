@@ -1,7 +1,7 @@
 """Structured event tracing: the per-slot audit trail of a run.
 
 Every instrumented component (the slot simulator, COCA's deficit queue,
-GSD's Markov chain, the geo dispatcher) reports what it did as *events* --
+GSD's Markov chain, the fault injector) reports what it did as *events* --
 flat dicts with a ``kind`` discriminator plus arbitrary scalar fields --
 through a :class:`Tracer`.  The paper's claims live in exactly this state
 (the queue ``q(t)``, the weight ``V w(t) + q(t)``, GSD's acceptance rate),

@@ -162,24 +162,6 @@ class Trace:
     # ------------------------------------------------------------------
     # Analysis helpers
     # ------------------------------------------------------------------
-    def moving_average(self, window: int) -> np.ndarray:
-        """Trailing moving average with a growing head window.
-
-        Entry ``t`` is the mean of slots ``max(0, t-window+1) .. t``. The
-        paper's Fig. 2(c,d) uses a 45-day (1080-slot) trailing window.
-        """
-        if window <= 0:
-            raise ValueError("window must be positive")
-        csum = np.concatenate(([0.0], np.cumsum(self.values)))
-        t = np.arange(len(self))
-        lo = np.maximum(t - window + 1, 0)
-        return (csum[t + 1] - csum[lo]) / (t - lo + 1)
-
-    def running_average(self) -> np.ndarray:
-        """Cumulative running average: entry ``t`` is the mean of slots
-        ``0..t`` (paper Fig. 3 footnote)."""
-        return np.cumsum(self.values) / np.arange(1, len(self) + 1)
-
     def daily_profile(self) -> np.ndarray:
         """Mean value for each hour-of-day (length-24 array)."""
         n = (len(self) // HOURS_PER_DAY) * HOURS_PER_DAY

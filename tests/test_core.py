@@ -55,9 +55,6 @@ class TestDeficitQueue:
         with pytest.raises(ValueError):
             CarbonDeficitQueue(rec_per_slot=-1.0)
 
-    def test_drift_bound(self):
-        q = CarbonDeficitQueue()
-        assert q.drift_bound_B(4.0, 2.0) == pytest.approx(8.0)
 
 
 class TestVSchedules:

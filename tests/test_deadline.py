@@ -37,12 +37,10 @@ class TestSolveDeadline:
     def test_unbounded_never_expires(self):
         deadline = SolveDeadline(None)
         assert not deadline.expired()
-        assert deadline.remaining_ms() == float("inf")
 
     def test_zero_budget_expires_immediately(self):
         deadline = SolveDeadline(0.0)
         assert deadline.expired()
-        assert deadline.remaining_ms() == 0.0
 
     def test_negative_budget_rejected(self):
         with pytest.raises(ValueError):

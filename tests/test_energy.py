@@ -119,7 +119,6 @@ class TestCarbonLedger:
         assert not ledger.is_neutral()
         assert ledger.deficit == pytest.approx(10.0)
         assert ledger.required_trueup() == pytest.approx(10.0)
-        assert ledger.average_hourly_deficit == pytest.approx(1.0)
 
     def test_alpha_scales_budget(self):
         """Eq. (10): alpha < 1 demands using less than the full budget."""

@@ -234,16 +234,6 @@ class TestInvariantsTrip:
         assert not monitor.report().passed
         assert any("capacity" in a.message for a in suite.alerts)
 
-    def test_load_conservation_trips_on_share_mismatch(self):
-        monitor = LoadConservationMonitor()
-        events = [
-            {"kind": "geo.dispatch", "t": 0, "load": 100.0,
-             "shares": [30.0, 30.0]},
-        ]
-        suite = _feed(monitor, events)
-        assert not monitor.report().passed
-        assert "shares" in suite.alerts[0].message
-
     def test_dropped_load_warns_per_slot_and_criticals_per_run(self):
         monitor = DroppedLoadMonitor(run_threshold=0.01)
         events = [

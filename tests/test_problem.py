@@ -129,12 +129,5 @@ class TestEvaluation:
 
 
 class TestVariants:
-    def test_with_q(self, tiny_model):
-        p = make_problem(tiny_model, q=0.0)
-        assert p.with_q(9.0).q == 9.0
-
     def test_carbon_unaware(self, tiny_model):
         assert make_problem(tiny_model, q=5.0).carbon_unaware().q == 0.0
-
-    def test_with_arrival_rate(self, tiny_model):
-        assert make_problem(tiny_model).with_arrival_rate(7.0).arrival_rate == 7.0

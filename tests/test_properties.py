@@ -34,16 +34,6 @@ class TestTraceProperties:
         np.testing.assert_allclose(a.values, b.values, rtol=1e-12)
 
     @given(
-        arrays(np.float64, st.integers(2, 100), elements=st.floats(0.0, 1e3)),
-        st.integers(1, 120),
-    )
-    def test_moving_average_bounded_by_extremes(self, values, window):
-        trace = Trace(values)
-        ma = trace.moving_average(window)
-        assert np.all(ma >= values.min() - 1e-9)
-        assert np.all(ma <= values.max() + 1e-9)
-
-    @given(
         arrays(np.float64, st.integers(1, 50), elements=st.floats(0.0, 1e3)),
         st.integers(1, 400),
     )
@@ -53,10 +43,6 @@ class TestTraceProperties:
         for t in range(min(horizon, 25)):
             assert trace[t] == values[t % values.size]
 
-    @given(arrays(np.float64, st.integers(1, 100), elements=st.floats(0.0, 1e3)))
-    def test_running_average_last_is_mean(self, values):
-        trace = Trace(values)
-        assert trace.running_average()[-1] == pytest.approx(trace.mean, rel=1e-9, abs=1e-12)
 
 
 class TestQueueProperties:

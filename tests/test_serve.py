@@ -697,6 +697,34 @@ class TestCheckpointBytesAcrossResume:
         assert record_mismatches(load_record(str(golden_out)), load_record(str(out))) == []
         self._assert_resumed_bytes_match(golden, legacy, stop)
 
+    def test_log_without_feed_counts_resumes(self, tmp_path, capsys):
+        """Records written before the feed's counts were logged carry no
+        `signals` and no injector `degraded` count.  Such a log resumes to
+        the uninterrupted run's record; its counts start at the resume."""
+        golden, legacy = tmp_path / "golden", tmp_path / "legacy"
+        golden_out, out = tmp_path / "golden.npz", tmp_path / "legacy.npz"
+        assert main([*self.SYNTHETIC, "--checkpoint-dir", str(golden),
+                     "--record-out", str(golden_out)]) == 0
+        stop = 13
+        blob = (golden / LOG_NAME).read_bytes()
+        old = b""
+        for slot, start, end in record_spans(golden / LOG_NAME):
+            if slot <= stop:
+                state = json.loads(blob[blob.index(b"\n", start) + 1 : end - 1])
+                del state["signals"]
+                state["injector"].pop("degraded", None)
+                old += dumps_checkpoint(slot, state)
+        legacy.mkdir()
+        (legacy / LOG_NAME).write_bytes(old)
+        (legacy / MANIFEST_NAME).write_bytes((golden / MANIFEST_NAME).read_bytes())
+        capsys.readouterr()
+        assert main(["serve", "--resume", "--checkpoint-dir", str(legacy),
+                     "--record-out", str(out)]) == 0
+        assert capsys.readouterr().out.splitlines()[-1] == (
+            "signals: 15 ok, 0 late, 4 degraded (missing=2, out_of_order=2)"
+        )
+        assert record_mismatches(load_record(str(golden_out)), load_record(str(out))) == []
+
     def test_live_log_without_frames_is_refused(self, tmp_path, capsys):
         """A live serve's log written before frames moved into the log
         cannot rebuild the resolved prefix: resume refuses it in one line."""
@@ -743,6 +771,34 @@ class TestCheckpointBytesAcrossResume:
         faults = got["fault-activity"].detail
         assert faults.startswith("12 injected; signal=12;")
         assert faults.split("; ")[:2] == want["fault-activity"].detail.split("; ")[:2]
+
+    @pytest.mark.parametrize("source", ["synthetic", "replay"])
+    def test_resumed_serve_reports_the_whole_run_feed(self, tmp_path, capsys, source):
+        """A resumed serve's `signals:` line (the resolver's counts, also
+        `/status`'s `signals` block) and `fault-activity`'s count of
+        degraded observations are the uninterrupted serve's."""
+        args = ["serve", "--source", source, "--source-seed", "7", *self.ARGS]
+        whole, cut = tmp_path / "whole", tmp_path / "cut"
+        assert main([*args, "--checkpoint-dir", str(whole),
+                     "--trace-out", str(tmp_path / "whole.jsonl")]) == 0
+        want = capsys.readouterr().out.splitlines()[-1]
+        assert main([*args, "--checkpoint-dir", str(cut), "--max-slots", "13"]) == 0
+        capsys.readouterr()
+        assert main(["serve", "--resume", "--checkpoint-dir", str(cut),
+                     "--trace-out", str(tmp_path / "cut.jsonl")]) == 0
+        got = capsys.readouterr().out.splitlines()[-1]
+        assert got == want
+        if source == "synthetic":
+            assert want == ("signals: 25 ok, 0 late, 8 degraded "
+                            "(missing=4, out_of_order=3, degraded_fields=1)")
+        else:
+            assert want == "signals: 30 ok, 0 late"
+
+        def fault_detail(name):
+            suite = replay(load_trace(str(tmp_path / name)))
+            return {r.monitor: r.detail for r in suite.reports()}["fault-activity"]
+
+        assert fault_detail("cut.jsonl") == fault_detail("whole.jsonl")
 
     def test_synthetic_serve_stop_and_resume(self, tmp_path, capsys):
         golden, resumed = tmp_path / "golden", tmp_path / "resumed"

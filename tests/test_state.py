@@ -612,34 +612,6 @@ class TestControllerStateRoundTrips:
             clone.load_state_dict(json.loads(first))
             assert canonical_dumps(clone.state_dict()) == first
 
-    def test_geo_state_save_load_save_byte_identical(self):
-        from repro.geo import GeoCOCA, GeoEnvironment, Site
-        from repro.traces import fiu_workload, price_trace, solar_trace
-
-        horizon = 48
-        sites = tuple(
-            Site(
-                name=f"dc{i}",
-                model=small_scenario(horizon=horizon, seed=3).model,
-                price=price_trace(horizon, seed=50 + i),
-                onsite=solar_trace(horizon, seed=60 + i),
-            )
-            for i in range(2)
-        )
-        env = GeoEnvironment(
-            workload=fiu_workload(horizon, peak=400.0, seed=3),
-            sites=sites,
-            offsite=solar_trace(horizon, seed=99),
-            recs=5.0,
-        )
-        geo = GeoCOCA(env, v_schedule=100.0)
-        for t in range(7):
-            result = geo.decide(t)
-            geo.observe(t, result)
-        first = canonical_dumps(geo.state_dict())
-        clone = GeoCOCA(env, v_schedule=100.0)
-        clone.load_state_dict(json.loads(first))
-        assert canonical_dumps(clone.state_dict()) == first
 
 
 # ------------------------------------------------------- the log's fold

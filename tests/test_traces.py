@@ -122,26 +122,6 @@ class TestTransformations:
 
 
 class TestAverages:
-    def test_running_average(self):
-        trace = Trace(np.array([2.0, 4.0, 6.0]))
-        np.testing.assert_allclose(trace.running_average(), [2.0, 3.0, 4.0])
-
-    def test_moving_average_growing_head(self):
-        trace = Trace(np.array([1.0, 2.0, 3.0, 4.0]))
-        np.testing.assert_allclose(
-            trace.moving_average(2), [1.0, 1.5, 2.5, 3.5]
-        )
-
-    def test_moving_average_window_one_is_identity(self):
-        trace = Trace(np.array([3.0, 1.0, 2.0]))
-        np.testing.assert_allclose(trace.moving_average(1), trace.values)
-
-    def test_moving_average_large_window_equals_running(self):
-        trace = Trace(np.arange(10.0))
-        np.testing.assert_allclose(
-            trace.moving_average(100), trace.running_average()
-        )
-
     def test_daily_profile(self):
         values = np.tile(np.arange(24.0), 3)
         profile = Trace(values).daily_profile()
