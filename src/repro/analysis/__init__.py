@@ -4,8 +4,6 @@ from .report import scenario_report
 from .stats import (
     TraceSummary,
     autocorrelation,
-    exceedance_hours,
-    load_duration_curve,
     peak_to_mean,
     summarize_trace,
 )
@@ -41,8 +39,6 @@ __all__ = [
     "scenario_report",
     "summarize_trace",
     "TraceSummary",
-    "load_duration_curve",
     "autocorrelation",
     "peak_to_mean",
-    "exceedance_hours",
 ]

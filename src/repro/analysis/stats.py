@@ -1,10 +1,7 @@
 """Descriptive statistics for traces and run records.
 
-The quantities capacity planners actually look at: load-duration curves
-(how many hours per year exceed a level -- the shape that determines how
-much fleet right-sizing can save), autocorrelation (how predictable the
-next hour is), peak-to-mean ratios, and a one-stop summary used by the
-report generator.
+Autocorrelation (how predictable the next hour is), peak-to-mean ratios,
+and the one-stop trace summary the report generator prints.
 """
 
 from __future__ import annotations
@@ -16,24 +13,11 @@ import numpy as np
 from ..traces.base import Trace
 
 __all__ = [
-    "load_duration_curve",
     "autocorrelation",
     "peak_to_mean",
-    "exceedance_hours",
     "TraceSummary",
     "summarize_trace",
 ]
-
-
-def load_duration_curve(trace: Trace, points: int = 100) -> np.ndarray:
-    """Values sorted descending, sampled at ``points`` evenly spaced
-    exceedance fractions (entry ``i`` = the level exceeded for fraction
-    ``i/(points-1)`` of the time)."""
-    if points < 2:
-        raise ValueError("need at least two points")
-    ordered = np.sort(trace.values)[::-1]
-    idx = np.linspace(0, ordered.size - 1, points).astype(int)
-    return ordered[idx]
 
 
 def autocorrelation(values: np.ndarray, max_lag: int = 48) -> np.ndarray:
@@ -57,11 +41,6 @@ def peak_to_mean(trace: Trace) -> float:
     if trace.mean <= 0:
         raise ValueError("trace mean must be positive")
     return trace.peak / trace.mean
-
-
-def exceedance_hours(trace: Trace, level: float) -> int:
-    """Number of slots at or above ``level``."""
-    return int(np.sum(trace.values >= level))
 
 
 @dataclass(frozen=True)

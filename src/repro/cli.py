@@ -15,17 +15,16 @@ traces         summarize any of the synthetic trace generators
 telemetry      summarize a JSONL event trace written by ``--trace-out``
 dashboard      offline HTML health report (monitors + charts) from a trace
 profile        sampling flamegraph of a COCA run with span attribution
-chaos          COCA under seeded fault injection (failures, lossy messaging)
-run            checkpointed long-horizon run (crash-safe, resumable)
+run            long-horizon run: checkpoints, seeded faults, monitors, replay
 resume         continue a killed ``run`` from its newest valid checkpoint
 serve          long-running online control service over a live signal feed
 =============  ==========================================================
 
 Scenario commands accept ``--scale {small,paper}`` (a 400-server fortnight
 vs the 216 K-server year), ``--horizon`` to override the number of hourly
-slots, and ``--workload {fiu,msr}``.  ``profile``, ``chaos``, ``run``,
-``resume`` and ``serve`` build their scenario and controller stack through
-one :class:`~repro.runspec.RunSpec`, the only reader and writer of the
+slots, and ``--workload {fiu,msr}``.  ``profile``, ``run``, ``resume`` and
+``serve`` build their scenario and controller stack through one
+:class:`~repro.runspec.RunSpec`, the only reader and writer of the
 ``manifest.json`` a checkpointed run leaves behind.  Every subcommand
 additionally takes the global observability flags ``--trace-out FILE``
 (stream a JSONL event trace of the run) and ``--metrics-out FILE`` (write a
@@ -448,23 +447,11 @@ def _verify_replay(command: str, spec, scenario, record) -> int:
     return 0
 
 
-def _cmd_chaos(args) -> int:
-    import dataclasses
-
-    from .monitor import default_suite
-    from .sim import simulate
-
-    spec = _spec_or_fail(args)
-    if spec is None:
-        return EXIT_BAD_INPUT
-    scenario = spec.scenario()
-    schedule = _fault_schedule(args, scenario)
-    if schedule is None:
-        return EXIT_BAD_INPUT
-    spec = dataclasses.replace(spec, schedule=schedule)
+def _print_fault_schedule(schedule, horizon: int, solver: str) -> None:
+    """Print the ``chaos:`` line: what the run's fault schedule holds."""
     profile = schedule.messages
     print(
-        f"chaos: {len(schedule.events)} timed events over {scenario.horizon} h"
+        f"chaos: {len(schedule.events)} timed events over {horizon} h"
         + (
             f"; messages loss={profile.loss:.2f} delay={profile.delay:.2f} "
             f"duplicate={profile.duplicate:.2f}"
@@ -472,24 +459,15 @@ def _cmd_chaos(args) -> int:
             else "; reliable messaging"
         )
     )
-    if profile is not None and not args.distributed:
+    if profile is not None and solver != "distributed":
         print(
-            "note: message faults only bite with --distributed "
-            "(the default solvers pass no messages)"
+            "note: message faults only bite with --solver distributed "
+            "(the other solvers pass no messages)"
         )
 
-    suite = default_suite()
-    with _telemetry_scope(args, suite=suite) as telemetry:
-        _, controller, injector, policy = spec.build(scenario)
-        record = simulate(
-            scenario.model,
-            controller,
-            scenario.environment,
-            telemetry=telemetry,
-            faults=injector,
-            degradation=policy,
-        )
 
+def _print_fault_summary(injector, policy) -> None:
+    """Print what the faults did: the ``faults:`` and ``bus`` lines."""
     summary = injector.summary()
     deg = policy.stats()
     print(
@@ -506,11 +484,22 @@ def _cmd_chaos(args) -> int:
             f"{bus.get('dropped', 0)} dropped, {bus.get('delayed', 0)} delayed, "
             f"{bus.get('duplicated', 0)} duplicated over {summary['bus_solves']} solves"
         )
-    _print_run_summary(record, args)
-    rc = _report_monitors(suite, args.strict)
-    if args.verify_replay:
-        return _verify_replay("chaos", spec, scenario, record) or rc
-    return rc
+
+
+def _deadline_breaks_replay(command: str, verify_replay: bool, spec) -> bool:
+    """Whether ``--verify-replay`` meets a deadline-bounded run (printed
+    to stderr): deadline expiry depends on wall-clock speed, so such a run
+    is *expected* to diverge between machines, and a bit-identity check
+    against it would only produce noise."""
+    if verify_replay and spec.solve_deadline_ms is not None:
+        print(
+            f"repro {command}: --verify-replay is incompatible with a run that "
+            "used --solve-deadline-ms (wall-clock deadlines intentionally "
+            "break bit-replay)",
+            file=sys.stderr,
+        )
+        return True
+    return False
 
 
 # ------------------------------------------------------------ run / resume
@@ -605,7 +594,11 @@ def _cmd_run(args) -> int:
         )
         return EXIT_BAD_INPUT
     spec = _spec_or_fail(args)
-    if spec is None or _used_checkpoint_dir("run", args.checkpoint_dir):
+    if (
+        spec is None
+        or _deadline_breaks_replay("run", args.verify_replay, spec)
+        or _used_checkpoint_dir("run", args.checkpoint_dir)
+    ):
         return EXIT_BAD_INPUT
     scenario = spec.scenario()
     if args.schedule or args.chaos:
@@ -613,6 +606,7 @@ def _cmd_run(args) -> int:
         if schedule is None:
             return EXIT_BAD_INPUT
         spec = dataclasses.replace(spec, schedule=schedule)
+        _print_fault_schedule(schedule, scenario.horizon, spec.solver)
     _, controller, injector, policy = spec.build(scenario)
 
     writer = None
@@ -623,7 +617,12 @@ def _cmd_run(args) -> int:
             f"into {args.checkpoint_dir}"
         )
 
-    with _telemetry_scope(args) as telemetry:
+    suite = None
+    if args.strict:
+        from .monitor import default_suite
+
+        suite = default_suite()
+    with _telemetry_scope(args, suite=suite) as telemetry:
         record = simulate(
             scenario.model,
             controller,
@@ -635,8 +634,13 @@ def _cmd_run(args) -> int:
             solve_deadline_ms=spec.solve_deadline_ms,
             slot_sleep_s=args.slot_sleep_ms / 1000.0,
         )
+    if injector is not None:
+        _print_fault_summary(injector, policy)
     _print_run_summary(record, args)
-    return 0
+    rc = 0 if suite is None else _report_monitors(suite, strict=True)
+    if args.verify_replay:
+        return _verify_replay("run", spec, scenario, record) or rc
+    return rc
 
 
 def _cmd_resume(args) -> int:
@@ -644,18 +648,7 @@ def _cmd_resume(args) -> int:
     from .state import CheckpointError
 
     spec = _load_spec_or_fail("resume", args.checkpoint_dir)
-    if spec is None:
-        return EXIT_BAD_INPUT
-    if args.verify_replay and spec.solve_deadline_ms is not None:
-        # Deadline expiry depends on wall-clock speed, so a deadline-bounded
-        # run is *expected* to diverge between machines; a bit-identity
-        # check against it would only produce noise.
-        print(
-            "repro resume: --verify-replay is incompatible with a run that "
-            "used --solve-deadline-ms (wall-clock deadlines intentionally "
-            "break bit-replay)",
-            file=sys.stderr,
-        )
+    if spec is None or _deadline_breaks_replay("resume", args.verify_replay, spec):
         return EXIT_BAD_INPUT
 
     with _telemetry_scope(args) as telemetry:
@@ -962,6 +955,11 @@ _SHARED_FLAGS = {
         action="store_true",
         help="exit 2 when any invariant monitor fails (CI gating)",
     ),
+    "--verify-replay": dict(
+        action="store_true",
+        help="also run uninterrupted and require bit-identical records "
+        "(exit 3 otherwise)",
+    ),
 }
 
 
@@ -971,43 +969,6 @@ def _add_shared(parser: argparse.ArgumentParser, *flags: str, **overrides: dict)
     for flag in flags:
         dest = flag.lstrip("-").replace("-", "_")
         parser.add_argument(flag, **{**_SHARED_FLAGS[flag], **overrides.get(dest, {})})
-
-
-def _add_fault_args(parser: argparse.ArgumentParser) -> None:
-    """The fault-schedule flags shared by ``chaos`` and ``run``."""
-    parser.add_argument(
-        "--fault-seed",
-        type=int,
-        default=7,
-        help="seed for the generated fault schedule (and message faults)",
-    )
-    parser.add_argument(
-        "--failure-rate", type=float, default=0.02,
-        help="per-slot, per-group failure probability",
-    )
-    parser.add_argument(
-        "--mean-repair", type=float, default=6.0,
-        help="mean slots a failed group stays down",
-    )
-    parser.add_argument(
-        "--signal-rate", type=float, default=0.0,
-        help="per-slot probability of a stale/missing observation fault",
-    )
-    parser.add_argument("--loss", type=float, default=0.0, help="message loss probability")
-    parser.add_argument("--delay", type=float, default=0.0, help="message delay probability")
-    parser.add_argument(
-        "--duplicate", type=float, default=0.0,
-        help="message duplication probability",
-    )
-    parser.add_argument(
-        "--schedule", default=None, metavar="FILE",
-        help="replay a fault schedule from JSON instead of generating one",
-    )
-    parser.add_argument(
-        "--schedule-out", default=None, metavar="FILE",
-        help="write the schedule (generated or loaded) to JSON for replay",
-    )
-    _add_shared(parser, "--fallback", "--retries")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -1122,39 +1083,42 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_profile)
 
     p = sub.add_parser(
-        "chaos", help="COCA under seeded fault injection (chaos run)"
-    )
-    _add_scenario_args(p)
-    _add_telemetry_args(p)
-    _add_fault_args(p)
-    _add_shared(p, "--v")
-    p.add_argument(
-        "--distributed",
-        action="store_true",
-        help="solve P3 with DistributedGSD so message faults apply",
-    )
-    _add_shared(
-        p, "--iterations",
-        iterations=dict(
-            default=12, help="DistributedGSD iterations per solve (with --distributed)"
-        ),
-    )
-    p.add_argument(
-        "--verify-replay",
-        action="store_true",
-        help="run twice and require bit-identical records (exit 3 otherwise)",
-    )
-    _add_shared(p, "--strict")
-    p.set_defaults(func=_cmd_chaos)
-
-    p = sub.add_parser(
         "run",
-        help="checkpointed long-horizon run (crash-safe, resumable)",
+        help="long-horizon run: checkpoints, seeded faults, monitors, replay",
     )
     _add_scenario_args(p)
     _add_telemetry_args(p)
-    _add_fault_args(p)
-    _add_shared(p, "--v", "--solver", "--iterations")
+    p.add_argument(
+        "--fault-seed", type=int, default=7,
+        help="seed for the generated fault schedule, message faults and GSD chain",
+    )
+    p.add_argument(
+        "--failure-rate", type=float, default=0.02,
+        help="per-slot, per-group failure probability",
+    )
+    p.add_argument(
+        "--mean-repair", type=float, default=6.0,
+        help="mean slots a failed group stays down",
+    )
+    p.add_argument(
+        "--signal-rate", type=float, default=0.0,
+        help="per-slot probability of a stale/missing observation fault",
+    )
+    p.add_argument("--loss", type=float, default=0.0, help="message loss probability")
+    p.add_argument("--delay", type=float, default=0.0, help="message delay probability")
+    p.add_argument(
+        "--duplicate", type=float, default=0.0,
+        help="message duplication probability",
+    )
+    p.add_argument(
+        "--schedule", default=None, metavar="FILE",
+        help="replay a fault schedule from JSON instead of generating one",
+    )
+    p.add_argument(
+        "--schedule-out", default=None, metavar="FILE",
+        help="write the schedule (generated or loaded) to JSON for replay",
+    )
+    _add_shared(p, "--fallback", "--retries", "--v", "--solver", "--iterations")
     p.add_argument(
         "--chaos",
         action="store_true",
@@ -1168,6 +1132,10 @@ def build_parser() -> argparse.ArgumentParser:
         "--slot-sleep-ms", type=float, default=0.0, metavar="MS",
         help="sleep after each slot (crash-harness aid; results unchanged)",
     )
+    _add_shared(
+        p, "--strict", "--verify-replay",
+        strict=dict(help="tap the health monitors; exit 2 when any fails (CI gating)"),
+    )
     p.set_defaults(func=_cmd_run)
 
     p = sub.add_parser(
@@ -1179,13 +1147,7 @@ def build_parser() -> argparse.ArgumentParser:
         "checkpoint_dir", metavar="DIR",
         help="checkpoint directory written by `repro run --checkpoint-dir`",
     )
-    p.add_argument(
-        "--verify-replay",
-        action="store_true",
-        help="also run uninterrupted and require bit-identical records "
-             "(exit 3 otherwise)",
-    )
-    _add_shared(p, "--record-out")
+    _add_shared(p, "--verify-replay", "--record-out")
     p.set_defaults(func=_cmd_resume)
 
     p = sub.add_parser(

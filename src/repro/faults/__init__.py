@@ -12,7 +12,7 @@ The subsystem has three pieces, each usable on its own:
   simulator runs when a slot solve cannot complete.
 
 See ``docs/TESTING.md`` for the chaos-testing workflow and
-``repro chaos --help`` for the end-to-end CLI.
+``repro run --help`` (``--chaos``, ``--schedule``) for the end-to-end CLI.
 """
 
 from .degradation import DegradationPolicy, proportional_action

@@ -20,7 +20,7 @@ arithmetic or RNG, so an instrumented run stays bit-identical.  See
 ``docs/MONITORING.md`` for the monitor catalog.
 """
 
-from .alerts import SEVERITIES, Alert, AlertChannel, JsonlAlertSink, stderr_sink
+from .alerts import SEVERITIES, Alert, AlertChannel, stderr_sink
 from .base import HealthMonitor, MonitorReport
 from .dashboard import DASHBOARD_SECTIONS, render_dashboard, write_dashboard
 from .deadline import DeadlineMonitor
@@ -45,7 +45,6 @@ __all__ = [
     "SEVERITIES",
     "Alert",
     "AlertChannel",
-    "JsonlAlertSink",
     "stderr_sink",
     "HealthMonitor",
     "MonitorReport",

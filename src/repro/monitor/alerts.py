@@ -3,9 +3,8 @@
 Monitors do not print, raise, or log directly -- they raise *alerts*
 through an :class:`AlertChannel`, which owns policy: which severities are
 worth dispatching, how repeats of the same condition are collapsed, and
-where alerts go.  Sinks are plain callables ``sink(alert)``; three are
-provided (stderr, JSONL file, user callback) and any number can be
-attached at once.
+where alerts go.  Sinks are plain callables ``sink(alert)``: the stderr
+sink here, or any user callback; any number can be attached at once.
 
 Deduplication is by *key*: a monitor that detects the same condition on
 every slot (say, a dropped-load threshold crossed for a 40-hour stretch)
@@ -25,7 +24,6 @@ __all__ = [
     "Alert",
     "AlertChannel",
     "stderr_sink",
-    "JsonlAlertSink",
 ]
 
 #: Severity ladder, least to most severe; index = rank.
@@ -78,18 +76,6 @@ class Alert:
         if self.last_t is None:
             self.last_t = self.t
 
-    def as_dict(self) -> dict:
-        """Flat JSON-friendly form (the JSONL sink's line format)."""
-        return {
-            "severity": self.severity,
-            "monitor": self.monitor,
-            "message": self.message,
-            "t": self.t,
-            "last_t": self.last_t,
-            "count": self.count,
-            "key": self.key,
-        }
-
 
 def stderr_sink(alert: Alert) -> None:
     """Print one line per (new) alert to stderr."""
@@ -100,29 +86,6 @@ def stderr_sink(alert: Alert) -> None:
         f"[{alert.severity.upper()}] {alert.monitor}{where}: {alert.message}",
         file=sys.stderr,
     )
-
-
-class JsonlAlertSink:
-    """Append alerts to ``path`` as JSON Lines; close when done."""
-
-    def __init__(self, path: str) -> None:
-        import json
-
-        self._json = json
-        self.path = str(path)
-        self._fh = open(self.path, "w")
-
-    def __call__(self, alert: Alert) -> None:
-        from ..telemetry.tracer import sanitize_json_value
-
-        self._fh.write(
-            self._json.dumps(sanitize_json_value(alert.as_dict()), allow_nan=False)
-        )
-        self._fh.write("\n")
-
-    def close(self) -> None:
-        if not self._fh.closed:
-            self._fh.close()
 
 
 class AlertChannel:
@@ -234,10 +197,3 @@ class AlertChannel:
         if not self._by_key:
             return None
         return max((a.severity for a in self._by_key.values()), key=_rank)
-
-    def close(self) -> None:
-        """Close any sinks that hold resources."""
-        for sink in self.sinks:
-            close = getattr(sink, "close", None)
-            if close is not None:
-                close()

@@ -102,7 +102,7 @@ class MonitoringTracer(Tracer):
     """Tracer tap: stamp, feed the suite, forward to the inner sink.
 
     Stands wherever a tracer does, so monitoring threads through
-    ``simulate`` / ``GeoCOCA`` / the solvers via the existing
+    ``simulate`` / ``SlotRunner`` / the solvers via the existing
     ``telemetry=`` bundle.  Events are stamped here (one ``run_id`` for
     the tapped stream), handed to the suite, then forwarded with their
     stamps so the inner sink writes identical lines.

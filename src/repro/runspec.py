@@ -2,10 +2,10 @@
 
 A :class:`RunSpec` holds the scenario, the controller stack (V and P3
 engine), the fault schedule, the degradation policy and the
-checkpoint cadence of one run.  ``repro profile``, ``chaos``, ``run``,
-``resume`` and ``serve`` all build their stack through
-:meth:`RunSpec.build`, so a resumed run sits on the same deterministic
-foundation as the run that wrote the checkpoint.  This module is also the
+checkpoint cadence of one run.  ``repro profile``, ``run``, ``resume``
+and ``serve`` all build their stack through :meth:`RunSpec.build`, so a
+resumed run sits on the same deterministic foundation as the run that
+wrote the checkpoint.  This module is also the
 only reader and writer of the run manifest (``manifest.json``), whose keys
 are exactly the spec's fields.
 """
@@ -66,10 +66,9 @@ class RunSpec:
     def from_args(cls, args) -> "RunSpec":
         """The spec a parsed command line asks for.
 
-        ``run`` and ``chaos`` seed the stochastic solvers from
-        ``--fault-seed`` (one integer fixes the whole run); ``serve`` and
-        ``profile`` from ``--solver-seed``.  ``chaos --distributed`` means
-        the distributed solver.  Flags a command lacks keep the defaults.
+        ``run`` seeds the stochastic solvers from ``--fault-seed`` (one
+        integer fixes the whole run); ``serve`` and ``profile`` from
+        ``--solver-seed``.  Flags a command lacks keep the defaults.
         """
         fields = {
             name: getattr(args, name)
@@ -77,10 +76,8 @@ class RunSpec:
             if hasattr(args, name)
         }
         command = getattr(args, "command", None)
-        if command in ("run", "chaos"):
+        if command == "run":
             fields["solver_seed"] = args.fault_seed
-        if command == "chaos":
-            fields["solver"] = "distributed" if args.distributed else "auto"
         if command == "serve":
             fields["serve"] = {
                 "source": args.source,

@@ -172,28 +172,20 @@ class Histogram:
         """Copy of the retained observations (the reservoir sample if bounded)."""
         return np.asarray(self._values, dtype=np.float64)
 
-    def _ingest(
-        self,
-        values,
-        count: int | None = None,
-        total: float | None = None,
-        vmax: float | None = None,
-    ) -> None:
-        """Fold another histogram's exported state into this one."""
+    def _ingest(self, values, count: int, total: float, vmax: float | None) -> None:
+        """Fold another histogram's exported state into this one (``vmax``
+        is None when that histogram saw no observations)."""
         vals = [float(v) for v in values]
-        n = int(count) if count is not None else len(vals)
-        t = float(total) if total is not None else float(sum(vals))
-        m = float(vmax) if vmax is not None else (max(vals) if vals else None)
         if self._reservoir is None:
             self._values.extend(vals)
             self._stream += len(vals)
         else:
             for v in vals:
                 self._offer(v)
-        self._count += n
-        self._total += t
-        if m is not None and m > self._max:
-            self._max = m
+        self._count += int(count)
+        self._total += float(total)
+        if vmax is not None and vmax > self._max:
+            self._max = float(vmax)
 
 
 class MetricsRegistry:
@@ -297,21 +289,14 @@ class MetricsRegistry:
 
         Counters add, histograms concatenate (or feed the reservoir when
         bounded), gauges take the incoming value (last write wins, matching
-        serial execution order).  Histogram payloads may be the legacy bare
-        list of values or the dict form carrying exact count/total/max.
+        serial execution order).  Each histogram payload carries its
+        retained values and the exact count/total/max.
         """
         for name, value in state.get("counters", {}).items():
             self.counter(name).inc(value)
         for name, value in state.get("gauges", {}).items():
             self.gauge(name).set(value)
         for name, payload in state.get("histograms", {}).items():
-            hist = self.histogram(name)
-            if isinstance(payload, dict):
-                hist._ingest(
-                    payload.get("values", ()),
-                    count=payload.get("count"),
-                    total=payload.get("total"),
-                    vmax=payload.get("max"),
-                )
-            else:
-                hist._ingest(payload)
+            self.histogram(name)._ingest(
+                payload["values"], payload["count"], payload["total"], payload["max"]
+            )

@@ -6,13 +6,7 @@ equivalents documented module-by-module; see DESIGN.md section 2.
 """
 
 from .base import HOURS_PER_DAY, HOURS_PER_WEEK, HOURS_PER_YEAR, Trace
-from .io import (
-    append_jsonl_rows,
-    load_traces,
-    save_traces,
-    trace_from_csv,
-    trace_to_csv,
-)
+from .io import append_jsonl_rows
 from .noise import PredictionModel, overestimate
 from .price import DEFAULT_MEAN_PRICE, price_trace
 from .solar import solar_trace
@@ -36,8 +30,4 @@ __all__ = [
     "DEFAULT_PEAK_REQ_PER_S",
     "PredictionModel",
     "overestimate",
-    "save_traces",
-    "load_traces",
-    "trace_to_csv",
-    "trace_from_csv",
 ]

@@ -14,6 +14,7 @@ from repro.cli import (
     build_parser,
     main,
 )
+from repro.monitor import HealthMonitor
 from repro.runspec import RunSpec
 
 MANIFEST_DIR = Path(__file__).parent / "goldens" / "manifests"
@@ -209,21 +210,16 @@ class TestExitCodes:
         assert len({EXIT_BAD_INPUT, EXIT_MONITOR_CRITICAL, EXIT_REPLAY_MISMATCH}) == 3
 
     def test_chaos_missing_schedule_is_bad_input(self, tmp_path, capsys):
-        rc = main(
-            [
-                "chaos",
-                "--horizon", "48",
-                "--schedule", str(tmp_path / "missing.json"),
-            ]
-        )
+        rc = main(["run", "--horizon", "48", "--schedule", str(tmp_path / "missing.json")])
         assert rc == EXIT_BAD_INPUT
         assert "cannot load fault schedule" in capsys.readouterr().err
 
     def test_chaos_torn_schedule_is_bad_input(self, tmp_path, capsys):
         torn = tmp_path / "torn.json"
         torn.write_text('{"events": [')
-        rc = main(["chaos", "--horizon", "48", "--schedule", str(torn)])
+        rc = main(["run", "--horizon", "48", "--schedule", str(torn)])
         assert rc == EXIT_BAD_INPUT
+        assert "cannot load fault schedule" in capsys.readouterr().err
 
     def test_resume_missing_manifest_is_bad_input(self, tmp_path, capsys):
         assert main(["resume", str(tmp_path)]) == EXIT_BAD_INPUT
@@ -231,6 +227,15 @@ class TestExitCodes:
     def test_shards_flag_is_gone(self):
         with pytest.raises(SystemExit):
             build_parser().parse_args(["run", "--shards", "2"])
+
+    @pytest.mark.parametrize(
+        "argv", [["chaos"], ["run", "--distributed"]], ids=["chaos", "distributed"]
+    )
+    def test_chaos_command_and_distributed_flag_are_gone(self, argv):
+        # A fault run is `run --chaos`; its distributed solver is
+        # `--solver distributed`.
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(argv)
 
     @pytest.mark.parametrize("command", ["resume", "serve"])
     def test_resume_refuses_sharded_manifest(self, tmp_path, capsys, command):
@@ -311,6 +316,14 @@ class TestExitCodes:
         assert "version-1" in err and "ckpt-*.json" in err
         assert len(err.splitlines()) == 1
 
+    def test_run_verify_replay_refuses_deadline_runs(self, capsys):
+        argv = ["run", "--horizon", "24", "--verify-replay", "--solve-deadline-ms", "5"]
+        assert main(argv) == EXIT_BAD_INPUT
+        captured = capsys.readouterr()
+        assert len(captured.err.strip().splitlines()) == 1
+        assert "solve-deadline" in captured.err
+        assert "run: cost" not in captured.out
+
     def test_resume_verify_replay_refuses_deadline_runs(self, tmp_path, capsys):
         ckpt_dir = tmp_path / "ckpts"
         assert (
@@ -362,6 +375,68 @@ class TestExitCodes:
         assert "DIVERGED" in capsys.readouterr().err
 
 
+class _AlwaysFails(HealthMonitor):
+    name = "always-fails"
+
+    def finalize(self, alerts):
+        self.violations = 1
+
+
+class TestFaultRun:
+    """``run --chaos`` with the health monitors (``--strict``) and the
+    bit-replay check (``--verify-replay``) in place."""
+
+    #: The exact-engine fault run of the chaos-smoke CI job, on 48 slots.
+    ARGV = [
+        "run", "--chaos", "--horizon", "48", "--seed", "11",
+        "--budget-fraction", "1.0", "--fault-seed", "7", "--failure-rate", "0.04",
+    ]
+
+    def test_strict_verified_fault_run_passes(self, capsys):
+        assert main([*self.ARGV, "--strict", "--verify-replay"]) == 0
+        out = capsys.readouterr().out
+        assert "chaos: 28 timed events over 48 h; reliable messaging" in out
+        assert "faults: 28 injected (group_fail=14, group_repair=14)" in out
+        assert "10/10 monitors passing" in out
+        assert "replay: bit-identical" in out
+
+    def test_message_faults_note_names_the_distributed_solver(self, capsys):
+        assert main([*self.ARGV, "--horizon", "4", "--loss", "0.1"]) == 0
+        assert "only bite with --solver distributed" in capsys.readouterr().out
+
+    @pytest.fixture
+    def failing_suite(self, monkeypatch):
+        import repro.monitor
+        from repro.telemetry import Telemetry
+
+        built = []
+        real_suite, real_init = repro.monitor.default_suite, Telemetry.__init__
+
+        def suite(**kwargs):
+            built.append("suite")
+            return real_suite(extra=[_AlwaysFails()], **kwargs)
+
+        def init(self, *args, **kwargs):
+            built.append("telemetry")
+            real_init(self, *args, **kwargs)
+
+        monkeypatch.setattr(repro.monitor, "default_suite", suite)
+        monkeypatch.setattr(Telemetry, "__init__", init)
+        return built
+
+    def test_strict_exits_2_on_a_failing_monitor(self, failing_suite, capsys):
+        assert main([*self.ARGV, "--strict"]) == EXIT_MONITOR_CRITICAL
+        captured = capsys.readouterr()
+        assert "10/11 monitors passing" in captured.out
+        assert "FAIL always-fails" in captured.err
+        assert failing_suite == ["suite", "telemetry"]
+
+    def test_without_strict_no_monitors_and_no_telemetry(self, failing_suite, capsys):
+        assert main(self.ARGV) == 0
+        assert "monitors passing" not in capsys.readouterr().out
+        assert failing_suite == []
+
+
 class TestRunSpec:
     @pytest.mark.parametrize(
         "path",
@@ -396,7 +471,7 @@ BAD_RUN_SETTINGS = [
     (["run", "--checkpoint-every", "0"], "--checkpoint-every"),
     (["run", "--chaos", "--retries", "-1"], "--retries"),
     (["run", "--solver", "gsd", "--iterations", "0"], "--iterations"),
-    (["chaos", "--distributed", "--iterations", "0"], "--iterations"),
+    (["run", "--chaos", "--solver", "distributed", "--iterations", "0"], "--iterations"),
     (["run", "--chaos", "--failure-rate", "2"], "failure_rate"),
     (["run", "--solve-deadline-ms", "-5"], "--solve-deadline-ms"),
     (["serve", "--dry-run", "--solver", "gsd", "--iterations", "0"], "--iterations"),

@@ -1,76 +1,18 @@
-"""Tests for trace I/O, descriptive statistics, and the report generator."""
+"""Tests for descriptive trace statistics and the report generator."""
 
 import numpy as np
 import pytest
 
 from repro.analysis import (
     autocorrelation,
-    exceedance_hours,
-    load_duration_curve,
     peak_to_mean,
     scenario_report,
     summarize_trace,
 )
-from repro.traces import (
-    Trace,
-    fiu_workload,
-    load_traces,
-    save_traces,
-    trace_from_csv,
-    trace_to_csv,
-)
-
-
-class TestTraceIO:
-    def test_npz_roundtrip(self, tmp_path):
-        a = fiu_workload(100, peak=5.0, seed=1)
-        b = Trace(np.arange(1.0, 101.0), name="counter", unit="u")
-        path = tmp_path / "bundle.npz"
-        save_traces(path, workload=a, counter=b)
-        loaded = load_traces(path)
-        assert set(loaded) == {"workload", "counter"}
-        np.testing.assert_array_equal(loaded["workload"].values, a.values)
-        assert loaded["counter"].name == "counter"
-        assert loaded["counter"].unit == "u"
-
-    def test_empty_save_rejected(self, tmp_path):
-        with pytest.raises(ValueError):
-            save_traces(tmp_path / "x.npz")
-
-    def test_csv_roundtrip(self, tmp_path):
-        trace = Trace(np.array([1.5, 2.25, 0.0]), name="t", unit="MW")
-        path = tmp_path / "trace.csv"
-        trace_to_csv(trace, path)
-        back = trace_from_csv(path)
-        np.testing.assert_array_equal(back.values, trace.values)
-        assert back.name == "t"
-        assert back.unit == "MW"
-
-    def test_csv_without_header_comment(self, tmp_path):
-        path = tmp_path / "plain.csv"
-        path.write_text("slot,value\n0,1.0\n1,2.0\n")
-        trace = trace_from_csv(path)
-        np.testing.assert_array_equal(trace.values, [1.0, 2.0])
-        assert trace.name == "plain"
-
-    def test_empty_csv_rejected(self, tmp_path):
-        path = tmp_path / "empty.csv"
-        path.write_text("slot,value\n")
-        with pytest.raises(ValueError):
-            trace_from_csv(path)
+from repro.traces import Trace, fiu_workload
 
 
 class TestStats:
-    def test_load_duration_curve_monotone(self):
-        trace = fiu_workload(24 * 30, peak=1.0, seed=2)
-        curve = load_duration_curve(trace, points=50)
-        assert curve[0] == pytest.approx(trace.peak)
-        assert np.all(np.diff(curve) <= 1e-12)
-
-    def test_load_duration_validation(self):
-        with pytest.raises(ValueError):
-            load_duration_curve(Trace(np.ones(5)), points=1)
-
     def test_autocorrelation_lag0_is_one(self):
         rng = np.random.default_rng(3)
         acf = autocorrelation(rng.normal(size=500), max_lag=10)
@@ -91,10 +33,6 @@ class TestStats:
         assert peak_to_mean(Trace(np.array([1.0, 3.0]))) == pytest.approx(1.5)
         with pytest.raises(ValueError):
             peak_to_mean(Trace(np.zeros(3)))
-
-    def test_exceedance_hours(self):
-        trace = Trace(np.array([1.0, 2.0, 3.0, 4.0]))
-        assert exceedance_hours(trace, 2.5) == 2
 
     def test_summary_fields(self):
         trace = fiu_workload(24 * 30, peak=100.0, seed=4)

@@ -23,7 +23,6 @@ from repro.monitor import (
     GSDAcceptanceMonitor,
     GSDDispersionMonitor,
     GSDStallMonitor,
-    JsonlAlertSink,
     LoadConservationMonitor,
     MonitoringTracer,
     MonitorSuite,
@@ -137,16 +136,14 @@ class TestAlertChannel:
         with pytest.raises(ValueError, match="dedup_window"):
             AlertChannel(dedup_window=0)
 
-    def test_jsonl_sink_writes_dedup_lines(self, tmp_path):
-        path = tmp_path / "alerts.jsonl"
-        sink = JsonlAlertSink(str(path))
-        channel = AlertChannel(sinks=[sink])
+    def test_distinct_keys_dispatch_in_order(self):
+        seen: list[Alert] = []
+        channel = AlertChannel(sinks=[seen.append])
         channel.raise_alert("warning", "m", "a", t=1)
         channel.raise_alert("critical", "n", "b", t=2)
-        channel.close()
-        lines = [json.loads(line) for line in path.read_text().splitlines()]
-        assert [row["monitor"] for row in lines] == ["m", "n"]
-        assert lines[1]["severity"] == "critical"
+        channel.raise_alert("warning", "m", "a", t=3)  # a repeat: folded
+        assert [alert.monitor for alert in seen] == ["m", "n"]
+        assert seen[1].severity == "critical"
 
 
 # ------------------------------------------------------------ invariants
