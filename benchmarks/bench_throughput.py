@@ -14,8 +14,9 @@ from repro.solvers.batch import batch_enumerate
 
 
 def test_batch_year_sweep(benchmark, fiu_scenario):
-    """One whole-horizon year sweep (8760 slots x 4 speed levels, the
-    servers-on count bisected over 201 sizes) at fixed q."""
+    """One whole-horizon year sweep at fixed q: 8760 slots at the one
+    undominated Opteron speed level (of 4), the servers-on count bisected
+    over 201 sizes."""
     sc = fiu_scenario
     env = sc.environment
 

@@ -4,7 +4,6 @@ from .report import scenario_report
 from .stats import (
     TraceSummary,
     autocorrelation,
-    peak_to_mean,
     summarize_trace,
 )
 from .summary import compare_records, cost_saving, time_bucket_rows
@@ -40,5 +39,4 @@ __all__ = [
     "summarize_trace",
     "TraceSummary",
     "autocorrelation",
-    "peak_to_mean",
 ]

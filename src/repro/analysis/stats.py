@@ -1,7 +1,7 @@
 """Descriptive statistics for traces and run records.
 
-Autocorrelation (how predictable the next hour is), peak-to-mean ratios,
-and the one-stop trace summary the report generator prints.
+Autocorrelation (how predictable the next hour is) and the one-stop trace
+summary the report generator prints, peak-to-mean ratio included.
 """
 
 from __future__ import annotations
@@ -14,7 +14,6 @@ from ..traces.base import Trace
 
 __all__ = [
     "autocorrelation",
-    "peak_to_mean",
     "TraceSummary",
     "summarize_trace",
 ]
@@ -34,13 +33,6 @@ def autocorrelation(values: np.ndarray, max_lag: int = 48) -> np.ndarray:
     for lag in range(max_lag + 1):
         out[lag] = float(np.dot(x[: values.size - lag], x[lag:])) / denom
     return out
-
-
-def peak_to_mean(trace: Trace) -> float:
-    """Peak-to-mean ratio (burstiness in the capacity-planning sense)."""
-    if trace.mean <= 0:
-        raise ValueError("trace mean must be positive")
-    return trace.peak / trace.mean
 
 
 @dataclass(frozen=True)

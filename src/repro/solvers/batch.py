@@ -8,8 +8,12 @@ brown-energy penalty".  For homogeneous fleets with a linear tariff the
 :class:`~repro.solvers.enumeration.HomogeneousEnumerationSolver` can be
 searched for *all slots at once*: per slot and speed level, the smallest
 optimal on-set size is found by bisection, then the levels are compared.
-A year (8760 slots, 200 groups, 4 speeds) sweeps in about 50 ms on a
-2-CPU x86_64 host.
+When delay is priced (``beta * delay_unit_cost > 0``) only the fleet's
+:attr:`~repro.cluster.fleet.Fleet.nondominated_levels` are searched, as in
+the per-slot engine: on the paper's Opteron fleet that is the top level
+alone.  A paper year (8760 slots, 200 groups, one searched level of four)
+sweeps in about 5 ms on a 2-CPU x86_64 host (33-50 ms with all four
+levels searched).
 
 The bisection is exact: at a fixed speed the slot objective is convex in
 the servers-on count M -- a nonnegative weight times [affine in M]^+, plus
@@ -131,10 +135,9 @@ def batch_enumerate(
     G = prefix.size - 1
     kappa = model.beta * model.delay_unit_cost
     cap_per_server = model.gamma * speeds  # (K,)
-    window = cap_per_server * (1.0 + 1e-12)  # check_feasible's tolerance
     # MW -> MWh per slot; delay cost likewise accrues over the slot length.
     slot_h = getattr(model, "slot_hours", 1.0)
-    lam = arrival[:, None]  # (n, 1), against (n, K) candidate arrays
+    lam = arrival[:, None]  # (n, 1), against (n, L) arrays over searched levels
 
     def cell(j: np.ndarray, k: np.ndarray):
         """The slot terms of prefix size ``j`` at level ``k``, in the
@@ -149,8 +152,18 @@ def batch_enumerate(
         g = e_cost + kappa * delay
         return it_power, brown, e_cost, delay, g, V * g + q_arr[:, None] * brown
 
-    levels = np.arange(speeds.size)
-    shape = (n, speeds.size)
+    # With delay priced, a dominated level scores strictly worse than the
+    # level that dominates it at every positive load (THEORY.md section 3),
+    # so only the undominated ones are searched; zero-arrival slots are
+    # masked off below.  Without a delay charge every level is searched.
+    # The top level is never dominated, so a slot no searched level can
+    # serve is one no level can.
+    if kappa > 0:
+        levels = np.array(fleet.nondominated_levels)
+    else:
+        levels = np.arange(speeds.size)
+    window = cap_per_server[levels] * (1.0 + 1e-12)  # check_feasible's tolerance
+    shape = (n, levels.size)
     with np.errstate(divide="ignore", invalid="ignore"):
         # Smallest on-set serving the load at each level, G + 1 if none,
         # within check_feasible's (1 + 1e-12) window; the cells clamp the
@@ -172,8 +185,9 @@ def batch_enumerate(
             top=G - 1,
         )
         f = np.where(feasible, cell(j, levels)[-1], np.inf)
-        k = np.argmin(np.where(f == f.min(axis=1, keepdims=True), j, G + 1), axis=1)
-        j = j[np.arange(n), k]
+        col = np.argmin(np.where(f == f.min(axis=1, keepdims=True), j, G + 1), axis=1)
+        j = j[np.arange(n), col]
+        k = levels[col]
         terms = cell(j[:, None], k[:, None])
 
     # Slots without arrivals stay all off: every term is nonnegative, so the

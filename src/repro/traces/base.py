@@ -20,13 +20,31 @@ from typing import Callable, Iterator
 
 import numpy as np
 
-__all__ = ["Trace", "HOURS_PER_DAY", "HOURS_PER_WEEK", "HOURS_PER_YEAR"]
+__all__ = ["Trace", "ar1", "HOURS_PER_DAY", "HOURS_PER_WEEK", "HOURS_PER_YEAR"]
 
 HOURS_PER_DAY = 24
 HOURS_PER_WEEK = 7 * 24
 #: Non-leap year, matching the paper's Jan 1 -- Dec 31, 2012 budgeting period
 #: truncated to 365 days (the paper reports hourly traces for one year).
 HOURS_PER_YEAR = 365 * 24
+
+
+def ar1(innov: np.ndarray, rho: float) -> np.ndarray:
+    """The AR(1) recurrence ``x[0] = innov[0]``, ``x[t] = rho * x[t-1] +
+    innov[t]`` as a new ``float64`` array.
+
+    A recurrence does not vectorize, so it steps on plain Python floats
+    rather than indexing a NumPy array element by element.  Each step is
+    the same float64 multiply and add, rounded the same way, so the result
+    is bit-for-bit the array-indexed loop's.
+    """
+    out = innov.tolist()
+    rho = float(rho)
+    x = out[0]
+    for t in range(1, len(out)):
+        x = rho * x + out[t]
+        out[t] = x
+    return np.array(out, dtype=np.float64)
 
 
 @dataclass(frozen=True)

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .base import HOURS_PER_DAY, HOURS_PER_YEAR, Trace
+from .base import HOURS_PER_DAY, HOURS_PER_YEAR, Trace, ar1
 
 __all__ = ["price_trace", "DEFAULT_MEAN_PRICE"]
 
@@ -78,12 +78,8 @@ def price_trace(
     shape = _diurnal_shape()[hod] * weekday * seasonal
 
     # Mean-reverting wander (Ornstein-Uhlenbeck in discrete time).
-    wander = np.empty(horizon)
     rho, sigma = 0.95, 0.035
-    innov = gen.normal(0.0, sigma, size=horizon)
-    wander[0] = innov[0]
-    for t in range(1, horizon):
-        wander[t] = rho * wander[t - 1] + innov[t]
+    wander = ar1(gen.normal(0.0, sigma, size=horizon), rho)
 
     values = shape * np.exp(wander)
 

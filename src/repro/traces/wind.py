@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .base import HOURS_PER_YEAR, Trace
+from .base import HOURS_PER_YEAR, Trace, ar1
 
 __all__ = ["wind_trace"]
 
@@ -76,11 +76,9 @@ def wind_trace(
 
     # Latent AR(1) Gaussian; stationary std chosen to hit speed_sigma.
     innov_sigma = np.sqrt(1.0 - persistence**2)
-    latent = np.empty(horizon)
     innov = gen.normal(0.0, innov_sigma, size=horizon)
-    latent[0] = gen.normal()
-    for t in range(1, horizon):
-        latent[t] = persistence * latent[t - 1] + innov[t]
+    innov[0] = gen.normal()  # the chain starts from its stationary law
+    latent = ar1(innov, persistence)
 
     hour = np.arange(horizon, dtype=np.float64)
     seasonal = 1.0 + seasonal_amplitude * np.sin(

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .base import HOURS_PER_DAY, HOURS_PER_YEAR, Trace
+from .base import HOURS_PER_DAY, HOURS_PER_YEAR, Trace, ar1
 
 __all__ = ["fiu_workload", "DEFAULT_PEAK_REQ_PER_S"]
 
@@ -120,12 +120,8 @@ def fiu_workload(
     )
 
     # Smooth AR(1) weather/demand wander plus i.i.d. lognormal jitter.
-    wander = np.empty(len(hours))
     rho, sigma = 0.97, 0.02
-    innov = gen.normal(0.0, sigma, size=len(hours))
-    wander[0] = innov[0]
-    for t in range(1, len(hours)):
-        wander[t] = rho * wander[t - 1] + innov[t]
+    wander = ar1(gen.normal(0.0, sigma, size=len(hours)), rho)
     jitter = gen.lognormal(mean=0.0, sigma=noise, size=len(hours))
 
     values = shape * np.exp(wander) * jitter

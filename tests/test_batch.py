@@ -13,10 +13,13 @@ import pytest
 
 import repro.scenarios as scenarios
 from repro.cluster import (
+    WATT,
     Fleet,
     ServerGroup,
+    ServerProfile,
     SquaredLoadDelay,
     cubic_dvfs_profile,
+    default_fleet,
     opteron_2380,
 )
 from repro.core import DataCenterModel
@@ -244,6 +247,76 @@ class TestAgainstOracle:
                 batch_enumerate(model, *args, **kwargs),
                 oracle_batch_enumerate(model, *args, **kwargs),
             )
+
+
+class TestLevelPruning:
+    """With delay priced the sweep searches only the fleet's undominated
+    speed levels; every field still equals the full grid's, bit for bit."""
+
+    def test_unpriced_delay_searches_dominated_levels(self):
+        """With beta = 0 and on-site supply covering every on-set, all
+        feasible cells score zero and the grid's tie order picks the lowest
+        feasible level -- levels the Opteron's top level dominates.  Pruning
+        here would pick level 3 instead."""
+        fleet = default_fleet(num_groups=4, servers_per_group=10)
+        assert fleet.nondominated_levels == (3,)
+        model = DataCenterModel(fleet=fleet, beta=0.0)
+        lam = np.array([0.2, 0.5, 1.0]) * (0.5 * fleet.max_capacity)
+        args = (model, lam, np.full(3, 2.0 * fleet.max_power), np.full(3, 40.0))
+        want = oracle_batch_enumerate(*args, q=10.0)
+        assert want.speed_level.tolist() == [1, 2, 2]
+        assert_same_result(batch_enumerate(*args, q=10.0), want)
+
+    def test_paper_fleet_week_with_per_slot_q_and_pue(self):
+        """A paper-scale week, where only the top level is searched."""
+        sc = scenarios.paper_scenario(horizon=168)
+        env = sc.environment
+        assert sc.model.fleet.nondominated_levels == (3,)
+        args = (
+            sc.model,
+            env.actual_workload.values,
+            env.portfolio.onsite.values,
+            env.price.values,
+        )
+        rng = np.random.default_rng(11)
+        kwargs = {
+            "q": rng.uniform(0.0, 200.0, 168),
+            "pue": rng.uniform(1.0, 1.6, 168),
+            "V": 4.0,
+        }
+        res = batch_enumerate(*args, **kwargs)
+        assert np.all(res.speed_level[env.actual_workload.values > 0] == 3)
+        assert_same_result(res, oracle_batch_enumerate(*args, **kwargs))
+
+    def test_every_level_undominated(self):
+        fleet = Fleet([ServerGroup(cubic_dvfs_profile(levels=5), c) for c in (4, 9, 2, 15)])
+        assert fleet.nondominated_levels == (0, 1, 2, 3, 4)
+        model = DataCenterModel(fleet=fleet, beta=1.0)
+        lam, onsite, price = random_inputs(model, 300, 12, idle=0.1)
+        for q in (0.0, 50.0):
+            res = batch_enumerate(model, lam, onsite, price, q=q)
+            assert len(set(res.speed_level.tolist()) - {-1}) > 1
+            assert_same_result(
+                res, oracle_batch_enumerate(model, lam, onsite, price, q=q)
+            )
+
+    def test_searched_levels_map_back_to_level_ids(self):
+        """Level 1 is dominated by level 2, so levels 0, 2 and 3 are
+        searched as columns 0, 1 and 2; the result reports level ids."""
+        speeds = np.array([1.0, 2.0, 3.0, 4.0])
+        per_request = np.array([2.0, 12.0, 6.0, 18.0])
+        profile = ServerProfile("gap", 50.0 * WATT, speeds, per_request * speeds * WATT)
+        fleet = Fleet([ServerGroup(profile, 6) for _ in range(8)])
+        assert fleet.nondominated_levels == (0, 2, 3)
+        model = DataCenterModel(fleet=fleet, beta=0.1)
+        lam, onsite, price = random_inputs(model, 300, 13, idle=0.1)
+        lam = 0.2 * lam  # light enough for the slow level to win some slots
+        res = batch_enumerate(model, lam, onsite, price, q=20.0)
+        assert {0, 2, 3} <= set(res.speed_level.tolist())
+        assert 1 not in res.speed_level
+        assert_same_result(
+            res, oracle_batch_enumerate(model, lam, onsite, price, q=20.0)
+        )
 
 
 class TestFeasibility:

@@ -5,11 +5,10 @@ import pytest
 
 from repro.analysis import (
     autocorrelation,
-    peak_to_mean,
     scenario_report,
     summarize_trace,
 )
-from repro.traces import Trace, fiu_workload
+from repro.traces import fiu_workload
 
 
 class TestStats:
@@ -28,11 +27,6 @@ class TestStats:
         acf = autocorrelation(np.full(50, 3.0), max_lag=5)
         assert acf[0] == 1.0
         assert np.all(acf[1:] == 0.0)
-
-    def test_peak_to_mean(self):
-        assert peak_to_mean(Trace(np.array([1.0, 3.0]))) == pytest.approx(1.5)
-        with pytest.raises(ValueError):
-            peak_to_mean(Trace(np.zeros(3)))
 
     def test_summary_fields(self):
         trace = fiu_workload(24 * 30, peak=100.0, seed=4)
