@@ -126,8 +126,9 @@ class Fleet:
     # Aggregates over ``groups`` are cached: groups never change, and the
     # per-slot feasibility check reads them on every solve.  The totals are
     # Python ``sum`` over the per-group values in index order (``np.sum``
-    # is pairwise and can differ in the last bit), so :meth:`capacity` of
-    # any list of groups has the same bits as a fleet built from them.
+    # is pairwise and can differ in the last bit), so a slot problem's
+    # capacity of the groups that are up has the same bits as a fleet
+    # built from them.
     @cached_property
     def _group_capacity(self) -> np.ndarray:
         return np.array([g.max_capacity for g in self.groups], dtype=np.float64)
@@ -164,6 +165,8 @@ class Fleet:
         "_class_tables",
         "class_lists",
         "prefix_servers",
+        "group_lists",
+        "level_lists",
         "nondominated_levels",
     )
 
@@ -259,6 +262,21 @@ class Fleet:
         return [0.0, *np.cumsum(self.counts).tolist()]
 
     @cached_property
+    def group_lists(self) -> tuple[list[float], list[float]]:
+        """``(servers, top-speed capacity)`` per group as plain float lists:
+        what a slot problem sums over the groups that are up (its capacity
+        and the exact engine's on-set sizes, in index order)."""
+        return self.counts.tolist(), self._group_capacity.tolist()
+
+    @cached_property
+    def level_lists(self) -> tuple[list[float], list[float], float]:
+        """``(speed, dynamic coefficient, static power)`` of the first
+        group's profile, per level, as plain floats: on a homogeneous fleet
+        every group's, which the exact engine reads on every solve."""
+        profile = self.groups[0].profile
+        return profile.speeds.tolist(), self.dyn_coeff[0].tolist(), profile.static_power
+
+    @cached_property
     def nondominated_levels(self) -> tuple[int, ...]:
         """Speed levels of the first group's profile (the whole fleet's, on
         a homogeneous fleet) that no other level dominates.
@@ -273,13 +291,9 @@ class Fleet:
             k for k, c in enumerate(coeff) if all(c < other for other in coeff[k + 1:])
         )
 
-    def capacity(self, gamma: float, groups: np.ndarray | None = None) -> float:
-        """Usable service rate under the utilization cap ``gamma`` (Eq. (7))
-        of the groups at indices ``groups`` (all when ``None``), summed in
-        index order like :attr:`max_capacity`."""
-        if groups is None:
-            return gamma * self.max_capacity
-        return gamma * float(sum(self._group_capacity[groups].tolist()))
+    def capacity(self, gamma: float) -> float:
+        """Usable service rate under the utilization cap ``gamma`` (Eq. (7))."""
+        return gamma * self.max_capacity
 
     def group_speeds(self, levels: np.ndarray) -> np.ndarray:
         """Per-group service rate for a level vector (``-1`` -> 0 speed)."""

@@ -89,8 +89,9 @@ class COCA(Controller):
         self.v_history: list[float] = []
         self.queue_at_decision: list[float] = []
         self._frame_started = -1  # guards frame logic against decide retries
-        # Groups currently down (fault injection); empty = all healthy.
-        self._failed: frozenset[int] = frozenset()
+        # Groups currently down (fault injection), ascending; empty = all
+        # healthy.
+        self._failed: tuple[int, ...] = ()
 
     # ------------------------------------------------------------------
     def bind_telemetry(self, telemetry) -> None:
@@ -128,12 +129,13 @@ class COCA(Controller):
             )
 
     # ------------------------------------------------------------------
-    def set_failed_groups(self, failed: frozenset[int]) -> None:
+    def set_failed_groups(self, failed: tuple[int, ...]) -> None:
         """Fault-injection hook: subsequent slot problems carry ``failed``
-        as :attr:`~repro.solvers.problem.SlotProblem.failed`, so the engine
+        (ascending group indices) as
+        :attr:`~repro.solvers.problem.SlotProblem.failed`, so the engine
         holds those groups off (section 4.2: failures shrink the feasible
-        set).  The empty set means every group is up."""
-        self._failed = frozenset(failed)
+        set).  The empty tuple means every group is up."""
+        self._failed = failed
 
     def decide(self, observation: SlotObservation) -> SlotSolution:
         t = observation.t
@@ -220,7 +222,7 @@ class COCA(Controller):
         self._current_v = float(state["current_v"])
         self._prev_on = decode_array(state["prev_on"])
         self._frame_started = int(state["frame_started"])
-        self._failed = frozenset(int(g) for g in state["failed"])
+        self._failed = tuple(sorted(int(g) for g in state["failed"]))
         self.solver.load_state_dict(state["solver"])
 
     def series(self) -> dict[str, list]:

@@ -12,6 +12,7 @@ carbon-unaware baseline uses zero).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -74,32 +75,52 @@ class DataCenterModel:
         prev_on_counts: np.ndarray | None = None,
         network_delay: float = 0.0,
         pue_override: float | None = None,
-        failed: frozenset[int] | None = None,
+        failed: tuple[int, ...] | None = None,
     ) -> SlotProblem:
         """Build the P3 instance for one slot; ``failed`` names the server
-        groups that are down (see :class:`SlotProblem`)."""
-        return SlotProblem(
-            fleet=self.fleet,
-            arrival_rate=arrival_rate,
-            onsite=onsite,
-            price=price,
-            q=q,
-            V=V,
-            beta=self.beta,
-            gamma=self.gamma,
-            delay_model=self.delay_model,
-            power_model=self.power_model,
-            tariff=self.tariff,
-            delay_unit_cost=self.delay_unit_cost,
-            switching=self.switching,
-            prev_on_counts=prev_on_counts,
-            peak_power_cap=self.peak_power_cap,
-            max_delay_cost=self.max_delay_cost,
-            network_delay=network_delay,
-            pue_override=pue_override,
-            slot_hours=self.slot_hours,
-            failed=failed,
+        groups that are down (see :class:`SlotProblem`).
+
+        The problem is built without the frozen dataclass ``__init__``,
+        which sets its 20 fields one ``object.__setattr__`` at a time: its
+        ``__dict__`` is set in one call from this model's fields and the
+        slot's, and then ``__post_init__`` runs every check and
+        normalization as the constructor would."""
+        problem = object.__new__(SlotProblem)
+        object.__setattr__(
+            problem,
+            "__dict__",
+            {
+                **self._problem_fields,
+                "arrival_rate": arrival_rate,
+                "onsite": onsite,
+                "price": price,
+                "q": q,
+                "V": V,
+                "prev_on_counts": prev_on_counts,
+                "network_delay": network_delay,
+                "pue_override": pue_override,
+                "failed": failed,
+            },
         )
+        problem.__post_init__()
+        return problem
+
+    @cached_property
+    def _problem_fields(self) -> dict:
+        """The :class:`SlotProblem` fields this model fixes for every slot."""
+        return {
+            "fleet": self.fleet,
+            "beta": self.beta,
+            "gamma": self.gamma,
+            "delay_model": self.delay_model,
+            "power_model": self.power_model,
+            "tariff": self.tariff,
+            "delay_unit_cost": self.delay_unit_cost,
+            "switching": self.switching,
+            "peak_power_cap": self.peak_power_cap,
+            "max_delay_cost": self.max_delay_cost,
+            "slot_hours": self.slot_hours,
+        }
 
     @property
     def max_facility_power(self) -> float:

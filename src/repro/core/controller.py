@@ -77,15 +77,18 @@ class Controller(ABC):
         """End-of-slot feedback; default is stateless."""
 
     # -- fault-injection hooks (see repro.faults) ----------------------
-    def set_failed_groups(self, failed: frozenset[int]) -> None:
+    def set_failed_groups(self, failed: tuple[int, ...]) -> None:
         """Tell the controller which server groups are currently down.
 
         Called by the simulator before each ``decide`` when fault
-        injection is active; the empty set means all groups are healthy.
-        COCA puts the set on its slot problem, whose engines hold those
-        groups off.  The default ignores it — the simulator still masks
-        failed groups out of the *realized* action, so an unaware
-        controller stays physically correct, just suboptimal.
+        injection is active, with the slot's failed set as a tuple of
+        group indices, ascending (the canonical form of
+        :attr:`~repro.solvers.problem.SlotProblem.failed`); the empty
+        tuple means all groups are healthy.  COCA puts the set on its slot
+        problem, whose engines hold those groups off.  The default ignores
+        it — the simulator still masks failed groups out of the *realized*
+        action, so an unaware controller stays physically correct, just
+        suboptimal.
         """
 
     def on_fallback(self, observation: SlotObservation, solution: SlotSolution) -> None:

@@ -61,9 +61,10 @@ def _spread(
 def proportional_action(
     model: DataCenterModel,
     arrival_rate: float,
-    failed: frozenset[int] | set[int] = frozenset(),
+    failed: tuple[int, ...] = (),
 ) -> FleetAction:
-    """Top-speed levels on healthy groups, load pro-rata to capacity.
+    """Top-speed levels on the groups not in ``failed`` (the slot's failed
+    set, ascending group indices), load pro-rata to capacity.
 
     Deliberately ignores cost: this runs when optimization is unavailable
     and the only goal is serving the workload within the utilization cap.
@@ -108,10 +109,11 @@ class DegradationPolicy:
         model: DataCenterModel,
         observation: SlotObservation,
         last_levels: np.ndarray | None,
-        failed: frozenset[int] | set[int] = frozenset(),
+        failed: tuple[int, ...] = (),
     ) -> SlotSolution:
         """The action to run instead of the failed solve; ``last_levels``
-        are the last realized per-group levels (``None`` before any).
+        are the last realized per-group levels (``None`` before any) and
+        ``failed`` the slot's failed set, ascending group indices.
 
         Raises :class:`InfeasibleError` only when *no* healthy capacity
         exists at all — the one situation with nothing left to degrade to.
@@ -120,7 +122,7 @@ class DegradationPolicy:
         used = self.mode
         if self.mode == "last_action" and last_levels is not None:
             levels = np.where(
-                np.isin(np.arange(model.fleet.num_groups), sorted(failed)), -1, last_levels
+                np.isin(np.arange(model.fleet.num_groups), failed), -1, last_levels
             ).astype(np.int64)
             action = _spread(model, levels, observation.arrival_rate)
         if action is None:
@@ -140,7 +142,7 @@ class DegradationPolicy:
         return SlotSolution(
             action=action,
             evaluation=problem.evaluate(action),
-            info={"fallback": used, "failed_groups": sorted(failed)},
+            info={"fallback": used, "failed_groups": list(failed)},
         )
 
     # ------------------------------------------------------------------

@@ -90,7 +90,7 @@ def realize_action(
     actual_arrival: float,
     planned_arrival: float,
     *,
-    failed_groups: "frozenset[int] | set[int] | None" = None,
+    failed_groups: tuple[int, ...] = (),
 ) -> tuple[FleetAction, float]:
     """Map a planned action onto the realized arrival rate, in class space.
 
@@ -103,10 +103,12 @@ def realize_action(
 
     ``failed_groups`` enforces physical reality under fault injection:
     servers in failed groups cannot run whatever the plan said, so their
-    levels are forced off and their load joins the redistribution.  The
-    controllers here already plan failed groups off; a plan that does not
-    has its rows re-counted from the masked levels at the same class
-    loads.
+    levels are forced off and their load joins the redistribution.  It is
+    the slot's failed set as group indices, ascending (the form
+    :attr:`~repro.solvers.problem.SlotProblem.failed` holds), empty when
+    every group is up.  The controllers here already plan failed groups
+    off; a plan that does not has its rows re-counted from the masked
+    levels at the same class loads.
 
     Every group of a row carries the same per-server load before and
     after, so the arithmetic runs over the few rows, not the groups.
@@ -114,12 +116,10 @@ def realize_action(
     fleet = model.fleet
     levels = action.levels
     rows = action.rows
-    if failed_groups:
-        failed = sorted(failed_groups)
-        if (levels[failed] >= 0).any():
-            levels = levels.copy()
-            levels[failed] = -1
-            rows = ClassRows.of(fleet, levels, dict(zip(rows.classes, rows.loads)))
+    if failed_groups and levels.take(failed_groups).max() >= 0:
+        levels = levels.copy()
+        levels.put(failed_groups, -1)
+        rows = ClassRows.of(fleet, levels, dict(zip(rows.classes, rows.loads)))
     counts = rows.counts
     if actual_arrival <= 0.0:
         return FleetAction(levels, rows._replace(loads=(0.0,) * len(counts))), 0.0
@@ -167,11 +167,12 @@ def _decide_degraded(
     controller: Controller,
     obs,
     policy,
-    injector,
+    failed: tuple[int, ...],
     last_levels: np.ndarray | None,
     tele: Telemetry,
 ):
-    """One slot's decide under a degradation policy.
+    """One slot's decide under a degradation policy, with the slot's
+    failed set ``failed`` (ascending group indices).
 
     Retries ``controller.decide`` on :class:`BusTimeoutError` (a lost
     protocol round is transient: the next attempt sees fresh message-fault
@@ -200,7 +201,6 @@ def _decide_degraded(
         except InfeasibleError:
             reason = "infeasible"
             break
-    failed = frozenset(injector.failed_groups)
     solution = policy.fallback(model, obs, last_levels, failed)
     policy.record(reason, fallback=True)
     if tele.enabled:
@@ -209,7 +209,7 @@ def _decide_degraded(
             t=obs.t,
             reason=reason,
             mode=solution.info.get("fallback"),
-            failed_groups=sorted(failed),
+            failed_groups=list(failed),
         )
         tele.metrics.counter("fault.fallbacks").inc()
     controller.on_fallback(obs, solution)
@@ -473,25 +473,26 @@ class SlotRunner:
         injector = self.injector
 
         obs = environment.observation(t)
+        failed = ()
         if injector is not None:
             injector.begin_slot(t)
+            # The slot's failed set, derived once in the canonical form of
+            # SlotProblem.failed; the controller, a fallback and the
+            # realization all read this one tuple.
+            failed = tuple(sorted(injector.failed_groups))
             obs = injector.degrade_observation(obs)
-            controller.set_failed_groups(frozenset(injector.failed_groups))
+            controller.set_failed_groups(failed)
         with tele.timer("sim.solve_time_s") as solve_timer:
             if injector is None:
                 solution = controller.decide(obs)
             else:
                 solution, _ = _decide_degraded(
-                    model, controller, obs, self.policy, injector,
+                    model, controller, obs, self.policy, failed,
                     self.last_realized, tele,
                 )
         actual = environment.actual_arrival(t)
         realized, dropped = realize_action(
-            model,
-            solution.action,
-            actual,
-            obs.arrival_rate,
-            failed_groups=None if injector is None else injector.failed_groups,
+            model, solution.action, actual, obs.arrival_rate, failed_groups=failed
         )
         fleet = model.fleet
         levels, rows = realized.levels, realized.rows

@@ -187,15 +187,9 @@ class HomogeneousEnumerationSolver(SlotSolver):
         problem.check_feasible()
         t_phase = time.perf_counter() if sp else 0.0
 
-        profile = fleet.groups[0].profile
-        speeds = profile.speeds.tolist()
-        coeffs = fleet.dyn_coeff[0].tolist()  # MW per req/s
-        static = profile.static_power
+        speeds, coeffs, static = fleet.level_lists  # coeffs in MW per req/s
         # Servers in the first j healthy groups, j = 0..G.
-        if problem.failed is None:
-            M = fleet.prefix_servers
-        else:
-            M = [0.0, *np.cumsum(fleet.counts[problem.healthy]).tolist()]
+        M = problem.prefix_servers
         G = len(M) - 1
         lam = problem.arrival_rate
         slot_h = problem.slot_hours
@@ -312,11 +306,18 @@ class HomogeneousEnumerationSolver(SlotSolver):
             t_phase = now
 
         _, j, k = best
+        # The first j healthy groups: every group below the j-th healthy
+        # one, with the failed groups (ascending) held off.
+        failed = problem.failed or ()
+        end = j
+        for g in failed:
+            if g >= end:
+                break
+            end += 1
         levels = np.full(fleet.num_groups, -1, dtype=np.int64)
-        if problem.failed is None:
-            levels[:j] = k
-        else:
-            levels[problem.healthy[:j]] = k
+        levels[:end] = k
+        if failed:
+            levels.put(failed, -1)
         levels.setflags(write=False)
         if j:
             # The chosen cell as one class row: M_j servers at level k, each

@@ -20,6 +20,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 from functools import cached_property
+from itertools import accumulate, compress
+from operator import lt
 
 import numpy as np
 
@@ -29,6 +31,16 @@ from ..cluster.queueing import DELAY_UNIT_COST, DelayCostModel, MG1PSDelay
 from ..cluster.switching import SwitchingCostModel
 
 __all__ = ["SlotProblem", "SlotEvaluation", "InfeasibleError"]
+
+
+def _is_canonical(failed) -> bool:
+    """Whether a failed set is already a tuple of distinct ascending
+    ``int`` indices (``bool`` and numpy integers are not ``int``)."""
+    return (
+        type(failed) is tuple
+        and set(map(type, failed)) <= {int}
+        and all(map(lt, failed, failed[1:]))
+    )
 
 
 class InfeasibleError(ValueError):
@@ -130,8 +142,11 @@ class SlotProblem:
         failed group's only level is off.  Every engine solves on the full
         fleet with failed groups held at level ``-1``, searching the
         healthy groups in index order, and :meth:`check_feasible` reads
-        the healthy groups' capacity.  An index out of range raises
-        :class:`ValueError`; a set naming every group raises
+        the healthy groups' :attr:`capacity`.  The canonical form is a
+        tuple of distinct ascending ``int`` indices, which is kept as
+        given (the slot loop hands the controller that form); any other
+        collection is sorted, deduplicated and converted.  An index out of
+        range raises :class:`ValueError`; a set naming every group raises
         :class:`InfeasibleError`.
     """
 
@@ -186,8 +201,10 @@ class SlotProblem:
             raise ValueError("PUE must be >= 1")
         if self.slot_hours <= 0:
             raise ValueError("slot length must be positive")
-        if self.failed is not None:
-            failed = tuple(sorted({int(g) for g in self.failed}))
+        failed = self.failed
+        if failed is not None:
+            if not _is_canonical(failed):
+                failed = tuple(sorted({int(g) for g in failed}))
             for g in failed[:1] + failed[-1:]:
                 if not 0 <= g < self.fleet.num_groups:
                     raise ValueError(f"failed group index {g} out of range")
@@ -203,6 +220,39 @@ class SlotProblem:
         if self.failed is not None:
             mask[list(self.failed)] = False
         return np.flatnonzero(mask)
+
+    @cached_property
+    def _survivors(self) -> tuple[float, list[float]]:
+        """:attr:`capacity` and :attr:`prefix_servers` of a problem with
+        failed groups, from one pass over the failed set and one over the
+        groups that are up."""
+        counts, caps = self.fleet.group_lists
+        up = [True] * len(counts)
+        for g in self.failed:
+            up[g] = False
+        return (
+            self.gamma * float(sum(compress(caps, up))),
+            [0.0, *accumulate(compress(counts, up))],
+        )
+
+    @property
+    def capacity(self) -> float:
+        """Usable service rate (req/s) of the groups that are up under the
+        utilization cap (Eq. (7)), summed in index order, so it has the
+        bits of :meth:`Fleet.capacity` of a fleet of those groups."""
+        if self.failed is None:
+            return self.fleet.capacity(self.gamma)
+        return self._survivors[0]
+
+    @property
+    def prefix_servers(self) -> list[float]:
+        """Servers in the first ``j`` groups that are up, ``j = 0, 1, ...``,
+        as plain floats: the on-set sizes the exact engine searches.  The
+        running sums add in :func:`numpy.cumsum` order, so they are
+        :attr:`Fleet.prefix_servers` of a fleet of those groups."""
+        if self.failed is None:
+            return self.fleet.prefix_servers
+        return self._survivors[1]
 
     # ------------------------------------------------------------------
     # Derived weights
@@ -227,8 +277,7 @@ class SlotProblem:
     def check_feasible(self) -> None:
         """Raise :class:`InfeasibleError` if the workload exceeds the
         healthy groups' capped capacity (assumption of section 3.2)."""
-        groups = None if self.failed is None else self.healthy
-        cap = self.fleet.capacity(self.gamma, groups)
+        cap = self.capacity
         if self.arrival_rate > cap * (1.0 + 1e-12):
             raise InfeasibleError(
                 f"arrival rate {self.arrival_rate:.6g} req/s exceeds capped "

@@ -14,7 +14,7 @@ import repro.solvers.gsd as gsd
 from repro.cluster import Fleet, ServerGroup, cubic_dvfs_profile, opteron_2380
 from repro.core import DataCenterModel
 from repro.scenarios import small_scenario
-from repro.solvers import InfeasibleError, solve_fixed_levels
+from repro.solvers import InfeasibleError, SlotProblem, solve_fixed_levels
 
 
 def pytest_addoption(parser) -> None:
@@ -84,6 +84,31 @@ def make_problem(model, *, lam_frac=0.5, onsite=0.0, price=40.0, q=0.0, V=1.0, *
     return model.slot_problem(
         arrival_rate=lam, onsite=onsite, price=price, q=q, V=V, **kw
     )
+
+
+def direct_problem(model, **slot) -> SlotProblem:
+    """``model.slot_problem(**slot)`` built through the dataclass's own
+    ``__init__`` instead of the model's fast build."""
+    return SlotProblem(
+        fleet=model.fleet,
+        beta=model.beta,
+        gamma=model.gamma,
+        delay_model=model.delay_model,
+        power_model=model.power_model,
+        tariff=model.tariff,
+        delay_unit_cost=model.delay_unit_cost,
+        switching=model.switching,
+        peak_power_cap=model.peak_power_cap,
+        max_delay_cost=model.max_delay_cost,
+        slot_hours=model.slot_hours,
+        **slot,
+    )
+
+
+#: Both ways to build a slot problem from a model and per-slot inputs,
+#: ``build(model, **slot)``; validation tests run every case through both,
+#: so the fast build cannot skip a check.
+PROBLEM_BUILDERS = (direct_problem, DataCenterModel.slot_problem)
 
 
 def validate_action(fleet, action, total_load, gamma, *, atol=1e-6) -> None:

@@ -119,7 +119,7 @@ def class_bill(model, solution, actual, obs, prev_on, failed):
     return realized, dropped, problem.evaluate(realized), problem
 
 
-def check_slot(model, solution, actual, obs, prev_on=None, failed=None):
+def check_slot(model, solution, actual, obs, prev_on=None, failed=()):
     realized, dropped, got, problem = class_bill(
         model, solution, actual, obs, prev_on, failed
     )
@@ -209,10 +209,10 @@ def test_randomized_slots_bill_like_the_oracle(engine_name, failures):
         )
         model, obs = random_slot(rng, fleet, switching=case % 3 == 0)
         prev_on = np.where(rng.random(fleet.num_groups) < 0.5, fleet.counts, 0.0)
-        failed = None
+        failed = ()
         if failures:
             picks = rng.choice(fleet.num_groups, size=max(1, fleet.num_groups // 3), replace=False)
-            failed = frozenset(int(g) for g in picks)
+            failed = tuple(sorted(int(g) for g in picks))
         try:
             solution = decide(model, ENGINES[engine_name](), obs, prev_on, failed, rng)
         except InfeasibleError:
@@ -235,7 +235,7 @@ def test_plan_with_failed_groups_on_is_masked():
     solution = CarbonUnaware(model).decide(obs)
     on = np.flatnonzero(solution.action.levels >= 0)
     assert on.size >= 2
-    failed = frozenset(int(g) for g in on[: on.size // 2])
+    failed = tuple(int(g) for g in on[: on.size // 2])
     prev_on = fleet.counts.copy()
     for actual in actual_arrivals(rng, model, solution, obs.arrival_rate):
         check_slot(model, solution, actual, obs, prev_on, failed)
@@ -277,7 +277,7 @@ def test_failed_profile_rows_carry_full_fleet_ids(case, engine_name):
         obs = replace(obs, arrival_rate=share * survivors.capacity(model.gamma))
         prev_on = np.where(rng.random(fleet.num_groups) < 0.5, fleet.counts, 0.0)
         solution = decide(
-            model, ENGINES[engine_name](), obs, prev_on, frozenset(failed), rng
+            model, ENGINES[engine_name](), obs, prev_on, failed, rng
         )
         # Every row is a class of a surviving (profile 1) group on the full
         # fleet, never the sub-fleet's profile 0 id.
@@ -295,7 +295,7 @@ def test_failed_profile_rows_carry_full_fleet_ids(case, engine_name):
             problem, solution.action.levels, group_loads(fleet, solution.action)
         )
         assert_same_bill(planned, want, problem)
-        check_slot(model, solution, obs.arrival_rate, obs, prev_on, frozenset(failed))
+        check_slot(model, solution, obs.arrival_rate, obs, prev_on, failed)
 
 
 # ---------------------------------------------------------------------------
@@ -307,7 +307,7 @@ class Recorder(Controller):
 
     def __init__(self, inner: Controller) -> None:
         self.inner = inner
-        self.failed: frozenset[int] = frozenset()
+        self.failed: tuple[int, ...] = ()
         self.slots: dict[int, tuple] = {}
 
     def bind_telemetry(self, telemetry) -> None:
@@ -317,7 +317,7 @@ class Recorder(Controller):
         self.inner.start(environment)
 
     def set_failed_groups(self, failed) -> None:
-        self.failed = frozenset(failed)
+        self.failed = failed
         self.inner.set_failed_groups(failed)
 
     def decide(self, observation):

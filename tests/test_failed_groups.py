@@ -25,7 +25,7 @@ from repro.solvers import (
     SlotProblem,
     initial_levels,
 )
-from tests.conftest import make_problem, validate_action
+from tests.conftest import PROBLEM_BUILDERS, make_problem, validate_action
 from tests.failed_groups_oracle import solve_with_failed_groups, subset
 
 ENGINES = {
@@ -106,41 +106,82 @@ class TestMaskedEnginesMatchOracle:
         assert masked_slots >= 12
 
     def test_healthy_capacity_has_the_sub_fleet_bits(self):
+        """The problem's capacity and on-set sizes over the groups that are
+        up have the bits of a fleet built from those groups."""
         rng = np.random.default_rng(8)
         for _ in range(50):
             fleet = random_fleet(rng, homogeneous=False)
-            keep = np.flatnonzero(rng.random(fleet.num_groups) < 0.6)
-            if keep.size:
-                assert fleet.capacity(0.93, keep) == subset(fleet, keep).capacity(0.93)
-        assert fleet.capacity(0.93, np.arange(fleet.num_groups)) == fleet.capacity(0.93)
+            model = DataCenterModel(fleet=fleet, gamma=0.93)
+            up = rng.random(fleet.num_groups) < 0.6
+            keep = np.flatnonzero(up)
+            if not keep.size:
+                continue
+            problem = model.slot_problem(
+                arrival_rate=0.0, onsite=0.0, price=1.0,
+                failed=tuple(np.flatnonzero(~up).tolist()),
+            )
+            survivors = subset(fleet, keep)
+            assert problem.capacity == survivors.capacity(0.93)
+            assert problem.prefix_servers == survivors.prefix_servers
+
+
+def slot(build, model, failed, arrival_rate=1.0) -> SlotProblem:
+    """A slot problem on ``model`` with ``failed`` down, from ``build``."""
+    return build(model, arrival_rate=arrival_rate, onsite=0.0, price=40.0, failed=failed)
 
 
 class TestFailedSetValidation:
-    """The slot problem validates and normalizes its failed set."""
+    """The slot problem validates and normalizes its failed set, through
+    both constructors (``PROBLEM_BUILDERS``)."""
 
     def test_out_of_range(self, tiny_model):
-        for failed in ([1, 3], [-1], [7]):
-            with pytest.raises(ValueError, match="out of range"):
-                make_problem(tiny_model, lam_frac=0.2, failed=failed)
+        for build in PROBLEM_BUILDERS:
+            # Canonical tuples take the pass-through path and are still
+            # range-checked.
+            for failed in ([1, 3], [-1], [7], (1, 3), (-1,), (-1, 0), (0, 3)):
+                with pytest.raises(ValueError, match="out of range"):
+                    slot(build, tiny_model, failed)
+            for failed in ((0, 1, 2), [2, 1, 0, 1]):
+                with pytest.raises(InfeasibleError, match="every server group"):
+                    slot(build, tiny_model, failed)
 
     def test_survivors_short_of_capacity(self, tiny_model):
-        problem = make_problem(tiny_model, lam_frac=0.9, failed=[0, 1])
-        with pytest.raises(InfeasibleError, match="exceeds capped capacity"):
-            problem.check_feasible()
-        for engine in ENGINES.values():
-            with pytest.raises(InfeasibleError):
-                engine().solve(problem)
-        # Two survivors carry 60% of the full fleet's capped capacity.
-        make_problem(tiny_model, lam_frac=0.6, failed=[1]).check_feasible()
+        cap = tiny_model.fleet.capacity(tiny_model.gamma)
+        for build in PROBLEM_BUILDERS:
+            problem = slot(build, tiny_model, [0, 1], 0.9 * cap)
+            with pytest.raises(InfeasibleError, match="exceeds capped capacity"):
+                problem.check_feasible()
+            for engine in ENGINES.values():
+                with pytest.raises(InfeasibleError):
+                    engine().solve(problem)
+            # Two survivors carry 60% of the full fleet's capped capacity.
+            slot(build, tiny_model, (1,), 0.6 * cap).check_feasible()
 
     def test_normalized(self, tiny_model):
-        problem = make_problem(tiny_model, lam_frac=0.2, failed=(2, 0, 2))
-        assert problem.failed == (0, 2)
-        assert problem.healthy.tolist() == [1]
-        for empty in (None, (), frozenset()):
-            problem = make_problem(tiny_model, lam_frac=0.2, failed=empty)
-            assert problem.failed is None
-            assert problem.healthy.tolist() == [0, 1, 2]
+        canonical = (0, 2)
+        for build in PROBLEM_BUILDERS:
+            for failed in (
+                (2, 0, 2),
+                [0, 2],
+                [2, 0],
+                frozenset({2, 0}),
+                np.array([2, 0]),
+                (np.int64(0), np.int64(2)),
+                (0, np.int64(2)),
+                (0.0, 2.0),
+                canonical,
+            ):
+                problem = slot(build, tiny_model, failed)
+                assert problem.failed == canonical
+                assert [type(g) for g in problem.failed] == [int, int]
+                assert problem.healthy.tolist() == [1]
+            # A canonical tuple is kept as given.
+            problem = slot(build, tiny_model, canonical)
+            assert problem.failed is canonical
+            for empty in (None, (), frozenset(), []):
+                problem = slot(build, tiny_model, empty)
+                assert problem.failed is None
+                assert problem.healthy.tolist() == [0, 1, 2]
 
     def test_initial_levels_fill_only_healthy_groups(self, tiny_model):
         problem = make_problem(tiny_model, lam_frac=0.3, failed=[0])
@@ -179,7 +220,7 @@ def test_failed_slot_checks_and_bills_once(monkeypatch):
             return _method(self, *args)
 
         monkeypatch.setattr(SlotProblem, name, counted)
-    controller.set_failed_groups(frozenset({1, 4}))
+    controller.set_failed_groups((1, 4))
     solution = controller.decide(scenario.environment.observation(0))
     assert solution.action.levels[[1, 4]].tolist() == [-1, -1]
     assert counts == {"check_feasible": 1, "cost_terms": 1}

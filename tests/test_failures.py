@@ -272,7 +272,7 @@ class TestSlicedSubFleets:
         )
         for actual in (0.8 * planned, 1.1 * planned):
             got, got_drop = realize_action(
-                model, action, actual, planned, failed_groups=frozenset(failed)
+                model, action, actual, planned, failed_groups=failed
             )
             want, want_drop = realize_action(model, forced, actual, planned)
             assert np.array_equal(got.levels, want.levels)

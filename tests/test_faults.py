@@ -454,7 +454,7 @@ class TestInjector:
 class TestDegradation:
     def test_proportional_action_serves_what_fits(self, tiny_model):
         cap = tiny_model.fleet.capacity(tiny_model.gamma)
-        action = proportional_action(tiny_model, 0.4 * cap, failed=frozenset({0}))
+        action = proportional_action(tiny_model, 0.4 * cap, failed=(0,))
         assert action.levels[0] == -1
         served = action.rows.served
         assert served == pytest.approx(0.4 * cap, rel=1e-9)

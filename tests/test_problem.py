@@ -4,53 +4,100 @@ import numpy as np
 import pytest
 
 from repro.cluster import PowerModel, SwitchingCostModel, TieredTariff
-from repro.solvers import InfeasibleError, SlotProblem
+from repro.core import DataCenterModel
+from repro.solvers import InfeasibleError
 from tests.billing_oracle import action_from_loads
-from tests.conftest import make_problem
+from tests.conftest import PROBLEM_BUILDERS, make_problem
 
 
 class TestValidation:
+    """Every field check, through both constructors (``PROBLEM_BUILDERS``)."""
+
     def test_negative_inputs_rejected(self, tiny_model):
-        for kw in (
-            {"arrival_rate": -1.0},
-            {"onsite": -1.0},
-            {"price": -1.0},
-            {"q": -1.0},
-            {"V": 0.0},
-        ):
-            base = dict(arrival_rate=10.0, onsite=0.0, price=40.0)
-            base.update(kw)
-            with pytest.raises(ValueError):
-                tiny_model.slot_problem(**base)
+        for build in PROBLEM_BUILDERS:
+            for kw in (
+                {"arrival_rate": -1.0},
+                {"onsite": -1.0},
+                {"price": -1.0},
+                {"q": -1.0},
+                {"V": 0.0},
+                {"network_delay": -1.0},
+                {"pue_override": 0.9},
+            ):
+                base = dict(arrival_rate=10.0, onsite=0.0, price=40.0)
+                base.update(kw)
+                with pytest.raises(ValueError):
+                    build(tiny_model, **base)
 
     def test_negative_beta_rejected(self, tiny_fleet):
-        with pytest.raises(ValueError):
-            SlotProblem(
-                fleet=tiny_fleet, arrival_rate=1.0, onsite=0.0, price=1.0, beta=-1.0
-            )
+        """Model-level fields are checked on the problem too."""
+        for build in PROBLEM_BUILDERS:
+            for kw in (
+                {"beta": -1.0},
+                {"peak_power_cap": 0.0},
+                {"max_delay_cost": -1.0},
+                {"slot_hours": 0.0},
+            ):
+                with pytest.raises(ValueError):
+                    build(
+                        DataCenterModel(fleet=tiny_fleet, **kw),
+                        arrival_rate=1.0, onsite=0.0, price=1.0,
+                    )
 
     def test_gamma_range(self, tiny_fleet):
-        from repro.core import DataCenterModel
-
-        with pytest.raises(ValueError):
-            DataCenterModel(fleet=tiny_fleet, gamma=1.0).slot_problem(
-                arrival_rate=1.0, onsite=0.0, price=1.0
-            )
+        for build in PROBLEM_BUILDERS:
+            for gamma in (0.0, 1.0):
+                with pytest.raises(ValueError):
+                    build(
+                        DataCenterModel(fleet=tiny_fleet, gamma=gamma),
+                        arrival_rate=1.0, onsite=0.0, price=1.0,
+                    )
 
     def test_feasibility_check(self, tiny_model):
-        p = make_problem(tiny_model, lam_frac=1.1)
-        with pytest.raises(InfeasibleError):
-            p.check_feasible()
-        make_problem(tiny_model, lam_frac=0.99).check_feasible()
+        cap = tiny_model.fleet.capacity(tiny_model.gamma)
+        for build in PROBLEM_BUILDERS:
+            p = build(tiny_model, arrival_rate=1.1 * cap, onsite=0.0, price=40.0)
+            with pytest.raises(InfeasibleError):
+                p.check_feasible()
+            build(tiny_model, arrival_rate=0.99 * cap, onsite=0.0, price=40.0).check_feasible()
 
     def test_prev_on_counts_shape(self, tiny_model):
-        with pytest.raises(ValueError, match="per group"):
-            tiny_model.slot_problem(
-                arrival_rate=1.0,
-                onsite=0.0,
-                price=1.0,
-                prev_on_counts=np.array([1.0]),
+        for build in PROBLEM_BUILDERS:
+            with pytest.raises(ValueError, match="per group"):
+                build(
+                    tiny_model,
+                    arrival_rate=1.0,
+                    onsite=0.0,
+                    price=1.0,
+                    prev_on_counts=np.array([1.0]),
+                )
+            # Integer on-counts are normalized to float64.
+            p = build(
+                tiny_model, arrival_rate=1.0, onsite=0.0, price=1.0,
+                prev_on_counts=[10, 0, 10],
             )
+            assert p.prev_on_counts.dtype == np.float64
+            assert p.prev_on_counts.tolist() == [10.0, 0.0, 10.0]
+
+    def test_both_constructors_build_the_same_problem(self, tiny_fleet):
+        model = DataCenterModel(
+            fleet=tiny_fleet, beta=3.0, gamma=0.9,
+            switching=SwitchingCostModel(energy_per_toggle=1e-3),
+            peak_power_cap=1.0, max_delay_cost=50.0, slot_hours=0.5,
+        )
+        slot = dict(
+            arrival_rate=20.0, onsite=0.1, price=40.0, q=2.0, V=7.0,
+            prev_on_counts=np.array([10.0, 0.0, 10.0]), network_delay=0.01,
+            pue_override=1.2, failed=[2],
+        )
+        direct, fast = (build(model, **slot) for build in PROBLEM_BUILDERS)
+        assert type(fast) is type(direct)
+        for name in direct.__dataclass_fields__:
+            a, b = getattr(direct, name), getattr(fast, name)
+            if isinstance(a, np.ndarray):
+                assert np.array_equal(a, b) and a.dtype == b.dtype
+            else:
+                assert a == b, name
 
 
 class TestWeights:
