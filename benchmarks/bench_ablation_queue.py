@@ -26,7 +26,7 @@ def test_ablation_deficit_queue(benchmark, publish, fiu_scenario, fiu_v_star):
     def run():
         with_queue, _ = run_coca(sc, fiu_v_star)
         without_queue = simulate(sc.model, CarbonUnaware(sc.model), sc.environment)
-        hindsight = OfflineOptimal(sc.model, budget=sc.budget, alpha=sc.alpha)
+        hindsight = OfflineOptimal(sc.model, budget=sc.budget)
         hindsight_rec = simulate(sc.model, hindsight, sc.environment)
         return with_queue, without_queue, hindsight_rec, hindsight.mu
 

@@ -112,12 +112,12 @@ portfolio = RenewablePortfolio(onsite=onsite, offsite=offsite, recs=0.0)
 # cubic parts make the carbon-unaware optimum nearly power-minimal already,
 # so "92% of unaware" can be infeasible; set the budget midway between the
 # minimum achievable brown energy and the unaware draw instead.
-from repro.baselines import CarbonUnaware, calibrate_budget
-from repro.baselines.offline_opt import _sweep
+from repro.baselines import calibrate_budget, dual_sweep
 
 env = Environment(workload=workload, portfolio=portfolio, price=price)
 unaware_brown = calibrate_budget(model, env)
-min_brown = _sweep(model, env, mu=1e9, solver=CoordinateDescentSolver(restarts=2)).total_brown
+brown, _ = dual_sweep(model, workload.values, onsite.values, price.values, q=1e9)
+min_brown = float(brown.sum())
 budget = min_brown + 0.5 * (unaware_brown - min_brown)
 print(f"\nbrown energy range: min feasible {min_brown:.2f} MWh, "
       f"unaware {unaware_brown:.2f} MWh -> budget {budget:.2f} MWh")

@@ -22,12 +22,13 @@ Package layout (see DESIGN.md for the full inventory):
 - :mod:`repro.energy` -- renewables, RECs, carbon accounting.
 - :mod:`repro.traces` -- synthetic workload/renewable/price generators.
 - :mod:`repro.sim` -- slot simulator, metrics.
-- :mod:`repro.baselines` -- carbon-unaware, PerfectHP, OPT, T-step lookahead.
+- :mod:`repro.baselines` -- carbon-unaware, PerfectHP, OPT, T-step lookahead,
+  all replays of one per-slot dual multiplier.
 - :mod:`repro.analysis` -- sweeps, summaries, table rendering.
 - :mod:`repro.telemetry` -- structured tracing, metrics, profiling hooks.
 """
 
-from .baselines import CarbonUnaware, OfflineOptimal, PerfectHP, TStepLookahead
+from .baselines import CarbonUnaware, OfflineOptimal, PerfectHP
 from .cluster import (
     Fleet,
     FleetAction,
@@ -101,7 +102,6 @@ __all__ = [
     "CarbonUnaware",
     "PerfectHP",
     "OfflineOptimal",
-    "TStepLookahead",
     "Trace",
     "fiu_workload",
     "msr_workload",

@@ -99,7 +99,7 @@ def scenario_report(
     coca_record, coca = run_coca(scenario, v_used, telemetry=telemetry)
     records = [("carbon-unaware", unaware), ("COCA", coca_record)]
     if include_opt:
-        opt = OfflineOptimal(scenario.model, budget=scenario.budget, alpha=scenario.alpha)
+        opt = OfflineOptimal(scenario.model, budget=scenario.budget)
         records.append(
             ("OPT (offline)", simulate(scenario.model, opt, env, telemetry=telemetry))
         )

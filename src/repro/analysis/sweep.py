@@ -23,7 +23,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from ..baselines.carbon_unaware import CarbonUnaware
-from ..baselines.offline_opt import OfflineOptimal
+from ..baselines.dual import OfflineOptimal
 from ..baselines.perfect_hp import PerfectHP
 from ..core.coca import COCA
 from ..core.vschedule import VSchedule
@@ -221,7 +221,7 @@ def _budget_point(payload: tuple, telemetry: Telemetry | None) -> dict:
     row["coca_cost"] = record.average_cost / scenario.unaware_cost
     row["coca_neutral"] = record.ledger(portfolio, sc.alpha).is_neutral()
     if include_opt:
-        opt = OfflineOptimal(scenario.model, budget=sc.budget, alpha=sc.alpha)
+        opt = OfflineOptimal(scenario.model, budget=sc.budget)
         opt_record = simulate(
             scenario.model, opt, sc.environment, telemetry=telemetry
         )

@@ -1,18 +1,22 @@
 """Baseline policies the paper compares COCA against."""
 
 from .carbon_unaware import CarbonUnaware, calibrate_budget
-from .lookahead import FrameOptimum, TStepLookahead, lookahead_optima
-from .offline_opt import DualSweep, OfflineOptimal, solve_dual_multiplier
+from .dual import (
+    DualReplay,
+    FrameOptimum,
+    OfflineOptimal,
+    dual_sweep,
+    lookahead_optima,
+)
 from .perfect_hp import PerfectHP
 
 __all__ = [
     "CarbonUnaware",
     "calibrate_budget",
+    "DualReplay",
     "OfflineOptimal",
-    "DualSweep",
-    "solve_dual_multiplier",
     "PerfectHP",
-    "TStepLookahead",
     "FrameOptimum",
+    "dual_sweep",
     "lookahead_optima",
 ]

@@ -11,43 +11,18 @@ of the unaware usage -- so this controller doubles as the calibration tool
 from __future__ import annotations
 
 from ..core.config import DataCenterModel
-from ..core.controller import Controller, SlotObservation
-from ..solvers.base import SlotSolution, SlotSolver
-from ..solvers.batch import batch_enumerate, supports_batch
-from ..solvers.enumeration import HomogeneousEnumerationSolver
-from ..solvers.convex import CoordinateDescentSolver
+from ..solvers.batch import supports_batch
+from .dual import DualReplay, dual_sweep
 
 __all__ = ["CarbonUnaware", "calibrate_budget"]
 
 
-class CarbonUnaware(Controller):
-    """Minimize the instantaneous cost ``g(t)`` every slot (``q = 0``)."""
+class CarbonUnaware(DualReplay):
+    """Minimize the instantaneous cost ``g(t)`` every slot: the replay of
+    ``mu = 0``, which needs no :meth:`start`."""
 
-    def __init__(self, model: DataCenterModel, *, solver: SlotSolver | None = None):
-        self.model = model
-        if solver is None:
-            solver = (
-                HomogeneousEnumerationSolver()
-                if model.fleet.is_homogeneous
-                else CoordinateDescentSolver()
-            )
-        self.solver = solver
-        self._prev_on = None
-
-    def decide(self, observation: SlotObservation) -> SlotSolution:
-        problem = self.model.slot_problem(
-            arrival_rate=observation.arrival_rate,
-            onsite=observation.onsite,
-            price=observation.price,
-            network_delay=observation.network_delay,
-            pue_override=observation.pue,
-            q=0.0,
-            V=1.0,
-            prev_on_counts=self._prev_on,
-        )
-        solution = self.solver.solve(problem)
-        self._prev_on = solution.action.on_counts(self.model.fleet)
-        return solution
+    def __init__(self, model: DataCenterModel):
+        super().__init__(model, mu=0.0)
 
     def name(self) -> str:
         return "carbon-unaware"
@@ -58,15 +33,15 @@ def calibrate_budget(model: DataCenterModel, environment) -> float:
     the period -- the normalization constant of the paper's budget sweeps
     (their 1.55e5 MWh).  Uses the vectorized sweep when available."""
     if supports_batch(model):
-        result = batch_enumerate(
+        brown, _ = dual_sweep(
             model,
             environment.actual_workload.values,
             environment.portfolio.onsite.values,
             environment.price.values,
             q=0.0,
-            V=1.0,
+            pue=None if environment.pue is None else environment.pue.values,
         )
-        return result.total_brown
+        return float(brown.sum())
     from ..sim.engine import simulate
 
     record = simulate(model, CarbonUnaware(model), environment)

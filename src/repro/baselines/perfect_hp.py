@@ -17,8 +17,9 @@ hourly prediction* (PerfectHP), works as follows:
 
 The per-hour capped subproblem ``min g s.t. y <= cap`` is solved by
 bisecting a per-hour multiplier ``mu_t`` on brown energy (the exact
-Lagrangian of the cap); all hours bisect simultaneously through the
-vectorized sweep when the fleet is homogeneous.
+Lagrangian of the cap); all binding hours bisect together through one
+:func:`~repro.baselines.dual.dual_sweep` per step, and the multipliers
+replay through :class:`~repro.baselines.dual.DualReplay`.
 """
 
 from __future__ import annotations
@@ -26,12 +27,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..core.config import DataCenterModel
-from ..core.controller import Controller, SlotObservation
-from ..solvers.base import SlotSolution, SlotSolver
-from ..solvers.batch import batch_enumerate, supports_batch
-from ..solvers.convex import CoordinateDescentSolver
-from ..solvers.enumeration import HomogeneousEnumerationSolver
-from ..solvers.problem import InfeasibleError
+from .dual import DualReplay, dual_sweep
 
 __all__ = ["PerfectHP"]
 
@@ -66,7 +62,7 @@ def allocate_caps(
     return caps
 
 
-class PerfectHP(Controller):
+class PerfectHP(DualReplay):
     """The prediction-based heuristic baseline.
 
     Parameters
@@ -76,128 +72,49 @@ class PerfectHP(Controller):
     alpha:
         Capping aggressiveness; the allocated budget is
         ``alpha * (sum f + Z)``.
-    window:
-        Planning-window length in hours (paper: 48).
     """
 
-    def __init__(
-        self,
-        model: DataCenterModel,
-        *,
-        alpha: float = 1.0,
-        window: int = _WINDOW,
-        solver: SlotSolver | None = None,
-    ):
-        if window < 1:
-            raise ValueError("window must be positive")
-        self.model = model
+    def __init__(self, model: DataCenterModel, *, alpha: float = 1.0):
+        super().__init__(model)
         self.alpha = alpha
-        self.window = window
-        self.solver = solver or (
-            HomogeneousEnumerationSolver()
-            if model.fleet.is_homogeneous
-            else CoordinateDescentSolver()
-        )
         self.caps: np.ndarray | None = None
-        self.mu: np.ndarray | None = None
         self.fallback: np.ndarray | None = None
-        self._prev_on = None
 
-    # ------------------------------------------------------------------
     def start(self, environment) -> None:
         predicted = environment.predicted_workload.values
-        budget = self.alpha * environment.portfolio.carbon_budget
-        self.caps = allocate_caps(predicted, budget, self.window)
-        if supports_batch(self.model):
-            self.mu, self.fallback = self._solve_multipliers_batch(environment)
-        else:
-            self.mu, self.fallback = self._solve_multipliers_slow(environment)
-
-    def _solve_multipliers_batch(self, environment):
-        lam = environment.predicted_workload.values
         onsite = environment.portfolio.onsite.values
         price = environment.price.values
-        caps = self.caps
-
-        pue = (
-            environment.pue.values
-            if getattr(environment, "pue", None) is not None
-            else None
+        pue = None if environment.pue is None else environment.pue.values
+        caps = self.caps = allocate_caps(
+            predicted, self.alpha * environment.portfolio.carbon_budget
         )
 
-        def brown(q):
-            return batch_enumerate(
-                self.model, lam, onsite, price, q=q, V=1.0, pue=pue
-            ).brown_energy
+        def over_cap(hours, q) -> np.ndarray:
+            brown, _ = dual_sweep(
+                self.model,
+                predicted[hours],
+                onsite[hours],
+                price[hours],
+                q=q,
+                pue=None if pue is None else pue[hours],
+            )
+            return brown > caps[hours]
 
-        y_unconstrained = brown(0.0)
-        binding = y_unconstrained > caps
-        y_min = brown(_MU_MAX)
-        fallback = binding & (y_min > caps)  # cap unreachable -> ignore it
-        active = binding & ~fallback
-
-        lo = np.zeros(lam.size)
-        hi = np.full(lam.size, _MU_MAX)
+        binding = over_cap(slice(None), 0.0)
+        # An hour even the minimum-power configuration overshoots ignores
+        # its cap.
+        fallback = binding.copy()
+        fallback[binding] = over_cap(binding, _MU_MAX)
+        active = np.flatnonzero(binding & ~fallback)
+        lo, hi = np.zeros(active.size), np.full(active.size, _MU_MAX)
         for _ in range(_BISECT_ITERS):
             mid = 0.5 * (lo + hi)
-            y = brown(np.where(active, mid, 0.0))
-            too_high = y > caps
-            lo = np.where(active & too_high, mid, lo)
-            hi = np.where(active & ~too_high, mid, hi)
-        mu = np.where(active, hi, 0.0)
-        return mu, fallback
-
-    def _solve_multipliers_slow(self, environment):
-        n = environment.horizon
-        mu = np.zeros(n)
-        fallback = np.zeros(n, dtype=bool)
-        for t in range(n):
-            obs = environment.observation(t)
-            cap = self.caps[t]
-
-            def brown_at(q):
-                problem = self.model.slot_problem(
-                    arrival_rate=obs.arrival_rate,
-                    onsite=obs.onsite,
-                    price=obs.price,
-                    q=q,
-                    V=1.0,
-                )
-                return self.solver.solve(problem).evaluation.brown_energy
-
-            if brown_at(0.0) <= cap:
-                continue
-            if brown_at(_MU_MAX) > cap:
-                fallback[t] = True
-                continue
-            lo, hi = 0.0, _MU_MAX
-            for _ in range(_BISECT_ITERS):
-                mid = 0.5 * (lo + hi)
-                if brown_at(mid) > cap:
-                    lo = mid
-                else:
-                    hi = mid
-            mu[t] = hi
-        return mu, fallback
-
-    # ------------------------------------------------------------------
-    def decide(self, observation: SlotObservation) -> SlotSolution:
-        if self.mu is None:
-            raise RuntimeError("PerfectHP.start() was not called")
-        t = observation.t
-        problem = self.model.slot_problem(
-            arrival_rate=observation.arrival_rate,
-            onsite=observation.onsite,
-            price=observation.price,
-            network_delay=observation.network_delay,
-            pue_override=observation.pue,
-            q=float(self.mu[t]),
-            V=1.0,
-            prev_on_counts=self._prev_on,
-        )
-        solution = self.solver.solve(problem)
-        self._prev_on = solution.action.on_counts(self.model.fleet)
-        return solution
+            too_high = over_cap(active, mid)
+            lo = np.where(too_high, mid, lo)
+            hi = np.where(too_high, hi, mid)
+        self.mu = np.zeros(predicted.size)
+        self.mu[active] = hi
+        self.fallback = fallback
 
     def name(self) -> str:
         return "PerfectHP"

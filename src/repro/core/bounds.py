@@ -97,7 +97,7 @@ def cost_bound(
         Output of :func:`lyapunov_constants`.
     lookahead_optima:
         ``G_r^*`` per frame -- the optimal average cost of the T-step
-        lookahead benchmark (see :mod:`repro.baselines.lookahead`).
+        lookahead benchmark (see :func:`repro.baselines.lookahead_optima`).
     v_values:
         ``V_r`` per frame.
     T:

@@ -1,10 +1,11 @@
 """Whole-horizon vectorized P3 sweeps for homogeneous fleets.
 
-The offline baselines (OPT's dual bisection, PerfectHP's per-hour capped
-subproblems, the T-step lookahead benchmark) and every scenario's budget
-calibration repeatedly need "solve every slot of the horizon for a given
-brown-energy penalty".  For homogeneous fleets with a linear tariff the
-(servers-on, shared-speed) candidates of
+The offline baselines (through :func:`repro.baselines.dual_sweep`: OPT's
+and the T-step lookahead's dual bisection, PerfectHP's per-hour capped
+subproblems) and every scenario's budget calibration repeatedly need
+"solve every slot of the horizon for a given brown-energy penalty".  For
+homogeneous fleets with a linear tariff the (servers-on, shared-speed)
+candidates of
 :class:`~repro.solvers.enumeration.HomogeneousEnumerationSolver` can be
 searched for *all slots at once*: per slot and speed level, the smallest
 optimal on-set size is found by bisection, then the levels are compared.
@@ -23,10 +24,10 @@ price >= 0, q >= 0, V > 0 and PUE >= 1, which the sweep checks.
 
 The sweep intentionally ignores switching charges (the baselines plan
 without them; realized transitions are still billed by the simulator) and
-the optional section-3.1 operational caps (pass an explicit per-slot solver
-to a baseline when caps matter).  The per-slot deficit weight ``q`` may be
-a scalar or a per-slot array -- the latter is what PerfectHP's per-hour
-multiplier search needs.
+the optional section-3.1 operational caps (the per-slot engines, and so
+the baselines' replays, still honour them).  The per-slot deficit weight
+``q`` may be a scalar or a per-slot array -- the latter is what PerfectHP's
+per-hour multiplier search needs.
 """
 
 from __future__ import annotations

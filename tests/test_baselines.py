@@ -1,17 +1,16 @@
 """Tests for the baseline policies: carbon-unaware, OPT, PerfectHP,
-T-step lookahead."""
+T-step lookahead, and the one dual replay they share."""
 
 import numpy as np
 import pytest
 
 from repro.baselines import (
     CarbonUnaware,
+    DualReplay,
     OfflineOptimal,
     PerfectHP,
-    TStepLookahead,
     calibrate_budget,
     lookahead_optima,
-    solve_dual_multiplier,
 )
 from repro.baselines.perfect_hp import allocate_caps
 from repro.core import COCA
@@ -44,17 +43,16 @@ class TestCarbonUnaware:
 class TestOfflineOptimal:
     def test_meets_budget(self, fortnight_scenario):
         sc = fortnight_scenario
-        opt = OfflineOptimal(sc.model, budget=sc.budget, alpha=sc.alpha)
+        opt = OfflineOptimal(sc.model, budget=sc.budget)
         record = simulate(sc.model, opt, sc.environment)
         assert record.total_brown <= sc.budget * (1 + 1e-6)
 
     def test_zero_multiplier_when_budget_slack(self, fortnight_scenario):
         sc = fortnight_scenario
-        mu, sweep = solve_dual_multiplier(
-            sc.model, sc.environment, budget=sc.unaware_brown * 2
-        )
-        assert mu == 0.0
-        assert sweep.total_brown == pytest.approx(sc.unaware_brown, rel=1e-9)
+        opt = OfflineOptimal(sc.model, budget=sc.unaware_brown * 2)
+        opt.start(sc.environment)
+        assert opt.mu == 0.0
+        assert opt.frame.total_brown == pytest.approx(sc.unaware_brown, rel=1e-9)
 
     def test_beats_coca_on_cost(self, fortnight_scenario):
         """OPT has full information: for the same budget its cost is a
@@ -70,9 +68,10 @@ class TestOfflineOptimal:
 
     def test_lower_bound_below_policy_cost(self, fortnight_scenario):
         sc = fortnight_scenario
-        mu, sweep = solve_dual_multiplier(sc.model, sc.environment, budget=sc.budget)
-        lb = sweep.lower_bound(sc.budget, sc.horizon)
-        assert lb <= sweep.total_cost / sc.horizon + 1e-9
+        opt = OfflineOptimal(sc.model, budget=sc.budget)
+        opt.start(sc.environment)
+        assert opt.mu > 0.0
+        assert opt.frame.lower_bound <= opt.frame.average_cost + 1e-9
 
     def test_requires_start(self, fortnight_scenario):
         sc = fortnight_scenario
@@ -83,7 +82,13 @@ class TestOfflineOptimal:
     def test_negative_budget_rejected(self, fortnight_scenario):
         sc = fortnight_scenario
         with pytest.raises(ValueError):
-            solve_dual_multiplier(sc.model, sc.environment, budget=-1.0)
+            OfflineOptimal(sc.model, budget=-1.0).start(sc.environment)
+
+    def test_unreachable_budget_rejected(self, week_scenario):
+        sc = week_scenario
+        opt = OfflineOptimal(sc.model, budget=0.0)
+        with pytest.raises(ValueError, match="cannot meet the budget"):
+            opt.start(sc.environment)
 
 
 class TestPerfectHP:
@@ -136,10 +141,6 @@ class TestPerfectHP:
         with pytest.raises(RuntimeError):
             hp.decide(sc.environment.observation(0))
 
-    def test_window_validation(self, fortnight_scenario):
-        with pytest.raises(ValueError):
-            PerfectHP(fortnight_scenario.model, window=0)
-
 
 class TestLookahead:
     def test_frames_meet_their_budgets(self, fortnight_scenario):
@@ -174,13 +175,15 @@ class TestLookahead:
         assert avg_full <= avg_short * 1.02
 
     def test_controller_form_runs(self, week_scenario):
+        """P2's frames replay through the one dual controller."""
         sc = week_scenario
-        ctrl = TStepLookahead(sc.model, T=24, alpha=sc.alpha)
+        frames = lookahead_optima(sc.model, sc.environment, T=24, alpha=sc.alpha)
+        ctrl = DualReplay(sc.model, np.repeat([f.mu for f in frames], 24))
         record = simulate(sc.model, ctrl, sc.environment)
         assert record.horizon == sc.horizon
         assert np.isfinite(record.average_cost)
 
     def test_controller_requires_start(self, week_scenario):
-        ctrl = TStepLookahead(week_scenario.model, T=24)
+        ctrl = DualReplay(week_scenario.model)
         with pytest.raises(RuntimeError):
             ctrl.decide(week_scenario.environment.observation(0))

@@ -68,7 +68,7 @@ class TestHeadlineClaims:
         sc = fortnight_scenario
         v = find_neutral_v(sc, iters=10)
         coca_rec, _ = run_coca(sc, v)
-        opt = OfflineOptimal(sc.model, budget=sc.budget, alpha=sc.alpha)
+        opt = OfflineOptimal(sc.model, budget=sc.budget)
         opt_rec = simulate(sc.model, opt, sc.environment)
         assert coca_rec.average_cost <= 1.15 * opt_rec.average_cost
 

@@ -4,10 +4,30 @@ overhead "(time-varying) PUE factor")."""
 import numpy as np
 import pytest
 
-from repro.baselines import CarbonUnaware, OfflineOptimal
+from repro.baselines import (
+    CarbonUnaware,
+    DualReplay,
+    OfflineOptimal,
+    dual_sweep,
+    lookahead_optima,
+)
+from repro.core.controller import SlotObservation
+from repro.scenarios import small_scenario
 from repro.sim import Environment, simulate
 from repro.solvers.batch import batch_enumerate
 from repro.traces import Trace
+
+
+def _cooling_cycle(scenario) -> Environment:
+    """The scenario under a hot-afternoon cooling cycle: PUE 1.1 at night,
+    1.4 mid-afternoon."""
+    hour = np.arange(scenario.horizon) % 24
+    return Environment(
+        workload=scenario.environment.workload,
+        portfolio=scenario.environment.portfolio,
+        price=scenario.environment.price,
+        pue=Trace(1.25 - 0.15 * np.cos(2.0 * np.pi * (hour - 3) / 24.0)),
+    )
 
 
 class TestTimeVaryingPUEEndToEnd:
@@ -61,16 +81,45 @@ class TestTimeVaryingPUEEndToEnd:
 
     def test_opt_respects_budget_under_pue_trace(self, week_scenario):
         sc = week_scenario
-        # A hot-afternoon cooling cycle: PUE 1.1 at night, 1.4 mid-afternoon.
-        hour = np.arange(sc.horizon) % 24
-        pue = Trace(1.25 - 0.15 * np.cos(2.0 * np.pi * (hour - 3) / 24.0))
-        env = Environment(
-            workload=sc.environment.workload,
-            portfolio=sc.environment.portfolio,
-            price=sc.environment.price,
-            pue=pue,
-        )
+        env = _cooling_cycle(sc)
         budget = 1.05 * sc.budget  # PUE overhead needs some slack
-        opt = OfflineOptimal(sc.model, budget=budget, alpha=sc.alpha)
+        opt = OfflineOptimal(sc.model, budget=budget)
         record = simulate(sc.model, opt, env)
         assert record.total_brown <= budget * (1 + 1e-6)
+
+
+class TestDualSweepPricesPUE:
+    """The dual sweeps solve the slot problem the replay prices, PUE included."""
+
+    def test_frame_replays_meet_their_budgets(self):
+        sc = small_scenario(horizon=168, seed=3)
+        env = _cooling_cycle(sc)
+        for T in (24, 56, 84, 168):
+            frames = lookahead_optima(sc.model, env, T)
+            replay = DualReplay(sc.model, np.repeat([f.mu for f in frames], T))
+            used = simulate(sc.model, replay, env).brown_energy.reshape(-1, T).sum(axis=1)
+            for frame, brown in zip(frames, used):
+                if frame.feasible:
+                    assert brown <= frame.budget * (1 + 1e-6), (T, frame)
+        # The week as one frame meets its budget; it is P1, so OPT agrees.
+        (week,) = frames
+        assert week.feasible
+        opt = OfflineOptimal(sc.model, budget=week.budget)
+        opt.start(env)
+        assert opt.frame == week
+
+    def test_per_slot_sweep_matches_replay_slot(self, hetero_model):
+        rng = np.random.default_rng(5)
+        n = 6
+        lam = rng.uniform(0.2, 0.8, n) * hetero_model.fleet.capacity(hetero_model.gamma)
+        onsite = np.zeros(n)
+        price = rng.uniform(20, 60, n)
+        pue = rng.uniform(1.1, 1.5, n)
+        brown, cost = dual_sweep(hetero_model, lam, onsite, price, q=0.0, pue=pue)
+        for t in range(n):
+            # A fresh controller: no previous on-set, so no switching charge.
+            solution = CarbonUnaware(hetero_model).decide(
+                SlotObservation(t, lam[t], onsite[t], price[t], pue=pue[t])
+            )
+            assert brown[t] == solution.evaluation.brown_energy
+            assert cost[t] == solution.evaluation.cost
