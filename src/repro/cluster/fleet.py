@@ -167,7 +167,9 @@ class Fleet:
         "prefix_servers",
         "group_lists",
         "level_lists",
+        "profile_nondominated_levels",
         "nondominated_levels",
+        "level_options",
     )
 
     def __getstate__(self) -> dict:
@@ -277,19 +279,42 @@ class Fleet:
         return profile.speeds.tolist(), self.dyn_coeff[0].tolist(), profile.static_power
 
     @cached_property
-    def nondominated_levels(self) -> tuple[int, ...]:
-        """Speed levels of the first group's profile (the whole fleet's, on
-        a homogeneous fleet) that no other level dominates.
+    def profile_nondominated_levels(self) -> tuple[tuple[int, ...], ...]:
+        """Per profile id (:attr:`profile_ids`), the speed levels of that
+        profile that no other of its levels dominates.
 
         Level ``k`` is dominated when another level is at least as fast and
         draws at most as much dynamic power per request, one of the two
         strictly.  Speeds strictly increase, so that is a higher level with
         a dynamic coefficient no larger than ``k``'s.  On the Opteron 2380
         the top level dominates the other three."""
-        coeff = self.groups[0].profile.energy_per_request.tolist()
-        return tuple(
-            k for k, c in enumerate(coeff) if all(c < other for other in coeff[k + 1:])
-        )
+        first: dict[int, int] = {}
+        for g, p in enumerate(self.profile_ids.tolist()):
+            first.setdefault(p, g)
+        out = []
+        for g in first.values():  # in profile id order
+            coeff = self.groups[g].profile.energy_per_request.tolist()
+            out.append(tuple(
+                k for k, c in enumerate(coeff) if all(c < other for other in coeff[k + 1:])
+            ))
+        return tuple(out)
+
+    @cached_property
+    def nondominated_levels(self) -> tuple[int, ...]:
+        """The undominated levels of the first group's profile: the whole
+        fleet's, on a homogeneous fleet."""
+        return self.profile_nondominated_levels[0]
+
+    @cached_property
+    def level_options(self) -> tuple[tuple[tuple[int, ...], ...], ...]:
+        """Per group, the levels a search may move it to, off (``-1``)
+        first: ``level_options[0][g]`` is every level of group ``g``,
+        ``level_options[1][g]`` only its profile's undominated ones.  On a
+        profile with no dominated level the two are equal."""
+        nondominated = self.profile_nondominated_levels
+        every = tuple(tuple(range(-1, k)) for k in self.num_levels.tolist())
+        pruned = tuple((-1, *nondominated[p]) for p in self.profile_ids.tolist())
+        return every, pruned
 
     def capacity(self, gamma: float) -> float:
         """Usable service rate under the utilization cap ``gamma`` (Eq. (7))."""

@@ -271,7 +271,7 @@ class HomogeneousEnumerationSolver(SlotSolver):
                     if best is None or f < best[0] or (f == best[0] and j < best[1]):
                         best = (f, j, k)
         else:
-            if lam > 0.0 and weight > 0.0:
+            if problem.drops_dominated_levels:
                 searched = fleet.nondominated_levels
             else:
                 searched = range(len(speeds))

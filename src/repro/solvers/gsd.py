@@ -2,7 +2,11 @@
 
 GSD solves the mixed-integer slot problem P3 by a Markov-chain search over
 speed configurations.  Each iteration, one randomly selected server (group)
-explores a random speed from its set ``S_i ∪ {0}``; the optimal load
+explores a random speed from its set ``S_i ∪ {0}``, or, when the slot has
+load and prices delay
+(:attr:`~repro.solvers.problem.SlotProblem.drops_dominated_levels`), from
+off plus the levels of ``S_i`` that no faster, cheaper-per-request level of
+its own profile dominates (THEORY.md section 3); the optimal load
 distribution for the explored configuration is computed exactly (the convex
 subproblem of Eq. (18), solved by dual decomposition in
 :mod:`repro.solvers.load_distribution`); the explored configuration is then
@@ -14,7 +18,11 @@ a two-point Gibbs sample between the current and explored objectives.  The
 stationary distribution is ``Omega(x) ∝ exp(delta / g~(x))`` (Theorem 1), so
 as the temperature ``delta`` grows the chain concentrates on the global
 minimizer; Theorem 1's proof (Appendix A) shows convergence with probability
-1 as ``delta -> infinity``.
+1 as ``delta -> infinity``.  Proposals are uniform over a fixed set per
+group, hence symmetric, so the theorem holds on the pruned space too, and
+that space still holds a global minimizer of P3.  On the paper's Opteron
+2380 the options are off and the top speed; on a profile with no dominated
+level they are every level, and the draw is the all-levels one bit for bit.
 
 Per the paper's practical advice, the solver supports (a) *group-batched*
 updates -- configurations are per-group, which is how the paper reaches 200
@@ -115,7 +123,10 @@ class GSDTrace:
 class GSDSolver(SlotSolver):
     """Algorithm 2 with group-batched updates.
 
-    Candidates are scored through a per-solve
+    Each iteration proposes one healthy group a level drawn uniformly
+    from :attr:`~repro.cluster.fleet.Fleet.level_options` (off plus its
+    profile's undominated levels, or every level).  Candidates are scored
+    through a per-solve
     :class:`~repro.solvers.fastpath.EvaluationCache`: revisited level
     vectors cost a dict hit, clearly infeasible proposals are screened in
     O(1), and each inner solve is warm-started from the previous one.
@@ -235,6 +246,7 @@ class GSDSolver(SlotSolver):
             return self._solve(problem, sp)
 
     def _solve(self, problem: SlotProblem, sp) -> SlotSolution:
+        t_setup = time.perf_counter() if sp else 0.0
         deadline = SolveDeadline(self.deadline_ms)
         problem.check_feasible()
         fleet = problem.fleet
@@ -242,7 +254,14 @@ class GSDSolver(SlotSolver):
         # The chain explores the healthy groups only: failed ones stay off.
         groups = problem.healthy.tolist()
         H = len(groups)
+        # Proposals: off plus each group's own levels, or only the
+        # undominated ones when those still hold a minimiser.
+        options = fleet.level_options[problem.drops_dominated_levels]
         cache = EvaluationCache(problem, warm_start=_WARM_START)
+        if sp:
+            # The feasibility check and the scorer's tables, before any
+            # candidate is scored.
+            sp.add("gsd.setup", time.perf_counter() - t_setup)
 
         scored_s = 0.0
         if sp:
@@ -330,9 +349,10 @@ class GSDSolver(SlotSolver):
             delta = self._temperature(it)
             hist_temp[it] = delta
 
-            # Line 7: a random group explores a random speed (incl. off).
+            # Line 7: a random group explores a random level of its options.
             g = groups[int(rng.integers(0, H))]
-            proposal = int(rng.integers(-1, fleet.num_levels[g]))
+            opts = options[g]
+            proposal = opts[int(rng.integers(0, len(opts)))]
             old_level = levels[g]
             if proposal == old_level:
                 hist_chain[it], hist_best[it] = current, best

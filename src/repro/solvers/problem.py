@@ -269,6 +269,18 @@ class SlotProblem:
         return self.beta * self.delay_unit_cost
 
     @property
+    def drops_dominated_levels(self) -> bool:
+        """Whether a search may leave out every dominated speed level
+        (:attr:`~repro.cluster.fleet.Fleet.profile_nondominated_levels`).
+
+        With load to serve and delay priced, moving a group from a
+        dominated level to the level that dominates it, at the same
+        per-server load, lowers its delay cost and draws no more power, so
+        the space of undominated levels still holds a minimiser
+        (THEORY.md section 3).  Without either, every level is searched."""
+        return self.arrival_rate > 0.0 and self.delay_weight > 0.0
+
+    @property
     def electricity_weight(self) -> float:
         """Objective weight per MWh of brown energy in the linear regime:
         ``V * w(t) + q(t)`` (the P3 structure the paper highlights)."""

@@ -211,6 +211,14 @@ class ServerAgent:
         self.dyn_coeff = g.profile.energy_per_request
         self.static_power = g.profile.static_power
         self.num_levels = g.profile.num_speeds
+        # Explore options, off first: every level, or only those no faster
+        # level of the agent's own profile beats on power per request.
+        coeff = self.dyn_coeff.tolist()
+        self._every = tuple(range(-1, self.num_levels))
+        self._undominated = (-1, *(
+            k for k, c in enumerate(coeff) if all(c < other for other in coeff[k + 1:])
+        ))
+        self._options = self._every
         # Mutable local state
         self.level: int = self.num_levels - 1
         self.explored_level: int = self.level
@@ -239,6 +247,7 @@ class ServerAgent:
         self._delay_weight = p["delay_weight"]  # V * beta * kappa
         self._pue = p["pue"]
         self._delay_model = p["delay_model"]
+        self._options = self._undominated if p["drop_dominated"] else self._every
         return self._reply(msg, "ack")
 
     def _on_set_level(self, msg: Message) -> Message:
@@ -247,9 +256,9 @@ class ServerAgent:
         return self._reply(msg, "ack")
 
     def _on_explore(self, msg: Message) -> Message:
-        """The update token (Algorithm 2 line 7): draw a random speed."""
+        """The update token (Algorithm 2 line 7): draw a random option."""
         rng: np.random.Generator = msg.payload["rng"]
-        self.explored_level = int(rng.integers(-1, self.num_levels))
+        self.explored_level = self._options[int(rng.integers(0, len(self._options)))]
         return self._reply(msg, "explored", level=self.explored_level)
 
     def _on_decide(self, msg: Message) -> Message:
@@ -345,6 +354,9 @@ class DualLoadCoordinator:
                 "delay_weight": problem.V * problem.delay_weight,
                 "pue": problem.pue,
                 "delay_model": problem.delay_model,
+                # With load and priced delay a dominated level never wins.
+                "drop_dominated": problem.arrival_rate > 0.0
+                and problem.delay_weight > 0.0,
             },
         )
 

@@ -8,7 +8,7 @@ import math
 import numpy as np
 import pytest
 
-from repro.cluster import Fleet, ServerGroup, opteron_2380
+from repro.cluster import Fleet, ServerGroup, cubic_dvfs_profile, opteron_2380
 from repro.core import DataCenterModel
 from repro.solvers import (
     BusTimeoutError,
@@ -518,8 +518,10 @@ class TestLossAgreement:
 
     def test_lost_exploration_fraction_within_4_sigma(self):
         # One group keeps the message-level oracle affordable: a pricing is
-        # ~100 messages, and an off proposal ~1,000 cheap ones.
-        model = DataCenterModel(fleet=Fleet([ServerGroup(opteron_2380(), 10)]), beta=10.0)
+        # ~100 messages, and an off proposal ~1,000 cheap ones.  A cubic
+        # DVFS group has no dominated level, so every speed is proposed.
+        fleet = Fleet([ServerGroup(cubic_dvfs_profile(), 10)])
+        model = DataCenterModel(fleet=fleet, beta=10.0)
         problem = make_problem(model, lam_frac=0.3, q=5.0)
         n1, k1 = self._oracle(problem, 32)
         n2, k2 = self._shipped(problem, 32)
