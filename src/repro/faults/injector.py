@@ -101,46 +101,53 @@ class FaultInjector:
     # ------------------------------------------------------------------
     def begin_slot(self, t: int) -> list[FaultEvent]:
         """Apply the schedule's events for slot ``t``; returns those applied."""
-        for field_ in [
-            f for f, (_, until) in self._active_signals.items() if until <= t
-        ]:
-            del self._active_signals[field_]
+        signals = self._active_signals
+        if signals:
+            for field_ in [f for f, (_, until) in signals.items() if until <= t]:
+                del signals[field_]
 
+        events = self._by_slot.get(t)
+        if not events:
+            return []
         applied: list[FaultEvent] = []
-        for event in self._by_slot.get(t, ()):  # schedule order is sorted
-            if event.kind == "group_fail":
-                if event.group in self.failed_groups:
+        failed = self.failed_groups
+        by_kind = self.by_kind
+        # Losing the last healthy group leaves nothing to serve with; such a
+        # failure is reported as a near-miss instead of applied.
+        last = None if self.num_groups is None else self.num_groups - 1
+        tele = self.telemetry if self.telemetry.enabled else None
+        for event in events:  # schedule order is sorted
+            kind = event.kind
+            if kind == "group_fail":
+                group = event.group
+                if group in failed:
                     self._skip(event, "already_down")
                     continue
-                if (
-                    self.num_groups is not None
-                    and len(self.failed_groups) + 1 >= self.num_groups
-                ):
-                    # Losing the last healthy group leaves nothing to serve
-                    # with; report the near-miss instead of applying it.
+                if last is not None and len(failed) >= last:
                     self._suppress(event, "last_healthy_group")
                     continue
-                self.failed_groups.add(int(event.group))  # type: ignore[arg-type]
-            elif event.kind == "group_repair":
-                if event.group not in self.failed_groups:
+                failed.add(int(group))  # type: ignore[arg-type]
+            elif kind == "group_repair":
+                group = event.group
+                if group not in failed:
                     self._skip(event, "not_down")
                     continue
-                self.failed_groups.discard(int(event.group))  # type: ignore[arg-type]
+                failed.discard(int(group))  # type: ignore[arg-type]
             else:  # signal
-                self._active_signals[event.field] = (  # type: ignore[index]
+                signals[event.field] = (  # type: ignore[index]
                     event.mode,  # type: ignore[assignment]
                     t + event.duration,
                 )
             applied.append(event)
-            self.injected += 1
-            self.by_kind[event.kind] = self.by_kind.get(event.kind, 0) + 1
-            if self.telemetry.enabled:
-                self.telemetry.emit(
+            by_kind[kind] = by_kind.get(kind, 0) + 1
+            if tele is not None:
+                tele.emit(
                     "fault.inject",
                     **_event_payload(event),
-                    failed_groups=sorted(self.failed_groups),
+                    failed_groups=sorted(failed),
                 )
-                self.telemetry.metrics.counter("fault.injected").inc()
+                tele.metrics.counter("fault.injected").inc()
+        self.injected += len(applied)
         return applied
 
     def _suppress(self, event: FaultEvent, reason: str) -> None:
