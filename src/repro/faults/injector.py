@@ -226,14 +226,18 @@ class FaultInjector:
         plan *some* capacity).  With no active faults the observation is
         returned unchanged (the same object, preserving bit-identity).
         """
+        if not self._active_signals:
+            last = self._last_clean
+            last["price"] = observation.price
+            last["onsite"] = observation.onsite
+            last["arrival"] = observation.arrival_rate
+            return observation
+
         clean = {
             "price": observation.price,
             "onsite": observation.onsite,
             "arrival": observation.arrival_rate,
         }
-        if not self._active_signals:
-            self._last_clean.update(clean)
-            return observation
 
         overrides: dict[str, float] = {}
         for field_, value in clean.items():
