@@ -25,7 +25,8 @@ the smallest minimiser.  That needs a convex, nondecreasing tariff
 (:class:`~repro.cluster.power.Tariff`) and, when switching is charged
 inside the objective, a previous on-set that is a group prefix, which
 makes the charge the hinge ``e |M - M_prev|``.  Any other previous on-set
-has every feasible cell scanned.  With positive load and delay weight only
+has every feasible cell scanned.  With positive load and delay weight
+(:attr:`~repro.solvers.problem.SlotProblem.drops_dominated_levels`) only
 :attr:`~repro.cluster.fleet.Fleet.nondominated_levels` are searched: a
 level that another beats on speed and on power per request scores
 strictly higher at every ``M`` (on the Opteron, one level is left).
