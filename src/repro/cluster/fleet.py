@@ -163,6 +163,7 @@ class Fleet:
         "is_homogeneous",
         "profile_ids",
         "_class_tables",
+        "class_id_lists",
         "class_lists",
         "prefix_servers",
         "group_lists",
@@ -246,6 +247,13 @@ class Fleet:
         counts = np.bincount(ids, weights=self.counts, minlength=speed.size)
         counts[0] = 0.0
         return ids, counts
+
+    @cached_property
+    def class_id_lists(self) -> tuple[list[int], list[int]]:
+        """:attr:`class_id_table` as plain int lists, for the scalar
+        per-group histogram updates of a search."""
+        flat, offsets = self.class_id_table
+        return flat.tolist(), offsets.tolist()
 
     @cached_property
     def class_lists(self) -> tuple[list[float], list[float], list[float]]:

@@ -179,10 +179,8 @@ class EvaluationCache:
         # Group g at level l is class ``_class_flat[_class_row[g] + l]``.
         fleet = problem.fleet
         self._fleet = fleet
-        flat, offsets = fleet.class_id_table
-        self._class_flat = flat.tolist()
-        self._class_row = offsets.tolist()
-        self._group_count = fleet.counts.tolist()
+        self._class_flat, self._class_row = fleet.class_id_lists
+        self._group_count = fleet.group_lists[0]
         self._hist: list[float] = []
         self._screen_levels: list[int] | None = None
         self._dirty: set[int] = set()

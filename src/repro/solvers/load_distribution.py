@@ -142,7 +142,7 @@ class ClassTable:
 
     __slots__ = (
         "wd", "pue", "we", "linear", "speed", "coeff", "static", "caps",
-        "rows", "billed", "inv", "slope", "cost",
+        "rows", "billed", "marginal", "inv", "slope", "cost",
     )
 
     def __init__(self, problem: SlotProblem):
@@ -153,15 +153,15 @@ class ClassTable:
         self.pue = problem.pue
         self.we = problem.V * problem.tariff.marginal(0.0, problem.price) + problem.q
         self.linear = isinstance(problem.tariff, LinearTariff)
-        self.speed = fleet.class_speed.tolist()
-        self.coeff = fleet.class_dyn_coeff.tolist()
-        self.static = fleet.class_static_power.tolist()
-        self.caps = (problem.gamma * fleet.class_speed).tolist()
+        self.speed, self.coeff, self.static = fleet.class_lists
+        gamma = problem.gamma
+        self.caps = [gamma * x for x in self.speed]
         self.rows = [(0.0, 0.0, 0.0, 0.0, 0.0)] + [
             (x, c, cap, wd * marginal(0.0, x), wd * marginal(cap, x))
             for x, c, cap in zip(self.speed[1:], self.coeff[1:], self.caps[1:])
         ]
         self.billed = self._at(self.we, range(len(self.rows)))
+        self.marginal = marginal
         self.inv = model.inverse_marginal
         self.slope = model.inverse_marginal_slope
         self.cost = model.cost_at
@@ -446,6 +446,15 @@ def _waterfill(
         order = elec if we * table.pue > 0.0 else [table.coeff[k] for k in ids]
         caps = [row[2] for row in rows]
         return _fill_when_delay_free(lam, order, caps, n), min(0.0, *elec), 0, False
+
+    if len(ids) == 1:
+        # One row: the balance alone fixes its load at lam / n, and the dual
+        # is the row's marginal price there -- no crossing to search for.
+        e, x, cap, _, _ = table.weighted(we, ids)[0]
+        load = lam / n[0]
+        if load > cap:  # lam <= n cap, but the quotient can round one ulp up
+            load = cap
+        return [load], e + wd * table.marginal(load, x), 0, False
 
     # The rows (e, x, cap, n) and the cold bracket: lo is the least
     # marginal price at zero load, hi the greatest at the cap, plus one.

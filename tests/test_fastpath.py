@@ -442,8 +442,10 @@ class TestEarlyExitExact:
         assert fast.inner_iters <= slow.inner_iters
 
     def test_early_exit_saves_iterations(self, tiny_model, monkeypatch):
+        # Two classes on: a one-class on-set is solved in closed form, with
+        # no bisection to exit early from.
         p = make_problem(tiny_model, lam_frac=0.5, q=3.0)
-        levels = np.full(3, 3, dtype=np.int64)
+        levels = np.array([3, 3, 2], dtype=np.int64)
         fast = distribute_load(p, levels)
         monkeypatch.setattr(ld, "_EARLY_EXIT", False)
         slow = distribute_load(p, levels)

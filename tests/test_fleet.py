@@ -61,6 +61,11 @@ class TestFleetStructure:
                 assert cached(sub) == recomputed(sub)
         assert Fleet(hetero_fleet.groups[1:]).is_homogeneous
 
+    def test_class_id_lists_equal_table(self, tiny_fleet, hetero_fleet):
+        for fleet in (tiny_fleet, hetero_fleet):
+            flat, offsets = fleet.class_id_table
+            assert fleet.class_id_lists == (flat.tolist(), offsets.tolist())
+
     def test_empty_fleet_rejected(self):
         with pytest.raises(ValueError):
             Fleet([])

@@ -25,12 +25,14 @@ from repro.cluster.power import LinearTariff
 from repro.solvers.load_distribution import _EARLY_EXIT, _MU_ITERS, _NU_ITERS
 from repro.solvers.problem import InfeasibleError, SlotProblem
 
-__all__ = ["OracleDistribution", "oracle_distribute"]
+__all__ = ["OracleDistribution", "oracle_distribute", "oracle_nu_bracket"]
 
 
 class OracleDistribution(NamedTuple):
     """The oracle's solve: a per-server load for every group (zero when
-    off), the final dual, the regime and its electricity weight."""
+    off), the final dual, the regime and its electricity weight, and the
+    dual of each fixed-weight water-fill before the ``mu`` bisection (see
+    :attr:`repro.solvers.load_distribution.ClassSolve.duals`)."""
 
     per_server_load: np.ndarray
     nu: float
@@ -38,6 +40,7 @@ class OracleDistribution(NamedTuple):
     electricity_weight: float
     warm_started: bool = False
     inner_iters: int = 0
+    duals: tuple[float, ...] = ()
 
 
 def _fill_when_delay_free(lam, weights, caps, counts):
@@ -75,21 +78,26 @@ def _close_residual(lam, loads, caps, n):
 
 
 def _waterfill(problem, lam, we, x, c, n):
+    loads, (_, hi), iters = _bisect(problem, lam, we, x, c, n)
+    return loads, hi, iters
+
+
+def _bisect(problem, lam, we, x, c, n):
+    """The cold nu bisection at electricity weight ``we``: the row loads,
+    the final bracket ``(lo, hi)`` (``lo == hi`` when no bisection ran)
+    and the step count."""
     dm = problem.delay_model
     wd = problem.V * problem.delay_weight
     caps = problem.gamma * x
     elec_marginal = we * problem.pue * c
 
     if lam > float(np.sum(n * caps)):
-        return caps.copy(), np.inf, 0
+        return caps.copy(), (np.inf, np.inf), 0
 
     if wd <= 0.0:
         weights = elec_marginal if we * problem.pue > 0.0 else c
-        return (
-            _fill_when_delay_free(lam, weights, caps, n),
-            float(elec_marginal.min(initial=0.0)),
-            0,
-        )
+        nu = float(elec_marginal.min(initial=0.0))
+        return _fill_when_delay_free(lam, weights, caps, n), (nu, nu), 0
 
     def loads_at(nu):
         m = (nu - elec_marginal) / wd
@@ -116,7 +124,19 @@ def _waterfill(problem, lam, we, x, c, n):
         iters += 1
         if collapsed and _EARLY_EXIT:
             break
-    return _close_residual(lam, loads_at(hi), caps, n), hi, iters
+    return _close_residual(lam, loads_at(hi), caps, n), (lo, hi), iters
+
+
+def oracle_nu_bracket(problem: SlotProblem, levels: np.ndarray, we: float) -> tuple[float, float]:
+    """Final ``(lo, hi)`` bracket of the oracle's cold nu bisection for
+    ``levels`` at the fixed electricity weight ``we``; the oracle's dual at
+    that weight is ``hi``."""
+    levels = np.asarray(levels, dtype=np.int64)
+    fleet = problem.fleet
+    on = np.nonzero(levels >= 0)[0]
+    x = fleet.speed_table[on, levels[on]]
+    c = fleet.dyn_coeff[on, levels[on]]
+    return _bisect(problem, problem.arrival_rate, we, x, c, fleet.counts[on])[1]
 
 
 def oracle_distribute(problem: SlotProblem, levels: np.ndarray) -> OracleDistribution:
@@ -159,13 +179,15 @@ def oracle_distribute(problem: SlotProblem, levels: np.ndarray) -> OracleDistrib
         we = new_we
     if facility(loads_a) >= problem.onsite * (1.0 - 1e-12):
         full[on] = loads_a
-        return OracleDistribution(full, nu_a, "billed", we, False, total_iters)
+        return OracleDistribution(full, nu_a, "billed", we, False, total_iters, (nu_a,))
 
     loads_b, nu_b, it_b = _waterfill(problem, lam, 0.0, x, c, n)
     total_iters += it_b
     if facility(loads_b) <= problem.onsite * (1.0 + 1e-12):
         full[on] = loads_b
-        return OracleDistribution(full, nu_b, "free", 0.0, False, total_iters)
+        return OracleDistribution(
+            full, nu_b, "free", 0.0, False, total_iters, (nu_a, nu_b)
+        )
 
     lo_mu, hi_mu = 0.0, we
     loads_m, nu_m = loads_b, nu_b
@@ -182,4 +204,6 @@ def oracle_distribute(problem: SlotProblem, levels: np.ndarray) -> OracleDistrib
         if collapsed and _EARLY_EXIT:
             break
     full[on] = loads_m
-    return OracleDistribution(full, nu_m, "boundary", mu, False, total_iters)
+    return OracleDistribution(
+        full, nu_m, "boundary", mu, False, total_iters, (nu_a, nu_b)
+    )
