@@ -228,16 +228,6 @@ class Fleet:
         """Service rate per class id (req/s; ``0`` for the off class)."""
         return self._class_tables[2]
 
-    @property
-    def class_dyn_coeff(self) -> np.ndarray:
-        """Dynamic power per unit load per class id (MW per req/s)."""
-        return self._class_tables[3]
-
-    @property
-    def class_static_power(self) -> np.ndarray:
-        """Per-server idle power per class id (MW)."""
-        return self._class_tables[4]
-
     def class_counts(self, levels: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """``(ids, counts)``: the class id of every group (``0`` when off)
         and the summed server count of every class id, ``num_classes``

@@ -31,7 +31,13 @@ So the solve runs over **classes**, not groups
 (profile, level) with servers on, carrying the summed server count.  The
 paper's 200 homogeneous groups need at most 4 rows, a two-profile fleet at
 most 8, whatever its size.  Regime choice, the nu/mu loops and the
-residual closure all run over those rows.  Everything about a class that
+residual closure all run over those rows.  A single row needs no loop at
+all: the balance fixes its per-server load at ``lambda / n`` and the dual
+at its marginal price there, ``e + Wd d'(lambda / n, x)`` -- the exact
+engine's closed form (THEORY.md §3), and every on-set a search scores on
+a fleet whose undominated levels are off and the top speed.  Its facility
+power does not depend on the electricity weight, so only the billed or
+the free regime can come out.  Everything about a class that
 does not depend on the on-set -- speed, cap, power coefficients, the
 marginal delay prices at zero load and at the cap, and its electricity
 price and cold nu bracket at the full weight of the billed regime -- sits
@@ -55,8 +61,9 @@ thousands of distinct profiles would pay ~0.3 us per class per step.
 
 Fast path
 ---------
-Two orthogonal accelerations keep the hot loop short (see
-docs/PERFORMANCE.md):
+Two orthogonal accelerations keep the hot loop of a multi-row on-set
+short (see docs/PERFORMANCE.md); a one-row solve takes no step and reads
+no hint:
 
 - **Exact early exit**: every cold bisection stops as soon as its bracket
   can no longer shrink in floating point (the midpoint rounds onto an
@@ -137,7 +144,9 @@ class ClassTable:
     for a linear tariff, its first pass for any other -- and
     ``billed[k]`` is class ``k``'s row at that weight: its electricity
     price ``e = we PUE c`` per unit of load and the cold bracket ends
-    ``e + Wd d'(0, x)`` and ``e + Wd d'(gamma x, x)``.
+    ``e + Wd d'(0, x)`` and ``e + Wd d'(gamma x, x)``.  ``marginal``,
+    ``inv``, ``slope`` and ``cost`` are the delay model's scalar marginal,
+    its inverse, the inverse's slope and the cost, per server.
     """
 
     __slots__ = (
@@ -213,11 +222,12 @@ class ClassSolve(NamedTuple):
         rounds depend on them (:mod:`repro.solvers.messaging`).
     warm_started:
         Whether a caller-supplied hint seeded at least one water-fill that
-        converged from it (diagnostic; cold solves report False).
+        converged from it (diagnostic; cold and one-class solves report
+        False).
     inner_iters:
         Total refinement steps (bisection or Newton, one served-load
         evaluation each) across all water-filling calls of this solve
-        (diagnostic for the fast-path benchmarks).
+        (diagnostic for the fast-path benchmarks; ``0`` for one class).
     it_power, delay_sum, served:
         The switching-free totals of the solve's evaluation, summed over
         the class rows: IT power (MW), the unweighted delay sum and the
@@ -425,9 +435,10 @@ def _waterfill(
     brown).
 
     Returns ``(per-server load of each row, dual variable nu, refinement
-    steps, warm-start used)``.  ``nu_hint`` is a previous solve's dual
-    variable; when it lies inside the cold bracket, a Newton refinement
-    starts there (:func:`_newton`) instead of the cold bisection.
+    steps, warm-start used)``.  One row is answered in closed form.  With
+    more, ``nu_hint`` is a previous solve's dual variable; when it lies
+    inside the cold bracket, a Newton refinement starts there
+    (:func:`_newton`) instead of the cold bisection.
     """
     if lam > capped:
         # The workload passed the (1 + 1e-12) capacity check, but the rows'

@@ -78,14 +78,9 @@ def _close_residual(lam, loads, caps, n):
 
 
 def _waterfill(problem, lam, we, x, c, n):
-    loads, (_, hi), iters = _bisect(problem, lam, we, x, c, n)
-    return loads, hi, iters
-
-
-def _bisect(problem, lam, we, x, c, n):
     """The cold nu bisection at electricity weight ``we``: the row loads,
-    the final bracket ``(lo, hi)`` (``lo == hi`` when no bisection ran)
-    and the step count."""
+    the final bracket ``(lo, hi)`` (``lo == hi`` when no bisection ran;
+    the dual is ``hi``) and the step count."""
     dm = problem.delay_model
     wd = problem.V * problem.delay_weight
     caps = problem.gamma * x
@@ -127,7 +122,9 @@ def _bisect(problem, lam, we, x, c, n):
     return _close_residual(lam, loads_at(hi), caps, n), (lo, hi), iters
 
 
-def oracle_nu_bracket(problem: SlotProblem, levels: np.ndarray, we: float) -> tuple[float, float]:
+def oracle_nu_bracket(
+    problem: SlotProblem, levels: np.ndarray, we: float
+) -> tuple[float, float]:
     """Final ``(lo, hi)`` bracket of the oracle's cold nu bisection for
     ``levels`` at the fixed electricity weight ``we``; the oracle's dual at
     that weight is ``hi``."""
@@ -136,7 +133,7 @@ def oracle_nu_bracket(problem: SlotProblem, levels: np.ndarray, we: float) -> tu
     on = np.nonzero(levels >= 0)[0]
     x = fleet.speed_table[on, levels[on]]
     c = fleet.dyn_coeff[on, levels[on]]
-    return _bisect(problem, problem.arrival_rate, we, x, c, fleet.counts[on])[1]
+    return _waterfill(problem, problem.arrival_rate, we, x, c, fleet.counts[on])[1]
 
 
 def oracle_distribute(problem: SlotProblem, levels: np.ndarray) -> OracleDistribution:
@@ -170,7 +167,7 @@ def oracle_distribute(problem: SlotProblem, levels: np.ndarray) -> OracleDistrib
 
     we = weight_full(0.0)
     for _ in range(1 if isinstance(problem.tariff, LinearTariff) else 3):
-        loads_a, nu_a, it_a = _waterfill(problem, lam, we, x, c, n)
+        loads_a, (_, nu_a), it_a = _waterfill(problem, lam, we, x, c, n)
         total_iters += it_a
         brown = max(facility(loads_a) - problem.onsite, 0.0) * problem.slot_hours
         new_we = weight_full(brown)
@@ -181,7 +178,7 @@ def oracle_distribute(problem: SlotProblem, levels: np.ndarray) -> OracleDistrib
         full[on] = loads_a
         return OracleDistribution(full, nu_a, "billed", we, False, total_iters, (nu_a,))
 
-    loads_b, nu_b, it_b = _waterfill(problem, lam, 0.0, x, c, n)
+    loads_b, (_, nu_b), it_b = _waterfill(problem, lam, 0.0, x, c, n)
     total_iters += it_b
     if facility(loads_b) <= problem.onsite * (1.0 + 1e-12):
         full[on] = loads_b
@@ -195,7 +192,7 @@ def oracle_distribute(problem: SlotProblem, levels: np.ndarray) -> OracleDistrib
     for _ in range(_MU_ITERS):
         mu = 0.5 * (lo_mu + hi_mu)
         collapsed = mu == lo_mu or mu == hi_mu
-        loads_m, nu_m, it_m = _waterfill(problem, lam, mu, x, c, n)
+        loads_m, (_, nu_m), it_m = _waterfill(problem, lam, mu, x, c, n)
         total_iters += it_m
         if facility(loads_m) > problem.onsite:
             lo_mu = mu
