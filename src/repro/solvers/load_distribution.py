@@ -33,11 +33,11 @@ paper's 200 homogeneous groups need at most 4 rows, a two-profile fleet at
 most 8, whatever its size.  Regime choice, the nu/mu loops and the
 residual closure all run over those rows.  A single row needs no loop at
 all: the balance fixes its per-server load at ``lambda / n`` and the dual
-at its marginal price there, ``e + Wd d'(lambda / n, x)`` -- the exact
-engine's closed form (THEORY.md §3), and every on-set a search scores on
-a fleet whose undominated levels are off and the top speed.  Its facility
-power does not depend on the electricity weight, so only the billed or
-the free regime can come out.  Everything about a class that
+at its marginal price there, ``e + Wd d'(lambda / n, x)``, as in the
+exact engine (THEORY.md §3).  On a fleet whose only undominated speed is
+the top one, every on-set GSD scores is such a row.  Its facility power
+does not depend on the electricity weight, so only the billed or the free
+regime can come out.  Everything about a class that
 does not depend on the on-set -- speed, cap, power coefficients, the
 marginal delay prices at zero load and at the cap, and its electricity
 price and cold nu bracket at the full weight of the billed regime -- sits
