@@ -2,9 +2,9 @@
 
 Measures **slots per second** (one slot = one full ``iterations``-step
 solve) at 200 / 2 000 / 10 000 server groups for the chain the CLI ships
-(``GSDSolver()``: class-compressed water-fill, warm starts).  The
-water-fill runs over (profile, level) classes, so the group count enters
-only through the chain's bookkeeping and the final per-group expansion.
+(``GSDSolver()``: class-compressed water-fill).  The water-fill runs over
+(profile, level) classes, so the group count enters only through the
+chain's bookkeeping and the final per-group expansion.
 
 One internal contract gates ``--check``:
 
@@ -12,13 +12,8 @@ One internal contract gates ``--check``:
   load, operational iteration count) on the largest fleet must finish
   under the documented 5-minute budget (docs/PERFORMANCE.md).
 
-Every fleet size is also differentially checked: the shipped chain must
-land on the same levels as the cold chain (the same ``GSDSolver`` with
-``repro.solvers.gsd._WARM_START`` patched off) and match its objective
-within the 1e-9 contract -- a scale benchmark that quietly computed the wrong answer would
-be worse than a slow one.  The cold chain's own wall time is reported as
-``cold_solve_s``.  The deterministic ``evaluations`` counter is reported
-with it, not gated.
+The deterministic ``evaluations`` counter of each fleet size is reported
+beside its slots per second, not gated.
 
 Run it directly, as CI does::
 
@@ -32,7 +27,6 @@ import json
 import pathlib
 import sys
 import time
-from unittest import mock
 
 import numpy as np
 
@@ -75,10 +69,9 @@ def _time_solves(solve, repeats: int) -> float:
 
 
 def measure_fleet(num_groups: int, *, iterations: int, repeats: int) -> dict:
-    """Shipped-chain slots/sec on one fleet size, checked against the cold
-    scalar chain."""
+    """Shipped-chain slots/sec on one fleet size."""
     from repro.core import DataCenterModel
-    from repro.solvers import GSDSolver, gsd
+    from repro.solvers import GSDSolver
 
     model = DataCenterModel(fleet=_mixed_fleet(num_groups), beta=10.0)
     problem = _slot_problem(model, 0.5)
@@ -88,23 +81,12 @@ def measure_fleet(num_groups: int, *, iterations: int, repeats: int) -> dict:
             problem
         )
 
-    started = time.perf_counter()
-    with mock.patch.object(gsd, "_WARM_START", False):
-        reference = single_solve()
-    reference_s = time.perf_counter() - started
     shipped = single_solve()  # also warms the process (imports, allocator)
-    rel = abs(shipped.objective - reference.objective) / abs(reference.objective)
-    if rel > 1e-9 or not np.array_equal(shipped.action.levels, reference.action.levels):
-        raise AssertionError(
-            f"shipped single-process chain left the 1e-9 contract at "
-            f"{num_groups} groups (relative objective error {rel:.3g})"
-        )
     single_s = _time_solves(single_solve, repeats)
     return {
         "groups": num_groups,
         "evaluations": shipped.info["evaluations"],
         "single": {"solve_s": single_s, "slots_per_s": 1.0 / single_s},
-        "cold_solve_s": reference_s,
     }
 
 
@@ -178,10 +160,7 @@ def main(argv: list[str] | None = None) -> int:
             num_groups, iterations=args.iterations, repeats=args.repeats
         )
         fleets[f"g{num_groups}"] = row
-        print(
-            f"{num_groups:>6} groups: {row['single']['slots_per_s']:.2f} "
-            f"slots/s (cold chain {row['cold_solve_s'] * 1e3:.1f} ms/solve)"
-        )
+        print(f"{num_groups:>6} groups: {row['single']['slots_per_s']:.2f} slots/s")
 
     report = {
         "benchmark": "scale",

@@ -69,7 +69,7 @@ def _gsd_slot_problem(sc):
 def test_gsd_200groups_500iters(benchmark, fiu_scenario):
     """The paper's timing claim: a 500-iteration GSD chain on 200 groups.
 
-    Runs the shipped chain (evaluation cache + warm-started inner solves);
+    Runs the shipped chain (evaluation cache + class-space inner solves);
     the fast-path counters land in ``extra_info`` in the benchmark JSON.
     """
     from repro.solvers import GSDSolver

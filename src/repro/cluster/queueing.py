@@ -81,18 +81,6 @@ class DelayCostModel(ABC):
         to ``[0, speed]``."""
         return float(np.clip(self.load_at_marginal(m, speed), 0.0, speed))
 
-    def inverse_marginal_slope(self, m: float, speed: float) -> float:
-        """Derivative of the unclipped :meth:`inverse_marginal` with respect
-        to ``m`` (``m > 0``): the slope of one server's water-fill load in
-        its marginal price, which the warm water-fill's Newton steps use.
-        The fallback is a central difference; models with a closed form
-        override it."""
-        h = 1e-6 * m
-        return (
-            float(self.load_at_marginal(m + h, speed))
-            - float(self.load_at_marginal(m - h, speed))
-        ) / (2.0 * h)
-
 
 @dataclass(frozen=True)
 class MG1PSDelay(DelayCostModel):
@@ -136,10 +124,6 @@ class MG1PSDelay(DelayCostModel):
         load = speed - math.sqrt(speed / m)
         return load if load > 0.0 else 0.0
 
-    def inverse_marginal_slope(self, m, speed):
-        # d/dm (speed - sqrt(speed / m)) = 0.5 sqrt(speed / m) / m
-        return 0.5 * math.sqrt(speed / m) / m
-
     def mean_response_time(self, load, speed):
         """Mean response time (seconds, for req/s rates): ``1/(x - lambda)``
         scaled by nothing -- with rates in req/s this is already seconds."""
@@ -181,6 +165,3 @@ class SquaredLoadDelay(DelayCostModel):
     def inverse_marginal(self, m, speed):
         load = m * speed / 2.0
         return speed if load > speed else load
-
-    def inverse_marginal_slope(self, m, speed):
-        return speed / 2.0

@@ -15,9 +15,8 @@ GSDSolver                    the paper's distributed Gibbs sampler (Algorithm 2)
 ===========================  =======================================================
 
 The iterative engines (GSD, coordinate descent) share a common fast path
--- a per-solve evaluation cache, an O(1) delta feasibility screen, and
-warm-started inner solves (GSD always warm-starts, coordinate descent
-never does) -- in :mod:`repro.solvers.fastpath`; see
+-- a per-solve evaluation cache, class-space inner solves and an O(1)
+delta feasibility screen -- in :mod:`repro.solvers.fastpath`; see
 ``docs/PERFORMANCE.md`` for the design and its exactness contracts.
 """
 

@@ -15,11 +15,9 @@ the failure mode the paper motivates Gibbs sampling with, section 4.2).
 Multiple restarts from distinct initial points trade time for robustness.
 
 Candidates are scored through a per-solve
-:class:`~repro.solvers.fastpath.EvaluationCache` with cold inner solves.
-Sweeps re-score the same configurations constantly (every non-improving
-candidate is revisited on the next pass), so memo hits dominate after the
-first sweep.  Warm starts were measured on a 20-group heterogeneous fleet:
-1.3x fewer bisection steps and no less wall time, so CD runs cold.
+:class:`~repro.solvers.fastpath.EvaluationCache`.  Sweeps re-score the same
+configurations constantly (every non-improving candidate is revisited on
+the next pass), so memo hits dominate after the first sweep.
 """
 
 from __future__ import annotations
@@ -232,7 +230,6 @@ class CoordinateDescentSolver(SlotSolver):
             tele.metrics.counter("cd.inner_solves").inc(stats.inner_solves)
             tele.metrics.counter("cd.evaluations").inc(stats.evaluations)
             tele.metrics.counter("cd.cache_hits").inc(stats.cache_hits)
-            tele.metrics.counter("cd.warm_starts").inc(stats.warm_solves)
             tele.metrics.counter("cd.screened_infeasible").inc(
                 stats.screened_infeasible
             )

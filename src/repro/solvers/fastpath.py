@@ -1,4 +1,4 @@
-"""Shared solver fast path: memo cache, delta screen, warm-started solves.
+"""Shared solver fast path: memo cache, class-space solves, delta screen.
 
 Every candidate configuration a P3 engine touches -- a GSD proposal
 (Algorithm 2 line 2), a coordinate-descent best response -- pays for the
@@ -48,13 +48,9 @@ candidate:
   the rounding gap between those sums and the exact check's, so a
   screened-out candidate is *provably* one the full solve would also
   reject: verdicts never change, only their cost.
-- **Warm starts**: the most recent inner solve's record is handed to
-  :func:`distribute_load` as a hint, of which it reads the dual, regime
-  and weight: the dual starts the next candidate's Newton refinement.  Warm-started solves match cold ones to
-  <= 1e-9 relative objective error (see
-  :mod:`~repro.solvers.load_distribution`).  Whether an engine warm
-  starts is fixed per engine: GSD always does, coordinate descent never
-  does (the cache's default).
+
+Every inner solve is the cold water-fill of
+:mod:`~repro.solvers.load_distribution`, whatever was scored before it.
 
 The cache is *per solve*: engines construct one :class:`EvaluationCache`
 per ``solve(problem)`` call, so nothing leaks across slots or problems.
@@ -84,12 +80,15 @@ class FastPathStats:
     """Work counters of one :class:`EvaluationCache` (one engine solve).
 
     ``evaluations`` is the number of candidate configurations the engine
-    asked about; without the fast path, every one of them would have been a
-    cold inner solve.
+    asked about; without the fast path, every one of them would have been
+    an inner solve.  ``inner_solves`` counts the inner solves actually run
+    to completion: queries answered without the water-fill -- cache and
+    histogram hits, screened candidates, and on-set-capacity
+    ``InfeasibleError`` short-circuits inside :func:`distribute_load` --
+    are excluded.
     """
 
-    cold_solves: int = 0
-    warm_solves: int = 0
+    inner_solves: int = 0
     cache_hits: int = 0
     histogram_hits: int = 0
     screened_infeasible: int = 0
@@ -100,32 +99,18 @@ class FastPathStats:
     def evaluations(self) -> int:
         """Total candidate queries answered."""
         return (
-            self.cold_solves
-            + self.warm_solves
+            self.inner_solves
             + self.cache_hits
             + self.histogram_hits
             + self.screened_infeasible
             + self.infeasible
         )
 
-    @property
-    def inner_solves(self) -> int:
-        """Inner solves actually executed to completion (cold + warm).
-
-        Queries answered without running the bisections -- cache and
-        histogram hits, screened candidates, and on-set-capacity
-        ``InfeasibleError`` short-circuits inside :func:`distribute_load`
-        -- are excluded.
-        """
-        return self.cold_solves + self.warm_solves
-
     def as_dict(self) -> dict[str, int]:
         """Flat counter dict for telemetry events and ``info`` payloads."""
         return {
             "evaluations": self.evaluations,
             "inner_solves": self.inner_solves,
-            "cold_solves": self.cold_solves,
-            "warm_starts": self.warm_solves,
             "cache_hits": self.cache_hits,
             "histogram_hits": self.histogram_hits,
             "screened_infeasible": self.screened_infeasible,
@@ -141,10 +126,6 @@ class EvaluationCache:
     ----------
     problem:
         The slot problem every queried configuration is evaluated against.
-    warm_start:
-        When True, each inner solve seeds the next one's water-fills
-        (<= 1e-9 relative objective contract).  Default False: cold solves
-        only.
 
     Usage: the engine mutates its level vector in place, calls
     :meth:`note_changed` for every entry it writes, and asks
@@ -154,9 +135,8 @@ class EvaluationCache:
     full ``(FleetAction, SlotEvaluation)`` pair without re-solving.
     """
 
-    def __init__(self, problem: SlotProblem, *, warm_start: bool = False):
+    def __init__(self, problem: SlotProblem):
         self.problem = problem
-        self.warm_start = warm_start
         self.stats = FastPathStats()
         self._objectives: dict[bytes, float] = {}
         # Inner solves by class histogram (``None`` = the on-set cannot
@@ -164,7 +144,6 @@ class EvaluationCache:
         # scored.
         self._solves: dict[tuple[float, ...], ClassSolve | None] = {}
         self._histogram_of: dict[bytes, tuple[float, ...]] = {}
-        self._hint: ClassSolve | None = None
         self._table = ClassTable(problem)
         # A failed group's forced power-off is billed but decided by no
         # candidate: scores count the healthy groups' transitions only, as
@@ -271,22 +250,15 @@ class EvaluationCache:
                 return np.inf
         else:
             try:
-                solve = distribute_load(
-                    self.problem, histogram=self._hist, table=self._table, hint=self._hint
-                )
+                solve = distribute_load(self.problem, histogram=self._hist, table=self._table)
             except InfeasibleError:
                 stats.infeasible += 1
                 self._solves[hkey] = None
                 self._objectives[key] = np.inf
                 return np.inf
-            if solve.warm_started:
-                stats.warm_solves += 1
-            else:
-                stats.cold_solves += 1
+            stats.inner_solves += 1
             stats.inner_iters += solve.inner_iters
             self._solves[hkey] = solve
-        if self.warm_start:
-            self._hint = solve
 
         p = self.problem
         facility, _, _, _, delay_cost, _, objective = p.cost_terms(

@@ -57,12 +57,6 @@ __all__ = ["GSDSolver", "GSDTrace", "geometric_temperature"]
 #: Floor keeping ``delta / g`` finite when a configuration has ~zero cost.
 _OBJECTIVE_FLOOR = 1e-12
 
-#: Each inner solve seeds its bisection brackets from the previous
-#: candidate's solution (<= 1e-9 relative objective contract, see
-#: :mod:`repro.solvers.fastpath`).  Tests and benchmarks patch this to
-#: False in-process to build the cold reference chain.
-_WARM_START = True
-
 #: With telemetry bound, one ``gsd.iteration`` summary event is emitted per
 #: this many chain iterations.
 _LOG_WINDOW = 100
@@ -129,7 +123,7 @@ class GSDSolver(SlotSolver):
     through a per-solve
     :class:`~repro.solvers.fastpath.EvaluationCache`: revisited level
     vectors cost a dict hit, clearly infeasible proposals are screened in
-    O(1), and each inner solve is warm-started from the previous one.
+    O(1), and a new on-set costs one cold water-fill.
     With telemetry bound, a ``gsd.iteration`` summary event (chain and best
     objective, temperature, windowed acceptance rate) is emitted every 100
     iterations.
@@ -257,7 +251,7 @@ class GSDSolver(SlotSolver):
         # Proposals: off plus each group's own levels, or only the
         # undominated ones when those still hold a minimiser.
         options = fleet.level_options[problem.drops_dominated_levels]
-        cache = EvaluationCache(problem, warm_start=_WARM_START)
+        cache = EvaluationCache(problem)
         if sp:
             # The feasibility check and the scorer's tables, before any
             # candidate is scored.
@@ -421,7 +415,6 @@ class GSDSolver(SlotSolver):
             metrics.counter("gsd.inner_solves").inc(stats.inner_solves)
             metrics.counter("gsd.evaluations").inc(n_solves)
             metrics.counter("gsd.cache_hits").inc(stats.cache_hits)
-            metrics.counter("gsd.warm_starts").inc(stats.warm_solves)
             metrics.counter("gsd.screened_infeasible").inc(stats.screened_infeasible)
             metrics.histogram("gsd.solve_time_s").observe(elapsed)
             metrics.histogram("gsd.iterations_to_convergence").observe(last_improve)
@@ -433,7 +426,6 @@ class GSDSolver(SlotSolver):
                 inner_solves=stats.inner_solves,
                 evaluations=n_solves,
                 cache_hits=stats.cache_hits,
-                warm_starts=stats.warm_solves,
                 screened_infeasible=stats.screened_infeasible,
                 best_objective=float(best),
                 acceptance_rate=acceptance,

@@ -61,33 +61,13 @@ thousands of distinct profiles would pay ~0.3 us per class per step.
 
 Fast path
 ---------
-Two orthogonal accelerations keep the hot loop of a multi-row on-set
-short (see docs/PERFORMANCE.md); a one-row solve takes no step and reads
-no hint:
-
-- **Exact early exit**: every cold bisection stops as soon as its bracket
-  can no longer shrink in floating point (the midpoint rounds onto an
-  endpoint).  From that state, running the remaining fixed-count
-  iterations provably cannot change the returned endpoint, so the
-  early-exited result is *bit-identical* to the fixed-count loop.  The
-  module flag ``_EARLY_EXIT`` exists so tests can re-run the fixed-count
-  path and assert exact equality.
-- **Warm starts**: :func:`distribute_load` accepts the solve of a
-  *neighboring* configuration (one group's level changed) as a ``hint``,
-  of which it reads the dual, regime and weight.  The nu water-fill starts
-  a safeguarded Newton iteration on the monotone served-load curve at the
-  hint's dual variable: the slope comes from the delay model's
-  :meth:`~repro.cluster.queueing.DelayCostModel.inverse_marginal_slope`,
-  every evaluation narrows a bracket around the crossing, and a Newton
-  step that leaves that bracket is replaced by its midpoint.  It stops
-  once the served load is within ``_WARM_FTOL`` of the workload, where
-  bisection would still need ~log2(width/ulp) steps; if the bracket
-  collapses first, the cold path takes over.  Warm-started solves agree
-  with cold solves to <= 1e-9 relative objective error (the closed balance
-  restores feasibility exactly, so the objective error is second-order in
-  the remaining dual error).  In the boundary regime each of the mu
-  bisection's water-fills starts from the previous one's dual, the first
-  from the hint's, whatever the hint's regime.
+A multi-row on-set bisects nu (and, in the boundary regime, the
+electricity weight); a one-row solve takes no step.  Every
+bisection stops as soon as its bracket can no longer shrink in floating
+point (the midpoint rounds onto an endpoint): from that state further
+steps cannot change the returned endpoint, so the early exit returns what
+a fixed-count loop of ``_NU_ITERS`` (``_MU_ITERS``) steps would
+(docs/PERFORMANCE.md).
 """
 
 from __future__ import annotations
@@ -106,29 +86,6 @@ __all__ = ["ClassSolve", "distribute_load", "solve_fixed_levels"]
 _NU_ITERS = 100
 _MU_ITERS = 60
 
-#: When False, bisections burn their full iteration budget even after the
-#: bracket has collapsed (the historical behavior); tests flip this to
-#: assert the early exit is exact.
-_EARLY_EXIT = True
-
-#: Relative half-widths of the mu brackets tried around a boundary-regime
-#: hint: the tight one wins when the crossing barely moved (mu-chained
-#: boundary solves), the wide one when the candidate differs from the
-#: hint's configuration by a group flip or two (the typical GSD/coordinate-
-#: descent step).  A failed tier costs two water-fills.
-_WARM_RTOL = 1e-6
-_WARM_RTOL_WIDE = 5e-2
-
-#: Warm Newton refinements stop once the served load is within this
-#: fraction of the workload.  The residual closure restores the balance
-#: exactly, so the solution is a feasible point a dual error of that order
-#: away from the optimizer and the objective gap is *second order* in it:
-#: on paper-fleet chain steps it measures <= 1e-15 relative, the rounding
-#: of the objective itself, far inside the 1e-9 warm contract.  Cold
-#: bisections still run to fp bracket collapse.
-_WARM_FTOL = 1e-10
-
-
 class ClassTable:
     """Per-problem constants of every (profile, level) class, indexed by
     class id (:attr:`~repro.cluster.fleet.Fleet.num_classes` entries, the
@@ -145,13 +102,13 @@ class ClassTable:
     ``billed[k]`` is class ``k``'s row at that weight: its electricity
     price ``e = we PUE c`` per unit of load and the cold bracket ends
     ``e + Wd d'(0, x)`` and ``e + Wd d'(gamma x, x)``.  ``marginal``,
-    ``inv``, ``slope`` and ``cost`` are the delay model's scalar marginal,
-    its inverse, the inverse's slope and the cost, per server.
+    ``inv`` and ``cost`` are the delay model's scalar marginal, its
+    inverse and the cost, per server.
     """
 
     __slots__ = (
         "wd", "pue", "we", "linear", "speed", "coeff", "static", "caps",
-        "rows", "billed", "marginal", "inv", "slope", "cost",
+        "rows", "billed", "marginal", "inv", "cost",
     )
 
     def __init__(self, problem: SlotProblem):
@@ -172,7 +129,6 @@ class ClassTable:
         self.billed = self._at(self.we, range(len(self.rows)))
         self.marginal = marginal
         self.inv = model.inverse_marginal
-        self.slope = model.inverse_marginal_slope
         self.cost = model.cost_at
 
     def weighted(self, we: float, ids) -> list[tuple[float, float, float, float, float]]:
@@ -220,14 +176,10 @@ class ClassSolve(NamedTuple):
         ran before the ``mu`` bisection: ``(billed,)`` or ``(billed, free)``;
         empty when there is no workload.  The distributed protocol's price
         rounds depend on them (:mod:`repro.solvers.messaging`).
-    warm_started:
-        Whether a caller-supplied hint seeded at least one water-fill that
-        converged from it (diagnostic; cold and one-class solves report
-        False).
     inner_iters:
-        Total refinement steps (bisection or Newton, one served-load
-        evaluation each) across all water-filling calls of this solve
-        (diagnostic for the fast-path benchmarks; ``0`` for one class).
+        Total bisection steps (one served-load evaluation each) across all
+        water-filling calls of this solve (diagnostic for the fast-path
+        benchmarks; ``0`` for one class).
     it_power, delay_sum, served:
         The switching-free totals of the solve's evaluation, summed over
         the class rows: IT power (MW), the unweighted delay sum and the
@@ -242,11 +194,15 @@ class ClassSolve(NamedTuple):
     classes: tuple[int, ...] | None
     class_load: list[float] | None
     duals: tuple[float, ...]
-    warm_started: bool
     inner_iters: int
     it_power: float
     delay_sum: float
     served: float
+
+    #: Always False: every water-fill is cold.  Not a field; its only
+    #: reader is ``benchmarks/e2e/layers.py``'s ``waterfill.warm_ratio``,
+    #: and it goes with that metric (ROADMAP item 6).
+    warm_started = False
 
     def rows(self, histogram) -> ClassRows:
         """The solve's load split as :class:`~repro.cluster.fleet.ClassRows`,
@@ -307,11 +263,11 @@ def _close_residual(
     over the still-interior set until the balance closes; each extra pass
     saturates at least one row, so the loop is bounded by the row count.
     A shortfall opens the empty rows only once no loaded row with servers
-    has room: an empty row's marginal price lies above the dual, so a
-    warm solve that stops just below the balance must not spread its few
-    ulps onto it (that would move facility power by the residual's order
-    and could flip a regime verdict taken at 1e-12).  A cold solve ends at
-    or above the balance, so its first pass never takes that branch.
+    has room: an empty row's marginal price lies above the dual, so
+    spreading a few ulps of shortfall onto it would move facility power by
+    the residual's order and could flip a regime verdict taken at 1e-12.
+    The bisection ends at or above the balance, so its first pass never
+    takes that branch.
     """
     loads = list(loads)
     residual = lam - _served_total(n, loads)
@@ -338,62 +294,6 @@ def _close_residual(
             break  # nothing bound: the correction closed the balance
         residual = lam - _served_total(n, loads)
     return loads
-
-
-def _newton(
-    lam: float,
-    table: list[tuple[float, float, float, float]],
-    wd: float,
-    inv,
-    slope_of,
-    lo: float,
-    hi: float,
-    nu: float,
-) -> tuple[list[float] | None, float, int]:
-    """Warm refinement of the nu crossing from a hint ``lo < nu < hi``.
-
-    Safeguarded Newton on the monotone served-load curve: every
-    evaluation moves one end of the bracket to ``nu``, and a Newton step
-    that does not land strictly inside the bracket becomes its midpoint.
-    Returns ``(row loads at nu, nu, evaluations)`` once the served load is
-    within ``_WARM_FTOL`` of ``lam``, or at fp bracket collapse when the
-    upper end has been evaluated (its loads then, like the cold
-    bisection).  The loads are ``None`` when the bracket collapses against
-    the unevaluated cold upper bound or the step budget runs out; the
-    caller then falls back to the cold path.
-    """
-    tol = _WARM_FTOL * lam
-    hi_loads = None
-    for iters in range(1, _NU_ITERS + 1):
-        loads = []
-        served = 0.0
-        slope = 0.0
-        for e, x, cap, n in table:
-            m = (nu - e) / wd
-            if m > 0.0:
-                load = inv(m, x)
-                if load > cap:
-                    load = cap
-                elif load > 0.0:
-                    slope += n * slope_of(m, x)
-                served += n * load
-                loads.append(load)
-            else:
-                loads.append(0.0)
-        f = served - lam
-        if -tol <= f <= tol:
-            return loads, nu, iters
-        if f < 0.0:
-            lo = nu
-        else:
-            hi, hi_loads = nu, loads
-        step = nu - f * wd / slope if slope > 0.0 else lo
-        if not lo < step < hi:
-            step = 0.5 * (lo + hi)
-            if step == lo or step == hi:
-                return hi_loads, hi, iters
-        nu = step
-    return None, nu, _NU_ITERS
 
 
 def _loads_at(rows, wd: float, inv, nu: float) -> list[float]:
@@ -428,24 +328,20 @@ def _waterfill(
     ids: list[int],
     n: list[float],
     capped: float,
-    nu_hint: float | None = None,
-) -> tuple[list[float], float, int, bool]:
+) -> tuple[list[float], float, int]:
     """Water-filling over the on classes ``ids`` (server counts ``n``,
     capped total ``capped``) for a fixed electricity weight ``we`` ($/MWh
     brown).
 
-    Returns ``(per-server load of each row, dual variable nu, refinement
-    steps, warm-start used)``.  One row is answered in closed form.  With
-    more, ``nu_hint`` is a previous solve's dual variable; when it lies
-    inside the cold bracket, a Newton refinement starts there
-    (:func:`_newton`) instead of the cold bisection.
+    Returns ``(per-server load of each row, dual variable nu, bisection
+    steps)``.  One row is answered in closed form; more bisect nu.
     """
     if lam > capped:
         # The workload passed the (1 + 1e-12) capacity check, but the rows'
         # capped total rounds below it: no nu closes the balance (the dual
         # is unbounded), and the closest feasible point puts every row at
         # its cap, a rounding error away from ``lam``.
-        return [table.caps[k] for k in ids], math.inf, 0, False
+        return [table.caps[k] for k in ids], math.inf, 0
 
     wd = table.wd
     if wd <= 0.0:
@@ -456,7 +352,7 @@ def _waterfill(
         elec = [row[0] for row in rows]
         order = elec if we * table.pue > 0.0 else [table.coeff[k] for k in ids]
         caps = [row[2] for row in rows]
-        return _fill_when_delay_free(lam, order, caps, n), min(0.0, *elec), 0, False
+        return _fill_when_delay_free(lam, order, caps, n), min(0.0, *elec), 0
 
     if len(ids) == 1:
         # One row: the balance alone fixes its load at lam / n, and the dual
@@ -465,7 +361,7 @@ def _waterfill(
         load = lam / n[0]
         if load > cap:  # lam <= n cap, but the quotient can round one ulp up
             load = cap
-        return [load], e + wd * table.marginal(load, x), 0, False
+        return [load], e + wd * table.marginal(load, x), 0
 
     # The rows (e, x, cap, n) and the cold bracket: lo is the least
     # marginal price at zero load, hi the greatest at the cap, plus one.
@@ -482,16 +378,11 @@ def _waterfill(
     hi = max(lo, top) + 1.0
     inv = table.inv
 
-    iters = 0
-    if nu_hint is not None and lo < nu_hint < hi:
-        loads, nu, iters = _newton(lam, rows, wd, inv, table.slope, lo, hi, nu_hint)
-        if loads is not None:
-            return _close_residual(lam, loads, caps, n), nu, iters, True
-
     while _served_at(rows, wd, inv, hi) < lam:
         hi = 2.0 * hi + 1.0
         if hi > 1e300:
             raise InfeasibleError("load exceeds capped capacity of the on-set")
+    iters = 0
     for _ in range(_NU_ITERS):
         mid = 0.5 * (lo + hi)
         collapsed = mid == lo or mid == hi
@@ -500,11 +391,11 @@ def _waterfill(
         else:
             hi = mid
         iters += 1
-        if collapsed and _EARLY_EXIT:
+        if collapsed:
             break
 
     # Close the residual balance exactly on rows strictly inside their box.
-    return _close_residual(lam, _loads_at(rows, wd, inv, hi), caps, n), hi, iters, False
+    return _close_residual(lam, _loads_at(rows, wd, inv, hi), caps, n), hi, iters
 
 
 def _solution(
@@ -516,7 +407,6 @@ def _solution(
     regime: str,
     we: float,
     duals: tuple[float, ...],
-    warm: bool,
     iters: int,
 ) -> ClassSolve:
     """The :class:`ClassSolve` of the chosen regime's loads, with the
@@ -528,22 +418,13 @@ def _solution(
         delay_sum += nk * cost(load, speed[k])
         served += nk * load
     return ClassSolve(
-        nu, regime, we, tuple(ids), loads, duals, warm, iters, it_power, delay_sum, served
+        nu, regime, we, tuple(ids), loads, duals, iters, it_power, delay_sum, served
     )
 
 
-def _solve_classes(
-    problem: SlotProblem,
-    table: ClassTable,
-    counts: list[float],
-    hint_nu: float | None,
-    hint_regime: str | None,
-    hint_weight: float,
-) -> ClassSolve:
-    """:func:`distribute_load` for the class histogram ``counts``, warm
-    started from a hint's dual, regime and electricity weight (``None``,
-    ``None``, ``0.0`` for a cold solve).  One pass over the classes gathers
-    everything the regime choice reads."""
+def _solve_classes(problem: SlotProblem, table: ClassTable, counts: list[float]) -> ClassSolve:
+    """:func:`distribute_load` for the class histogram ``counts``.  One pass
+    over the classes gathers everything the regime choice reads."""
     lam = problem.arrival_rate
     static, coeff, caps = table.static, table.coeff, table.caps
     ids = []  # the on classes, ascending
@@ -559,7 +440,7 @@ def _solve_classes(
             capped += nk * caps[k]
             static_it += nk * static[k]
     if lam <= 0.0:  # no workload: every on server idles
-        return ClassSolve(0.0, "free", 0.0, None, None, (), False, 0, static_it, 0.0, 0.0)
+        return ClassSolve(0.0, "free", 0.0, None, None, (), 0, static_it, 0.0, 0.0)
     if not ids:
         raise InfeasibleError("positive workload but every group is off")
     if lam > capped * (1.0 + 1e-12):
@@ -568,19 +449,14 @@ def _solve_classes(
     pue = table.pue
     onsite = problem.onsite
     total_iters = 0
-    warm_any = False
 
     # Regime "billed": full electricity weight (fixed-point on the tariff
     # marginal for nonlinear tariffs; exact in one pass for LinearTariff).
-    billed_hint = hint_nu if hint_regime == "billed" else None
     linear = table.linear
     we = table.we
     for _ in range(1 if linear else 3):
-        loads_a, nu_a, it_a, warm_a = _waterfill(
-            lam, we, table, ids, n, capped, billed_hint
-        )
+        loads_a, nu_a, it_a = _waterfill(lam, we, table, ids, n, capped)
         total_iters += it_a
-        warm_any |= warm_a
         power_a = _facility(pue, static_it, power_per_load, loads_a)
         if linear:
             break  # the marginal price does not depend on the brown draw
@@ -590,75 +466,34 @@ def _solve_classes(
             break
         we = new_we
     if power_a >= onsite * (1.0 - 1e-12):
-        return _solution(
-            table, ids, n, loads_a, nu_a, "billed", we, (nu_a,), warm_any, total_iters
-        )
+        return _solution(table, ids, n, loads_a, nu_a, "billed", we, (nu_a,), total_iters)
 
     # Regime "free": renewables may cover everything -> zero weight.
-    free_hint = hint_nu if hint_regime == "free" else None
-    loads_b, nu_b, it_b, warm_b = _waterfill(lam, 0.0, table, ids, n, capped, free_hint)
+    loads_b, nu_b, it_b = _waterfill(lam, 0.0, table, ids, n, capped)
     total_iters += it_b
-    warm_any |= warm_b
     if _facility(pue, static_it, power_per_load, loads_b) <= onsite * (1.0 + 1e-12):
         return _solution(
-            table, ids, n, loads_b, nu_b, "free", 0.0, (nu_a, nu_b), warm_any, total_iters
+            table, ids, n, loads_b, nu_b, "free", 0.0, (nu_a, nu_b), total_iters
         )
 
     # Regime "boundary": power pinned at the renewable supply; bisect the
     # multiplier mu in (0, we) so that facility power == onsite supply.
-    # A boundary hint seeds a tight mu bracket (verified before use).  With
-    # any hint, each inner water-fill reuses the previous iteration's dual
-    # variable as its own hint -- consecutive mu values are close, so the
-    # chained hints cut the inner bracket down to the warm width, whether
-    # or not the hint's own mu validated.  Cold solves (no hint) stay exact.
     lo_mu, hi_mu = 0.0, we
-    mu_h = hint_weight if hint_regime == "boundary" else 0.0
-    if 0.0 < mu_h < we:
-        for rtol in (_WARM_RTOL, _WARM_RTOL_WIDE):
-            w = rtol * max(mu_h, 1e-300)
-            cand_lo, cand_hi = max(0.0, mu_h - w), min(we, mu_h + w)
-            if cand_lo >= cand_hi:
-                continue
-            loads_lo, _, it_lo, _ = _waterfill(
-                lam, cand_lo, table, ids, n, capped, hint_nu
-            )
-            loads_hi, _, it_hi, _ = _waterfill(
-                lam, cand_hi, table, ids, n, capped, hint_nu
-            )
-            total_iters += it_lo + it_hi
-            if (
-                _facility(pue, static_it, power_per_load, loads_lo) > onsite
-                and _facility(pue, static_it, power_per_load, loads_hi) <= onsite
-            ):
-                lo_mu, hi_mu = cand_lo, cand_hi
-                warm_any = True
-                break
-    loads_m, nu_m = loads_b, nu_b
-    mu = 0.5 * (lo_mu + hi_mu)
-    nu_chain = hint_nu
     for _ in range(_MU_ITERS):
         mu = 0.5 * (lo_mu + hi_mu)
         collapsed = mu == lo_mu or mu == hi_mu
-        loads_m, nu_m, it_m, warm_m = _waterfill(
-            lam, mu, table, ids, n, capped, nu_chain
-        )
+        loads_m, nu_m, it_m = _waterfill(lam, mu, table, ids, n, capped)
         total_iters += it_m
-        warm_any |= warm_m
-        if hint_regime is not None:
-            nu_chain = nu_m
         if _facility(pue, static_it, power_per_load, loads_m) > onsite:
             lo_mu = mu
         else:
             hi_mu = mu
-        if collapsed and _EARLY_EXIT:
+        if collapsed:
             break
     # Report the weight the returned loads were actually computed at: the
-    # last midpoint ``mu``, not the final bracket's center.  Warm-start
-    # hints seed their mu bracket from ``hint.electricity_weight``, so the
-    # mismatch would hand every boundary-regime warm solve a bracket around
-    # a weight no water-fill ever used.
+    # last midpoint ``mu``, not the final bracket's center.
     return _solution(
-        table, ids, n, loads_m, nu_m, "boundary", mu, (nu_a, nu_b), warm_any, total_iters
+        table, ids, n, loads_m, nu_m, "boundary", mu, (nu_a, nu_b), total_iters
     )
 
 
@@ -666,7 +501,6 @@ def distribute_load(
     problem: SlotProblem,
     levels: np.ndarray | None = None,
     *,
-    hint: ClassSolve | None = None,
     histogram=None,
     table: ClassTable | None = None,
 ) -> ClassSolve:
@@ -679,13 +513,6 @@ def distribute_load(
         The slot's P3 instance.
     levels:
         Per-group speed levels (``-1`` = off).
-    hint:
-        Optional solve of a neighboring configuration (typically the
-        previous candidate of a GSD chain or coordinate sweep), of which
-        only ``nu``, ``regime`` and ``electricity_weight`` are read.  They
-        seed the water-fills; the warm-started solution matches the cold
-        one to <= 1e-9 relative objective error.  ``None`` (the default)
-        runs the cold path.
     histogram:
         Instead of ``levels``: the number of servers on in every class id
         (``fleet.num_classes`` entries, see
@@ -706,11 +533,7 @@ def distribute_load(
         histogram = problem.fleet.class_counts(np.asarray(levels, dtype=np.int64))[1].tolist()
     if table is None:
         table = ClassTable(problem)
-    if hint is None:
-        return _solve_classes(problem, table, histogram, None, None, 0.0)
-    return _solve_classes(
-        problem, table, histogram, hint.nu, hint.regime, hint.electricity_weight
-    )
+    return _solve_classes(problem, table, histogram)
 
 
 def solve_fixed_levels(problem: SlotProblem, levels: np.ndarray):

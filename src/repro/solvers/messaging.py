@@ -22,9 +22,9 @@ Every group answers from its own profile plus the broadcast parameters, so
 the protocol lands on the same loads as the centralized water-fill of
 :mod:`repro.solvers.load_distribution` -- and the same Gibbs decisions.
 :class:`DistributedGSD` is therefore :class:`~repro.solvers.gsd.GSDSolver`
-itself: one chain, one RNG, one temperature, one warm start.  What it adds
-is a :class:`MessageTransport` that charges each protocol phase its message
-count in closed form (:func:`pricing_bill`) and, when a fault injector
+itself: one chain, one RNG, one temperature, one evaluation cache.  What
+it adds is a :class:`MessageTransport` that charges each protocol phase its
+message count in closed form (:func:`pricing_bill`) and, when a fault injector
 installs a lossy channel, draws the phase's message faults from a seeded
 stream.  A lost pricing makes that exploration infeasible (the chain moves
 on); lost ``configure``/``explore``/``decide``/``set_level`` traffic or a

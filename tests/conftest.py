@@ -10,7 +10,6 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-import repro.solvers.gsd as gsd
 from repro.cluster import Fleet, ServerGroup, cubic_dvfs_profile, opteron_2380
 from repro.core import DataCenterModel
 from repro.scenarios import small_scenario
@@ -148,13 +147,6 @@ def cold_objective(problem, levels):
     if problem.violates_caps(evaluation):
         return np.inf
     return evaluation.objective
-
-
-def solve_cold(solver, problem):
-    """Solve with GSD's warm starts off: the cold reference chain."""
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(gsd, "_WARM_START", False)
-        return solver.solve(problem)
 
 
 def assert_local_minimum(problem, solution):

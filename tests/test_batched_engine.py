@@ -1,11 +1,11 @@
 """The shipped inner solve over batches of candidate level vectors.
 
 Coordinate sweeps and brute-force chunks score many level vectors per slot
-problem, each through :func:`distribute_load`, cold or warm-started from a
-neighbor's solution.  These tests replay that traffic: batches of
+problem, each through :func:`distribute_load`.  These tests replay that
+traffic: batches of
 neighbor flips, random vectors, duplicates and all-off rows on random
 heterogeneous fleets.  Every row must meet the shipped-solver contract
-against the cold group-level oracle (:mod:`tests.waterfill_oracle`):
+against the group-level oracle (:mod:`tests.waterfill_oracle`):
 
 - the same feasibility (``InfeasibleError`` on both or on neither);
 - the same regime (billed / free / boundary);
@@ -32,16 +32,16 @@ from tests.waterfill_oracle import OracleDistribution, oracle_distribute
 OBJ_RTOL = 1e-9
 
 
-def scalar_solve(problem, levels, hint=None):
+def scalar_solve(problem, levels):
     """The shipped solve: ``None`` where it raises InfeasibleError."""
     try:
-        return distribute_load(problem, levels, hint=hint)
+        return distribute_load(problem, levels)
     except InfeasibleError:
         return None
 
 
 def oracle_solve(problem, levels):
-    """The group-level cold oracle, same ``None`` convention."""
+    """The group-level oracle, same ``None`` convention."""
     try:
         return oracle_distribute(problem, levels)
     except InfeasibleError:
@@ -56,19 +56,19 @@ def objective(problem, levels, dist):
     return problem.evaluate(solve_action(problem.fleet, levels, dist)).objective
 
 
-def contract_mismatches(tag, problem, levels, got, want, k):
+def contract_mismatches(problem, levels, got, want, k):
     """Shipped row vs oracle row: feasibility, regime, objective."""
     if (got is None) != (want is None):
-        return [f"{tag} row {k}: feasibility {got is None} vs {want is None}"]
+        return [f"row {k}: feasibility {got is None} vs {want is None}"]
     if got is None:
         return []
     bad = []
     if got.regime != want.regime:
-        bad.append(f"{tag} row {k}: regime {got.regime} vs {want.regime}")
+        bad.append(f"row {k}: regime {got.regime} vs {want.regime}")
     a = objective(problem, levels, got)
     b = objective(problem, levels, want)
     if abs(a - b) > OBJ_RTOL * max(abs(b), 1e-300):
-        bad.append(f"{tag} row {k}: objective {a!r} vs {b!r}")
+        bad.append(f"row {k}: objective {a!r} vs {b!r}")
     return bad
 
 
@@ -102,66 +102,45 @@ def random_batch(rng, model, base):
     return np.stack(rows)
 
 
-def check_batch(problem, batch, hint=None):
-    """Solve every row of ``batch`` with the shipped solver (warm from
-    ``hint`` when given) and check it against the cold oracle.
+def check_batch(problem, batch):
+    """Solve every row of ``batch`` with the shipped solver and check it
+    against the oracle.
 
     Returns ``(mismatches, shipped rows)``.
     """
     bad, got_rows = [], []
-    tag = "warm" if hint is not None else "cold"
     for k in range(batch.shape[0]):
-        got = scalar_solve(problem, batch[k], hint=hint)
+        got = scalar_solve(problem, batch[k])
         got_rows.append(got)
         want = oracle_solve(problem, batch[k])
-        bad += contract_mismatches(tag, problem, batch[k], got, want, k)
+        bad += contract_mismatches(problem, batch[k], got, want, k)
     return bad, got_rows
 
 
 class TestRandomizedParity:
     """Randomized stress harness: the objective contract with the oracle
-    over neighbor-flip batches on random heterogeneous fleets, cold and
-    warm-started from the batch's base vector."""
+    over neighbor-flip batches on random heterogeneous fleets."""
 
-    def test_cold_and_warm_rows_match_scalar(self):
+    def test_rows_match_scalar(self):
         rng = np.random.default_rng(0)
         regimes = {"billed": 0, "free": 0, "boundary": 0}
-        n_rows = n_warm = 0
+        n_rows = 0
         for _ in range(25):
             model = random_model(rng)
             problem = random_problem(model, rng)
             base = random_levels(rng, model)
             batch = random_batch(rng, model, base)
 
-            bad, cold_rows = check_batch(problem, batch)
+            bad, got_rows = check_batch(problem, batch)
             assert not bad, "\n".join(bad)
             n_rows += batch.shape[0]
-            for got in cold_rows:
+            for got in got_rows:
                 if got is not None:
                     regimes[got.regime] += 1
 
-            hint = scalar_solve(problem, base)
-            if hint is None:
-                continue
-            bad_w, warm_rows = check_batch(problem, batch, hint=hint)
-            assert not bad_w, "\n".join(bad_w)
-            n_warm += sum(
-                1 for w in warm_rows if w is not None and w.warm_started
-            )
-
-            # Warm objectives stay within the 1e-9 contract vs cold.
-            for k, (w, c) in enumerate(zip(warm_rows, cold_rows)):
-                assert (w is None) == (c is None)
-                if c is None:
-                    continue
-                a = objective(problem, batch[k], w)
-                b = objective(problem, batch[k], c)
-                assert abs(a - b) <= OBJ_RTOL * max(abs(b), 1e-300)
-
-        # The random mix must actually exercise the fast regimes and the
-        # warm path, or the parity checks above prove nothing.
+        # The random mix must actually exercise the fast regimes, or the
+        # parity checks above prove nothing.
         assert n_rows > 100
-        assert n_warm > 10
         assert regimes["billed"] > 0 and regimes["free"] > 0
 
     def test_wd_zero_rows_match_scalar(self):
@@ -196,7 +175,7 @@ class TestRandomizedParity:
 
     def test_zero_count_group_rows_match_scalar(self):
         """Groups emptied by failures (count 0) must neither poison the
-        solve with NaNs nor diverge from the oracle, cold or warm."""
+        solve with NaNs nor diverge from the oracle."""
         rng = np.random.default_rng(3)
         checked = 0
         for _ in range(8):
@@ -213,10 +192,6 @@ class TestRandomizedParity:
             bad, got_rows = check_batch(problem, batch)
             assert not bad, "\n".join(bad)
             checked += sum(1 for w in got_rows if w is not None)
-            hint = scalar_solve(problem, base)
-            if hint is not None:
-                bad_w, _ = check_batch(problem, batch, hint=hint)
-                assert not bad_w, "\n".join(bad_w)
         assert checked > 0
 
     def test_all_off_rows_are_infeasible(self):
@@ -224,10 +199,8 @@ class TestRandomizedParity:
         model = random_model(rng)
         problem = random_problem(model, rng)
         batch = np.full((3, model.fleet.num_groups), -1, dtype=np.int64)
-        hint = scalar_solve(problem, random_levels(rng, model))
         for levels in batch:
             assert scalar_solve(problem, levels) is None
-            assert scalar_solve(problem, levels, hint=hint) is None
             assert oracle_solve(problem, levels) is None
 
 
@@ -237,7 +210,7 @@ class TestBoundaryRegime:
 
     def test_boundary_rows_bit_identical(self):
         rng = np.random.default_rng(7)
-        n_boundary_cold = n_boundary_warm = 0
+        n_boundary = 0
         for _ in range(20):
             model = random_model(rng)
             G = model.fleet.num_groups
@@ -264,17 +237,7 @@ class TestBoundaryRegime:
 
             bad, got_rows = check_batch(p, batch)
             assert not bad, "\n".join(bad)
-            n_boundary_cold += sum(
+            n_boundary += sum(
                 1 for w in got_rows if w is not None and w.regime == "boundary"
             )
-            hint = scalar_solve(p, levels)
-            if hint is not None:
-                bad_w, warm_rows = check_batch(p, batch, hint=hint)
-                assert not bad_w, "\n".join(bad_w)
-                n_boundary_warm += sum(
-                    1
-                    for w in warm_rows
-                    if w is not None and w.regime == "boundary"
-                )
-        assert n_boundary_cold > 0
-        assert n_boundary_warm > 0
+        assert n_boundary > 0

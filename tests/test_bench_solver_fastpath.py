@@ -56,7 +56,7 @@ def test_committed_reference_passes_its_own_gate(bench, monkeypatch, reference, 
     [
         ("cd_hetero", "shipped", "evaluations"),
         ("gsd_200g_500it", "shipped", "evaluations"),
-        ("gsd_200g_500it", "cold", "cold_solves"),
+        ("gsd_200g_500it", "shipped", "inner_solves"),
         ("gsd_cubic_200g_500it", "shipped", "inner_solves"),
     ],
 )
@@ -69,14 +69,4 @@ def test_counter_regression_fails(bench, monkeypatch, reference, tmp_path, case,
     assert failures == [
         f"{case}/{mode}: {counter} {entry[counter]} vs reference "
         f"{reference['cases'][case][mode][counter]} (tolerance 20%)"
-    ]
-
-
-def test_warm_iteration_floor_fails(bench, monkeypatch, reference, tmp_path):
-    report = copy.deepcopy(reference)
-    report["cases"][bench.FLOOR_CASE]["warm_iter_speedup"] = 2.5
-    assert _run(bench, monkeypatch, report, REFERENCE, tmp_path / "out.json") == 1
-    assert bench.check_against(report, reference) == [
-        f"{bench.FLOOR_CASE}: warm inner solves take 2.50x fewer bisection steps "
-        "than cold ones, below the 3x floor"
     ]

@@ -1,8 +1,8 @@
 """Contract of the class-compressed water-fill against the group-level oracle.
 
 :func:`repro.solvers.distribute_load` solves Eq. (18) over (profile, level)
-classes, warm-started from a hint when one is given.  On randomized fleets
-and slot problems it must agree with the cold group-level oracle
+classes.  On randomized fleets and slot problems it must agree with the
+group-level oracle
 (:mod:`tests.waterfill_oracle`) on three things:
 
 - the P3 objective, to <= 1e-9 relative error;
@@ -24,7 +24,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, event, example, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from repro.cluster import Fleet, ServerGroup, cubic_dvfs_profile, opteron_2380
@@ -45,13 +45,12 @@ def _pinned(
     *,
     levels=(3, 1, 2, 0),
     regime="billed",
-    hint_kind="neighbor",
     zero_group=None,
     lam_frac=0.5,
     **problem_kw,
 ):
     """One fixed draw of :func:`cases` on a 4-group mixed fleet, for
-    ``@example``: the neighbor flips group 0 off."""
+    ``@example``."""
     fleet = Fleet([ServerGroup(_PROFILES[g % 2](), 4 + 3 * g) for g in range(4)])
     if zero_group is not None:
         zeroed = fleet.counts.copy()
@@ -70,14 +69,12 @@ def _pinned(
         q=5.0,
     )
     problem = replace(problem, **problem_kw)
-    neighbor = levels.copy()
-    neighbor[0] = -1
-    return problem, levels, regime, hint_kind, neighbor, None
+    return problem, levels, regime, None
 
 
 @st.composite
 def cases(draw):
-    """A slot problem plus a level vector and a hint source."""
+    """A slot problem plus a level vector, a target regime and caps."""
     G = draw(st.integers(2, 10))
     kinds = draw(st.lists(st.integers(0, 1), min_size=G, max_size=G))
     counts = draw(st.lists(st.integers(1, 20), min_size=G, max_size=G))
@@ -142,12 +139,8 @@ def cases(draw):
         prev_on_counts=prev,
     )
     regime = draw(st.sampled_from(["billed", "free", "boundary"]))
-    hint_kind = draw(st.sampled_from(["cold", "self", "neighbor"]))
-    neighbor = levels.copy()
-    g = draw(st.integers(0, G - 1))
-    neighbor[g] = draw(st.integers(-1, int(fleet.num_levels[g]) - 1))
     caps = draw(st.sampled_from([None, 0.9, 1.1]))
-    return problem, levels, regime, hint_kind, neighbor, caps
+    return problem, levels, regime, caps
 
 
 def _facility(problem, levels, dist):
@@ -167,17 +160,6 @@ def _target_regime(problem, levels, regime):
     return replace(problem, onsite=0.5 * (billed_p + free_p))
 
 
-def _solve_shipped(problem, levels, hint_kind, neighbor):
-    if hint_kind == "cold":
-        return distribute_load(problem, levels)
-    source = levels if hint_kind == "self" else neighbor
-    try:
-        hint = distribute_load(problem, source)
-    except InfeasibleError:
-        hint = None
-    return distribute_load(problem, levels, hint=hint)
-
-
 @settings(
     max_examples=250,
     deadline=None,
@@ -186,12 +168,12 @@ def _solve_shipped(problem, levels, hint_kind, neighbor):
 @given(cases())
 @example(_pinned(beta=0.0))  # Wd == 0: the greedy delay-free fill
 @example(_pinned(tariff=TieredTariff(thresholds=(1e-4,), multipliers=(1.0, 3.0))))
-@example(_pinned(zero_group=1, hint_kind="self"))  # a zero-count group, on
-@example(_pinned(regime="boundary", hint_kind="self"))
+@example(_pinned(zero_group=1))  # a zero-count group, on
+@example(_pinned(regime="boundary"))
 @example(_pinned(levels=(-1, -1, -1, -1)))  # all off: infeasible
 @example(_pinned(levels=(-1, 3, 1, 0), lam_frac=1.0))  # capped total rounds below
 def test_compressed_matches_group_oracle(case):
-    problem, levels, regime, hint_kind, neighbor, caps = case
+    problem, levels, regime, caps = case
     try:
         problem = _target_regime(problem, levels, regime)
         want = oracle_distribute(problem, levels)
@@ -199,7 +181,7 @@ def test_compressed_matches_group_oracle(case):
         with pytest.raises(InfeasibleError):
             distribute_load(problem, levels)
         return
-    got = _solve_shipped(problem, levels, hint_kind, neighbor)
+    got = distribute_load(problem, levels)
 
     fleet = problem.fleet
     if caps is not None:
@@ -229,31 +211,6 @@ def test_compressed_matches_group_oracle(case):
     validate_action(fleet, action_g, problem.arrival_rate, problem.gamma)
 
 
-@pytest.mark.parametrize("regime", ["billed", "free", "boundary"])
-def test_self_hint_takes_the_warm_path(regime):
-    """The warm path is what ships: a self-hint must validate in every
-    regime, so the randomized contract above exercises it."""
-    fleet = Fleet(
-        [ServerGroup(opteron_2380(), 7), ServerGroup(cubic_dvfs_profile(), 11)] * 3
-    )
-    model = DataCenterModel(fleet=fleet, beta=10.0)
-    levels = np.array([3, 2, 1, 0, 3, 1], dtype=np.int64)
-    p = model.slot_problem(
-        arrival_rate=0.5 * model.gamma * float(
-            np.sum(fleet.counts * fleet.group_speeds(levels))
-        ),
-        onsite=0.0,
-        price=40.0,
-        q=5.0,
-    )
-    p = _target_regime(p, levels, regime)
-    cold = distribute_load(p, levels)
-    assert cold.regime == regime
-    warm = distribute_load(p, levels, hint=cold)
-    assert warm.warm_started
-    assert warm.regime == regime
-
-
 def test_homogeneous_fleet_collapses_to_level_rows():
     """200 identical groups over mixed levels solve as at most 4 rows."""
     fleet = Fleet([ServerGroup(opteron_2380(), 1080) for _ in range(200)])
@@ -262,110 +219,3 @@ def test_homogeneous_fleet_collapses_to_level_rows():
     assert np.count_nonzero(counts) == 4
     assert counts.sum() == 1080 * np.count_nonzero(levels >= 0)
     assert np.all(ids[levels < 0] == 0)
-
-
-@st.composite
-def neighbor_cases(draw):
-    """A slot problem in a target regime, an on-set, and a neighbor that
-    differs from it by a few group moves: the warm hint of a chain step."""
-    G = draw(st.integers(2, 10))
-    kinds = draw(st.lists(st.integers(0, 1), min_size=G, max_size=G))
-    counts = draw(st.lists(st.integers(1, 40), min_size=G, max_size=G))
-    fleet = Fleet([ServerGroup(_PROFILES[k](), n) for k, n in zip(kinds, counts)])
-    levels = np.array(
-        [draw(st.integers(-1, int(fleet.num_levels[g]) - 1)) for g in range(G)],
-        dtype=np.int64,
-    )
-    levels[draw(st.integers(0, G - 1))] = 0  # at least one group on
-    neighbor = levels.copy()
-    for g in draw(st.lists(st.integers(0, G - 1), min_size=1, max_size=3)):
-        neighbor[g] = draw(st.integers(-1, int(fleet.num_levels[g]) - 1))
-    on_cap = float(np.sum(fleet.counts * fleet.group_speeds(levels)))
-    problem = SlotProblem(
-        fleet=fleet,
-        arrival_rate=draw(st.floats(0.05, 1.0)) * 0.95 * on_cap,
-        onsite=0.0,
-        beta=10.0,
-        gamma=0.95,
-        delay_model=draw(st.sampled_from([MG1PSDelay(), SquaredLoadDelay()])),
-        price=draw(st.floats(5.0, 90.0)),
-        q=draw(st.sampled_from([0.0, 5.0, 50.0])),
-        V=draw(st.sampled_from([1.0, 20.0, 1000.0])),
-    )
-    regime = draw(st.sampled_from(["billed", "free", "boundary"]))
-    return problem, levels, regime, neighbor
-
-
-def _objective_gap(problem, levels, got, want):
-    """Relative objective error of ``got`` against ``want``, scaled like
-    :func:`test_compressed_matches_group_oracle`."""
-    ev_w = evaluate(problem, levels, want.per_server_load)
-    ev_g = problem.evaluate(solve_action(problem.fleet, levels, got))
-    scale = max(
-        abs(ev_w.objective),
-        (problem.V * problem.price + problem.q) * ev_w.facility_power,
-    )
-    return abs(ev_g.objective - ev_w.objective) / scale
-
-
-@settings(
-    max_examples=200,
-    deadline=None,
-    suppress_health_check=[HealthCheck.too_slow, HealthCheck.filter_too_much],
-)
-@given(neighbor_cases())
-def test_newton_refinement_matches_group_oracle(case):
-    """The warm water-fill refines a neighbor's dual by safeguarded Newton
-    steps; whatever the hint, the result stays within 1e-9 relative
-    objective error of the cold group-level oracle, in the oracle's
-    regime, and feasible."""
-    problem, levels, regime, neighbor = case
-    problem = _target_regime(problem, levels, regime)
-    want = oracle_distribute(problem, levels)
-    try:
-        hint = distribute_load(problem, neighbor)
-    except InfeasibleError:
-        hint = None
-    got = distribute_load(problem, levels, hint=hint)
-    event(f"warm={got.warm_started}")
-    assert got.regime == want.regime
-    assert _objective_gap(problem, levels, got, want) <= OBJ_RTOL
-    validate_action(
-        problem.fleet, solve_action(problem.fleet, levels, got),
-        problem.arrival_rate, problem.gamma,
-    )
-
-
-@pytest.mark.parametrize("delay_model", [MG1PSDelay(), SquaredLoadDelay()])
-@pytest.mark.parametrize("regime", ["billed", "free", "boundary"])
-def test_neighbor_hint_takes_the_newton_path(delay_model, regime):
-    """A chain step's hint -- one group moved down a level -- seeds the
-    Newton refinement for both delay models, converges in fewer
-    served-load evaluations than the cold bisection, and stays within the
-    1e-9 contract of the oracle.  In the boundary regime the neighbor's mu
-    lies far outside the 5% bracket tier (44.7 against 22.2 on this
-    32-group fleet), so the warm start comes from chaining its dual
-    through the mu bisection."""
-    fleet = Fleet(
-        [ServerGroup(opteron_2380(), 7), ServerGroup(cubic_dvfs_profile(), 11)] * 16
-    )
-    model = DataCenterModel(fleet=fleet, beta=10.0, delay_model=delay_model)
-    levels = (fleet.num_levels - 1).astype(np.int64)
-    on_cap = float(np.sum(fleet.counts * fleet.group_speeds(levels)))
-    p = model.slot_problem(
-        arrival_rate=0.5 * model.gamma * on_cap,
-        onsite=0.0,
-        price=40.0,
-        q=5.0,
-    )
-    p = _target_regime(p, levels, regime)
-    neighbor = levels.copy()
-    neighbor[0] -= 1
-    hint = distribute_load(p, neighbor)
-    assert hint.regime == regime
-    warm = distribute_load(p, levels, hint=hint)
-    cold = distribute_load(p, levels)
-    assert warm.warm_started
-    assert warm.inner_iters < cold.inner_iters
-    assert warm.regime == regime
-    assert _objective_gap(p, levels, warm, oracle_distribute(p, levels)) <= OBJ_RTOL

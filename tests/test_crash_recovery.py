@@ -8,7 +8,7 @@ timing-dependent slot), SIGKILLs it with no chance to clean up, then
 resumes in-process from whatever the checkpoint log holds and diffs the final
 :class:`~repro.sim.metrics.SimulationRecord` against a golden run that was
 never interrupted.  Seeds cover the plain deterministic path, the shipped
-GSD chain (its RNG position and warm-start state ride in the checkpoint),
+GSD chain (its RNG position and solve count ride in the checkpoint),
 and a chaos schedule with a lossy distributed bus.
 """
 

@@ -3,8 +3,8 @@
 ``golden_run.json`` pins the exact engine; this file pins what
 ``repro run --solver gsd`` ships -- a seeded :class:`GSDSolver` chain of
 20 iterations per slot inside COCA -- so a change to candidate scoring,
-the warm-started water-fill or the chain's draws that moves a single
-level or objective bit fails here with the first differing slot.
+the water-fill or the chain's draws that moves a single level or
+objective bit fails here with the first differing slot.
 
 Refresh after an intentional change to the chain with::
 

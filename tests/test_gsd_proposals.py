@@ -88,7 +88,7 @@ def _all_levels_chain(problem, *, iterations, delta, rng):
     """GSD's chain with the all-levels draw ``integers(-1, K)``, as it was
     before proposals were pruned: ``(best levels, best objective, chain
     levels, chain objective per iteration)``."""
-    cache = EvaluationCache(problem, warm_start=True)
+    cache = EvaluationCache(problem)
     groups = problem.healthy.tolist()
     levels = convex.initial_levels(problem)
     current = cache.objective_of(levels)

@@ -11,7 +11,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.optimize import minimize
 
-from repro.cluster.queueing import MG1PSDelay, SquaredLoadDelay
 from repro.solvers import InfeasibleError, distribute_load, solve_fixed_levels
 from repro.solvers import load_distribution as ld
 from tests.billing_oracle import evaluate, solve_action, solve_loads
@@ -126,66 +125,6 @@ class TestCapacityWindow:
         p = make_problem(tiny_model, lam_frac=1.0 + 1e-10)
         with pytest.raises(InfeasibleError):
             distribute_load(p, top)
-
-
-class TestNewtonRefinement:
-    """The warm water-fill's safeguarded Newton iteration on one M/G/1/PS
-    row (``x = 10``, cap 9.5, ``lambda = 5``: the crossing is at nu = 0.4
-    inside the cold bracket (0.1, 41))."""
-
-    def _run(self, hint):
-        model = MG1PSDelay()
-        seen = []
-
-        def inv(m, x):
-            seen.append(m)
-            return model.inverse_marginal(m, x)
-
-        lo, hi = model.marginal_at(0.0, 10.0), model.marginal_at(9.5, 10.0) + 1.0
-        out = ld._newton(
-            5.0, [(0.0, 10.0, 9.5, 1.0)], 1.0, inv, model.inverse_marginal_slope,
-            lo, hi, hint,
-        )
-        return out, seen, lo, hi
-
-    @pytest.mark.parametrize("hint", [0.1000001, 0.3, 0.41, 2.0, 30.0, 40.9])
-    def test_converges_inside_the_bracket(self, hint):
-        (loads, nu, iters), seen, lo, hi = self._run(hint)
-        assert loads is not None
-        assert abs(loads[0] - 5.0) <= ld._WARM_FTOL * 5.0
-        assert nu == pytest.approx(0.4, rel=1e-9)
-        assert iters == len(seen) <= 20
-        # A Newton step from the flat right end lands far below the bracket;
-        # the safeguard replaces it with the bracket's midpoint.
-        assert all(lo < m < hi for m in seen)
-
-    def test_row_priced_out_carries_nothing(self):
-        """A second row whose electricity price exceeds the crossing's dual
-        stays empty and adds no slope."""
-        model = MG1PSDelay()
-        table = [(0.0, 10.0, 9.5, 1.0), (5.0, 10.0, 9.5, 1.0)]
-        loads, nu, _ = ld._newton(
-            5.0, table, 1.0, model.inverse_marginal, model.inverse_marginal_slope,
-            0.1, 41.0, 2.0,
-        )
-        assert loads[1] == 0.0
-        assert nu == pytest.approx(0.4, rel=1e-9)
-
-    def test_bracket_collapse_returns_the_upper_end(self):
-        """With the dual dominated by a huge electricity price, one ulp of
-        nu moves the served load by more than the tolerance: the bracket
-        collapses first, and the evaluated upper end is returned, as the
-        cold bisection would."""
-        model = SquaredLoadDelay()
-        e, lam = 1e8, 3.3  # served = (nu - e) * x / 2 on (e, e + 1.9)
-        loads, nu, _ = ld._newton(
-            lam, [(e, 10.0, 9.5, 1.0)], 1.0, model.inverse_marginal,
-            model.inverse_marginal_slope, e, e + 2.0, e + 1.5,
-        )
-        assert loads is not None and loads[0] >= lam
-        assert loads[0] - lam > ld._WARM_FTOL * lam  # the tolerance was out of reach
-        below = np.nextafter(nu, -np.inf)
-        assert model.inverse_marginal(below - e, 10.0) < lam  # nu is the crossing
 
 
 class TestDelayFreeFill:
@@ -366,8 +305,7 @@ class TestDelayFreeZeroCount:
 class TestBoundaryWeightReporting:
     """Regression: the boundary regime used to report the *final bracket
     midpoint* as ``electricity_weight`` -- a weight no water-fill ever ran
-    at -- so warm starts seeded their mu bracket around the wrong point and
-    the result was not reproducible from its own metadata."""
+    at -- so the result was not reproducible from its own metadata."""
 
     def test_reported_weight_reproduces_loads(self, hetero_model):
         from tests.test_fastpath import boundary_problem
@@ -378,39 +316,21 @@ class TestBoundaryWeightReporting:
         assert dist.regime == "boundary"
         assert 0.0 < dist.electricity_weight < p.electricity_weight
 
-        # Re-running the water-fill at the reported weight (seeded with the
-        # reported dual) must land on the returned loads.
+        # Re-running the water-fill at the reported weight must land on the
+        # returned loads and dual.
         counts = p.fleet.class_counts(levels)[1].tolist()
         table = ld.ClassTable(p)
         ids = [k for k, nk in enumerate(counts) if nk > 0.0]
         n = [counts[k] for k in ids]
-        loads2, _, _, _ = ld._waterfill(
+        loads2, nu2, _ = ld._waterfill(
             p.arrival_rate,
             dist.electricity_weight,
             table,
             ids,
             n,
             ld._served_total(n, [table.caps[k] for k in ids]),
-            nu_hint=dist.nu,
         )
-        np.testing.assert_allclose(loads2, dist.class_load, rtol=1e-6, atol=1e-12)
-
-    def test_self_hint_validates_boundary_bracket(self, hetero_model):
-        from tests.test_fastpath import boundary_problem
-
-        levels = (hetero_model.fleet.num_levels - 1).astype(np.int64)
-        p = boundary_problem(hetero_model, levels)
-        dist = distribute_load(p, levels)
-        assert dist.regime == "boundary"
-        redo = distribute_load(p, levels, hint=dist)
-        assert redo.regime == "boundary"
-        assert redo.warm_started
-        assert redo.electricity_weight == pytest.approx(
-            dist.electricity_weight, rel=1e-6
-        )
-        np.testing.assert_allclose(
-            redo.class_load, dist.class_load, rtol=1e-6, atol=1e-12
-        )
+        assert (loads2, nu2) == (dist.class_load, dist.nu)
 
 
 class TestSolveFixedLevels:

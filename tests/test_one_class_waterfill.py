@@ -25,7 +25,7 @@ from repro.cluster import (
 from repro.cluster.power import LinearTariff, TieredTariff
 from repro.cluster.queueing import SquaredLoadDelay
 from repro.core import DataCenterModel
-from repro.solvers import EvaluationCache, distribute_load
+from repro.solvers import distribute_load
 from repro.solvers.messaging import pricing_bill
 from tests.waterfill_oracle import oracle_distribute, oracle_nu_bracket
 
@@ -96,7 +96,7 @@ def test_closed_form_matches_oracle(tariff, regime, delay):
         got = distribute_load(problem, levels)
         want = oracle_distribute(problem, levels)
         assert len(got.classes) == 1
-        assert (got.inner_iters, got.warm_started) == (0, False)
+        assert got.inner_iters == 0
 
         assert got.regime == want.regime == regime
         assert got.electricity_weight == want.electricity_weight
@@ -116,24 +116,3 @@ def test_closed_form_matches_oracle(tariff, regime, delay):
             assert mine == pytest.approx(theirs, rel=BRACKET_RTOL)
 
         assert pricing_bill(problem, got) == pricing_bill(problem, want)
-
-
-def test_closed_form_ignores_the_hint(tiny_model):
-    """A one-class solve reads no hint: warm or cold, it is the same record,
-    and the fast path counts it as a cold solve of zero steps."""
-    from tests.conftest import make_problem
-
-    problem = make_problem(tiny_model, lam_frac=0.4, q=3.0)
-    mixed = np.array([3, 3, 2], dtype=np.int64)
-    one = np.array([3, -1, 3], dtype=np.int64)
-    hint = distribute_load(problem, mixed)
-    assert hint.inner_iters > 0
-    assert distribute_load(problem, one, hint=hint) == distribute_load(problem, one)
-
-    cache = EvaluationCache(problem, warm_start=True)
-    cache.objective_of(mixed)
-    cache.note_all()
-    cache.objective_of(one)
-    stats = cache.stats
-    assert (stats.cold_solves, stats.warm_solves) == (2, 0)
-    assert stats.inner_iters == hint.inner_iters

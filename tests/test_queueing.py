@@ -90,15 +90,3 @@ class TestScalarForms:
     @pytest.mark.parametrize("load", [0.0, 1.0, 4.5, 9.0])
     def test_cost_at_matches_cost(self, model, load):
         assert model.cost_at(load, 9.5) == float(model.cost(np.array([load]), 9.5)[0])
-
-    @pytest.mark.parametrize("m", [0.2, 1.0, 1.5])  # unclipped for both
-    def test_inverse_marginal_slope_is_the_derivative(self, model, m):
-        h = 1e-6 * m
-        numeric = (
-            float(model.load_at_marginal(m + h, 10.0))
-            - float(model.load_at_marginal(m - h, 10.0))
-        ) / (2.0 * h)
-        assert model.inverse_marginal_slope(m, 10.0) == pytest.approx(numeric, rel=1e-6)
-        # The generic fallback (a central difference) agrees as well.
-        generic = type(model).__mro__[1].inverse_marginal_slope(model, m, 10.0)
-        assert generic == pytest.approx(numeric, rel=1e-6)

@@ -14,7 +14,7 @@ The paths: the billed, free and boundary regimes, a tiered tariff,
 peak-power and max-delay caps, switching charged on and off, network
 delay with a PUE override, zero arrival, a load at the on-set's capped
 capacity (whose class rows' capped total rounds below it), and the
-squared-load delay model; each walked cold and warm-started.
+squared-load delay model.
 """
 
 from __future__ import annotations
@@ -154,13 +154,12 @@ def _check(problem: SlotProblem, cache: EvaluationCache, levels: np.ndarray) -> 
     return "ok"
 
 
-@pytest.mark.parametrize("warm", [False, True], ids=["cold", "warm"])
 @pytest.mark.parametrize("name", CASES)
-def test_objective_of_matches_evaluated_solution(name, warm):
+def test_objective_of_matches_evaluated_solution(name):
     problem, start = _case(name)
     fleet = problem.fleet
     rng = np.random.default_rng(7)
-    cache = EvaluationCache(problem, warm_start=warm)
+    cache = EvaluationCache(problem)
     levels = start.copy()
     verdicts = []
     for step in range(120):
@@ -176,8 +175,6 @@ def test_objective_of_matches_evaluated_solution(name, warm):
     assert "ok" in verdicts
     if name == "caps":
         assert "caps" in verdicts
-    if warm and name not in ("zero_arrival", "capped_capacity"):
-        assert cache.stats.warm_solves > 0
 
 
 def test_regimes_and_edges_are_reached():

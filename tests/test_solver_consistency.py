@@ -10,9 +10,8 @@ groups -- the engines agree with a test-local exhaustive enumeration:
   validation tests);
 - the homogeneous enumeration engine equals the oracle on single-profile
   fleets;
-- GSD's properties hold for its cold chain too, and its warm starts stay
-  inside their 1e-9 contract of that chain; coordinate descent's answer is
-  a local minimum of the cold, uncached scoring path.
+- GSD's answer scores as the uncached path scores it, and coordinate
+  descent's answer is a local minimum of that path.
 
 The local oracle -- unlike :class:`BruteForceOracle` -- can pin failed
 groups off and recompute the optimum under caps chosen *after* looking at
@@ -35,7 +34,7 @@ from repro.solvers import (
     solve_fixed_levels,
 )
 from tests.brute_force_oracle import BruteForceOracle
-from tests.conftest import assert_local_minimum, validate_action
+from tests.conftest import assert_local_minimum, cold_objective, validate_action
 from tests.failed_groups_oracle import solve_with_failed_groups
 
 _PROFILES = (opteron_2380, cubic_dvfs_profile)
@@ -94,7 +93,7 @@ def oracle_objective(problem, failed=()):
     return best
 
 
-def gsd_long_chain(problem, seed, *, cold=False, failed=()):
+def gsd_long_chain(problem, seed, *, failed=()):
     """A long annealed GSD chain, on the groups outside ``failed``."""
     delta = GSDSolver.auto_delta(problem, greediness=2.0)
     solver = GSDSolver(
@@ -102,10 +101,7 @@ def gsd_long_chain(problem, seed, *, cold=False, failed=()):
         delta=geometric_temperature(delta, 1.002),
         rng=np.random.default_rng(seed),
     )
-    with pytest.MonkeyPatch.context() as mp:
-        if cold:
-            mp.setattr("repro.solvers.gsd._WARM_START", False)
-        return solve_with_failed_groups(solver, problem, failed)
+    return solve_with_failed_groups(solver, problem, failed)
 
 
 class TestCrossSolverConsistency:
@@ -196,15 +192,14 @@ class TestCrossSolverConsistency:
         if not np.isfinite(oracle):
             pytest.skip("drawn load needs the failed group")
 
-        for cold in (False, True):
-            sol = gsd_long_chain(p, seed, failed=[failed], cold=cold)
-            assert sol.action.levels[failed] == -1
-            validate_action(p.fleet, sol.action, p.arrival_rate, p.gamma)
-            assert (
-                oracle * (1.0 - 1e-9) - 1e-12
-                <= sol.objective
-                <= oracle * 1.02 + 1e-12
-            )
+        sol = gsd_long_chain(p, seed, failed=[failed])
+        assert sol.action.levels[failed] == -1
+        validate_action(p.fleet, sol.action, p.arrival_rate, p.gamma)
+        assert (
+            oracle * (1.0 - 1e-9) - 1e-12
+            <= sol.objective
+            <= oracle * 1.02 + 1e-12
+        )
 
     @pytest.mark.parametrize("seed", range(4))
     def test_homogeneous_enumeration_matches_oracle(self, seed):
@@ -216,16 +211,17 @@ class TestCrossSolverConsistency:
         assert en.objective == pytest.approx(oracle, rel=1e-9)
 
     @pytest.mark.parametrize("seed", range(3))
-    def test_cache_on_off_and_warm_agree(self, seed):
-        """GSD's warm chain stays within 1e-9 of its cold chain, and coordinate
-        descent stops at a local minimum of the cold scoring path."""
+    def test_cache_on_off_agree(self, seed):
+        """GSD's answer scores as the uncached path scores it, and coordinate
+        descent stops at a local minimum of that path."""
         rng = np.random.default_rng(5000 + seed)
         model = random_model(rng)
         p = random_problem(model, rng)
 
-        gsd_cold = gsd_long_chain(p, seed, cold=True)
-        gsd_shipped = gsd_long_chain(p, seed)  # warm starts
-        assert gsd_shipped.objective == pytest.approx(gsd_cold.objective, rel=1e-9)
+        gsd = gsd_long_chain(p, seed)
+        assert gsd.objective == pytest.approx(
+            cold_objective(p, gsd.action.levels), rel=1e-12
+        )
 
         cd = CoordinateDescentSolver(restarts=4, rng=np.random.default_rng(seed)).solve(p)
         assert_local_minimum(p, cd)

@@ -1,7 +1,7 @@
 """Group-level cold water-fill: the test oracle for the shipped solver.
 
 :func:`repro.solvers.load_distribution.distribute_load` solves Eq. (18)
-over (profile, level) classes with warm starts.  This module keeps the
+over (profile, level) classes.  This module keeps the
 historical formulation -- one row per *group*, vectorized over groups,
 cold bisection to floating-point bracket collapse -- so tests can pin the
 shipped solver against an independent computation of the same optimum.
@@ -22,7 +22,7 @@ from typing import NamedTuple
 import numpy as np
 
 from repro.cluster.power import LinearTariff
-from repro.solvers.load_distribution import _EARLY_EXIT, _MU_ITERS, _NU_ITERS
+from repro.solvers.load_distribution import _MU_ITERS, _NU_ITERS
 from repro.solvers.problem import InfeasibleError, SlotProblem
 
 __all__ = ["OracleDistribution", "oracle_distribute", "oracle_nu_bracket"]
@@ -38,7 +38,6 @@ class OracleDistribution(NamedTuple):
     nu: float
     regime: str
     electricity_weight: float
-    warm_started: bool = False
     inner_iters: int = 0
     duals: tuple[float, ...] = ()
 
@@ -117,7 +116,7 @@ def _waterfill(problem, lam, we, x, c, n):
         else:
             hi = mid
         iters += 1
-        if collapsed and _EARLY_EXIT:
+        if collapsed:
             break
     return _close_residual(lam, loads_at(hi), caps, n), (lo, hi), iters
 
@@ -176,14 +175,14 @@ def oracle_distribute(problem: SlotProblem, levels: np.ndarray) -> OracleDistrib
         we = new_we
     if facility(loads_a) >= problem.onsite * (1.0 - 1e-12):
         full[on] = loads_a
-        return OracleDistribution(full, nu_a, "billed", we, False, total_iters, (nu_a,))
+        return OracleDistribution(full, nu_a, "billed", we, total_iters, (nu_a,))
 
     loads_b, (_, nu_b), it_b = _waterfill(problem, lam, 0.0, x, c, n)
     total_iters += it_b
     if facility(loads_b) <= problem.onsite * (1.0 + 1e-12):
         full[on] = loads_b
         return OracleDistribution(
-            full, nu_b, "free", 0.0, False, total_iters, (nu_a, nu_b)
+            full, nu_b, "free", 0.0, total_iters, (nu_a, nu_b)
         )
 
     lo_mu, hi_mu = 0.0, we
@@ -198,9 +197,9 @@ def oracle_distribute(problem: SlotProblem, levels: np.ndarray) -> OracleDistrib
             lo_mu = mu
         else:
             hi_mu = mu
-        if collapsed and _EARLY_EXIT:
+        if collapsed:
             break
     full[on] = loads_m
     return OracleDistribution(
-        full, nu_m, "boundary", mu, False, total_iters, (nu_a, nu_b)
+        full, nu_m, "boundary", mu, total_iters, (nu_a, nu_b)
     )
