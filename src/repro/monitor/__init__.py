@@ -8,8 +8,8 @@ replaying a JSONL trace -- and layers on:
 - **invariant monitors** (:mod:`~repro.monitor.invariants`): the
   deficit-queue Lyapunov bound, the carbon-budget trajectory, per-slot
   load conservation/capacity, dropped-load thresholds, accounting sanity;
-- **GSD convergence diagnostics** (:mod:`~repro.monitor.gsd`): acceptance
-  band, improvement-stall detection, cross-chain dispersion;
+- **GSD solve quality** (:mod:`~repro.monitor.gsd`): the median gap of
+  the chain's answers to the exact engine on homogeneous fleets;
 - an **alert channel** (:mod:`~repro.monitor.alerts`) with severity
   levels, deduplication, and pluggable sinks;
 - the **offline HTML dashboard** (:mod:`~repro.monitor.dashboard`) behind
@@ -25,7 +25,7 @@ from .base import HealthMonitor, MonitorReport
 from .dashboard import DASHBOARD_SECTIONS, render_dashboard, write_dashboard
 from .deadline import DeadlineMonitor
 from .faults import FaultActivityMonitor
-from .gsd import GSDAcceptanceMonitor, GSDDispersionMonitor, GSDStallMonitor
+from .gsd import GAP_TOLERANCE, GSDGapMonitor
 from .invariants import (
     BudgetTrajectoryMonitor,
     DroppedLoadMonitor,
@@ -53,9 +53,8 @@ __all__ = [
     "LoadConservationMonitor",
     "DroppedLoadMonitor",
     "SlotSanityMonitor",
-    "GSDAcceptanceMonitor",
-    "GSDStallMonitor",
-    "GSDDispersionMonitor",
+    "GAP_TOLERANCE",
+    "GSDGapMonitor",
     "FaultActivityMonitor",
     "DeadlineMonitor",
     "MonitorSuite",

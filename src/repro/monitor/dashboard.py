@@ -405,6 +405,11 @@ def render_dashboard(
         for e in events
         if e.get("kind") == "gsd.solve" and "acceptance_rate" in e
     ]
+    gsd_gaps = [
+        float(e["gap_rel"])
+        for e in events
+        if e.get("kind") == "gsd.solve" and e.get("gap_rel") is not None
+    ]
     run_ids = sorted({str(e["run_id"]) for e in events if "run_id" in e})
     run_start = next((e for e in events if e.get("kind") == "run.start"), None)
 
@@ -455,14 +460,15 @@ def render_dashboard(
     xs_vp, (ys_vp,) = _aligned(vprice) if vprice else (np.empty(0), [np.empty(0)])
     xs_g = np.arange(len(gsd_times), dtype=np.float64)
 
-    gsd_blurb = (
-        "per-solve wall time across the run's GSD chains"
-        + (
-            f"; mean acceptance {float(np.mean(gsd_accept)):.3f}"
-            if gsd_accept
-            else ""
+    gsd_blurb = "per-solve wall time across the run's GSD chains"
+    if gsd_gaps:
+        p50, p90 = np.percentile(gsd_gaps, [50, 90])
+        gsd_blurb += (
+            f"; gap to the exact engine median {100 * p50:.1f}% / p90 "
+            f"{100 * p90:.1f}% over {len(gsd_gaps)} graded solves"
         )
-    )
+    if gsd_accept:
+        gsd_blurb += f"; mean acceptance {float(np.mean(gsd_accept)):.3f}"
 
     sections = [
         f'<section id="run"><div class="tiles">{tile_html}</div></section>',

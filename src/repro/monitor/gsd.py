@@ -1,26 +1,11 @@
-"""GSD convergence diagnostics: is the Markov chain actually mixing?
+"""GSD solve quality: how far from optimal did the chain land?
 
-Theorem 1 guarantees convergence of GSD's Gibbs chain *in the limit*; at
-finite iteration budgets the chain can silently misbehave in three ways
-these monitors catch from the existing ``gsd.iteration`` / ``gsd.solve``
-event stream:
-
-- **frozen or non-discriminating chains** (:class:`GSDAcceptanceMonitor`):
-  a mean acceptance rate near 0 means the temperature ``delta`` is so high
-  the chains reject everything (they degenerate to their initial
-  configurations); near 1 means ``delta`` is so low the chains accept
-  everything and random walk without concentrating.  The verdict is on the
-  run-level mean, not individual chains: a single chain that starts at (or
-  quickly reaches) the optimum accepts nothing for the rest of its budget,
-  which is convergence, not pathology.
-- **objective-improvement stalls** (:class:`GSDStallMonitor`): consecutive
-  logging windows with zero accepted explorations and no improvement of
-  the best objective -- the chain has stopped searching long before its
-  iteration budget is spent.
-- **cross-chain dispersion** (:class:`GSDDispersionMonitor`): across the
-  run's many chains (one per P3 solve), wildly different acceptance rates
-  or convergence points indicate the temperature schedule is not tracking
-  the objective scale across slots (the ``auto_delta`` failure mode).
+Theorem 1 guarantees convergence of GSD's Gibbs chain only *in the limit*;
+at a finite iteration budget the question is how good each answer was.
+On a homogeneous fleet :class:`~repro.solvers.gsd.GSDSolver` grades every
+instrumented solve against the exact engine and writes the signed relative
+gap into its ``gsd.solve`` event (``gap_rel``).  :class:`GSDGapMonitor`
+judges the run by the median of those gaps.
 """
 
 from __future__ import annotations
@@ -30,211 +15,59 @@ import numpy as np
 from .alerts import AlertChannel
 from .base import HealthMonitor
 
-__all__ = ["GSDAcceptanceMonitor", "GSDStallMonitor", "GSDDispersionMonitor"]
+__all__ = ["GAP_TOLERANCE", "GSDGapMonitor"]
+
+#: Largest median relative gap to the exact engine a run may show.
+GAP_TOLERANCE = 0.03
 
 
-def _event_float(event: dict, field: str) -> float:
-    """Read a float field, mapping absent *and* ``null`` to NaN.
+class GSDGapMonitor(HealthMonitor):
+    """The run's median graded GSD gap stays at or below
+    :data:`GAP_TOLERANCE`.
 
-    JSONL traces write non-finite floats as ``null`` (see
-    :func:`repro.telemetry.tracer.sanitize_json_value`): a GSD chain that
-    starts infeasible reports its objectives that way until the first
-    feasible acceptance.
-    """
-    value = event.get(field)
-    return np.nan if value is None else float(value)
-
-
-class GSDAcceptanceMonitor(HealthMonitor):
-    """Mean acceptance rate across chains must sit in ``(low, high)``.
-
-    Judged on the run-level mean at :meth:`finalize`, not per chain: on
-    homogeneous fleets many chains start at the optimum and accept nothing
-    for their whole budget, which is immediate convergence rather than a
-    frozen temperature schedule.  A mean outside the band, however, says
-    ``delta`` is mis-scaled for the objective across the whole run.
+    Only solves that carry ``gap_rel`` count: the shadow solve runs on
+    homogeneous fleets only, so a heterogeneous-fleet run, an exact-engine
+    run or a trace written before the gap existed is not judged.  A
+    negative gap means the chain beat the engine's family (the first ``M``
+    healthy groups on at one shared level, THEORY.md section 3) with a
+    configuration outside it, such as mixed speeds.
     """
 
-    name = "gsd-acceptance"
-    description = "mean acceptance rate across chains within (low, high) working band"
+    name = "gsd-gap"
+    description = f"median GSD gap to the exact engine <= {100 * GAP_TOLERANCE:g}%"
     kinds = ("gsd.solve",)
 
-    def __init__(self, *, low: float = 0.02, high: float = 0.98) -> None:
+    def __init__(self) -> None:
         super().__init__()
-        if not 0.0 <= low < high <= 1.0:
-            raise ValueError("need 0 <= low < high <= 1")
-        self.low = low
-        self.high = high
-        self.rates: list[float] = []
+        self.gaps: list[float] = []
 
     def observe(self, event: dict, alerts: AlertChannel) -> None:
-        if "acceptance_rate" not in event:
+        gap = event.get("gap_rel")
+        if gap is None:
             return
-        self.rates.append(float(event["acceptance_rate"]))
+        self.gaps.append(float(gap))
         self.checked += 1
 
     def finalize(self, alerts: AlertChannel) -> None:
-        if not self.rates:
+        if not self.gaps:
             return
-        mean = float(np.mean(self.rates))
-        if mean < self.low:
+        median = float(np.median(self.gaps))
+        if median > GAP_TOLERANCE:
             self.violations += 1
             alerts.raise_alert(
                 "warning",
                 self.name,
-                f"mean acceptance rate {mean:.3f} over {len(self.rates)} chains "
-                f"below {self.low:g} -- chains are frozen (temperature delta too "
-                "high for the objective scale)",
-                key=f"{self.name}:frozen",
-            )
-        elif mean > self.high:
-            self.violations += 1
-            alerts.raise_alert(
-                "warning",
-                self.name,
-                f"mean acceptance rate {mean:.3f} over {len(self.rates)} chains "
-                f"above {self.high:g} -- the sampler accepts everything (delta "
-                "too low to discriminate)",
-                key=f"{self.name}:undiscriminating",
+                f"median gap to the exact engine {100 * median:.1f}% over "
+                f"{len(self.gaps)} solves exceeds {100 * GAP_TOLERANCE:g}% -- "
+                "the chain stops far from the optimum",
+                key=f"{self.name}:median",
             )
 
     def detail(self) -> str:
-        if not self.rates:
-            return "no gsd.solve events seen"
+        if not self.gaps:
+            return "no graded gsd.solve events (exact shadow runs on homogeneous fleets only)"
+        p50, p90 = np.percentile(self.gaps, [50, 90])
         return (
-            f"{len(self.rates)} chains, acceptance "
-            f"min {min(self.rates):.3f} / mean {float(np.mean(self.rates)):.3f} "
-            f"/ max {max(self.rates):.3f}"
+            f"{len(self.gaps)} graded solves, gap median {100 * p50:.1f}% / "
+            f"p90 {100 * p90:.1f}% (tolerance {100 * GAP_TOLERANCE:g}%)"
         )
-
-
-class GSDStallMonitor(HealthMonitor):
-    """Objective-improvement stall: ``patience`` consecutive logging windows
-    with zero accepted explorations and an unchanged best objective."""
-
-    name = "gsd-stall"
-    description = "no window-long streaks of zero acceptance with a flat best objective"
-    kinds = ("gsd.iteration", "gsd.solve")
-
-    def __init__(self, *, patience: int = 3) -> None:
-        super().__init__()
-        if patience < 1:
-            raise ValueError("patience must be >= 1")
-        self.patience = patience
-        self._chain: object = None
-        self._streak = 0
-        self._last_best: float | None = None
-        self._last_iteration = -1
-        self.longest_streak = 0
-
-    def _reset_chain(self, chain: object) -> None:
-        self._chain = chain
-        self._streak = 0
-        self._last_best = None
-        self._last_iteration = -1
-
-    def observe(self, event: dict, alerts: AlertChannel) -> None:
-        if event["kind"] == "gsd.solve":
-            # Chain finished; the next iteration event starts a new one.
-            self._reset_chain(None)
-            return
-        iteration = int(event.get("iteration", 0))
-        chain = event.get("solve_index", event.get("run_id"))
-        # A new chain announces itself by a new solve_index (schema 2) or a
-        # non-increasing iteration counter (older traces).
-        if chain != self._chain or iteration <= self._last_iteration:
-            self._reset_chain(chain)
-        self._last_iteration = iteration
-        best = _event_float(event, "best_objective")
-        accepted = _event_float(event, "acceptance_rate")
-        self.checked += 1
-        flat = self._last_best is not None and best >= self._last_best - 1e-12
-        if accepted == 0.0 and flat:
-            self._streak += 1
-        else:
-            self._streak = 0
-        self._last_best = best if np.isfinite(best) else self._last_best
-        self.longest_streak = max(self.longest_streak, self._streak)
-        if self._streak == self.patience:
-            self.violations += 1
-            window = int(event.get("window", 0))
-            alerts.raise_alert(
-                "warning",
-                self.name,
-                f"chain stalled: {self.patience} consecutive windows "
-                f"({self.patience * window} iterations) with zero acceptance and "
-                f"no best-objective improvement (best {best:.6g})",
-                key=f"{self.name}:stall",
-            )
-
-    def detail(self) -> str:
-        if not self.checked:
-            return "no gsd.iteration events seen"
-        return (
-            f"{self.checked} windows, longest zero-progress streak "
-            f"{self.longest_streak} (patience {self.patience})"
-        )
-
-
-class GSDDispersionMonitor(HealthMonitor):
-    """Cross-chain dispersion of acceptance and convergence behaviour.
-
-    Collects every chain's acceptance rate and its convergence point (the
-    fraction of the iteration budget at which the best configuration last
-    improved) from ``gsd.solve`` events.  At end of stream, a coefficient
-    of variation of the acceptance rates above ``cv_threshold`` -- chains
-    on some slots frozen while others random-walk -- means the temperature
-    is not tracking the objective scale across slots.
-    """
-
-    name = "gsd-dispersion"
-    description = "acceptance-rate dispersion across chains stays bounded"
-    kinds = ("gsd.solve",)
-
-    def __init__(self, *, cv_threshold: float = 1.0, min_chains: int = 3) -> None:
-        super().__init__()
-        if cv_threshold <= 0:
-            raise ValueError("cv_threshold must be positive")
-        self.cv_threshold = cv_threshold
-        self.min_chains = min_chains
-        self.rates: list[float] = []
-        self.convergence_fractions: list[float] = []
-        self.cv: float | None = None
-
-    def observe(self, event: dict, alerts: AlertChannel) -> None:
-        if "acceptance_rate" in event:
-            self.rates.append(float(event["acceptance_rate"]))
-        iters = float(event.get("iterations", 0.0))
-        if iters > 0 and "iterations_to_convergence" in event:
-            self.convergence_fractions.append(
-                float(event["iterations_to_convergence"]) / iters
-            )
-
-    def finalize(self, alerts: AlertChannel) -> None:
-        if len(self.rates) < self.min_chains:
-            return
-        self.checked += 1
-        rates = np.asarray(self.rates, dtype=np.float64)
-        mean = float(rates.mean())
-        self.cv = float(rates.std() / mean) if mean > 0 else float("inf")
-        if self.cv > self.cv_threshold:
-            self.violations += 1
-            alerts.raise_alert(
-                "warning",
-                self.name,
-                f"acceptance-rate dispersion CV {self.cv:.2f} across "
-                f"{len(self.rates)} chains exceeds {self.cv_threshold:g} -- "
-                "temperature schedule is not tracking the objective scale",
-                key=f"{self.name}:cv",
-            )
-
-    def detail(self) -> str:
-        if len(self.rates) < self.min_chains:
-            return f"only {len(self.rates)} chains seen (need {self.min_chains})"
-        conv = (
-            f", mean convergence at {100 * float(np.mean(self.convergence_fractions)):.0f}% "
-            "of budget"
-            if self.convergence_fractions
-            else ""
-        )
-        return f"{len(self.rates)} chains, acceptance CV {self.cv:.2f}{conv}"

@@ -12,7 +12,7 @@ Two consumption modes, one code path:
   same suite, which is how ``repro dashboard`` audits finished runs.
 
 :func:`default_suite` builds the standard monitor set -- every invariant
-monitor plus the GSD diagnostics -- with self-calibrating defaults.
+monitor plus the GSD gap check -- with self-calibrating defaults.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ from .alerts import Alert, AlertChannel
 from .base import HealthMonitor, MonitorReport
 from .deadline import DeadlineMonitor
 from .faults import FaultActivityMonitor
-from .gsd import GSDAcceptanceMonitor, GSDDispersionMonitor, GSDStallMonitor
+from .gsd import GSDGapMonitor
 from .invariants import (
     BudgetTrajectoryMonitor,
     DroppedLoadMonitor,
@@ -162,9 +162,7 @@ def default_suite(
         LoadConservationMonitor(**load_kw),
         DroppedLoadMonitor(),
         SlotSanityMonitor(),
-        GSDAcceptanceMonitor(),
-        GSDStallMonitor(),
-        GSDDispersionMonitor(),
+        GSDGapMonitor(),
         FaultActivityMonitor(),
         DeadlineMonitor(),
     ]

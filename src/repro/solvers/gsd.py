@@ -48,6 +48,7 @@ import numpy as np
 from . import convex
 from .base import SlotSolution, SlotSolver
 from .deadline import DeadlineExceededError, SolveDeadline
+from .enumeration import HomogeneousEnumerationSolver
 from .fastpath import EvaluationCache
 from .load_distribution import solve_fixed_levels
 from .problem import InfeasibleError, SlotProblem
@@ -56,10 +57,6 @@ __all__ = ["GSDSolver", "GSDTrace", "geometric_temperature"]
 
 #: Floor keeping ``delta / g`` finite when a configuration has ~zero cost.
 _OBJECTIVE_FLOOR = 1e-12
-
-#: With telemetry bound, one ``gsd.iteration`` summary event is emitted per
-#: this many chain iterations.
-_LOG_WINDOW = 100
 
 
 def _acceptance_probability(delta: float, explored: float, current: float) -> float:
@@ -71,6 +68,20 @@ def _acceptance_probability(delta: float, explored: float, current: float) -> fl
     gs = max(current, _OBJECTIVE_FLOOR)
     exponent = min(max(delta * (1.0 / ge - 1.0 / gs), -700.0), 700.0)
     return 1.0 / (1.0 + math.exp(-exponent))
+
+
+def _exact_gap(problem: SlotProblem, objective: float, sp) -> dict:
+    """The shadow solve: ``objective``'s signed gap to the exact engine on
+    the same homogeneous-fleet problem, negative when GSD beat the
+    shared-speed family.  Its wall time is the span's ``gsd.shadow``."""
+    t0 = time.perf_counter()
+    exact = HomogeneousEnumerationSolver().solve(problem).objective
+    if sp:
+        sp.add("gsd.shadow", time.perf_counter() - t0)
+    return {
+        "gap_rel": float((objective - exact) / max(abs(exact), 1e-12)),
+        "exact_objective": float(exact),
+    }
 
 
 def geometric_temperature(
@@ -124,9 +135,14 @@ class GSDSolver(SlotSolver):
     :class:`~repro.solvers.fastpath.EvaluationCache`: revisited level
     vectors cost a dict hit, clearly infeasible proposals are screened in
     O(1), and a new on-set costs one cold water-fill.
-    With telemetry bound, a ``gsd.iteration`` summary event (chain and best
-    objective, temperature, windowed acceptance rate) is emitted every 100
-    iterations.
+
+    With telemetry bound, each solve on a homogeneous fleet is graded after
+    the chain: :class:`~repro.solvers.enumeration.HomogeneousEnumerationSolver`,
+    exact on such fleets, solves the same problem, and the signed relative
+    gap ``(gsd - exact) / max(|exact|, 1e-12)`` lands in ``info["gap_rel"]``
+    and in the ``gsd.solve`` event (with ``exact_objective``).  The shadow
+    draws no randomness and changes no decision; its time is the span's
+    ``gsd.shadow`` bucket, outside ``solve_time_s``.
 
     Parameters
     ----------
@@ -178,25 +194,20 @@ class GSDSolver(SlotSolver):
         )
         self.record_history = record_history
         self.deadline_ms = deadline_ms
-        # Chain counter: stamps telemetry events with a per-solver
-        # solve_index so the convergence diagnostics can group the
-        # gsd.iteration stream by chain.  Only advanced when telemetry is
-        # enabled, so uninstrumented solver state is untouched.
-        self._solve_count = 0
 
     # ------------------------------------------------------------------
     def state_dict(self) -> dict:
         """Everything a checkpoint needs to resume this chain exactly."""
         from ..state.serialize import encode_rng
 
-        return {"rng": encode_rng(self.rng), "solve_count": self._solve_count}
+        return {"rng": encode_rng(self.rng)}
 
     def load_state_dict(self, state: dict) -> None:
-        """Restore RNG position and chain counter from a checkpoint."""
+        """Restore the RNG position from a checkpoint; other keys (older
+        records also carry a ``solve_count``) are ignored."""
         from ..state.serialize import decode_rng
 
         self.rng = decode_rng(state["rng"])
-        self._solve_count = int(state["solve_count"])
 
     # ------------------------------------------------------------------
     @staticmethod
@@ -312,26 +323,6 @@ class GSDSolver(SlotSolver):
 
         tele = self.telemetry
         started = time.perf_counter() if tele.enabled else 0.0
-        solve_index = -1
-        if tele.enabled:
-            solve_index = self._solve_count
-            self._solve_count += 1
-
-        def _log_window(it: int) -> None:
-            """Iteration-summary event at the end of each logging interval."""
-            if not tele.enabled or (it + 1) % _LOG_WINDOW != 0:
-                return
-            lo = it + 1 - _LOG_WINDOW
-            tele.emit(
-                "gsd.iteration",
-                solve_index=solve_index,
-                iteration=it + 1,
-                chain_objective=float(hist_chain[it]),
-                best_objective=float(hist_best[it]),
-                temperature=float(hist_temp[it]),
-                acceptance_rate=float(hist_acc[lo : it + 1].mean()),
-                window=_LOG_WINDOW,
-            )
 
         completed = 0
         scored_s = 0.0
@@ -350,7 +341,6 @@ class GSDSolver(SlotSolver):
             old_level = levels[g]
             if proposal == old_level:
                 hist_chain[it], hist_best[it] = current, best
-                _log_window(it)
                 continue
             levels[g] = proposal
             cache.note_changed(g)
@@ -376,7 +366,6 @@ class GSDSolver(SlotSolver):
                 levels[g] = old_level
                 cache.note_changed(g)
             hist_chain[it], hist_best[it] = current, best
-            _log_window(it)
         if sp:
             # The chain's own steps: proposal draws, acceptance, history.
             sp.add("gsd.chain", time.perf_counter() - t_chain - scored_s)
@@ -407,8 +396,17 @@ class GSDSolver(SlotSolver):
                 )
 
         stats = cache.stats
+        elapsed = time.perf_counter() - started if tele.enabled else 0.0
+        feasible = bool(np.isfinite(best))
+        if feasible:
+            t_final = time.perf_counter() if sp else 0.0
+            action, final_evaluation = cache.solution_for(best_levels)
+            if sp:
+                sp.add("gsd.finalize", time.perf_counter() - t_final)
+        graded: dict = {}
         if tele.enabled:
-            elapsed = time.perf_counter() - started
+            if feasible and fleet.is_homogeneous:
+                graded = _exact_gap(problem, final_evaluation.objective, sp)
             acceptance = float(hist_acc.mean()) if completed else 0.0
             metrics = tele.metrics
             metrics.counter("gsd.solves").inc()
@@ -421,7 +419,6 @@ class GSDSolver(SlotSolver):
             metrics.histogram("gsd.acceptance_rate").observe(acceptance)
             tele.emit(
                 "gsd.solve",
-                solve_index=solve_index,
                 iterations=completed,
                 inner_solves=stats.inner_solves,
                 evaluations=n_solves,
@@ -431,9 +428,10 @@ class GSDSolver(SlotSolver):
                 acceptance_rate=acceptance,
                 iterations_to_convergence=last_improve,
                 solve_time_s=elapsed,
+                **graded,
             )
 
-        if not np.isfinite(best):
+        if not feasible:
             # The chain observed no configuration satisfying the operational
             # caps; returning the (cap-violating) chain state would silently
             # hand the controller an infeasible action.
@@ -441,10 +439,6 @@ class GSDSolver(SlotSolver):
                 "GSD chain never reached a configuration satisfying the "
                 "operational caps; increase iterations or relax the caps"
             )
-        t_final = time.perf_counter() if sp else 0.0
-        action, final_evaluation = cache.solution_for(best_levels)
-        if sp:
-            sp.add("gsd.finalize", time.perf_counter() - t_final)
         info: dict = {
             "iterations": completed,
             "chain_levels": levels.copy(),
@@ -453,6 +447,8 @@ class GSDSolver(SlotSolver):
             "fastpath": stats.as_dict(),
             "final_objective": best,
         }
+        if graded:
+            info["gap_rel"] = graded["gap_rel"]
         if self.deadline_ms is not None:
             info["deadline"] = {
                 "budget_ms": float(self.deadline_ms),

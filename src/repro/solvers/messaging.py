@@ -235,19 +235,6 @@ class DistributedGSD(GSDSolver):
         self.transport_factory: Callable[[int, int], MessageTransport] | None = None
         self.last_transport: MessageTransport | None = None
 
-    def load_state_dict(self, state: dict) -> None:
-        """Restore the chain; refuses state of the retired message-bus
-        chain (no ``solve_count``), which drew its own decisions under loss."""
-        if "solve_count" not in state:
-            from ..state.checkpoint import CheckpointError
-
-            raise CheckpointError(
-                "checkpoint holds distributed-solver state of the retired "
-                "message-bus chain, which this version cannot continue; "
-                "rerun from the start"
-            )
-        super().load_state_dict(state)
-
     def _scorer(
         self,
         problem: SlotProblem,

@@ -139,7 +139,8 @@ def trace_summary_tables(events: list[dict]) -> dict[str, list[dict]]:
         Wall-time percentiles per timing source (``slot.decision`` solve
         times, ``gsd.solve`` solve times).
     ``gsd``
-        Chain statistics from ``gsd.solve`` events.
+        Chain statistics from ``gsd.solve`` events, with the median and p90
+        of ``gap_rel`` (the gap to the exact engine) over the graded solves.
     ``spans``
         Tree-rendered hotspot table from v3 ``span`` events (empty for
         v1/v2 traces; see :func:`span_hotspots`).
@@ -149,7 +150,7 @@ def trace_summary_tables(events: list[dict]) -> dict[str, list[dict]]:
     timings: dict[str, list[float]] = {}
     outcome = {"cost": 0.0, "brown": 0.0, "dropped": 0.0, "slots": 0}
     queue_depths: list[float] = []
-    gsd = {"solves": 0, "iterations": 0.0, "accept": [], "converged_at": []}
+    gsd = {"solves": 0, "iterations": 0.0, "accept": [], "converged_at": [], "gap": []}
 
     for event in events:
         kind = event["kind"]
@@ -177,6 +178,8 @@ def trace_summary_tables(events: list[dict]) -> dict[str, list[dict]]:
                 gsd["accept"].append(float(event["acceptance_rate"]))
             if "iterations_to_convergence" in event:
                 gsd["converged_at"].append(float(event["iterations_to_convergence"]))
+            if event.get("gap_rel") is not None:
+                gsd["gap"].append(float(event["gap_rel"]))
             if "solve_time_s" in event:
                 timings.setdefault("gsd.solve/solve_time_s", []).append(
                     float(event["solve_time_s"])
@@ -213,18 +216,20 @@ def trace_summary_tables(events: list[dict]) -> dict[str, list[dict]]:
         tables["timings"].append(_percentile_row(label, timings[label]))
 
     if gsd["solves"]:
-        tables["gsd"].append(
-            {
-                "solves": gsd["solves"],
-                "avg iterations": gsd["iterations"] / gsd["solves"],
-                "avg acceptance": (
-                    float(np.mean(gsd["accept"])) if gsd["accept"] else 0.0
-                ),
-                "avg iters-to-best": (
-                    float(np.mean(gsd["converged_at"])) if gsd["converged_at"] else 0.0
-                ),
-            }
-        )
+        row = {
+            "solves": gsd["solves"],
+            "avg iterations": gsd["iterations"] / gsd["solves"],
+            "avg acceptance": float(np.mean(gsd["accept"])) if gsd["accept"] else 0.0,
+            "avg iters-to-best": (
+                float(np.mean(gsd["converged_at"])) if gsd["converged_at"] else 0.0
+            ),
+        }
+        if gsd["gap"]:
+            p50, p90 = np.percentile(gsd["gap"], [50, 90])
+            row.update(
+                {"graded": len(gsd["gap"]), "gap p50 [%]": 100 * p50, "gap p90 [%]": 100 * p90}
+            )
+        tables["gsd"].append(row)
     return tables
 
 

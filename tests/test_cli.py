@@ -181,25 +181,60 @@ class TestRunResume:
             records.append(load_record(str(out)))
         assert record_mismatches(*records) == []
 
-    def test_resume_refuses_message_bus_checkpoint(self, tmp_path, capsys):
-        # The retired message-bus chain wrote solver state without a
-        # ``solve_count``; its checkpoints cannot continue on the GSD chain.
-        from repro.state import LOG_NAME, dumps_checkpoint, loads_checkpoint
+    def test_resume_reads_a_parent_format_gsd_checkpoint(self, tmp_path, capsys):
+        # Records written before the exact gap graded GSD carry a
+        # ``solve_count`` beside the chain's RNG; a resume ignores it and
+        # continues the chain bit for bit.
+        from repro.state import (
+            LOG_NAME,
+            dumps_checkpoint,
+            load_record,
+            loads_checkpoint,
+            record_mismatches,
+        )
         from tests.state_oracle import record_spans
 
         ckpt_dir = tmp_path / "ckpts"
-        assert self._run(ckpt_dir, "--solver", "distributed", "--iterations", "4") == 0
+        whole, resumed = tmp_path / "whole.npz", tmp_path / "resumed.npz"
+        gsd = ("--solver", "gsd", "--iterations", "8")
+        assert self._run(ckpt_dir, *gsd, "--record-out", str(whole)) == 0
         log = ckpt_dir / LOG_NAME
         data, rewritten = log.read_bytes(), b""
-        for slot, start, end in record_spans(log):
+        for slot, start, end in record_spans(log)[:5]:
             record = loads_checkpoint(data[start:end]).state
-            del record["controller"]["state"]["solver"]["solve_count"]
+            solver = record["controller"]["state"]["solver"]
+            assert set(solver) == {"rng"}
+            solver["solve_count"] = slot
             rewritten += dumps_checkpoint(slot, record)
         log.write_bytes(rewritten)
-        capsys.readouterr()
-        assert main(["resume", str(ckpt_dir)]) == EXIT_BAD_INPUT
-        err = capsys.readouterr().err.strip()
-        assert "message-bus" in err and len(err.splitlines()) == 1
+        assert main(["resume", str(ckpt_dir), "--record-out", str(resumed)]) == 0
+        assert record_mismatches(load_record(str(whole)), load_record(str(resumed))) == []
+
+    def test_strict_tracing_moves_no_gsd_bit(self, tmp_path, capsys):
+        # --strict --trace-out runs the exact shadow after every GSD solve;
+        # the record and every checkpointed controller state (the chain's
+        # RNG included) stay those of the plain run, byte for byte.
+        from repro.state import LOG_NAME, loads_checkpoint
+        from repro.telemetry import load_trace
+        from tests.state_oracle import record_spans
+
+        def run(name, *extra):
+            ckpt_dir, out = tmp_path / name, tmp_path / f"{name}.npz"
+            rc = self._run(ckpt_dir, "--solver", "gsd", "--iterations", "20",
+                           "--record-out", str(out), *extra)
+            assert rc in (0, EXIT_MONITOR_CRITICAL)
+            log = ckpt_dir / LOG_NAME
+            data = log.read_bytes()
+            states = [
+                loads_checkpoint(data[start:end]).state["controller"]["state"]
+                for _, start, end in record_spans(log)
+            ]
+            return out.read_bytes(), states
+
+        trace = tmp_path / "strict.jsonl"
+        assert run("plain") == run("strict", "--strict", "--trace-out", str(trace))
+        solves = [e for e in load_trace(str(trace)) if e["kind"] == "gsd.solve"]
+        assert len(solves) == 48 and all("gap_rel" in e for e in solves)
 
 
 class TestExitCodes:
@@ -397,7 +432,7 @@ class TestFaultRun:
         out = capsys.readouterr().out
         assert "chaos: 28 timed events over 48 h; reliable messaging" in out
         assert "faults: 28 injected (group_fail=14, group_repair=14)" in out
-        assert "10/10 monitors passing" in out
+        assert "8/8 monitors passing" in out
         assert "replay: bit-identical" in out
 
     def test_message_faults_note_names_the_distributed_solver(self, capsys):
@@ -427,7 +462,7 @@ class TestFaultRun:
     def test_strict_exits_2_on_a_failing_monitor(self, failing_suite, capsys):
         assert main([*self.ARGV, "--strict"]) == EXIT_MONITOR_CRITICAL
         captured = capsys.readouterr()
-        assert "10/11 monitors passing" in captured.out
+        assert "8/9 monitors passing" in captured.out
         assert "FAIL always-fails" in captured.err
         assert failing_suite == ["suite", "telemetry"]
 
@@ -435,6 +470,42 @@ class TestFaultRun:
         assert main(self.ARGV) == 0
         assert "monitors passing" not in capsys.readouterr().out
         assert failing_suite == []
+
+
+class TestGSDGap:
+    """``gsd-gap`` judges a GSD run by its median gap to the exact engine."""
+
+    ARGV = [
+        "run", "--horizon", "24", "--seed", "3", "--budget-fraction", "2.0",
+        "--solver", "gsd", "--strict",
+    ]
+
+    def test_live_verdict_equals_the_dashboard_verdict(self, tmp_path, capsys):
+        # One chain step per slot leaves most solves far from the optimum.
+        trace = tmp_path / "gsd.jsonl"
+        rc = main([*self.ARGV, "--iterations", "1", "--trace-out", str(trace)])
+        live = capsys.readouterr()
+        assert rc == EXIT_MONITOR_CRITICAL
+        assert "FAIL gsd-gap" in live.err
+        rc_offline = main(
+            ["dashboard", "--trace", str(trace), "-o", str(tmp_path / "d.html"), "--strict"]
+        )
+        offline = capsys.readouterr()
+        assert rc_offline == rc
+        assert offline.err == live.err
+
+        def verdict(out):
+            return [line for line in out.splitlines() if "monitors passing" in line]
+
+        assert verdict(offline.out) == verdict(live.out) == ["7/8 monitors passing"]
+        # Both trace readers print the graded gap beside the chain statistics.
+        assert "gap to the exact engine median" in (tmp_path / "d.html").read_text()
+        assert main(["telemetry", str(trace)]) == 0
+        assert "gap p50 [%]" in capsys.readouterr().out
+
+    def test_a_converged_chain_passes(self, capsys):
+        assert main([*self.ARGV, "--iterations", "20"]) == 0
+        assert "8/8 monitors passing" in capsys.readouterr().out
 
 
 class TestRunSpec:

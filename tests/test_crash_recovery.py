@@ -8,8 +8,9 @@ timing-dependent slot), SIGKILLs it with no chance to clean up, then
 resumes in-process from whatever the checkpoint log holds and diffs the final
 :class:`~repro.sim.metrics.SimulationRecord` against a golden run that was
 never interrupted.  Seeds cover the plain deterministic path, the shipped
-GSD chain (its RNG position and solve count ride in the checkpoint),
-and a chaos schedule with a lossy distributed bus.
+GSD chain (its RNG position rides in the checkpoint; the run is also
+killed under ``--strict``, whose exact shadow solve must leave the chain
+untouched), and a chaos schedule with a lossy distributed bus.
 """
 
 from __future__ import annotations
@@ -120,21 +121,25 @@ def test_sigkill_then_resume_is_bit_identical(tmp_path, seed):
 
 
 def test_sigkill_then_resume_gsd_chain(tmp_path):
-    ckpt_dir = str(tmp_path / "ckpts")
-    proc = _spawn_run(
-        [
-            "--horizon", "96",
-            "--seed", "7",
-            "--solver", "gsd",
-            "--iterations", "8",
-            "--checkpoint-dir", ckpt_dir,
-            "--checkpoint-every", "1",
-            "--slot-sleep-ms", "40",
-        ]
-    )
-    _kill_mid_run(proc, ckpt_dir, min_checkpoints=3)
-    slot = _resume_and_diff(ckpt_dir)
-    assert slot >= 3
+    # --strict taps the monitors, and with them the exact shadow solve
+    # after each chain; the checkpointed chain must not see it.
+    for extra in ((), ("--strict",)):
+        ckpt_dir = str(tmp_path / ("ckpts" + "".join(extra)))
+        proc = _spawn_run(
+            [
+                "--horizon", "96",
+                "--seed", "7",
+                "--solver", "gsd",
+                "--iterations", "8",
+                "--checkpoint-dir", ckpt_dir,
+                "--checkpoint-every", "1",
+                "--slot-sleep-ms", "40",
+                *extra,
+            ]
+        )
+        _kill_mid_run(proc, ckpt_dir, min_checkpoints=3)
+        slot = _resume_and_diff(ckpt_dir)
+        assert slot >= 3
 
 
 def test_sigkill_then_resume_under_lossy_bus_chaos(tmp_path):

@@ -269,6 +269,44 @@ class TestResidualClosure:
         assert float(np.sum(counts * out)) == pytest.approx(4.0, rel=1e-12)
 
 
+    @pytest.mark.parametrize(
+        "lam, loads, caps, counts, want",
+        [
+            # Every loaded row is at its cap: the empty row takes the rest.
+            (10.0, [2.0, 0.0], [2.0, 5.0], [3.0, 2.0], [2.0, 2.0]),
+            # The one loaded row with room has no servers.
+            (10.0, [2.0, 1.0, 0.0], [2.0, 5.0, 5.0], [3.0, 0.0, 2.0], [2.0, 3.0, 2.0]),
+            # An opened row saturates; the next pass closes on the other.
+            (20.0, [2.0, 0.0, 0.0], [2.0, 3.0, 10.0], [3.0, 2.0, 2.0], [2.0, 3.0, 4.0]),
+        ],
+    )
+    def test_shortfall_opens_the_empty_rows(self, lam, loads, caps, counts, want):
+        out = ld._close_residual(lam, loads, caps, counts)
+        assert out == want
+        assert all(0.0 <= lk <= cap for lk, cap in zip(out, caps))
+        assert ld._served_total(counts, out) == lam
+
+    def test_shortfall_stays_on_loaded_rows_with_room(self):
+        out = ld._close_residual(4.0, [1.0, 0.0], [5.0, 5.0], [2.0, 2.0])
+        assert out == [2.0, 0.0]
+
+    @pytest.mark.parametrize(
+        "lam, loads, caps, counts",
+        [
+            # Balanced with every row at a bound: nothing to move.
+            (6.0, [2.0, 0.0], [2.0, 5.0], [3.0, 1.0]),
+            # A shortfall with every row at its cap cannot close.
+            (10.0, [2.0, 3.0], [2.0, 3.0], [1.0, 1.0]),
+            # An excess with no loaded row strictly inside its box.
+            (2.0, [0.0, 3.0], [2.0, 3.0], [1.0, 1.0]),
+        ],
+    )
+    def test_no_row_to_move_returns_the_loads(self, lam, loads, caps, counts):
+        out = ld._close_residual(lam, loads, caps, counts)
+        assert out == loads
+        assert all(0.0 <= lk <= cap for lk, cap in zip(out, caps))
+
+
 class TestDelayFreeZeroCount:
     """Regression: the greedy ``Wd == 0`` fill divided by the group count,
     so a group emptied by failures (count 0) produced 0/0 NaNs that

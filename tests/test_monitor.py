@@ -1,5 +1,5 @@
-"""Tests for the health-monitoring layer: alerts, invariants, GSD
-diagnostics, the tracer tap, and the HTML dashboard.
+"""Tests for the health-monitoring layer: alerts, invariants, the GSD
+gap, the tracer tap, and the HTML dashboard.
 
 The corrupted-trace tests are the load-bearing ones: every invariant
 monitor must actually *trip* when fed a trace violating its property --
@@ -20,9 +20,8 @@ from repro.monitor import (
     AlertChannel,
     BudgetTrajectoryMonitor,
     DroppedLoadMonitor,
-    GSDAcceptanceMonitor,
-    GSDDispersionMonitor,
-    GSDStallMonitor,
+    GAP_TOLERANCE,
+    GSDGapMonitor,
     LoadConservationMonitor,
     MonitoringTracer,
     MonitorSuite,
@@ -265,96 +264,48 @@ class TestInvariantsTrip:
         assert "brown_energy" in suite.alerts[0].message
 
 
-# ------------------------------------------------------- GSD diagnostics
-class TestGSDDiagnosticsTrip:
-    def test_acceptance_monitor_flags_frozen_chain(self):
-        monitor = GSDAcceptanceMonitor()
-        suite = _feed(monitor, [
-            {"kind": "gsd.solve", "solve_index": 0, "acceptance_rate": 0.001},
-        ])
-        assert not monitor.report().passed
-        assert "frozen" in suite.alerts[0].message
+# ------------------------------------------------------------- GSD gap
+def _graded(*gaps):
+    return [{"kind": "gsd.solve", "acceptance_rate": 0.1, "gap_rel": g} for g in gaps]
 
-    def test_acceptance_monitor_flags_undiscriminating_chain(self):
-        monitor = GSDAcceptanceMonitor()
-        suite = _feed(monitor, [
-            {"kind": "gsd.solve", "solve_index": 0, "acceptance_rate": 0.999},
-        ])
-        assert not monitor.report().passed
-        assert "accepts everything" in suite.alerts[0].message
 
-    def test_acceptance_monitor_quiet_in_band(self):
-        monitor = GSDAcceptanceMonitor()
-        suite = _feed(monitor, [
-            {"kind": "gsd.solve", "solve_index": 0, "acceptance_rate": 0.4},
-        ])
+class TestGSDGapMonitor:
+    def test_trips_on_a_median_above_tolerance(self):
+        monitor = GSDGapMonitor()
+        suite = _feed(monitor, _graded(0.0, 0.05, 0.19, 1.3))
+        report = monitor.report()
+        assert not report.passed
+        assert report.checked == 4 and report.violations == 1
+        assert "median gap" in suite.alerts[0].message
+        assert "4 graded solves" in report.detail
+
+    def test_quiet_at_or_below_tolerance(self):
+        # The median sits exactly at the tolerance: one far-off solve does
+        # not move it, and a negative gap (the chain beat the engine's
+        # family) counts as a good solve.
+        monitor = GSDGapMonitor()
+        suite = _feed(monitor, _graded(-0.01, GAP_TOLERANCE, GAP_TOLERANCE, 0.0, 1.35))
         assert monitor.report().passed
+        assert monitor.report().checked == 5
         assert suite.alerts == []
 
-    def test_acceptance_monitor_tolerates_converged_chains(self):
-        # Chains that start at the optimum accept nothing for their whole
-        # budget; as long as the run-level mean stays in band that is
-        # convergence, not a frozen temperature schedule.
-        monitor = GSDAcceptanceMonitor()
-        rates = [0.0, 0.0, 0.0, 0.1, 0.1]   # mean 0.04 > low=0.02
+    def test_does_not_judge_a_run_with_no_graded_solve(self):
+        # A trace written before the gap existed: chain statistics only.
+        monitor = GSDGapMonitor()
         suite = _feed(monitor, [
-            {"kind": "gsd.solve", "solve_index": i, "acceptance_rate": r}
-            for i, r in enumerate(rates)
-        ])
-        assert monitor.report().passed
-        assert suite.alerts == []
-
-    def test_stall_monitor_trips_after_patience_windows(self):
-        monitor = GSDStallMonitor(patience=3)
-        events = [
-            {"kind": "gsd.iteration", "solve_index": 0, "iteration": 100 * (i + 1),
-             "best_objective": 42.0, "acceptance_rate": 0.0, "window": 100}
-            for i in range(4)
-        ]
-        suite = _feed(monitor, events)
-        assert not monitor.report().passed
-        assert "stalled" in suite.alerts[0].message
-        assert monitor.longest_streak >= 3
-
-    def test_stall_monitor_resets_across_chains(self):
-        monitor = GSDStallMonitor(patience=3)
-        # Two windows of stall in chain 0, then a new chain: streak resets.
-        events = [
-            {"kind": "gsd.iteration", "solve_index": 0, "iteration": 100,
-             "best_objective": 42.0, "acceptance_rate": 0.0, "window": 100},
-            {"kind": "gsd.iteration", "solve_index": 0, "iteration": 200,
-             "best_objective": 42.0, "acceptance_rate": 0.0, "window": 100},
-            {"kind": "gsd.solve", "solve_index": 0, "acceptance_rate": 0.5},
-            {"kind": "gsd.iteration", "solve_index": 1, "iteration": 100,
-             "best_objective": 99.0, "acceptance_rate": 0.0, "window": 100},
-            {"kind": "gsd.iteration", "solve_index": 1, "iteration": 200,
-             "best_objective": 99.0, "acceptance_rate": 0.0, "window": 100},
-        ]
-        suite = _feed(monitor, events)
-        assert monitor.report().passed
-        assert suite.alerts == []
-
-    def test_dispersion_monitor_trips_on_wild_chains(self):
-        monitor = GSDDispersionMonitor(min_chains=3)
-        events = [
-            {"kind": "gsd.solve", "solve_index": i, "acceptance_rate": rate,
-             "iterations": 100, "iterations_to_convergence": 50}
-            for i, rate in enumerate([0.001, 0.001, 0.001, 0.95])
-        ]
-        suite = _feed(monitor, events)
-        assert not monitor.report().passed
-        assert "dispersion" in suite.alerts[0].message
-
-    def test_dispersion_monitor_quiet_on_consistent_chains(self):
-        monitor = GSDDispersionMonitor(min_chains=3)
-        events = [
-            {"kind": "gsd.solve", "solve_index": i, "acceptance_rate": 0.3,
-             "iterations": 100, "iterations_to_convergence": 60}
+            {"kind": "gsd.solve", "solve_index": i, "acceptance_rate": 0.0,
+             "iterations": 100, "iterations_to_convergence": 0}
             for i in range(5)
-        ]
-        suite = _feed(monitor, events)
-        assert monitor.report().passed
+        ])
+        report = monitor.report()
+        assert report.passed and report.checked == 0
+        assert "no graded" in report.detail
         assert suite.alerts == []
+
+    def test_exact_engine_run_is_not_judged(self, healthy_events):
+        suite = replay(healthy_events)
+        (report,) = [r for r in suite.reports() if r.monitor == "gsd-gap"]
+        assert report.passed and report.checked == 0
 
 
 # ------------------------------------------------------- suite and tap
@@ -364,9 +315,9 @@ class TestSuite:
         names = {m.name for m in suite.monitors}
         assert {
             "queue-bound", "budget-trajectory", "load-conservation",
-            "dropped-load", "slot-sanity",
-            "gsd-acceptance", "gsd-stall", "gsd-dispersion",
-        } <= names
+            "dropped-load", "slot-sanity", "gsd-gap",
+            "fault-activity", "solve-deadline",
+        } == names
 
     def test_default_suite_rejects_unknown_override(self):
         with pytest.raises(TypeError, match="unknown"):

@@ -46,6 +46,16 @@ def _run(scenario, telemetry=None, v=120.0):
     )
 
 
+def _gsd_problem(model, lam_frac=0.6):
+    return model.slot_problem(
+        arrival_rate=lam_frac * model.fleet.capacity(model.gamma),
+        onsite=0.0,
+        price=40.0,
+        q=0.0,
+        V=1.0,
+    )
+
+
 class TestBitIdentical:
     """Telemetry on, off, or absent -- same numbers, always."""
 
@@ -77,6 +87,26 @@ class TestBitIdentical:
             return solver.solve(problem).action.rows
 
         assert gsd_run(None) == gsd_run(Telemetry.recording())
+
+    def test_gsd_unperturbed_by_the_exact_shadow(self, tiny_model):
+        # On a homogeneous fleet telemetry adds the exact shadow solve: the
+        # chain's actions, objectives and RNG position must not see it.
+        def gsd_run(telemetry):
+            solver = GSDSolver(iterations=30, rng=np.random.default_rng(7))
+            if telemetry is not None:
+                solver.bind_telemetry(telemetry)
+            solutions = [
+                solver.solve(_gsd_problem(tiny_model, frac)) for frac in (0.2, 0.5, 0.8)
+            ]
+            return (
+                [(s.action.levels.tolist(), s.action.rows, s.objective) for s in solutions],
+                solver.state_dict(),
+            )
+
+        telemetry = Telemetry.recording()
+        assert gsd_run(None) == gsd_run(telemetry)
+        graded = [e for e in telemetry.events if e["kind"] == "gsd.solve"]
+        assert len(graded) == 3 and all("gap_rel" in e for e in graded)
 
     def test_null_telemetry_is_inert(self):
         NULL_TELEMETRY.emit("anything", t=0)
@@ -124,34 +154,39 @@ class TestEventStream:
 
 
 class TestGSDEvents:
-    def _solve(self, hetero_model, **gsd_kwargs):
+    def _solve(self, model, **gsd_kwargs):
         telemetry = Telemetry.recording()
         solver = GSDSolver(rng=np.random.default_rng(3), **gsd_kwargs)
         solver.bind_telemetry(telemetry)
-        problem = hetero_model.slot_problem(
-            arrival_rate=0.6 * hetero_model.fleet.capacity(hetero_model.gamma),
-            onsite=0.0,
-            price=40.0,
-            q=0.0,
-            V=1.0,
-        )
-        solver.solve(problem)
-        return telemetry
+        solution = solver.solve(_gsd_problem(model))
+        return telemetry, solution
 
-    def test_one_iteration_event_per_window(self, hetero_model):
-        telemetry = self._solve(hetero_model, iterations=400)
-        iteration_events = [
-            e for e in telemetry.events if e["kind"] == "gsd.iteration"
-        ]
-        assert len(iteration_events) == 4
-        assert [e["iteration"] for e in iteration_events] == [100, 200, 300, 400]
-        for e in iteration_events:
-            assert e["window"] == 100
-            assert 0.0 <= e["acceptance_rate"] <= 1.0
-            assert e["best_objective"] <= e["chain_objective"] + 1e-9
+    def test_solve_event_carries_the_exact_gap(self, tiny_model):
+        from repro.solvers import HomogeneousEnumerationSolver
+
+        telemetry, solution = self._solve(tiny_model, iterations=40)
+        (event,) = [e for e in telemetry.events if e["kind"] == "gsd.solve"]
+        exact = HomogeneousEnumerationSolver().solve(_gsd_problem(tiny_model)).objective
+        assert event["exact_objective"] == exact
+        assert event["gap_rel"] == (solution.objective - exact) / max(abs(exact), 1e-12)
+        assert solution.info["gap_rel"] == event["gap_rel"]
+        assert "solve_index" not in event
+        (span,) = [e for e in telemetry.events if e["kind"] == "span"]
+        assert span["children"]["gsd.shadow"][0] == 1
+
+    def test_heterogeneous_fleet_is_not_graded(self, hetero_model):
+        telemetry, solution = self._solve(hetero_model, iterations=40)
+        (event,) = [e for e in telemetry.events if e["kind"] == "gsd.solve"]
+        assert "gap_rel" not in event and "gap_rel" not in solution.info
+        (span,) = [e for e in telemetry.events if e["kind"] == "span"]
+        assert "gsd.shadow" not in span["children"]
+
+    def test_uninstrumented_solve_is_not_graded(self, tiny_model):
+        solver = GSDSolver(iterations=40, rng=np.random.default_rng(3))
+        assert "gap_rel" not in solver.solve(_gsd_problem(tiny_model)).info
 
     def test_solve_summary_event_and_metrics(self, hetero_model):
-        telemetry = self._solve(hetero_model, iterations=25)
+        telemetry, _ = self._solve(hetero_model, iterations=25)
         solves = [e for e in telemetry.events if e["kind"] == "gsd.solve"]
         assert len(solves) == 1
         assert solves[0]["iterations"] == 25
