@@ -15,9 +15,10 @@ the failure mode the paper motivates Gibbs sampling with, section 4.2).
 Multiple restarts from distinct initial points trade time for robustness.
 
 Candidates are scored through a per-solve
-:class:`~repro.solvers.fastpath.EvaluationCache`.  Sweeps re-score the same
-configurations constantly (every non-improving candidate is revisited on
-the next pass), so memo hits dominate after the first sweep.
+:class:`~repro.solvers.fastpath.EvaluationCache`, one
+:meth:`~repro.solvers.fastpath.EvaluationCache.flip` each.  Sweeps re-score
+the same configurations constantly (every non-improving candidate is
+revisited on the next pass), so memo hits dominate after the first sweep.
 """
 
 from __future__ import annotations
@@ -121,34 +122,31 @@ class CoordinateDescentSolver(SlotSolver):
         deadline: SolveDeadline,
     ) -> tuple[np.ndarray, float, int]:
         fleet = problem.fleet
-        cache.note_all()
-        best = cache.objective_of(levels)
+        best = cache.reset(levels)
+        config = cache.levels
         sweeps = 0
         for _ in range(self.max_sweeps):
             sweeps += 1
             improved = False
             for g in problem.healthy.tolist():
-                current = levels[g]
+                current = config[g]
                 for cand in range(-1, int(fleet.num_levels[g])):
                     if cand == current:
                         continue
                     if deadline.expired():
-                        # `levels` holds the best accepted configuration of
+                        # `config` holds the best accepted configuration of
                         # this restart, so it is a valid anytime incumbent.
-                        return levels, best, sweeps
-                    levels[g] = cand
-                    cache.note_changed(g)
-                    val = cache.objective_of(levels)
+                        return np.array(config, dtype=np.int64), best, sweeps
+                    val = cache.flip(g, cand)
                     if val < best - 1e-12 * max(abs(best), 1.0):
                         best = val
                         current = cand
                         improved = True
                     else:
-                        levels[g] = current
-                        cache.note_changed(g)
+                        cache.move(g, current)
             if not improved:
                 break
-        return levels, best, sweeps
+        return np.array(config, dtype=np.int64), best, sweeps
 
     def solve(self, problem: SlotProblem) -> SlotSolution:
         deadline = SolveDeadline(self.deadline_ms)
@@ -174,10 +172,9 @@ class CoordinateDescentSolver(SlotSolver):
                 levels = np.full(fleet.num_groups, -1, dtype=np.int64)
                 for g in problem.healthy.tolist():
                     levels[g] = self.rng.integers(-1, fleet.num_levels[g])
-                cache.note_all()
-                if not np.isfinite(cache.objective_of(levels)):
+                if not np.isfinite(cache.reset(levels)):
                     levels = initial_levels(problem, "max")
-            levels, val, sweeps = self._descend(problem, levels.copy(), cache, deadline)
+            levels, val, sweeps = self._descend(problem, levels, cache, deadline)
             total_sweeps += sweeps
             if val < best_val:
                 best_val = val

@@ -1,45 +1,48 @@
-"""Shared solver fast path: memo cache, class-space solves, delta screen.
+"""Shared solver fast path: a chain state keyed by what the objective reads.
 
 Every candidate configuration a P3 engine touches -- a GSD proposal
 (Algorithm 2 line 2), a coordinate-descent best response -- pays for the
 same three things: a feasibility check, an exact
 convex inner solve (Eq. (18), :func:`~repro.solvers.load_distribution
 .distribute_load`), and an evaluation of the resulting action.  Chains
-revisit the same level vectors constantly and consecutive candidates differ
-in a single group, so most of that work is redundant.  This module factors
-the redundancy out once, for all engines; it is the only way they score a
-candidate:
+revisit the same configurations constantly and consecutive candidates
+differ in a single group, so most of that work is redundant.  This module
+factors the redundancy out once, for all engines; it is the only way they
+score a candidate:
 
-- **Per-solve memo cache** (:meth:`EvaluationCache.objective_of`): keyed on
-  ``levels.tobytes()``.  A hit returns the float computed the first time
-  the vector was seen; since the inner solve is deterministic, the cached
-  value equals what a recompute would produce bit for bit.
-- **Class space end to end**: the inner solve depends on a level vector
-  only through its (profile, level) class histogram
-  (:meth:`~repro.cluster.fleet.Fleet.class_counts`), and so do the IT
-  power, delay and served-load totals of its evaluation.  The cache keeps
-  that histogram up to date as callers report which group they toggled
-  (:meth:`EvaluationCache.note_changed`): each flip moves the group's
-  server count from its old class to its new one, exact because server
-  counts are integers.  The inner solve takes the histogram and the
-  per-problem :class:`~repro.solvers.load_distribution.ClassTable`
-  directly and returns a plain
-  :class:`~repro.solvers.load_distribution.ClassSolve` record: the class
-  loads, dual and regime, and the totals summed over the class rows in
-  the same pass.  The cache keeps one record per histogram and scores it
-  with the scalar :meth:`~repro.solvers.problem.SlotProblem.cost_terms`
-  and :meth:`~repro.solvers.problem.SlotProblem.exceeds_caps`, so no
-  per-group pass runs and no solution or evaluation object is built on
-  the hot path.  A *new* vector whose histogram was already solved -- a
-  GSD flip between two groups of one profile, say -- reuses the record
-  and only adds its own switching term, the one part that depends on
-  which groups toggled.  :meth:`EvaluationCache.solution_for` hands the
-  chosen vector's record on as the action's
-  :class:`~repro.cluster.fleet.ClassRows`, billed from the same totals:
-  the evaluation is :meth:`~repro.solvers.problem.SlotProblem.evaluate`
-  of the action and its objective the scored one, bit for bit;
-  :meth:`EvaluationCache.distribution_of` returns a scored vector's
-  record.
+- **The chain state and its key** (:class:`EvaluationCache`): the cache
+  holds the engine's level list itself, and beside it the two numbers the
+  P3 objective depends on: the on-set's (profile, level) class histogram
+  (:meth:`~repro.cluster.fleet.Fleet.class_counts`) and its count of
+  charged server transitions (the switching energy is
+  ``energy_per_toggle`` times that count, :meth:`~repro.solvers.problem
+  .SlotProblem.switching_energy`).  The inner solve, the IT power, delay
+  and served-load totals and the caps read the histogram only, and the
+  switching term reads the count only.  :meth:`EvaluationCache.flip` moves
+  one group and updates both in a few list operations: the group's server
+  count leaves its old class and joins its new one, and the count gains or
+  loses the group's transition charge when it turns on or off.  Server
+  counts are integers, so both parts are exact: the key after any sequence
+  of flips equals the one :meth:`EvaluationCache.key_of` builds from
+  scratch, bit for bit.
+- **Per-solve memo** keyed by ``(histogram..., transitions)``: a hit
+  returns the float computed the first time the key was seen, which a
+  recompute would reproduce bit for bit.  Distinct level vectors with one
+  key -- a GSD flip between two groups of one profile, say -- are one
+  entry.  Under it, one inner solve per histogram: a key whose histogram
+  was already solved (another transition count) reuses the
+  :class:`~repro.solvers.load_distribution.ClassSolve` record and adds its
+  own switching term.  The record holds the class loads, dual and regime
+  and the totals summed over the class rows; the cache scores it with the
+  scalar :meth:`~repro.solvers.problem.SlotProblem.cost_terms` and
+  :meth:`~repro.solvers.problem.SlotProblem.exceeds_caps`, so no per-group
+  pass runs and no solution or evaluation object is built on the hot
+  path.  :meth:`EvaluationCache.solution_for` hands the chosen vector's
+  record on as the action's :class:`~repro.cluster.fleet.ClassRows`,
+  billed from the same totals: the evaluation is
+  :meth:`~repro.solvers.problem.SlotProblem.evaluate` of the action and its
+  objective the scored one, bit for bit;
+  :meth:`EvaluationCache.distribution_of` returns a scored key's record.
 - **Delta feasibility screen**: from the same histogram, the on-set's
   capacity and static IT power cost one sum over its few classes.
   Candidates that provably cannot serve the workload -- or whose static
@@ -58,7 +61,9 @@ per ``solve(problem)`` call, so nothing leaks across slots or problems.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+import math
+from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -120,89 +125,124 @@ class FastPathStats:
 
 
 class EvaluationCache:
-    """Per-solve fast path shared by the iterative P3 engines.
+    """Per-solve chain state and memo shared by the iterative P3 engines.
 
     Parameters
     ----------
     problem:
-        The slot problem every queried configuration is evaluated against.
+        The slot problem every configuration is evaluated against.
 
-    Usage: the engine mutates its level vector in place, calls
-    :meth:`note_changed` for every entry it writes, and asks
-    :meth:`objective_of` for the P3 objective (``inf`` for infeasible or
-    cap-violating configurations).
-    :meth:`solution_for` turns any previously scored vector back into a
-    full ``(FleetAction, SlotEvaluation)`` pair without re-solving.
+    Usage: the engine loads a configuration with :meth:`reset`, proposes
+    with :meth:`flip` and takes a rejected proposal back with :meth:`move`;
+    :attr:`levels` is the current configuration.  :meth:`reset` and
+    :meth:`flip` return the P3 objective of the state they leave (``inf``
+    for infeasible or cap-violating configurations) through :attr:`score`,
+    which an engine may wrap for one solve (span attribution, message
+    bills).  :meth:`solution_for` turns any scored vector back into a full
+    ``(FleetAction, SlotEvaluation)`` pair without re-solving.
     """
 
     def __init__(self, problem: SlotProblem):
         self.problem = problem
         self.stats = FastPathStats()
-        self._objectives: dict[bytes, float] = {}
-        # Inner solves by class histogram (``None`` = the on-set cannot
-        # carry the load), and the histogram of every vector objective_of
-        # scored.
+        # Objective per key, and inner solve per histogram (``None``: the
+        # on-set cannot carry the load).
+        self._memo: dict[tuple[float, ...], float] = {}
         self._solves: dict[tuple[float, ...], ClassSolve | None] = {}
-        self._histogram_of: dict[bytes, tuple[float, ...]] = {}
         self._table = ClassTable(problem)
-        # A failed group's forced power-off is billed but decided by no
-        # candidate: scores count the healthy groups' transitions only, as
-        # the exact engine's do.
-        self._scoring = problem
-        if problem.failed is not None and problem.prev_on_counts is not None:
-            prev = problem.prev_on_counts.copy()
-            prev[list(problem.failed)] = 0.0
-            self._scoring = replace(problem, prev_on_counts=prev)
-        # Delta-screen state: the on-set's class histogram (servers on per
-        # class id) vs a private copy of the last-synced level vector.
-        # Group g at level l is class ``_class_flat[_class_row[g] + l]``.
         fleet = problem.fleet
         self._fleet = fleet
+        # Group g at level l is class ``_class_flat[_class_row[g] + l]``.
         self._class_flat, self._class_row = fleet.class_id_lists
         self._group_count = fleet.group_lists[0]
-        self._hist: list[float] = []
-        self._screen_levels: list[int] | None = None
-        self._dirty: set[int] = set()
+        self._per_toggle, self._off_count, self._turn_on = self._charges(problem)
+        self._turn_on_array = np.array(self._turn_on) if self._per_toggle else None
+        #: The current configuration, one level per group (``-1`` = off).
+        self.levels: list[int] = []
+        # Its key: the class histogram with the transition count appended.
+        self._key: list[float] = []
+        #: What :meth:`reset` and :meth:`flip` score the new state with.
+        self.score: Callable[[], float] = self._lookup
+
+    @staticmethod
+    def _charges(problem: SlotProblem) -> tuple[float, float, list[float]]:
+        """``(energy per toggle, count with every group off, per group the
+        count's rise when it turns on)``.  A failed group's forced
+        power-off is billed but decided by no candidate, so scores count
+        the healthy groups' transitions only, as the exact engine's do."""
+        fleet = problem.fleet
+        sw, prev = problem.switching, problem.prev_on_counts
+        if sw is None or prev is None or not sw.enabled:
+            return 0.0, 0.0, [0.0] * fleet.num_groups
+        prev = prev.tolist()
+        for g in problem.failed or ():
+            prev[g] = 0.0
+
+        def charge(on: float, before: float) -> float:
+            delta = on - before
+            return max(delta, 0.0) + (max(-delta, 0.0) if sw.charge_off else 0.0)
+
+        off = [charge(0.0, p) for p in prev]
+        turn_on = [charge(n, p) - c for n, p, c in zip(fleet.group_lists[0], prev, off)]
+        return sw.energy_per_toggle, sum(off), turn_on
 
     # ------------------------------------------------------------------
-    # Delta screen
+    # The chain state
     # ------------------------------------------------------------------
-    def note_changed(self, group: int) -> None:
-        """Record that the caller wrote ``levels[group]`` since the last
-        :meth:`objective_of` call (proposals *and* reverts)."""
-        self._dirty.add(int(group))
+    def _key_list(self, levels: np.ndarray) -> list[float]:
+        key = self._fleet.class_counts(levels)[1].tolist()
+        count = self._off_count
+        if self._per_toggle:
+            count += float(self._turn_on_array[levels >= 0].sum())
+        key.append(count)
+        return key
 
-    def note_all(self) -> None:
-        """Invalidate the delta-screen state (the caller replaced or bulk
-        rewrote its level vector, e.g. a restart); the next query rebuilds
-        the class histogram from scratch."""
-        self._screen_levels = None
-        self._dirty.clear()
+    def key_of(self, levels) -> tuple[float, ...]:
+        """The key of ``levels`` built from scratch: its class histogram
+        (:meth:`~repro.cluster.fleet.Fleet.class_counts`) with its charged
+        transition count appended."""
+        return tuple(self._key_list(np.asarray(levels, dtype=np.int64)))
 
-    def _sync_screen(self, levels: np.ndarray) -> None:
-        if self._screen_levels is None:
-            self._hist = self._fleet.class_counts(levels)[1].tolist()
-            self._screen_levels = levels.tolist()
-            self._dirty.clear()
+    def key(self) -> tuple[float, ...]:
+        """The current configuration's key."""
+        return tuple(self._key)
+
+    def reset(self, levels) -> float:
+        """Load ``levels`` as the current configuration and score it."""
+        levels = np.asarray(levels, dtype=np.int64)
+        self.levels = levels.tolist()
+        self._key = self._key_list(levels)
+        return self.score()
+
+    def move(self, group: int, level: int) -> None:
+        """Set ``levels[group] = level``, updating the key in place."""
+        levels = self.levels
+        old = levels[group]
+        if old == level:
             return
-        hist, flat, row = self._hist, self._class_flat, self._class_row
-        synced = self._screen_levels
-        for g in self._dirty:
-            old = synced[g]
-            new = int(levels[g])
-            if old == new:
-                continue
-            # Server counts are integers: these updates are exact, so the
-            # histogram equals a from-scratch one bit for bit.
-            count = self._group_count[g]
-            if old >= 0:
-                hist[flat[row[g] + old]] -= count
-            if new >= 0:
-                hist[flat[row[g] + new]] += count
-            synced[g] = new
-        self._dirty.clear()
+        levels[group] = level
+        # Server counts are integers: these updates are exact, so the key
+        # equals a from-scratch one bit for bit.
+        key, flat, at = self._key, self._class_flat, self._class_row[group]
+        count = self._group_count[group]
+        if old >= 0:
+            key[flat[at + old]] -= count
+        else:
+            key[-1] += self._turn_on[group]
+        if level >= 0:
+            key[flat[at + level]] += count
+        else:
+            key[-1] -= self._turn_on[group]
 
-    def _screened_infeasible(self) -> bool:
+    def flip(self, group: int, level: int) -> float:
+        """:meth:`move` then score: the objective of the moved-to state."""
+        self.move(group, level)
+        return self.score()
+
+    # ------------------------------------------------------------------
+    # Scoring
+    # ------------------------------------------------------------------
+    def _screened_infeasible(self, hist: tuple[float, ...]) -> bool:
         """Conservative verdict over the class histogram: True only when
         the exact path would certainly reject this configuration."""
         p = self.problem
@@ -211,7 +251,7 @@ class EvaluationCache:
             return False
         table = self._table
         speed = static = 0.0  # sum_k n_k x_k (req/s), sum_k n_k static_k (MW, IT)
-        for k, n in enumerate(self._hist):
+        for k, n in enumerate(hist):
             if n > 0.0:
                 speed += n * table.speed[k]
                 static += n * table.static[k]
@@ -221,79 +261,67 @@ class EvaluationCache:
         cap = p.peak_power_cap
         return cap is not None and p.pue * static > cap * (1.0 + _SCREEN_RTOL)
 
-    # ------------------------------------------------------------------
-    # Scoring
-    # ------------------------------------------------------------------
-    def objective_of(self, levels: np.ndarray) -> float:
-        """P3 objective of ``levels`` with exact inner solve; ``+inf`` when
-        the on-set cannot serve the workload or the solved action violates
-        the operational caps (Algorithm 2 line 2)."""
-        key = levels.tobytes()
-        cached = self._objectives.get(key)
-        if cached is not None:
+    def _lookup(self) -> float:
+        """P3 objective of the current configuration with exact inner
+        solve; ``+inf`` when the on-set cannot serve the workload or the
+        solved action violates the operational caps (Algorithm 2 line 2)."""
+        key = tuple(self._key)
+        value = self._memo.get(key)
+        if value is not None:
             self.stats.cache_hits += 1
-            return cached
+            return value
+        value = self._memo[key] = self._objective(key)
+        return value
 
-        self._sync_screen(levels)
-        if self._screened_infeasible():
-            self.stats.screened_infeasible += 1
-            self._objectives[key] = np.inf
-            return np.inf
-
+    def _objective(self, key: tuple[float, ...]) -> float:
         stats = self.stats
-        hkey = tuple(self._hist)
-        if hkey in self._solves:
+        hist = key[:-1]
+        if hist in self._solves:
             stats.histogram_hits += 1
-            solve = self._solves[hkey]
+            solve = self._solves[hist]
             if solve is None:
-                self._objectives[key] = np.inf
-                return np.inf
+                return math.inf
+        elif self._screened_infeasible(hist):
+            stats.screened_infeasible += 1
+            return math.inf
         else:
             try:
-                solve = distribute_load(self.problem, histogram=self._hist, table=self._table)
+                solve = distribute_load(self.problem, histogram=hist, table=self._table)
             except InfeasibleError:
                 stats.infeasible += 1
-                self._solves[hkey] = None
-                self._objectives[key] = np.inf
-                return np.inf
+                self._solves[hist] = None
+                return math.inf
             stats.inner_solves += 1
             stats.inner_iters += solve.inner_iters
-            self._solves[hkey] = solve
-
+            self._solves[hist] = solve
         p = self.problem
         facility, _, _, _, delay_cost, _, objective = p.cost_terms(
-            solve.it_power, solve.delay_sum, solve.served,
-            self._scoring.switching_energy(levels),
+            solve.it_power, solve.delay_sum, solve.served, self._per_toggle * key[-1]
         )
-        obj = np.inf if p.exceeds_caps(facility, delay_cost) else float(objective)
-        self._objectives[key] = obj
-        self._histogram_of[key] = hkey
-        return obj
+        return math.inf if p.exceeds_caps(facility, delay_cost) else float(objective)
 
-    def distribution_of(self, levels: np.ndarray) -> ClassSolve | None:
-        """The inner solve behind a vector :meth:`objective_of` scored, or
-        ``None`` when it had none (screened out, or the on-set cannot carry
-        the load)."""
-        hkey = self._histogram_of.get(levels.tobytes())
-        return None if hkey is None else self._solves[hkey]
+    def distribution_of(self, key: tuple[float, ...]) -> ClassSolve | None:
+        """The inner solve behind a key :attr:`score` scored, or ``None``
+        when it had none (screened out, or the on-set cannot carry the
+        load)."""
+        return self._solves.get(key[:-1])
 
-    def solution_for(self, levels: np.ndarray) -> tuple[FleetAction, SlotEvaluation]:
+    def solution_for(self, levels) -> tuple[FleetAction, SlotEvaluation]:
         """Exact ``(action, evaluation)`` for a level vector, from the
-        cached inner solve when :meth:`objective_of` scored it before.
+        cached inner solve when a vector of its histogram was scored.
 
         The action's rows are the solve's class rows and the evaluation is
-        billed from its totals, as :meth:`objective_of` scores it, so the
+        billed from its totals, as :attr:`score` scores it, so the
         evaluation's objective is the scored one bit for bit -- unless a
         failed group that was on last slot is charged its power-off.
         """
-        hkey = self._histogram_of.get(levels.tobytes())
-        if hkey is None:
-            hkey = tuple(self._fleet.class_counts(levels)[1].tolist())
-            solve = distribute_load(self.problem, histogram=hkey, table=self._table)
-        else:
-            solve = self._solves[hkey]
+        levels = np.asarray(levels, dtype=np.int64)
+        hist = tuple(self._fleet.class_counts(levels)[1].tolist())
+        solve = self._solves.get(hist)
+        if solve is None:
+            solve = distribute_load(self.problem, histogram=hist, table=self._table)
         p = self.problem
-        action = FleetAction(levels, solve.rows(hkey))
+        action = FleetAction(levels, solve.rows(hist))
         evaluation = p.evaluate_totals(
             solve.it_power, solve.delay_sum, solve.served, p.switching_energy(levels)
         )

@@ -22,7 +22,19 @@ minimizer; Theorem 1's proof (Appendix A) shows convergence with probability
 group, hence symmetric, so the theorem holds on the pruned space too, and
 that space still holds a global minimizer of P3.  On the paper's Opteron
 2380 the options are off and the top speed; on a profile with no dominated
-level they are every level, and the draw is the all-levels one bit for bit.
+level they are every level.
+
+A solve draws all of its randomness at once, ``rng.random((iterations,
+3))`` as plain floats, and so advances the generator by exactly ``3 *
+iterations`` doubles whatever the chain does (a checkpoint taken between
+solves resumes the same chains).  Step ``t``'s row ``(u0, u1, u2)`` picks
+the group ``groups[int(u0 * H)]`` of the ``H`` healthy ones and the level
+``options[int(u1 * len(options))]``, uniform up to the ``2**-53`` grain of
+the doubles, and keeps the explored configuration when ``u2`` falls below
+the acceptance probability above.  Each candidate is scored by the
+:class:`~repro.solvers.fastpath.EvaluationCache`, which holds the chain's
+level list and its (class histogram, transition count) key, so a chain
+step is a few list operations and a dict lookup.
 
 Per the paper's practical advice, the solver supports (a) *group-batched*
 updates -- configurations are per-group, which is how the paper reaches 200
@@ -132,9 +144,10 @@ class GSDSolver(SlotSolver):
     from :attr:`~repro.cluster.fleet.Fleet.level_options` (off plus its
     profile's undominated levels, or every level).  Candidates are scored
     through a per-solve
-    :class:`~repro.solvers.fastpath.EvaluationCache`: revisited level
-    vectors cost a dict hit, clearly infeasible proposals are screened in
-    O(1), and a new on-set costs one cold water-fill.
+    :class:`~repro.solvers.fastpath.EvaluationCache`: a revisited
+    (class histogram, transition count) key costs a dict hit, clearly
+    infeasible proposals are screened in O(1), and a new on-set costs one
+    cold water-fill.
 
     With telemetry bound, each solve on a homogeneous fleet is graded after
     the chain: :class:`~repro.solvers.enumeration.HomogeneousEnumerationSolver`,
@@ -232,11 +245,12 @@ class GSDSolver(SlotSolver):
         self,
         problem: SlotProblem,
         cache: EvaluationCache,
-        score: Callable[[np.ndarray], float],
-    ) -> Callable[[np.ndarray], float]:
+        score: Callable[[], float],
+    ) -> Callable[[], float]:
         """The candidate scorer of one solve, chosen once before the chain
-        runs.  GSD scores through the fast path as is; subclasses may wrap
-        it (:class:`~repro.solvers.messaging.DistributedGSD` charges each
+        runs: it scores the cache's current configuration.  GSD scores
+        through the fast path as is; subclasses may wrap it
+        (:class:`~repro.solvers.messaging.DistributedGSD` charges each
         candidate its pricing round trip)."""
         return score
 
@@ -255,7 +269,7 @@ class GSDSolver(SlotSolver):
         deadline = SolveDeadline(self.deadline_ms)
         problem.check_feasible()
         fleet = problem.fleet
-        rng = self.rng
+        iterations = self.iterations
         # The chain explores the healthy groups only: failed ones stay off.
         groups = problem.healthy.tolist()
         H = len(groups)
@@ -263,12 +277,16 @@ class GSDSolver(SlotSolver):
         # undominated ones when those still hold a minimiser.
         options = fleet.level_options[problem.drops_dominated_levels]
         cache = EvaluationCache(problem)
+        # All of the solve's randomness in one draw, as plain floats: per
+        # step, a group, a level and an acceptance variate.
+        draws = self.rng.random((iterations, 3)).tolist()
         if sp:
-            # The feasibility check and the scorer's tables, before any
-            # candidate is scored.
+            # The feasibility check, the scorer's tables and the draw,
+            # before any candidate is scored.
             sp.add("gsd.setup", time.perf_counter() - t_setup)
 
         scored_s = 0.0
+        score = cache.score
         if sp:
             # Attribution build of the scorer: classify each candidate
             # evaluation by what the fast path actually did (stats deltas)
@@ -277,13 +295,14 @@ class GSDSolver(SlotSolver):
             # one per iteration.  ``scored_s`` sums those bucket times so
             # the chain's own step work can be attributed as the remainder.
             fp_stats = cache.stats
+            lookup = score
 
-            def score(lv: np.ndarray) -> float:
+            def score() -> float:
                 nonlocal scored_s
                 t0 = time.perf_counter()
                 hits0 = fp_stats.cache_hits
                 screened0 = fp_stats.screened_infeasible
-                value = cache.objective_of(lv)
+                value = lookup()
                 if fp_stats.cache_hits > hits0:
                     bucket = "gsd.cache_lookup"
                 elif fp_stats.screened_infeasible > screened0:
@@ -295,29 +314,29 @@ class GSDSolver(SlotSolver):
                 scored_s += dt
                 return value
 
-        else:
-            score = cache.objective_of
-        score = self._scorer(problem, cache, score)
+        cache.score = self._scorer(problem, cache, score)
 
         if self.initial_levels is not None:
-            levels = self.initial_levels.copy()
-            if levels.shape != (fleet.num_groups,):
+            start = self.initial_levels.copy()
+            if start.shape != (fleet.num_groups,):
                 raise ValueError("initial_levels must have one entry per group")
             if problem.failed is not None:
-                levels[list(problem.failed)] = -1
+                start[list(problem.failed)] = -1
         else:
-            levels = convex.initial_levels(problem)
-        current = score(levels)
-        if not np.isfinite(current):
-            levels = convex.initial_levels(problem)
-            cache.note_all()
-            current = score(levels)
-        best_levels, best = levels.copy(), current
+            start = convex.initial_levels(problem)
+        current = cache.reset(start)
+        if not math.isfinite(current):
+            current = cache.reset(convex.initial_levels(problem))
+        chain = cache.levels
+        best_levels, best = chain.copy(), current
 
-        hist_chain = np.empty(self.iterations)
-        hist_best = np.empty(self.iterations)
-        hist_acc = np.zeros(self.iterations, dtype=bool)
-        hist_temp = np.empty(self.iterations)
+        record = self.record_history
+        if record:
+            hist_chain = np.empty(iterations)
+            hist_best = np.empty(iterations)
+            hist_acc = np.zeros(iterations, dtype=bool)
+            hist_temp = np.empty(iterations)
+        accepted = 0
         n_solves = 0
         last_improve = 0
 
@@ -327,56 +346,51 @@ class GSDSolver(SlotSolver):
         completed = 0
         scored_s = 0.0
         t_chain = time.perf_counter() if sp else 0.0
-        for it in range(self.iterations):
+        flip, move = cache.flip, cache.move
+        for it in range(iterations):
             if deadline.expired():
                 break
             completed = it + 1
-            delta = self._temperature(it)
-            hist_temp[it] = delta
+            u_group, u_level, u_accept = draws[it]
 
             # Line 7: a random group explores a random level of its options.
-            g = groups[int(rng.integers(0, H))]
+            g = groups[int(u_group * H)]
             opts = options[g]
-            proposal = opts[int(rng.integers(0, len(opts)))]
-            old_level = levels[g]
-            if proposal == old_level:
+            proposal = opts[int(u_level * len(opts))]
+            old_level = chain[g]
+            if proposal != old_level:
+                explored = flip(g, proposal)
+                n_solves += 1
+                # Line 4: two-point Gibbs acceptance; line 2's guard lets
+                # no infeasible exploration through.
+                if math.isfinite(explored) and u_accept < _acceptance_probability(
+                    self._temperature(it), explored, current
+                ):
+                    current = explored
+                    accepted += 1
+                    if record:
+                        hist_acc[it] = True
+                    if explored < best:
+                        best = explored
+                        best_levels = chain.copy()
+                        last_improve = it + 1
+                else:
+                    move(g, old_level)
+            if record:
                 hist_chain[it], hist_best[it] = current, best
-                continue
-            levels[g] = proposal
-            cache.note_changed(g)
-            explored = score(levels)
-            n_solves += 1
-
-            if math.isfinite(explored):
-                # Line 4: two-point Gibbs acceptance.
-                accept = rng.random() < _acceptance_probability(
-                    delta, explored, current
-                )
-            else:
-                accept = False  # line 2 guard: infeasible explorations die
-
-            if accept:
-                current = explored
-                hist_acc[it] = True
-                if explored < best:
-                    best = explored
-                    best_levels = levels.copy()
-                    last_improve = it + 1
-            else:
-                levels[g] = old_level
-                cache.note_changed(g)
-            hist_chain[it], hist_best[it] = current, best
+                hist_temp[it] = self._temperature(it)
         if sp:
-            # The chain's own steps: proposal draws, acceptance, history.
+            # The chain's own steps: proposal picks, acceptance, history.
             sp.add("gsd.chain", time.perf_counter() - t_chain - scored_s)
 
-        truncated = completed < self.iterations
+        truncated = completed < iterations
         if truncated:
-            # Anytime cut: keep only the iterations that actually ran.
-            hist_chain = hist_chain[:completed]
-            hist_best = hist_best[:completed]
-            hist_acc = hist_acc[:completed]
-            hist_temp = hist_temp[:completed]
+            if record:
+                # Anytime cut: keep only the iterations that actually ran.
+                hist_chain = hist_chain[:completed]
+                hist_best = hist_best[:completed]
+                hist_acc = hist_acc[:completed]
+                hist_temp = hist_temp[:completed]
             if tele.enabled:
                 tele.emit(
                     "deadline.expired",
@@ -384,14 +398,14 @@ class GSDSolver(SlotSolver):
                     budget_ms=float(self.deadline_ms),
                     elapsed_ms=deadline.elapsed_ms(),
                     completed=completed,
-                    planned=self.iterations,
+                    planned=iterations,
                     best_feasible=bool(np.isfinite(best)),
                 )
                 tele.metrics.counter("deadline.expirations").inc()
             if not np.isfinite(best):
                 raise DeadlineExceededError(
                     f"GSD solve deadline ({self.deadline_ms} ms) expired after "
-                    f"{completed}/{self.iterations} iterations with no feasible "
+                    f"{completed}/{iterations} iterations with no feasible "
                     "incumbent"
                 )
 
@@ -400,14 +414,16 @@ class GSDSolver(SlotSolver):
         feasible = bool(np.isfinite(best))
         if feasible:
             t_final = time.perf_counter() if sp else 0.0
-            action, final_evaluation = cache.solution_for(best_levels)
+            action, final_evaluation = cache.solution_for(
+                np.fromiter(best_levels, np.int64, len(best_levels))
+            )
             if sp:
                 sp.add("gsd.finalize", time.perf_counter() - t_final)
         graded: dict = {}
         if tele.enabled:
             if feasible and fleet.is_homogeneous:
                 graded = _exact_gap(problem, final_evaluation.objective, sp)
-            acceptance = float(hist_acc.mean()) if completed else 0.0
+            acceptance = accepted / completed if completed else 0.0
             metrics = tele.metrics
             metrics.counter("gsd.solves").inc()
             metrics.counter("gsd.inner_solves").inc(stats.inner_solves)
@@ -441,7 +457,7 @@ class GSDSolver(SlotSolver):
             )
         info: dict = {
             "iterations": completed,
-            "chain_levels": levels.copy(),
+            "chain_levels": np.fromiter(chain, np.int64, len(chain)),
             "inner_solves": stats.inner_solves,
             "evaluations": n_solves,
             "fastpath": stats.as_dict(),

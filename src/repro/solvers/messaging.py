@@ -157,9 +157,10 @@ class MessageTransport:
         self.retries_used = 0
         self.pricings = 0
         self.lost_pricings = 0
-        #: ``levels.tobytes()`` -> :func:`pricing_bill` of every configuration
-        #: priced this solve, so revisits are charged without re-deriving it.
-        self.bills: dict[bytes, tuple[int, bool]] = {}
+        #: :meth:`~repro.solvers.fastpath.EvaluationCache.key` ->
+        #: :func:`pricing_bill` of every configuration priced this solve, so
+        #: revisits are charged without re-deriving it.
+        self.bills: dict[tuple[float, ...], tuple[int, bool]] = {}
 
     def send(self, **counts: int) -> bool:
         """Charge one phase of ``kind=count`` messages; True when all of
@@ -234,13 +235,14 @@ class DistributedGSD(GSDSolver):
         #: :meth:`repro.faults.FaultInjector.install`; ``None`` is reliable.
         self.transport_factory: Callable[[int, int], MessageTransport] | None = None
         self.last_transport: MessageTransport | None = None
+        self._cache: EvaluationCache | None = None
 
     def _scorer(
         self,
         problem: SlotProblem,
         cache: EvaluationCache,
-        score: Callable[[np.ndarray], float],
-    ) -> Callable[[np.ndarray], float]:
+        score: Callable[[], float],
+    ) -> Callable[[], float]:
         g = problem.healthy.size  # failed groups take no part
         factory = self.transport_factory
         transport = (
@@ -249,16 +251,17 @@ class DistributedGSD(GSDSolver):
             else MessageTransport(g, retries=self.retries)
         )
         self.last_transport = transport
+        self._cache = cache
         if not transport.send(configure=g):
             raise BusTimeoutError("configure broadcast unanswered within retries")
         bills = transport.bills
 
-        def priced(levels: np.ndarray) -> float:
-            value = score(levels)
-            key = levels.tobytes()
+        def priced() -> float:
+            value = score()
+            key = cache.key()
             bill = bills.get(key)
             if bill is None:
-                bill = bills[key] = pricing_bill(problem, cache.distribution_of(levels))
+                bill = bills[key] = pricing_bill(problem, cache.distribution_of(key))
             return value if transport.price(bill) else math.inf
 
         return priced
@@ -277,7 +280,7 @@ class DistributedGSD(GSDSolver):
         # likely over a long lossy solve; re-running the (idempotent)
         # pricing a few times keeps a transient loss from dooming the solve
         # while a persistent outage still escapes.
-        bill = transport.bills[solution.action.levels.tobytes()]
+        bill = transport.bills[self._cache.key_of(solution.action.levels)]
         for _ in range(1 if self.retries == 0 else 3):
             if transport.price(bill):
                 break

@@ -256,9 +256,10 @@ class ServerAgent:
         return self._reply(msg, "ack")
 
     def _on_explore(self, msg: Message) -> Message:
-        """The update token (Algorithm 2 line 7): draw a random option."""
-        rng: np.random.Generator = msg.payload["rng"]
-        self.explored_level = self._options[int(rng.integers(0, len(self._options)))]
+        """The update token (Algorithm 2 line 7): pick the option the
+        token's uniform variate ``u`` lands on."""
+        options = self._options
+        self.explored_level = options[int(msg.payload["u"] * len(options))]
         return self._reply(msg, "explored", level=self.explored_level)
 
     def _on_decide(self, msg: Message) -> Message:
@@ -500,10 +501,13 @@ class BusDistributedGSD(SlotSolver):
         best = current
         best_levels = np.array([a.level for a in agents], dtype=np.int64)
 
-        for _ in range(self.iterations):
-            g = int(self.rng.integers(0, fleet.num_groups))
+        # One draw per solve: a group, a level and an acceptance variate
+        # per step, as the shipped chain draws them.
+        draws = self.rng.random((self.iterations, 3)).tolist()
+        for u_group, u_level, u_accept in draws:
+            g = int(u_group * fleet.num_groups)
             reply = exchange(
-                bus, "driver", agents[g].name, "explore", {"rng": self.rng},
+                bus, "driver", agents[g].name, "explore", {"u": u_level},
                 retries=self.retries,
             )
             if reply.payload["level"] == agents[g].level:
@@ -514,7 +518,7 @@ class BusDistributedGSD(SlotSolver):
                 ge = max(explored_obj, 1e-12)
                 gs = max(current, 1e-12)
                 exponent = np.clip(self.delta * (1.0 / ge - 1.0 / gs), -700.0, 700.0)
-                accept = self.rng.random() < 1.0 / (1.0 + np.exp(-exponent))
+                accept = u_accept < 1.0 / (1.0 + np.exp(-exponent))
             else:
                 accept = False
             self._decide_all(bus, agents, accept=bool(accept))

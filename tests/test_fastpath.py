@@ -8,7 +8,8 @@ Four contracts are pinned here:
   descent a local minimum of it, and GSD's chosen action is the one that
   path builds, to the bit;
 - the class histogram the cache keeps up to date flip by flip equals
-  :meth:`Fleet.class_counts` of the current vector bit for bit;
+  :meth:`Fleet.class_counts` of the current vector bit for bit (the
+  transition count beside it: ``tests/test_chain_key.py``);
 - the early-exit bisections return the one-ulp bracket a fixed-count loop
   would end on;
 - the solve records carry the counters ``benchmarks/e2e/layers.py`` reads.
@@ -129,19 +130,16 @@ class TestCacheBitIdentity:
         built for -- scores every configuration exactly as the cold path
         does, and its first minimizer is the oracle's, to the bit."""
         cache = EvaluationCache(problem)
-        levels = np.empty(problem.fleet.num_groups, dtype=np.int64)
         best, best_levels, prev = np.inf, None, None
         for combo in product(*(range(-1, int(k)) for k in problem.fleet.num_levels)):
             if prev is None:
-                levels[:] = combo
-                cache.note_all()
+                obj = cache.reset(combo)
             else:
                 for g, cand in enumerate(combo):
-                    if cand != prev[g]:
-                        levels[g] = cand
-                        cache.note_changed(g)
+                    cache.move(g, cand)
+                obj = cache.score()
             prev = combo
-            obj = cache.objective_of(levels)
+            levels = np.array(cache.levels)
             assert obj == cold_objective(problem, levels)  # exact, not approx
             if obj < best:
                 best, best_levels = obj, levels.copy()
@@ -200,23 +198,18 @@ class TestEvaluationCache:
             top_power = solve_fixed_levels(p, top)[1].facility_power
             p = dataclasses.replace(p, peak_power_cap=0.9 * top_power)
         cache = EvaluationCache(p)
-        levels = top.copy()
-        cache.note_all()
+        cache.reset(top)
         verdicts = set()
         for _ in range(300):
             g = int(rng.integers(0, fleet.num_groups))
-            levels[g] = int(rng.integers(-1, fleet.num_levels[g]))
-            cache.note_changed(g)
-            got = cache.objective_of(levels)
-            expected = cold_objective(p, levels)
+            got = cache.flip(g, int(rng.integers(-1, fleet.num_levels[g])))
+            expected = cold_objective(p, np.array(cache.levels))
             assert np.isinf(got) == np.isinf(expected)
             verdicts.add(bool(np.isinf(got)))
             if np.isfinite(expected):
                 assert got == pytest.approx(expected, rel=1e-12)
             if rng.random() < 0.3:  # occasional revert, as engines do
-                old = levels[g]
-                levels[g] = -1 if old != -1 else 0
-                cache.note_changed(g)
+                cache.move(g, -1 if cache.levels[g] != -1 else 0)
         stats = cache.stats
         assert stats.evaluations == (
             stats.inner_solves
@@ -225,25 +218,25 @@ class TestEvaluationCache:
             + stats.screened_infeasible
             + stats.infeasible
         )
-        assert stats.cache_hits > 0  # unchanged proposals revisit the vector
+        assert stats.cache_hits > 0  # unchanged proposals revisit the key
         assert verdicts == {False, True}  # the walk crosses the feasibility edge
 
     def test_screen_rejects_undercapacity_onsets(self, tiny_model):
         p = make_problem(tiny_model, lam_frac=0.9)
         cache = EvaluationCache(p)
         levels = np.array([3, -1, -1], dtype=np.int64)  # cannot carry 90%
-        assert cache.objective_of(levels) == np.inf
+        assert cache.reset(levels) == np.inf
         assert cache.stats.screened_infeasible == 1
         assert cache.stats.inner_solves == 0
         # The all-off set is screened too.
-        assert cache.objective_of(np.full(3, -1, dtype=np.int64)) == np.inf
+        assert cache.flip(0, -1) == np.inf
         assert cache.stats.screened_infeasible == 2
 
     def test_solution_for_reuses_cached_solve(self, tiny_model):
         p = make_problem(tiny_model, lam_frac=0.5)
         cache = EvaluationCache(p)
         levels = (p.fleet.num_levels - 1).astype(np.int64)
-        obj = cache.objective_of(levels)
+        obj = cache.reset(levels)
         solves_before = cache.stats.inner_solves
         action, evaluation = cache.solution_for(levels)
         assert cache.stats.inner_solves == solves_before
@@ -255,7 +248,7 @@ class TestEvaluationCache:
         p = make_problem(hetero_model, lam_frac=0.0)
         cache = EvaluationCache(p)
         levels = (p.fleet.num_levels - 1).astype(np.int64)
-        assert cache.objective_of(levels) == pytest.approx(
+        assert cache.reset(levels) == pytest.approx(
             cold_objective(p, levels), rel=1e-12
         )
         assert cache.stats.screened_infeasible == 0
@@ -263,35 +256,46 @@ class TestEvaluationCache:
     def test_inner_solve_infeasible_memoized_per_histogram(self, tiny_model):
         """Two of three groups on, with a load 1e-10 above their capped
         capacity: inside the screen's margin, beyond the exact check.  The
-        inner solve rejects it once; the mirrored vector (same class
-        histogram) reuses that verdict."""
-        p = make_problem(tiny_model, lam_frac=(2.0 / 3.0) * (1.0 + 1e-10))
-        cache = EvaluationCache(p)
-        levels = np.array([3, 3, -1], dtype=np.int64)
-        assert cache.objective_of(levels) == np.inf
-        assert cache.distribution_of(levels) is None
-        levels[[0, 2]] = levels[[2, 0]]
-        cache.note_changed(0)
-        cache.note_changed(2)
-        assert cache.objective_of(levels) == np.inf
-        stats = cache.stats
-        assert stats.infeasible == stats.histogram_hits == 1
-        assert stats.screened_infeasible == 0
+        inner solve rejects it once.  Without switching the mirrored vector
+        has the same key and is a memo hit; when group 0 alone was on last
+        slot the mirror turns two groups on, not one, so its key differs
+        and it reuses the histogram's verdict."""
+        base = make_problem(tiny_model, lam_frac=(2.0 / 3.0) * (1.0 + 1e-10))
+        switching = SwitchingCostModel(energy_per_toggle=0.002)
+        prev = np.array([base.fleet.counts[0], 0.0, 0.0])
+        for p, hits in ((base, "cache_hits"), (
+            dataclasses.replace(base, switching=switching, prev_on_counts=prev),
+            "histogram_hits",
+        )):
+            cache = EvaluationCache(p)
+            assert cache.reset([3, 3, -1]) == np.inf
+            assert cache.distribution_of(cache.key()) is None
+            cache.move(0, -1)
+            assert cache.flip(2, 3) == np.inf
+            stats = cache.stats
+            assert stats.infeasible == getattr(stats, hits) == 1
+            assert stats.evaluations == 2
+            assert stats.screened_infeasible == 0
 
     def test_distribution_of_and_unscored_solution(self, tiny_model):
         p = make_problem(tiny_model, lam_frac=0.5)
         cache = EvaluationCache(p)
         scored = np.array([3, 2, -1], dtype=np.int64)
-        cache.objective_of(scored)
-        assert cache.distribution_of(scored).classes is not None
+        cache.reset(scored)
+        assert cache.distribution_of(cache.key()).classes is not None
         unscored = np.array([3, 3, 3], dtype=np.int64)
-        assert cache.distribution_of(unscored) is None
+        assert cache.distribution_of(cache.key_of(unscored)) is None
         action, evaluation = cache.solution_for(unscored)
         assert action.rows == solve_fixed_levels(p, unscored)[0].rows
         assert evaluation.objective == pytest.approx(cold_objective(p, unscored))
 
     def test_gsd_counters_add_up(self, tiny_model):
-        p = make_problem(tiny_model, lam_frac=0.55, q=2.0)
+        # Switching splits one histogram into keys by transition count.
+        p = dataclasses.replace(
+            make_problem(tiny_model, lam_frac=0.55, q=2.0),
+            switching=SwitchingCostModel(energy_per_toggle=1e-4),
+            prev_on_counts=np.array([tiny_model.fleet.counts[0], 0.0, 0.0]),
+        )
         sol = GSDSolver(iterations=400, rng=np.random.default_rng(2)).solve(p)
         fp = sol.info["fastpath"]
         assert sol.info["evaluations"] <= fp["evaluations"]
@@ -303,7 +307,7 @@ class TestEvaluationCache:
             )
         )
         assert fp["cache_hits"] > 0  # 3-group lattice: proposals repeat
-        # Three identical groups: a new vector often repeats a histogram.
+        # Three identical groups: a new key often repeats a histogram.
         assert fp["histogram_hits"] > 0
         assert sol.info["inner_solves"] < sol.info["evaluations"]
 
@@ -312,7 +316,7 @@ class TestEvaluationCache:
 def histogram_walks(draw):
     """A mixed fleet (a zero-count group possible) and a walk over its
     level vectors: single flips, reverts of the last flip, several writes
-    between two syncs, and bulk rewrites announced with ``note_all``."""
+    between two checks, and bulk rewrites loaded with ``reset``."""
     G = draw(st.integers(1, 8))
     profiles = (opteron_2380, cubic_dvfs_profile)
     groups = [
@@ -331,7 +335,7 @@ def histogram_walks(draw):
         st.tuples(st.just("flip"), st.integers(0, G - 1), level),
         st.tuples(st.just("revert"), st.just(0), st.just(0)),
         st.tuples(st.just("burst"), st.integers(0, G - 1), level),
-        st.tuples(st.just("note_all"), st.integers(0, 2**31), st.just(0)),
+        st.tuples(st.just("reset"), st.integers(0, 2**31), st.just(0)),
     )
     return fleet, np.array(start, dtype=np.int64), draw(st.lists(step, max_size=60))
 
@@ -341,10 +345,9 @@ class TestIncrementalHistogram:
     :meth:`Fleet.class_counts` builds from scratch -- bit for bit."""
 
     @staticmethod
-    def _assert_matches(cache, fleet, levels):
-        cache._sync_screen(levels)
-        counts = fleet.class_counts(levels)[1]
-        assert np.array(cache._hist).tobytes() == counts.tobytes()
+    def _assert_matches(cache, fleet):
+        counts = fleet.class_counts(np.array(cache.levels))[1]
+        assert np.array(cache.key()[:-1]).tobytes() == counts.tobytes()
 
     @settings(max_examples=150, deadline=None)
     @given(histogram_walks())
@@ -353,27 +356,24 @@ class TestIncrementalHistogram:
         model = DataCenterModel(fleet=fleet, beta=10.0)
         p = model.slot_problem(arrival_rate=1.0, onsite=0.0, price=40.0)
         cache = EvaluationCache(p)
-        self._assert_matches(cache, fleet, levels)
+        cache.reset(levels)
+        self._assert_matches(cache, fleet)
         last = None  # (group, level before the last flip)
         for kind, g, new in steps:
-            if kind == "note_all":
+            if kind == "reset":
                 rng = np.random.default_rng(g)
-                levels = rng.integers(-1, fleet.num_levels.min(), fleet.num_groups)
-                cache.note_all()
+                cache.reset(rng.integers(-1, fleet.num_levels.min(), fleet.num_groups))
             elif kind == "revert":
                 if last is None:
                     continue
-                g, new = last
-                levels[g] = new
-                cache.note_changed(g)
+                cache.move(*last)
             else:
-                last = (g, int(levels[g]))
-                levels[g] = new
-                cache.note_changed(g)
+                last = (g, cache.levels[g])
+                cache.move(g, new)
                 if kind == "burst":
-                    continue  # more writes before the next sync
-            self._assert_matches(cache, fleet, levels)
-        self._assert_matches(cache, fleet, levels)
+                    continue  # more writes before the next check
+            self._assert_matches(cache, fleet)
+        self._assert_matches(cache, fleet)
 
     def test_long_chain_does_not_drift(self, wide_model):
         """A GSD-shaped walk far past any refresh interval: propose, score
@@ -382,20 +382,16 @@ class TestIncrementalHistogram:
         p = make_problem(wide_model, lam_frac=0.5, onsite=0.0, q=5.0)
         cache = EvaluationCache(p)
         rng = np.random.default_rng(3)
-        levels = (fleet.num_levels - 1).astype(np.int64)
-        cache.objective_of(levels)
+        cache.reset((fleet.num_levels - 1).astype(np.int64))
         for _ in range(2000):
             g = int(rng.integers(fleet.num_groups))
-            old = int(levels[g])
-            levels[g] = int(rng.integers(-1, fleet.num_levels[g]))
-            cache.note_changed(g)
-            cache.objective_of(levels)
+            old = cache.levels[g]
+            cache.flip(g, int(rng.integers(-1, fleet.num_levels[g])))
             if rng.random() < 0.5:
-                levels[g] = old
-                cache.note_changed(g)
-        self._assert_matches(cache, fleet, levels)
-        assert cache.objective_of(levels) == pytest.approx(
-            cold_objective(p, levels), rel=1e-12
+                cache.move(g, old)
+        self._assert_matches(cache, fleet)
+        assert cache.score() == pytest.approx(
+            cold_objective(p, np.array(cache.levels)), rel=1e-12
         )
 
 
@@ -500,9 +496,8 @@ class TestTracerReads:
         assert one.inner_iters == 0  # one class: closed form
         # The cache counts both as inner solves and sums their steps.
         cache = EvaluationCache(p)
-        cache.objective_of(np.array([3, 3, 2], dtype=np.int64))
-        cache.note_all()
-        cache.objective_of(np.array([3, -1, 3], dtype=np.int64))
+        cache.reset([3, 3, 2])
+        cache.reset([3, -1, 3])
         assert (cache.stats.inner_solves, cache.stats.inner_iters) == (2, mixed.inner_iters)
 
     def test_gsd_fastpath_info(self, hetero_model):

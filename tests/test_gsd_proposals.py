@@ -2,8 +2,9 @@
 
 With load to serve and delay priced, a group explores off plus the
 undominated levels of its own profile; otherwise every level.  On a profile
-with no dominated level the draw is the historical ``integers(-1, K)`` one,
-bit for bit.
+with no dominated level the draw is the all-levels one, level
+``int(u * (K + 1)) - 1``, bit for bit.  A solve draws its randomness once,
+``3 * iterations`` doubles.
 """
 
 import math
@@ -13,7 +14,7 @@ import pytest
 
 from repro.cluster import Fleet, ServerGroup, cubic_dvfs_profile, default_fleet, opteron_2380
 from repro.core import DataCenterModel
-from repro.solvers import GSDSolver
+from repro.solvers import DistributedGSD, GSDSolver
 from repro.solvers import convex
 from repro.solvers.fastpath import EvaluationCache
 from repro.solvers.gsd import _acceptance_probability
@@ -28,9 +29,9 @@ class _Recording(GSDSolver):
         self.scored: list[np.ndarray] = []
 
     def _scorer(self, problem, cache, score):
-        def recorded(levels):
-            self.scored.append(levels.copy())
-            return score(levels)
+        def recorded():
+            self.scored.append(list(cache.levels))
+            return score()
 
         return recorded
 
@@ -85,34 +86,32 @@ class TestProposals:
 
 
 def _all_levels_chain(problem, *, iterations, delta, rng):
-    """GSD's chain with the all-levels draw ``integers(-1, K)``, as it was
-    before proposals were pruned: ``(best levels, best objective, chain
-    levels, chain objective per iteration)``."""
+    """GSD's chain with the all-levels draw, level ``int(u * (K + 1)) - 1``
+    from one ``random((iterations, 3))`` draw, as it would run without
+    pruned proposals: ``(best levels, best objective, chain levels, chain
+    objective per iteration)``."""
     cache = EvaluationCache(problem)
     groups = problem.healthy.tolist()
-    levels = convex.initial_levels(problem)
-    current = cache.objective_of(levels)
-    best_levels, best = levels.copy(), current
+    current = cache.reset(convex.initial_levels(problem))
+    levels = cache.levels
+    best_levels, best = list(levels), current
     chain = []
-    for _ in range(iterations):
-        g = groups[int(rng.integers(0, len(groups)))]
-        proposal = int(rng.integers(-1, problem.fleet.num_levels[g]))
+    for u_group, u_level, u_accept in rng.random((iterations, 3)):
+        g = groups[int(u_group * len(groups))]
+        proposal = int(u_level * (problem.fleet.num_levels[g] + 1)) - 1
         if proposal != levels[g]:
             old = levels[g]
-            levels[g] = proposal
-            cache.note_changed(g)
-            explored = cache.objective_of(levels)
-            if math.isfinite(explored) and rng.random() < _acceptance_probability(
+            explored = cache.flip(g, proposal)
+            if math.isfinite(explored) and u_accept < _acceptance_probability(
                 delta, explored, current
             ):
                 current = explored
                 if explored < best:
-                    best, best_levels = explored, levels.copy()
+                    best, best_levels = explored, list(levels)
             else:
-                levels[g] = old
-                cache.note_changed(g)
+                cache.move(g, old)
         chain.append(current)
-    return best_levels, best, levels, np.array(chain)
+    return np.array(best_levels), best, np.array(levels), np.array(chain)
 
 
 class TestUnprunedProfile:
@@ -132,3 +131,35 @@ class TestUnprunedProfile:
         np.testing.assert_array_equal(solution.info["chain_levels"], chain_levels)
         assert solution.info["final_objective"] == best
         np.testing.assert_array_equal(solution.info["trace"].chain_objective, chain)
+
+
+class TestOneDrawPerSolve:
+    """A solve advances its generator by exactly ``3 * iterations``
+    doubles, however many proposals repeat the current level, are screened
+    or rejected: kill/resume replays the same chains."""
+
+    @pytest.mark.parametrize("solver_cls", [GSDSolver, DistributedGSD])
+    @pytest.mark.parametrize("iterations", [1, 37, 200])
+    def test_generator_advances_three_doubles_per_iteration(self, solver_cls, iterations):
+        problem = make_problem(_paper_model(beta=10.0), lam_frac=0.4, q=5.0, V=50.0)
+        solver = solver_cls(iterations=iterations, delta=1e4, rng=np.random.default_rng(5))
+        for _ in range(2):
+            solver.solve(problem)
+        reference = np.random.default_rng(5)
+        reference.random(2 * 3 * iterations)
+        assert solver.rng.bit_generator.state == reference.bit_generator.state
+
+    def test_telemetry_and_failed_groups_draw_no_more(self):
+        from repro.telemetry import Telemetry
+
+        problem = make_problem(
+            _paper_model(beta=10.0), lam_frac=0.3, q=5.0, V=50.0, failed=(1, 4)
+        )
+        solver = GSDSolver(iterations=50, delta=1e4, rng=np.random.default_rng(6))
+        solver.bind_telemetry(Telemetry())
+        solution = solver.solve(problem)
+        assert solution.action.levels[[1, 4]].tolist() == [-1, -1]
+        assert "gap_rel" in solution.info  # the exact shadow solve ran
+        reference = np.random.default_rng(6)
+        reference.random(3 * 50)
+        assert solver.rng.bit_generator.state == reference.bit_generator.state

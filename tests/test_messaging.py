@@ -493,8 +493,7 @@ class TestLossAgreement:
     distribution, so it agrees with the oracle's per-message bus on the
     *fraction* of lost explorations, not bit for bit.  Bit-equality cannot
     be the contract: the oracle's bus spends one random draw per message
-    attempt, and its ``explore`` message carries the chain RNG, so a delayed
-    or duplicated explore advances the chain RNG twice."""
+    attempt, while the shipped transport draws one binomial per phase."""
 
     LOSS = dict(loss=0.04, delay=0.02, duplicate=0.01)
 

@@ -1,6 +1,6 @@
 """Parity of the cache's class-space score with the per-group evaluation.
 
-:meth:`EvaluationCache.objective_of` scores a candidate from the class
+:meth:`EvaluationCache.flip` scores a candidate from the class
 record :func:`distribute_load` returns for its histogram -- totals summed
 over class rows and :meth:`SlotProblem.cost_terms`, no action and no
 :class:`SlotEvaluation`.  The engines report the evaluation
@@ -129,11 +129,12 @@ CASES = (
 )
 
 
-def _check(problem: SlotProblem, cache: EvaluationCache, levels: np.ndarray) -> str:
-    """Assert one scored vector's parity; returns its verdict: ``"ok"``,
-    ``"caps"`` (solved, breaks a cap) or ``"infeasible"``."""
-    got = cache.objective_of(levels)
-    if math.isinf(got) and cache.distribution_of(levels) is None:
+def _check(problem: SlotProblem, cache: EvaluationCache, got: float) -> str:
+    """Assert the parity of the cache's current vector, which scored
+    ``got``; returns its verdict: ``"ok"``, ``"caps"`` (solved, breaks a
+    cap) or ``"infeasible"``."""
+    levels = np.array(cache.levels)
+    if math.isinf(got) and cache.distribution_of(cache.key()) is None:
         # Screened out or rejected by the inner solve: a fresh per-group
         # solve must reject it too, or break a cap.
         try:
@@ -160,18 +161,16 @@ def test_objective_of_matches_evaluated_solution(name):
     fleet = problem.fleet
     rng = np.random.default_rng(7)
     cache = EvaluationCache(problem)
-    levels = start.copy()
+    got = cache.reset(start)
     verdicts = []
     for step in range(120):
         if step:
             g = int(rng.integers(0, fleet.num_groups))
-            old = levels[g]
-            levels[g] = int(rng.integers(-1, fleet.num_levels[g]))
-            cache.note_changed(g)
-        verdicts.append(_check(problem, cache, levels))
+            old = cache.levels[g]
+            got = cache.flip(g, int(rng.integers(-1, fleet.num_levels[g])))
+        verdicts.append(_check(problem, cache, got))
         if step and verdicts[-1] != "ok":  # walk back, as GSD does
-            levels[g] = old
-            cache.note_changed(g)
+            cache.move(g, old)
     assert "ok" in verdicts
     if name == "caps":
         assert "caps" in verdicts
@@ -183,8 +182,8 @@ def test_regimes_and_edges_are_reached():
     for name in ("billed", "free", "boundary", "tiered_tariff", "capped_capacity"):
         problem, start = _case(name)
         cache = EvaluationCache(problem)
-        cache.objective_of(start)
-        regimes[name] = cache.distribution_of(start)
+        cache.reset(start)
+        regimes[name] = cache.distribution_of(cache.key())
     assert regimes["billed"].regime == "billed"
     assert regimes["free"].regime == "free"
     assert regimes["boundary"].regime == "boundary"
@@ -192,5 +191,5 @@ def test_regimes_and_edges_are_reached():
     assert math.isinf(regimes["capped_capacity"].nu)
     problem, start = _case("zero_arrival")
     cache = EvaluationCache(problem)
-    assert cache.objective_of(start) > 0.0
-    assert cache.distribution_of(start).classes is None
+    assert cache.reset(start) > 0.0
+    assert cache.distribution_of(cache.key()).classes is None
