@@ -10,39 +10,32 @@ differ in a single group, so most of that work is redundant.  This module
 factors the redundancy out once, for all engines; it is the only way they
 score a candidate:
 
-- **The chain state and its key** (:class:`EvaluationCache`): the cache
-  holds the engine's level list itself, and beside it the two numbers the
-  P3 objective depends on: the on-set's (profile, level) class histogram
+- **The chain key**: :class:`EvaluationCache` holds the engine's level
+  list and, beside it, the two things the P3 objective reads of it: the
+  on-set's (profile, level) class histogram
   (:meth:`~repro.cluster.fleet.Fleet.class_counts`) and its count of
   charged server transitions (the switching energy is
-  ``energy_per_toggle`` times that count, :meth:`~repro.solvers.problem
-  .SlotProblem.switching_energy`).  The inner solve, the IT power, delay
-  and served-load totals and the caps read the histogram only, and the
-  switching term reads the count only.  :meth:`EvaluationCache.flip` moves
-  one group and updates both in a few list operations: the group's server
-  count leaves its old class and joins its new one, and the count gains or
-  loses the group's transition charge when it turns on or off.  Server
-  counts are integers, so both parts are exact: the key after any sequence
-  of flips equals the one :meth:`EvaluationCache.key_of` builds from
+  ``energy_per_toggle`` times it).  :meth:`EvaluationCache.flip` moves one
+  group in a few list operations: its server count leaves its old class
+  and joins its new one, and the count gains or loses the group's charge
+  when it turns on or off.  Server counts are integers, so both are exact:
+  after any flips the key equals :meth:`EvaluationCache.key_of` from
   scratch, bit for bit.
 - **Per-solve memo** keyed by ``(histogram..., transitions)``: a hit
   returns the float computed the first time the key was seen, which a
-  recompute would reproduce bit for bit.  Distinct level vectors with one
-  key -- a GSD flip between two groups of one profile, say -- are one
-  entry.  Under it, one inner solve per histogram: a key whose histogram
-  was already solved (another transition count) reuses the
-  :class:`~repro.solvers.load_distribution.ClassSolve` record and adds its
-  own switching term.  The record holds the class loads, dual and regime
-  and the totals summed over the class rows; the cache scores it with the
-  scalar :meth:`~repro.solvers.problem.SlotProblem.cost_terms` and
-  :meth:`~repro.solvers.problem.SlotProblem.exceeds_caps`, so no per-group
-  pass runs and no solution or evaluation object is built on the hot
-  path.  :meth:`EvaluationCache.solution_for` hands the chosen vector's
-  record on as the action's :class:`~repro.cluster.fleet.ClassRows`,
-  billed from the same totals: the evaluation is
-  :meth:`~repro.solvers.problem.SlotProblem.evaluate` of the action and its
-  objective the scored one, bit for bit;
-  :meth:`EvaluationCache.distribution_of` returns a scored key's record.
+  recompute would reproduce bit for bit; distinct vectors with one key
+  share the entry.  Under it, one inner solve per histogram: the
+  :class:`~repro.solvers.load_distribution.ClassSolve` record (class
+  loads, dual, regime and the totals summed over the class rows), scored
+  with the scalar :meth:`~repro.solvers.problem.SlotProblem.cost_terms`
+  and :meth:`~repro.solvers.problem.SlotProblem.exceeds_caps`, so no
+  per-group pass runs and no solution object is built on the hot path.  A
+  key whose histogram was solved under another transition count reuses
+  the record.  :meth:`EvaluationCache.solution_for` hands the chosen
+  vector's record on as the action's
+  :class:`~repro.cluster.fleet.ClassRows`, billed from the same totals:
+  the evaluation is :meth:`~repro.solvers.problem.SlotProblem.evaluate` of
+  the action and its objective the scored one, bit for bit.
 - **Delta feasibility screen**: from the same histogram, the on-set's
   capacity and static IT power cost one sum over its few classes.
   Candidates that provably cannot serve the workload -- or whose static
@@ -136,10 +129,11 @@ class EvaluationCache:
     with :meth:`flip` and takes a rejected proposal back with :meth:`move`;
     :attr:`levels` is the current configuration.  :meth:`reset` and
     :meth:`flip` return the P3 objective of the state they leave (``inf``
-    for infeasible or cap-violating configurations) through :attr:`score`,
-    which an engine may wrap for one solve (span attribution, message
-    bills).  :meth:`solution_for` turns any scored vector back into a full
-    ``(FleetAction, SlotEvaluation)`` pair without re-solving.
+    for infeasible or cap-violating configurations) through
+    :attr:`scorer`, which an engine may wrap for one solve (span
+    attribution, message bills).  :meth:`solution_for` turns any scored
+    vector back into a full ``(FleetAction, SlotEvaluation)`` pair without
+    re-solving.
     """
 
     def __init__(self, problem: SlotProblem):
@@ -155,36 +149,36 @@ class EvaluationCache:
         # Group g at level l is class ``_class_flat[_class_row[g] + l]``.
         self._class_flat, self._class_row = fleet.class_id_lists
         self._group_count = fleet.group_lists[0]
-        self._per_toggle, self._off_count, self._turn_on = self._charges(problem)
-        self._turn_on_array = np.array(self._turn_on) if self._per_toggle else None
+        self._per_toggle, self._off_count, self._turn_on_array = self._charges(problem)
+        self._turn_on = self._turn_on_array.tolist()
         #: The current configuration, one level per group (``-1`` = off).
         self.levels: list[int] = []
         # Its key: the class histogram with the transition count appended.
         self._key: list[float] = []
-        #: What :meth:`reset` and :meth:`flip` score the new state with.
-        self.score: Callable[[], float] = self._lookup
+        #: ``scorer(cache)``: what :meth:`reset` and :meth:`flip` score the
+        #: new state with.  It takes the cache as an argument, so the cache
+        #: holds no reference to itself and a solve's state is freed as
+        #: soon as the solve returns.
+        self.scorer: Callable[[EvaluationCache], float] = EvaluationCache.lookup
 
     @staticmethod
-    def _charges(problem: SlotProblem) -> tuple[float, float, list[float]]:
+    def _charges(problem: SlotProblem) -> tuple[float, float, np.ndarray]:
         """``(energy per toggle, count with every group off, per group the
         count's rise when it turns on)``.  A failed group's forced
         power-off is billed but decided by no candidate, so scores count
         the healthy groups' transitions only, as the exact engine's do."""
-        fleet = problem.fleet
+        counts = problem.fleet.counts
         sw, prev = problem.switching, problem.prev_on_counts
         if sw is None or prev is None or not sw.enabled:
-            return 0.0, 0.0, [0.0] * fleet.num_groups
-        prev = prev.tolist()
-        for g in problem.failed or ():
-            prev[g] = 0.0
-
-        def charge(on: float, before: float) -> float:
-            delta = on - before
-            return max(delta, 0.0) + (max(-delta, 0.0) if sw.charge_off else 0.0)
-
-        off = [charge(0.0, p) for p in prev]
-        turn_on = [charge(n, p) - c for n, p, c in zip(fleet.group_lists[0], prev, off)]
-        return sw.energy_per_toggle, sum(off), turn_on
+            return 0.0, 0.0, np.zeros(counts.size)
+        prev = prev.copy()
+        prev[list(problem.failed or ())] = 0.0
+        turn_on = np.maximum(counts - prev, 0.0)  # servers switched on
+        if not sw.charge_off:
+            return sw.energy_per_toggle, 0.0, turn_on
+        # Off, a group is charged its previous on-count; on, any drop.
+        fall = np.maximum(prev - counts, 0.0)
+        return sw.energy_per_toggle, float(prev.sum()), turn_on + fall - prev
 
     # ------------------------------------------------------------------
     # The chain state
@@ -212,7 +206,7 @@ class EvaluationCache:
         levels = np.asarray(levels, dtype=np.int64)
         self.levels = levels.tolist()
         self._key = self._key_list(levels)
-        return self.score()
+        return self.scorer(self)
 
     def move(self, group: int, level: int) -> None:
         """Set ``levels[group] = level``, updating the key in place."""
@@ -237,7 +231,7 @@ class EvaluationCache:
     def flip(self, group: int, level: int) -> float:
         """:meth:`move` then score: the objective of the moved-to state."""
         self.move(group, level)
-        return self.score()
+        return self.scorer(self)
 
     # ------------------------------------------------------------------
     # Scoring
@@ -261,10 +255,11 @@ class EvaluationCache:
         cap = p.peak_power_cap
         return cap is not None and p.pue * static > cap * (1.0 + _SCREEN_RTOL)
 
-    def _lookup(self) -> float:
+    def lookup(self) -> float:
         """P3 objective of the current configuration with exact inner
-        solve; ``+inf`` when the on-set cannot serve the workload or the
-        solved action violates the operational caps (Algorithm 2 line 2)."""
+        solve, from the memo when its key was scored before; ``+inf`` when
+        the on-set cannot serve the workload or the solved action violates
+        the operational caps (Algorithm 2 line 2)."""
         key = tuple(self._key)
         value = self._memo.get(key)
         if value is not None:
@@ -301,7 +296,7 @@ class EvaluationCache:
         return math.inf if p.exceeds_caps(facility, delay_cost) else float(objective)
 
     def distribution_of(self, key: tuple[float, ...]) -> ClassSolve | None:
-        """The inner solve behind a key :attr:`score` scored, or ``None``
+        """The inner solve behind a key :meth:`lookup` scored, or ``None``
         when it had none (screened out, or the on-set cannot carry the
         load)."""
         return self._solves.get(key[:-1])
@@ -311,7 +306,7 @@ class EvaluationCache:
         cached inner solve when a vector of its histogram was scored.
 
         The action's rows are the solve's class rows and the evaluation is
-        billed from its totals, as :attr:`score` scores it, so the
+        billed from its totals, as :meth:`lookup` scores it, so the
         evaluation's objective is the scored one bit for bit -- unless a
         failed group that was on last slot is charged its power-off.
         """

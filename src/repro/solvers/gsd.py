@@ -245,8 +245,8 @@ class GSDSolver(SlotSolver):
         self,
         problem: SlotProblem,
         cache: EvaluationCache,
-        score: Callable[[], float],
-    ) -> Callable[[], float]:
+        score: Callable[[EvaluationCache], float],
+    ) -> Callable[[EvaluationCache], float]:
         """The candidate scorer of one solve, chosen once before the chain
         runs: it scores the cache's current configuration.  GSD scores
         through the fast path as is; subclasses may wrap it
@@ -286,7 +286,7 @@ class GSDSolver(SlotSolver):
             sp.add("gsd.setup", time.perf_counter() - t_setup)
 
         scored_s = 0.0
-        score = cache.score
+        score = cache.scorer
         if sp:
             # Attribution build of the scorer: classify each candidate
             # evaluation by what the fast path actually did (stats deltas)
@@ -297,12 +297,12 @@ class GSDSolver(SlotSolver):
             fp_stats = cache.stats
             lookup = score
 
-            def score() -> float:
+            def score(c: EvaluationCache) -> float:
                 nonlocal scored_s
                 t0 = time.perf_counter()
                 hits0 = fp_stats.cache_hits
                 screened0 = fp_stats.screened_infeasible
-                value = lookup()
+                value = lookup(c)
                 if fp_stats.cache_hits > hits0:
                     bucket = "gsd.cache_lookup"
                 elif fp_stats.screened_infeasible > screened0:
@@ -314,7 +314,7 @@ class GSDSolver(SlotSolver):
                 scored_s += dt
                 return value
 
-        cache.score = self._scorer(problem, cache, score)
+        cache.scorer = self._scorer(problem, cache, score)
 
         if self.initial_levels is not None:
             start = self.initial_levels.copy()

@@ -241,8 +241,8 @@ class DistributedGSD(GSDSolver):
         self,
         problem: SlotProblem,
         cache: EvaluationCache,
-        score: Callable[[], float],
-    ) -> Callable[[], float]:
+        score: Callable[[EvaluationCache], float],
+    ) -> Callable[[EvaluationCache], float]:
         g = problem.healthy.size  # failed groups take no part
         factory = self.transport_factory
         transport = (
@@ -256,12 +256,12 @@ class DistributedGSD(GSDSolver):
             raise BusTimeoutError("configure broadcast unanswered within retries")
         bills = transport.bills
 
-        def priced() -> float:
-            value = score()
-            key = cache.key()
+        def priced(c: EvaluationCache) -> float:
+            value = score(c)
+            key = c.key()
             bill = bills.get(key)
             if bill is None:
-                bill = bills[key] = pricing_bill(problem, cache.distribution_of(key))
+                bill = bills[key] = pricing_bill(problem, c.distribution_of(key))
             return value if transport.price(bill) else math.inf
 
         return priced

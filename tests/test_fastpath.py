@@ -137,7 +137,7 @@ class TestCacheBitIdentity:
             else:
                 for g, cand in enumerate(combo):
                     cache.move(g, cand)
-                obj = cache.score()
+                obj = cache.lookup()
             prev = combo
             levels = np.array(cache.levels)
             assert obj == cold_objective(problem, levels)  # exact, not approx
@@ -390,7 +390,7 @@ class TestIncrementalHistogram:
             if rng.random() < 0.5:
                 cache.move(g, old)
         self._assert_matches(cache, fleet)
-        assert cache.score() == pytest.approx(
+        assert cache.lookup() == pytest.approx(
             cold_objective(p, np.array(cache.levels)), rel=1e-12
         )
 

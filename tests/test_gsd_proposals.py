@@ -29,9 +29,9 @@ class _Recording(GSDSolver):
         self.scored: list[np.ndarray] = []
 
     def _scorer(self, problem, cache, score):
-        def recorded():
-            self.scored.append(list(cache.levels))
-            return score()
+        def recorded(c):
+            self.scored.append(list(c.levels))
+            return score(c)
 
         return recorded
 
