@@ -17,7 +17,7 @@ FRACTIONS = [0.85, 0.90, 0.95, 1.00, 1.05]
 
 def test_fig5a_budget_sweep_fiu(benchmark, publish, fiu_scenario):
     rows = benchmark.pedantic(
-        lambda: budget_sweep(fiu_scenario, FRACTIONS, include_opt=True, v_iters=8),
+        lambda: budget_sweep(fiu_scenario, FRACTIONS, include_opt=True),
         rounds=1,
         iterations=1,
     )

@@ -12,7 +12,7 @@ FRACTIONS = [0.85, 0.95, 1.00]
 
 def test_fig5b_budget_sweep_msr(benchmark, publish, msr_scenario):
     rows = benchmark.pedantic(
-        lambda: budget_sweep(msr_scenario, FRACTIONS, include_opt=True, v_iters=8),
+        lambda: budget_sweep(msr_scenario, FRACTIONS, include_opt=True),
         rounds=1,
         iterations=1,
     )

@@ -43,7 +43,7 @@ def msr_scenario():
 @pytest.fixture(scope="session")
 def fiu_v_star(fiu_scenario) -> float:
     """Cheapest neutral V for the FIU scenario (shared across benches)."""
-    return find_neutral_v(fiu_scenario, iters=9)
+    return find_neutral_v(fiu_scenario)
 
 
 @pytest.fixture(scope="session")

@@ -112,32 +112,34 @@ portfolio = RenewablePortfolio(onsite=onsite, offsite=offsite, recs=0.0)
 # cubic parts make the carbon-unaware optimum nearly power-minimal already,
 # so "92% of unaware" can be infeasible; set the budget midway between the
 # minimum achievable brown energy and the unaware draw instead.
-from repro.baselines import calibrate_budget, dual_sweep
+from repro.analysis import find_neutral_v
+from repro.baselines import CarbonUnaware, dual_sweep
+from repro.scenarios import Scenario
 
 env = Environment(workload=workload, portfolio=portfolio, price=price)
-unaware_brown = calibrate_budget(model, env)
+unaware = simulate(model, CarbonUnaware(model), env)
 brown, _ = dual_sweep(model, workload.values, onsite.values, price.values, q=1e9)
 min_brown = float(brown.sum())
-budget = min_brown + 0.5 * (unaware_brown - min_brown)
+budget = min_brown + 0.5 * (unaware.total_brown - min_brown)
 print(f"\nbrown energy range: min feasible {min_brown:.2f} MWh, "
-      f"unaware {unaware_brown:.2f} MWh -> budget {budget:.2f} MWh")
+      f"unaware {unaware.total_brown:.2f} MWh -> budget {budget:.2f} MWh")
 portfolio = portfolio.with_budget_split(budget, 0.4)
-env = env.with_portfolio(portfolio)
+scenario = Scenario(
+    model=model,
+    environment=env.with_portfolio(portfolio),
+    alpha=1.0,
+    unaware_brown=unaware.total_brown,
+    unaware_cost=unaware.average_cost,
+    budget=budget,
+)
 
-# V is unit-scale dependent; pick the cheapest neutral value by bisection.
-v_star = None
-lo, hi = 1e-4, 1.0
-for _ in range(8):
-    mid = (lo * hi) ** 0.5
-    trial = simulate(model, COCA(model, portfolio, v_schedule=mid), env)
-    if trial.ledger(portfolio).is_neutral():
-        lo, v_star = mid, mid
-    else:
-        hi = mid
-coca = COCA(model, portfolio, v_schedule=v_star if v_star else lo)
-record = simulate(model, coca, env)
+# V is unit-scale dependent; take the cheapest neutral value.
+v_star = find_neutral_v(scenario)
+coca = COCA(model, portfolio, v_schedule=v_star)
+record = simulate(model, coca, scenario.environment)
 ledger = record.ledger(portfolio)
 print("\nCOCA on the mixed fleet (one week):")
+print(f"  V*            : {v_star:.4g}")
 print(f"  avg cost      : ${record.average_cost:.3f}/h")
 print(f"  brown energy  : {record.total_brown:.2f} MWh vs budget {portfolio.carbon_budget:.2f} MWh")
 print(f"  carbon neutral: {ledger.is_neutral()}")

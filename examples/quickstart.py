@@ -27,8 +27,8 @@ print()
 unaware = simulate(scenario.model, CarbonUnaware(scenario.model), scenario.environment)
 
 # COCA at the largest V that still satisfies carbon neutrality.  V trades
-# cost for deficit; find_neutral_v bisects to the knee.
-v_star = find_neutral_v(scenario, iters=10)
+# cost for deficit; find_neutral_v finds the knee.
+v_star = find_neutral_v(scenario)
 print(f"neutral V* = {v_star:.4g}")
 
 coca = COCA(

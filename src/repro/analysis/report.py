@@ -51,7 +51,6 @@ def scenario_report(
     *,
     v: float | None = None,
     include_opt: bool = True,
-    v_iters: int = 9,
     telemetry=None,
 ) -> str:
     """Run the core comparison and return the markdown report text."""
@@ -95,7 +94,7 @@ def scenario_report(
     unaware = simulate(
         scenario.model, CarbonUnaware(scenario.model), env, telemetry=telemetry
     )
-    v_used = v if v is not None else find_neutral_v(scenario, iters=v_iters)
+    v_used = v if v is not None else find_neutral_v(scenario)
     coca_record, coca = run_coca(scenario, v_used, telemetry=telemetry)
     records = [("carbon-unaware", unaware), ("COCA", coca_record)]
     if include_opt:

@@ -17,13 +17,13 @@ fresh in-memory telemetry that the parent absorbs back in point order.
 
 from __future__ import annotations
 
+import dataclasses
+import math
 from concurrent.futures import ProcessPoolExecutor
 from typing import Callable, Sequence
 
-import numpy as np
-
 from ..baselines.carbon_unaware import CarbonUnaware
-from ..baselines.dual import OfflineOptimal
+from ..baselines.dual import OfflineOptimal, bracket_root
 from ..baselines.perfect_hp import PerfectHP
 from ..core.coca import COCA
 from ..core.vschedule import VSchedule
@@ -44,6 +44,12 @@ __all__ = [
     "switching_sweep",
     "portfolio_sweep",
 ]
+
+#: The V calibration's bracket, and its stop rule: ``budget_use`` in
+#: ``[1 - _V_TOL, 1]``, or a bracket narrower than ``_V_WIDTH`` times V.
+_V_LO, _V_HI = 1e-4, 1e7
+_V_TOL = 1e-4
+_V_WIDTH = 5e-3
 
 
 def run_coca(
@@ -134,40 +140,49 @@ def sweep_constant_v(
     )
 
 
-def find_neutral_v(
-    scenario: Scenario,
-    *,
-    v_lo: float = 1e-3,
-    v_hi: float = 1e6,
-    iters: int = 12,
-) -> float:
+def find_neutral_v(scenario: Scenario) -> float:
     """Largest (cheapest) constant ``V`` that still satisfies neutrality.
 
     Brown energy is monotonically nondecreasing in ``V`` (more cost focus,
-    less deficit pressure), so bisection applies.  This automates the
-    paper's "we appropriately choose V such that carbon neutrality is
+    less deficit pressure), so a bracketing root-finder applies: Illinois
+    in ``ln V`` on ``budget_use(V) - 1`` over ``[1e-4, 1e7]``
+    (:func:`~repro.baselines.dual.bracket_root`).  It returns the neutral
+    end of the bracket once its ``budget_use`` is in ``[1 - 1e-4, 1]``
+    (``_V_TOL``) or the bracket is narrower than 0.5% of it (``_V_WIDTH``;
+    a twelve-step geometric bisection over nine decades ends 0.51% wide).
+    Fourteen COCA years became seven on the paper year.  This automates
+    the paper's "we appropriately choose V such that carbon neutrality is
     satisfied" for the sensitivity studies.
     """
+    v = _neutral_v(scenario)
+    if v is None:
+        raise ValueError(
+            f"even V={_V_LO} violates neutrality; the budget may be infeasible"
+        )
+    return v
+
+
+def _neutral_v(scenario: Scenario) -> float | None:
+    """:func:`find_neutral_v`'s search; ``None`` when even ``V = 1e-4``
+    violates neutrality."""
     portfolio = scenario.environment.portfolio
 
-    def neutral(v: float) -> bool:
+    def use(v: float) -> float:
         record, _ = run_coca(scenario, v)
-        return record.ledger(portfolio, scenario.alpha).is_neutral()
+        ledger = record.ledger(portfolio, scenario.alpha)
+        budget = ledger.budget_through()
+        return ledger.total_brown / budget if budget > 0 else math.inf
 
-    if neutral(v_hi):
-        return v_hi
-    if not neutral(v_lo):
-        raise ValueError(
-            f"even V={v_lo} violates neutrality; the budget may be infeasible"
-        )
-    lo, hi = v_lo, v_hi
-    for _ in range(iters):
-        mid = float(np.sqrt(lo * hi))  # geometric: V spans decades
-        if neutral(mid):
-            lo = mid
-        else:
-            hi = mid
-    return lo
+    u_hi = use(_V_HI)
+    if u_hi <= 1.0:
+        return _V_HI
+    u_lo = use(_V_LO)
+    if u_lo > 1.0:
+        return None
+    v, _ = bracket_root(
+        use, (_V_LO, u_lo), (_V_HI, u_hi), tol=_V_TOL, width=_V_WIDTH, log=True
+    )
+    return v
 
 
 def run_varying_v(
@@ -201,9 +216,7 @@ def compare_with_perfecthp(
 
 
 def _budget_point(payload: tuple, telemetry: Telemetry | None) -> dict:
-    scenario, frac, unaware_avg_cost, unaware_total_brown, include_opt, v_iters = (
-        payload
-    )
+    scenario, frac, unaware_avg_cost, unaware_total_brown, include_opt = payload
     sc = scenario.with_budget_fraction(float(frac))
     portfolio = sc.environment.portfolio
     row: dict = {
@@ -215,7 +228,7 @@ def _budget_point(payload: tuple, telemetry: Telemetry | None) -> dict:
         # Budget exceeds unaware usage: COCA (any large V) == unaware.
         record, _ = run_coca(sc, 1e9, telemetry=telemetry)
     else:
-        v_star = find_neutral_v(sc, iters=v_iters)
+        v_star = find_neutral_v(sc)
         record, _ = run_coca(sc, v_star, telemetry=telemetry)
         row["v_star"] = v_star
     row["coca_cost"] = record.average_cost / scenario.unaware_cost
@@ -235,7 +248,6 @@ def budget_sweep(
     fractions: Sequence[float],
     *,
     include_opt: bool = True,
-    v_iters: int = 10,
     workers: int | None = None,
     telemetry: Telemetry | None = None,
 ) -> list[dict]:
@@ -257,7 +269,6 @@ def budget_sweep(
             unaware_record.average_cost,
             unaware_record.total_brown,
             include_opt,
-            v_iters,
         )
         for frac in fractions
     ]
@@ -269,45 +280,27 @@ def _neutral_run(
     environment,
     v: float | None,
     *,
-    v_iters: int = 9,
     telemetry: Telemetry | None = None,
 ) -> tuple[SimulationRecord, float]:
     """Run COCA neutrally: use ``v`` if it satisfies neutrality on this
-    environment, otherwise re-tune V (the paper: "for all the cases, we
-    appropriately choose V such that carbon neutrality is satisfied").
+    environment, otherwise re-tune V with :func:`find_neutral_v` (the paper:
+    "for all the cases, we appropriately choose V such that carbon
+    neutrality is satisfied").  A budget infeasible even at the lowest V is
+    reported, not raised: the run at that V is returned.
 
-    Only the run whose record is returned carries ``telemetry``; bisection
-    probes stay untraced so the event stream holds one run per point.
+    Only the run whose record is returned carries ``telemetry``; calibration
+    runs stay untraced so the event stream holds one run per point.
     """
-
-    def attempt(
-        v_try: float, tele: Telemetry | None = None
-    ) -> SimulationRecord:
-        controller = COCA(
-            scenario.model,
-            environment.portfolio,
-            v_schedule=v_try,
-            alpha=scenario.alpha,
-        )
-        return simulate(scenario.model, controller, environment, telemetry=tele)
-
+    scenario = dataclasses.replace(scenario, environment=environment)
     if v is not None:
-        record = attempt(v, telemetry)
+        record, _ = run_coca(scenario, v, telemetry=telemetry)
         if record.ledger(environment.portfolio, scenario.alpha).is_neutral():
             return record, v
-
-    lo, hi = 1e-4, 1e7
-    if not attempt(lo).ledger(environment.portfolio, scenario.alpha).is_neutral():
-        # Budget infeasible even at tiny V; report it.
-        return attempt(lo, telemetry), lo
-    best = lo
-    for _ in range(v_iters):
-        mid = float(np.sqrt(lo * hi))
-        if attempt(mid).ledger(environment.portfolio, scenario.alpha).is_neutral():
-            lo = best = mid
-        else:
-            hi = mid
-    return attempt(best, telemetry), best
+    v = _neutral_v(scenario)
+    if v is None:  # infeasible even at the lowest V: report that run
+        v = _V_LO
+    record, _ = run_coca(scenario, v, telemetry=telemetry)
+    return record, v
 
 
 def _overestimation_point(payload: tuple, telemetry: Telemetry | None) -> dict:

@@ -10,8 +10,12 @@ that one constraint, so its Lagrangian decomposes per slot:
     min_t  g(t) + mu y(t),
 
 exactly a P3 instance with ``q = mu`` and ``V = 1``.  The frame's brown
-energy under the per-slot minimizers does not rise with ``mu``, so
-bisection finds the smallest multiplier whose sweep meets the budget.  The
+energy under the per-slot minimizers does not rise with ``mu``, so a
+bracketing root-finder (:func:`bracket_root`, Illinois with a bisection
+fallback) finds the smallest multiplier whose sweep meets the budget.  It
+stops once the frame's brown/budget is in ``[1 - 1e-6, 1]`` (``_MU_TOL``)
+or the multiplier's bracket is narrower than ``1e-6`` times the multiplier
+(``_MU_WIDTH``); the returned multiplier always meets the budget.  The
 discrete speed sets make the per-slot problems nonconvex, so the dual
 policy is *feasible* and near-optimal, and :attr:`FrameOptimum.lower_bound`
 carries the certified bound ``(sum_t min[g + mu y] - mu budget) / T`` on
@@ -26,7 +30,9 @@ zero, and P2 one per frame.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -37,6 +43,7 @@ from ..solvers.base import SlotSolution
 from ..solvers.batch import batch_enumerate, supports_batch
 
 __all__ = [
+    "bracket_root",
     "dual_sweep",
     "FrameOptimum",
     "lookahead_optima",
@@ -44,8 +51,64 @@ __all__ = [
     "OfflineOptimal",
 ]
 
-_BISECT_ITERS = 40
 _MU_CEILING = 1e12
+#: The multiplier search stops once brown/budget is in ``[1 - _MU_TOL, 1]``
+#: or the bracket is narrower than ``_MU_WIDTH`` times the multiplier.
+_MU_TOL = 1e-6
+_MU_WIDTH = 1e-6
+
+def bracket_root(
+    use: Callable[[float], float],
+    feasible: tuple[float, float],
+    infeasible: tuple[float, float],
+    *,
+    tol: float,
+    width: float,
+    log: bool = False,
+) -> tuple[float, float]:
+    """Find where a monotone ``use(x)`` crosses 1, from the feasible side.
+
+    ``use(x)`` is a budget use ratio (brown energy over budget), and ``x``
+    is feasible when ``use(x) <= 1``.  The ends ``(x, use(x))`` bracket the
+    crossing, one feasible and one not, in either order on the line.  The
+    search is Illinois: regula falsi on ``use - 1``, in ``ln x`` when
+    ``log``, halving the value of an end kept twice running.  A step bisects
+    instead when the interpolation is not strictly inside the bracket, or
+    when the previous step landed on its end's flat (the same use exactly:
+    a step function's tread).
+
+    It stops, and returns the feasible end ``(x, use(x))``, once that end's
+    use is in ``[1 - tol, 1]`` or the bracket is no wider than ``width``
+    times the feasible end's ``|x|`` (so ``width > 0`` and a nonzero
+    feasible end).  On the discrete engines' staircases the use may have no
+    value in ``[1 - tol, 1]``, so the width stop is required.
+    """
+    coord = math.log if log else float
+    (a, ua), (b, ub) = feasible, infeasible
+    if not ua <= 1.0 < ub:
+        raise ValueError(f"not a bracket: use {ua} at {a} and {ub} at {b}")
+    fa, fb = ua - 1.0, ub - 1.0  # Illinois's working values
+    last_feasible, interpolate = None, True
+    while ua < 1.0 - tol and abs(a - b) > width * abs(a):
+        ca, cb = coord(a), coord(b)
+        c = cb - fb * (cb - ca) / (fb - fa) if interpolate else math.nan
+        if not min(ca, cb) < c < max(ca, cb):
+            c = 0.5 * (ca + cb)
+        x = math.exp(c) if log else c
+        u = use(x)
+        if u <= 1.0:
+            interpolate = u != ua
+            a, ua, fa = x, u, u - 1.0
+            if last_feasible is True:
+                fb *= 0.5
+            last_feasible = True
+        else:
+            interpolate = u != ub
+            b, ub, fb = x, u, u - 1.0
+            if last_feasible is False:
+                fa *= 0.5
+            last_feasible = False
+    return a, ua
 
 
 def dual_sweep(
@@ -132,9 +195,11 @@ class FrameOptimum:
 def _frame_optimum(
     model: DataCenterModel, environment, budget: float, r: int, slots: slice
 ) -> FrameOptimum:
-    """Bisect the multiplier of frame ``r``, the slots ``slots``, for the
-    smallest ``mu >= 0`` whose sweep's brown energy fits ``budget`` MWh.
-    With every slot in one frame this is problem P1.
+    """Search the multiplier of frame ``r``, the slots ``slots``, for the
+    smallest ``mu >= 0`` whose sweep's brown energy fits ``budget`` MWh:
+    from ``max(price, 1)`` the bracket grows fourfold until it holds a
+    feasible end, and :func:`bracket_root` narrows it to the module's stop
+    rule.  With every slot in one frame this is problem P1.
 
     A frame that even an enormous multiplier cannot fit into its budget is
     reported, not raised: the paper's per-frame feasibility assumption
@@ -148,34 +213,31 @@ def _frame_optimum(
     pue = None if environment.pue is None else environment.pue.values[slots]
     T = arrival.size
 
-    def sweep(mu: float) -> tuple[float, float]:
-        brown, cost = dual_sweep(model, arrival, onsite, price, q=mu, pue=pue)
-        return float(brown.sum()), float(cost.sum())
+    swept: dict[float, tuple[float, float]] = {}
 
-    def optimum(brown: float, cost: float, mu: float) -> FrameOptimum:
+    def use(mu: float) -> float:
+        brown, cost = dual_sweep(model, arrival, onsite, price, q=mu, pue=pue)
+        brown, cost = swept[mu] = float(brown.sum()), float(cost.sum())
+        return brown / budget if budget > 0 else (math.inf if brown > 0 else 0.0)
+
+    def optimum(mu: float, swept_at: float) -> FrameOptimum:
+        """The frame at multiplier ``mu``, with the sweep made at ``swept_at``."""
+        brown, cost = swept[swept_at]
         lower = (cost + mu * brown - mu * budget) / T
         return FrameOptimum(r, mu, cost / T, min(lower, cost / T), brown, budget)
 
-    brown, cost = sweep(0.0)
-    if brown <= budget:
-        return optimum(brown, cost, 0.0)
+    lo, u_lo = 0.0, use(0.0)
+    if u_lo <= 1.0:
+        return optimum(0.0, 0.0)
     hi = max(float(price.max()), 1.0)
-    brown, cost = sweep(hi)
-    while brown > budget:
-        hi *= 4.0
-        if hi > _MU_CEILING:
-            return optimum(brown, cost, hi)
-        brown, cost = sweep(hi)
-    lo, best = 0.0, (brown, cost, hi)
-    for _ in range(_BISECT_ITERS):
-        mid = 0.5 * (lo + hi)
-        brown, cost = sweep(mid)
-        if brown > budget:
-            lo = mid
-        else:
-            hi = mid
-            best = (brown, cost, mid)
-    return optimum(*best)
+    u_hi = use(hi)
+    while u_hi > 1.0:
+        if hi * 4.0 > _MU_CEILING:
+            return optimum(hi * 4.0, hi)
+        lo, u_lo, hi = hi, u_hi, hi * 4.0
+        u_hi = use(hi)
+    mu, _ = bracket_root(use, (hi, u_hi), (lo, u_lo), tol=_MU_TOL, width=_MU_WIDTH)
+    return optimum(mu, mu)
 
 
 def lookahead_optima(

@@ -185,7 +185,7 @@ def _cmd_quickstart(args) -> int:
         f"{scenario.horizon} h, budget {scenario.budget:.4g} MWh "
         f"({100 * scenario.budget_fraction:.0f}% of unaware)"
     )
-    v = args.v if args.v is not None else find_neutral_v(scenario, iters=args.v_iters)
+    v = args.v if args.v is not None else find_neutral_v(scenario)
     print(f"V = {v:.4g}" + ("" if args.v is not None else " (auto-tuned for neutrality)"))
     with _telemetry_scope(args) as telemetry:
         unaware = simulate(
@@ -217,7 +217,7 @@ def _cmd_compare_hp(args) -> int:
     from .analysis import compare_with_perfecthp, find_neutral_v, render_table, time_bucket_rows
 
     scenario = RunSpec.from_args(args).scenario()
-    v = args.v if args.v is not None else find_neutral_v(scenario, iters=args.v_iters)
+    v = args.v if args.v is not None else find_neutral_v(scenario)
     with _telemetry_scope(args) as telemetry:
         cmp = compare_with_perfecthp(scenario, v, telemetry=telemetry)
     print(f"COCA (V={v:.4g}) vs PerfectHP: cost saving {100 * cmp['cost_saving']:.1f}%")
@@ -241,7 +241,6 @@ def _cmd_budget_sweep(args) -> int:
             scenario,
             fractions,
             include_opt=not args.no_opt,
-            v_iters=args.v_iters,
             workers=args.workers,
             telemetry=telemetry,
         )
@@ -258,7 +257,6 @@ def _cmd_report(args) -> int:
             scenario,
             v=args.v,
             include_opt=not args.no_opt,
-            v_iters=args.v_iters,
             telemetry=telemetry,
         )
     if args.output:
@@ -983,7 +981,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_scenario_args(p)
     _add_telemetry_args(p)
     p.add_argument("--v", type=float, default=None, help="fixed V (default: auto)")
-    p.add_argument("--v-iters", type=int, default=9)
     p.set_defaults(func=_cmd_quickstart)
 
     p = sub.add_parser("sweep-v", help="Fig. 2(a,b): V sweep")
@@ -999,7 +996,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_scenario_args(p)
     _add_telemetry_args(p)
     p.add_argument("--v", type=float, default=None)
-    p.add_argument("--v-iters", type=int, default=9)
     p.add_argument("--buckets", type=int, default=10)
     p.set_defaults(func=_cmd_compare_hp)
 
@@ -1008,7 +1004,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_telemetry_args(p)
     p.add_argument("--fractions", default="0.85,0.95,1.0")
     p.add_argument("--no-opt", action="store_true", help="skip the OPT baseline")
-    p.add_argument("--v-iters", type=int, default=8)
     p.add_argument(
         "--workers", type=int, default=None, help="parallel processes for the sweep"
     )
@@ -1018,7 +1013,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_scenario_args(p)
     _add_telemetry_args(p)
     p.add_argument("--v", type=float, default=None)
-    p.add_argument("--v-iters", type=int, default=9)
     p.add_argument("--no-opt", action="store_true")
     p.add_argument("--output", "-o", default=None, help="write to a file")
     p.set_defaults(func=_cmd_report)

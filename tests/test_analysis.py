@@ -57,12 +57,38 @@ class TestSweeps:
 
     def test_find_neutral_v(self, fortnight_scenario):
         sc = fortnight_scenario
-        v = find_neutral_v(sc, iters=8)
+        v = find_neutral_v(sc)
         record, _ = run_coca(sc, v)
         assert record.ledger(sc.environment.portfolio, sc.alpha).is_neutral()
         # Not absurdly conservative: a much larger V should violate.
         record_hi, _ = run_coca(sc, v * 20)
         assert not record_hi.ledger(sc.environment.portfolio, sc.alpha).is_neutral()
+
+    def test_find_neutral_v_stop_rule(self, fortnight_scenario):
+        """The returned V is neutral, and either uses the budget to within
+        the value tolerance or sits within the width of a V that is not."""
+        from repro.analysis import sweep
+
+        sc = fortnight_scenario
+        portfolio = sc.environment.portfolio
+        v = find_neutral_v(sc)
+        ledger = run_coca(sc, v)[0].ledger(portfolio, sc.alpha)
+        use = ledger.total_brown / ledger.budget_through()
+        assert use <= 1.0
+        if use < 1 - sweep._V_TOL:
+            above = run_coca(sc, v * (1 + sweep._V_WIDTH))[0]
+            assert not above.ledger(portfolio, sc.alpha).is_neutral()
+
+    def test_neutral_run_reports_infeasible_budget(self, week_scenario):
+        """A budget no V can meet is reported with the lowest V's run."""
+        from repro.analysis import sweep
+
+        sc = week_scenario.with_budget_fraction(0.05)
+        with pytest.raises(ValueError, match="violates neutrality"):
+            find_neutral_v(sc)
+        record, v = sweep._neutral_run(sc, sc.environment, None)
+        assert v == sweep._V_LO
+        assert not record.ledger(sc.environment.portfolio, sc.alpha).is_neutral()
 
     def test_varying_v_runs(self, fortnight_scenario):
         record, controller = run_varying_v(

@@ -1,9 +1,12 @@
 """Tests for the baseline policies: carbon-unaware, OPT, PerfectHP,
 T-step lookahead, and the one dual replay they share."""
 
+import math
+
 import numpy as np
 import pytest
 
+import repro.baselines.dual as dual
 from repro.baselines import (
     CarbonUnaware,
     DualReplay,
@@ -12,9 +15,73 @@ from repro.baselines import (
     calibrate_budget,
     lookahead_optima,
 )
+from repro.baselines.dual import bracket_root
 from repro.baselines.perfect_hp import allocate_caps
 from repro.core import COCA
 from repro.sim import simulate
+
+
+def _search(f, feasible, infeasible, **kw):
+    """``bracket_root`` on ``f``; returns the end, its use and the calls."""
+    calls = []
+
+    def use(x):
+        calls.append(x)
+        return f(x)
+
+    x, u = bracket_root(use, (feasible, f(feasible)), (infeasible, f(infeasible)), **kw)
+    return x, u, calls
+
+
+class TestBracketRoot:
+    """The one root-finder behind OPT, P2 and the V calibration."""
+
+    TOL, WIDTH = 1e-6, 1e-6
+
+    @pytest.mark.parametrize("log", [False, True])
+    def test_smooth_rising_stops_on_value(self, log):
+        # use = x^2 / 4 rises through 1 at x = 2; feasible below.
+        x, u, calls = _search(
+            lambda x: x * x / 4, 0.5, 10.0, tol=self.TOL, width=self.WIDTH, log=log
+        )
+        assert 1 - self.TOL <= u <= 1 and x <= 2.0
+        assert len(calls) < 16
+
+    @pytest.mark.parametrize("log", [False, True])
+    def test_smooth_falling_stops_on_value(self, log):
+        # use = 4 / x^2 falls through 1 at x = 2; feasible above.
+        x, u, calls = _search(
+            lambda x: 4 / (x * x), 10.0, 0.5, tol=self.TOL, width=self.WIDTH, log=log
+        )
+        assert 1 - self.TOL <= u <= 1 and x >= 2.0
+        assert len(calls) < 16
+
+    @pytest.mark.parametrize("log", [False, True])
+    def test_rising_staircase_stops_on_width(self, log):
+        # Treads 0.1 apart, none within the tolerance of 1: the jump at
+        # x = 5 takes use from 0.95 to 1.05, so only the width can stop it.
+        f = lambda x: 0.55 + 0.1 * math.floor(x)  # noqa: E731
+        x, u, calls = _search(f, 0.5, 40.0, tol=self.TOL, width=self.WIDTH, log=log)
+        assert u == pytest.approx(0.95) and x < 5.0
+        assert f(x * (1 + self.WIDTH)) > 1.0
+        assert len(calls) < 30  # bisection alone needs about 23
+
+    @pytest.mark.parametrize("log", [False, True])
+    def test_falling_staircase_stops_on_width(self, log):
+        # use from 1.05 to 0.95 at x = 6; feasible above.
+        f = lambda x: 1.55 - 0.1 * math.floor(x)  # noqa: E731
+        x, u, calls = _search(f, 12.5, 0.5, tol=self.TOL, width=self.WIDTH, log=log)
+        assert u == pytest.approx(0.95) and x >= 6.0
+        assert f(x * (1 - self.WIDTH)) > 1.0
+        assert len(calls) < 30  # bisection alone needs about 23
+
+    def test_ends_already_within_tolerance(self):
+        x, u, calls = _search(lambda x: x, 0.99999, 2.0, tol=1e-4, width=1e-9)
+        assert x == 0.99999 and not calls
+
+    def test_not_a_bracket_rejected(self):
+        with pytest.raises(ValueError, match="not a bracket"):
+            _search(lambda x: x, 2.0, 3.0, tol=1e-6, width=1e-6)
 
 
 class TestCarbonUnaware:
@@ -72,6 +139,38 @@ class TestOfflineOptimal:
         opt.start(sc.environment)
         assert opt.mu > 0.0
         assert opt.frame.lower_bound <= opt.frame.average_cost + 1e-9
+
+    def test_multiplier_minimal_within_width(self, fortnight_scenario):
+        """On the fortnight brown is a staircase with no step within the
+        value tolerance, so the width stops the search: one width below the
+        returned multiplier the sweep exceeds the budget."""
+        sc = fortnight_scenario
+        env = sc.environment
+        budget = env.portfolio.carbon_budget
+        frame = dual._frame_optimum(sc.model, env, budget, 0, slice(None))
+        assert frame.mu > 0 and frame.total_brown <= budget
+        assert frame.total_brown / budget < 1 - dual._MU_TOL
+        brown, _ = dual.dual_sweep(
+            sc.model,
+            env.actual_workload.values,
+            env.portfolio.onsite.values,
+            env.price.values,
+            q=frame.mu * (1 - dual._MU_WIDTH),
+        )
+        assert brown.sum() > budget
+
+    def test_sweep_count_below_fixed_bisection(self, fortnight_scenario, monkeypatch):
+        """The fixed 40-step bisection spent 42 sweeps on this frame, plain
+        bisection to the width would spend 26 and plain Illinois 27; the
+        root-finder, which bisects after a flat tread, spends 21."""
+        sc = fortnight_scenario
+        sweeps = []
+        sweep = dual.dual_sweep
+        monkeypatch.setattr(
+            dual, "dual_sweep", lambda *a, **kw: sweeps.append(1) or sweep(*a, **kw)
+        )
+        OfflineOptimal(sc.model).start(sc.environment)
+        assert len(sweeps) <= 25
 
     def test_requires_start(self, fortnight_scenario):
         sc = fortnight_scenario

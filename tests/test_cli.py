@@ -102,8 +102,6 @@ class TestCommands:
                     "--fractions",
                     "0.95",
                     "--no-opt",
-                    "--v-iters",
-                    "4",
                 ]
             )
             == 0

@@ -18,8 +18,6 @@ class TestReportCommand:
                     "--v",
                     "0.02",
                     "--no-opt",
-                    "--v-iters",
-                    "3",
                 ]
             )
             == 0

@@ -30,7 +30,7 @@ class TestHeadlineClaims:
         carbon neutrality' -- within ~10% of the unaware minimum at the
         default 92% budget."""
         sc = fortnight_scenario
-        v = find_neutral_v(sc, iters=10)
+        v = find_neutral_v(sc)
         record, _ = run_coca(sc, v)
         assert record.ledger(sc.environment.portfolio, sc.alpha).is_neutral()
         unaware = simulate(sc.model, CarbonUnaware(sc.model), sc.environment)
@@ -41,7 +41,7 @@ class TestHeadlineClaims:
         desired carbon neutrality' -- at a neutral V, COCA must be cheaper
         or greener than PerfectHP, and not worse on both."""
         sc = fortnight_scenario
-        v = find_neutral_v(sc, iters=10)
+        v = find_neutral_v(sc)
         cmp = compare_with_perfecthp(sc, v)
         pf = sc.environment.portfolio
         coca, hp = cmp["coca"], cmp["perfecthp"]
@@ -66,7 +66,7 @@ class TestHeadlineClaims:
     def test_close_to_opt(self, fortnight_scenario):
         """Fig. 5(a): 'COCA works remarkably well even compared to OPT'."""
         sc = fortnight_scenario
-        v = find_neutral_v(sc, iters=10)
+        v = find_neutral_v(sc)
         coca_rec, _ = run_coca(sc, v)
         opt = OfflineOptimal(sc.model, budget=sc.budget)
         opt_rec = simulate(sc.model, opt, sc.environment)
@@ -75,7 +75,7 @@ class TestHeadlineClaims:
     def test_budget_sweep_shape(self, fortnight_scenario):
         """Tighter budgets cost more; all COCA points stay neutral; the
         unaware baseline violates the tight budgets."""
-        rows = budget_sweep(fortnight_scenario, [0.85, 0.95], include_opt=True, v_iters=8)
+        rows = budget_sweep(fortnight_scenario, [0.85, 0.95], include_opt=True)
         assert rows[0]["coca_cost"] >= rows[1]["coca_cost"] - 1e-9
         assert all(r["coca_neutral"] for r in rows)
         assert not any(r["unaware_neutral"] for r in rows)
@@ -186,7 +186,7 @@ class TestRobustness:
         """Fig. 5(d) direction: 10% switching cost changes total cost by a
         bounded amount (paper: <5%; allow slack at small scale)."""
         sc = fortnight_scenario
-        v = find_neutral_v(sc, iters=8)
+        v = find_neutral_v(sc)
         base, _ = run_coca(sc, v)
         sw, _ = run_coca(sc.with_switching(0.10), v)
         assert sw.average_cost <= base.average_cost * 1.10

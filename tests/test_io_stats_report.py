@@ -40,7 +40,7 @@ class TestStats:
 
 class TestScenarioReport:
     def test_report_contains_sections(self, week_scenario):
-        text = scenario_report(week_scenario, v=0.02, include_opt=False, v_iters=4)
+        text = scenario_report(week_scenario, v=0.02, include_opt=False)
         for heading in [
             "# COCA scenario report",
             "## Scenario",
@@ -53,5 +53,5 @@ class TestScenarioReport:
         assert "COCA" in text
 
     def test_report_with_opt(self, week_scenario):
-        text = scenario_report(week_scenario, v=0.02, include_opt=True, v_iters=4)
+        text = scenario_report(week_scenario, v=0.02, include_opt=True)
         assert "OPT (offline)" in text

@@ -51,7 +51,7 @@ def neutral_v(week_scenario) -> float:
     positive for the budget monitor, not a healthy run."""
     from repro.analysis import find_neutral_v
 
-    return find_neutral_v(week_scenario, iters=8)
+    return find_neutral_v(week_scenario)
 
 
 @pytest.fixture(scope="session")

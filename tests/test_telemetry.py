@@ -505,11 +505,9 @@ class TestParallelSweeps:
         from repro.analysis import budget_sweep
 
         fractions = [0.95, 1.0]
-        serial = budget_sweep(
-            week_scenario, fractions, include_opt=False, v_iters=4
-        )
+        serial = budget_sweep(week_scenario, fractions, include_opt=False)
         parallel = budget_sweep(
-            week_scenario, fractions, include_opt=False, v_iters=4, workers=2
+            week_scenario, fractions, include_opt=False, workers=2
         )
         assert serial == parallel
 
