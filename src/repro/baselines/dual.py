@@ -57,6 +57,7 @@ _MU_CEILING = 1e12
 _MU_TOL = 1e-6
 _MU_WIDTH = 1e-6
 
+
 def bracket_root(
     use: Callable[[float], float],
     feasible: tuple[float, float],
