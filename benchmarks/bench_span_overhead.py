@@ -8,17 +8,18 @@ so their cost must stay within the documented **5% overhead budget**
 relative to span-free telemetry (docs/OBSERVABILITY.md "Overhead budget").
 
 Method -- direct, not differential.  The span cost per slot is a small
-constant (two span opens/closes + events, a handful of bucket updates, one
-span-aware timer), tens of microseconds against slots that take hundreds.
+constant (two span opens/closes + events, a handful of bucket updates),
+a few microseconds against slots that take tens to hundreds.
 Subtracting two noisy ~100 ms closed-loop wall times to recover a ~10 us
 constant is numerically hopeless on shared machines: run-to-run drift of
 +-5% dwarfs the signal and the verdict flips with the scheduler.  Instead:
 
 1. **Numerator.**  A tight loop replays the exact per-slot span sequence
-   (``slot`` span with a field -> solver span -> three bucket ``add``s with
-   their guarded clock reads -> span-aware timer) against a live in-memory
-   tracer, and the same loop again under ``Telemetry(..., spans=False)``
-   (null span, plain timer -- the code path span-free runs take).  Each is
+   (``slot`` span with a field -> solve timer -> solver span -> three
+   bucket ``add``s on the solver's four guarded phase-boundary clock
+   reads) against a live in-memory tracer, and the same loop again under
+   ``Telemetry(..., spans=False)`` (null spans, the same timer -- the code
+   path span-free runs take).  Each is
    timed over thousands of iterations, minimum across repeats; the
    difference is the marginal span cost per slot, resolved to ~0.1 us.
 2. **Denominator.**  The real closed-loop COCA run (small scenario,
@@ -61,27 +62,32 @@ def _kit_batch_seconds(tele, iterations: int) -> float:
     """Time ``iterations`` replays of the per-slot span sequence.
 
     Mirrors one simulated slot's instrumentation exactly: the engine's
-    ``slot`` span (with a field), the solver's ``enum.solve`` span with its
-    three guarded bucket adds, and the ``sim.solve_time_s`` scoped timer.
-    Under ``spans=False`` the same calls resolve to the null span and the
-    plain timer -- the code path a span-free run takes -- so the on/off
-    difference is the marginal span cost.
+    ``slot`` span (with a field), its ``sim.solve_time_s`` timer around the
+    decision, and inside it the solver's ``enum.solve`` span with three
+    bucket adds between four guarded phase-boundary clock reads, as
+    ``HomogeneousEnumerationSolver`` takes them.  Under ``spans=False`` the
+    same calls resolve to null spans and the same timer -- the code path a
+    span-free run takes -- so the on/off difference is the marginal span
+    cost.
     """
     perf = time.perf_counter
     started = perf()
     for i in range(iterations):
         with tele.span("slot", t=float(i)):
-            sp = tele.span("enum.solve")
-            with sp:
-                if sp:
-                    t0 = perf()
-                    sp.add("enum.candidates", perf() - t0)
-                    t0 = perf()
-                    sp.add("enum.cost_model", perf() - t0)
-                    t0 = perf()
-                    sp.add("enum.finalize", perf() - t0)
             with tele.timer("sim.solve_time_s"):
-                pass
+                sp = tele.span("enum.solve")
+                with sp:
+                    t_phase = perf() if sp else 0.0
+                    if sp:
+                        now = perf()
+                        sp.add("enum.candidates", now - t_phase)
+                        t_phase = now
+                    if sp:
+                        now = perf()
+                        sp.add("enum.cost_model", now - t_phase)
+                        t_phase = now
+                    if sp:
+                        sp.add("enum.finalize", perf() - t_phase)
     return perf() - started
 
 

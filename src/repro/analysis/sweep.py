@@ -288,13 +288,18 @@ def _neutral_run(
     neutrality is satisfied").  A budget infeasible even at the lowest V is
     reported, not raised: the run at that V is returned.
 
-    Only the run whose record is returned carries ``telemetry``; calibration
-    runs stay untraced so the event stream holds one run per point.
+    Only the run whose record is returned reaches ``telemetry``: the trial
+    at ``v`` records into a fresh handle that is absorbed only when the
+    trial is kept, and calibration runs stay untraced, so the event stream
+    holds one run per point.
     """
     scenario = dataclasses.replace(scenario, environment=environment)
     if v is not None:
-        record, _ = run_coca(scenario, v, telemetry=telemetry)
+        trial = Telemetry.recording() if telemetry is not None else None
+        record, _ = run_coca(scenario, v, telemetry=trial)
         if record.ledger(environment.portfolio, scenario.alpha).is_neutral():
+            if trial is not None:
+                telemetry.absorb(*trial.drain())
             return record, v
     v = _neutral_v(scenario)
     if v is None:  # infeasible even at the lowest V: report that run

@@ -14,7 +14,6 @@ report         full markdown scenario report
 traces         summarize any of the synthetic trace generators
 telemetry      summarize a JSONL event trace written by ``--trace-out``
 dashboard      offline HTML health report (monitors + charts) from a trace
-profile        sampling flamegraph of a COCA run with span attribution
 run            long-horizon run: checkpoints, seeded faults, monitors, replay
 resume         continue a killed ``run`` from its newest valid checkpoint
 serve          long-running online control service over a live signal feed
@@ -22,8 +21,8 @@ serve          long-running online control service over a live signal feed
 
 Scenario commands accept ``--scale {small,paper}`` (a 400-server fortnight
 vs the 216 K-server year), ``--horizon`` to override the number of hourly
-slots, and ``--workload {fiu,msr}``.  ``profile``, ``run``, ``resume`` and
-``serve`` build their scenario and controller stack through one
+slots, and ``--workload {fiu,msr}``.  ``run``, ``resume`` and ``serve``
+build their scenario and controller stack through one
 :class:`~repro.runspec.RunSpec`, the only reader and writer of the
 ``manifest.json`` a checkpointed run leaves behind.  Every subcommand
 additionally takes the global observability flags ``--trace-out FILE``
@@ -105,32 +104,25 @@ def _add_telemetry_args(parser: argparse.ArgumentParser) -> None:
 
 
 @contextmanager
-def _telemetry_scope(args, *, suite=None, ring=None, reservoir=None, traced=False):
+def _telemetry_scope(args, *, suite=None, ring=None, reservoir=None):
     """Yield a Telemetry wired to the requested outputs, or None.
 
     ``suite`` taps a monitor suite onto the trace path (it sees the run
     live, trace file or not); ``ring``, a RingBufferTracer, keeps the
-    newest events in front of the file; ``reservoir`` bounds histograms;
-    ``traced`` keeps an in-memory tracer when no file is asked for.  On
-    exit, finalizes the suite, closes the trace, writes the metrics and
+    newest events in front of the file; ``reservoir`` bounds histograms.
+    On exit, finalizes the suite, closes the trace, writes the metrics and
     says where everything went.
     """
     trace_out = getattr(args, "trace_out", None)
     metrics_out = getattr(args, "metrics_out", None)
-    if not (trace_out or metrics_out or traced) and suite is None and ring is None:
+    if not (trace_out or metrics_out) and suite is None and ring is None:
         yield None
         return
     from .monitor.suite import MonitoringTracer
-    from .telemetry import (
-        InMemoryTracer,
-        JsonlTracer,
-        MetricsRegistry,
-        Telemetry,
-        write_metrics,
-    )
+    from .telemetry import JsonlTracer, MetricsRegistry, Telemetry, write_metrics
 
     file_tracer = JsonlTracer(trace_out) if trace_out else None
-    tracer = file_tracer or (InMemoryTracer() if traced else None)
+    tracer = file_tracer
     if ring is not None:
         if tracer is not None:
             ring.inner = tracer
@@ -335,57 +327,6 @@ def _cmd_dashboard(args) -> int:
         f"({suite.channel.count()} alerts, worst severity: {worst})"
     )
     return _report_monitors(suite, args.strict)
-
-
-def _cmd_profile(args) -> int:
-    import os
-
-    from .profile import StackSampler, write_flamegraph, write_folded
-    from .sim import simulate
-
-    spec = _spec_or_fail(args)
-    if spec is None:
-        return EXIT_BAD_INPUT
-    scenario, controller, _, _ = spec.build()
-    # The sampler prefixes stacks with the live span path, which only
-    # exists under an enabled tracer -- so the profiled run always gets
-    # one; --trace-out decides whether the events also land on disk.
-    with _telemetry_scope(args, traced=True) as telemetry:
-        sampler = StackSampler(interval_ms=args.interval_ms, telemetry=telemetry)
-        with sampler:
-            record = simulate(
-                scenario.model, controller, scenario.environment, telemetry=telemetry
-            )
-
-    folded = sampler.folded()
-    os.makedirs(args.out_dir, exist_ok=True)
-    folded_path = os.path.join(args.out_dir, "profile.folded")
-    html_path = os.path.join(args.out_dir, "profile.html")
-    write_folded(folded, folded_path)
-    title = (
-        f"repro profile: {args.scale} scenario, "
-        f"{scenario.horizon} slots, solver={args.solver}"
-    )
-    write_flamegraph(folded, html_path, title=title)
-
-    _print_run_summary(record, args)
-    total = sampler.total_samples
-    print(
-        f"\n{total} samples over {sampler.duration_s:.2f} s profiled "
-        f"({args.interval_ms:g} ms period); top {args.top} frames by self time:"
-    )
-    for frame, count in sampler.hotspots(args.top):
-        print(f"  {count:>7}  {100.0 * count / total:5.1f}%  {frame}")
-    print(f"folded stacks written to {folded_path}")
-    print(f"flame view written to {html_path}")
-    if total == 0:
-        print(
-            "repro profile: no samples collected -- raise --horizon or "
-            "lower --interval-ms",
-            file=sys.stderr,
-        )
-        return EXIT_BAD_INPUT
-    return 0
 
 
 def _fault_schedule(args, scenario):
@@ -1047,34 +988,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--title", default=None, help="report title (default: trace path)")
     _add_shared(p, "--strict")
     p.set_defaults(func=_cmd_dashboard)
-
-    p = sub.add_parser(
-        "profile",
-        help="profile a COCA run: sampling flamegraph with span attribution",
-    )
-    _add_scenario_args(p)
-    _add_telemetry_args(p)
-    _add_shared(
-        p, "--v", "--solver", "--iterations", "--solver-seed",
-        solver=dict(
-            choices=["auto", "gsd"],
-            help="P3 engine under the profiler (auto = exact enumeration)",
-        ),
-        iterations=dict(help="iterations per solve for --solver gsd"),
-    )
-    p.add_argument(
-        "--interval-ms", type=float, default=2.0, metavar="MS",
-        help="sampling period on the profile clock",
-    )
-    p.add_argument(
-        "--out-dir", "-o", default="profile", metavar="DIR",
-        help="write profile.folded and profile.html here",
-    )
-    p.add_argument(
-        "--top", type=int, default=10, metavar="N",
-        help="hotspot frames printed to the console",
-    )
-    p.set_defaults(func=_cmd_profile)
 
     p = sub.add_parser(
         "run",

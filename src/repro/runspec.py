@@ -2,8 +2,8 @@
 
 A :class:`RunSpec` holds the scenario, the controller stack (V and P3
 engine), the fault schedule, the degradation policy and the
-checkpoint cadence of one run.  ``repro profile``, ``run``, ``resume``
-and ``serve`` all build their stack through :meth:`RunSpec.build`, so a
+checkpoint cadence of one run.  ``repro run``, ``resume`` and ``serve``
+all build their stack through :meth:`RunSpec.build`, so a
 resumed run sits on the same deterministic foundation as the run that
 wrote the checkpoint.  This module is also the
 only reader and writer of the run manifest (``manifest.json``), whose keys
@@ -67,7 +67,7 @@ class RunSpec:
         """The spec a parsed command line asks for.
 
         ``run`` seeds the stochastic solvers from ``--fault-seed`` (one
-        integer fixes the whole run); ``serve`` and ``profile`` from
+        integer fixes the whole run); ``serve`` from
         ``--solver-seed``.  Flags a command lacks keep the defaults.
         """
         fields = {

@@ -456,11 +456,11 @@ class SlotRunner:
     def step(self, t: int) -> None:
         """Execute slot ``t``: decide, realize, bill, observe, record.
 
-        The slot is the root of the attribution tree: the solve timer below
-        (and through it the solver's ``gsd.solve``/``enum.solve`` spans)
-        nests under a ``slot`` span when a tracer is listening.  With
-        telemetry off the span is the shared no-op and the arithmetic is
-        untouched.
+        The slot is the root of the attribution tree when a tracer is
+        listening: the solver's ``gsd.solve``/``enum.solve`` span nests
+        under the ``slot`` span, and the solve timer feeds only its
+        histogram, so the solve is counted once.  With telemetry off the
+        span is the shared no-op and the arithmetic is untouched.
         """
         with self.tele.span("slot", t=t):
             self._step(t)

@@ -1,18 +1,18 @@
-"""Telemetry: structured tracing, metrics, and profiling for the pipeline.
+"""Telemetry: structured tracing, metrics, and spans for the pipeline.
 
 The subsystem has three layers, bundled by :class:`Telemetry`:
 
 - **Tracing** (:mod:`~repro.telemetry.tracer`): structured per-slot events
   -- controller decisions, deficit-queue updates, realized outcomes,
-  dropped load, GSD iteration summaries -- streamed to memory or JSONL.
+  dropped load, GSD solve summaries -- streamed to memory or JSONL.
 - **Metrics** (:mod:`~repro.telemetry.metrics`): counters, gauges, and
   exact-percentile histograms (opt-in bounded reservoirs for long-running
   services) in a name-keyed registry, renderable as Prometheus text
   exposition (:mod:`~repro.telemetry.prometheus`).
-- **Profiling** (:mod:`~repro.telemetry.timing`,
-  :mod:`~repro.telemetry.spans`): scoped wall-clock timers wired into the
-  hot paths (P3 solves, the slot loop), nested into
-  parent-linked attribution spans when one is open.
+- **Timing** (:mod:`~repro.telemetry.timing`,
+  :mod:`~repro.telemetry.spans`): scoped wall-clock timers feeding
+  histograms, and parent-linked attribution spans over the slot loop and
+  the P3 solves, written to the trace as one ``span`` event each.
 
 Everything is opt-in: ``simulate()``, the solvers, and the sweep drivers
 take ``telemetry=None``, and the disabled default (:data:`NULL_TELEMETRY`)

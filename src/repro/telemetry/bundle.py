@@ -41,8 +41,9 @@ class Telemetry:
         self.spans = SpanStack(self.tracer)
         # ``spans=False`` keeps event tracing while suppressing span
         # attribution -- the knob bench_span_overhead uses to price spans
-        # alone, available to any caller that wants leaner traces.
-        self._spans_enabled = bool(spans)
+        # alone, available to any caller that wants leaner traces.  Spans
+        # are live only when a tracer is listening too.
+        self._live_spans = self.spans if spans and self.tracer.enabled else None
 
     @classmethod
     def recording(cls) -> "Telemetry":
@@ -55,19 +56,8 @@ class Telemetry:
         self.tracer.emit(kind, **fields)
 
     def timer(self, name: str) -> ScopedTimer:
-        """A scoped timer recording into histogram ``name``.
-
-        When a span is already open (and the tracer is listening), the timer
-        additionally closes the loop on attribution: the same clock pair
-        feeds the histogram *and* the enclosing span's aggregated child
-        bucket, so existing timer call sites nest under slot/solve spans
-        for free.
-        """
-        stack = self.spans._stack
-        parent = (
-            stack[-1] if self._spans_enabled and self.tracer.enabled and stack else None
-        )
-        return ScopedTimer(self.metrics.histogram(name), parent)
+        """A scoped timer recording into histogram ``name``."""
+        return ScopedTimer(self.metrics.histogram(name))
 
     def span(self, name: str, /, **fields) -> Span | _NullSpan:
         """Open an attribution span (use as ``with telemetry.span(...)``).
@@ -75,9 +65,10 @@ class Telemetry:
         Returns the shared no-op :data:`NULL_SPAN` when no tracer is
         listening, so spans cost nothing on metrics-only or disabled runs.
         """
-        if not self._spans_enabled or not self.tracer.enabled:
+        stack = self._live_spans
+        if stack is None:
             return NULL_SPAN
-        return self.spans.open(name, fields or None)
+        return Span(stack, name, fields)
 
     @property
     def events(self) -> list[dict]:

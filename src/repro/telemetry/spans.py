@@ -6,7 +6,8 @@ as sp:`` opens a node on the per-telemetry :class:`SpanStack`; on exit one
 ``span`` event is emitted carrying the span's name, its id, its parent's id,
 and both inclusive (``elapsed_s``) and exclusive (``exclusive_s``) wall time,
 so a reader can rebuild the tree slot -> solve -> inner bisection without any
-side channel.
+side channel.  Each interval is booked once: a span's exclusive time is its
+inclusive time less its buckets and its child spans, which all lie inside it.
 
 Two design points keep the hot path honest:
 
@@ -23,7 +24,7 @@ Two design points keep the hot path honest:
   nothing -- no clock reads, no allocation, so uninstrumented runs remain
   bit-identical.
 
-Span ids are small integers assigned in open order by the owning
+Span ids are small integers assigned in entry order by the owning
 :class:`SpanStack` -- deterministic for a deterministic workload, and unique
 within a trace when combined with the ``run_id`` stamped by the tracer
 (process-pool workers each run their own stack and run_id).
@@ -31,57 +32,86 @@ within a trace when combined with the ``run_id`` stamped by the tracer
 
 from __future__ import annotations
 
-import time
+from time import perf_counter
 
-from .tracer import Tracer
+from .tracer import SCHEMA_VERSION, Tracer
 
 __all__ = ["Span", "SpanStack", "NULL_SPAN"]
 
 
 class Span:
-    """One node of the attribution tree; a reentrant-free context manager."""
+    """One node of the attribution tree; a reentrant-free context manager.
+
+    The span takes its id when it is entered and emits its ``span`` event
+    when it exits; its parent is the span below it on the stack then.
+    """
 
     __slots__ = (
         "name",
-        "span_id",
-        "parent_id",
-        "depth",
         "fields",
         "elapsed",
+        "span_id",
         "_stack",
         "_start",
         "_child_s",
         "_buckets",
     )
 
-    def __init__(
-        self,
-        stack: "SpanStack",
-        name: str,
-        span_id: int,
-        parent_id: int | None,
-        depth: int,
-        fields: dict,
-    ) -> None:
+    def __init__(self, stack: "SpanStack", name: str, fields: dict) -> None:
         self._stack = stack
         self.name = name
-        self.span_id = span_id
-        self.parent_id = parent_id
-        self.depth = depth
         self.fields = fields
         self.elapsed = 0.0
-        self._start = 0.0
         self._child_s = 0.0
         self._buckets: dict[str, list[float]] | None = None
 
     def __enter__(self) -> "Span":
-        self._stack._push(self)
-        self._start = time.perf_counter()
+        stack = self._stack
+        self.span_id = stack._next_id
+        stack._next_id += 1
+        stack._open.append(self)
+        self._start = perf_counter()
         return self
 
-    def __exit__(self, *exc) -> bool:
-        self.elapsed = time.perf_counter() - self._start
-        self._stack._pop(self)
+    def __exit__(self, exc_type, exc, tb) -> bool:
+        self.elapsed = elapsed = perf_counter() - self._start
+        stack = self._stack
+        # Tolerate exceptions unwinding through nested spans: pop everything
+        # above this span (those blocks exited abnormally without __exit__).
+        open_spans = stack._open
+        top = open_spans.pop()
+        while top is not self and open_spans:
+            top = open_spans.pop()
+        exclusive = elapsed - self._child_s
+        buckets = self._buckets
+        if buckets:
+            for count_seconds in buckets.values():
+                exclusive -= count_seconds[1]
+        if exclusive < 0.0:
+            exclusive = 0.0
+        parent = open_spans[-1] if open_spans else None
+        event = {
+            "kind": "span",
+            "schema_version": SCHEMA_VERSION,
+            "run_id": stack._run_id,
+            "name": self.name,
+            "span_id": self.span_id,
+            "parent_id": None if parent is None else parent.span_id,
+            "depth": len(open_spans),
+            "elapsed_s": elapsed,
+            "exclusive_s": exclusive,
+        }
+        if buckets:
+            # One embedded dict instead of one event per bucket: at ~6
+            # buckets/slot the difference is the whole overhead budget.
+            # The span is closed, so handing the live dict to the tracer
+            # is safe -- nothing mutates it afterwards.
+            event["children"] = buckets
+        if self.fields:
+            event.update(self.fields)
+        stack._emit(event)
+        if parent is not None:
+            parent._child_s += elapsed
         return False
 
     def add(self, name: str, seconds: float, count: int = 1) -> None:
@@ -92,21 +122,14 @@ class Span:
         """
         buckets = self._buckets
         if buckets is None:
-            buckets = self._buckets = {}
+            self._buckets = {name: [count, seconds]}
+            return
         slot = buckets.get(name)
         if slot is None:
             buckets[name] = [count, seconds]
         else:
             slot[0] += count
             slot[1] += seconds
-
-    @property
-    def exclusive(self) -> float:
-        """Self time: inclusive minus time attributed to children."""
-        return max(self.elapsed - self._child_s, 0.0)
-
-    def __bool__(self) -> bool:
-        return True
 
 
 class _NullSpan:
@@ -115,10 +138,7 @@ class _NullSpan:
     __slots__ = ()
     name = ""
     span_id = 0
-    parent_id = None
-    depth = 0
     elapsed = 0.0
-    exclusive = 0.0
 
     def __enter__(self) -> "_NullSpan":
         return self
@@ -140,80 +160,19 @@ NULL_SPAN = _NullSpan()
 
 
 class SpanStack:
-    """Per-telemetry stack of open spans; emits ``span`` events on close."""
+    """Per-telemetry stack of open spans and the sink of their events."""
 
-    __slots__ = ("tracer", "_stack", "_next_id")
+    __slots__ = ("_open", "_next_id", "_run_id", "_emit")
 
     def __init__(self, tracer: Tracer) -> None:
-        self.tracer = tracer
-        self._stack: list[Span] = []
+        self._open: list[Span] = []
         self._next_id = 1
+        # Each span event is built whole and handed to the tracer's
+        # pre-built-event path, stamped as the tracer would stamp it.
+        self._run_id = getattr(tracer, "run_id", None)
+        self._emit = tracer.emit_event
 
     @property
     def active(self) -> Span | None:
         """Innermost open span, or None outside any span."""
-        return self._stack[-1] if self._stack else None
-
-    def path(self) -> tuple[str, ...]:
-        """Names of the open spans, outermost first."""
-        return tuple(span.name for span in self._stack)
-
-    def open(self, name: str, fields: dict | None = None) -> Span:
-        """Build a span parented to the current innermost open span."""
-        parent = self._stack[-1] if self._stack else None
-        span_id = self._next_id
-        self._next_id += 1
-        return Span(
-            self,
-            name,
-            span_id,
-            parent.span_id if parent is not None else None,
-            parent.depth + 1 if parent is not None else 0,
-            fields or {},
-        )
-
-    # ------------------------------------------------------------ internals
-    def _push(self, span: Span) -> None:
-        self._stack.append(span)
-
-    def _pop(self, span: Span) -> None:
-        # Tolerate exceptions unwinding through nested spans: pop everything
-        # above ``span`` (those blocks exited abnormally without __exit__).
-        stack = self._stack
-        while stack:
-            top = stack.pop()
-            if top is span:
-                break
-        parent = stack[-1] if stack else None
-        buckets = span._buckets
-        if buckets:
-            # One embedded dict instead of one event per bucket: at ~6
-            # buckets/slot the difference is the whole overhead budget.
-            # The span is closed, so handing the live dict to the tracer
-            # is safe -- nothing mutates it afterwards.
-            for count_seconds in buckets.values():
-                span._child_s += count_seconds[1]
-            self.tracer.emit(
-                "span",
-                name=span.name,
-                span_id=span.span_id,
-                parent_id=span.parent_id,
-                depth=span.depth,
-                elapsed_s=span.elapsed,
-                exclusive_s=span.exclusive,
-                children=buckets,
-                **span.fields,
-            )
-        else:
-            self.tracer.emit(
-                "span",
-                name=span.name,
-                span_id=span.span_id,
-                parent_id=span.parent_id,
-                depth=span.depth,
-                elapsed_s=span.elapsed,
-                exclusive_s=span.exclusive,
-                **span.fields,
-            )
-        if parent is not None:
-            parent._child_s += span.elapsed
+        return self._open[-1] if self._open else None

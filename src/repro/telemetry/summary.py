@@ -262,9 +262,11 @@ def render_trace_summary(
         sections.append(render_table(tables["gsd"], title="GSD chain statistics"))
     if spans:
         if tables["spans"]:
-            sections.append(
-                render_table(tables["spans"], title="span hotspots (inclusive time)")
-            )
+            # Pad the names to one width so the right-aligned column keeps
+            # each row's leading indentation, which is the tree's depth.
+            width = max(len(row["span"]) for row in tables["spans"])
+            rows = [{**row, "span": row["span"].ljust(width)} for row in tables["spans"]]
+            sections.append(render_table(rows, title="span hotspots (inclusive time)"))
         else:
             sections.append(
                 "(no span events: pre-v3 trace or span-uninstrumented run)"

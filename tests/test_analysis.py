@@ -20,6 +20,7 @@ from repro.analysis import (
 )
 from repro.baselines import CarbonUnaware
 from repro.sim import simulate
+from repro.telemetry import Telemetry
 
 
 class TestTables:
@@ -89,6 +90,14 @@ class TestSweeps:
         record, v = sweep._neutral_run(sc, sc.environment, None)
         assert v == sweep._V_LO
         assert not record.ledger(sc.environment.portfolio, sc.alpha).is_neutral()
+
+    def test_neutral_run_traces_only_the_kept_run(self, week_scenario):
+        """The trial at the given V reaches the trace only when it is kept:
+        phi 1.2 re-tunes V, and its rejected trial leaves no run behind."""
+        tele = Telemetry.recording()
+        rows = overestimation_sweep(week_scenario, [1.0, 1.2], v=0.0262, telemetry=tele)
+        assert rows[0]["v_used"] == 0.0262 and rows[1]["v_used"] != 0.0262
+        assert sum(e["kind"] == "run.start" for e in tele.events) == 2
 
     def test_varying_v_runs(self, fortnight_scenario):
         record, controller = run_varying_v(

@@ -1,9 +1,12 @@
-"""Tests for hierarchical spans, timer delegation, reservoirs, /metrics.
+"""Tests for hierarchical spans, the span CLI, reservoirs, /metrics.
 
 The load-bearing guarantees of the PR-7 observability layer:
 
 - spans observe, never participate: a span-instrumented run is bit-identical
   to an uninstrumented one;
+- the tree adds up: a span's buckets and child spans fit inside it, and a
+  traced run renders ``slot -> solver span -> bucket`` through
+  ``repro telemetry --spans``;
 - span events survive the process-pool sweep merge with resolvable parent
   links and a deterministic structure;
 - the GSD hot loop's named child buckets account for >=90% of solver wall
@@ -22,6 +25,7 @@ import numpy as np
 import pytest
 
 from repro.analysis import sweep_constant_v
+from repro.cli import main
 from repro.core import COCA
 from repro.scenarios import paper_scenario
 from repro.serve import StatusBoard, StatusServer
@@ -31,6 +35,7 @@ from repro.telemetry import (
     NULL_SPAN,
     MetricsRegistry,
     Telemetry,
+    load_trace,
     render_prometheus,
     render_trace_summary,
     span_hotspots,
@@ -100,16 +105,16 @@ class TestSpanAPI:
         assert not tele.spans.active
         assert [e["name"] for e in _span_events(tele)] == ["inner", "outer"]
 
-    def test_timer_delegates_to_open_span(self):
+    def test_timer_inside_span_books_no_bucket(self):
+        # A timer feeds its histogram only; the span tree is built from
+        # spans alone, so the timed interval is never booked twice.
         tele = Telemetry.recording()
         with tele.span("slot"):
-            with tele.timer("solve_ms") as timer:
+            with tele.timer("solve_ms"):
                 pass
         (event,) = _span_events(tele)
-        assert event["name"] == "slot"
-        assert event["children"]["solve_ms"][0] == 1
-        assert event["children"]["solve_ms"][1] == pytest.approx(timer.elapsed)
-        # the histogram still observed exactly one sample
+        assert event["name"] == "slot" and "children" not in event
+        assert event["exclusive_s"] == event["elapsed_s"]
         assert tele.metrics.histogram("solve_ms").count == 1
 
     def test_timer_without_span_is_plain(self):
@@ -143,6 +148,68 @@ class TestSpanBitIdentity:
             np.testing.assert_array_equal(
                 getattr(plain, field), getattr(spanned, field)
             )
+
+
+def _booked_s(events: list[dict]) -> dict[tuple, float]:
+    """Seconds booked under each span: its buckets plus its child spans."""
+    booked = {(e["run_id"], e["span_id"]): 0.0 for e in events}
+    for event in events:
+        key = (event["run_id"], event["span_id"])
+        booked[key] += sum(s for _, s in (event.get("children") or {}).values())
+        if event["parent_id"] is not None:
+            booked[(event["run_id"], event["parent_id"])] += event["elapsed_s"]
+    return booked
+
+
+class TestSpanTreeAddsUp:
+    """Each interval is booked once, so the tree's levels add up."""
+
+    @pytest.mark.parametrize(
+        "solver",
+        [["--solver", "gsd", "--iterations", "20"], []],
+        ids=["gsd", "exact"],
+    )
+    def test_traced_paper_week(self, tmp_path, solver):
+        trace = str(tmp_path / "run.jsonl")
+        argv = ["run", "--scale", "paper", "--horizon", "168", *solver]
+        assert main([*argv, "--trace-out", trace]) == 0
+        events = [e for e in load_trace(trace) if e["kind"] == "span"]
+        booked = _booked_s(events)
+        for event in events:
+            key = (event["run_id"], event["span_id"])
+            assert booked[key] <= event["elapsed_s"] + 1e-9, event["name"]
+        slots = [e for e in events if e["name"] == "slot"]
+        assert len(slots) == 168
+        assert all(e["exclusive_s"] > 0.0 for e in slots)
+        second_level = [
+            row["% total"]
+            for row in span_hotspots(events, top=100)
+            if row["span"].startswith("  ") and not row["span"].startswith("    ")
+        ]
+        assert second_level and sum(second_level) <= 100.0 + 1e-9
+
+
+class TestSpansCLI:
+    def test_telemetry_spans_flag(self, tmp_path, capsys):
+        trace = str(tmp_path / "run.jsonl")
+        assert main([
+            "run", "--scale", "small", "--horizon", "24", "--solver", "gsd",
+            "--iterations", "20", "--trace-out", trace,
+        ]) == 0
+        capsys.readouterr()
+        assert main(["telemetry", trace, "--spans"]) == 0
+        out = capsys.readouterr().out
+        # The rows under the title, header and rule: (name, indentation).
+        rows = [
+            (line.split()[0], len(line) - len(line.lstrip()))
+            for line in out[out.index("span hotspots"):].splitlines()[3:]
+        ]
+        names = [name for name, _ in rows]
+        slot = names.index("slot")
+        solve = names.index("gsd.solve", slot)
+        inner = names.index("gsd.inner_bisection", solve)
+        assert rows[slot][1] == 0
+        assert rows[slot][1] < rows[solve][1] < rows[inner][1]
 
 
 class TestSweepMerge:
