@@ -199,11 +199,13 @@ def _sparkline_svg(
             f'stroke="var(--surface-1)" stroke-width="2"/>'
         )
         # Hover layer: transparent targets with native tooltips.
+        label_html, unit_html = _esc(label), _esc(unit)
+        slots, vals = xs.tolist(), ys.tolist()
         for i in range(0, len(pts), hover_stride):
             x, y = pts[i]
             parts.append(
                 f'<circle cx="{x:.1f}" cy="{y:.1f}" r="6" fill="transparent">'
-                f"<title>{_esc(label)} @ {int(xs[i])}: {ys[i]:.6g}{_esc(unit)}</title>"
+                f"<title>{label_html} @ {int(slots[i])}: {vals[i]:.6g}{unit_html}</title>"
                 f"</circle>"
             )
     # Min/max ink in text tokens, never the series color.
@@ -244,11 +246,31 @@ def _chart_section(
 
 
 # ------------------------------------------------------------------ extract
-def _latest_by_t(events: list[dict], kind: str, field: str) -> dict[int, float]:
-    """Map slot -> most recent value of ``field`` among ``kind`` events."""
+#: Event kinds the report reads, indexed in one pass per render.
+_INDEXED_KINDS = ("queue.update", "slot.outcome", "slot.decision", "gsd.solve", "run.start")
+
+
+def _index(events: list[dict]) -> tuple[dict[str, list[dict]], list[dict]]:
+    """One pass over ``events``: the events of each kind the report reads,
+    and the ``fault.*`` events, each in order."""
+    by_kind: dict[str, list[dict]] = {kind: [] for kind in _INDEXED_KINDS}
+    faults: list[dict] = []
+    for e in events:
+        kind = e.get("kind")
+        bucket = by_kind.get(kind)
+        if bucket is not None:
+            bucket.append(e)
+        elif isinstance(kind, str) and kind.startswith("fault."):
+            faults.append(e)
+    return by_kind, faults
+
+
+def _latest_by_t(events: list[dict], field: str) -> dict[int, float]:
+    """Map slot -> most recent value of ``field`` among ``events`` (all of
+    one kind)."""
     out: dict[int, float] = {}
     for e in events:
-        if e.get("kind") == kind and "t" in e and field in e:
+        if "t" in e and field in e:
             out[int(e["t"])] = float(e[field])
     return out
 
@@ -312,7 +334,8 @@ def _alert_table(suite: MonitorSuite) -> str:
 
 
 def _fault_table(events: list[dict]) -> str:
-    """Event log of the run's fault injections and degradation decisions."""
+    """Event log of the run's fault injections and degradation decisions
+    (``events``: the ``fault.*`` events, in order)."""
     rows = []
     for e in events:
         kind = e.get("kind", "")
@@ -387,31 +410,24 @@ def render_dashboard(
     else:
         suite.finalize()
 
-    queue = _latest_by_t(events, "queue.update", "after")
-    brown = _latest_by_t(events, "slot.outcome", "brown_energy")
-    onsite = _latest_by_t(events, "slot.decision", "onsite")
-    offsite = _latest_by_t(events, "queue.update", "offsite")
-    cost = _latest_by_t(events, "slot.outcome", "cost")
-    dropped = _latest_by_t(events, "slot.outcome", "dropped")
-    price = _latest_by_t(events, "slot.decision", "price")
-    v_by_t = _latest_by_t(events, "queue.update", "v")
-    gsd_times = [
-        float(e["solve_time_s"])
-        for e in events
-        if e.get("kind") == "gsd.solve" and "solve_time_s" in e
-    ]
-    gsd_accept = [
-        float(e["acceptance_rate"])
-        for e in events
-        if e.get("kind") == "gsd.solve" and "acceptance_rate" in e
-    ]
-    gsd_gaps = [
-        float(e["gap_rel"])
-        for e in events
-        if e.get("kind") == "gsd.solve" and e.get("gap_rel") is not None
-    ]
+    by_kind, fault_events = _index(events)
+    updates = by_kind["queue.update"]
+    outcomes = by_kind["slot.outcome"]
+    decisions = by_kind["slot.decision"]
+    queue = _latest_by_t(updates, "after")
+    brown = _latest_by_t(outcomes, "brown_energy")
+    onsite = _latest_by_t(decisions, "onsite")
+    offsite = _latest_by_t(updates, "offsite")
+    cost = _latest_by_t(outcomes, "cost")
+    dropped = _latest_by_t(outcomes, "dropped")
+    price = _latest_by_t(decisions, "price")
+    v_by_t = _latest_by_t(updates, "v")
+    solves = by_kind["gsd.solve"]
+    gsd_times = [float(e["solve_time_s"]) for e in solves if "solve_time_s" in e]
+    gsd_accept = [float(e["acceptance_rate"]) for e in solves if "acceptance_rate" in e]
+    gsd_gaps = [float(e["gap_rel"]) for e in solves if e.get("gap_rel") is not None]
     run_ids = sorted({str(e["run_id"]) for e in events if "run_id" in e})
-    run_start = next((e for e in events if e.get("kind") == "run.start"), None)
+    run_start = next(iter(by_kind["run.start"]), None)
 
     # Header tiles.
     worst = suite.channel.worst_severity or "quiet"
@@ -474,7 +490,7 @@ def render_dashboard(
         f'<section id="run"><div class="tiles">{tile_html}</div></section>',
         f'<section id="invariants"><h2>Invariants</h2>{_invariant_table(suite)}</section>',
         f'<section id="alerts"><h2>Alert log</h2>{_alert_table(suite)}</section>',
-        f'<section id="faults"><h2>Fault injections</h2>{_fault_table(events)}</section>',
+        f'<section id="faults"><h2>Fault injections</h2>{_fault_table(fault_events)}</section>',
         _chart_section(
             "deficit-queue", "Carbon-deficit queue",
             "q(t) in MWh after each slot's update (Eq. 17)",

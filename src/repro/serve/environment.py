@@ -41,6 +41,9 @@ from .signals import SignalFrame
 
 __all__ = ["LiveEnvironment"]
 
+#: The text a frame's row enters the fingerprint CRC as.
+_ROW_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
+
 
 class LiveEnvironment:
     """Environment view over an append-only prefix of resolved frames."""
@@ -86,7 +89,7 @@ class LiveEnvironment:
             )
         if self.base is None:
             row = frame.to_dict()
-            text = json.dumps(row, sort_keys=True, separators=(",", ":"))
+            text = _ROW_ENCODER.encode(row)
             self._crc = zlib.crc32(text.encode(), self._crc)
             self._rows.append(row)
         self.frames.append(frame)

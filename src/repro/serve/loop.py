@@ -183,8 +183,16 @@ class ControlService:
         return ServiceResult(status="stopped", stopped_at=slot, checkpoint_path=path)
 
     def run(self, stop_event: threading.Event | None = None) -> ServiceResult:
-        """Serve slots until the horizon, a stop, or ``max_slots``."""
-        stop_event = stop_event if stop_event is not None else threading.Event()
+        """Serve slots until the horizon, a stop, or ``max_slots``; the
+        checkpoint log is released however the run ends."""
+        try:
+            return self._run(
+                stop_event if stop_event is not None else threading.Event()
+            )
+        finally:
+            self.runner.close()
+
+    def _run(self, stop_event: threading.Event) -> ServiceResult:
         runner = self.runner
         tele = runner.tele
         if tele.enabled:

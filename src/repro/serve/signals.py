@@ -31,7 +31,7 @@ from __future__ import annotations
 import json
 import pathlib
 from abc import ABC, abstractmethod
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -74,8 +74,14 @@ class SignalFrame:
     pue: float | None = None
 
     def to_dict(self) -> dict:
-        """JSON-ready form (the feed-file line format)."""
-        return {k: v for k, v in asdict(self).items() if v is not None or k == "slot"}
+        """JSON-ready form (the feed-file line format): the fields in
+        declared order, those that are ``None`` left out."""
+        out = {"slot": self.slot}
+        for name in _VALUE_FIELDS:
+            value = getattr(self, name)
+            if value is not None:
+                out[name] = value
+        return out
 
     @classmethod
     def from_dict(cls, obj: dict) -> "SignalFrame":
@@ -91,6 +97,10 @@ class SignalFrame:
     def missing_fields(self) -> tuple[str, ...]:
         """Core observation fields this frame did not deliver."""
         return tuple(f for f in OPTIONAL_FIELDS if getattr(self, f) is None)
+
+
+#: Every field of :class:`SignalFrame` after ``slot``, in declared order.
+_VALUE_FIELDS = tuple(SignalFrame.__dataclass_fields__)[1:]
 
 
 class SignalSource(ABC):

@@ -231,7 +231,8 @@ class SlotRunner:
     the run-level context and calls ``controller.start``, then an optional
     :meth:`restore` positions the runner mid-horizon from a checkpoint.
     After the final slot, :meth:`finish` emits the end-of-run events and
-    assembles the :class:`SimulationRecord`.
+    assembles the :class:`SimulationRecord`.  :meth:`close` releases the
+    checkpoint log however the run ends; :meth:`finish` calls it.
     """
 
     def __init__(
@@ -594,9 +595,16 @@ class SlotRunner:
         if self.checkpoint is not None:
             self.checkpoint.maybe_write(t + 1, lambda: self.capture(t + 1))
 
+    def close(self) -> None:
+        """Release the checkpoint log's descriptor; idempotent."""
+        if self.checkpoint is not None:
+            self.checkpoint.close()
+
     # ------------------------------------------------------------------
     def finish(self) -> SimulationRecord:
-        """Emit end-of-run events and assemble the record."""
+        """Emit end-of-run events, release the checkpoint log and assemble
+        the record."""
+        self.close()
         injector, policy, tele = self.injector, self.policy, self.tele
         cols = self.cols
         if injector is not None and tele.enabled:
@@ -699,11 +707,14 @@ def simulate(
         checkpoint=checkpoint,
         solve_deadline_ms=solve_deadline_ms,
     )
-    runner.start()
-    if resume_from is not None:
-        runner.restore(resume_from)
-    for t in range(runner.start_slot, runner.horizon):
-        runner.step(t)
-        if slot_sleep_s > 0.0:
-            time.sleep(slot_sleep_s)
-    return runner.finish()
+    try:
+        runner.start()
+        if resume_from is not None:
+            runner.restore(resume_from)
+        for t in range(runner.start_slot, runner.horizon):
+            runner.step(t)
+            if slot_sleep_s > 0.0:
+                time.sleep(slot_sleep_s)
+        return runner.finish()
+    finally:
+        runner.close()

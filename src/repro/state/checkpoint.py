@@ -5,7 +5,7 @@ appends one record of two UTF-8 lines, so the log stays greppable:
 
 .. code-block:: text
 
-    {"crc32": C, "format": "repro-checkpoint", "payload_bytes": N, "slot": K, "version": 2}
+    {"crc32": C, "format": "repro-checkpoint", "payload_bytes": N, "slot": K, "version": 3}
     {...canonical JSON payload, exactly N bytes...}
 
 The CRC is computed over ``b"<slot>\\n" + payload``, so a bit flip anywhere
@@ -19,7 +19,13 @@ A payload holds the run's O(1) state in full.  Its ``series`` entry holds
 only the rows each append-only per-slot series gained since the previous
 record, as ``{group: {name: {"from": n, "rows": [...]}}}`` where ``n`` is
 the number of rows the log already holds.  One write therefore costs O(1)
-plus the new rows, and a run's log grows O(T) in total.
+plus the new rows, and a run's log grows O(T) in total.  Arrays in the
+O(1) state (COCA's previous on-set, a fault run's last realized levels)
+travel as one base64 string each (:func:`~repro.state.serialize.encode_array`).
+
+Version 3 changed only that array form; version-2 records, whose arrays
+hold one JSON number per element, still read, and a version-2 log folds
+and resumes with version-3 records appended to it.
 
 :func:`load_checkpoint` folds the records in order: the newest record's
 state, with every series concatenated across all of them.  It stops at
@@ -27,7 +33,9 @@ the first record that fails validation or does not continue the fold,
 reports it as a ``state.checkpoint_rejected`` event, and returns the fold
 so far; a crash mid-append costs only the torn record.  A resumed
 :class:`CheckpointWriter` cuts the log back to the last good record before
-it appends.
+it appends.  A writer keeps the log open from its first record until
+:meth:`CheckpointWriter.close`, so a record costs one ``write`` and one
+``fsync``.
 """
 
 from __future__ import annotations
@@ -58,8 +66,11 @@ __all__ = [
 #: Format discriminator in every record header.
 CHECKPOINT_MAGIC = "repro-checkpoint"
 #: Record schema revision.  Version 1 was a rotation of full snapshots
-#: (``ckpt-*.json``), which this build does not read.
-CHECKPOINT_VERSION = 2
+#: (``ckpt-*.json``), which this build does not read; version 2 wrote
+#: arrays as one JSON number per element.
+CHECKPOINT_VERSION = 3
+#: Record revisions this build reads.
+READABLE_VERSIONS = (2, 3)
 #: The log's file name inside a checkpoint directory.
 LOG_NAME = "checkpoint.log"
 
@@ -114,10 +125,10 @@ def _read_record(data: bytes, offset: int, where: str) -> tuple[int, dict, int]:
     if not isinstance(header, dict) or header.get("format") != CHECKPOINT_MAGIC:
         raise CheckpointError(f"not a {CHECKPOINT_MAGIC} record{where}")
     version = header.get("version")
-    if version != CHECKPOINT_VERSION:
+    if version not in READABLE_VERSIONS:
         raise CheckpointError(
             f"unsupported checkpoint version {version!r}{where} "
-            f"(this build reads {CHECKPOINT_VERSION})"
+            f"(this build reads {', '.join(map(str, READABLE_VERSIONS))})"
         )
     slot = header.get("slot")
     size = header.get("payload_bytes")
@@ -243,7 +254,9 @@ class CheckpointWriter:
         (disable only in tests).
 
     A fresh writer creates the log and refuses one that already exists;
-    :meth:`resume` continues an existing one instead.
+    :meth:`resume` continues an existing one instead.  The first record
+    opens the log for appending and the writer holds it open;
+    :meth:`close` releases it (a later write reopens it).
     """
 
     def __init__(self, directory: str, *, every: int = 1, sync: bool = True):
@@ -256,6 +269,7 @@ class CheckpointWriter:
         self.written = 0
         self.telemetry: Telemetry = coerce(None)
         self._created = False
+        self._fd: int | None = None
 
     def bind_telemetry(self, telemetry: Telemetry | None) -> None:
         """Attach the run's telemetry (``state.checkpoint`` events)."""
@@ -287,25 +301,27 @@ class CheckpointWriter:
         self._created = True
         return True
 
-    def write(self, slot: int, state: dict) -> str:
-        """Append one record now (regardless of cadence); returns the log path."""
-        data = dumps_checkpoint(slot, state)
+    def _open(self) -> int:
         flags = os.O_WRONLY | os.O_APPEND
         if not self._created:
             os.makedirs(self.directory, exist_ok=True)
             flags |= os.O_CREAT | os.O_EXCL
         try:
-            fd = os.open(self.path, flags, 0o644)
+            return os.open(self.path, flags, 0o644)
         except FileExistsError:
             raise CheckpointError(f"{self.path} already holds a checkpoint log")
-        try:
-            view = memoryview(data)
-            while view:
-                view = view[os.write(fd, view):]
-            if self.sync:
-                os.fsync(fd)
-        finally:
-            os.close(fd)
+
+    def write(self, slot: int, state: dict) -> str:
+        """Append one record now (regardless of cadence); returns the log path."""
+        data = dumps_checkpoint(slot, state)
+        if self._fd is None:
+            self._fd = self._open()
+        fd = self._fd
+        view = memoryview(data)
+        while view:
+            view = view[os.write(fd, view):]
+        if self.sync:
+            os.fsync(fd)
         if not self._created:
             self._created = True
             if self.sync:
@@ -323,3 +339,14 @@ class CheckpointWriter:
         if not self.due(slot):
             return None
         return self.write(slot, build_state())
+
+    def close(self) -> None:
+        """Release the log's descriptor; idempotent."""
+        fd, self._fd = self._fd, None
+        if fd is not None:
+            os.close(fd)
+
+    def __del__(self) -> None:
+        # A writer dropped without close() still releases its descriptor.
+        if getattr(self, "_fd", None) is not None:
+            self.close()

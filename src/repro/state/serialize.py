@@ -5,8 +5,10 @@ lossless:
 
 - floats survive because ``json.dumps`` emits ``repr(float)``, the shortest
   decimal that parses back to the same IEEE-754 double;
-- numpy arrays carry their dtype string so ``float64``/``int64`` content
-  reconstructs exactly;
+- numpy arrays carry their dtype string (byte order included) and shape
+  beside the base64 of their zlib-compressed raw bytes, so ``float64`` /
+  ``int64`` content reconstructs bit for bit, and an array costs one short
+  string instead of one float-to-text conversion per element;
 - RNG state is the bit generator's own state dict (plain ints and strings;
   Python's JSON handles the 128-bit PCG64 words natively).
 
@@ -20,6 +22,8 @@ the hypothesis suite in ``tests/test_state.py`` pins.
 
 from __future__ import annotations
 
+import binascii
+import functools
 import json
 import zlib
 from typing import Any
@@ -52,8 +56,11 @@ def _plain(value: Any):
     )
 
 
+# No circular-reference bookkeeping: run state is a tree, and a cycle would
+# still fail loudly (RecursionError) instead of writing a record.
 _ENCODER = json.JSONEncoder(
-    sort_keys=True, separators=(",", ":"), allow_nan=False, default=_plain
+    sort_keys=True, separators=(",", ":"), allow_nan=False, default=_plain,
+    check_circular=False,
 )
 
 
@@ -63,19 +70,51 @@ def canonical_dumps(value: Any) -> bytes:
 
 
 # ---------------------------------------------------------------- arrays
+#: zlib level of the array form.  Fixed, so one array always encodes to the
+#: same bytes (a record's CRC and a capture's "did it change" compare both
+#: rest on that); 1 is the fastest level, and run state (on-counts, speed
+#: levels) repeats enough that it compresses about as well as any.
+ARRAY_ZLIB_LEVEL = 1
+
+
+@functools.lru_cache(maxsize=8)
+def _packed(raw: bytes) -> str:
+    """base64 of ``raw`` zlib-compressed.  Cached: a capture packs the same
+    on-set twice (the controller's copy and the runner's), and run state
+    often repeats from one slot to the next."""
+    packed = zlib.compress(raw, ARRAY_ZLIB_LEVEL)
+    return binascii.b2a_base64(packed, newline=False).decode("ascii")
+
+
 def encode_array(arr: np.ndarray | None) -> dict | None:
-    """Lossless JSON form of an array (``None`` passes through)."""
+    """Lossless JSON form of an array (``None`` passes through):
+    ``{"dtype", "shape", "zlib"}``, the last the base64 of the
+    zlib-compressed raw bytes.
+
+    Like :func:`canonical_dumps`, it refuses NaN and +/-inf (``ValueError``)
+    and objects (``TypeError``).
+    """
     if arr is None:
         return None
     arr = np.asarray(arr)
-    return {"dtype": arr.dtype.str, "data": arr.tolist()}
+    if arr.dtype.hasobject:
+        raise TypeError("state arrays of dtype object are not serializable")
+    if arr.dtype.kind in "fc" and not np.isfinite(arr).all():
+        raise ValueError("Out of range float values are not JSON compliant")
+    return {"dtype": arr.dtype.str, "shape": list(arr.shape), "zlib": _packed(arr.tobytes())}
 
 
 def decode_array(obj: dict | None) -> np.ndarray | None:
-    """Inverse of :func:`encode_array`."""
+    """Inverse of :func:`encode_array`; also reads the form of version-2
+    checkpoint records, ``{"dtype", "data"}`` with one JSON number per
+    element."""
     if obj is None:
         return None
-    return np.asarray(obj["data"], dtype=np.dtype(obj["dtype"]))
+    dtype = np.dtype(obj["dtype"])
+    if "data" in obj:
+        return np.asarray(obj["data"], dtype=dtype)
+    raw = zlib.decompress(binascii.a2b_base64(obj["zlib"]))
+    return np.frombuffer(raw, dtype=dtype).reshape(obj["shape"]).copy()
 
 
 # ---------------------------------------------------------------- RNG state

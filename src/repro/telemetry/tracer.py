@@ -73,6 +73,10 @@ def _jsonable(value: Any):
     raise TypeError(f"event field of type {type(value).__name__} is not JSON-serializable")
 
 
+#: ``json.dumps(..., default=_jsonable, allow_nan=False)``, built once.
+_STRICT = json.JSONEncoder(default=_jsonable, allow_nan=False)
+
+
 def sanitize_json_value(value: Any):
     """Make ``value`` strict-JSON safe: non-finite floats become ``None``.
 
@@ -237,13 +241,16 @@ class JsonlTracer(Tracer):
         self.emit_event(event)
 
     def emit_event(self, event: dict) -> None:
-        # allow_nan=False backstops the sanitizer: a non-finite float
-        # slipping through is a loud TypeError here, never an invalid line.
-        self._fh.write(
-            json.dumps(
-                sanitize_json_value(event), default=_jsonable, allow_nan=False
-            )
-        )
+        # Strict encoding first: almost every event is finite, and the
+        # sanitizer's walk is paid only by one that is not (allow_nan=False
+        # raises ValueError on NaN/inf).  The second encode stays strict, so
+        # a non-finite float slipping past the sanitizer is a loud error,
+        # never an invalid line.
+        try:
+            line = _STRICT.encode(event)
+        except ValueError:
+            line = _STRICT.encode(sanitize_json_value(event))
+        self._fh.write(line)
         self._fh.write("\n")
         self.count += 1
 

@@ -16,10 +16,11 @@ import re
 import zlib
 
 from repro.serve import LiveEnvironment
-from repro.state import LOG_NAME, canonical_dumps, load_checkpoint
+from repro.state import LOG_NAME, canonical_dumps, decode_array, dumps_checkpoint, load_checkpoint
 
 __all__ = [
     "checkpoint_at",
+    "dumps_version_2",
     "full_capture",
     "prefix_fingerprint",
     "record_spans",
@@ -80,6 +81,27 @@ def checkpoint_at(directory, slot: int, scratch):
     with open(path, "rb") as src, open(copy, "wb") as dst:
         dst.write(src.read(end))
     return load_checkpoint(copy)
+
+
+def _version_2_arrays(value):
+    """``value`` with every array in the version-2 form, one JSON number
+    per element (``{"dtype", "data"}``)."""
+    if isinstance(value, dict):
+        if set(value) == {"dtype", "shape", "zlib"}:
+            return {"dtype": value["dtype"], "data": decode_array(value).tolist()}
+        return {k: _version_2_arrays(v) for k, v in value.items()}
+    if isinstance(value, list):
+        return [_version_2_arrays(v) for v in value]
+    return value
+
+
+def dumps_version_2(slot: int, state: dict) -> bytes:
+    """The record a version-2 build wrote for ``state`` (a record's state
+    as this build reads it): the old array form, version 2 in the header."""
+    header, payload = dumps_checkpoint(slot, _version_2_arrays(state)).split(b"\n", 1)
+    doc = json.loads(header)
+    doc["version"] = 2
+    return canonical_dumps(doc) + b"\n" + payload
 
 
 _RUN_ID = re.compile(rb'"run_id":(null|"[^"]*")')

@@ -52,7 +52,12 @@ from repro.state import (
 from repro.monitor import replay
 from repro.telemetry import Telemetry, load_trace
 from repro.telemetry.metrics import Histogram
-from tests.state_oracle import prefix_fingerprint, record_spans, without_run_id
+from tests.state_oracle import (
+    dumps_version_2,
+    prefix_fingerprint,
+    record_spans,
+    without_run_id,
+)
 
 V = 150.0
 
@@ -800,6 +805,39 @@ class TestCheckpointBytesAcrossResume:
 
         assert fault_detail("cut.jsonl") == fault_detail("whole.jsonl")
 
+    def test_version_2_log_resumes(self, tmp_path, capsys):
+        """A log a version-2 build wrote (arrays as one JSON number per
+        element) resumes to the uninterrupted run's record and appends the
+        records it writes; the mixed log then folds and resumes again."""
+        golden, legacy = tmp_path / "golden", tmp_path / "legacy"
+        golden_out = tmp_path / "golden.npz"
+        assert main([*self.SYNTHETIC, "--checkpoint-dir", str(golden),
+                     "--record-out", str(golden_out)]) == 0
+        stop = 13
+        blob = (golden / LOG_NAME).read_bytes()
+        old = b""
+        for slot, start, end in record_spans(golden / LOG_NAME):
+            if slot <= stop:
+                state = json.loads(blob[blob.index(b"\n", start) + 1 : end - 1])
+                old += dumps_version_2(slot, state)
+        assert b'"data":[' in old and b'"zlib"' not in old
+        legacy.mkdir()
+        (legacy / LOG_NAME).write_bytes(old)
+        (legacy / MANIFEST_NAME).write_bytes((golden / MANIFEST_NAME).read_bytes())
+        for cut in (stop, 21):
+            log = legacy / LOG_NAME
+            os.truncate(log, [e for s, _, e in record_spans(log) if s == cut][-1])
+            out = tmp_path / f"resumed-{cut}.npz"
+            assert main(["serve", "--resume", "--checkpoint-dir", str(legacy),
+                         "--record-out", str(out)]) == 0
+            assert f"(slot {cut}/30)" in capsys.readouterr().out
+            assert record_mismatches(load_record(str(golden_out)), load_record(str(out))) == []
+            self._assert_resumed_bytes_match(golden, legacy, stop)
+        data = (legacy / LOG_NAME).read_bytes()
+        versions = [json.loads(data[s : data.index(b"\n", s)])["version"]
+                    for _, s, _ in record_spans(legacy / LOG_NAME)]
+        assert versions == [2] * stop + [3] * (30 - stop)
+
     def test_synthetic_serve_stop_and_resume(self, tmp_path, capsys):
         golden, resumed = tmp_path / "golden", tmp_path / "resumed"
         assert main([*self.SYNTHETIC, "--checkpoint-dir", str(golden)]) == 0
@@ -811,6 +849,76 @@ class TestCheckpointBytesAcrossResume:
         assert "stopped at slot 13/30" in capsys.readouterr().out
         assert main(["serve", "--resume", "--checkpoint-dir", str(resumed)]) == 0
         self._assert_resumed_bytes_match(golden, resumed, stop)
+
+
+# ------------------------------------------------- the log's descriptor
+def _descriptors_on(path) -> list[str]:
+    """This process's open descriptors on ``path`` (``/proc/self/fd``)."""
+    target = os.path.realpath(path)
+    found = []
+    for name in os.listdir("/proc/self/fd"):
+        try:
+            if os.readlink(f"/proc/self/fd/{name}") == target:
+                found.append(name)
+        except OSError:  # the listing's own descriptor, already closed
+            pass
+    return found
+
+
+@pytest.mark.skipif(
+    not os.path.isdir("/proc/self/fd"), reason="needs /proc/self/fd"
+)
+class TestCheckpointLogReleased:
+    """A writer holds the checkpoint log open across records; however a
+    run ends, no descriptor on the log outlives it."""
+
+    ARGS = ["serve", "--horizon", "12", "--source", "synthetic", "--source-seed", "7"]
+
+    def test_completed_serve(self, tmp_path, capsys):
+        assert main([*self.ARGS, "--checkpoint-dir", str(tmp_path)]) == 0
+        assert len(record_spans(tmp_path / LOG_NAME)) == 12
+        assert _descriptors_on(tmp_path / LOG_NAME) == []
+
+    def test_max_slots_stop(self, tmp_path, capsys):
+        assert main([*self.ARGS, "--checkpoint-dir", str(tmp_path), "--max-slots", "5"]) == 0
+        assert "stopped at slot 5/12" in capsys.readouterr().out
+        assert _descriptors_on(tmp_path / LOG_NAME) == []
+
+    def _failing_at(self, slot):
+        def decide(obs):
+            if obs.t == slot:
+                raise RuntimeError("solver crashed")
+            return type(controller).decide(controller, obs)
+
+        controller = _controller(small_scenario(horizon=12, seed=5))
+        controller.decide = decide
+        return controller
+
+    def test_batch_run_that_raises(self, tmp_path):
+        scenario = small_scenario(horizon=12, seed=5)
+        writer = CheckpointWriter(str(tmp_path), sync=False)
+        with pytest.raises(RuntimeError, match="solver crashed"):
+            simulate(scenario.model, self._failing_at(6), scenario.environment,
+                     checkpoint=writer)
+        assert len(record_spans(tmp_path / LOG_NAME)) == 6
+        assert _descriptors_on(tmp_path / LOG_NAME) == []
+
+    def test_serve_that_raises(self, tmp_path):
+        scenario = small_scenario(horizon=12, seed=5)
+        writer = CheckpointWriter(str(tmp_path), sync=False)
+        runner = SlotRunner(
+            scenario.model, self._failing_at(6),
+            LiveEnvironment(scenario.horizon, base=scenario.environment),
+            checkpoint=writer,
+        )
+        runner.start()
+        service = ControlService(
+            runner, StalenessResolver(ReplaySignalSource(scenario.environment))
+        )
+        with pytest.raises(RuntimeError, match="solver crashed"):
+            service.run()
+        assert len(record_spans(tmp_path / LOG_NAME)) == 6
+        assert _descriptors_on(tmp_path / LOG_NAME) == []
 
 
 # ------------------------------------------------------------- cold start

@@ -139,6 +139,23 @@ class TestSerialize:
         assert back.dtype == arr.dtype
         assert np.array_equal(back, arr)
 
+    @pytest.mark.parametrize("dtype", ["float64", "float32"])
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+    def test_array_with_non_finite_values_raises(self, dtype, bad):
+        with pytest.raises(ValueError):
+            encode_array(np.array([1.0, bad, 3.0], dtype=dtype))
+
+    def test_array_reads_the_version_2_form(self):
+        back = decode_array({"dtype": "<i8", "data": [3, -1, 2]})
+        assert back.dtype == np.int64 and back.tolist() == [3, -1, 2]
+
+    def test_array_form_is_one_string_per_array(self):
+        arr = np.full(200, 1080.0)
+        encoded = encode_array(arr)
+        assert sorted(encoded) == ["dtype", "shape", "zlib"]
+        assert _floats(encoded) == 0
+        assert len(canonical_dumps(encoded)) < len(canonical_dumps(arr.tolist())) // 10
+
     def test_array_none_passes_through(self):
         assert encode_array(None) is None
         assert decode_array(None) is None
@@ -277,6 +294,23 @@ class TestRotationAndRecovery:
     def test_writer_validates_parameters(self, tmp_path):
         with pytest.raises(ValueError):
             CheckpointWriter(tmp_path, every=0)
+
+    def test_writer_holds_one_descriptor_until_closed(self, tmp_path, monkeypatch):
+        opened = []
+        real_open = os.open
+        monkeypatch.setattr(
+            os, "open", lambda *a, **k: opened.append(a[0]) or real_open(*a, **k)
+        )
+        writer = CheckpointWriter(tmp_path, sync=False)
+        for slot in range(1, 5):
+            writer.write(slot, {"slot": slot})
+        assert opened == [writer.path]
+        writer.close()
+        writer.close()  # idempotent
+        writer.write(5, {"slot": 5})  # a later write reopens the log
+        writer.close()
+        assert opened == [writer.path] * 2
+        assert [s for s, _, _ in record_spans(tmp_path / LOG_NAME)] == [1, 2, 3, 4, 5]
 
     def test_fresh_writer_refuses_an_existing_log(self, tmp_path):
         CheckpointWriter(tmp_path, sync=False).write(1, {})
