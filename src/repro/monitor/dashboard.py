@@ -248,11 +248,15 @@ def _chart_section(
 # ------------------------------------------------------------------ extract
 #: Event kinds the report reads, indexed in one pass per render.
 _INDEXED_KINDS = ("queue.update", "slot.outcome", "slot.decision", "gsd.solve", "run.start")
+#: Event kinds of the fault table, kept in one list in stream order.
+_FAULT_KINDS = frozenset(
+    ("fault.inject", "fault.suppressed", "fault.solve_retry", "fault.fallback", "fault.summary")
+)
 
 
 def _index(events: list[dict]) -> tuple[dict[str, list[dict]], list[dict]]:
-    """One pass over ``events``: the events of each kind the report reads,
-    and the ``fault.*`` events, each in order."""
+    """One pass over ``events``: the events of each kind the charts and
+    tiles read, and the fault table's events, each in order."""
     by_kind: dict[str, list[dict]] = {kind: [] for kind in _INDEXED_KINDS}
     faults: list[dict] = []
     for e in events:
@@ -260,7 +264,7 @@ def _index(events: list[dict]) -> tuple[dict[str, list[dict]], list[dict]]:
         bucket = by_kind.get(kind)
         if bucket is not None:
             bucket.append(e)
-        elif isinstance(kind, str) and kind.startswith("fault."):
+        elif kind in _FAULT_KINDS:
             faults.append(e)
     return by_kind, faults
 
@@ -335,7 +339,7 @@ def _alert_table(suite: MonitorSuite) -> str:
 
 def _fault_table(events: list[dict]) -> str:
     """Event log of the run's fault injections and degradation decisions
-    (``events``: the ``fault.*`` events, in order)."""
+    (``events``: at least the ``fault.*`` events, in order)."""
     rows = []
     for e in events:
         kind = e.get("kind", "")

@@ -145,10 +145,6 @@ class TestSerialize:
         with pytest.raises(ValueError):
             encode_array(np.array([1.0, bad, 3.0], dtype=dtype))
 
-    def test_array_reads_the_version_2_form(self):
-        back = decode_array({"dtype": "<i8", "data": [3, -1, 2]})
-        assert back.dtype == np.int64 and back.tolist() == [3, -1, 2]
-
     def test_array_form_is_one_string_per_array(self):
         arr = np.full(200, 1080.0)
         encoded = encode_array(arr)
