@@ -18,10 +18,10 @@ slot loop, so whole-slot wall time is the honest measure.
 
 The budget is defined against the iterative solve path because that is
 the configuration checkpoints exist for.  A GSD-200 slot of this scenario
-takes ~6-8 ms on a shared 2-CPU x86_64 host; a record holds the O(1) run
-state plus the slot's new rows, and docs/OPERATIONS.md ("Overhead
-budget") has the measured runs.  On sub-millisecond slot loops (the
-homogeneous-enumeration fast path) coarsen ``--checkpoint-every``.
+takes 0.35-0.6 ms on a shared 2-CPU x86_64 host (the "off" p50); a record
+holds the O(1) run state plus the slot's new rows, and docs/OPERATIONS.md
+("Overhead budget") has the measured runs.  On sub-millisecond slot loops
+coarsen ``--checkpoint-every``.
 
 The p50/p95 land in ``benchmarks/results/BENCH_checkpoint.json``::
 

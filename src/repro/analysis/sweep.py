@@ -3,8 +3,8 @@
 Each function runs controllers over a :class:`~repro.scenarios.Scenario`
 and returns plain row dictionaries (ready for
 :func:`repro.analysis.tables.render_table` or further processing), so the
-benchmark harness, the examples, and ad-hoc notebooks share one
-implementation of each experiment.
+figure registry (:mod:`repro.analysis.figures`), the examples, and ad-hoc
+notebooks share one implementation of each experiment.
 
 The sweep-shaped drivers (:func:`sweep_constant_v`, :func:`budget_sweep`,
 :func:`overestimation_sweep`) take an opt-in ``workers=`` argument: sweep

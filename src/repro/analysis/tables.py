@@ -1,9 +1,9 @@
-"""Plain-text table rendering for the benchmark harness.
+"""Plain-text table rendering for the figure registry.
 
-The paper's figures are line plots; the harness reports the same series as
-aligned text tables (one row per sweep point / time bucket) so the shapes --
-who wins, by what factor, where crossovers fall -- are directly readable in
-benchmark output and EXPERIMENTS.md.
+The paper's figures are line plots; ``repro figure`` reports the same
+series as aligned text tables (one row per sweep point / time bucket) so
+the shapes -- who wins, by what factor, where crossovers fall -- are
+directly readable in ``benchmarks/results/`` and EXPERIMENTS.md.
 """
 
 from __future__ import annotations

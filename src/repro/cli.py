@@ -6,11 +6,9 @@ writing any Python:
 =============  ==========================================================
 Command        What it runs
 =============  ==========================================================
-quickstart     COCA vs carbon-unaware on one scenario (the README demo)
-sweep-v        Fig. 2(a,b): cost/deficit vs constant V
-compare-hp     Fig. 3: COCA vs PerfectHP
-budget-sweep   Fig. 5(a,b): normalized cost vs carbon budget
-report         full markdown scenario report
+figure         a paper figure's table and claims (``quickstart``, Figs. 1-5,
+               Theorem 2, the ablations; ``all`` runs every one)
+report         markdown scenario report: inputs, traces, controllers, queue
 traces         summarize any of the synthetic trace generators
 telemetry      summarize a JSONL event trace written by ``--trace-out``
 dashboard      offline HTML health report (monitors + charts) from a trace
@@ -21,7 +19,8 @@ serve          long-running online control service over a live signal feed
 
 Scenario commands accept ``--scale {small,paper}`` (a 400-server fortnight
 vs the 216 K-server year), ``--horizon`` to override the number of hourly
-slots, and ``--workload {fiu,msr}``.  ``run``, ``resume`` and ``serve``
+slots, and ``--workload {fiu,msr}``; ``figure`` always runs the paper-scale
+year its committed table was made on.  ``run``, ``resume`` and ``serve``
 build their scenario and controller stack through one
 :class:`~repro.runspec.RunSpec`, the only reader and writer of the
 ``manifest.json`` a checkpointed run leaves behind.  Every subcommand
@@ -33,8 +32,9 @@ metrics snapshot: ``.md`` renders markdown, anything else CSV); see
 Failures exit with a *distinct* nonzero code so CI and scripts can tell
 them apart: :data:`EXIT_BAD_INPUT` (1) for unreadable/invalid inputs,
 :data:`EXIT_MONITOR_CRITICAL` (2) for ``--strict`` invariant-monitor
-failures, :data:`EXIT_REPLAY_MISMATCH` (3) when ``--verify-replay`` finds
-a bit-level divergence, :data:`EXIT_SHUTDOWN` (4) when ``repro serve``
+failures and for ``figure`` claims that do not hold,
+:data:`EXIT_REPLAY_MISMATCH` (3) when ``--verify-replay`` finds a
+bit-level divergence, :data:`EXIT_SHUTDOWN` (4) when ``repro serve``
 stopped on SIGTERM/SIGINT after writing its shutdown checkpoint (the
 resumable exit; see ``docs/OPERATIONS.md``).
 """
@@ -42,6 +42,7 @@ resumable exit; see ``docs/OPERATIONS.md``).
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from contextlib import contextmanager
 from typing import Sequence
@@ -165,92 +166,52 @@ def _spec_or_fail(args):
 
 
 # ----------------------------------------------------------------- commands
-def _cmd_quickstart(args) -> int:
-    from .analysis import compare_records, find_neutral_v, render_table, run_coca
-    from .baselines import CarbonUnaware
-    from .sim import simulate
+def _cmd_figure(args) -> int:
+    from .analysis.figures import FIGURES, run_figures
 
-    scenario = RunSpec.from_args(args).scenario()
-    portfolio = scenario.environment.portfolio
-    print(
-        f"scenario: {scenario.model.fleet.num_servers} servers, "
-        f"{scenario.horizon} h, budget {scenario.budget:.4g} MWh "
-        f"({100 * scenario.budget_fraction:.0f}% of unaware)"
-    )
-    v = args.v if args.v is not None else find_neutral_v(scenario)
-    print(f"V = {v:.4g}" + ("" if args.v is not None else " (auto-tuned for neutrality)"))
-    with _telemetry_scope(args) as telemetry:
-        unaware = simulate(
-            scenario.model,
-            CarbonUnaware(scenario.model),
-            scenario.environment,
-            telemetry=telemetry,
+    names = list(FIGURES) if "all" in args.names else args.names
+    unknown = [name for name in names if name not in FIGURES]
+    if unknown:
+        print(
+            f"repro figure: unknown figure {unknown[0]!r} "
+            f"(choose from {', '.join(FIGURES)}, all)",
+            file=sys.stderr,
         )
-        record, _ = run_coca(scenario, v, telemetry=telemetry)
-    rows = compare_records([unaware, record], portfolio, alpha=scenario.alpha)
-    print(render_table(rows, title="carbon-unaware vs COCA"))
-    return 0
-
-
-def _cmd_sweep_v(args) -> int:
-    from .analysis import render_table, sweep_constant_v
-
-    scenario = RunSpec.from_args(args).scenario()
-    values = [float(v) for v in args.values.split(",")]
+        return EXIT_BAD_INPUT
+    if args.out:
+        os.makedirs(args.out, exist_ok=True)
+    claims = []
     with _telemetry_scope(args) as telemetry:
-        rows = sweep_constant_v(
-            scenario, values, workers=args.workers, telemetry=telemetry
-        )
-    print(render_table(rows, title="Fig. 2(a,b): impact of constant V"))
-    return 0
-
-
-def _cmd_compare_hp(args) -> int:
-    from .analysis import compare_with_perfecthp, find_neutral_v, render_table, time_bucket_rows
-
-    scenario = RunSpec.from_args(args).scenario()
-    v = args.v if args.v is not None else find_neutral_v(scenario)
-    with _telemetry_scope(args) as telemetry:
-        cmp = compare_with_perfecthp(scenario, v, telemetry=telemetry)
-    print(f"COCA (V={v:.4g}) vs PerfectHP: cost saving {100 * cmp['cost_saving']:.1f}%")
-    rows = time_bucket_rows(
-        [cmp["coca"], cmp["perfecthp"]],
-        scenario.environment.portfolio,
-        alpha=scenario.alpha,
-        buckets=args.buckets,
-    )
-    print(render_table(rows, title="Fig. 3: running averages"))
-    return 0
-
-
-def _cmd_budget_sweep(args) -> int:
-    from .analysis import budget_sweep, render_table
-
-    scenario = RunSpec.from_args(args).scenario()
-    fractions = [float(f) for f in args.fractions.split(",")]
-    with _telemetry_scope(args) as telemetry:
-        rows = budget_sweep(
-            scenario,
-            fractions,
-            include_opt=not args.no_opt,
-            workers=args.workers,
-            telemetry=telemetry,
-        )
-    print(render_table(rows, title="Fig. 5: normalized cost vs carbon budget"))
-    return 0
+        for name, table, checked in run_figures(names, telemetry=telemetry):
+            print(f"\n{table}\n")
+            for claim in checked:
+                print(f"  {'PASS' if claim.holds else 'FAIL'} {name}: {claim.label}")
+            claims += checked
+            if args.out:
+                with open(os.path.join(args.out, f"{name}.txt"), "w") as fh:
+                    fh.write(table + "\n")
+    failing = sum(not claim.holds for claim in claims)
+    print(f"{len(claims) - failing}/{len(claims)} claims hold")
+    return EXIT_MONITOR_CRITICAL if failing else 0
 
 
 def _cmd_report(args) -> int:
     from .analysis.report import scenario_report
 
-    scenario = RunSpec.from_args(args).scenario()
+    spec = _spec_or_fail(args)
+    if spec is None:
+        return EXIT_BAD_INPUT
     with _telemetry_scope(args) as telemetry:
-        text = scenario_report(
-            scenario,
-            v=args.v,
-            include_opt=not args.no_opt,
-            telemetry=telemetry,
-        )
+        try:
+            text = scenario_report(
+                spec.scenario(),
+                v=args.v,
+                include_opt=not args.no_opt,
+                telemetry=telemetry,
+            )
+        except ValueError as exc:  # no V meets the budget
+            print(f"repro report: {exc}", file=sys.stderr)
+            return EXIT_BAD_INPUT
     if args.output:
         with open(args.output, "w") as fh:
             fh.write(text)
@@ -264,15 +225,23 @@ def _cmd_traces(args) -> int:
     from .energy.rec_market import rec_price_trace
     from .traces import fiu_workload, msr_workload, price_trace, solar_trace, wind_trace
 
+    if args.horizon is not None and args.horizon < 1:
+        print(f"repro traces: --horizon must be >= 1, got {args.horizon}", file=sys.stderr)
+        return EXIT_BAD_INPUT
+    # Each generator with its default seed.
     generators = {
-        "fiu": lambda: fiu_workload(args.horizon or 8760, peak=1.0, seed=args.seed or 2012),
-        "msr": lambda: msr_workload(args.horizon or 8760, peak=1.0, seed=args.seed or 2007),
-        "solar": lambda: solar_trace(args.horizon or 8760, seed=args.seed or 77),
-        "wind": lambda: wind_trace(args.horizon or 8760, seed=args.seed or 88),
-        "price": lambda: price_trace(args.horizon or 8760, seed=args.seed or 55),
-        "rec-price": lambda: rec_price_trace(args.horizon or 8760, seed=args.seed or 31),
+        "fiu": (lambda h, seed: fiu_workload(h, peak=1.0, seed=seed), 2012),
+        "msr": (lambda h, seed: msr_workload(h, peak=1.0, seed=seed), 2007),
+        "solar": (solar_trace, 77),
+        "wind": (wind_trace, 88),
+        "price": (price_trace, 55),
+        "rec-price": (rec_price_trace, 31),
     }
-    trace = generators[args.kind]()
+    generate, seed = generators[args.kind]
+    trace = generate(
+        8760 if args.horizon is None else args.horizon,
+        seed=seed if args.seed is None else args.seed,
+    )
     print(trace.describe())
     profile = trace.daily_profile()
     peak_hour = int(np.argmax(profile))
@@ -462,8 +431,6 @@ def _checkpoint_writer(spec, directory: str, *, save: bool = True):
     With ``save`` the manifest is written first, so even a run killed
     before its first checkpoint leaves a directory that says how to
     rebuild it."""
-    import os
-
     from .state import CheckpointWriter
 
     os.makedirs(directory, exist_ok=True)
@@ -510,8 +477,6 @@ def _resume_checkpoint(command: str, directory: str, telemetry):
 def _load_spec_or_fail(command: str, checkpoint_dir: str):
     """The spec of a checkpoint directory's manifest; None after printing
     why it cannot be read (no traceback) to stderr."""
-    import os
-
     try:
         return RunSpec.load(checkpoint_dir)
     except (OSError, ValueError, KeyError, TypeError) as exc:
@@ -918,39 +883,24 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("quickstart", help="COCA vs carbon-unaware")
-    _add_scenario_args(p)
-    _add_telemetry_args(p)
-    p.add_argument("--v", type=float, default=None, help="fixed V (default: auto)")
-    p.set_defaults(func=_cmd_quickstart)
-
-    p = sub.add_parser("sweep-v", help="Fig. 2(a,b): V sweep")
-    _add_scenario_args(p)
-    _add_telemetry_args(p)
-    p.add_argument("--values", default="0.001,0.01,0.1,1,10,100")
-    p.add_argument(
-        "--workers", type=int, default=None, help="parallel processes for the sweep"
+    p = sub.add_parser(
+        "figure",
+        help="regenerate a paper figure's table on its paper-scale year and "
+        "check its claims (exit 2 when one fails)",
     )
-    p.set_defaults(func=_cmd_sweep_v)
-
-    p = sub.add_parser("compare-hp", help="Fig. 3: COCA vs PerfectHP")
-    _add_scenario_args(p)
     _add_telemetry_args(p)
-    p.add_argument("--v", type=float, default=None)
-    p.add_argument("--buckets", type=int, default=10)
-    p.set_defaults(func=_cmd_compare_hp)
-
-    p = sub.add_parser("budget-sweep", help="Fig. 5: budget sweep")
-    _add_scenario_args(p)
-    _add_telemetry_args(p)
-    p.add_argument("--fractions", default="0.85,0.95,1.0")
-    p.add_argument("--no-opt", action="store_true", help="skip the OPT baseline")
     p.add_argument(
-        "--workers", type=int, default=None, help="parallel processes for the sweep"
+        "names", nargs="+", metavar="NAME",
+        help="figure name (e.g. quickstart, fig2ab_constant_v, fig5a_budget_fiu) or all",
     )
-    p.set_defaults(func=_cmd_budget_sweep)
+    p.add_argument(
+        "--out", default=None, metavar="DIR", help="write each table to DIR/NAME.txt"
+    )
+    p.set_defaults(func=_cmd_figure)
 
-    p = sub.add_parser("report", help="full markdown scenario report")
+    p = sub.add_parser(
+        "report", help="markdown scenario report: input traces, controllers, deficit queue"
+    )
     _add_scenario_args(p)
     _add_telemetry_args(p)
     p.add_argument("--v", type=float, default=None)

@@ -16,7 +16,7 @@ proof (Appendix B):
 
 The helpers here compute valid (conservative) constants from a model and a
 renewable portfolio, and evaluate both bounds given the lookahead optima
-``G_r^*``; the ``bench_theorem2_bounds`` benchmark checks the measured COCA
+``G_r^*``; ``repro figure theorem2_bounds`` checks that the measured COCA
 run sits inside them.
 """
 

@@ -23,7 +23,7 @@ Sections (each with a stable anchor the tests pin):
 ``#gsd``               GSD solve times and chain acceptance
 =====================  ==============================================
 
-When one trace holds several simulations (e.g. ``repro quickstart``
+When one trace holds several simulations (e.g. ``repro report``
 records the carbon-unaware baseline *and* COCA), per-slot charts show the
 most recent value recorded for each slot index.
 """

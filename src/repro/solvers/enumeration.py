@@ -46,8 +46,8 @@ rounding.
 
 The one restriction relative to GSD's search space is mixed-speed
 configurations (different groups at different positive speeds in the same
-slot).  The ablation benchmark ``bench_ablation_solvers`` quantifies the
-gap, which is negligible for the paper's server profile (the Opteron curve
+slot).  The solver ablation (``repro figure ablation_solvers``) quantifies
+the gap, which is negligible for the paper's server profile (the Opteron curve
 makes one speed dominate at any given load).
 """
 

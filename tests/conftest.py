@@ -12,7 +12,7 @@ import pytest
 
 from repro.cluster import Fleet, ServerGroup, cubic_dvfs_profile, opteron_2380
 from repro.core import DataCenterModel
-from repro.scenarios import small_scenario
+from repro.scenarios import paper_scenario, small_scenario
 from repro.solvers import InfeasibleError, SlotProblem, solve_fixed_levels
 
 
@@ -63,6 +63,20 @@ def tiny_model(tiny_fleet) -> DataCenterModel:
 @pytest.fixture(scope="session")
 def hetero_model(hetero_fleet) -> DataCenterModel:
     return DataCenterModel(fleet=hetero_fleet, beta=10.0)
+
+
+@pytest.fixture
+def short_paper_years(monkeypatch):
+    """``repro figure`` on two weeks of its paper-scale fleet in place of
+    the whole year, so a figure's command line runs in a test (a shorter
+    horizon leaves no V of Fig. 2's grid neutral)."""
+    from repro.analysis import figures
+
+    monkeypatch.setattr(
+        figures,
+        "paper_scenario",
+        lambda workload: paper_scenario(horizon=24 * 14, workload=workload),
+    )
 
 
 @pytest.fixture(scope="session")

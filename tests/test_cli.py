@@ -59,7 +59,7 @@ class TestParser:
 
     def test_scale_choices(self):
         with pytest.raises(SystemExit):
-            build_parser().parse_args(["quickstart", "--scale", "galactic"])
+            build_parser().parse_args(["report", "--scale", "galactic"])
 
 
 class TestCommands:
@@ -73,47 +73,58 @@ class TestCommands:
         for kind in ["msr", "solar", "wind", "price", "rec-price"]:
             assert main(["traces", kind, "--horizon", "240"]) == 0
 
+    def test_traces_seed_zero_is_a_seed(self, capsys):
+        outputs = []
+        for seed in ("0", "2012"):
+            assert main(["traces", "fiu", "--horizon", "240", "--seed", seed]) == 0
+            outputs.append(capsys.readouterr().out)
+        assert outputs[0] != outputs[1]
+
+    @pytest.mark.parametrize("horizon", ["0", "-3"])
+    def test_traces_refuse_a_non_positive_horizon(self, horizon, capsys):
+        assert main(["traces", "fiu", "--horizon", horizon]) == EXIT_BAD_INPUT
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        err = captured.err.strip().splitlines()
+        assert err == [f"repro traces: --horizon must be >= 1, got {horizon}"]
+
     def test_quickstart_fixed_v(self, capsys):
-        assert main(["quickstart", "--horizon", "72", "--v", "0.05"]) == 0
+        """COCA against carbon-unaware at a fixed V (the demo ``repro
+        figure quickstart`` runs at V* on the paper year)."""
+        assert main(["report", "--horizon", "72", "--v", "0.05", "--no-opt"]) == 0
         out = capsys.readouterr().out
-        assert "carbon-unaware vs COCA" in out
-        assert "COCA" in out
+        assert "| carbon-unaware |" in out
+        assert "| COCA |" in out
 
-    def test_sweep_v(self, capsys):
-        assert main(["sweep-v", "--horizon", "72", "--values", "0.01,10"]) == 0
-        out = capsys.readouterr().out
-        assert "impact of constant V" in out
+    def test_sweep_v(self, short_paper_years, capsys):
+        assert main(["figure", "fig2ab_constant_v"]) == 0
+        assert "vs constant V" in capsys.readouterr().out
 
-    def test_compare_hp(self, capsys):
-        assert (
-            main(["compare-hp", "--horizon", "96", "--v", "0.02", "--buckets", "4"])
-            == 0
-        )
-        out = capsys.readouterr().out
-        assert "PerfectHP" in out
+    def test_compare_hp(self, short_paper_years, capsys):
+        assert main(["figure", "fig3_coca_vs_perfecthp"]) == 0
+        assert "PerfectHP" in capsys.readouterr().out
 
-    def test_budget_sweep_no_opt(self, capsys):
-        assert (
-            main(
-                [
-                    "budget-sweep",
-                    "--horizon",
-                    "96",
-                    "--fractions",
-                    "0.95",
-                    "--no-opt",
-                ]
-            )
-            == 0
-        )
-        out = capsys.readouterr().out
-        assert "budget" in out
+    def test_budget_sweep_no_opt(self, short_paper_years, capsys):
+        assert main(["figure", "fig5b_budget_msr"]) == 0
+        assert "normalized average cost vs carbon budget" in capsys.readouterr().out
 
     def test_msr_workload_option(self, capsys):
         assert (
-            main(["quickstart", "--horizon", "72", "--v", "0.05", "--workload", "msr"])
+            main(["report", "--horizon", "72", "--v", "0.05", "--no-opt", "--workload", "msr"])
             == 0
         )
+
+    def test_report_refuses_a_zero_horizon(self, capsys):
+        assert main(["report", "--horizon", "0"]) == EXIT_BAD_INPUT
+        err = capsys.readouterr().err.strip().splitlines()
+        assert err == ["repro report: --horizon must be >= 1, got 0"]
+
+    def test_report_infeasible_budget_is_one_line(self, capsys):
+        rc = main(["report", "--horizon", "48", "--budget-fraction", "0.3"])
+        assert rc == EXIT_BAD_INPUT
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1
+        assert err[0].startswith("repro report: even V=0.0001 violates neutrality")
 
 
 class TestRunResume:

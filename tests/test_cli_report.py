@@ -53,11 +53,12 @@ class TestReportCommand:
         assert (
             main(
                 [
-                    "quickstart",
+                    "report",
                     "--horizon",
                     "72",
                     "--v",
                     "0.05",
+                    "--no-opt",
                     "--budget-fraction",
                     "0.95",
                 ]
@@ -65,7 +66,10 @@ class TestReportCommand:
             == 0
         )
         out = capsys.readouterr().out
-        assert "95% of unaware" in out
+        header, _, row = out.split("## Scenario")[1].strip().splitlines()[:3]
+        columns = [c.strip() for c in header.strip("|").split("|")]
+        cells = [c.strip() for c in row.strip("|").split("|")]
+        assert cells[columns.index("budget / unaware")] == "0.95"
 
     def test_seed_changes_scenario(self, capsys):
         main(["traces", "fiu", "--horizon", "240", "--seed", "1"])

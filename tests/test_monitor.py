@@ -416,7 +416,7 @@ class TestDashboardCLI:
 
         path = tmp_path / "run.jsonl"
         assert main(
-            ["quickstart", "--horizon", "48", "--v", "50",
+            ["report", "--horizon", "48", "--v", "50", "--no-opt",
              "--trace-out", str(path)]
         ) == 0
         return path

@@ -1,7 +1,7 @@
 """Every ``src/repro`` module is reached from a shipped path.
 
-``src/repro`` holds what a CLI command, an e2e workload, a paper bench or
-an example reaches.  Reach is computed statically from the import
+``src/repro`` holds what a CLI command, an e2e workload, a bench or an
+example reaches.  Reach is computed statically from the import
 statements of the roots -- ``repro.cli``, ``repro.__main__``, every
 ``benchmarks/**/*.py`` and every ``examples/*.py`` -- and of each module
 they reach, lazy imports inside functions included.

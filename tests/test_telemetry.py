@@ -448,16 +448,17 @@ class TestSummary:
 
 
 class TestCLI:
-    def test_quickstart_writes_trace_and_metrics(self, tmp_path, capsys):
+    def test_quickstart_writes_trace_and_metrics(
+        self, short_paper_years, tmp_path, capsys
+    ):
         from repro.cli import main
 
         trace = tmp_path / "q.jsonl"
         metrics = tmp_path / "q.csv"
         rc = main(
             [
+                "figure",
                 "quickstart",
-                "--horizon", "48",
-                "--v", "50",
                 "--trace-out", str(trace),
                 "--metrics-out", str(metrics),
             ]
@@ -475,7 +476,7 @@ class TestCLI:
 
         trace = tmp_path / "q.jsonl"
         assert main(
-            ["quickstart", "--horizon", "48", "--v", "50", "--trace-out", str(trace)]
+            ["report", "--horizon", "48", "--v", "50", "--no-opt", "--trace-out", str(trace)]
         ) == 0
         capsys.readouterr()
         assert main(["telemetry", str(trace)]) == 0
