@@ -12,18 +12,22 @@ report         markdown scenario report: inputs, traces, controllers, queue
 traces         summarize any of the synthetic trace generators
 telemetry      summarize a JSONL event trace written by ``--trace-out``
 dashboard      offline HTML health report (monitors + charts) from a trace
-run            long-horizon run: checkpoints, seeded faults, monitors, replay
-resume         continue a killed ``run`` from its newest valid checkpoint
-serve          long-running online control service over a live signal feed
+run            the controller over a signal feed (``--source``: the scenario
+               traces, a JSONL file, a seeded lossy generator): checkpoints,
+               seeded faults, monitors, status endpoint, replay check
+resume         continue a stopped or killed ``run`` from its newest valid
+               checkpoint, over the same feed
 =============  ==========================================================
 
-Scenario commands accept ``--scale {small,paper}`` (a 400-server fortnight
-vs the 216 K-server year), ``--horizon`` to override the number of hourly
-slots, and ``--workload {fiu,msr}``; ``figure`` always runs the paper-scale
-year its committed table was made on.  ``run``, ``resume`` and ``serve``
-build their scenario and controller stack through one
-:class:`~repro.runspec.RunSpec`, the only reader and writer of the
-``manifest.json`` a checkpointed run leaves behind.  Every subcommand
+``serve`` is another name for ``run``.  Scenario commands accept
+``--scale {small,paper}`` (a 400-server fortnight vs the 216 K-server
+year), ``--horizon`` to override the number of hourly slots, and
+``--workload {fiu,msr}``; ``figure`` always runs the paper-scale year its
+committed table was made on.  ``run`` and ``resume`` build their scenario
+and controller stack through one :class:`~repro.runspec.RunSpec`, the only
+reader and writer of the ``manifest.json`` a checkpointed run leaves
+behind, and drive it through one slot loop
+(:class:`~repro.sim.loop.ControlService`).  Every subcommand
 additionally takes the global observability flags ``--trace-out FILE``
 (stream a JSONL event trace of the run) and ``--metrics-out FILE`` (write a
 metrics snapshot: ``.md`` renders markdown, anything else CSV); see
@@ -34,7 +38,7 @@ them apart: :data:`EXIT_BAD_INPUT` (1) for unreadable/invalid inputs,
 :data:`EXIT_MONITOR_CRITICAL` (2) for ``--strict`` invariant-monitor
 failures and for ``figure`` claims that do not hold,
 :data:`EXIT_REPLAY_MISMATCH` (3) when ``--verify-replay`` finds a
-bit-level divergence, :data:`EXIT_SHUTDOWN` (4) when ``repro serve``
+bit-level divergence, :data:`EXIT_SHUTDOWN` (4) when a run
 stopped on SIGTERM/SIGINT after writing its shutdown checkpoint (the
 resumable exit; see ``docs/OPERATIONS.md``).
 """
@@ -49,7 +53,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .runspec import FALLBACKS, MANIFEST_NAME, SOLVERS, RunSpec
+from .runspec import FALLBACKS, MANIFEST_NAME, SOLVERS, SOURCE_KINDS, RunSpec, ServeConfig, feed_of
 
 __all__ = [
     "main",
@@ -66,7 +70,7 @@ EXIT_BAD_INPUT = 1
 EXIT_MONITOR_CRITICAL = 2
 #: ``--verify-replay`` found records that are not bit-identical.
 EXIT_REPLAY_MISMATCH = 3
-#: ``repro serve`` stopped on a signal after a clean shutdown checkpoint.
+#: A run stopped on a signal after a clean shutdown checkpoint.
 EXIT_SHUTDOWN = 4
 
 
@@ -105,14 +109,13 @@ def _add_telemetry_args(parser: argparse.ArgumentParser) -> None:
 
 
 @contextmanager
-def _telemetry_scope(args, *, suite=None, ring=None, reservoir=None):
+def _telemetry_scope(args, *, suite=None, ring=None):
     """Yield a Telemetry wired to the requested outputs, or None.
 
     ``suite`` taps a monitor suite onto the trace path (it sees the run
     live, trace file or not); ``ring``, a RingBufferTracer, keeps the
-    newest events in front of the file; ``reservoir`` bounds histograms.
-    On exit, finalizes the suite, closes the trace, writes the metrics and
-    says where everything went.
+    newest events in front of the file.  On exit, finalizes the suite,
+    closes the trace, writes the metrics and says where everything went.
     """
     trace_out = getattr(args, "trace_out", None)
     metrics_out = getattr(args, "metrics_out", None)
@@ -130,7 +133,7 @@ def _telemetry_scope(args, *, suite=None, ring=None, reservoir=None):
         tracer = ring
     if suite is not None:
         tracer = MonitoringTracer(suite, tracer)
-    telemetry = Telemetry(tracer=tracer, metrics=MetricsRegistry(reservoir=reservoir))
+    telemetry = Telemetry(tracer=tracer, metrics=MetricsRegistry())
     try:
         yield telemetry
     finally:
@@ -394,22 +397,6 @@ def _print_fault_summary(injector, policy) -> None:
         )
 
 
-def _deadline_breaks_replay(command: str, verify_replay: bool, spec) -> bool:
-    """Whether ``--verify-replay`` meets a deadline-bounded run (printed
-    to stderr): deadline expiry depends on wall-clock speed, so such a run
-    is *expected* to diverge between machines, and a bit-identity check
-    against it would only produce noise."""
-    if verify_replay and spec.solve_deadline_ms is not None:
-        print(
-            f"repro {command}: --verify-replay is incompatible with a run that "
-            "used --solve-deadline-ms (wall-clock deadlines intentionally "
-            "break bit-replay)",
-            file=sys.stderr,
-        )
-        return True
-    return False
-
-
 # ------------------------------------------------------------ run / resume
 def _print_run_summary(record, args) -> None:
     """Print the run's totals; save the record to ``--record-out`` if asked."""
@@ -424,6 +411,18 @@ def _print_run_summary(record, args) -> None:
 
         save_record(record, args.record_out)
         print(f"record written to {args.record_out}")
+
+
+def _print_signals(resolver, horizon: int) -> None:
+    """Print the ``signals:`` line: how each slot's frame was resolved (a
+    replay delivers every slot on time)."""
+    stats = {"ok": horizon, "late": 0} if resolver is None else resolver.stats()
+    lost = {k: v for k, v in stats.items() if k not in ("ok", "late") and v}
+    line = f"signals: {stats['ok']} ok, {stats['late']} late"
+    if lost:
+        details = ", ".join(f"{k}={v}" for k, v in lost.items())
+        line += f", {sum(lost.values())} degraded ({details})"
+    print(line)
 
 
 def _checkpoint_writer(spec, directory: str, *, save: bool = True):
@@ -485,24 +484,47 @@ def _load_spec_or_fail(command: str, checkpoint_dir: str):
         return None
 
 
+def _config_ok(args, spec, config) -> bool:
+    """Whether a run's settings are valid, after printing every problem
+    (one line each, no traceback) to stderr; ``--dry-run`` also prints the
+    verdict."""
+    problems = spec.problems() + config.problems()
+    if args.verify_replay and spec.solve_deadline_ms is not None:
+        problems.append(
+            "--verify-replay is incompatible with a run that used "
+            "--solve-deadline-ms (wall-clock deadlines intentionally break bit-replay)"
+        )
+    if args.verify_replay and config.source != "replay":
+        problems.append(
+            f"--verify-replay re-runs the scenario traces, not a {config.source} feed"
+        )
+    for problem in problems:
+        print(f"repro {args.command}: {problem}", file=sys.stderr)
+    if getattr(args, "dry_run", False):
+        if problems:
+            print(f"dry run: {len(problems)} problem(s) found", file=sys.stderr)
+        else:
+            print(f"dry run: config ok ({config.describe()})")
+    return not problems
+
+
 def _cmd_run(args) -> int:
     import dataclasses
 
-    from .sim import simulate
-
     if args.schedule_out and not (args.chaos or args.schedule):
         print(
-            "repro run: --schedule-out needs --chaos or --schedule "
+            f"repro {args.command}: --schedule-out needs --chaos or --schedule "
             "(a fault-free run has no schedule to write)",
             file=sys.stderr,
         )
         return EXIT_BAD_INPUT
-    spec = _spec_or_fail(args)
-    if (
-        spec is None
-        or _deadline_breaks_replay("run", args.verify_replay, spec)
-        or _used_checkpoint_dir("run", args.checkpoint_dir)
-    ):
+    spec = RunSpec.from_args(args)
+    config = ServeConfig.from_args(args, feed_of(args))
+    if not _config_ok(args, spec, config):
+        return EXIT_BAD_INPUT
+    if args.dry_run:
+        return 0
+    if _used_checkpoint_dir(args.command, args.checkpoint_dir):
         return EXIT_BAD_INPUT
     scenario = spec.scenario()
     if args.schedule or args.chaos:
@@ -511,189 +533,100 @@ def _cmd_run(args) -> int:
             return EXIT_BAD_INPUT
         spec = dataclasses.replace(spec, schedule=schedule)
         _print_fault_schedule(schedule, scenario.horizon, spec.solver)
-    _, controller, injector, policy = spec.build(scenario)
-
-    writer = None
-    if args.checkpoint_dir:
-        writer = _checkpoint_writer(spec, args.checkpoint_dir)
-        print(
-            f"checkpointing every {spec.checkpoint_every} slot(s) "
-            f"into {args.checkpoint_dir}"
-        )
-
-    suite = None
-    if args.strict:
-        from .monitor import default_suite
-
-        suite = default_suite()
-    with _telemetry_scope(args, suite=suite) as telemetry:
-        record = simulate(
-            scenario.model,
-            controller,
-            scenario.environment,
-            telemetry=telemetry,
-            faults=injector,
-            degradation=policy,
-            checkpoint=writer,
-            solve_deadline_ms=spec.solve_deadline_ms,
-            slot_sleep_s=args.slot_sleep_ms / 1000.0,
-        )
-    if injector is not None:
-        _print_fault_summary(injector, policy)
-    _print_run_summary(record, args)
-    rc = 0 if suite is None else _report_monitors(suite, strict=True)
-    if args.verify_replay:
-        return _verify_replay("run", spec, scenario, record) or rc
-    return rc
+    return _drive(args, spec, scenario, config)
 
 
 def _cmd_resume(args) -> int:
-    from .sim import simulate
-    from .state import CheckpointError
-
-    spec = _load_spec_or_fail("resume", args.checkpoint_dir)
-    if spec is None or _deadline_breaks_replay("resume", args.verify_replay, spec):
+    # The manifest owns everything the results depend on (scenario,
+    # solver, faults, feed identity); the command line keeps only the
+    # operational flags (pacing, ports, dashboard, max-slots, monitors).
+    spec = _load_spec_or_fail(args.command, args.checkpoint_dir)
+    if spec is None:
         return EXIT_BAD_INPUT
-
-    with _telemetry_scope(args) as telemetry:
-        ckpt = _resume_checkpoint("resume", args.checkpoint_dir, telemetry)
-        if ckpt is None:
-            return EXIT_BAD_INPUT
-        scenario, controller, injector, policy = spec.build()
-        print(f"resuming from {ckpt.path} (slot {ckpt.slot}/{scenario.horizon})")
-        try:
-            record = simulate(
-                scenario.model,
-                controller,
-                scenario.environment,
-                telemetry=telemetry,
-                faults=injector,
-                degradation=policy,
-                checkpoint=_checkpoint_writer(spec, args.checkpoint_dir, save=False),
-                resume_from=ckpt,
-                solve_deadline_ms=spec.solve_deadline_ms,
-            )
-        except CheckpointError as exc:
-            print(f"repro resume: {exc}", file=sys.stderr)
-            return EXIT_BAD_INPUT
-    _print_run_summary(record, args)
-    if args.verify_replay:
-        return _verify_replay("resume", spec, scenario, record)
-    return 0
+    config = ServeConfig.from_args(args, spec.serve or {})
+    if not _config_ok(args, spec, config):
+        return EXIT_BAD_INPUT
+    return _drive(args, spec, spec.scenario(), config, resume=True)
 
 
-# ----------------------------------------------------------------- serve
-def _serve_config(args, feed: dict):
-    """A :class:`~repro.serve.ServeConfig`: the feed identity ``feed`` (a
-    spec's ``serve`` block), every other field from its same-named flag."""
-    import dataclasses
+def _drive(args, spec, scenario, config, *, resume: bool = False) -> int:
+    """Run ``spec`` over its signal source through the one slot loop, from
+    the start or (``resume``) from the checkpoint directory's newest valid
+    record; returns the exit code.
 
-    from .serve import ServeConfig
-
-    names = [f.name for f in dataclasses.fields(ServeConfig) if f.name not in feed]
-    return ServeConfig(**feed, **{name: getattr(args, name) for name in names})
-
-
-def _serve_feed(config, scenario):
-    """(source, environment) for the configured feed.
-
-    Replay wraps the scenario's own environment (base-backed, so its
-    checkpoints are interchangeable with batch ``repro run``); live feeds
-    (file, synthetic) run over a bare :class:`LiveEnvironment`.
+    A replay runs over the scenario's own environment with no resolver, so
+    it is the batch path.  A live feed (file, synthetic) runs over a bare
+    :class:`~repro.serve.LiveEnvironment` that the resolver fills slot by
+    slot, with a fault injector (an empty schedule when the run has none)
+    through which every feed loss degrades.  The monitors tap when
+    ``--strict``, ``--dashboard-out`` or ``--status-port`` is given; a run
+    watched live (a dashboard or a status port) also streams its alerts to
+    stderr and keeps the status board current.
     """
-    from .serve import (
-        FileTailSignalSource,
-        LiveEnvironment,
-        ReplaySignalSource,
-        SyntheticSignalSource,
-    )
-
-    if config.source == "replay":
-        source = ReplaySignalSource(scenario.environment)
-        return source, LiveEnvironment(scenario.horizon, base=scenario.environment)
-    if config.source == "file":
-        source = FileTailSignalSource(config.feed)
-    else:
-        source = SyntheticSignalSource(
-            scenario.environment,
-            seed=config.source_seed,
-            **config.synthetic,
-        )
-    return source, LiveEnvironment(scenario.horizon)
-
-
-def _cmd_serve(args) -> int:
     import dataclasses
-    import signal as _signal
     import threading
 
-    from .faults import FaultSchedule
-    from .monitor import default_suite
-    from .monitor.alerts import AlertChannel, stderr_sink
-    from .serve import (
-        ControlService,
-        StalenessResolver,
-        StatusBoard,
-        StatusServer,
-        frames_from_environment,
-    )
+    from .sim import ControlService
     from .sim.engine import SlotRunner
-    from .state import CheckpointError, atomic_write_text
-    from .telemetry import RingBufferTracer
+    from .state import CheckpointError
 
-    if args.resume:
-        if not args.checkpoint_dir:
-            print("repro serve: --resume requires --checkpoint-dir DIR", file=sys.stderr)
-            return EXIT_BAD_INPUT
-        # The manifest owns everything determinism depends on (scenario,
-        # solver, feed identity); the current invocation keeps only the
-        # operational knobs (pacing, ports, dashboard, max-slots).
-        spec = _load_spec_or_fail("serve", args.checkpoint_dir)
-        if spec is None:
-            return EXIT_BAD_INPUT
-    else:
-        spec = RunSpec.from_args(args)
-    # A batch `repro run` manifest records no feed: the flags name it.
-    config = _serve_config(args, spec.serve or RunSpec.from_args(args).serve)
+    command = args.command
+    live = config.source != "replay"
+    source, environment, stack = None, scenario.environment, spec
+    if live:
+        from .faults import FaultSchedule
+        from .serve import FileTailSignalSource, LiveEnvironment, SyntheticSignalSource
 
-    problems = spec.problems() + config.problems()
-    for problem in problems:
-        print(f"repro serve: {problem}", file=sys.stderr)
-    if args.dry_run:
-        if problems:
-            print(f"dry run: {len(problems)} problem(s) found", file=sys.stderr)
-            return EXIT_BAD_INPUT
-        print(f"dry run: config ok ({config.describe()})")
-        return 0
-    if problems or (
-        not args.resume and _used_checkpoint_dir("serve", config.checkpoint_dir)
-    ):
-        return EXIT_BAD_INPUT
-
-    scenario = spec.scenario()
-    source, environment = _serve_feed(config, scenario)
-    # Replay promises perfect delivery and runs fault-free: exactly the
-    # batch path, so bit-identity holds by construction.  Live feeds get
-    # an empty-schedule injector, so every feed loss degrades through the
-    # standard chaos machinery.  The manifest records neither.
-    stack = spec if config.source == "replay" else dataclasses.replace(
-        spec, schedule=FaultSchedule()
-    )
+        if config.source == "file":
+            source = FileTailSignalSource(config.feed)
+        else:
+            source = SyntheticSignalSource(
+                scenario.environment, seed=config.source_seed, **config.synthetic
+            )
+        environment = LiveEnvironment(scenario.horizon)
+        if spec.schedule is None:  # the manifest records none
+            stack = dataclasses.replace(spec, schedule=FaultSchedule())
     _, controller, injector, policy = stack.build(scenario)
 
-    # Alerts stream to stderr as monitors raise them; --alert-rearm re-arms
-    # a persisting condition every N slots instead of once per run.
-    channel = AlertChannel([stderr_sink], dedup_window=config.alert_rearm)
-    suite = default_suite(channel=channel)
-    ring = RingBufferTracer() if config.dashboard_every else None
-    # Serve runs indefinitely, so histograms default to a bounded seeded
-    # reservoir instead of append-forever raw lists (percentiles exact
-    # until the reservoir fills, uniformly sampled after).
-    reservoir = args.metrics_reservoir if args.metrics_reservoir > 0 else None
-    with _telemetry_scope(args, suite=suite, ring=ring, reservoir=reservoir) as telemetry:
+    watched = bool(config.dashboard_out) or config.status_port is not None
+    suite = ring = None
+    if args.strict or watched:
+        from .monitor import default_suite
+        from .monitor.alerts import AlertChannel, stderr_sink
+
+        # --alert-rearm re-announces a persisting condition every N slots
+        # instead of once per run.
+        sinks = [stderr_sink] if watched else []
+        suite = default_suite(channel=AlertChannel(sinks, dedup_window=config.alert_rearm))
+    if config.dashboard_out:  # rendered every N slots and when the run ends
+        from .telemetry import RingBufferTracer
+
+        ring = RingBufferTracer()
+    with _telemetry_scope(args, suite=suite, ring=ring) as telemetry:
+        ckpt = None
+        if resume:
+            ckpt = _resume_checkpoint(command, config.checkpoint_dir, telemetry)
+            if ckpt is None:
+                return EXIT_BAD_INPUT
+            # A live feed's resolved frames (synthesized values exist
+            # nowhere else) come back from the log, in runner.restore.
+            frames = ckpt.state["series"].get("environment", {}).get("frames", ())
+            if live and len(frames) < ckpt.slot:
+                print(
+                    f"repro {command}: checkpoint log {ckpt.path} carries {len(frames)} "
+                    f"resolved frame(s) but is at slot {ckpt.slot} (written "
+                    "before frames moved into the log); start a new run",
+                    file=sys.stderr,
+                )
+                return EXIT_BAD_INPUT
         writer = None
         if config.checkpoint_dir:
-            writer = _checkpoint_writer(spec, config.checkpoint_dir, save=not args.resume)
+            writer = _checkpoint_writer(spec, config.checkpoint_dir, save=not resume)
+            if not resume:
+                print(
+                    f"checkpointing every {spec.checkpoint_every} slot(s) "
+                    f"into {config.checkpoint_dir}"
+                )
         runner = SlotRunner(
             scenario.model,
             controller,
@@ -704,60 +637,47 @@ def _cmd_serve(args) -> int:
             checkpoint=writer,
             solve_deadline_ms=spec.solve_deadline_ms,
         )
-        resolver = StalenessResolver(
-            source,
-            injector=runner.injector,
-            telemetry=telemetry,
-            timeout_s=config.signal_timeout_s,
-            poll_interval_s=config.poll_interval_s,
-            peak_arrival=scenario.model.fleet.capacity(scenario.model.gamma),
-        )
-        if config.source != "replay":
+        resolver = None
+        if live:
+            from .serve import StalenessResolver
+
+            resolver = StalenessResolver(
+                source,
+                injector=runner.injector,
+                telemetry=telemetry,
+                timeout_s=config.signal_timeout_s,
+                poll_interval_s=config.poll_interval_s,
+                peak_arrival=scenario.model.fleet.capacity(scenario.model.gamma),
+            )
             environment.signals = resolver.counts  # copied into each record
         runner.start()
-
-        if args.resume:
-            ckpt = _resume_checkpoint("serve", config.checkpoint_dir, telemetry)
-            if ckpt is None:
-                return EXIT_BAD_INPUT
-            # The resolved prefix the checkpoint's fingerprint covers: replay
-            # regenerates it from the scenario traces; a live feed's frames
-            # (synthesized values exist nowhere else) come from the log,
-            # in runner.restore.
-            if config.source == "replay":
-                for frame in frames_from_environment(scenario.environment):
-                    if frame.slot < ckpt.slot:
-                        environment.append(frame)
-            else:
-                held = len(ckpt.state["series"].get("environment", {}).get("frames", ()))
-                if held < ckpt.slot:
-                    print(
-                        f"repro serve: checkpoint log {ckpt.path} carries {held} "
-                        f"resolved frame(s) but is at slot {ckpt.slot} (written "
-                        "before frames moved into the log); re-serve from the start",
-                        file=sys.stderr,
-                    )
-                    return EXIT_BAD_INPUT
+        if ckpt is not None:
             try:
                 runner.restore(ckpt)
             except CheckpointError as exc:
-                print(f"repro serve: {exc}", file=sys.stderr)
+                runner.close()
+                print(f"repro {command}: {exc}", file=sys.stderr)
                 return EXIT_BAD_INPUT
-            source.seek(ckpt.slot)
-            # A replay delivers every slot on time; a live log carries its
-            # feed's counts (none if written before they were logged).
-            resolver.restore(
-                environment.frames[-1] if environment.frames else None,
-                {"ok": ckpt.slot} if config.source == "replay" else ckpt.state.get("signals"),
-            )
+            if live:
+                source.seek(ckpt.slot)
+                # The log carries the feed's counts (none if written before
+                # they were logged).
+                resolver.restore(
+                    environment.frames[-1] if environment.frames else None,
+                    ckpt.state.get("signals"),
+                )
             print(f"resuming from {ckpt.path} (slot {ckpt.slot}/{scenario.horizon})")
 
-        board = StatusBoard()
-        server = None
+        board = server = None
+        if watched:
+            from .serve import StatusBoard
+
+            board = StatusBoard()
         if config.status_port is not None:
-            server = StatusServer(
-                board, port=config.status_port, registry=telemetry.metrics
-            )
+            from .serve import StatusServer
+            from .state import atomic_write_text
+
+            server = StatusServer(board, port=config.status_port, registry=telemetry.metrics)
             print(f"status endpoint at {server.url}/status")
             print(f"metrics endpoint at {server.url}/metrics")
             if config.status_port_file:
@@ -775,48 +695,43 @@ def _cmd_serve(args) -> int:
             dashboard_every=config.dashboard_every,
             recent_events=ring,
         )
-
+        # A run that can be resumed or is watched stops at a slot boundary
+        # on SIGTERM/SIGINT; a plain replay keeps the default handlers.
         stop = threading.Event()
         previous_handlers = {}
-        for sig in (_signal.SIGTERM, _signal.SIGINT):
-            previous_handlers[sig] = _signal.signal(sig, lambda *_: stop.set())
-        print(f"serving: {config.describe()} ({scenario.horizon} slots)")
+        if config.checkpoint_dir or live or watched:
+            import signal
+
+            previous_handlers = {
+                sig: signal.signal(sig, lambda *_: stop.set())
+                for sig in (signal.SIGTERM, signal.SIGINT)
+            }
         try:
             result = service.run(stop)
         finally:
             for sig, handler in previous_handlers.items():
-                _signal.signal(sig, handler)
-            source.close()
+                signal.signal(sig, handler)
+            if source is not None:
+                source.close()
             if server is not None:
                 server.close()
-    rc = _report_monitors(suite, args.strict)
+    rc = 0 if suite is None else _report_monitors(suite, args.strict)
 
     if result.status == "stopped":
         where = f"slot {result.stopped_at}/{scenario.horizon}"
         if result.checkpoint_path:
-            print(f"serve: stopped at {where}; checkpoint {result.checkpoint_path}")
-            print(
-                f"resume with: repro serve --resume --checkpoint-dir "
-                f"{config.checkpoint_dir}"
-                + (
-                    f"  (or: repro resume {config.checkpoint_dir})"
-                    if config.source == "replay"
-                    else ""
-                )
-            )
+            print(f"{command}: stopped at {where}; checkpoint {result.checkpoint_path}")
+            print(f"resume with: repro resume {config.checkpoint_dir}")
         else:
-            print(f"serve: stopped at {where} (no checkpoint dir; not resumable)")
+            print(f"{command}: stopped at {where} (no checkpoint dir; not resumable)")
         return EXIT_SHUTDOWN if stop.is_set() else 0
 
+    if injector is not None:
+        _print_fault_summary(injector, policy)
     _print_run_summary(result.record, args)
-    stats = resolver.stats()
-    degraded = sum(v for k, v in stats.items() if k not in ("ok", "late"))
-    print(
-        f"signals: {stats['ok']} ok, {stats['late']} late, {degraded} degraded "
-        f"({', '.join(f'{k}={v}' for k, v in stats.items() if k not in ('ok', 'late') and v)})"
-        if degraded
-        else f"signals: {stats['ok']} ok, {stats['late']} late"
-    )
+    _print_signals(resolver, scenario.horizon)
+    if args.verify_replay:
+        return _verify_replay(command, spec, scenario, result.record) or rc
     return rc
 
 
@@ -833,7 +748,6 @@ _SHARED_FLAGS = {
     "--iterations": dict(
         type=int, default=200, help="iterations per solve for --solver gsd/distributed"
     ),
-    "--solver-seed": dict(type=int, default=7, help="RNG seed for the stochastic solvers"),
     "--fallback": dict(
         choices=list(FALLBACKS),
         default="last_action",
@@ -873,6 +787,48 @@ def _add_shared(parser: argparse.ArgumentParser, *flags: str, **overrides: dict)
     for flag in flags:
         dest = flag.lstrip("-").replace("-", "_")
         parser.add_argument(flag, **{**_SHARED_FLAGS[flag], **overrides.get(dest, {})})
+
+
+def _add_operational_args(parser: argparse.ArgumentParser) -> None:
+    """The flags that pace, watch and check a run, never change its
+    results; ``resume`` takes them as ``run`` does."""
+    parser.add_argument(
+        "--slot-period-s", type=float, default=0.0, metavar="S",
+        help="wall-clock pacing per slot (0 = free-running)",
+    )
+    parser.add_argument(
+        "--poll-interval-s", type=float, default=0.05, metavar="S",
+        help="sleep between feed polls while waiting",
+    )
+    parser.add_argument(
+        "--status-port", type=int, default=None, metavar="PORT",
+        help="serve GET /status, /healthz, and Prometheus /metrics on "
+        "127.0.0.1:PORT (0 = ephemeral)",
+    )
+    parser.add_argument(
+        "--status-port-file", default=None, metavar="FILE",
+        help="write the bound status port to FILE (ephemeral-port discovery)",
+    )
+    parser.add_argument(
+        "--dashboard-out", default=None, metavar="FILE",
+        help="re-render a live HTML dashboard to FILE",
+    )
+    parser.add_argument(
+        "--dashboard-every", type=int, default=0, metavar="N",
+        help="slots between dashboard re-renders (0 = disabled)",
+    )
+    parser.add_argument(
+        "--alert-rearm", type=int, default=None, metavar="W",
+        help="re-announce a persisting alert every W slots (default: once)",
+    )
+    parser.add_argument(
+        "--max-slots", type=int, default=None, metavar="N",
+        help="stop (with a checkpoint) after N slots",
+    )
+    _add_shared(
+        parser, "--strict", "--verify-replay",
+        strict=dict(help="tap the health monitors; exit 2 when any fails (CI gating)"),
+    )
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -941,10 +897,47 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser(
         "run",
-        help="long-horizon run: checkpoints, seeded faults, monitors, replay",
+        aliases=["serve"],
+        help="run the controller over a signal feed: checkpoints, seeded "
+        "faults, monitors, status endpoint, replay check",
     )
     _add_scenario_args(p)
     _add_telemetry_args(p)
+    p.add_argument(
+        "--source",
+        choices=list(SOURCE_KINDS),
+        default="replay",
+        help="signal feed: replay the scenario traces (the batch run), "
+        "tail a JSONL feed file, or a seeded lossy generator",
+    )
+    p.add_argument(
+        "--feed", default=None, metavar="FILE",
+        help="JSONL feed path (required with --source file)",
+    )
+    p.add_argument(
+        "--source-seed", type=int, default=0,
+        help="delivery seed for --source synthetic",
+    )
+    p.add_argument(
+        "--p-drop", type=float, default=0.02,
+        help="synthetic: probability a slot's frame is never delivered",
+    )
+    p.add_argument(
+        "--p-late", type=float, default=0.1,
+        help="synthetic: probability a frame needs an extra poll",
+    )
+    p.add_argument(
+        "--p-field-loss", type=float, default=0.02,
+        help="synthetic: per-field omission probability",
+    )
+    p.add_argument(
+        "--p-swap", type=float, default=0.05,
+        help="synthetic: probability adjacent frames swap delivery order",
+    )
+    p.add_argument(
+        "--signal-timeout-s", type=float, default=0.0, metavar="S",
+        help="staleness budget waiting for a slot's frame (0 = one poll)",
+    )
     p.add_argument(
         "--fault-seed", type=int, default=7,
         help="seed for the generated fault schedule, message faults and GSD chain",
@@ -985,129 +978,26 @@ def build_parser() -> argparse.ArgumentParser:
         p, "--checkpoint-dir", "--checkpoint-every",
         "--solve-deadline-ms", "--record-out",
     )
+    _add_operational_args(p)
     p.add_argument(
-        "--slot-sleep-ms", type=float, default=0.0, metavar="MS",
-        help="sleep after each slot (crash-harness aid; results unchanged)",
-    )
-    _add_shared(
-        p, "--strict", "--verify-replay",
-        strict=dict(help="tap the health monitors; exit 2 when any fails (CI gating)"),
+        "--dry-run",
+        action="store_true",
+        help="validate the run's settings and exit 0 (clean) or 1",
     )
     p.set_defaults(func=_cmd_run)
 
     p = sub.add_parser(
         "resume",
-        help="continue a killed run from its newest valid checkpoint",
+        help="continue a stopped or killed run from its newest valid checkpoint",
     )
     _add_telemetry_args(p)
     p.add_argument(
         "checkpoint_dir", metavar="DIR",
         help="checkpoint directory written by `repro run --checkpoint-dir`",
     )
-    _add_shared(p, "--verify-replay", "--record-out")
+    _add_shared(p, "--record-out")
+    _add_operational_args(p)
     p.set_defaults(func=_cmd_resume)
-
-    p = sub.add_parser(
-        "serve",
-        help="long-running online control service over a live signal feed",
-    )
-    _add_scenario_args(p)
-    _add_telemetry_args(p)
-    p.add_argument(
-        "--source",
-        choices=["replay", "file", "synthetic"],
-        default="replay",
-        help="signal feed: replay the scenario traces (deterministic), "
-        "tail a JSONL feed file, or a seeded lossy generator",
-    )
-    p.add_argument(
-        "--feed", default=None, metavar="FILE",
-        help="JSONL feed path (required with --source file)",
-    )
-    _add_shared(
-        p, "--v", "--solver", "--iterations", "--solver-seed", "--fallback", "--retries"
-    )
-    p.add_argument(
-        "--slot-period-s", type=float, default=0.0, metavar="S",
-        help="wall-clock pacing per slot (0 = free-running)",
-    )
-    p.add_argument(
-        "--signal-timeout-s", type=float, default=0.0, metavar="S",
-        help="staleness budget waiting for a slot's frame (0 = one poll)",
-    )
-    p.add_argument(
-        "--poll-interval-s", type=float, default=0.05, metavar="S",
-        help="sleep between feed polls while waiting",
-    )
-    _add_shared(
-        p, "--solve-deadline-ms", "--checkpoint-dir", "--checkpoint-every",
-        checkpoint_dir=dict(
-            help="write crash-safe checkpoints (with a live feed's resolved "
-            "frames) and the resume manifest here"
-        ),
-    )
-    p.add_argument(
-        "--status-port", type=int, default=None, metavar="PORT",
-        help="serve GET /status, /healthz, and Prometheus /metrics on "
-        "127.0.0.1:PORT (0 = ephemeral)",
-    )
-    p.add_argument(
-        "--metrics-reservoir", type=int, default=8192, metavar="N",
-        help="bound each latency histogram to a seeded N-sample reservoir "
-        "(exact until N observations; 0 = unbounded raw lists)",
-    )
-    p.add_argument(
-        "--status-port-file", default=None, metavar="FILE",
-        help="write the bound status port to FILE (ephemeral-port discovery)",
-    )
-    p.add_argument(
-        "--dashboard-out", default=None, metavar="FILE",
-        help="re-render a live HTML dashboard to FILE",
-    )
-    p.add_argument(
-        "--dashboard-every", type=int, default=0, metavar="N",
-        help="slots between dashboard re-renders (0 = disabled)",
-    )
-    p.add_argument(
-        "--alert-rearm", type=int, default=None, metavar="W",
-        help="re-announce a persisting alert every W slots (default: once)",
-    )
-    p.add_argument(
-        "--max-slots", type=int, default=None, metavar="N",
-        help="stop (with a checkpoint) after N slots; smoke-test aid",
-    )
-    p.add_argument(
-        "--source-seed", type=int, default=0,
-        help="delivery seed for --source synthetic",
-    )
-    p.add_argument(
-        "--p-drop", type=float, default=0.02,
-        help="synthetic: probability a slot's frame is never delivered",
-    )
-    p.add_argument(
-        "--p-late", type=float, default=0.1,
-        help="synthetic: probability a frame needs an extra poll",
-    )
-    p.add_argument(
-        "--p-field-loss", type=float, default=0.02,
-        help="synthetic: per-field omission probability",
-    )
-    p.add_argument(
-        "--p-swap", type=float, default=0.05,
-        help="synthetic: probability adjacent frames swap delivery order",
-    )
-    p.add_argument(
-        "--resume",
-        action="store_true",
-        help="continue from the newest valid checkpoint in --checkpoint-dir",
-    )
-    p.add_argument(
-        "--dry-run",
-        action="store_true",
-        help="validate the service configuration and exit 0 (clean) or 1",
-    )
-    _add_shared(p, "--record-out", "--strict")
-    p.set_defaults(func=_cmd_serve)
 
     return parser
 

@@ -184,7 +184,7 @@ class COCA(Controller):
 
     # ------------------------------------------------------------ serving
     def status_dict(self) -> dict:
-        """The deficit-queue view ``repro serve`` exposes at ``/status``."""
+        """The deficit-queue view ``repro run`` exposes at ``/status``."""
         return {
             "name": self.name(),
             "queue_mwh": float(self.queue.length),

@@ -137,7 +137,7 @@ class Controller(ABC):
 
     # -- serving hooks (see repro.serve) -------------------------------
     def status_dict(self) -> dict:
-        """Live operational state for the ``repro serve`` status endpoint.
+        """Live operational state for the ``repro run`` status endpoint.
 
         Unlike :meth:`state_dict` (complete, restorable, bit-exact), this
         is a small human-oriented snapshot -- queue depths, applied

@@ -73,7 +73,7 @@ class StalenessResolver:
         Sleep between polls while waiting (ignored with ``timeout_s=0``).
     peak_arrival:
         The arrival rate a cold start plans for: a first frame that lost
-        its prediction gets this one (``repro serve`` passes the fleet's
+        its prediction gets this one (``repro run`` passes the fleet's
         capacity), so losing frame 0 over-provisions one slot instead of
         switching every server off.  Realized values never observed stay 0.
     clock / sleep:

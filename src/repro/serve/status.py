@@ -7,7 +7,7 @@ is a stdlib ``ThreadingHTTPServer`` on a daemon thread serving the board as
 JSON -- ``GET /status`` for the full snapshot, ``GET /healthz`` for
 liveness probes, and (when a :class:`~repro.telemetry.MetricsRegistry` is
 attached) ``GET /metrics`` in Prometheus text exposition format -- so an
-operator or a scraper can watch a long-running ``repro serve`` without
+operator or a scraper can watch a long-running ``repro run`` without
 touching its stdout or its trace file.
 
 The HTTP thread only ever *reads* the board; nothing in the serving loop
@@ -33,7 +33,7 @@ class StatusBoard:
 
     Most fields are stored as the loop sets them.  A field whose value
     costs real work and may go unread (the solve-latency percentiles, one
-    sort of the whole latency reservoir) is registered with
+    sort of every latency sample) is registered with
     :meth:`compute` instead and evaluated only when a snapshot is read.
     """
 
@@ -122,7 +122,7 @@ class StatusServer:
     def __init__(self, board: StatusBoard, *, host: str = "127.0.0.1",
                  port: int = 0, registry: MetricsRegistry | None = None) -> None:
         # The HTTP stack (http.server pulls in email, ssl and socket) loads
-        # only when a server starts, not with every ``repro serve``.
+        # only when a server starts, not with every ``repro run``.
         from http.server import ThreadingHTTPServer
 
         self._httpd = ThreadingHTTPServer((host, port), _handler(board, registry))

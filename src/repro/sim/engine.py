@@ -26,18 +26,15 @@ pass.  The per-group levels serve what reads groups: the next slot's
 switching charge, and a fault run's fallback and checkpoints, which keep
 the last realized levels.
 
-The per-slot arithmetic lives in :class:`SlotRunner` so two drivers can
-share it verbatim: :func:`simulate` (the offline batch loop, which owns the
-whole horizon up front) and the :mod:`repro.serve` control service (which
-feeds slots one at a time as live signals arrive).  Anything the batch path
-computes, the serving path computes through the *same* code, which is what
-makes ``repro serve --source replay`` bit-identical to ``repro run`` by
-construction rather than by testing alone.
+The per-slot arithmetic lives in :class:`SlotRunner`, and one loop drives
+it: :class:`~repro.sim.loop.ControlService`, which :func:`simulate` and
+every ``repro run`` use, whether the slots come from the scenario traces
+or one at a time from a live feed.  A live run therefore computes through
+the *same* code as a batch run, by construction rather than by testing
+alone.
 """
 
 from __future__ import annotations
-
-import time
 
 import numpy as np
 
@@ -219,13 +216,12 @@ def _decide_degraded(
 class SlotRunner:
     """The per-slot execution core, one slot per :meth:`step` call.
 
-    Owns everything :func:`simulate` used to hold in local variables: the
-    record columns, the previous on-set, the last realized action, the
-    injector/degradation wiring, and the checkpoint capture.  Drivers differ
-    only in *when* they call :meth:`step` -- the batch loop sweeps the whole
-    horizon as fast as it can, the control service paces real time and may
-    stop early on a shutdown signal -- so both produce identical arithmetic
-    for identical inputs.
+    Owns the record columns, the previous on-set, the last realized action,
+    the injector/degradation wiring, and the checkpoint capture.  The slot
+    loop (:class:`~repro.sim.loop.ControlService`) decides only *when*
+    :meth:`step` is called -- as fast as it can, or paced to real time and
+    stopped early on a shutdown signal -- so every run produces identical
+    arithmetic for identical inputs.
 
     Construction binds telemetry and the solve deadline, :meth:`start` emits
     the run-level context and calls ``controller.start``, then an optional
@@ -652,7 +648,6 @@ def simulate(
     checkpoint: CheckpointWriter | None = None,
     resume_from: Checkpoint | None = None,
     solve_deadline_ms: float | None = None,
-    slot_sleep_s: float = 0.0,
 ) -> SimulationRecord:
     """Run ``controller`` over the full budgeting period.
 
@@ -692,11 +687,9 @@ def simulate(
     whose solve still overran the budget is flagged with a
     ``deadline.slot_overrun`` event.  Deadline expiry depends on wall-clock
     speed, so it intentionally breaks the bit-replay contract.
-
-    ``slot_sleep_s`` sleeps after each slot -- a testing aid that slows a
-    run down (so a crash harness can kill it mid-horizon) without touching
-    any arithmetic or RNG; results stay bit-identical.
     """
+    from .loop import ControlService
+
     runner = SlotRunner(
         model,
         controller,
@@ -711,10 +704,6 @@ def simulate(
         runner.start()
         if resume_from is not None:
             runner.restore(resume_from)
-        for t in range(runner.start_slot, runner.horizon):
-            runner.step(t)
-            if slot_sleep_s > 0.0:
-                time.sleep(slot_sleep_s)
-        return runner.finish()
+        return ControlService(runner).run().record
     finally:
         runner.close()

@@ -1,48 +1,46 @@
-"""The serving loop: one :class:`~repro.sim.engine.SlotRunner` step per slot,
-forever (or until the horizon, a stop signal, or ``--max-slots``).
+"""The slot loop: one :class:`~repro.sim.engine.SlotRunner` step per slot,
+until the horizon, a stop signal, or ``max_slots``.
 
-:class:`ControlService` composes the pieces the previous subsystems built:
+Every run drives its runner through :class:`ControlService`:
+:func:`~repro.sim.engine.simulate`, and ``repro run`` and ``repro resume``
+over every signal source.  The pieces around the runner are optional, and
+a replay of the scenario traces takes none of them:
 
-- the **runner** executes each slot through the *same* code as batch
-  ``repro run`` (bit-identity by construction);
-- the **resolver** turns the signal feed into exactly one complete frame
-  per slot, degrading losses through the fault injector;
-- the **environment** holds each resolved frame before the slot executes,
-  and the runner's checkpoint records carry a live feed's frames with the
-  slots they produced, so a SIGKILL loses at most the in-flight slot;
-- the **board** (and its HTTP view) is refreshed once per slot; the
-  solve-latency percentiles are computed only when ``/status`` is read;
+- the **resolver** (:class:`~repro.serve.StalenessResolver`) turns a live
+  feed into exactly one complete frame per slot, degrading losses through
+  the fault injector; each resolved frame is appended to the runner's
+  :class:`~repro.serve.LiveEnvironment` before the slot executes, and the
+  runner's checkpoint records carry the frames with the slots they
+  produced, so a SIGKILL loses at most the in-flight slot;
+- the **board** (:class:`~repro.serve.StatusBoard`, and its HTTP view) is
+  refreshed once per slot; the solve-latency percentiles are computed only
+  when ``/status`` is read;
 - the **dashboard** re-renders every N slots from a bounded ring of recent
-  events, so operators get a live HTML health report without unbounded
-  memory;
+  events;
 - **alerts** stream to their sinks the moment monitors raise them (the
   suite taps the telemetry chain; nothing here is replay-after-the-fact).
 
 Stopping is cooperative: the loop checks ``stop_event`` between slots and
 while pacing, writes a *forced* checkpoint at the exact slot boundary, and
 reports where it stopped -- which is what makes SIGTERM + ``repro resume``
-(or ``repro serve --resume``) complete the horizon bit-identically.
+complete the horizon bit-identically.  This module imports nothing from
+:mod:`repro.serve`, so a replay pays for no feed, HTTP or dashboard code.
 """
 
 from __future__ import annotations
 
 import threading
 import time as _time
-from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, NamedTuple
 
-from ..sim.engine import SlotRunner
-from ..sim.metrics import SimulationRecord
-from .environment import LiveEnvironment
-from .staleness import StalenessResolver
-from .status import StatusBoard
+from .engine import SlotRunner
+from .metrics import SimulationRecord
 
 __all__ = ["ControlService", "ServiceResult"]
 
 
-@dataclass(frozen=True)
-class ServiceResult:
-    """How a service run ended.
+class ServiceResult(NamedTuple):
+    """How a run ended.
 
     ``status`` is ``"completed"`` (horizon finished; ``record`` holds the
     assembled :class:`SimulationRecord`) or ``"stopped"`` (stop signal or
@@ -57,14 +55,16 @@ class ServiceResult:
 
 
 class ControlService:
-    """Drives a :class:`SlotRunner` from a resolved signal feed."""
+    """Drives a :class:`SlotRunner` to its horizon, from a resolved signal
+    feed when ``resolver`` is given (else the runner's environment already
+    holds every slot)."""
 
     def __init__(
         self,
         runner: SlotRunner,
-        resolver: StalenessResolver,
+        resolver=None,
         *,
-        board: StatusBoard | None = None,
+        board=None,
         suite=None,
         budget_mwh: float | None = None,
         slot_period_s: float = 0.0,
@@ -76,7 +76,7 @@ class ControlService:
     ) -> None:
         self.runner = runner
         self.resolver = resolver
-        self.board = board if board is not None else StatusBoard()
+        self.board = board
         self.suite = suite
         self.budget_mwh = budget_mwh
         self.slot_period_s = float(slot_period_s)
@@ -93,12 +93,13 @@ class ControlService:
         self._summed = 0
         self._brown = 0.0
         self._cost = 0.0
-        self.board.compute("solver_latency", self._solver_latency)
+        if board is not None:
+            board.compute("solver_latency", self._solver_latency)
 
     def _solver_latency(self) -> dict:
         """The board's ``solver_latency`` block, built when ``/status`` is
-        read: the percentiles sort the whole latency reservoir, which would
-        cost a third of a serve slot if refreshed every slot."""
+        read: the percentiles sort every latency sample, which would cost
+        a third of a slot if refreshed every slot."""
         metrics = self.runner.tele.metrics
         if "sim.solve_time_s" not in metrics:  # read-only: create nothing
             return {}
@@ -124,10 +125,12 @@ class ControlService:
             list(self.recent_events.events),
             self.dashboard_out,
             suite=self.suite,
-            title=f"repro serve (slot {self.runner.start_slot + self.slots_run})",
+            title=f"repro run (slot {self.runner.start_slot + self.slots_run})",
         )
 
     def _update_board(self, slot: int, state: str) -> None:
+        if self.board is None:
+            return
         runner = self.runner
         cols = runner.cols
         for i in range(self._summed, len(cols["cost"])):
@@ -167,7 +170,9 @@ class ControlService:
             },
             cost_dollars=cost,
             alerts=alerts,
-            signals=self.resolver.stats(),
+            signals=(
+                {"ok": slot} if self.resolver is None else self.resolver.stats()
+            ),
             checkpoint=checkpointing,
         )
 
@@ -177,13 +182,13 @@ class ControlService:
         path = self.runner.checkpoint_now(slot)
         tele = self.runner.tele
         if tele.enabled:
-            tele.emit("serve.stop", slot=slot, reason=reason, checkpoint=path)
+            tele.emit("run.stop", slot=slot, reason=reason, checkpoint=path)
         self._update_board(slot, "stopped")
         self._render_dashboard()
         return ServiceResult(status="stopped", stopped_at=slot, checkpoint_path=path)
 
     def run(self, stop_event: threading.Event | None = None) -> ServiceResult:
-        """Serve slots until the horizon, a stop, or ``max_slots``; the
+        """Run slots until the horizon, a stop, or ``max_slots``; the
         checkpoint log is released however the run ends."""
         try:
             return self._run(
@@ -194,15 +199,8 @@ class ControlService:
 
     def _run(self, stop_event: threading.Event) -> ServiceResult:
         runner = self.runner
-        tele = runner.tele
-        if tele.enabled:
-            tele.emit(
-                "serve.start",
-                slot=runner.start_slot,
-                horizon=runner.horizon,
-                source=self.resolver.source.describe(),
-                slot_period_s=self.slot_period_s,
-            )
+        resolver = self.resolver
+        append = None if resolver is None else runner.environment.append
         self._update_board(runner.start_slot, "running")
         period = self.slot_period_s
         epoch = self._clock() if period > 0 else 0.0
@@ -213,12 +211,11 @@ class ControlService:
             if self.max_slots is not None and self.slots_run >= self.max_slots:
                 return self._stop(t, "max_slots")
 
-            frame = self.resolver.resolve(t)
-            # The slot's checkpoint record carries this frame (live feeds);
-            # a resume re-resolves every later slot, the in-flight one
-            # included, from the source.
-            if isinstance(runner.environment, LiveEnvironment):
-                runner.environment.append(frame)
+            if append is not None:
+                # The slot's checkpoint record carries this frame; a resume
+                # re-resolves every later slot, the in-flight one included,
+                # from the source.
+                append(resolver.resolve(t))
 
             runner.step(t)
             self.slots_run += 1
@@ -235,8 +232,6 @@ class ControlService:
                     return self._stop(t + 1, "signal")
 
         record = runner.finish()
-        if tele.enabled:
-            tele.emit("serve.complete", slots=runner.horizon)
         self._update_board(runner.horizon, "completed")
         self._render_dashboard()
         return ServiceResult(status="completed", record=record)

@@ -6,8 +6,8 @@ The subsystem has three layers, bundled by :class:`Telemetry`:
   -- controller decisions, deficit-queue updates, realized outcomes,
   dropped load, GSD solve summaries -- streamed to memory or JSONL.
 - **Metrics** (:mod:`~repro.telemetry.metrics`): counters, gauges, and
-  exact-percentile histograms (opt-in bounded reservoirs for long-running
-  services) in a name-keyed registry, renderable as Prometheus text
+  exact-percentile histograms in a name-keyed registry, renderable as
+  Prometheus text
   exposition (:mod:`~repro.telemetry.prometheus`).
 - **Timing** (:mod:`~repro.telemetry.timing`,
   :mod:`~repro.telemetry.spans`): scoped wall-clock timers feeding

@@ -7,25 +7,16 @@ get-or-create instruments by name (``registry.histogram("gsd.solve_time_s")``)
 so metric identity is a string contract, not an object one -- the same
 convention as Prometheus-style registries in production controllers.
 
-Histograms keep raw observations by default (batch runs are at most a few
-hundred thousand slots), so any percentile is exact; registries from
-process-pool workers merge losslessly via :meth:`MetricsRegistry.state` /
+Histograms keep every observation, so any percentile is exact: a run ends
+at its horizon, and a histogram gains at most one sample per slot solve,
+fewer rows than the run's record holds.  Registries from process-pool
+workers merge losslessly via :meth:`MetricsRegistry.state` /
 :meth:`MetricsRegistry.merge_state`.
-
-Long-running services are the exception: ``repro serve`` observes one
-latency sample per slot forever, so an unbounded raw list is a slow memory
-leak.  ``MetricsRegistry(reservoir=N)`` opts every histogram into a
-deterministic seeded reservoir (Algorithm R): the first ``N`` observations
-are kept verbatim (percentiles stay exact), after which each new sample
-replaces a uniformly-chosen slot, giving a uniform sample of the whole
-stream under fixed memory.  ``count``/``total``/``mean``/``max`` stay exact
-in either mode via running accumulators.
 """
 
 from __future__ import annotations
 
 import math
-import zlib
 
 import numpy as np
 
@@ -63,81 +54,41 @@ class Gauge:
 
 
 class Histogram:
-    """Distribution of observations: exact by default, reservoir-bounded opt-in.
+    """Distribution of observations, every one retained: exact percentiles."""
 
-    Without ``reservoir``, every observation is retained and percentiles are
-    exact (the original contract).  With ``reservoir=N``, at most ``N``
-    observations are kept -- exact until ``N`` samples have arrived, a
-    seeded uniform reservoir sample of the full stream afterwards -- while
-    ``count``/``total``/``mean``/``max`` remain exact running statistics.
-    The replacement draws come from a private ``numpy`` generator seeded
-    from ``(seed, crc32(name))``, so identically-configured registries fed
-    the same stream keep identical samples (no global RNG is touched).
-    """
+    __slots__ = ("name", "_values", "_max")
 
-    __slots__ = ("name", "_values", "_reservoir", "_rng", "_stream", "_count", "_total", "_max")
-
-    def __init__(self, name: str, *, reservoir: int | None = None, seed: int = 0) -> None:
-        if reservoir is not None and reservoir <= 0:
-            raise ValueError("reservoir size must be positive (or None for exact)")
+    def __init__(self, name: str) -> None:
         self.name = name
         self._values: list[float] = []
-        self._reservoir = reservoir
-        self._rng = (
-            np.random.default_rng([seed, zlib.crc32(name.encode("utf-8"))])
-            if reservoir is not None
-            else None
-        )
-        self._stream = 0  # samples offered to the reservoir (drives slot choice)
-        self._count = 0  # logical observations (exact, survives merges)
-        self._total = 0.0
         self._max = float("-inf")
 
     def observe(self, value: float) -> None:
         v = float(value)
-        self._count += 1
-        self._total += v
+        self._values.append(v)
         if v > self._max:
             self._max = v
-        self._offer(v)
-
-    def _offer(self, v: float) -> None:
-        self._stream += 1
-        r = self._reservoir
-        if r is None or len(self._values) < r:
-            self._values.append(v)
-        else:
-            j = int(self._rng.integers(0, self._stream))
-            if j < r:
-                self._values[j] = v
 
     @property
     def count(self) -> int:
-        return self._count
+        return len(self._values)
 
     @property
     def total(self) -> float:
-        # Unbounded histograms recompute from the raw list so merged and
-        # serial registries agree bit-for-bit (same left-to-right sum);
-        # bounded (or cross-mode merged) ones use the running accumulator.
-        if self._reservoir is None and self._count == len(self._values):
-            return float(sum(self._values))
-        return self._total
+        # A fresh left-to-right sum, so merged and serial registries agree
+        # bit for bit.
+        return float(sum(self._values))
 
     @property
     def mean(self) -> float:
-        return self.total / self._count if self._count else 0.0
+        return self.total / self.count if self._values else 0.0
 
     @property
     def max(self) -> float:
-        return self._max if self._count else 0.0
+        return self._max if self._values else 0.0
 
     def percentile(self, p: float) -> float:
-        """Percentile ``p`` in [0, 100] (linear interpolation).
-
-        Exact in unbounded mode; in reservoir mode, computed over the
-        uniform sample (exact until the reservoir first fills).
-        """
+        """Percentile ``p`` in [0, 100] (linear interpolation)."""
         return self.percentiles((p,))[0]
 
     def percentiles(self, ps) -> list[float]:
@@ -169,21 +120,13 @@ class Histogram:
         return out
 
     def values(self) -> np.ndarray:
-        """Copy of the retained observations (the reservoir sample if bounded)."""
+        """Copy of the observations."""
         return np.asarray(self._values, dtype=np.float64)
 
-    def _ingest(self, values, count: int, total: float, vmax: float | None) -> None:
-        """Fold another histogram's exported state into this one (``vmax``
+    def _ingest(self, values, vmax: float | None) -> None:
+        """Fold another histogram's exported values into this one (``vmax``
         is None when that histogram saw no observations)."""
-        vals = [float(v) for v in values]
-        if self._reservoir is None:
-            self._values.extend(vals)
-            self._stream += len(vals)
-        else:
-            for v in vals:
-                self._offer(v)
-        self._count += int(count)
-        self._total += float(total)
+        self._values.extend(float(v) for v in values)
         if vmax is not None and vmax > self._max:
             self._max = float(vmax)
 
@@ -196,10 +139,8 @@ class MetricsRegistry:
     typo-induced double registration early.
     """
 
-    def __init__(self, *, reservoir: int | None = None, seed: int = 0) -> None:
+    def __init__(self) -> None:
         self._instruments: dict[str, Counter | Gauge | Histogram] = {}
-        self._reservoir = reservoir
-        self._seed = seed
 
     def _get(self, name: str, cls):
         instrument = self._instruments.get(name)
@@ -220,15 +161,7 @@ class MetricsRegistry:
         return self._get(name, Gauge)
 
     def histogram(self, name: str) -> Histogram:
-        instrument = self._instruments.get(name)
-        if instrument is None:
-            instrument = Histogram(name, reservoir=self._reservoir, seed=self._seed)
-            self._instruments[name] = instrument
-        elif not isinstance(instrument, Histogram):
-            raise TypeError(
-                f"metric {name!r} is a {type(instrument).__name__}, not a Histogram"
-            )
-        return instrument
+        return self._get(name, Histogram)
 
     def __len__(self) -> int:
         return len(self._instruments)
@@ -275,9 +208,7 @@ class MetricsRegistry:
             "histograms": {
                 n: {
                     "values": list(i._values),
-                    "count": i._count,
-                    "total": i.total,
-                    "max": i._max if i._count else None,
+                    "max": i._max if i._values else None,
                 }
                 for n, i in self._instruments.items()
                 if isinstance(i, Histogram)
@@ -287,16 +218,13 @@ class MetricsRegistry:
     def merge_state(self, state: dict) -> None:
         """Fold another registry's :meth:`state` into this one.
 
-        Counters add, histograms concatenate (or feed the reservoir when
-        bounded), gauges take the incoming value (last write wins, matching
-        serial execution order).  Each histogram payload carries its
-        retained values and the exact count/total/max.
+        Counters add, histograms concatenate, gauges take the incoming
+        value (last write wins, matching serial execution order).  Each
+        histogram payload carries its values and their max.
         """
         for name, value in state.get("counters", {}).items():
             self.counter(name).inc(value)
         for name, value in state.get("gauges", {}).items():
             self.gauge(name).set(value)
         for name, payload in state.get("histograms", {}).items():
-            self.histogram(name)._ingest(
-                payload["values"], payload["count"], payload["total"], payload["max"]
-            )
+            self.histogram(name)._ingest(payload["values"], payload["max"])

@@ -1,7 +1,7 @@
 """Prometheus text exposition for the :class:`MetricsRegistry`.
 
 Renders the registry in the Prometheus text format (version 0.0.4) so a
-standard scraper pointed at the serve loop's ``/metrics`` endpoint ingests
+standard scraper pointed at a run's ``/metrics`` endpoint ingests
 the controller's cost/carbon/latency series with zero glue:
 
 - :class:`~repro.telemetry.metrics.Counter` -> ``counter`` with the
@@ -9,8 +9,7 @@ the controller's cost/carbon/latency series with zero glue:
 - :class:`~repro.telemetry.metrics.Gauge` -> ``gauge``,
 - :class:`~repro.telemetry.metrics.Histogram` -> ``summary`` with
   ``{quantile="..."}`` sample lines plus exact ``_sum``/``_count``
-  (quantiles come from the histogram's retained observations -- exact in
-  batch mode, reservoir-sampled under ``repro serve``).
+  (quantiles are exact: a histogram retains every observation).
 
 Metric names are sanitized to the Prometheus grammar
 (``[a-zA-Z_:][a-zA-Z0-9_:]*``): the registry's dotted names map dots to

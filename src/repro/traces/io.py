@@ -13,7 +13,7 @@ def append_jsonl_rows(
 ) -> None:
     """Append ``rows`` to a JSONL file, one object per line, flushed.
 
-    The producer side of a live signal feed (``repro serve --source
+    The producer side of a live signal feed (``repro run --source
     file``): each row lands as one complete line, so a tailing consumer
     never parses a torn record.  ``truncate`` starts the file over.
     """

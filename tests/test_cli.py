@@ -281,7 +281,7 @@ class TestExitCodes:
         with pytest.raises(SystemExit):
             build_parser().parse_args(argv)
 
-    @pytest.mark.parametrize("command", ["resume", "serve"])
+    @pytest.mark.parametrize("command", ["resume"])
     def test_resume_refuses_sharded_manifest(self, tmp_path, capsys, command):
         # A checkpoint written by the removed process-sharded solver must not
         # silently resume on the single-process chain.
@@ -293,24 +293,18 @@ class TestExitCodes:
         manifest["run"]["shards"] = 2
         path.write_text(json.dumps(manifest))
         capsys.readouterr()
-        if command == "resume":
-            rc = main(["resume", str(ckpt_dir)])
-        else:
-            rc = main(["serve", "--resume", "--checkpoint-dir", str(ckpt_dir)])
+        rc = main([command, str(ckpt_dir)])
         assert rc == EXIT_BAD_INPUT
         err = capsys.readouterr().err.strip()
         assert "--shards" in err and "removed" in err
         assert len(err.splitlines()) == 1
 
-    @pytest.mark.parametrize("command", ["resume", "serve"])
+    @pytest.mark.parametrize("command", ["resume"])
     def test_resume_refuses_advised_manifest(self, tmp_path, capsys, command):
         # The advice layer was removed: its checkpoints cannot resume as a
         # plain COCA run without silently changing the controller.
         (tmp_path / MANIFEST_NAME).write_bytes(ADVICE_MANIFEST.read_bytes())
-        if command == "resume":
-            rc = main(["resume", str(tmp_path)])
-        else:
-            rc = main(["serve", "--resume", "--checkpoint-dir", str(tmp_path)])
+        rc = main([command, str(tmp_path)])
         assert rc == EXIT_BAD_INPUT
         err = capsys.readouterr().err.strip()
         assert "--advice" in err and "removed" in err
@@ -344,17 +338,14 @@ class TestExitCodes:
         assert "already holds checkpoints" in err and len(err.splitlines()) == 1
         assert {p.name: p.read_bytes() for p in ckpt_dir.iterdir()} == before
 
-    @pytest.mark.parametrize("command", ["resume", "serve"])
+    @pytest.mark.parametrize("command", ["resume"])
     def test_resume_refuses_version_1_snapshots(self, tmp_path, capsys, command):
         (tmp_path / MANIFEST_NAME).write_text(json.dumps(LEGACY_MANIFEST))
         (tmp_path / "ckpt-00000048.json").write_text(
             '{"crc32":0,"format":"repro-checkpoint","payload_bytes":2,'
             '"slot":48,"version":1}\n{}\n'
         )
-        if command == "resume":
-            rc = main(["resume", str(tmp_path)])
-        else:
-            rc = main(["serve", "--resume", "--checkpoint-dir", str(tmp_path)])
+        rc = main([command, str(tmp_path)])
         assert rc == EXIT_BAD_INPUT
         err = capsys.readouterr().err.strip()
         assert "version-1" in err and "ckpt-*.json" in err
@@ -443,6 +434,38 @@ class TestFaultRun:
         assert "faults: 28 injected (group_fail=14, group_repair=14)" in out
         assert "8/8 monitors passing" in out
         assert "replay: bit-identical" in out
+
+    def test_stopped_strict_run_resumes_to_the_whole_run_verdicts(self, tmp_path, capsys):
+        """A strict fault run stopped at slot 13 and resumed with ``resume
+        --strict`` ends with the uninterrupted run's verdicts, exit code
+        and record.  At 80% of the unaware usage the budget trajectory
+        fails, so a failing verdict is compared too."""
+        from repro.state import load_record, record_mismatches
+
+        argv = [*self.ARGV, "--budget-fraction", "0.8"]
+        whole, cut = tmp_path / "whole", tmp_path / "cut"
+
+        def verdicts(captured):
+            fails = sorted(
+                line.split(":")[0].split()[-1]
+                for line in captured.err.splitlines() if line.lstrip().startswith("FAIL ")
+            )
+            passing = [line for line in captured.out.splitlines() if "monitors passing" in line]
+            return passing, fails
+
+        rc = main([*argv, "--strict", "--checkpoint-dir", str(whole),
+                   "--record-out", str(tmp_path / "whole.npz")])
+        want = verdicts(capsys.readouterr())
+        assert rc == EXIT_MONITOR_CRITICAL and want[1] == ["budget-trajectory"]
+        assert main([*argv, "--strict", "--checkpoint-dir", str(cut),
+                     "--max-slots", "13"]) == 0
+        assert "stopped at slot 13/48" in capsys.readouterr().out
+        rc = main(["resume", str(cut), "--strict", "--record-out", str(tmp_path / "cut.npz")])
+        assert rc == EXIT_MONITOR_CRITICAL
+        assert verdicts(capsys.readouterr()) == want
+        assert record_mismatches(
+            load_record(str(tmp_path / "whole.npz")), load_record(str(tmp_path / "cut.npz"))
+        ) == []
 
     def test_message_faults_note_names_the_distributed_solver(self, capsys):
         assert main([*self.ARGV, "--horizon", "4", "--loss", "0.1"]) == 0
@@ -535,7 +558,7 @@ class TestRunSpec:
     def test_null_advice_of_older_serve_manifests_is_accepted(self):
         # Serve manifests written before the advice layer was removed carry
         # ``"advice": null``; they load as the same run and drop the key.
-        manifest = json.loads((MANIFEST_DIR / "serve_replay.json").read_text())
+        manifest = json.loads((MANIFEST_DIR / "legacy_serve_replay.json").read_text())
         legacy = json.loads(json.dumps(manifest))
         legacy["run"]["advice"] = None
         assert RunSpec.from_manifest(legacy) == RunSpec.from_manifest(manifest)
@@ -573,6 +596,20 @@ class TestBadRunSettings:
         assert len(lines) == 1 and needle in lines[0]
         assert "Traceback" not in captured.err
         assert "run: cost" not in captured.out
+
+    def test_checkpoint_dir_under_a_file_is_refused(self, tmp_path, capsys):
+        """A checkpoint directory that cannot be made (its parent is a
+        regular file) is refused in one line before anything is written."""
+        blocker = tmp_path / "blocker"
+        blocker.write_text("")
+        argv = ["run", "--horizon", "4", "--checkpoint-dir", str(blocker / "ckpt")]
+        assert main(argv) == EXIT_BAD_INPUT
+        captured = capsys.readouterr()
+        lines = captured.err.strip().splitlines()
+        assert len(lines) == 1 and "checkpoint dir" in lines[0]
+        assert "Traceback" not in captured.err and captured.out == ""
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["blocker"]
+        assert blocker.read_text() == ""
 
     def test_schedule_out_without_a_schedule_is_refused(self, tmp_path, capsys):
         out = tmp_path / "schedule.json"

@@ -2,8 +2,8 @@
 and require the result to be bit-identical to an uninterrupted run.
 
 This is the end-to-end proof of the ``repro.state`` contract: the harness
-launches ``repro run`` in a subprocess with per-slot checkpoints and an
-artificial per-slot sleep (so the kill lands mid-horizon at a
+launches ``repro run`` in a subprocess with per-slot checkpoints, paced
+to one slot per 40 ms (so the kill lands mid-horizon at a
 timing-dependent slot), SIGKILLs it with no chance to clean up, then
 resumes in-process from whatever the checkpoint log holds and diffs the final
 :class:`~repro.sim.metrics.SimulationRecord` against a golden run that was
@@ -57,7 +57,7 @@ def _kill_mid_run(proc, ckpt_dir, *, min_checkpoints=5, timeout_s=90.0):
         if proc.poll() is not None:
             pytest.fail(
                 "run finished before it could be killed mid-horizon; "
-                "raise --slot-sleep-ms or the horizon"
+                "raise --slot-period-s or the horizon"
             )
         ckpt = latest_valid_checkpoint(ckpt_dir)
         seen = 0 if ckpt is None else ckpt.slot
@@ -112,7 +112,7 @@ def test_sigkill_then_resume_is_bit_identical(tmp_path, seed):
             "--seed", str(seed),
             "--checkpoint-dir", ckpt_dir,
             "--checkpoint-every", "1",
-            "--slot-sleep-ms", "40",
+            "--slot-period-s", "0.04",
         ]
     )
     _kill_mid_run(proc, ckpt_dir, min_checkpoints=3)
@@ -133,7 +133,7 @@ def test_sigkill_then_resume_gsd_chain(tmp_path):
                 "--iterations", "8",
                 "--checkpoint-dir", ckpt_dir,
                 "--checkpoint-every", "1",
-                "--slot-sleep-ms", "40",
+                "--slot-period-s", "0.04",
                 *extra,
             ]
         )
@@ -158,7 +158,7 @@ def test_sigkill_then_resume_under_lossy_bus_chaos(tmp_path):
             "--iterations", "6",
             "--checkpoint-dir", ckpt_dir,
             "--checkpoint-every", "1",
-            "--slot-sleep-ms", "40",
+            "--slot-period-s", "0.04",
         ]
     )
     _kill_mid_run(proc, ckpt_dir, min_checkpoints=3)
@@ -173,7 +173,7 @@ def test_corrupt_newest_checkpoint_falls_back_on_resume(tmp_path):
             "--seed", "3",
             "--checkpoint-dir", ckpt_dir,
             "--checkpoint-every", "1",
-            "--slot-sleep-ms", "40",
+            "--slot-period-s", "0.04",
         ]
     )
     _kill_mid_run(proc, ckpt_dir, min_checkpoints=3)

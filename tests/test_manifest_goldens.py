@@ -1,10 +1,13 @@
 """Golden run manifests: the bytes ``manifest.json`` is written with.
 
-Every checkpointed ``repro run`` and ``repro serve`` writes a manifest that
-``repro resume`` and ``serve --resume`` rebuild the run from, so its format
-is a contract with every checkpoint directory already on disk.  Each case
-below writes one manifest at ``--horizon 24`` and compares its bytes with
-the fixture under ``tests/goldens/manifests/``.
+Every checkpointed ``repro run`` writes a manifest that ``repro resume``
+rebuilds the run from, so its format is a contract with every checkpoint
+directory already on disk.  Each case below writes one manifest at
+``--horizon 24`` and compares its bytes with the fixture under
+``tests/goldens/manifests/``.  A replay records no feed, so the ``serve``
+spelling of ``run`` writes the plain run's bytes; a live feed records its
+identity under ``serve``.  ``legacy_serve_replay.json`` is what the removed
+``repro serve --source replay`` wrote; ``repro resume`` still reads it.
 
 Refresh after an intentional format change with::
 
@@ -30,6 +33,7 @@ CASES = {
     "run_gsd": ("run", *_H, "--solver", "gsd", "--iterations", "5"),
     "run_deadline": ("run", *_H, "--solve-deadline-ms", "50"),
     "serve_replay": ("serve", *_H, "--source", "replay"),
+    "run_synthetic": ("run", *_H, "--source", "synthetic", "--source-seed", "7"),
 }
 
 

@@ -421,6 +421,7 @@ class TestStatusEndpoint:
         service = ControlService(
             runner,
             StalenessResolver(ReplaySignalSource(scenario.environment)),
+            board=StatusBoard(),
             max_slots=12,
         )
         assert service.run().status == "stopped"
@@ -460,7 +461,7 @@ class TestReplayBitIdentity:
         runner.restore(ckpt)
         source.seek(19)
         resolver.restore(environment.frames[-1])
-        service = ControlService(runner, resolver)
+        service = ControlService(runner, resolver, board=StatusBoard())
         result = service.run()
         assert result.status == "completed"
         assert record_mismatches(batch, result.record) == []
@@ -501,14 +502,20 @@ class TestServeCli:
     def test_bad_config_refused_without_dry_run(self, capsys):
         assert main(["serve", "--source", "file"]) == EXIT_BAD_INPUT
 
+    def test_dashboard_out_alone_renders_at_the_end(self, tmp_path, capsys):
+        out = tmp_path / "d.html"
+        assert main(["run", "--horizon", "12", "--dashboard-out", str(out)]) == 0
+        assert "monitors passing" in capsys.readouterr().out
+        assert "<html" in out.read_text().lower()
+
     def test_resume_requires_checkpoint_dir(self, capsys):
-        assert main(["serve", "--resume"]) == EXIT_BAD_INPUT
-        assert "--checkpoint-dir" in capsys.readouterr().err
+        with pytest.raises(SystemExit) as exit_:
+            main(["resume"])
+        assert exit_.value.code == 2  # argparse's usage error
+        assert "DIR" in capsys.readouterr().err
 
     def test_resume_without_manifest_is_bad_input(self, tmp_path, capsys):
-        code = main(
-            ["serve", "--resume", "--checkpoint-dir", str(tmp_path)]
-        )
+        code = main(["resume", str(tmp_path)])
         assert code == EXIT_BAD_INPUT
         assert MANIFEST_NAME in capsys.readouterr().err
 
@@ -550,10 +557,7 @@ class TestServeCli:
         out = capsys.readouterr().out
         assert "stopped at slot 13/36" in out
         assert (
-            main(
-                ["serve", "--resume", "--checkpoint-dir", ckpt_dir,
-                 "--record-out", str(serve_out)]
-            )
+            main(["resume", ckpt_dir, "--record-out", str(serve_out)])
             == 0
         )
         from repro.state import load_record
@@ -646,6 +650,26 @@ class TestCheckpointBytesAcrossResume:
         assert sorted(os.listdir(serve)) == [LOG_NAME, MANIFEST_NAME]
         assert _payloads(serve) == _payloads(run)
 
+    def test_legacy_replay_serve_manifest_resumes(self, tmp_path, capsys):
+        """A replay run's manifest written by the removed ``repro serve
+        --source replay`` carries a replay ``serve`` block: ``resume``
+        reads it as a replay and appends the uninterrupted run's bytes."""
+        golden, legacy = tmp_path / "golden", tmp_path / "legacy"
+        assert main(["run", *self.ARGS, "--checkpoint-dir", str(golden)]) == 0
+        assert main(["run", *self.ARGS, "--checkpoint-dir", str(legacy)]) == 0
+        manifest = json.loads((legacy / MANIFEST_NAME).read_text())
+        manifest["serve"] = {
+            "source": "replay", "feed": None, "source_seed": 0, "signal_timeout_s": 0.0,
+            "synthetic": {"p_drop": 0.02, "p_late": 0.1, "p_field_loss": 0.02, "p_swap": 0.05},
+        }
+        (legacy / MANIFEST_NAME).write_text(json.dumps(manifest))
+        stop = 11
+        log = legacy / LOG_NAME
+        os.truncate(log, [e for slot, _, e in record_spans(log) if slot == stop][-1])
+        assert main(["resume", str(legacy)]) == 0
+        assert "signals: 30 ok, 0 late" in capsys.readouterr().out
+        self._assert_resumed_bytes_match(golden, legacy, stop)
+
     def test_synthetic_log_alone_resumes_after_a_host_crash(self, tmp_path, capsys):
         """Each fsynced record carries the frames that produced its slots,
         so a directory holding only the manifest and a log cut anywhere --
@@ -669,7 +693,7 @@ class TestCheckpointBytesAcrossResume:
                 (crashed / name).write_bytes((golden / name).read_bytes())
             os.truncate(crashed / LOG_NAME, cut)
             out = tmp_path / f"resumed-{stop}.npz"
-            assert main(["serve", "--resume", "--checkpoint-dir", str(crashed),
+            assert main(["resume", str(crashed),
                          "--record-out", str(out)]) == 0
             assert f"(slot {stop}/30)" in capsys.readouterr().out
             assert record_mismatches(load_record(str(golden_out)), load_record(str(out))) == []
@@ -696,7 +720,7 @@ class TestCheckpointBytesAcrossResume:
         legacy.mkdir()
         (legacy / LOG_NAME).write_bytes(old)
         (legacy / MANIFEST_NAME).write_bytes((golden / MANIFEST_NAME).read_bytes())
-        assert main(["serve", "--resume", "--checkpoint-dir", str(legacy),
+        assert main(["resume", str(legacy),
                      "--record-out", str(out)]) == 0
         assert f"(slot {stop}/30)" in capsys.readouterr().out
         assert record_mismatches(load_record(str(golden_out)), load_record(str(out))) == []
@@ -723,7 +747,7 @@ class TestCheckpointBytesAcrossResume:
         (legacy / LOG_NAME).write_bytes(old)
         (legacy / MANIFEST_NAME).write_bytes((golden / MANIFEST_NAME).read_bytes())
         capsys.readouterr()
-        assert main(["serve", "--resume", "--checkpoint-dir", str(legacy),
+        assert main(["resume", str(legacy),
                      "--record-out", str(out)]) == 0
         assert capsys.readouterr().out.splitlines()[-1] == (
             "signals: 15 ok, 0 late, 4 degraded (missing=2, out_of_order=2)"
@@ -744,12 +768,12 @@ class TestCheckpointBytesAcrossResume:
             legacy += dumps_checkpoint(slot, state)
         log.write_bytes(legacy)
         capsys.readouterr()
-        assert main(["serve", "--resume", "--checkpoint-dir", str(ckpt)]) == EXIT_BAD_INPUT
+        assert main(["resume", str(ckpt)]) == EXIT_BAD_INPUT
         err = capsys.readouterr().err
         assert err == (
-            f"repro serve: checkpoint log {log} carries 0 resolved frame(s) but is "
-            "at slot 13 (written before frames moved into the log); re-serve from "
-            "the start\n"
+            f"repro resume: checkpoint log {log} carries 0 resolved frame(s) but is "
+            "at slot 13 (written before frames moved into the log); start a new "
+            "run\n"
         )
 
     def test_resumed_serve_gets_the_whole_run_monitor_verdicts(self, tmp_path, capsys):
@@ -761,7 +785,7 @@ class TestCheckpointBytesAcrossResume:
                      "--trace-out", str(tmp_path / "whole.jsonl")]) == 0
         assert main([*self.SYNTHETIC, "--checkpoint-dir", str(cut), "--max-slots", "13",
                      "--strict"]) == 0
-        assert main(["serve", "--resume", "--checkpoint-dir", str(cut), "--strict",
+        assert main(["resume", str(cut), "--strict",
                      "--trace-out", str(tmp_path / "cut.jsonl")]) == 0
         assert capsys.readouterr().out.count("8/8 monitors passing") == 3
 
@@ -789,7 +813,7 @@ class TestCheckpointBytesAcrossResume:
         want = capsys.readouterr().out.splitlines()[-1]
         assert main([*args, "--checkpoint-dir", str(cut), "--max-slots", "13"]) == 0
         capsys.readouterr()
-        assert main(["serve", "--resume", "--checkpoint-dir", str(cut),
+        assert main(["resume", str(cut),
                      "--trace-out", str(tmp_path / "cut.jsonl")]) == 0
         got = capsys.readouterr().out.splitlines()[-1]
         assert got == want
@@ -828,7 +852,7 @@ class TestCheckpointBytesAcrossResume:
             log = legacy / LOG_NAME
             os.truncate(log, [e for s, _, e in record_spans(log) if s == cut][-1])
             out = tmp_path / f"resumed-{cut}.npz"
-            assert main(["serve", "--resume", "--checkpoint-dir", str(legacy),
+            assert main(["resume", str(legacy),
                          "--record-out", str(out)]) == 0
             assert f"(slot {cut}/30)" in capsys.readouterr().out
             assert record_mismatches(load_record(str(golden_out)), load_record(str(out))) == []
@@ -847,8 +871,47 @@ class TestCheckpointBytesAcrossResume:
             == 0
         )
         assert "stopped at slot 13/30" in capsys.readouterr().out
-        assert main(["serve", "--resume", "--checkpoint-dir", str(resumed)]) == 0
+        assert main(["resume", str(resumed)]) == 0
         self._assert_resumed_bytes_match(golden, resumed, stop)
+
+
+class TestFeedWithFaults:
+    """A live feed and a fault schedule in one run: the schedule's group
+    failures and the feed's lost signals degrade through one injector, and
+    a stopped run resumes to the uninterrupted run bit for bit."""
+
+    ARGS = ["run", "--source", "synthetic", "--source-seed", "7", "--chaos",
+            "--horizon", "30", "--seed", "4", "--failure-rate", "0.04"]
+
+    def test_stop_and_resume_matches_the_whole_run(self, tmp_path, capsys):
+        whole, cut = tmp_path / "whole", tmp_path / "cut"
+        whole_out, cut_out = tmp_path / "whole.npz", tmp_path / "cut.npz"
+
+        def faults_line(out):
+            return [line for line in out.splitlines() if line.startswith("faults:")]
+
+        assert main([*self.ARGS, "--checkpoint-dir", str(whole),
+                     "--record-out", str(whole_out)]) == 0
+        want = capsys.readouterr().out
+        assert main([*self.ARGS, "--checkpoint-dir", str(cut), "--max-slots", "13"]) == 0
+        assert "stopped at slot 13/30" in capsys.readouterr().out
+        assert main(["resume", str(cut), "--record-out", str(cut_out)]) == 0
+        got = capsys.readouterr().out
+        assert record_mismatches(load_record(str(whole_out)), load_record(str(cut_out))) == []
+        # Every record but the stop's forced one (which adds no rows).
+        after = {slot: p for slot, p in _payloads(cut).items() if slot != 13}
+        assert after == {slot: p for slot, p in _payloads(whole).items() if slot != 13}
+        assert faults_line(got) == faults_line(want)
+        assert got.splitlines()[-1] == want.splitlines()[-1]  # the signals line
+        # Both sources of faults are counted: the schedule's group events
+        # and the signals the feed lost.
+        (line,) = faults_line(want)
+        by_kind = dict(
+            kv.split("=") for kv in line.split("(")[1].split(")")[0].split(", ")
+        )
+        assert int(by_kind["group_fail"]) > 0 and int(by_kind["signal"]) > 0
+        injected = int(line.split()[1])
+        assert injected == sum(int(v) for v in by_kind.values())
 
 
 # ------------------------------------------------- the log's descriptor

@@ -4,7 +4,7 @@ These are the tests behind CI's ``serve-smoke`` job:
 
 - start ``repro serve`` as a subprocess on a replayed feed, poll the live
   ``/status`` endpoint, SIGTERM it mid-horizon (exit code 4), then
-  ``repro serve --resume`` to completion and require the stitched record
+  ``repro resume`` to completion and require the stitched record
   to be bit-identical to a batch ``repro run`` of the same scenario;
 - start it on a lossy synthetic feed, SIGKILL it once a few checkpoint
   records are on disk (no shutdown path runs), resume, and require the
@@ -134,12 +134,7 @@ def test_sigterm_then_resume_is_bit_identical_to_batch(tmp_path):
 
     # Resume the interrupted service run to completion, free-running.
     code, out = _run(
-        [
-            "serve",
-            "--resume",
-            "--checkpoint-dir", ckpt,
-            "--record-out", serve_record,
-        ],
+        ["resume", ckpt, "--record-out", serve_record],
         d,
     )
     assert code == 0, out
@@ -189,12 +184,7 @@ def test_sigkill_of_a_live_feed_then_resume_is_bit_identical(tmp_path):
     assert 3 <= stopped < HORIZON
 
     code, out = _run(
-        [
-            "serve",
-            "--resume",
-            "--checkpoint-dir", ckpt,
-            "--record-out", resumed_record,
-        ],
+        ["resume", ckpt, "--record-out", resumed_record],
         d,
     )
     assert code == 0, out

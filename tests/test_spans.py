@@ -1,4 +1,4 @@
-"""Tests for hierarchical spans, the span CLI, reservoirs, /metrics.
+"""Tests for hierarchical spans, the span CLI, /metrics.
 
 The load-bearing guarantees of the PR-7 observability layer:
 
@@ -11,8 +11,6 @@ The load-bearing guarantees of the PR-7 observability layer:
   links and a deterministic structure;
 - the GSD hot loop's named child buckets account for >=90% of solver wall
   time (profiles must be actionable, not "misc");
-- bounded (reservoir) histograms stay exact for count/total/max and keep
-  percentiles within a pinned error band;
 - the Prometheus exposition is stable text, golden-pinned.
 """
 
@@ -301,68 +299,6 @@ class TestGSDAttribution:
             spans=True,
         )
         assert "no span events" in legacy
-
-
-class TestReservoirHistogram:
-    def test_exact_until_capacity_and_running_stats(self):
-        reg = MetricsRegistry(reservoir=64, seed=1)
-        h = reg.histogram("lat")
-        for v in range(200):
-            h.observe(float(v))
-        assert h.count == 200
-        assert h.total == pytest.approx(sum(range(200)))
-        assert h.max == 199.0
-        assert len(h._values) == 64
-
-    def test_same_seed_same_samples(self):
-        def build(seed):
-            reg = MetricsRegistry(reservoir=32, seed=seed)
-            h = reg.histogram("lat")
-            for v in range(500):
-                h.observe(float(v))
-            return list(h._values)
-
-        assert build(3) == build(3)
-        assert build(3) != build(4)
-
-    def test_percentile_error_bounded(self):
-        # Uniform stream 0..9999: reservoir p50/p90/p99 must stay within
-        # 5 percentile points of truth at N=1024 (Algorithm R is unbiased;
-        # this band is generous enough to be seed-stable, tight enough to
-        # catch a broken sampler).
-        reg = MetricsRegistry(reservoir=1024, seed=0)
-        h = reg.histogram("lat")
-        values = np.arange(10_000, dtype=float)
-        for v in values:
-            h.observe(float(v))
-        sample = np.asarray(h._values)
-        for q in (50, 90, 99):
-            truth = np.percentile(values, q)
-            got = np.percentile(sample, q)
-            assert abs(got - truth) <= 0.05 * 10_000, (q, got, truth)
-
-    def test_unbounded_default_unchanged(self):
-        reg = MetricsRegistry()
-        h = reg.histogram("lat")
-        for v in range(100):
-            h.observe(float(v))
-        assert len(h._values) == 100 and h.count == 100
-
-    def test_merge_bounded_state_preserves_exact_stats(self):
-        worker = MetricsRegistry(reservoir=16, seed=2)
-        h = worker.histogram("lat")
-        for v in range(100):
-            h.observe(float(v))
-        parent = MetricsRegistry(reservoir=16, seed=2)
-        parent.merge_state(worker.state())
-        merged = parent.histogram("lat")
-        assert merged.count == 100
-        assert merged.total == pytest.approx(sum(range(100)))
-        assert merged.max == 99.0
-
-    def test_rejects_nonpositive_reservoir(self):
-        with pytest.raises(ValueError):
-            MetricsRegistry(reservoir=0).histogram("lat")
 
 
 class TestPrometheus:
